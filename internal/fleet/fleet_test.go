@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,6 +100,14 @@ type testFleet struct {
 
 func startFleet(t testing.TB, copts Options, workers int) *testFleet {
 	t.Helper()
+	return startFleetWith(t, copts, workers, nil)
+}
+
+// startFleetWith is startFleet with the workers' HTTP client replaced (nil:
+// the worker default), so a test can sit on the wire between them and the
+// coordinator.
+func startFleetWith(t testing.TB, copts Options, workers int, client *http.Client) *testFleet {
+	t.Helper()
 	if copts.SweepEvery == 0 {
 		copts.SweepEvery = 5 * time.Millisecond
 	}
@@ -116,6 +126,7 @@ func startFleet(t testing.TB, copts Options, workers int) *testFleet {
 			Token:       copts.Token,
 			Name:        fmt.Sprintf("node%d", i+1),
 			Slots:       1,
+			HTTPClient:  client,
 			Logf:        t.Logf,
 		})
 		tf.wg.Add(1)
@@ -508,6 +519,29 @@ func mustDecode(t testing.TB, task Task) *workflow.Dataset {
 	return ds
 }
 
+// resultGate is a worker-side transport that counts poll requests and holds
+// every shard result until the gate opens. A one-slot worker whose result
+// is held cannot poll again, so the queue depth the other worker's poll is
+// judged against stays put instead of racing the first worker's drain.
+type resultGate struct {
+	polls atomic.Int32
+	open  chan struct{}
+}
+
+func (g *resultGate) RoundTrip(r *http.Request) (*http.Response, error) {
+	switch {
+	case strings.HasSuffix(r.URL.Path, "/fleet/poll"):
+		g.polls.Add(1)
+	case strings.HasSuffix(r.URL.Path, "/fleet/result"):
+		select {
+		case <-g.open:
+		case <-r.Context().Done():
+			return nil, r.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // TestScalingPoliciesGateEngagement runs the same distributed stage under
 // each scaling policy and asserts the hire decisions on the live fleet:
 // NeverScale keeps the second worker cold, PredictiveScale hires it only
@@ -516,16 +550,33 @@ func mustDecode(t testing.TB, task Task) *workflow.Dataset {
 func TestScalingPoliciesGateEngagement(t *testing.T) {
 	run := func(t *testing.T, copts Options, shards int) (*Coordinator, Roster) {
 		t.Helper()
-		tf := startFleet(t, copts, 2)
+		gate := &resultGate{open: make(chan struct{})}
+		copts.PollWait = 20 * time.Millisecond // a declined poll returns soon
+		tf := startFleetWith(t, copts, 2, &http.Client{Transport: gate})
 		// A knowledge-base-free engine estimates every shard at the 1s
 		// fallback, making the hire economics deterministic: with q shards
 		// queued the 1→2 hire saves DelayCostPerSec·q(q-1)/4 and costs
 		// HirePrice·Margin·(startup+1s).
 		e := workflow.NewEngine(workflow.EngineOptions{Workers: 4})
 		ds := featureDataset(t, 20*shards, 4, 29)
-		_, err := e.RunByName(context.Background(), "integrative-network", ds,
-			workflow.RunOptions{ShardRecords: 20, ShardPool: tf.coord})
-		if err != nil {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := e.RunByName(context.Background(), "integrative-network", ds,
+				workflow.RunOptions{ShardRecords: 20, ShardPool: tf.coord})
+			errc <- err
+		}()
+		// The first grant parks one worker on its held result with
+		// shards-1 queued. The other worker is judged against exactly that
+		// depth: it is hired (a second dispatch), or it finishes a poll
+		// begun after the enqueue — two poll starts, since a worker polls
+		// sequentially — and was declined.
+		waitFor(t, 5*time.Second, func() bool { return tf.coord.FleetMetrics().Dispatched >= 1 })
+		base := gate.polls.Load()
+		waitFor(t, 5*time.Second, func() bool {
+			return tf.coord.FleetMetrics().Dispatched >= 2 || gate.polls.Load() >= base+2
+		})
+		close(gate.open)
+		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
 		return tf.coord, tf.coord.Snapshot()

@@ -22,8 +22,10 @@ import (
 // list, or any exported method that both takes the read lock
 // (recv.mu.RLock()) and reads recv.graph, must contain a recv.Flush()
 // call positioned before the first RLock and the first graph access.
-// Writers (recv.mu.Lock()) and the deliberately unflushed advice path
-// (which reads the materialized cache, not the graph) are exempt.
+// Writers (recv.mu.Lock()) and the deliberately unflushed advisory reads —
+// the advice path (the materialized cache) and the cost oracle
+// (EstimateStageCost / ChainCosts: fold-time accumulators under a leaf
+// lock of their own) — touch no graph state and are exempt.
 var FlushRead = &analysis.Analyzer{
 	Name:     "flushread",
 	Doc:      "knowledge.Base flushing readers must call Flush() before touching the graph",

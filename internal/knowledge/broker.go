@@ -24,6 +24,7 @@ package knowledge
 //     (rpc.Server.Close, core.Platform, tests) use; every read API that
 //     must see complete telemetry (Query, FitStageModel, Export, Len, …)
 //     flushes first, so buffered observations are never visible as "lost".
+//     (The cost oracle, cost.go, is fed by the same fold; its reads do not.)
 //
 // Invariants:
 //
@@ -123,7 +124,7 @@ func (b *Base) RunCounts() (total, pending int) {
 
 // InvalidateCache drops the materialized profile/advice cache, forcing the
 // next advice call to recompute from SPARQL. Correctness never requires
-// calling it — the write epoch invalidates automatically — it exists so
+// calling it — the profile epoch invalidates automatically — it exists so
 // benchmarks and tests can measure the uncached path.
 func (b *Base) InvalidateCache() {
 	b.cache.Store(nil)
@@ -190,10 +191,9 @@ func (b *Base) kickFlusher() {
 
 // currentCache returns a published cache valid for the current profile
 // epoch, or nil. The epoch is atomic and a published cache is immutable,
-// so this is safe without any lock: if the epochs match, no
-// profile-affecting mutation has happened since the cache's view was
-// snapshotted — run-log folds bump only the graph's write epoch, which the
-// cache no longer watches.
+// so this is safe without any lock: matching epochs mean no profile-
+// affecting mutation since the cache's view was snapshotted (run-log folds
+// bump only the graph's write epoch, which no cache watches).
 func (b *Base) currentCache() *adviceCache {
 	if c := b.cache.Load(); c != nil && c.epoch == b.profileEpoch.Load() {
 		return c

@@ -1,65 +1,122 @@
 package knowledge
 
-// The cost-estimate query surface: the Data Broker's runtime predictions
-// over its fitted per-(application, stage) models. ShardAdvice answers "how
-// wide should this stage scatter"; these answer "how long will one task of
-// this stage take" — the oracle the workflow engine's pipelined scheduler
-// ranks shard dispatch with.
+// The cost oracle: "how long will one task of this stage take", asked by
+// the workflow engine to rank shard dispatch and by the fleet coordinator
+// to price a hire: an O(1) read of per-(app, stage) sufficient statistics
+// for E(d) = a·d + b, kept by addRunLocked — where LogRun, the async fold
+// and WAL replay all funnel — and rebuilt where Import / snapshot load
+// recounts b.runs. Reads take linesMu alone (never mu: no job waits out a
+// batch fold), touch no graph state and do not Flush: like ShardAdvice they
+// may trail accepted telemetry by one ingest batch. FitStageModel is the
+// SPARQL reference.
 
-// CostEstimate is one predicted stage-task runtime.
+import (
+	"fmt"
+
+	"scan/internal/ontology"
+	"scan/internal/stats"
+)
+
+// lineStats accumulates one stage's single-thread (size, time) runs as a
+// count, running means and centred co-moments: stats.FitLine's two-pass
+// sums by Welford updates, so one distinct size leaves sxx exactly 0.
+type lineStats struct{ n, meanX, meanY, sxx, sxy float64 }
+
+// observeLocked folds one observation into its stage's accumulator. Only
+// single-thread runs shape E(d), as in FitStageModel. The caller holds b.mu.
+func (b *Base) observeLocked(l RunLog) {
+	if l.Threads != 1 {
+		return
+	}
+	b.linesMu.Lock()
+	defer b.linesMu.Unlock()
+	key := StageRef{App: l.App, Stage: l.Stage}
+	s := b.lines[key]
+	s.n++
+	dx := l.InputSize - s.meanX
+	s.meanX += dx / s.n
+	s.meanY += (l.ETime - s.meanY) / s.n
+	s.sxx += dx * (l.InputSize - s.meanX)
+	s.sxy += dx * (l.ETime - s.meanY)
+	b.lines[key] = s
+}
+
+// rebuildLinesLocked recomputes every accumulator from the graph's RunLog
+// individuals (sorted: a reloaded snapshot accumulates in logging order),
+// skipping any without one numeric value per run-log property — nothing
+// this package mints. The caller holds b.mu.
+func (b *Base) rebuildLinesLocked(runs []ontology.Term) {
+	b.linesMu.Lock()
+	b.lines = make(map[StageRef]lineStats)
+	b.linesMu.Unlock()
+	props := [4]ontology.Term{iri(PropStage), iri(PropInputFileSize), iri(PropThreads), iri(PropETime)}
+	pApp := iri(PropApplication)
+	for _, run := range runs {
+		var v [4]float64
+		ok := true
+		for i, prop := range props {
+			o, _ := b.graph.Object(run, prop)
+			f, numeric := o.AsFloat()
+			v[i], ok = f, ok && numeric
+		}
+		if app, _ := b.graph.Object(run, pApp); ok && app.Value != "" {
+			b.observeLocked(RunLog{App: localName(app), Stage: int(v[0]), InputSize: v[1], Threads: int(v[2]), ETime: v[3]})
+		}
+	}
+}
+
+// CostEstimate is one predicted stage-task runtime: (App, Stage)'s single-
+// thread execution time at the queried size, in the run logs' eTime units.
 type CostEstimate struct {
-	// App and Stage identify the fitted (application, stage) pair.
-	App   string
-	Stage int
-	// Seconds is the predicted single-thread execution time at the queried
-	// input size, in the run logs' eTime units.
+	App     string
+	Stage   int
 	Seconds float64
 }
 
 // EstimateStageCost predicts the serial runtime of one (app, stage) task at
-// the given input size (in the KB's abstract size units), evaluated on the
-// memoized FitStageModel regression over the accumulated run logs. Stages
-// the KB cannot regress yet (too few single-thread observations at distinct
-// sizes) return the fit error — callers fall back to uniform costs.
+// the given input size (in the KB's abstract size units), in constant time.
+// It fails exactly when stats.FitLine would — fewer than two single-thread
+// runs folded, or all at one size — and callers fall back to uniform costs.
+// The prediction is the raw line, unfloored (millisecond shards must stay
+// distinguishable); callers read a non-positive one as no estimate.
 func (b *Base) EstimateStageCost(app string, stage int, inputSize float64) (CostEstimate, error) {
-	m, err := b.FitStageModel(app, stage)
-	if err != nil {
-		return CostEstimate{}, err
+	b.linesMu.Lock()
+	s := b.lines[StageRef{App: app, Stage: stage}]
+	b.linesMu.Unlock()
+	if s.n < 2 || s.sxx == 0 {
+		return CostEstimate{}, fmt.Errorf("knowledge: fitting E(d) for %s stage %d: %w", app, stage, stats.ErrInsufficientData)
 	}
-	return CostEstimate{App: app, Stage: stage, Seconds: m.SerialTime(inputSize)}, nil
+	slope := s.sxy / s.sxx
+	return CostEstimate{App: app, Stage: stage, Seconds: s.meanY + slope*(inputSize-s.meanX)}, nil
 }
 
-// StageRef names one link of a stage chain for a chain-cost query.
+// StageRef names one (application, stage) pair: a link of a stage chain in
+// a chain-cost query, and the key of the oracle's accumulators.
 type StageRef struct {
 	App   string
 	Stage int
 }
 
 // ChainCosts estimates every stage of a chain at a common per-task input
-// size. Stages the KB cannot regress yet are substituted with the mean
-// fitted cost (or 1 when nothing in the chain has a fit), so a partially
-// trained KB still yields a usable relative ranking: fitted stages order
-// correctly among themselves, unknown stages sit at the average.
+// size. Stages the KB cannot regress yet take the mean fitted cost (or 1
+// when nothing in the chain has a fit), so a partially trained KB still
+// ranks usefully: fitted stages order correctly, unknown ones sit between.
 func (b *Base) ChainCosts(chain []StageRef, inputSize float64) []float64 {
-	costs := make([]float64, len(chain))
-	fitted := make([]bool, len(chain))
+	costs := make([]float64, len(chain)) // 0 marks a stage without a fit
 	sum, n := 0.0, 0
 	for i, ref := range chain {
-		est, err := b.EstimateStageCost(ref.App, ref.Stage, inputSize)
-		if err != nil || est.Seconds <= 0 {
-			continue
+		if est, err := b.EstimateStageCost(ref.App, ref.Stage, inputSize); err == nil && est.Seconds > 0 {
+			costs[i] = est.Seconds
+			sum += est.Seconds
+			n++
 		}
-		costs[i] = est.Seconds
-		fitted[i] = true
-		sum += est.Seconds
-		n++
 	}
 	fallback := 1.0
 	if n > 0 {
 		fallback = sum / float64(n)
 	}
-	for i := range costs {
-		if !fitted[i] {
+	for i, c := range costs {
+		if c == 0 {
 			costs[i] = fallback
 		}
 	}

@@ -7,7 +7,9 @@
 // profiling some of the most common genome applications") and then grows
 // from the run logs of every task executed on the platform; regression over
 // the accumulated observations recovers the per-stage (a, b, c) performance
-// coefficients the scheduler's estimators use.
+// coefficients the scheduler's estimators use: FitStageModel evaluates the
+// full model in SPARQL (experiment T2, linear in history); jobs read the
+// cost oracle (cost.go), constant-time accumulators every fold maintains.
 package knowledge
 
 import (
@@ -46,15 +48,19 @@ const (
 )
 
 // Base wraps the ontology graph with typed accessors and a lock, making it
-// safe for the platform's concurrent workers to log runs. Two fast-path
-// structures sit in front of the graph (see broker.go): a materialized
-// profile/advice cache invalidated by the graph's write epoch, and a
-// bounded run-log ingestion buffer folded into the graph in batches.
+// safe for the platform's concurrent workers to log runs. Three fast-path
+// structures sit beside the graph: a materialized profile/advice cache
+// invalidated by the profile epoch, a bounded run-log ingestion buffer
+// folded in batches (both broker.go), and the cost oracle (cost.go).
 type Base struct {
 	mu    sync.RWMutex
 	graph *ontology.Graph
 	seq   int // run-log naming counter: always above every runNNNNNN name
 	runs  int // RunLog individuals in the graph (naming can be sparse)
+
+	// The cost oracle's accumulators (cost.go); linesMu is a leaf lock.
+	linesMu sync.Mutex
+	lines   map[StageRef]lineStats
 
 	// Batched ingestion (broker.go). foldMu serializes folds so Flush is
 	// a true barrier; ingestMu guards only the append buffer and is never
@@ -74,15 +80,6 @@ type Base struct {
 	// cacheMu serializes rebuilds and memo extensions only.
 	cacheMu sync.Mutex
 	cache   atomic.Pointer[adviceCache]
-
-	// Fitted-stage-model memo (FitStageModel): one entry per (app, stage),
-	// valid for one *graph* write epoch. The regression reads RunLog
-	// individuals, which folds add without touching the profile epoch, so
-	// this cache watches ontology.Graph.Epoch instead: any effective
-	// mutation — a fold, a profile write, an import — invalidates it, and
-	// repeated fits between mutations cost no SPARQL evaluation.
-	fitMu   sync.Mutex
-	fitMemo map[fitKey]fitEntry
 
 	// Advice-cache observability: hits answered from a published memo
 	// (no profile ranking ran), misses that ranked profiles. Scraped by
@@ -117,7 +114,7 @@ func New() *Base {
 		g.DeclareDataProperty(iri(p))
 	}
 	g.DeclareObjectProperty(iri(PropApplication))
-	return &Base{graph: g}
+	return &Base{graph: g, lines: make(map[StageRef]lineStats)}
 }
 
 func iri(local string) ontology.Term { return ontology.NewIRI(NS + local) }
@@ -217,11 +214,13 @@ func validateRun(l RunLog) error {
 	return nil
 }
 
-// addRunLocked names and inserts one observation; the caller holds b.mu.
+// addRunLocked names and inserts one observation and folds it into the
+// cost oracle's accumulators; the caller holds b.mu.
 func (b *Base) addRunLocked(l RunLog) {
 	name := fmtRunName(b.seq)
 	b.seq++
 	b.runs++
+	b.observeLocked(l)
 	b.graph.AddIndividual(iri(name), iri(ClassRunLog), map[ontology.Term]ontology.Term{
 		iri(PropApplication):   iri(l.App),
 		iri(PropStage):         ontology.NewInt(int64(l.Stage)),
@@ -392,64 +391,16 @@ func (b *Base) CacheStats() (hits, misses uint64) {
 	return b.cacheHits.Load(), b.cacheMisses.Load()
 }
 
-// fitKey identifies one fitted stage model.
-type fitKey struct {
-	app   string
-	stage int
-}
-
-// fitEntry is one memoized regression: the model pointer is what the
-// invalidation test asserts identity on, the epoch is the graph write
-// epoch the fit evaluated against.
-type fitEntry struct {
-	epoch uint64
-	model *gatk.StageModel
-}
-
-// fitMemoLimit bounds the fitted-model memo; a full memo starts over.
-const fitMemoLimit = 1024
-
 // FitStageModel recovers a stage's (a, b, c) coefficients from the logged
-// runs of one application stage — experiment T2's regression. Single-thread
-// runs at varied input sizes fit E(d) = a·d + b; multi-thread runs at a
-// fixed size fit the Amdahl fraction c.
-//
-// Fits are memoized per (app, stage) behind the graph's write epoch — not
-// the profile-only epoch the advice cache uses, because run-log folds (which
-// never change the profile list, so advice stays cached across them) are
-// exactly what changes a regression's input. The initial Flush folds any
-// buffered telemetry first, bumping the epoch if there was any, so a cached
-// model is always the fit over every accepted observation.
+// runs of one application stage — experiment T2's regression, evaluated in
+// SPARQL over every matching RunLog individual. Single-thread runs at
+// varied input sizes fit E(d) = a·d + b; multi-thread runs at a fixed size
+// fit the Amdahl fraction c. The cost oracle (cost.go) is tested against
+// it; it is on no job's path: each call flushes and evaluates its history.
 func (b *Base) FitStageModel(app string, stage int) (gatk.StageModel, error) {
 	b.Flush() // regression must see buffered observations
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	// Epoch and memo are read inside the same read-critical section the
-	// evaluation runs in (mutators bump the epoch under the write lock), so
-	// a hit is exactly the model this evaluation would recompute.
-	key := fitKey{app: app, stage: stage}
-	epoch := b.graph.Epoch()
-	b.fitMu.Lock()
-	if e, ok := b.fitMemo[key]; ok && e.epoch == epoch {
-		b.fitMu.Unlock()
-		return *e.model, nil
-	}
-	b.fitMu.Unlock()
-	model, err := b.fitStageModelLocked(app, stage)
-	if err != nil {
-		return gatk.StageModel{}, err
-	}
-	b.fitMu.Lock()
-	if b.fitMemo == nil || len(b.fitMemo) >= fitMemoLimit {
-		b.fitMemo = make(map[fitKey]fitEntry)
-	}
-	b.fitMemo[key] = fitEntry{epoch: epoch, model: &model}
-	b.fitMu.Unlock()
-	return model, nil
-}
-
-// fitStageModelLocked evaluates the regression; the caller holds b.mu.
-func (b *Base) fitStageModelLocked(app string, stage int) (gatk.StageModel, error) {
 	res, err := sparql.Eval(b.graph, fmt.Sprintf(`
 PREFIX scan: <%s>
 SELECT ?size ?threads ?time WHERE {
@@ -464,56 +415,43 @@ SELECT ?size ?threads ?time WHERE {
 		return gatk.StageModel{}, err
 	}
 	var xs, ys []float64 // single-thread size→time
-	var threads []int
-	var times []float64 // threading samples
-	sizeCount := map[float64]int{}
+	type sweep struct {
+		threads []int
+		times   []float64
+	}
+	bySize := map[float64]sweep{}
 	for _, row := range res.Rows {
 		size, _ := row["size"].AsFloat()
-		th64, _ := row["threads"].AsInt()
 		tm, _ := row["time"].AsFloat()
-		th := int(th64)
+		th, _ := row["threads"].AsInt()
 		if th == 1 {
 			xs = append(xs, size)
 			ys = append(ys, tm)
 		}
-		sizeCount[size]++
-		threads = append(threads, th)
-		times = append(times, tm)
+		sw := bySize[size]
+		sw.threads = append(sw.threads, int(th))
+		sw.times = append(sw.times, tm)
+		bySize[size] = sw
 	}
 	line, err := stats.FitLine(xs, ys)
 	if err != nil {
 		return gatk.StageModel{}, fmt.Errorf("knowledge: fitting E(d) for %s stage %d: %w", app, stage, err)
 	}
 	// For the Amdahl fit use the most-sampled input size only, so the size
-	// variation does not alias into the thread dimension.
-	bestSize, bestN := 0.0, 0
-	for s, n := range sizeCount {
-		if n > bestN {
-			bestSize, bestN = s, n
+	// variation does not alias into the thread dimension; equally sampled
+	// sizes tie-break on the smallest, keeping the fit deterministic.
+	best, bestSize := sweep{}, 0.0
+	for size, sw := range bySize {
+		if n := len(sw.times) - len(best.times); n > 0 || (n == 0 && size < bestSize) {
+			best, bestSize = sw, size
 		}
 	}
-	var fth []int
-	var ftm []float64
-	for i, th := range threads {
-		rowSize := 0.0
-		if i < len(res.Rows) {
-			rowSize, _ = res.Rows[i]["size"].AsFloat()
-		}
-		if rowSize == bestSize {
-			fth = append(fth, th)
-			ftm = append(ftm, times[i])
-		}
-	}
-	c, err := stats.FitAmdahl(fth, ftm)
+	c, err := stats.FitAmdahl(best.threads, best.times)
 	if err != nil {
 		return gatk.StageModel{}, fmt.Errorf("knowledge: fitting c for %s stage %d: %w", app, stage, err)
 	}
-	return gatk.StageModel{
-		Name: fmt.Sprintf("%s-stage%d", app, stage),
-		A:    line.Slope,
-		B:    line.Intercept,
-		C:    c,
-	}, nil
+	name := fmt.Sprintf("%s-stage%d", app, stage)
+	return gatk.StageModel{Name: name, A: line.Slope, B: line.Intercept, C: c}, nil
 }
 
 // Export writes the knowledge base in the Turtle subset, folding buffered
@@ -572,7 +510,9 @@ func (b *Base) Import(r io.Reader) error {
 		return true
 	})
 	b.rescanRunSeqLocked()
-	b.runs = len(b.graph.SubjectsOfType(iri(ClassRunLog)))
+	runs := b.graph.SubjectsOfType(iri(ClassRunLog))
+	b.runs = len(runs)
+	b.rebuildLinesLocked(runs)
 	// A document can carry anything, profiles included: conservatively
 	// invalidate the materialized advice.
 	b.profileEpoch.Add(1)

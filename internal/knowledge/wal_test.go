@@ -57,6 +57,10 @@ func TestStorageSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	est, err := b.EstimateStageCost("GATK1", 1, 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b.CloseStorage() // "kill" the process: no final snapshot, WAL only
 
 	b2 := seededBase()
@@ -71,6 +75,11 @@ func TestStorageSurvivesRestart(t *testing.T) {
 	if model2 != model {
 		t.Fatalf("fitted model after restart = %+v, want %+v", model2, model)
 	}
+	// The cost oracle's accumulators are rebuilt by the replay, in the
+	// order the runs were logged: the estimate is the same float.
+	if est2, err := b2.EstimateStageCost("GATK1", 1, 2.5); err != nil || est2 != est {
+		t.Fatalf("estimate after restart = %+v (%v), want %+v", est2, err, est)
+	}
 }
 
 func TestStorageReplayFromSnapshotPlusWAL(t *testing.T) {
@@ -78,9 +87,13 @@ func TestStorageReplayFromSnapshotPlusWAL(t *testing.T) {
 	b := seededBase()
 	attach(t, b, dir, 3)     // snapshot every 3 records
 	for i := 0; i < 7; i++ { // 2 snapshots + 1 record left in the WAL
-		if err := b.LogRun(RunLog{App: "GATK1", Stage: 0, InputSize: 1, Threads: 1, ETime: 5}); err != nil {
+		if err := b.LogRun(RunLog{App: "GATK1", Stage: 0, InputSize: float64(1 + i%3), Threads: 1, ETime: 5 + 0.7*float64(i*i)}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	est, err := b.EstimateStageCost("GATK1", 0, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	b.CloseStorage()
 	if fi, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil || fi.Size() == 0 {
@@ -91,6 +104,10 @@ func TestStorageReplayFromSnapshotPlusWAL(t *testing.T) {
 	attach(t, b2, dir, 3)
 	if got := b2.RunCount(); got != 7 {
 		t.Fatalf("RunCount = %d, want 7", got)
+	}
+	// Snapshot rebuild + WAL tail reproduce the oracle's accumulators.
+	if est2, err := b2.EstimateStageCost("GATK1", 0, 2); err != nil || est2 != est {
+		t.Fatalf("estimate after restart = %+v (%v), want %+v", est2, err, est)
 	}
 	// Attach compacted the replayed WAL into the snapshot.
 	if fi, err := os.Stat(filepath.Join(dir, walFile)); err != nil || fi.Size() != 0 {

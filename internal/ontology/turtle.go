@@ -53,6 +53,13 @@ func (g *Graph) encodeObject(t Term) string {
 	if t.Kind == IRI {
 		return g.Compact(t)
 	}
+	// Decode types a bare number by its lexical form, so an integral double
+	// ("10") must be written "10.0" to come back as the same term.
+	if t.Kind == Literal && t.Datatype == XSDDouble {
+		if _, err := strconv.ParseInt(t.Value, 10, 64); err == nil {
+			return t.Value + ".0"
+		}
+	}
 	return t.String()
 }
 

@@ -19,6 +19,7 @@ func buildSampleGraph() *Graph {
 		NewIRI(scanNS + "CPU"):           NewInt(8),
 		NewIRI(scanNS + "performance"):   NewString("good"),
 		NewIRI(scanNS + "speedup"):       NewFloat(3.11),
+		NewIRI(scanNS + "shardSize"):     NewFloat(10), // integral double: must not come back an integer
 		NewIRI(scanNS + "multithreaded"): NewBool(true),
 	})
 	return g

@@ -91,22 +91,33 @@ type Limits struct {
 // consumed from the upload, and the hex SHA-256 of those bytes.
 type Stats struct {
 	Records int
-	Bytes   int64
-	Hash    string
+	// Bytes is the wire size: the bytes consumed from the upload, which
+	// Hash covers and which a spooled or blob-stored part must match.
+	Bytes int64
+	// Resident is the decoded payload's memory footprint where decoding
+	// expands it past the wire size (text PGM frames into float64 pixels),
+	// 0 otherwise. The store bound, tenant quotas and Dataset.Bytes account
+	// the larger of the two (footprint).
+	Resident int64
+	Hash     string
 }
+
+// footprint is the byte count the store accounts for the payload.
+func (s Stats) footprint() int64 { return max(s.Bytes, s.Resident) }
 
 // CombineStats merges multi-part decode stats (an MGF dataset uploads a
 // peptide database part and a spectra part) into one dataset-level
-// accounting: records is the primary part's record count, bytes sum, and
-// the hash chains the part hashes in order.
+// accounting: records is the primary part's record count, wire bytes and
+// footprints sum, and the hash chains the part hashes in order.
 func CombineStats(records int, parts ...Stats) Stats {
 	h := sha256.New()
-	var bytes int64
+	var bytes, resident int64
 	for _, p := range parts {
 		io.WriteString(h, p.Hash)
 		bytes += p.Bytes
+		resident += p.footprint()
 	}
-	return Stats{Records: records, Bytes: bytes, Hash: hex.EncodeToString(h.Sum(nil))}
+	return Stats{Records: records, Bytes: bytes, Resident: resident, Hash: hex.EncodeToString(h.Sum(nil))}
 }
 
 // source wraps the upload stream for a decoder: it counts and hashes every
@@ -398,15 +409,11 @@ func DecodeFrames(r io.Reader, lim Limits) ([]imaging.Image, Stats, error) {
 		return nil, src.stats(0), errors.New("registry: frame body holds no P2 images")
 	}
 	// Text PGM expands into resident float64 pixels (up to ~4× the wire
-	// size for single-digit intensities); account the larger footprint so
-	// the store's byte bound tracks real memory, not wire bytes.
+	// size for single-digit intensities); report that footprint beside the
+	// wire size so the store's byte bound tracks real memory.
 	st := src.stats(len(frames))
-	var resident int64
 	for _, f := range frames {
-		resident += int64(len(f.Pix)) * 8
-	}
-	if resident > st.Bytes {
-		st.Bytes = resident
+		st.Resident += int64(len(f.Pix)) * 8
 	}
 	return frames, st, nil
 }

@@ -92,12 +92,13 @@ func (s *Store) PutDurable(name string, family Family, payload Payload, st Stats
 			return Dataset{}, fmt.Errorf("%w: every resident dataset is referenced by unfinished jobs", ErrStoreFull)
 		}
 	}
+	size := st.footprint()
 	if b == nil {
-		b = &blob{payload: payload, bytes: st.Bytes, refs: 1}
+		b = &blob{payload: payload, bytes: size, refs: 1}
 		if st.Hash != "" {
 			s.blobs[key] = b
 		}
-		s.total += st.Bytes
+		s.total += size
 	}
 	if b.parts == nil {
 		// New blob — or an upgrade of a heap-only blob the plain Put path
@@ -122,7 +123,7 @@ func (s *Store) PutDurable(name string, family Family, payload Payload, st Stats
 			Family:       family,
 			Hash:         st.Hash,
 			Records:      st.Records,
-			Bytes:        st.Bytes,
+			Bytes:        size,
 			HasReference: hasReferencePart(family, parts) || b.payload.Ref.Len() > 0,
 			Created:      s.now(),
 		},

@@ -250,8 +250,9 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 	if _, dup := s.byName[name]; dup {
 		return Dataset{}, fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
-	if st.Bytes > s.maxB {
-		return Dataset{}, fmt.Errorf("%w: %d bytes exceeds the %d-byte store bound", ErrStoreFull, st.Bytes, s.maxB)
+	size := st.footprint()
+	if size > s.maxB {
+		return Dataset{}, fmt.Errorf("%w: %d bytes exceeds the %d-byte store bound", ErrStoreFull, size, s.maxB)
 	}
 	// Content dedup: an upload hashing identically to a resident blob of the
 	// same family aliases that blob instead of storing a second copy, so it
@@ -260,7 +261,7 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 	// the new one.
 	key := blobKey{family: family, hash: st.Hash}
 	b := s.blobs[key]
-	addBytes := st.Bytes
+	addBytes := size
 	if b != nil {
 		b.refs++
 		addBytes = 0
@@ -277,11 +278,11 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 		}
 	}
 	if b == nil {
-		b = &blob{payload: payload, bytes: st.Bytes, refs: 1}
+		b = &blob{payload: payload, bytes: size, refs: 1}
 		if st.Hash != "" {
 			s.blobs[key] = b
 		}
-		s.total += st.Bytes
+		s.total += size
 	}
 	id := fmt.Sprintf("ds-%d", s.next)
 	s.next++
@@ -292,7 +293,7 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 			Family:       family,
 			Hash:         st.Hash,
 			Records:      st.Records,
-			Bytes:        st.Bytes,
+			Bytes:        size,
 			HasReference: b.payload.Ref.Len() > 0,
 			Created:      s.now(),
 		},

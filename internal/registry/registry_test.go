@@ -138,12 +138,21 @@ func TestPutRejectsUnaddressableNames(t *testing.T) {
 func TestDecodeFramesAccountsResidentBytes(t *testing.T) {
 	// Single-digit pixels: 32×32 floats (8 KiB resident) arrive as ~2 KiB
 	// of text; the store must account what stays in memory.
-	_, st, err := DecodeFrames(strings.NewReader(pgmFrame(32, 32, 1)), Limits{MaxRecords: 1, MaxBytes: 1 << 20})
+	body := pgmFrame(32, 32, 1)
+	frames, st, err := DecodeFrames(strings.NewReader(body), Limits{MaxRecords: 1, MaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(32 * 32 * 8); st.Bytes < want {
-		t.Fatalf("accounted %d bytes, want >= %d (resident pixels)", st.Bytes, want)
+	want := int64(32 * 32 * 8)
+	if st.Bytes != int64(len(body)) || st.Resident != want {
+		t.Fatalf("stats = %d wire / %d resident bytes, want %d / %d", st.Bytes, st.Resident, len(body), want)
+	}
+	meta, err := NewStore(Options{}).Put("frames", TIFF, Payload{Images: frames}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Bytes != want {
+		t.Fatalf("store accounted %d bytes, want %d (resident pixels)", meta.Bytes, want)
 	}
 }
 

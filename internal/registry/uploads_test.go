@@ -220,3 +220,51 @@ func TestNewUploadManagerSweepsStaleSpools(t *testing.T) {
 		t.Fatal("stale spool survived manager startup")
 	}
 }
+
+// TestResumableTIFFMatchesOneShot: frames decode into a resident footprint
+// larger than their wire size. The spool check compares wire bytes, so a
+// resumable upload commits — and both paths account the same dataset.
+func TestResumableTIFFMatchesOneShot(t *testing.T) {
+	_, m := durableStore(t, t.TempDir(), 1<<20)
+	body := pgmFrame(32, 32, 1) + pgmFrame(32, 32, 7)
+
+	one, err := m.Create("one-shot", TIFF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := one.AppendDecoded("data", strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := one.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := m.Create("resumable", TIFF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(body) / 2
+	if _, err := res.Append("data", 0, strings.NewReader(body[:half])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Append("data", int64(half), strings.NewReader(body[half:])); err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.Commit()
+	if err != nil {
+		t.Fatalf("resumable TIFF commit: %v", err)
+	}
+
+	if got.Hash != want.Hash || got.Records != want.Records || got.Bytes != want.Bytes {
+		t.Fatalf("resumable = {%s %d %d}, one-shot = {%s %d %d}",
+			got.Hash, got.Records, got.Bytes, want.Hash, want.Records, want.Bytes)
+	}
+	if resident := int64(2 * 32 * 32 * 8); got.Bytes != resident || resident <= int64(len(body)) {
+		t.Fatalf("Dataset.Bytes = %d, want the %d-byte pixel footprint (wire %d)", got.Bytes, resident, len(body))
+	}
+	sum := sha256.Sum256([]byte(body))
+	if got.Hash != hex.EncodeToString(sum[:]) {
+		t.Fatal("dataset hash does not cover the wire bytes")
+	}
+}

@@ -52,9 +52,11 @@
 // its shard i, on a bounded worker pool shared across every in-flight stage
 // of the segment. Pass-through stages (PassthroughExecutor) let shards flow
 // straight through. When more shards are ready than workers, dispatch order
-// follows HEFT-style upward ranks computed from the knowledge base's fitted
-// per-stage cost models (internal/knowledge.ChainCosts): shards with the
-// most expensive remaining downstream work run first.
+// follows HEFT-style upward ranks computed from the knowledge base's cost
+// oracle (internal/knowledge.ChainCosts — an O(1), unflushed read of
+// per-stage regression accumulators, answering once a stage has run at two
+// shard sizes): shards with the most expensive remaining downstream work
+// run first.
 //
 // The streaming contract:
 //
