@@ -34,8 +34,7 @@
 // and enforces per-tenant rate limits and quotas; without, v2 stays open
 // exactly as before (and /api/v1 is never authenticated either way).
 //
-// -pool sizes the local shard pool (it was called -workers before the
-// daemon grew remote workers; the old name still works, deprecated).
+// -pool sizes the local shard pool.
 //
 // With -role worker the daemon runs no HTTP server of its own: it joins
 // the coordinator named by -join, pulls shard work over /api/v2/fleet, and
@@ -68,7 +67,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":7390", "listen address (serve role)")
 		pool       = flag.Int("pool", runtime.GOMAXPROCS(0), "local shard pool width (per job in serve role, per worker in worker role)")
-		poolOld    = flag.Int("workers", 0, "deprecated alias for -pool")
 		executors  = flag.Int("executors", 2, "concurrent jobs")
 		retain     = flag.Int("retain", rpc.DefaultRetention, "finished jobs kept before eviction")
 		dataDir    = flag.String("data-dir", "", "durable state directory (blob store, dataset manifest, knowledge WAL); empty keeps all state in memory")
@@ -84,13 +82,6 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress the per-request access log")
 	)
 	flag.Parse()
-
-	workersSet := false
-	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
-	if workersSet {
-		log.Printf("scand: -workers is deprecated, use -pool")
-		*pool = *poolOld
-	}
 
 	logf := log.Printf
 	if *quiet {

@@ -13,14 +13,6 @@
 //
 // The defaults reproduce the paper's settings; smaller -simtime values
 // trade precision for speed (shapes stabilise from roughly 2000 TU).
-//
-// With -load, scansim is instead the serving-load harness: it replays
-// mixed-family traffic against a live scand and writes the latency and
-// throughput trajectory CI guards (see load.go and docs/SERVING.md):
-//
-//	scansim -load [-addr http://127.0.0.1:7390] [-levels 1,4,8]
-//	        [-load-jobs 120] [-load-repeats 3] [-api-key KEY]
-//	        [-hostile-key KEY] [-out BENCH_serving.json]
 package main
 
 import (
@@ -28,7 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"time"
 
 	"scan/internal/experiment"
@@ -43,36 +34,8 @@ func main() {
 		repeats = flag.Int("repeats", 0, "repetitions per point (0 = experiment default)")
 		seed    = flag.Int64("seed", 1, "base RNG seed")
 		cores   = flag.Int("cores", experiment.CalibratedPrivateCores, "private tier cores")
-
-		load       = flag.Bool("load", false, "serving-load mode: replay mixed-family traffic against a live scand")
-		addr       = flag.String("addr", "http://127.0.0.1:7390", "scand base URL (load mode)")
-		levelsFlag = flag.String("levels", "1,4,8", "comma-separated concurrency levels (load mode)")
-		loadJobs   = flag.Int("load-jobs", 120, "operations per concurrency level and pass (load mode)")
-		loadReps   = flag.Int("load-repeats", 3, "passes per concurrency level; min-of-N per entry (load mode)")
-		apiKey     = flag.String("api-key", "", "compliant tenant API key (load mode; empty = unauthenticated daemon)")
-		hostileKey = flag.String("hostile-key", "", "hostile tenant API key; adds a contended pass per level (load mode)")
-		out        = flag.String("out", "BENCH_serving.json", "trajectory artifact path (load mode)")
 	)
 	flag.Parse()
-
-	if *load {
-		levels, err := parseLevels(*levelsFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scansim: %v\n", err)
-			os.Exit(2)
-		}
-		runLoad(loadConfig{
-			addr:       strings.TrimRight(*addr, "/"),
-			levels:     levels,
-			jobs:       *loadJobs,
-			repeats:    defaultInt(*loadReps, 1),
-			apiKey:     *apiKey,
-			hostileKey: *hostileKey,
-			out:        *out,
-			seed:       *seed,
-		})
-		return
-	}
 
 	base := experiment.DefaultConfig()
 	base.Seed = *seed

@@ -208,12 +208,11 @@ func (p *Platform) Datasets() *registry.Store { return p.datasets }
 // Engine exposes the platform's workflow engine.
 func (p *Platform) Engine() *workflow.Engine { return p.engine }
 
-// RunWorkflow executes any catalogued workflow by name over the dataset —
-// the generic entry point behind scand's job API. Cancelling ctx stops the
-// run promptly: the engine checks it between stages and every stage's
-// bounded worker pool selects on it while queueing shards, so scand's
-// DELETE /api/v2/jobs/{id} observably halts an in-flight analysis by
-// cancelling the per-job context it threads through here.
+// RunWorkflow executes any catalogued workflow by name over the dataset.
+// Cancelling ctx stops the run promptly: the engine checks it between
+// stages and every stage's bounded worker pool selects on it while queueing
+// shards — scand's DELETE /api/v2/jobs/{id} halts an in-flight analysis by
+// cancelling the per-job context it threads into the same Engine.Run.
 func (p *Platform) RunWorkflow(ctx context.Context, name string, in *workflow.Dataset, opts workflow.RunOptions) (*workflow.Result, error) {
 	return p.engine.RunByName(ctx, name, in, opts)
 }

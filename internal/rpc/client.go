@@ -104,22 +104,31 @@ func decodeError(method, path string, status int, body io.Reader) error {
 	return fmt.Errorf("rpc: %s %s: HTTP %d", method, path, status)
 }
 
+// do sends in (when non-nil) as a JSON body and decodes the JSON response
+// into out (when non-nil).
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body *bytes.Reader
+	var body []byte
 	if in != nil {
 		raw, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		body = bytes.NewReader(raw)
-	} else {
-		body = bytes.NewReader(nil)
+		body = raw
 	}
+	return c.send(ctx, method, path, "application/json", bytes.NewReader(body), out)
+}
+
+// send issues one unary call. A successful response body is copied into
+// out when it is an io.Writer, decoded as JSON into any other non-nil out,
+// and discarded otherwise; an error status decodes either envelope.
+func (c *Client) send(ctx context.Context, method, path, contentType string, body io.Reader, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	c.authorize(req)
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -129,10 +138,15 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if resp.StatusCode >= 400 {
 		return decodeError(method, path, resp.StatusCode, resp.Body)
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case io.Writer:
+		_, err := io.Copy(out, resp.Body)
+		return err
+	default:
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -290,22 +304,8 @@ func (c *Client) UploadDataset(ctx context.Context, name, family string, parts .
 		}()
 		pw.CloseWithError(err)
 	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/api/v2/datasets", pr)
-	if err != nil {
-		return DatasetInfo{}, err
-	}
-	req.Header.Set("Content-Type", mw.FormDataContentType())
-	c.authorize(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return DatasetInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return DatasetInfo{}, decodeError(http.MethodPost, "/api/v2/datasets", resp.StatusCode, resp.Body)
-	}
 	var info DatasetInfo
-	err = json.NewDecoder(resp.Body).Decode(&info)
+	err := c.send(ctx, http.MethodPost, "/api/v2/datasets", mw.FormDataContentType(), pr, &info)
 	return info, err
 }
 
@@ -412,25 +412,9 @@ func (c *Client) Profiles(ctx context.Context) ([]ProfileInfo, error) {
 // Export fetches the daemon's knowledge base as text in the given format
 // ("turtle" or "rdfxml").
 func (c *Client) Export(ctx context.Context, format string) (string, error) {
-	path := "/api/v1/kb/export?format=" + url.QueryEscape(format)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return "", err
-	}
-	c.authorize(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return "", decodeError(http.MethodGet, "/api/v1/kb/export", resp.StatusCode, resp.Body)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
+	var doc strings.Builder
+	err := c.send(ctx, http.MethodGet, "/api/v1/kb/export?format="+url.QueryEscape(format), "", nil, &doc)
+	return doc.String(), err
 }
 
 // Status fetches daemon statistics.

@@ -11,7 +11,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,22 +71,8 @@ func (c *Client) AbortUpload(ctx context.Context, id string) error {
 // must equal the part's current spooled size. Returns the part's new state.
 func (c *Client) AppendUpload(ctx context.Context, id, field string, offset int64, r io.Reader) (UploadPartInfo, error) {
 	path := fmt.Sprintf("/api/v2/uploads/%s?part=%s&offset=%d", url.PathEscape(id), url.QueryEscape(field), offset)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+path, r)
-	if err != nil {
-		return UploadPartInfo{}, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	c.authorize(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return UploadPartInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return UploadPartInfo{}, decodeError(http.MethodPut, path, resp.StatusCode, resp.Body)
-	}
 	var info UploadPartInfo
-	err = json.NewDecoder(resp.Body).Decode(&info)
+	err := c.send(ctx, http.MethodPut, path, "application/octet-stream", r, &info)
 	return info, err
 }
 

@@ -101,14 +101,14 @@ func TestDatasetUploadAndJobLifecycle(t *testing.T) {
 		if apiErr != nil {
 			t.Fatal(apiErr)
 		}
-		in, _, err := materialize(spec)
+		in, _, err := spec.source.materialize()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &in.Reads[0] != &stored.Reads[0] || &in.Reference.Seq[0] != &stored.Ref.Seq[0] {
 			t.Fatal("materialized dataset copied the registry's records")
 		}
-		s.unpinSpec(spec)
+		spec.source.release(s.platform.Datasets())
 	}
 
 	// The resource surface: list, get, delete.

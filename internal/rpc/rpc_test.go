@@ -202,7 +202,7 @@ func TestSubmitWorkflowValidation(t *testing.T) {
 
 func TestSubmitAfterCloseRejected(t *testing.T) {
 	p := core.NewPlatform(core.Options{Workers: 1})
-	s := NewServer(p, 1)
+	s := NewServerOptions(p, ServerOptions{Executors: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	s.Close()
@@ -218,7 +218,7 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 
 func TestCloseFailsQueuedJobs(t *testing.T) {
 	p := core.NewPlatform(core.Options{Workers: 1})
-	s := NewServer(p, 1)
+	s := NewServerOptions(p, ServerOptions{Executors: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL)
@@ -336,7 +336,7 @@ func TestExportEndpoint(t *testing.T) {
 
 func TestMethodValidation(t *testing.T) {
 	p := core.NewPlatform(core.Options{Workers: 1})
-	s := NewServer(p, 1)
+	s := NewServerOptions(p, ServerOptions{Executors: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -359,19 +359,20 @@ func intPtr(v int) *int           { return &v }
 func floatPtr(v float64) *float64 { return &v }
 
 // TestSubmitRequestDefaults pins the tri-state semantics of the optional
-// read-simulation fields: defaults apply only when a field is absent or
-// negative; explicit values — including error_rate 0 — are honored.
+// read-simulation fields (v1 submissions run as this same SyntheticSpec):
+// defaults apply only when a field is absent or negative; explicit values —
+// including error_rate 0 — are honored.
 func TestSubmitRequestDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		req      SubmitRequest
+		req      SyntheticSpec
 		wantLen  int
 		wantRate float64
 	}{
-		{"absent", SubmitRequest{}, DefaultReadLength, DefaultErrorRate},
-		{"explicit", SubmitRequest{ReadLength: intPtr(150), ErrorRate: floatPtr(0.01)}, 150, 0.01},
-		{"explicit zero rate", SubmitRequest{ErrorRate: floatPtr(0)}, DefaultReadLength, 0},
-		{"negative", SubmitRequest{ReadLength: intPtr(-1), ErrorRate: floatPtr(-0.5)}, DefaultReadLength, DefaultErrorRate},
+		{"absent", SyntheticSpec{}, DefaultReadLength, DefaultErrorRate},
+		{"explicit", SyntheticSpec{ReadLength: intPtr(150), ErrorRate: floatPtr(0.01)}, 150, 0.01},
+		{"explicit zero rate", SyntheticSpec{ErrorRate: floatPtr(0)}, DefaultReadLength, 0},
+		{"negative", SyntheticSpec{ReadLength: intPtr(-1), ErrorRate: floatPtr(-0.5)}, DefaultReadLength, DefaultErrorRate},
 	} {
 		if got := tc.req.EffectiveReadLength(); got != tc.wantLen {
 			t.Errorf("%s: EffectiveReadLength = %d, want %d", tc.name, got, tc.wantLen)

@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os"
 	"strings"
@@ -12,10 +11,6 @@ import (
 
 	"scan/internal/core"
 	"scan/internal/fleet"
-	"scan/internal/genomics"
-	"scan/internal/imaging"
-	"scan/internal/network"
-	"scan/internal/proteome"
 	"scan/internal/registry"
 	"scan/internal/tenant"
 	"scan/internal/variant"
@@ -44,11 +39,6 @@ type ServerOptions struct {
 	// the engine's local pool as the zero-worker default and the per-stage
 	// fallback).
 	Fleet *fleet.Coordinator
-	// UploadDir is where resumable upload sessions spool their parts before
-	// commit. Empty picks the registry's blob directory when the platform is
-	// durable (so commit promotes spools by rename, never copy), or a private
-	// temp directory otherwise.
-	UploadDir string
 	// Tenants, when non-nil, turns on multi-tenant admission for the v2
 	// jobs/datasets/uploads surface: API-key authentication, token-bucket
 	// rate limiting and per-tenant quotas (see internal/tenant and
@@ -114,79 +104,19 @@ type jobRecord struct {
 	wake            chan struct{} // closed and replaced on every event
 }
 
-// jobSpec is a normalized submission: exactly one dataset source is set
-// (validated at the API boundary). The daemon-generated sources span the
-// four data-process families — sequencing reads, MS/MS spectra, microscopy
-// frames, gene measurements.
+// jobSpec is an admitted submission: its validated input source (see
+// source.go) and the workflow it runs, resolved from the catalogue once.
 type jobSpec struct {
-	workflow     string
+	wf           workflow.Workflow
 	shardRecords int
-	synthetic    *SyntheticSpec
-	inline       *inlineInput
-	proteome     *ProteomeSpec
-	imaging      *ImagingSpec
-	network      *NetworkSpec
-	dataset      *datasetInput
-	// pinned lists the registry datasets this job references (the dataset
-	// and/or named reference). Pinned at submission; released exactly once,
-	// when the job reaches a state from which it can never run again.
-	pinned []string
+	source       source
 	// tenant holds the submitting tenant's admitted job slot (nil without
-	// tenancy). Released with the pins: exactly once, through unpinSpec on
-	// submission failure or releaseSpecLocked when the job ends.
+	// tenancy), released with the source.
 	tenant *tenant.State
 }
 
-func (s jobSpec) source() string {
-	switch {
-	case s.inline != nil:
-		return SourceInline
-	case s.dataset != nil:
-		return SourceDataset
-	}
-	return SourceSynthetic
-}
-
-// inputType is the workflow data type the spec's dataset materializes as.
-func (s jobSpec) inputType() workflow.DataType {
-	switch {
-	case s.proteome != nil:
-		return workflow.MGF
-	case s.imaging != nil:
-		return workflow.TIFF
-	case s.network != nil:
-		return workflow.FeatureTable
-	case s.dataset != nil:
-		return s.dataset.family.DataType()
-	default:
-		return workflow.FASTQ
-	}
-}
-
-// inlineInput is a prevalidated inline dataset, already in genomics form.
-type inlineInput struct {
-	ref   genomics.Sequence
-	reads []genomics.Read
-}
-
-// datasetInput is a resolved registry reference: the payload slices alias
-// the store's records (the registry holds the one copy, however many jobs
-// name the dataset). payload.Ref is the effective reference — the
-// dataset's embedded one, possibly overridden by a named reference.
-type datasetInput struct {
-	id      string
-	family  registry.Family
-	payload registry.Payload
-}
-
-// NewServer starts a server around the platform with the given number of
-// concurrent job executors. Call Close to stop them.
-func NewServer(p *core.Platform, executors int) *Server {
-	return NewServerOptions(p, ServerOptions{Executors: executors})
-}
-
-// NewServerOptions starts a server with full configuration. Call Close to
-// stop it.
+// NewServerOptions starts a server around the platform. Call Close to stop
+// it.
 func NewServerOptions(p *core.Platform, opts ServerOptions) *Server {
 	if opts.Executors <= 0 {
 		opts.Executors = 2
@@ -230,8 +160,8 @@ func NewServerOptions(p *core.Platform, opts ServerOptions) *Server {
 	// platform gets a private temp spool removed on Close. MaxSessions is
 	// sized above the resumable default because the one-shot dataset POST
 	// also rides a (transient) session per request.
-	spool := opts.UploadDir
-	if spool == "" && p.Datasets().Blobs() == nil {
+	var spool string
+	if p.Datasets().Blobs() == nil {
 		if tmp, err := os.MkdirTemp("", "scan-uploads-"); err == nil {
 			spool, s.uploadTmp = tmp, tmp
 		}
@@ -276,7 +206,7 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	for _, rec := range s.jobs {
 		if !rec.job.State.Terminal() {
-			s.releaseSpecLocked(rec) // the payload can never be used
+			s.releaseSpecLocked(&rec.spec) // the payload can never be used
 			now := s.now()
 			rec.job.State = StateFailed
 			rec.job.Finished = &now
@@ -342,37 +272,25 @@ var (
 	errQueueFull    = &APIError{Code: CodeUnavailable, Message: "job queue full"}
 )
 
-// unpinSpec releases the spec's registry pins and its tenant's job slot
-// (submission failures; the success path releases through
-// releaseSpecLocked when the job ends).
-func (s *Server) unpinSpec(spec jobSpec) {
-	for _, id := range spec.pinned {
-		s.platform.Datasets().Unpin(id)
-	}
+// releaseSpecLocked returns what a job's spec holds — the source's payload
+// and registry pins, the tenant's job slot — exactly once per job, when it
+// reaches a state from which it can never (or will never again) run. Later
+// calls are no-ops. Callers hold s.mu; the registry lock nests inside it.
+func (s *Server) releaseSpecLocked(spec *jobSpec) {
+	spec.source.release(s.platform.Datasets())
 	if spec.tenant != nil {
 		spec.tenant.ReleaseJob()
+		spec.tenant = nil
 	}
 }
 
-// releaseSpecLocked drops a record's payload references once the job can
-// never (or will never again) run: the inline payload is freed for GC and
-// the registry pins released, making the datasets evictable and deletable.
-// Callers hold s.mu; the registry lock nests inside it.
-func (s *Server) releaseSpecLocked(rec *jobRecord) {
-	rec.spec.inline = nil
-	rec.spec.dataset = nil
-	s.unpinSpec(rec.spec)
-	rec.spec.pinned = nil
-	rec.spec.tenant = nil
-}
-
-// enqueue adds a validated submission to the store and queue. On failure
-// the spec's registry pins are released — the job will never run.
+// enqueue adds an admitted submission to the store and queue. On failure
+// the spec is released — the job will never run.
 func (s *Server) enqueue(spec jobSpec) (Job, *APIError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		s.unpinSpec(spec)
+		s.releaseSpecLocked(&spec)
 		return Job{}, errShuttingDown
 	}
 	id := s.nextID
@@ -382,18 +300,11 @@ func (s *Server) enqueue(spec jobSpec) (Job, *APIError) {
 	select {
 	case s.queue <- id:
 	default:
-		s.unpinSpec(spec)
+		s.releaseSpecLocked(&spec)
 		return Job{}, errQueueFull
 	}
 	s.nextID++
-	family := ""
-	if wf, err := s.platform.Catalogue().Get(spec.workflow); err == nil {
-		family = wf.Family
-	}
-	datasetID := ""
-	if spec.dataset != nil {
-		datasetID = spec.dataset.id
-	}
+	kind, datasetID := spec.source.origin()
 	tenantName := ""
 	if spec.tenant != nil {
 		tenantName = spec.tenant.Name()
@@ -402,9 +313,9 @@ func (s *Server) enqueue(spec jobSpec) (Job, *APIError) {
 		job: Job{
 			ID:        id,
 			State:     StatePending,
-			Family:    family,
-			Workflow:  spec.workflow,
-			Source:    spec.source(),
+			Family:    spec.wf.Family,
+			Workflow:  spec.wf.Name,
+			Source:    kind,
 			Dataset:   datasetID,
 			Tenant:    tenantName,
 			Submitted: s.now(),
@@ -514,7 +425,7 @@ func (s *Server) cancelJob(id int, requester *tenant.State) (Job, int, *APIError
 	switch rec.job.State {
 	case StatePending:
 		rec.cancelRequested = true
-		s.releaseSpecLocked(rec) // the payload can never be used
+		s.releaseSpecLocked(&rec.spec) // the payload can never be used
 		now := s.now()
 		rec.job.State = StateCanceled
 		rec.job.Finished = &now
@@ -526,7 +437,7 @@ func (s *Server) cancelJob(id int, requester *tenant.State) (Job, int, *APIError
 	case StateRunning:
 		if !rec.cancelRequested {
 			rec.cancelRequested = true
-			rec.cancel() // threads through runJob → Platform.RunWorkflow
+			rec.cancel() // threads through runJob → Engine.Run
 		}
 		return rec.job.clone(), http.StatusAccepted, nil
 	case StateCanceled:
@@ -577,7 +488,7 @@ func (s *Server) runJob(ctx context.Context, id int) {
 	defer s.mu.Unlock()
 	finished := s.now()
 	rec.cancel = nil
-	s.releaseSpecLocked(rec) // release the payload; the record outlives the run
+	s.releaseSpecLocked(&rec.spec) // release the payload; the record outlives the run
 	rec.job.Finished = &finished
 	switch {
 	case err == nil:
@@ -598,106 +509,21 @@ func (s *Server) runJob(ctx context.Context, id int) {
 	s.evictLocked()
 }
 
-// materialize turns a normalized spec into the workflow input dataset —
-// seeded synthetic generation for the daemon-built families, or the
-// prevalidated inline payload. Synthetic sequencing runs also return the
-// planted-SNV ground truth for recovery scoring.
-func materialize(spec jobSpec) (*workflow.Dataset, []genomics.Mutation, error) {
-	switch {
-	case spec.synthetic != nil:
-		syn := spec.synthetic
-		rng := rand.New(rand.NewSource(syn.Seed))
-		ref := genomics.GenerateReference(rng, "chr1", syn.ReferenceLength)
-		mutated, planted := genomics.PlantSNVs(rng, ref, syn.SNVs)
-		reads, err := genomics.SimulateReads(rng, mutated, genomics.ReadSimConfig{
-			Count: syn.Reads, Length: syn.EffectiveReadLength(), ErrorRate: syn.EffectiveErrorRate(),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return workflow.NewFASTQDataset(ref, reads), planted, nil
-	case spec.inline != nil:
-		return workflow.NewFASTQDataset(spec.inline.ref, spec.inline.reads), nil, nil
-	case spec.dataset != nil:
-		// Registered datasets materialize by aliasing the registry's
-		// records — the store holds the one copy, however many jobs
-		// reference it.
-		d := spec.dataset
-		switch d.family {
-		case registry.FASTQ:
-			return workflow.NewFASTQDataset(d.payload.Ref, d.payload.Reads), nil, nil
-		case registry.MGF:
-			return workflow.NewMGFDataset(d.payload.PeptideDB, d.payload.Spectra), nil, nil
-		case registry.TIFF:
-			return workflow.NewTIFFDataset(d.payload.Images), nil, nil
-		case registry.FeatureTable:
-			return workflow.NewFeatureDataset(d.payload.Features), nil, nil
-		}
-		return nil, nil, fmt.Errorf("dataset %s has unrunnable family %q", d.id, d.family)
-	case spec.proteome != nil:
-		p := spec.proteome
-		rng := rand.New(rand.NewSource(p.Seed))
-		db := proteome.GenerateDatabase(rng, p.Proteins, 3)
-		spectra, _, err := proteome.SimulateSpectra(rng, db, proteome.SimConfig{
-			Count:      p.Spectra,
-			NoisePeaks: p.EffectiveNoisePeaks(),
-			// Realistic acquisition defaults; jitter stays inside the
-			// search tolerance.
-			DropoutRate: 0.1,
-			Jitter:      0.1,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return workflow.NewMGFDataset(db, spectra), nil, nil
-	case spec.imaging != nil:
-		im := spec.imaging
-		rng := rand.New(rand.NewSource(im.Seed))
-		frames := make([]imaging.Image, 0, im.Images)
-		for i := 0; i < im.Images; i++ {
-			frame, _, err := imaging.Generate(rng, fmt.Sprintf("img%d", i), imaging.SimConfig{
-				W: im.Width, H: im.Height, Cells: im.CellsPerImage,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			frames = append(frames, frame)
-		}
-		return workflow.NewTIFFDataset(frames), nil, nil
-	case spec.network != nil:
-		n := spec.network
-		ms, _, err := network.SimulateMeasurements(rand.New(rand.NewSource(n.Seed)), n.Genes, n.Modules)
-		if err != nil {
-			return nil, nil, err
-		}
-		features := make([]workflow.Feature, len(ms))
-		for i, m := range ms {
-			features[i] = workflow.Feature{Name: m.Name, Count: 1, Value: m.Value}
-		}
-		return workflow.NewFeatureDataset(features), nil, nil
-	}
-	return nil, nil, fmt.Errorf("job spec has no dataset source")
-}
-
 // execute materializes the job's dataset and runs the requested workflow
 // through the platform's engine, streaming per-stage completions to
 // watchers.
 func (s *Server) execute(ctx context.Context, id int, spec jobSpec) (JobResult, error) {
-	in, planted, err := materialize(spec)
+	in, planted, err := spec.source.materialize()
 	if err != nil {
 		return JobResult{}, err
 	}
 	inputRecords := in.Records()
-	family := ""
-	if wf, err := s.platform.Catalogue().Get(spec.workflow); err == nil {
-		family = wf.Family
-	}
 	opts := workflow.RunOptions{
 		Caller:        variant.Config{MinDepth: 8, MinAltFraction: 0.6},
 		ShardRecords:  spec.shardRecords,
 		StageObserver: func(sr workflow.StageResult) { s.publishStage(id, sr) },
 		ShardObserver: func(tool string, records int, elapsed time.Duration) {
-			s.metrics.shardSeconds.With(family).Observe(elapsed.Seconds())
+			s.metrics.shardSeconds.With(spec.wf.Family).Observe(elapsed.Seconds())
 		},
 	}
 	// Scatter to the fleet only when remote workers are actually registered:
@@ -707,7 +533,7 @@ func (s *Server) execute(ctx context.Context, id int, spec jobSpec) (JobResult, 
 	if s.fleet.ReadyWorkers() > 0 {
 		opts.ShardPool = s.fleet
 	}
-	wres, err := s.platform.RunWorkflow(ctx, spec.workflow, in, opts)
+	wres, err := s.platform.Engine().Run(ctx, spec.wf, in, opts)
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -741,39 +567,14 @@ func (s *Server) execute(ctx context.Context, id int, spec jobSpec) (JobResult, 
 			result.Shards = max(result.Shards, sr.Shards)
 		}
 	}
-	// Planted-SNV recovery scoring applies to every synthetic
-	// variant-calling run. It is gated on the catalogue's output type, not
-	// on the call set being non-empty: a run that recovers nothing must
-	// report 0/N, not an empty 0/0. Inline datasets carry no planted
-	// truth, so the score stays zero.
-	if wf, err := s.platform.Catalogue().Get(spec.workflow); err == nil &&
-		wf.Produces() == workflow.VCF && spec.synthetic != nil {
-		result.Planted = len(planted)
-		calledAt := map[int]genomics.Variant{}
-		for _, v := range calls {
-			calledAt[v.Pos-1] = v
-		}
-		for _, m := range planted {
-			if v, ok := calledAt[m.Pos]; ok && v.Alt == string(m.Alt) {
-				result.Recovered++
-			}
-		}
+	// Planted-SNV recovery scoring applies to every variant-calling run. It
+	// is gated on the catalogue's output type, not on the call set being
+	// non-empty: a run that recovers nothing must report 0/N, not an empty
+	// 0/0. Sources without planted truth score 0/0.
+	if spec.wf.Produces() == workflow.VCF {
+		planted.score(calls, &result)
 	}
 	return result, nil
-}
-
-// submittable checks a workflow can run over a submission's dataset: it
-// must be catalogued, consume the dataset's data type, and have an
-// executor for every stage.
-func (s *Server) submittable(name string, consumes workflow.DataType) error {
-	wf, err := s.platform.Catalogue().Get(name)
-	if err != nil {
-		return err
-	}
-	if wf.Consumes() != consumes {
-		return fmt.Errorf("consumes %s; this submission supplies %s", wf.Consumes(), consumes)
-	}
-	return s.platform.Engine().CanRun(wf)
 }
 
 // ---------------------------------------------------------------------------

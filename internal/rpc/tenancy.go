@@ -91,9 +91,9 @@ func (s *Server) datasetLive(id string) bool {
 }
 
 // admitJobQuota claims a job slot for the request's tenant (no-op without
-// tenancy). On rejection it writes the 429 and reports false; on success
-// the returned state is recorded on the spec so releaseSpecLocked returns
-// the slot exactly once.
+// tenancy). On rejection it releases the spec's source, writes the 429 and
+// reports false; on success the state is recorded on the spec so
+// releaseSpecLocked returns the slot exactly once.
 func (s *Server) admitJobQuota(w http.ResponseWriter, r *http.Request, spec *jobSpec) bool {
 	st := requestTenant(r)
 	if st == nil {
@@ -101,7 +101,7 @@ func (s *Server) admitJobQuota(w http.ResponseWriter, r *http.Request, spec *job
 	}
 	ok, active, limit := st.AdmitJob()
 	if !ok {
-		s.unpinSpec(*spec)
+		spec.source.release(s.platform.Datasets())
 		s.metrics.tenantRejected.With(st.Name(), reasonQuotaExceeded).Inc()
 		writeV2Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 			"tenant %q holds %d of %d concurrent jobs; wait for one to finish or cancel it",

@@ -11,11 +11,16 @@
 //     readable error codes, DELETE-to-cancel that stops in-flight runs via
 //     a per-job context, filtered + paginated listing over a bounded store
 //     with terminal-job retention, SSE event streams (state transitions and
-//     stage completions), and submissions carrying either a synthetic
-//     dataset spec or inline FASTQ records.
+//     stage completions), and submissions naming one dataset source.
 //   - /api/v1 (this file, v1handlers.go) is the original flat RPC surface,
 //     kept wire-compatible for old clients and pinned by v1compat_test.go.
-//     New integrations should use v2.
+//     Its submit is an adapter: a SubmitRequest is admitted as a v2
+//     synthetic submission and answered in v1's shapes. New integrations
+//     should use v2.
+//
+// Whatever its kind, a job's input is one value behind the source interface
+// (source.go): validated and pinned at admission, materialized and scored
+// by the executor, released exactly once; nothing else asks which kind.
 package rpc
 
 import "time"
@@ -72,24 +77,6 @@ const (
 	DefaultReadLength = 100
 	DefaultErrorRate  = 0.002
 )
-
-// EffectiveReadLength resolves the tri-state ReadLength field: default when
-// absent or negative, the explicit value otherwise.
-func (r *SubmitRequest) EffectiveReadLength() int {
-	if r.ReadLength == nil || *r.ReadLength < 0 {
-		return DefaultReadLength
-	}
-	return *r.ReadLength
-}
-
-// EffectiveErrorRate resolves the tri-state ErrorRate field: default when
-// absent or negative, the explicit value (including 0) otherwise.
-func (r *SubmitRequest) EffectiveErrorRate() float64 {
-	if r.ErrorRate == nil || *r.ErrorRate < 0 {
-		return DefaultErrorRate
-	}
-	return *r.ErrorRate
-}
 
 // JobInfo summarises one job in the flat v1 wire shape (lifecycle and
 // result fields conflated, omitempty throughout). It is derived from the

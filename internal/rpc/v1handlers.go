@@ -9,15 +9,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"scan/internal/core"
-	"scan/internal/workflow"
 )
 
 // The /api/v1 handlers: the original flat RPC surface, wire-compatible with
-// the prototype and pinned by v1compat_test.go. Jobs submitted here flow
-// through the same store and engine as v2 submissions; only the rendering
-// differs (flat JobInfo, string error envelope, closed state enum).
+// the prototype and pinned by v1compat_test.go. A v1 submit is a v2
+// synthetic submission admitted through the same path, minus tenant
+// admission (v1 is never authenticated); only the rendering differs (flat
+// JobInfo, string error envelope, closed state enum).
+
+// maxQueryBody bounds a SPARQL query request body before JSON decoding.
+const maxQueryBody = 1 << 20
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -64,34 +65,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
-		if req.ReferenceLength < 200 || req.Reads < 1 {
-			writeError(w, http.StatusBadRequest,
-				"reference_length must be >= 200 and reads >= 1")
-			return
-		}
-		if req.ReadLength != nil && *req.ReadLength == 0 {
-			writeError(w, http.StatusBadRequest,
-				"read_length 0 is invalid; omit the field for the default (%d)",
-				DefaultReadLength)
-			return
-		}
-		if req.Workflow == "" {
-			req.Workflow = core.VariantDetectionWorkflow
-		}
 		// v1 predates the family specs: its submissions are always
-		// synthetic sequencing reads.
-		if err := s.submittable(req.Workflow, workflow.FASTQ); err != nil {
-			writeError(w, http.StatusBadRequest, "workflow %q: %v", req.Workflow, err)
-			return
-		}
-		job, apiErr := s.enqueue(jobSpec{
-			workflow:     req.Workflow,
-			shardRecords: req.ShardRecords,
-			synthetic: &SyntheticSpec{
+		// synthetic sequencing reads, and its errors drop v2's prefix.
+		spec, apiErr := s.normalizeSubmission(SubmitJobRequest{
+			Workflow:     req.Workflow,
+			ShardRecords: req.ShardRecords,
+			Synthetic: &SyntheticSpec{
 				ReferenceLength: req.ReferenceLength,
 				Reads:           req.Reads,
 				ReadLength:      req.ReadLength,
@@ -100,6 +83,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				Seed:            req.Seed,
 			},
 		})
+		if apiErr != nil {
+			writeError(w, http.StatusBadRequest, "%s", strings.TrimPrefix(apiErr.Message, "synthetic: "))
+			return
+		}
+		job, apiErr := s.enqueue(spec)
 		if apiErr != nil {
 			writeError(w, http.StatusServiceUnavailable, "%s", apiErr.Message)
 			return
@@ -149,7 +137,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -9,11 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"scan/internal/core"
-	"scan/internal/genomics"
-	"scan/internal/registry"
-	"scan/internal/workflow"
 )
 
 // The /api/v2 handlers: resource-oriented jobs with machine-readable error
@@ -26,10 +21,6 @@ func writeV2Error(w http.ResponseWriter, status int, code, format string, args .
 		Message: fmt.Sprintf(format, args...),
 	}})
 }
-
-// maxInlineBases bounds the inline payload (reference + reads) so one
-// submission cannot hold the daemon's memory hostage.
-const maxInlineBases = 16 << 20
 
 // maxSubmitBody bounds the raw v2 submission body *before* JSON decoding —
 // without it the inline-bases check runs only after an arbitrarily large
@@ -77,233 +68,38 @@ func (s *Server) handleV2Submit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job)
 }
 
-// Synthetic-generation bounds: one submission must not be able to ask the
-// daemon to materialize an effectively unbounded dataset.
-const (
-	maxSyntheticSpectra  = 50000
-	maxSyntheticProteins = 2000
-	maxSyntheticImages   = 64
-	maxImageSide         = 1024
-	maxSyntheticGenes    = 20000 // edge construction is O(genes²) time
-	// maxSyntheticEdgePairs bounds genes²/modules — a proxy for ~2× the
-	// edge count the generator's module structure implies. Edge *memory*
-	// scales with genes²/modules (each planted module is near-complete),
-	// so the genes cap alone would let network:{genes:20000,modules:1}
-	// materialize ~2e8 edges and OOM the daemon.
-	maxSyntheticEdgePairs = 1 << 20
-)
-
-// defaultWorkflowFor maps a submission's input data type to the workflow it
-// runs when it names none — one canonical analysis per family.
-func defaultWorkflowFor(t workflow.DataType) string {
-	switch t {
-	case workflow.MGF:
-		return "proteome-maxquant"
-	case workflow.TIFF:
-		return "cell-imaging"
-	case workflow.FeatureTable:
-		return "integrative-network"
-	default:
-		return core.VariantDetectionWorkflow
-	}
-}
-
-// normalizeSubmission validates a v2 submission into a jobSpec. Registry
-// datasets the submission names are resolved and pinned here; every error
-// path releases the pins (the job will never run), the success path keeps
-// them until the job reaches a terminal state.
+// normalizeSubmission admits a submission's input: its one source is
+// validated (registry datasets it names are resolved and pinned) and its
+// workflow resolved from the catalogue. Every error path releases the
+// source — the job will never run; the success path keeps the pins until
+// the job reaches a terminal state.
 func (s *Server) normalizeSubmission(req SubmitJobRequest) (jobSpec, *APIError) {
-	spec := jobSpec{shardRecords: req.ShardRecords}
-	fail := func(apiErr *APIError) (jobSpec, *APIError) {
-		s.unpinSpec(spec)
+	src, apiErr := req.source()
+	if apiErr != nil {
 		return jobSpec{}, apiErr
 	}
-	invalid := func(format string, args ...any) (jobSpec, *APIError) {
-		return fail(&APIError{Code: CodeInvalidArgument, Message: fmt.Sprintf(format, args...)})
-	}
-	notFound := func(idOrName string) (jobSpec, *APIError) {
-		return fail(&APIError{Code: CodeNotFound, Message: fmt.Sprintf(
-			"dataset %q is not registered (it may have been evicted); re-upload via POST /api/v2/datasets", idOrName)})
-	}
-	sources := 0
-	for _, set := range []bool{
-		req.Synthetic != nil, req.Inline != nil,
-		req.Proteome != nil, req.Imaging != nil, req.Network != nil,
-		req.Dataset != "",
-	} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return invalid("exactly one of synthetic, inline, proteome, imaging, network or dataset must be set")
-	}
-	switch {
-	case req.Synthetic != nil:
-		syn := req.Synthetic
-		if syn.ReferenceLength < 200 || syn.Reads < 1 {
-			return invalid("synthetic: reference_length must be >= 200 and reads >= 1")
-		}
-		if syn.ReadLength != nil && *syn.ReadLength == 0 {
-			return invalid("synthetic: read_length 0 is invalid; omit the field for the default (%d)",
-				DefaultReadLength)
-		}
-		cp := *syn
-		spec.synthetic = &cp
-	case req.Inline != nil:
-		in, err := normalizeInline(req.Inline, req.Reference != "")
-		if err != nil {
-			return invalid("inline: %v", err)
-		}
-		spec.inline = in
-	case req.Proteome != nil:
-		p := *req.Proteome
-		if p.Proteins < 1 || p.Spectra < 1 {
-			return invalid("proteome: proteins and spectra must be >= 1")
-		}
-		if p.Proteins > maxSyntheticProteins || p.Spectra > maxSyntheticSpectra {
-			return invalid("proteome: at most %d proteins and %d spectra", maxSyntheticProteins, maxSyntheticSpectra)
-		}
-		spec.proteome = &p
-	case req.Imaging != nil:
-		im := *req.Imaging
-		if im.Images < 1 || im.Images > maxSyntheticImages {
-			return invalid("imaging: images must be in [1, %d]", maxSyntheticImages)
-		}
-		if im.Width == 0 {
-			im.Width = 128
-		}
-		if im.Height == 0 {
-			im.Height = 128
-		}
-		if im.Width < 32 || im.Width > maxImageSide || im.Height < 32 || im.Height > maxImageSide {
-			return invalid("imaging: width and height must be in [32, %d]", maxImageSide)
-		}
-		if im.CellsPerImage == 0 {
-			im.CellsPerImage = 6
-		}
-		// The generator requires mutually separated cells; bound the count
-		// by a conservative packing density so placement always succeeds.
-		if maxCells := (im.Width / 32) * (im.Height / 32); im.CellsPerImage < 1 || im.CellsPerImage > maxCells {
-			return invalid("imaging: cells_per_image must be in [1, %d] for %dx%d frames",
-				maxCells, im.Width, im.Height)
-		}
-		spec.imaging = &im
-	case req.Network != nil:
-		n := *req.Network
-		if n.Genes < 1 || n.Genes > maxSyntheticGenes {
-			return invalid("network: genes must be in [1, %d]", maxSyntheticGenes)
-		}
-		if n.Modules < 1 || n.Modules > n.Genes {
-			return invalid("network: modules must be in [1, genes]")
-		}
-		if n.Genes*n.Genes/n.Modules > maxSyntheticEdgePairs {
-			return invalid("network: genes²/modules must be <= %d (edge memory); spread %d genes over more modules",
-				maxSyntheticEdgePairs, n.Genes)
-		}
-		spec.network = &n
-	case req.Dataset != "":
-		meta, payload, err := s.platform.Datasets().Pin(req.Dataset)
-		if err != nil {
-			return notFound(req.Dataset)
-		}
-		spec.pinned = append(spec.pinned, meta.ID)
-		if meta.Family == registry.Reference {
-			return invalid("dataset %q is a reference genome; name it via the reference field alongside reads", req.Dataset)
-		}
-		spec.dataset = &datasetInput{id: meta.ID, family: meta.Family, payload: payload}
-	}
-	// A named reference genome rides along sequencing submissions: it
-	// replaces the inline reference or overrides/supplies a FASTQ dataset's
-	// embedded one.
-	if req.Reference != "" {
-		if spec.inline == nil && (spec.dataset == nil || spec.dataset.family != registry.FASTQ) {
-			return invalid("reference applies to sequencing submissions only (inline reads or a fastq dataset)")
-		}
-		meta, payload, err := s.platform.Datasets().Pin(req.Reference)
-		if err != nil {
-			return notFound(req.Reference)
-		}
-		spec.pinned = append(spec.pinned, meta.ID)
-		if meta.Family != registry.Reference {
-			return invalid("dataset %q is family %s, not a reference genome", req.Reference, meta.Family)
-		}
-		if spec.inline != nil {
-			spec.inline.ref = payload.Ref
-		} else {
-			spec.dataset.payload.Ref = payload.Ref
-		}
-	}
-	if spec.dataset != nil && spec.dataset.family == registry.FASTQ && spec.dataset.payload.Ref.Len() == 0 {
-		return invalid("fastq dataset %q carries no reference; upload one with a reference part or name a registered reference genome", req.Dataset)
+	reg := s.platform.Datasets()
+	if apiErr := src.validate(reg, req.Reference); apiErr != nil {
+		src.release(reg)
+		return jobSpec{}, apiErr
 	}
 	if req.Workflow == "" {
-		req.Workflow = defaultWorkflowFor(spec.inputType())
+		req.Workflow = defaultWorkflows[src.inputType()]
 	}
-	spec.workflow = req.Workflow
-	if err := s.submittable(req.Workflow, spec.inputType()); err != nil {
-		return invalid("workflow %q: %v", req.Workflow, err)
+	// The workflow must be catalogued, consume the source's data type, and
+	// have an executor for every stage.
+	wf, err := s.platform.Catalogue().Get(req.Workflow)
+	if err == nil && wf.Consumes() != src.inputType() {
+		err = fmt.Errorf("consumes %s; this submission supplies %s", wf.Consumes(), src.inputType())
 	}
-	return spec, nil
-}
-
-// normalizeInline validates an inline dataset and converts it to genomics
-// form: bases upper-cased and checked, read IDs and qualities defaulted.
-// With namedRef the submission names a registered reference genome: the
-// inline reference must then be absent (the caller fills inlineInput.ref
-// from the registry after validation).
-func normalizeInline(in *InlineDataset, namedRef bool) (*inlineInput, error) {
-	if namedRef && in.Reference.Sequence != "" {
-		return nil, fmt.Errorf("an inline reference and a named reference are mutually exclusive")
+	if err == nil {
+		err = s.platform.Engine().CanRun(wf)
 	}
-	refSeq := genomics.Upper([]byte(in.Reference.Sequence))
-	if !namedRef {
-		if len(refSeq) < 16 {
-			return nil, fmt.Errorf("reference must be at least 16 bases (the aligner's seed length), got %d", len(refSeq))
-		}
-		if err := genomics.ValidateBases(refSeq); err != nil {
-			return nil, fmt.Errorf("reference: %w", err)
-		}
+	if err != nil {
+		src.release(reg)
+		return jobSpec{}, invalidf("workflow %q: %v", req.Workflow, err)
 	}
-	if len(in.Reads) == 0 {
-		return nil, fmt.Errorf("at least one read is required")
-	}
-	name := in.Reference.Name
-	if name == "" {
-		name = "ref"
-	}
-	total := len(refSeq)
-	reads := make([]genomics.Read, 0, len(in.Reads))
-	for i, r := range in.Reads {
-		seq := genomics.Upper([]byte(r.Sequence))
-		if len(seq) == 0 {
-			return nil, fmt.Errorf("read %d: empty sequence", i)
-		}
-		if err := genomics.ValidateBases(seq); err != nil {
-			return nil, fmt.Errorf("read %d: %w", i, err)
-		}
-		if r.Quality != "" && len(r.Quality) != len(seq) {
-			return nil, fmt.Errorf("read %d: quality length %d != sequence length %d",
-				i, len(r.Quality), len(seq))
-		}
-		total += len(seq)
-		if total > maxInlineBases {
-			return nil, fmt.Errorf("payload exceeds %d bases", maxInlineBases)
-		}
-		id := r.ID
-		if id == "" {
-			id = fmt.Sprintf("read%d", i)
-		}
-		qual := []byte(r.Quality)
-		if len(qual) == 0 {
-			qual = make([]byte, len(seq))
-			for j := range qual {
-				qual[j] = 'I' // Phred+33 Q40: "no quality given" means high confidence
-			}
-		}
-		reads = append(reads, genomics.Read{ID: id, Seq: seq, Qual: qual})
-	}
-	return &inlineInput{ref: genomics.Sequence{Name: name, Seq: refSeq}, reads: reads}, nil
+	return jobSpec{wf: wf, shardRecords: req.ShardRecords, source: src}, nil
 }
 
 // List pagination bounds.

@@ -188,7 +188,7 @@ func blockingPlatform(t *testing.T) (*core.Platform, *blockingExec) {
 
 // TestV2CancelObservablyStopsRun is the ctx-propagation acceptance test:
 // DELETE on a *running* job cancels the per-job context threaded through
-// Server.runJob → Platform.RunWorkflow, unblocking the in-flight stage and
+// Server.runJob → Engine.Run, unblocking the in-flight stage and
 // driving the job to the canceled state. A queued job canceled before it
 // starts never runs at all.
 func TestV2CancelObservablyStopsRun(t *testing.T) {
@@ -550,7 +550,7 @@ func TestCanceledPendingJobReleasesPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	inline := s.jobs[queued.ID].spec.inline
+	inline := s.jobs[queued.ID].spec.source.(*inlineInput).reads
 	s.mu.Unlock()
 	if inline != nil {
 		t.Fatal("canceled pending job still pins its inline payload")
