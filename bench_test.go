@@ -7,11 +7,7 @@ package scan_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"os"
-	"sync"
 	"testing"
 
 	"scan/internal/core"
@@ -173,214 +169,4 @@ func BenchmarkRealPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Data Broker fast-path benchmarks ---
-//
-// These measure the knowledge base's two hot paths under load — advice on a
-// KB that has accumulated thousands of run logs, and concurrent run-log
-// ingestion — and emit their trajectory to BENCH_broker.json (the artifact
-// CI uploads). Run with a fixed iteration count so the two ingest variants
-// build identically sized graphs (time-based -benchtime lets the fast
-// variant run orders of magnitude more iterations, then charges it for the
-// much larger graph it built):
-//
-//	go test -run '^$' -bench Broker -benchtime 20000x .
-
-const brokerBenchFile = "BENCH_broker.json"
-
-type brokerBenchEntry struct {
-	Name    string  `json:"name"`
-	KBRuns  int     `json:"kb_runs,omitempty"`
-	Ops     int     `json:"ops"`
-	NsPerOp float64 `json:"ns_per_op"`
-	Lost    *int    `json:"lost_observations,omitempty"`
-}
-
-type brokerBenchReport struct {
-	Benchmark  string             `json:"benchmark"`
-	Note       string             `json:"note"`
-	Trajectory []brokerBenchEntry `json:"trajectory"`
-	// AdviceSpeedup10K is cached vs uncached ns/op on the 10k-run KB.
-	AdviceSpeedup10K float64 `json:"advice_speedup_10k_runs,omitempty"`
-}
-
-var brokerBench struct {
-	sync.Mutex
-	entries []brokerBenchEntry
-}
-
-// recordBrokerBench stores one benchmark measurement and rewrites the JSON
-// artifact, so any -bench selection leaves a consistent file behind. When
-// the same entry records more than once in one process (`-count N`), the
-// fastest measurement wins: min-of-N is the standard scheduler-noise
-// reducer, and CI's regression guard compares these trajectories across
-// machines, so each entry should be the machine's best case, not its
-// noisiest run.
-func recordBrokerBench(b *testing.B, name string, kbRuns int, lost *int) {
-	b.Helper()
-	entry := brokerBenchEntry{
-		Name:    name,
-		KBRuns:  kbRuns,
-		Ops:     b.N,
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Lost:    lost,
-	}
-	brokerBench.Lock()
-	defer brokerBench.Unlock()
-	replaced := false
-	for i, e := range brokerBench.entries {
-		if e.Name == name {
-			if entry.NsPerOp < e.NsPerOp {
-				brokerBench.entries[i] = entry
-			}
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		brokerBench.entries = append(brokerBench.entries, entry)
-	}
-	report := brokerBenchReport{
-		Benchmark: "data-broker-fast-path",
-		Note: "ShardAdvice served from the materialized profile cache vs " +
-			"re-evaluating SPARQL per call (the uncached seed path); LogRun " +
-			"ingest via the batched buffer vs one write lock per observation.",
-		Trajectory: append([]brokerBenchEntry(nil), brokerBench.entries...),
-	}
-	var cached, uncached float64
-	for _, e := range brokerBench.entries {
-		switch e.Name {
-		case "advice/cached/10000runs":
-			cached = e.NsPerOp
-		case "advice/uncached/10000runs":
-			uncached = e.NsPerOp
-		}
-	}
-	if cached > 0 && uncached > 0 {
-		report.AdviceSpeedup10K = uncached / cached
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(brokerBenchFile, append(raw, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// buildBrokerKB seeds the paper profiles and folds `runs` logged
-// observations, the state of a long-lived platform under traffic.
-func buildBrokerKB(tb testing.TB, runs int) *knowledge.Base {
-	kb := knowledge.New()
-	kb.SeedPaperProfiles()
-	for i := 0; i < runs; i++ {
-		if err := kb.LogRunAsync(knowledge.RunLog{
-			App: "GATK1", Stage: i % 7, InputSize: float64(i%9) + 1,
-			Threads: 1 << (i % 4), ETime: float64(i%300) + 1,
-		}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	kb.Flush()
-	return kb
-}
-
-// BenchmarkBrokerAdvice measures ShardAdvice latency across KB sizes, with
-// the materialized cache (the fast path) and without it (every call
-// re-evaluates the profile SPARQL over the whole graph — the seed
-// behavior).
-func BenchmarkBrokerAdvice(b *testing.B) {
-	for _, runs := range []int{1000, 10000, 20000} {
-		kb := buildBrokerKB(b, runs)
-		b.Run(fmt.Sprintf("cached/%druns", runs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := kb.ShardAdvice(25); err != nil {
-					b.Fatal(err)
-				}
-			}
-			recordBrokerBench(b, fmt.Sprintf("advice/cached/%druns", runs), runs, nil)
-		})
-		b.Run(fmt.Sprintf("uncached/%druns", runs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				kb.InvalidateCache()
-				if _, err := kb.ShardAdvice(25); err != nil {
-					b.Fatal(err)
-				}
-			}
-			recordBrokerBench(b, fmt.Sprintf("advice/uncached/%druns", runs), runs, nil)
-		})
-	}
-}
-
-// BenchmarkBrokerIngest measures concurrent run-log ingestion: the batched
-// asynchronous buffer against the synchronous one-lock-per-observation
-// path. The async variant also proves the no-lost-observations invariant:
-// after Flush, RunCount must equal exactly the observations accepted.
-func BenchmarkBrokerIngest(b *testing.B) {
-	l := knowledge.RunLog{App: "GATK1", Stage: 1, InputSize: 5, Threads: 1, ETime: 3}
-	b.Run("batched", func(b *testing.B) {
-		kb := knowledge.New()
-		kb.SeedPaperProfiles()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := kb.LogRunAsync(l); err != nil {
-					// FailNow must not run on a RunParallel worker.
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.StopTimer()
-		kb.Flush()
-		lost := b.N - kb.RunCount()
-		if lost != 0 {
-			b.Fatalf("lost %d observations", lost)
-		}
-		recordBrokerBench(b, "ingest/batched", 0, &lost)
-	})
-	b.Run("lock-per-log", func(b *testing.B) {
-		kb := knowledge.New()
-		kb.SeedPaperProfiles()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := kb.LogRun(l); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.StopTimer()
-		lost := b.N - kb.RunCount()
-		if lost != 0 {
-			b.Fatalf("lost %d observations", lost)
-		}
-		recordBrokerBench(b, "ingest/lock-per-log", 0, &lost)
-	})
-}
-
-// BenchmarkBrokerMixed is the contention shape of the ROADMAP's
-// heavy-traffic north star: every worker both asks for advice and logs
-// telemetry, against one shared KB with history.
-func BenchmarkBrokerMixed(b *testing.B) {
-	kb := buildBrokerKB(b, 10000)
-	l := knowledge.RunLog{App: "GATK1", Stage: 2, InputSize: 4, Threads: 1, ETime: 2}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := kb.ShardAdvice(25); err != nil {
-				b.Error(err)
-				return
-			}
-			if err := kb.LogRunAsync(l); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	kb.Flush()
-	recordBrokerBench(b, "mixed/advice+ingest", 10000, nil)
 }

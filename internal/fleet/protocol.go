@@ -76,7 +76,6 @@ func (o TaskOptions) RunOptions() workflow.RunOptions {
 		ShardRecords: o.ShardRecords,
 		Regions:      o.Regions,
 		MinQual:      o.MinQual,
-		Barrier:      true,
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package invariant is scanvet's analyzer suite: five go/analysis passes
 // that mechanically enforce the platform's carry-forward invariants (see
-// ROADMAP.md and docs/ANALYSIS.md), so the contracts that keep pipelined
-// and barrier execution equivalent, cancellation prompt, telemetry visible
+// ROADMAP.md and docs/ANALYSIS.md), so the contracts that keep local and
+// remote execution equivalent, cancellation prompt, telemetry visible
 // and the registry zero-copy survive refactors without relying on prose.
 //
 // The analyzers are deliberately per-package and intraprocedural — no

@@ -15,8 +15,8 @@ import (
 // NoMutate pins the registry zero-copy invariant: jobs alias the dataset
 // store's slices, which is safe only while executors never mutate their
 // raw input in place. An executor that writes through an input record
-// slice corrupts the single stored copy for every later job (and, under
-// pipelining, for its own retries).
+// slice corrupts the single stored copy for every later job (and, on a
+// fleet worker's cached context, for a redispatched shard's retry).
 //
 // Mechanical rule: inside Execute/Transform (the executor entry points,
 // matched as in ctxpoll), values derived from the parameters are tracked

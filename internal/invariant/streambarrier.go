@@ -9,13 +9,13 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// StreamBarrier pins the engine's pipelined-vs-barrier equivalence
-// contract: a streaming executor implements Execute *through* its stream
-// (runStreamBarrier), so the barrier scheduler and the pipelined scheduler
-// share one Split/Transform/Gather implementation and cannot drift. An
-// executor that declares a Stream method but hand-rolls its Execute grows
-// a second barrier code path — the exact silent break the ROADMAP warns
-// about.
+// StreamBarrier pins the engine's local-vs-remote equivalence contract: a
+// streaming executor implements Execute *through* its stream
+// (runStreamBarrier), so the local pool and fleet workers (which rebuild
+// the stream and run only Transform) share one Split/Transform/Gather
+// implementation and cannot drift. An executor that declares a Stream
+// method but hand-rolls its Execute grows a second, local-only code path —
+// the exact silent break the ROADMAP warns about.
 //
 // Mechanical rule: for every type declaring a StreamingExecutor-shaped
 // Stream method (three results, the middle one bool, the last one error),
@@ -54,7 +54,7 @@ func runStreamBarrierCheck(pass *analysis.Pass) (any, error) {
 			continue // declares a stream but is not a StageExecutor
 		}
 		if !callsStreamBarrier(fd.Body) {
-			pass.Reportf(fd.Pos(), "%s declares a Stream method but its Execute does not call runStreamBarrier: streaming executors must route Execute through the shared stream barrier (pipelined==barrier equivalence)", recv)
+			pass.Reportf(fd.Pos(), "%s declares a Stream method but its Execute does not call runStreamBarrier: streaming executors must route Execute through the shared stream barrier (local==remote equivalence)", recv)
 		}
 	}
 	return nil, nil

@@ -396,10 +396,6 @@ func TestFitStageModelSeesBufferedRuns(t *testing.T) {
 	}
 }
 
-// The advice/ingest throughput benchmarks live in the repo root's
-// bench_test.go (BenchmarkBrokerAdvice, BenchmarkBrokerIngest), which also
-// records the BENCH_broker.json trajectory CI publishes.
-
 func ExampleBase_LogRunAsync() {
 	kb := New()
 	kb.SeedPaperProfiles()

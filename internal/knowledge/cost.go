@@ -1,8 +1,8 @@
 package knowledge
 
 // The cost oracle: "how long will one task of this stage take", asked by
-// the workflow engine to rank shard dispatch and by the fleet coordinator
-// to price a hire: an O(1) read of per-(app, stage) sufficient statistics
+// the fleet coordinator (through the workflow engine) to price a hire: an
+// O(1) read of per-(app, stage) sufficient statistics
 // for E(d) = a·d + b, kept by addRunLocked — where LogRun, the async fold
 // and WAL replay all funnel — and rebuilt where Import / snapshot load
 // recounts b.runs. Reads take linesMu alone (never mu: no job waits out a
@@ -100,7 +100,8 @@ type StageRef struct {
 // ChainCosts estimates every stage of a chain at a common per-task input
 // size. Stages the KB cannot regress yet take the mean fitted cost (or 1
 // when nothing in the chain has a fit), so a partially trained KB still
-// ranks usefully: fitted stages order correctly, unknown ones sit between.
+// orders usefully: fitted stages order correctly, unknown ones sit between.
+// Its only reader outside tests is bench/.
 func (b *Base) ChainCosts(chain []StageRef, inputSize float64) []float64 {
 	costs := make([]float64, len(chain)) // 0 marks a stage without a fit
 	sum, n := 0.0, 0

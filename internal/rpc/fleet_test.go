@@ -14,8 +14,8 @@ import (
 // TestJobsScatterToFleetWorkers is the daemon-level slice of the fleet
 // contract: a worker that joins through the server's own fleet endpoints
 // is handed the shards of ordinary submitted jobs, and the roster reports
-// the work. The zero-worker default (local pipelined execution) is pinned
-// by TestV2StageEventsStreamed.
+// the work. The zero-worker default (local pool execution) is pinned by
+// TestV2StageEventsStreamed.
 func TestJobsScatterToFleetWorkers(t *testing.T) {
 	p := core.NewPlatform(core.Options{Workers: 2})
 	s := NewServerOptions(p, ServerOptions{Executors: 2})

@@ -363,18 +363,14 @@ func (s *Server) publishStage(id int, sr workflow.StageResult) {
 	s.publishLocked(rec, JobEvent{Type: EventStage, Stage: &sb})
 }
 
-// stageBreakdown converts an engine stage result to its wire shape,
-// including the pipelined-execution timings when the stage streamed.
+// stageBreakdown converts an engine stage result to its wire shape.
 func stageBreakdown(sr workflow.StageResult) StageBreakdown {
 	return StageBreakdown{
-		Name:               sr.Stage,
-		Tool:               sr.Tool,
-		Shards:             sr.Shards,
-		ElapsedSec:         sr.Elapsed.Seconds(),
-		Records:            sr.Records,
-		Streamed:           sr.Pipeline.Streamed,
-		FirstShardStartSec: sr.Pipeline.FirstShardStart.Seconds(),
-		Overlap:            sr.Pipeline.Overlap,
+		Name:       sr.Stage,
+		Tool:       sr.Tool,
+		Shards:     sr.Shards,
+		ElapsedSec: sr.Elapsed.Seconds(),
+		Records:    sr.Records,
 	}
 }
 
@@ -527,9 +523,8 @@ func (s *Server) execute(ctx context.Context, id int, spec jobSpec) (JobResult, 
 		},
 	}
 	// Scatter to the fleet only when remote workers are actually registered:
-	// a workerless daemon keeps the engine's local pool and its pipelined
-	// scheduler. (A fleet that empties mid-run still falls back per stage via
-	// ErrNoWorkers.)
+	// a workerless daemon keeps the engine's local pool. (A fleet that
+	// empties mid-run still falls back per stage via ErrNoWorkers.)
 	if s.fleet.ReadyWorkers() > 0 {
 		opts.ShardPool = s.fleet
 	}

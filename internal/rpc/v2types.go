@@ -347,18 +347,11 @@ type StageBreakdown struct {
 	// Records counts the records the stage's shards processed (absent for
 	// stages that do not scatter by record).
 	Records int `json:"records,omitempty"`
-	// Streamed marks stages executed inside a pipelined segment — their
-	// shards overlapped with neighbouring stages instead of running behind
-	// a per-stage barrier. The two timing fields below are only meaningful
-	// when it is set.
-	Streamed bool `json:"streamed,omitempty"`
-	// FirstShardStartSec is when the stage's first shard began, as an
-	// offset from its segment's start: a value below the upstream stage's
-	// elapsed_sec means this stage started before its predecessor finished.
+	// Streamed, FirstShardStartSec and Overlap are never set, so they never
+	// reach the wire; they stay only because bench/ reads them.
+	Streamed           bool    `json:"streamed,omitempty"`
 	FirstShardStartSec float64 `json:"first_shard_start_sec,omitempty"`
-	// Overlap is the fraction of the stage's span spent running while its
-	// upstream stage was still in flight, in [0, 1].
-	Overlap float64 `json:"overlap,omitempty"`
+	Overlap            float64 `json:"overlap,omitempty"`
 }
 
 // JobPage is one page of GET /api/v2/jobs. Jobs is never null; a non-empty

@@ -29,12 +29,9 @@
 //	                                   on a bounded context-aware worker
 //	                                   pool, per-shard timings logged back
 //	                                   into the knowledge base
-//	pipelined executor (streaming.go,  overlaps adjacent record-scattered
-//	pipeline.go)                       stages by streaming shards between
-//	                                   them instead of barriering at each
-//	                                   stage boundary, with dispatch order
-//	                                   chosen by a knowledge-base cost
-//	                                   oracle
+//	stage streams (streaming.go,       one Split/Transform/Gather per
+//	remote.go, wire.go)                scattering stage, run on the local
+//	                                   pool or on remote fleet workers
 //	platform / rpc (internal/core,     core.Platform wraps the engine for
 //	internal/rpc)                      variant calling; scand exposes
 //	                                   "submit workflow by name" over HTTP
@@ -42,48 +39,36 @@
 // Adding a workload is a catalogue entry plus (at most) an executor
 // registration — not a hand-rolled pipeline.
 //
-// # Pipelined shard streaming
+// # Stage streams
 //
-// By default Engine.Run pipelines maximal runs of streaming-capable stages
-// (RunOptions.Barrier restores strict per-stage barriers). A stage opts in
-// by implementing StreamingExecutor: it exposes its scatter/transform/gather
-// shape as a StageStream, and the engine overlaps adjacent stages — a
-// downstream stage's shard i starts the moment the upstream stage finishes
-// its shard i, on a bounded worker pool shared across every in-flight stage
-// of the segment. Pass-through stages (PassthroughExecutor) let shards flow
-// straight through. When more shards are ready than workers, dispatch order
-// follows HEFT-style upward ranks computed from the knowledge base's cost
-// oracle (internal/knowledge.ChainCosts — an O(1), unflushed read of
-// per-stage regression accumulators, answering once a stage has run at two
-// shard sizes): shards with the most expensive remaining downstream work
-// run first.
+// Engine.Run executes one stage at a time, each behind a barrier; the
+// parallelism is across a stage's shards. A scattering stage implements
+// StreamingExecutor: it exposes its scatter/transform/gather shape as a
+// StageStream and implements Execute through runStreamBarrier, which
+// splits the stage's input, runs every shard's Transform on the engine's
+// bounded worker pool — or, when the run carries a ShardPool, on fleet
+// workers — and gathers the outputs. A fleet worker rebuilds the same
+// stream from the stage's input and the coordinator-pinned options
+// (PrepareStageShards) and runs only Transform.
 //
-// The streaming contract:
+// The stage contract, shared by the local pool and fleet workers:
 //
-//   - Split runs only on the segment's first stage; Gather only on its
-//     last. Intermediate stages see shards exclusively through Transform,
-//     indexed 1:1 with the head's scatter.
-//   - Stream receives the SEGMENT input dataset, so a downstream stage must
-//     draw configuration from the accumulating context fields (Reference,
-//     PeptideDB, ...), never from payload fields it would have received
-//     behind a barrier.
+//   - Split is deterministic given the stage's input and the run options
+//     StageEnv.RemoteOptions pins, so a worker's re-Split yields the
+//     coordinator's shards and a dispatch names only a shard index.
 //   - Transform must be safe for concurrent calls with distinct shard
 //     indices, must poll ctx inside long per-record loops, and must not
-//     call StageEnv.LogShard — the engine times and logs every pipelined
-//     shard itself.
+//     call StageEnv.LogShard — its caller times and logs every shard.
 //   - Gather must be deterministic in shard index order.
 //
 // # Determinism guarantee
 //
-// Pipelined and barrier execution produce identical results: streaming
-// executors implement Execute via runStreamBarrier, so both schedulers run
-// the exact same Split/Transform/Gather code and differ only in when each
-// shard runs (and, with RunOptions.RefineScatter, how wide the scatter
-// is). Because every Gather is
-// deterministic in shard index order and every Transform is a pure function
-// of its input shard, Result.Output and per-stage record counts are
-// identical under either scheduler, and StageObserver still fires exactly
-// once per completed stage in catalogue order — the engine buffers
-// out-of-order pipelined completions until every earlier stage has
-// finished.
+// Local and remote execution produce identical results: streaming
+// executors implement Execute via runStreamBarrier, so the local pool and
+// fleet workers run the exact same Split/Transform/Gather code and differ
+// only in where each shard runs. Because every Gather is deterministic in
+// shard index order and every Transform is a pure function of its input
+// shard, Result.Output and per-stage record counts are identical either
+// way, and StageObserver fires exactly once per completed stage in
+// catalogue order.
 package workflow

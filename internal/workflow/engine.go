@@ -97,9 +97,7 @@ type RunOptions struct {
 	// width, elapsed time, shard plan). It is the engine's progress
 	// surface: scand streams these callbacks to API clients as per-stage
 	// events. The callback runs on the engine's goroutine, once per stage
-	// in catalogue order — pipelined execution preserves the ordering by
-	// buffering out-of-order stage completions — so it must not block on
-	// the run it is observing.
+	// in catalogue order, so it must not block on the run it is observing.
 	StageObserver func(StageResult)
 	// ShardObserver, when non-nil, is invoked for every completed shard
 	// with the stage's tool name, the records the shard processed and its
@@ -108,42 +106,18 @@ type RunOptions struct {
 	// path), possibly concurrently across shards, so it must be cheap and
 	// thread-safe: scand points it at per-family latency histograms.
 	ShardObserver func(tool string, records int, elapsed time.Duration)
-	// Barrier disables pipelined shard streaming for this run: every stage
-	// executes through StageExecutor.Execute with a full barrier between
-	// stages (the pre-pipelining engine). This is the reference scheduler
-	// the pipelined-vs-barrier equivalence tests and benchmarks compare
-	// against.
+	// Barrier is kept only for bench/, which sets it; nothing reads it.
+	//
+	// Deprecated: every run executes stage by stage behind a barrier.
 	Barrier bool
-	// RefineScatter lets a pipelined segment cap the Data Broker's advised
-	// shard size so the scatter is at least as wide as the worker pool — a
-	// stream narrower than the pool would leave workers idle at the
-	// segment head with no downstream shards to steal. Off by default so
-	// shard plans stay byte-identical to barrier execution; turn it on
-	// when pool occupancy matters more than plan parity.
-	RefineScatter bool
 	// ShardPool, when non-nil, executes streaming stages' shard transforms
 	// remotely (the distributed worker fleet, internal/fleet) instead of on
-	// the engine's local goroutine pool. Remote execution uses the barrier
-	// scheduler — each stage's input materializes before its shards
-	// dispatch, so a worker can rebuild the stage's stream from that input
-	// alone. The local pool stays the default and the equivalence
-	// reference; a pool reporting ErrNoWorkers falls back to it per stage.
+	// the engine's local goroutine pool. Each stage's input materializes
+	// before its shards dispatch, so a worker can rebuild the stage's
+	// stream from that input alone. The local pool stays the default and
+	// the equivalence reference; a pool reporting ErrNoWorkers falls back
+	// to it per stage.
 	ShardPool ShardPool
-}
-
-// PipelineTiming reports how a stage executed inside a pipelined segment;
-// zero when the stage ran under the barrier scheduler.
-type PipelineTiming struct {
-	// Streamed marks stages that ran as part of a pipelined segment.
-	Streamed bool
-	// FirstShardStart is when the stage's first shard began executing,
-	// as an offset from its segment's start — a downstream stage whose
-	// offset is below the upstream stage's elapsed time started before
-	// its predecessor finished, which is the pipelining win.
-	FirstShardStart time.Duration
-	// Overlap is the fraction of the stage's active span shared with the
-	// previous streaming stage's, in [0, 1]; 0 for segment heads.
-	Overlap float64
 }
 
 // StageResult reports one executed stage.
@@ -163,12 +137,9 @@ type StageResult struct {
 	// region).
 	Advice knowledge.Advice
 	// Records counts the input records the stage processed across its
-	// shards (0 for pass-through stages) — the pipelined-vs-barrier
-	// equivalence invariant alongside Output.
+	// shards (0 for pass-through stages) — the local-vs-remote equivalence
+	// invariant alongside Output.
 	Records int
-	// Pipeline carries pipelined-execution timings; zero when the stage
-	// ran behind a barrier.
-	Pipeline PipelineTiming
 }
 
 // Result is one workflow execution's outcome.
@@ -225,11 +196,9 @@ func (e *Engine) RunByName(ctx context.Context, name string, in *Dataset, opts R
 // executor runs, and the executor's output type afterwards, so a
 // mis-registered executor cannot silently corrupt the chain.
 //
-// Runs of consecutive streaming-capable stages (StreamingExecutor heads,
-// PassthroughExecutor riders) execute as pipelined segments — shards flow
-// stage to stage without a barrier, scheduled by the Data Broker's cost
-// ranks (pipeline.go) — unless opts.Barrier forces whole-stage execution.
-// Both schedulers produce identical outputs; see doc.go for the guarantee.
+// Stages run one at a time, each behind a barrier: a stage's scatter
+// starts only once the previous stage's output is whole. Parallelism is
+// per stage, across its shards (see doc.go).
 func (e *Engine) Run(ctx context.Context, w Workflow, in *Dataset, opts RunOptions) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -243,11 +212,10 @@ func (e *Engine) Run(ctx context.Context, w Workflow, in *Dataset, opts RunOptio
 	}
 	res := &Result{Workflow: w.Name}
 	ds := in
-	for i := 0; i < len(w.Stages); {
+	for i, st := range w.Stages {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st := w.Stages[i]
 		exec, ok := e.execs.Lookup(st.Tool, st.Name)
 		if !ok {
 			return nil, fmt.Errorf("workflow %s: %w for stage %q (tool %s)",
@@ -256,21 +224,6 @@ func (e *Engine) Run(ctx context.Context, w Workflow, in *Dataset, opts RunOptio
 		if ds.Type != st.Consumes {
 			return nil, fmt.Errorf("%w: workflow %s stage %q consumes %s, dataset is %s",
 				ErrTypeMismatch, w.Name, st.Name, st.Consumes, ds.Type)
-		}
-		// A remote ShardPool implies the barrier scheduler: each stage's
-		// input must materialize before its shards can ship to workers.
-		// Equivalence to pipelined execution holds transitively through
-		// the pipelined-vs-barrier contract.
-		if !opts.Barrier && opts.ShardPool == nil {
-			if seg := e.pipelineSegment(w, i, exec, ds, opts); seg != nil {
-				out, err := e.runPipelined(ctx, w, seg, opts, res)
-				if err != nil {
-					return nil, err
-				}
-				ds = out
-				i = seg.end
-				continue
-			}
 		}
 		sr := StageResult{Stage: st.Name, Tool: st.Tool}
 		env := &StageEnv{engine: e, stage: st, index: i, opts: opts, result: &sr,
@@ -295,7 +248,6 @@ func (e *Engine) Run(ctx context.Context, w Workflow, in *Dataset, opts RunOptio
 			opts.StageObserver(sr)
 		}
 		ds = out
-		i++
 	}
 	res.Output = ds
 	return res, nil
@@ -310,13 +262,9 @@ type StageEnv struct {
 	index  int
 	opts   RunOptions
 	result *StageResult
-	// pipelined marks envs built for a pipelined segment; RecordShardSize
-	// refines the scatter width for pool occupancy when set.
-	pipelined bool
 	// workflow and input identify the stage for remote dispatch: the
 	// workflow name and the stage's materialized input dataset. Set only
-	// on the barrier path of Engine.Run (pipelined stages never
-	// materialize their inputs, so they cannot dispatch remotely).
+	// by Engine.Run (a worker's PrepareStageShards env never re-dispatches).
 	workflow string
 	input    *Dataset
 	// records accumulates the stage's processed input records across
@@ -336,11 +284,9 @@ func (env *StageEnv) Workers() int { return env.engine.workers }
 
 // RecordShardSize decides how many records each shard of this stage should
 // carry: the run's ShardRecords override when set, otherwise the Data
-// Broker's knowledge-base advice for an input of total records. In a
-// pipelined segment with RunOptions.RefineScatter the advice is
-// additionally capped so the scatter is at least as wide as the worker
-// pool. The resulting shard plan (and advice, when consulted) is recorded
-// on the stage result.
+// Broker's knowledge-base advice for an input of total records. The
+// resulting shard plan (and advice, when consulted) is recorded on the
+// stage result.
 func (env *StageEnv) RecordShardSize(total int) (int, error) {
 	per := env.opts.ShardRecords
 	if per <= 0 {
@@ -356,11 +302,6 @@ func (env *StageEnv) RecordShardSize(total int) (int, error) {
 		per = int(adv.ShardSize * float64(env.engine.recordsPerUnit))
 		if per < 1 {
 			per = 1
-		}
-		if env.pipelined && env.opts.RefineScatter && total > 0 {
-			if maxPer := (total + env.engine.workers - 1) / env.engine.workers; per > maxPer {
-				per = maxPer
-			}
 		}
 	}
 	plan, err := shard.PlanByRecords(total, per)
@@ -450,23 +391,22 @@ func (env *StageEnv) LogShard(records int, elapsed time.Duration) {
 	})
 }
 
-// Workflow returns the running workflow's name ("" outside Engine.Run's
-// barrier path — a ShardPool must not dispatch such envs).
+// Workflow returns the running workflow's name ("" outside Engine.Run — a
+// ShardPool must not dispatch such envs).
 func (env *StageEnv) Workflow() string { return env.workflow }
 
 // StageIndex returns the stage's position in the workflow chain.
 func (env *StageEnv) StageIndex() int { return env.index }
 
-// Input returns the stage's materialized input dataset (nil outside the
-// barrier path).
+// Input returns the stage's materialized input dataset (nil outside
+// Engine.Run).
 func (env *StageEnv) Input() *Dataset { return env.input }
 
 // remoteable reports whether this env's stage may dispatch to a remote
-// shard pool: the stage must come from Engine.Run's barrier path (so its
-// input is materialized and addressable) and not be part of a pipelined
-// segment.
+// shard pool: the stage must come from Engine.Run, so its input is
+// materialized and addressable.
 func (env *StageEnv) remoteable() bool {
-	return !env.pipelined && env.workflow != "" && env.input != nil
+	return env.workflow != "" && env.input != nil
 }
 
 // RemoteOptions pins the run options a remote worker needs to rebuild this
@@ -474,7 +414,7 @@ func (env *StageEnv) remoteable() bool {
 // plan the coordinator's Split already decided (so the worker's Split
 // produces byte-identical shards without consulting the Data Broker) and
 // the region-scatter width resolved against the coordinator's pool.
-// Scheduling-only fields (ShardPool, StageObserver, Barrier) are dropped.
+// Scheduling-only fields (ShardPool, StageObserver) are dropped.
 func (env *StageEnv) RemoteOptions() RunOptions {
 	opts := RunOptions{
 		Aligner:      env.opts.Aligner,

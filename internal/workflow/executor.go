@@ -117,9 +117,9 @@ const ctxCheckInterval = 64
 
 // alignExecutor implements the BWA stages: scatter reads into
 // Data-Broker-sized shards, align each shard on the pool, gather the
-// per-shard outputs into one coordinate-sorted alignment set. It is the
-// genomics chain's streaming adopter: Execute runs the same stream behind
-// a stage-local barrier, so the two schedulers share one implementation.
+// per-shard outputs into one coordinate-sorted alignment set. Execute runs
+// its stream through runStreamBarrier, so the local pool and fleet workers
+// share one implementation.
 type alignExecutor struct{}
 
 func (e alignExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
@@ -211,10 +211,8 @@ func (s *alignStream) Gather(shards []StreamShard) (*Dataset, error) {
 // genomic regions with boundary overlap, call variants per region on the
 // pool, keep each call only in the region that contains it, and gather
 // into one sorted, deduplicated call set — the GATK-style scatter the
-// paper parallelizes. A re-scatter stage: its stream needs the whole
-// materialized alignment set, so it declines pipelined participation and
-// streams only behind a stage-local barrier (where the fleet's remote
-// shard pool can pick its transforms up).
+// paper parallelizes. Its region scatter re-partitions the whole
+// materialized alignment set.
 type callExecutor struct{}
 
 func (e callExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
@@ -225,14 +223,8 @@ func (e callExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (
 	return runStreamBarrier(ctx, env, st)
 }
 
-// Stream implements StreamingExecutor. The region scatter re-partitions
-// the stage's whole input, so it cannot ride a pipelined segment (ok=false
-// when the env is pipelined — the engine barriers at this stage, exactly
-// the pre-streaming behavior).
+// Stream implements StreamingExecutor.
 func (callExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
-	if env.pipelined {
-		return nil, false, nil
-	}
 	return &callStream{env: env, in: in}, true, nil
 }
 
@@ -328,8 +320,7 @@ func (filterExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (
 // quantifyExecutor implements the expression Quantify stage: scatter the
 // reference into regions, count the mapped alignments starting in each and
 // their mean coverage on the pool, and gather a per-region FeatureTable —
-// the RNA-seq expression workload. Like the callers it is a re-scatter
-// stage: streaming-capable behind a barrier, declined inside pipelines.
+// the RNA-seq expression workload.
 type quantifyExecutor struct{}
 
 func (e quantifyExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
@@ -340,11 +331,8 @@ func (e quantifyExecutor) Execute(ctx context.Context, env *StageEnv, in *Datase
 	return runStreamBarrier(ctx, env, st)
 }
 
-// Stream implements StreamingExecutor (barrier-only; see callExecutor).
+// Stream implements StreamingExecutor.
 func (quantifyExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
-	if env.pipelined {
-		return nil, false, nil
-	}
 	return &quantifyStream{env: env, in: in}, true, nil
 }
 
@@ -415,13 +403,12 @@ func (mergeVCFExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset)
 	return &out, nil
 }
 
-// identityExecutor passes the dataset through unchanged. It implements
-// PassthroughExecutor, so inside a pipelined segment shard streams flow
-// straight through its stages without materializing a dataset.
+// identityExecutor passes the dataset through unchanged.
 type identityExecutor struct{}
 
 func (identityExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
 	return in, nil
 }
 
+// StreamPassthrough implements PassthroughExecutor, kept only for bench/.
 func (identityExecutor) StreamPassthrough() {}

@@ -24,8 +24,6 @@ import (
 // and gather the per-shard matches into one sorted ProteinTable. In
 // quantify mode the table carries summed match scores (label-free
 // quantification); in search mode it carries identification counts only.
-// The proteome family is the second streaming adopter: Execute runs the
-// same stream behind a stage-local barrier.
 type spectralSearchExecutor struct{ quantify bool }
 
 func (e spectralSearchExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
@@ -111,8 +109,7 @@ type TileShard struct {
 // frame into overlapping tiles (core partition + halo, so a cell on a tile
 // boundary is counted once by the tile owning its centroid), segment tiles
 // on the pool, and gather per-cell features into one FeatureTable row per
-// detected cell. A re-scatter stage: streaming-capable behind a barrier,
-// declined inside pipelines.
+// detected cell.
 type cellProfileExecutor struct{}
 
 func (e cellProfileExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
@@ -123,11 +120,8 @@ func (e cellProfileExecutor) Execute(ctx context.Context, env *StageEnv, in *Dat
 	return runStreamBarrier(ctx, env, st)
 }
 
-// Stream implements StreamingExecutor (barrier-only; see callExecutor).
+// Stream implements StreamingExecutor.
 func (cellProfileExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
-	if env.pipelined {
-		return nil, false, nil
-	}
 	return &cellStream{env: env, in: in}, true, nil
 }
 
@@ -201,8 +195,7 @@ type NodeRange struct {
 // feature as a network node, scatter the O(n²) pairwise edge construction
 // over Data-Broker-sized node-range partitions on the pool, then gather the
 // edge slabs and detect modules in one pass — the Cytoscape-style network
-// build. A re-scatter stage: streaming-capable behind a barrier, declined
-// inside pipelines.
+// build.
 type integrateExecutor struct{}
 
 func (e integrateExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
@@ -213,11 +206,8 @@ func (e integrateExecutor) Execute(ctx context.Context, env *StageEnv, in *Datas
 	return runStreamBarrier(ctx, env, st)
 }
 
-// Stream implements StreamingExecutor (barrier-only; see callExecutor).
+// Stream implements StreamingExecutor.
 func (integrateExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
-	if env.pipelined {
-		return nil, false, nil
-	}
 	return &integrateStream{env: env, in: in}, true, nil
 }
 

@@ -2,8 +2,10 @@ package workflow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"scan/internal/imaging"
@@ -232,4 +234,67 @@ func TestProteomeAdviceFromBroker(t *testing.T) {
 	if sr.Advice.BasedOn == "" || sr.Plan.NumShards < 1 {
 		t.Fatalf("scatter = %+v", sr)
 	}
+}
+
+// countdownCtx cancels itself after a fixed number of Err polls — a
+// deterministic stand-in for "the user cancelled mid-shard" that needs no
+// timing assumptions.
+type countdownCtx struct {
+	context.Context
+	remaining atomic.Int64
+}
+
+func newCountdownCtx(polls int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.remaining.Store(polls)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.remaining.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestCancellationInterruptsShardMidFlight proves the per-record context
+// polls inside the family executors' inner loops: with input far larger
+// than one poll interval, a context that cancels after a few polls must
+// abort the shard in flight rather than run it to completion.
+func TestCancellationInterruptsShardMidFlight(t *testing.T) {
+	t.Run("genomics-align", func(t *testing.T) {
+		ds := synthDataset(t, 8000, 2000, 26)
+		e := testEngine(t, 1)
+		env := &StageEnv{engine: e, opts: RunOptions{}, result: &StageResult{}}
+		st, _, err := alignExecutor{}.Stream(env, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = st.Transform(newCountdownCtx(2), 0, StreamShard{Records: len(ds.Reads), Data: ds.Reads})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+	t.Run("proteome-search", func(t *testing.T) {
+		ds := mgfDataset(t, 30, 2000, 27)
+		e := testEngine(t, 1)
+		env := &StageEnv{engine: e, opts: RunOptions{}, result: &StageResult{}}
+		st, _, err := spectralSearchExecutor{}.Stream(env, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = st.Transform(newCountdownCtx(2), 0, StreamShard{Records: len(ds.Spectra), Data: ds.Spectra})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+	t.Run("network-integrate", func(t *testing.T) {
+		ds := featureDataset(t, 300, 4, 28)
+		e := testEngine(t, 1)
+		env := &StageEnv{engine: e, opts: RunOptions{ShardRecords: 1000}, result: &StageResult{}}
+		_, err := integrateExecutor{}.Execute(newCountdownCtx(2), env, ds)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
 }

@@ -33,7 +33,7 @@ type StagePrep struct {
 // PrepareStageShards resolves the named workflow's stage, rebuilds its
 // stream over the materialized input with the given (coordinator-pinned)
 // options, and re-Splits it. Scheduling-only options are ignored: the prep
-// never pipelines, observes, or re-dispatches remotely.
+// never observes or re-dispatches remotely.
 func (e *Engine) PrepareStageShards(workflow string, stageIdx int, in *Dataset, opts RunOptions) (*StagePrep, error) {
 	w, err := e.catalogue.Get(workflow)
 	if err != nil {

@@ -30,77 +30,67 @@ type ShardPool interface {
 	RunShards(ctx context.Context, env *StageEnv, shards []StreamShard) ([]StreamShard, error)
 }
 
-// StreamShard is one unit of data flowing through a pipelined segment: a
-// stage-specific payload plus the record count the engine uses for shard
-// telemetry and cost estimation.
+// StreamShard is one unit of a stage's scatter: a stage-specific payload
+// plus the record count the engine uses for shard telemetry and cost
+// estimation.
 type StreamShard struct {
 	// Records counts the payload's records (reads, spectra, alignments ...).
 	Records int
-	// Data is the stage-specific payload. A stage's Transform receives the
-	// upstream stage's output Data, so adjacent streaming stages agree on
-	// the concrete type between them.
+	// Data is the stage-specific payload: Split's output type is the
+	// Transform input type, and Transform's output type is Gather's input.
+	// Types that cross the fleet wire are registered in wire.go.
 	Data any
 }
 
-// StreamingExecutor is the optional StageExecutor extension that lets a
-// stage participate in pipelined shard streaming: instead of materializing
-// its whole output behind a barrier, the stage exposes per-shard transforms
-// the engine can overlap with its neighbours'. Executors that do not
-// implement it keep working unchanged — the engine simply barriers at them.
+// StreamingExecutor is the optional StageExecutor extension that exposes a
+// stage's Split/Transform/Gather shape, so its shard transforms can run on
+// the local pool or on remote fleet workers. Executors that do not
+// implement it (filters, merges, pass-throughs) always run whole on the
+// coordinator.
 type StreamingExecutor interface {
 	StageExecutor
-	// Stream prepares one run's stream over a pipelined segment. in is the
-	// SEGMENT's input dataset — for the segment's first stage that is the
-	// stage's own input, but a downstream stage sees the dataset as it was
-	// before the segment started (its own input never materializes), so a
-	// stream must draw configuration from the context fields that
-	// accumulate on the dataset (Reference, PeptideDB, ...), never from the
-	// flowing payload fields. ok=false (or an error) declines streaming for
-	// this input; the engine falls back to Execute, where any setup error
-	// surfaces identically.
+	// Stream prepares one run's stream over the stage's materialized
+	// input. ok=false only makes PrepareStageShards refuse remote dispatch
+	// (ErrNotStreaming); no executor returns it, and the result stays
+	// because bench/ decorates this signature.
 	Stream(env *StageEnv, in *Dataset) (st StageStream, ok bool, err error)
 }
 
-// StageStream is one stage's view of a pipelined segment: a scatter, a
-// per-shard transform, and a gather. The engine calls Split only on the
-// segment's first stage and Gather only on its last; intermediate stages
-// see shards exclusively through Transform, indexed 1:1 with the head's
-// scatter.
+// StageStream is one stage's scatter, per-shard transform, and gather.
 type StageStream interface {
 	// Split scatters the stage's input into shards. Implementations size
 	// record scatters through env.RecordShardSize, so the Data Broker's
-	// plan and advice land on the stage result exactly as in barrier mode.
+	// plan and advice land on the stage result. Given the same input and
+	// pinned options, Split must return the same shards, so a fleet
+	// worker's re-Split matches the coordinator's.
 	Split() ([]StreamShard, error)
 	// Transform processes shard i. Concurrent calls with distinct i must
-	// be safe; the engine times each call and logs it as the stage's shard
+	// be safe; the caller times each call and logs it as the stage's shard
 	// telemetry, so implementations must not call env.LogShard themselves.
 	// Long per-record loops must poll ctx periodically so a cancellation
 	// stops mid-shard, not only between shards.
 	Transform(ctx context.Context, i int, in StreamShard) (StreamShard, error)
 	// Gather assembles the stage's output shards (indexed by shard, all
 	// present) into its output dataset. The merge must be deterministic in
-	// the shard index order so pipelined and barrier execution produce
+	// the shard index order so local and remote execution produce
 	// identical outputs.
 	Gather(shards []StreamShard) (*Dataset, error)
 }
 
-// PassthroughExecutor marks executors that return their input dataset
-// unchanged (the GATK refinement stages). Inside a pipelined segment the
-// engine lets shard streams flow straight through such stages — their
-// stage results still appear, in order, with zero scatter.
+// PassthroughExecutor marks executors that return their input unchanged;
+// kept only for bench/, its only reader.
 type PassthroughExecutor interface {
 	StageExecutor
 	// StreamPassthrough is a marker method; implementations do nothing.
 	StreamPassthrough()
 }
 
-// runStreamBarrier executes a stage stream under the stage-local pool:
-// split, transform every shard, gather. Streaming executors implement
-// Execute with it so the barrier path and the pipelined path share one
-// per-shard implementation and cannot diverge. When the run carries a
-// remote ShardPool the transforms dispatch through it instead — same
-// Split, same Gather, same telemetry — with a per-stage fallback to the
-// local pool when the fleet has no capacity.
+// runStreamBarrier executes a stage stream: split, transform every shard,
+// gather. Streaming executors implement Execute with it, so there is one
+// per-shard implementation. The transforms run on the stage-local pool or,
+// when the run carries a remote ShardPool, on fleet workers — same Split,
+// same Gather, same telemetry — with a per-stage fallback to the local
+// pool when the fleet has no capacity.
 func runStreamBarrier(ctx context.Context, env *StageEnv, st StageStream) (*Dataset, error) {
 	shards, err := st.Split()
 	if err != nil {

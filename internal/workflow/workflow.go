@@ -1,6 +1,6 @@
 // This file holds the catalogue: typed workflow definitions, the registry,
 // and their knowledge-base export. See doc.go for the package overview and
-// the streaming/determinism contract of the pipelined engine.
+// the stage contract and its local = remote determinism guarantee.
 package workflow
 
 import (
