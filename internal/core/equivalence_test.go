@@ -14,36 +14,35 @@ import (
 	"scan/internal/workflow"
 )
 
-// seedVariantCalling replicates the pre-engine inline pipeline exactly as
+// seedVariantCalling replicates the pre-engine inline pipeline as
 // platform.go shipped it before the workflow-engine refactor (shard reads
 // by Data Broker advice → align → merge → region scatter → pileup+call →
 // merge), run sequentially since the results are parallelism-independent.
 // It is the golden reference the engine-driven RunVariantCalling must
-// reproduce bit-for-bit.
+// reproduce bit-for-bit. One thing moved since: on a KB with no telemetry
+// for the stage the broker's shard count ⌈reads/advised⌉ is kept but its
+// shards are cut equal, so the advised plan is PlanByShards(reads, count).
 func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResult, error) {
 	if len(job.Reads) == 0 {
 		return nil, ErrNoReads
 	}
 	res := &VariantCallingResult{}
 
-	recordsPerShard := job.ShardRecords
-	if recordsPerShard <= 0 {
+	var plan shard.Plan
+	if job.ShardRecords > 0 {
+		plan, _ = shard.PlanByRecords(len(job.Reads), job.ShardRecords)
+	} else {
 		jobUnits := float64(len(job.Reads)) / float64(p.recordsPerUnit)
 		adv, err := p.kb.ShardAdvice(jobUnits)
 		if err != nil {
 			return nil, fmt.Errorf("core: data broker: %w", err)
 		}
 		res.Advice = adv
-		recordsPerShard = int(adv.ShardSize * float64(p.recordsPerUnit))
-		if recordsPerShard < 1 {
-			recordsPerShard = 1
-		}
-	}
-	plan, err := shard.PlanByRecords(len(job.Reads), recordsPerShard)
-	if err != nil {
-		return nil, err
+		advised := max(int(adv.ShardSize*float64(p.recordsPerUnit)), 1)
+		plan, _ = shard.PlanByShards(len(job.Reads), (len(job.Reads)+advised-1)/advised)
 	}
 	res.ShardPlan = plan
+	recordsPerShard := plan.RecordsPerShard
 
 	aligner, err := align.New(job.Reference, job.Aligner)
 	if err != nil {

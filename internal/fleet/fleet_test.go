@@ -174,32 +174,55 @@ func encode(t testing.TB, ds *workflow.Dataset) []byte {
 // as the same engine configuration running on its local pool.
 func TestDistributedMatchesLocal(t *testing.T) {
 	cases := []struct {
+		name     string
 		workflow string
 		opts     workflow.RunOptions
 		dataset  func(t testing.TB) *workflow.Dataset
+		// observed, when set, is one run both KBs have logged before the
+		// job; wantShards then pins the record scatter's wave-rounded width.
+		observed   *knowledge.RunLog
+		wantShards int
 	}{
-		{"dna-variant-detection", workflow.RunOptions{}, func(t testing.TB) *workflow.Dataset {
+		{name: "dna-variant-detection", workflow: "dna-variant-detection", dataset: func(t testing.TB) *workflow.Dataset {
 			return fastqDataset(t, 8000, 2000, 7)
 		}},
-		{"proteome-maxquant", workflow.RunOptions{ShardRecords: 100}, func(t testing.TB) *workflow.Dataset {
+		{name: "proteome-maxquant", workflow: "proteome-maxquant", opts: workflow.RunOptions{ShardRecords: 100}, dataset: func(t testing.TB) *workflow.Dataset {
 			return mgfDataset(t, 20, 400, 17)
 		}},
-		{"cell-imaging", workflow.RunOptions{Regions: 4}, func(t testing.TB) *workflow.Dataset {
+		// Broker-advised with telemetry: 400 spectra fit no profile (one
+		// shard), and the logged rate prices four 100-spectrum shards above
+		// the floor, so the coordinator pins a plan rounded to its pool of
+		// 4 that the workers must re-Split from the pinned options alone. A
+		// logged run, not a timed one, keeps the plan independent of the
+		// host's speed.
+		{name: "proteome-maxquant-advised", workflow: "proteome-maxquant", dataset: func(t testing.TB) *workflow.Dataset {
+			return mgfDataset(t, 20, 400, 17)
+		}, observed: &knowledge.RunLog{App: "MaxQuant", InputSize: 0.4, Threads: 1, ETime: 0.4}, wantShards: 4},
+		{name: "cell-imaging", workflow: "cell-imaging", opts: workflow.RunOptions{Regions: 4}, dataset: func(t testing.TB) *workflow.Dataset {
 			return tiffDataset(t, 3, 5, 23)
 		}},
-		{"integrative-network", workflow.RunOptions{ShardRecords: 20}, func(t testing.TB) *workflow.Dataset {
+		{name: "integrative-network", workflow: "integrative-network", opts: workflow.RunOptions{ShardRecords: 20}, dataset: func(t testing.TB) *workflow.Dataset {
 			return featureDataset(t, 60, 4, 29)
 		}},
 	}
 	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 2)
 	for _, tc := range cases {
-		t.Run(tc.workflow, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			// Independent engines with independently seeded knowledge bases:
 			// the Data Broker adapts to run logs, so sharing one KB across
 			// the two runs would let the first run's telemetry reshape the
 			// second run's shard plan.
-			local := workflow.NewEngine(workflow.EngineOptions{KB: seededKB(t), Workers: 4})
-			remote := workflow.NewEngine(workflow.EngineOptions{KB: seededKB(t), Workers: 4})
+			kb := func() *knowledge.Base {
+				kb := seededKB(t)
+				if tc.observed != nil {
+					if err := kb.LogRun(*tc.observed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return kb
+			}
+			local := workflow.NewEngine(workflow.EngineOptions{KB: kb(), Workers: 4})
+			remote := workflow.NewEngine(workflow.EngineOptions{KB: kb(), Workers: 4})
 
 			want, err := local.RunByName(context.Background(), tc.workflow, tc.dataset(t), tc.opts)
 			if err != nil {
@@ -226,6 +249,9 @@ func TestDistributedMatchesLocal(t *testing.T) {
 						i, w.Stage, w.Tool, w.Shards, w.Records, w.Plan,
 						g.Stage, g.Tool, g.Shards, g.Records, g.Plan)
 				}
+			}
+			if sr, _ := got.RecordScatter(); tc.wantShards > 0 && (sr.Shards != tc.wantShards || sr.Plan.NumShards != tc.wantShards) {
+				t.Fatalf("advised scatter ran %d shards, plan %+v, want %d", sr.Shards, sr.Plan, tc.wantShards)
 			}
 		})
 	}
@@ -330,8 +356,10 @@ func (fw *fakeWorker) pollUntilTask(timeout time.Duration) Task {
 // surviving worker completes the stage with no lost or duplicated results.
 func TestWorkerLossRedispatches(t *testing.T) {
 	tf := startFleet(t, Options{
-		Scaling:      scheduler.AlwaysScale,
-		WorkerExpiry: 150 * time.Millisecond,
+		Scaling: scheduler.AlwaysScale,
+		// Long enough that the healthy worker, silent while its first
+		// result is held below, outlives a loaded host's scheduling stalls.
+		WorkerExpiry: 500 * time.Millisecond,
 		// The sweep must attribute the loss to the dead worker, not a shard
 		// timeout.
 		ShardTimeout: time.Minute,
@@ -345,10 +373,14 @@ func TestWorkerLossRedispatches(t *testing.T) {
 	// empties: the stranded shard must flow through the re-dispatch path,
 	// not the all-workers-gone local fallback (which would also succeed
 	// but is a different contract, pinned by
-	// TestRunShardsNoWorkersFallsBackLocal).
+	// TestRunShardsNoWorkersFallsBackLocal). Its first shard result is held
+	// until the doomed worker has taken a shard: with one slot it cannot
+	// poll meanwhile, so it cannot drain the queue first.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	wk := NewWorker(WorkerOptions{Coordinator: tf.server.URL, Name: "healthy", Slots: 1, Logf: t.Logf})
+	gate := &resultGate{open: make(chan struct{})}
+	wk := NewWorker(WorkerOptions{Coordinator: tf.server.URL, Name: "healthy", Slots: 1, Logf: t.Logf,
+		HTTPClient: &http.Client{Transport: gate}})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); _ = wk.Run(ctx) }()
@@ -382,6 +414,7 @@ func TestWorkerLossRedispatches(t *testing.T) {
 	if taken.ID == "" {
 		t.Fatal("no task taken")
 	}
+	close(gate.open)
 
 	got := <-done
 	if got.err != nil {

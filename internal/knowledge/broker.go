@@ -18,12 +18,13 @@ package knowledge
 //     per fold (the ROADMAP's profile-only-epoch follow-up).
 //
 //   - Batched asynchronous run-log ingestion. LogRunAsync appends to a
-//     bounded in-memory buffer; once a batch accumulates, a background
-//     flusher folds the whole batch into the graph under a single lock
-//     acquisition. Flush folds synchronously and is the barrier callers
-//     (rpc.Server.Close, core.Platform, tests) use; every read API that
-//     must see complete telemetry (Query, FitStageModel, Export, Len, …)
-//     flushes first, so buffered observations are never visible as "lost".
+//     bounded in-memory buffer; once a batch accumulates (or FoldSoon asks
+//     early), a background flusher folds the whole batch into the graph
+//     under a single lock acquisition. Flush folds synchronously and is
+//     the barrier callers (rpc.Server.Close, core.Platform, tests) use;
+//     every read API that must see complete telemetry (Query,
+//     FitStageModel, Export, Len, …) flushes first, so buffered
+//     observations are never visible as "lost".
 //     (The cost oracle, cost.go, is fed by the same fold; its reads do not.)
 //
 // Invariants:
@@ -80,7 +81,7 @@ func (b *Base) LogRunAsync(l RunLog) error {
 	case n >= ingestMaxBuffer:
 		b.Flush() // backpressure: the appender pays for the fold
 	case n >= ingestBatchSize:
-		b.kickFlusher()
+		b.FoldSoon()
 	}
 	return nil
 }
@@ -168,11 +169,13 @@ func (b *Base) foldLocked(batch []RunLog) {
 	}
 }
 
-// kickFlusher starts the background flusher unless one is already running.
-// The flusher drains the buffer and exits; it re-arms itself while full
-// batches keep arriving, so at most one fold goroutine exists per Base and
-// none linger when ingestion stops.
-func (b *Base) kickFlusher() {
+// FoldSoon starts the background flusher unless one is already running, and
+// returns at once; it is no barrier. The flusher drains the buffer and
+// exits; it re-arms itself while full batches keep arriving, so at most one
+// fold goroutine exists per Base and none linger when ingestion stops.
+// LogRunAsync calls it once a batch accumulates; the engine calls it early
+// so a stage's first telemetry reaches StageRate promptly.
+func (b *Base) FoldSoon() {
 	if !b.flusherBusy.CompareAndSwap(false, true) {
 		return
 	}

@@ -1,7 +1,8 @@
 package knowledge
 
 // The cost oracle: "how long will one task of this stage take", asked by
-// the fleet coordinator (through the workflow engine) to price a hire: an
+// the fleet coordinator (through the workflow engine) to price a hire and
+// by the Data Broker (StageRate) to price a split: an
 // O(1) read of per-(app, stage) sufficient statistics
 // for E(d) = a·d + b, kept by addRunLocked — where LogRun, the async fold
 // and WAL replay all funnel — and rebuilt where Import / snapshot load
@@ -88,6 +89,20 @@ func (b *Base) EstimateStageCost(app string, stage int, inputSize float64) (Cost
 	}
 	slope := s.sxy / s.sxx
 	return CostEstimate{App: app, Stage: stage, Seconds: s.meanY + slope*(inputSize-s.meanX)}, nil
+}
+
+// StageRate is a stage's observed cost in seconds per size unit: mean eTime
+// over mean input size of its folded single-thread runs. Unlike the line it
+// needs no spread of sizes, so it answers (ok) from the first observation.
+// The Data Broker prices a split with it; an O(1), unflushed linesMu read.
+func (b *Base) StageRate(app string, stage int) (float64, bool) {
+	b.linesMu.Lock()
+	s := b.lines[StageRef{App: app, Stage: stage}]
+	b.linesMu.Unlock()
+	if s.n < 1 || s.meanX <= 0 {
+		return 0, false
+	}
+	return s.meanY / s.meanX, true
 }
 
 // StageRef names one (application, stage) pair: a link of a stage chain in

@@ -121,6 +121,18 @@ func TestOracleMatchesSPARQLReference(t *testing.T) {
 					accept(b, draw(), op%2 == 0)
 				}
 			}
+			// StageRate is advisory too: reading every key leaves a buffered
+			// observation buffered.
+			accept(b, draw(), true)
+			pending := b.PendingLogs()
+			for _, app := range apps {
+				for stage := 0; stage < 3; stage++ {
+					b.StageRate(app, stage)
+				}
+			}
+			if got := b.PendingLogs(); pending == 0 || got != pending {
+				t.Fatalf("PendingLogs %d before StageRate reads, %d after: want one or more, untouched", pending, got)
+			}
 			b.Flush() // the oracle is advisory: exact only once folded
 			if got := b.RunCount(); got != len(shadow) {
 				t.Fatalf("RunCount = %d, shadow holds %d", got, len(shadow))
@@ -129,6 +141,32 @@ func TestOracleMatchesSPARQLReference(t *testing.T) {
 			fitted, refused := 0, 0
 			for _, app := range apps {
 				for stage := 0; stage < 3; stage++ {
+					// StageRate against the SPARQL mean(eTime)/mean(size) of the
+					// stage's single-thread run logs.
+					res, err := b.Query(fmt.Sprintf(`
+PREFIX scan: <%s>
+SELECT ?run ?size ?time WHERE {
+  ?run a scan:RunLog ;
+       scan:application scan:%s ;
+       scan:stage %d ;
+       scan:threads 1 ;
+       scan:inputFileSize ?size ;
+       scan:eTime ?time .
+}`, NS, app, stage))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var sumX, sumY float64
+					for _, row := range res.Rows {
+						x, _ := row["size"].AsFloat()
+						y, _ := row["time"].AsFloat()
+						sumX, sumY = sumX+x, sumY+y
+					}
+					rate, ok := b.StageRate(app, stage)
+					if ok != (res.Len() > 0) || (ok && !closeTo(rate, sumY/sumX)) {
+						t.Fatalf("%s/%d: StageRate (%v, %v), SPARQL %v over %d single-thread runs",
+							app, stage, rate, ok, sumY/sumX, res.Len())
+					}
 					var xs, ys []float64
 					for _, l := range shadow {
 						if l.App == app && l.Stage == stage && l.Threads == 1 {

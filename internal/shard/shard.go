@@ -42,16 +42,15 @@ func PlanByRecords(totalRecords, recordsPerShard int) (Plan, error) {
 	return Plan{TotalRecords: totalRecords, RecordsPerShard: recordsPerShard, NumShards: n}, nil
 }
 
-// PlanByShards divides totalRecords into numShards near-equal shards.
+// PlanByShards divides totalRecords into at most numShards near-equal
+// shards of ⌈total/numShards⌉ records. NumShards is the count those shards
+// actually take — what Chunk produces — which can be fewer than asked
+// (9 records over 4 shards is 3 shards of 3) and is 1 for an empty input.
 func PlanByShards(totalRecords, numShards int) (Plan, error) {
 	if numShards <= 0 {
 		return Plan{}, ErrBadShardSize
 	}
-	per := (totalRecords + numShards - 1) / numShards
-	if per == 0 {
-		per = 1
-	}
-	return Plan{TotalRecords: totalRecords, RecordsPerShard: per, NumShards: numShards}, nil
+	return PlanByRecords(totalRecords, max((totalRecords+numShards-1)/numShards, 1))
 }
 
 // Bounds returns the [start, end) record range of shard i under the plan.

@@ -54,6 +54,29 @@ func TestPlanByShards(t *testing.T) {
 	if _, err := PlanByShards(100, 0); err != ErrBadShardSize {
 		t.Fatal("zero shards accepted")
 	}
+	// The plan reports the shards Chunk actually makes: ⌈total/per⌉, never
+	// an empty trailing shard, and one (empty) shard for no records.
+	for total := 0; total <= 40; total++ {
+		for n := 1; n <= 9; n++ {
+			p, err := PlanByShards(total, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks, _ := Chunk(make([]int, total), p.RecordsPerShard)
+			if p.NumShards != len(chunks) || p.NumShards > n {
+				t.Fatalf("PlanByShards(%d, %d) = %+v, Chunk made %d shards", total, n, p, len(chunks))
+			}
+			if s, e := p.Bounds(p.NumShards - 1); total > 0 && s >= e {
+				t.Fatalf("PlanByShards(%d, %d) = %+v: last shard [%d,%d) is empty", total, n, p, s, e)
+			}
+		}
+	}
+	if p, _ := PlanByShards(9, 4); p.RecordsPerShard != 3 || p.NumShards != 3 {
+		t.Fatalf("PlanByShards(9, 4) = %+v, want 3 shards of 3", p)
+	}
+	if p, _ := PlanByShards(0, 4); p.NumShards != 1 {
+		t.Fatalf("PlanByShards(0, 4) = %+v, want 1 shard like PlanByRecords", p)
+	}
 }
 
 func TestSplitFASTQAndMergeRoundTrip(t *testing.T) {

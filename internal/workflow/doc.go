@@ -21,14 +21,16 @@
 //	                                   every stage owns its tool-specific
 //	                                   scatter shape (record shards,
 //	                                   genomic regions, spectrum shards,
-//	                                   image tiles, node partitions)
+//	                                   image tiles, pair-balanced node
+//	                                   ranges)
 //	engine (engine.go)                 drives a typed Dataset through the
 //	                                   stage chain with per-stage
-//	                                   scatter/gather: shard sizes asked
-//	                                   of the knowledge base, shards run
-//	                                   on a bounded context-aware worker
-//	                                   pool, per-shard timings logged back
-//	                                   into the knowledge base
+//	                                   scatter/gather: shard counts asked
+//	                                   of the knowledge base, rounded to
+//	                                   whole pool waves when its stage
+//	                                   rate prices them worth it, equal
+//	                                   shards on a bounded worker pool,
+//	                                   per-shard timings logged back
 //	stage streams (streaming.go,       one Split/Transform/Gather per
 //	remote.go, wire.go)                scattering stage, run on the local
 //	                                   pool or on remote fleet workers

@@ -83,8 +83,11 @@ type RunOptions struct {
 	Aligner align.Config
 	// Caller configures variant-calling stages (zero value: defaults).
 	Caller variant.Config
-	// ShardRecords overrides the Data Broker's record-shard sizing when
-	// positive.
+	// ShardRecords, when positive, overrides the Data Broker's record-shard
+	// sizing exactly: shards of ShardRecords records, no pool rounding. The
+	// Integrate stage scatters pairwise work, not records, so there it fixes
+	// the shard count ⌈nodes/ShardRecords⌉ and the node ranges carry equal
+	// pair work.
 	ShardRecords int
 	// Regions is the region-scatter width for coordinate-scattered stages
 	// (default: the engine's worker count).
@@ -243,6 +246,13 @@ func (e *Engine) Run(ctx context.Context, w Workflow, in *Dataset, opts RunOptio
 		}
 		sr.Elapsed = time.Since(start)
 		sr.Records = int(env.records.Load())
+		// LogShard only buffers: a stage the broker cannot price yet has its
+		// first telemetry folded in the background, for the next job's plan.
+		if e.kb != nil && sr.Records > 0 {
+			if _, ok := e.kb.StageRate(st.Tool, i); !ok {
+				e.kb.FoldSoon()
+			}
+		}
 		res.Stages = append(res.Stages, sr)
 		if opts.StageObserver != nil {
 			opts.StageObserver(sr)
@@ -282,34 +292,49 @@ func (env *StageEnv) Stage() Stage { return env.stage }
 // Workers returns the bounded pool width.
 func (env *StageEnv) Workers() int { return env.engine.workers }
 
+// minShardSeconds is the least predicted work per shard for the Data Broker
+// to split past its advised count: smaller shards cost more than they save.
+const minShardSeconds = 0.010
+
 // RecordShardSize decides how many records each shard of this stage should
-// carry: the run's ShardRecords override when set, otherwise the Data
-// Broker's knowledge-base advice for an input of total records. The
-// resulting shard plan (and advice, when consulted) is recorded on the
-// stage result.
+// carry. The run's ShardRecords override is taken exactly. Otherwise the
+// Data Broker's advice for total records gives k = ⌈total/advised⌉ shards,
+// rounded up to whole waves of the pool (a multiple of Workers, at most
+// total) when the KB's observed rate for this (tool, stage) predicts each
+// at minShardSeconds or more; either way they are cut equal. The price is
+// linear in records (rate per record × records); Integrate's pair work
+// grows with the square of its nodes, so a KB that has seen other network
+// sizes misprices it. The plan (and advice, when consulted) is recorded on
+// the stage result, and RemoteOptions pins it for fleet workers.
 func (env *StageEnv) RecordShardSize(total int) (int, error) {
-	per := env.opts.ShardRecords
-	if per <= 0 {
-		if env.engine.kb == nil {
+	var plan shard.Plan
+	var err error
+	if per := env.opts.ShardRecords; per > 0 {
+		plan, err = shard.PlanByRecords(total, per)
+	} else {
+		kb := env.engine.kb
+		if kb == nil {
 			return 0, knowledge.ErrNoKnowledge
 		}
 		units := float64(total) / float64(env.engine.recordsPerUnit)
-		adv, err := env.engine.kb.ShardAdvice(units)
-		if err != nil {
+		if env.result.Advice, err = kb.ShardAdvice(units); err != nil {
 			return 0, fmt.Errorf("data broker: %w", err)
 		}
-		env.result.Advice = adv
-		per = int(adv.ShardSize * float64(env.engine.recordsPerUnit))
-		if per < 1 {
-			per = 1
+		per = max(int(env.result.Advice.ShardSize*float64(env.engine.recordsPerUnit)), 1)
+		k := max((total+per-1)/per, 1)
+		w := env.engine.workers
+		if kw := min((k+w-1)/w*w, total); kw > k {
+			if rate, ok := kb.StageRate(env.stage.Tool, env.index); ok && rate*units/float64(kw) >= minShardSeconds {
+				k = kw
+			}
 		}
+		plan, err = shard.PlanByShards(total, k)
 	}
-	plan, err := shard.PlanByRecords(total, per)
 	if err != nil {
 		return 0, err
 	}
 	env.result.Plan = plan
-	return per, nil
+	return plan.RecordsPerShard, nil
 }
 
 // RegionCount returns the scatter width for coordinate-scattered stages:

@@ -11,6 +11,7 @@ import (
 
 	"scan/internal/genomics"
 	"scan/internal/knowledge"
+	"scan/internal/shard"
 	"scan/internal/variant"
 )
 
@@ -83,6 +84,98 @@ func TestEngineRunsVariantDetection(t *testing.T) {
 	// The align stage recorded its Data Broker plan and advice.
 	if res.Stages[0].Plan.NumShards == 0 || res.Stages[0].Advice.BasedOn == "" {
 		t.Fatalf("align stage result = %+v", res.Stages[0])
+	}
+}
+
+// TestRecordShardSizeFillsPool pins the Data Broker's plan: the advised
+// shard count on a KB with no telemetry for the stage, whole waves of the
+// pool once the stage's observed rate prices every shard above the floor,
+// the advised count again below it, equal shards throughout, the
+// ShardRecords override taken exactly, and RemoteOptions reproducing the
+// plan on an engine with no KB at all.
+func TestRecordShardSizeFillsPool(t *testing.T) {
+	// plan runs RecordShardSize for the first stage of a tool, as its Split
+	// would, and returns the env so RemoteOptions can be read off it.
+	plan := func(kb *knowledge.Base, workers int, opts RunOptions, tool string, total int) (shard.Plan, *StageEnv) {
+		t.Helper()
+		e := NewEngine(EngineOptions{KB: kb, Workers: workers})
+		env := &StageEnv{engine: e, stage: Stage{Tool: tool}, opts: opts, result: &StageResult{}}
+		per, err := env.RecordShardSize(total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if per != env.result.Plan.RecordsPerShard {
+			t.Fatalf("returned %d records per shard, plan says %+v", per, env.result.Plan)
+		}
+		return env.result.Plan, env
+	}
+	// observed is a KB that has seen one single-thread run of the tool at
+	// secondsPerUnit.
+	observed := func(tool string, secondsPerUnit float64) *knowledge.Base {
+		kb := seededKB(t)
+		if err := kb.LogRun(knowledge.RunLog{App: tool, InputSize: 2, Threads: 1, ETime: 2 * secondsPerUnit}); err != nil {
+			t.Fatal(err)
+		}
+		return kb
+	}
+	want := func(total, per, n int) shard.Plan {
+		return shard.Plan{TotalRecords: total, RecordsPerShard: per, NumShards: n}
+	}
+
+	// No telemetry: the broker's count (30 000 reads over GATK3's 20-unit
+	// chunks is 2 shards; 1 500 records fit no profile, 1 shard), cut equal
+	// — not rounded to the pool.
+	for _, w := range []int{2, 3} {
+		if got, _ := plan(seededKB(t), w, RunOptions{}, "BWA", 30000); got != want(30000, 15000, 2) {
+			t.Fatalf("W=%d, 30000 reads, no telemetry: plan %+v", w, got)
+		}
+		if got, _ := plan(seededKB(t), w, RunOptions{}, "MaxQuant", 1500); got != want(1500, 1500, 1) {
+			t.Fatalf("W=%d, 1500 spectra, no telemetry: plan %+v", w, got)
+		}
+	}
+
+	// Telemetry above the floor: whole waves of the pool.
+	for _, tc := range []struct {
+		tool         string
+		rate         float64 // observed seconds per unit
+		workers      int
+		total        int
+		wantPer, nSh int
+	}{
+		{"MaxQuant", 1, 2, 1500, 750, 2},
+		{"MaxQuant", 1, 3, 1500, 500, 3},
+		{"BWA", 1, 2, 30000, 15000, 2}, // already a whole wave
+		{"BWA", 1, 3, 30000, 10000, 3},
+		{"BWA", 100, 4, 3, 1, 3}, // never more shards than records
+	} {
+		got, _ := plan(observed(tc.tool, tc.rate), tc.workers, RunOptions{}, tc.tool, tc.total)
+		if got != want(tc.total, tc.wantPer, tc.nSh) {
+			t.Fatalf("%s W=%d total %d: plan %+v, want %d shards of %d",
+				tc.tool, tc.workers, tc.total, got, tc.nSh, tc.wantPer)
+		}
+	}
+	// A rate for another stage or tool does not price this one.
+	if got, _ := plan(observed("GPM", 1), 2, RunOptions{}, "MaxQuant", 1500); got.NumShards != 1 {
+		t.Fatalf("GPM telemetry split a MaxQuant stage: plan %+v", got)
+	}
+
+	// Below the floor: a serve-sized job of 150 spectra at a realistic
+	// 50 ms per 1 000 spectra would make two 3.75 ms shards — kept whole.
+	if got, _ := plan(observed("MaxQuant", 0.05), 2, RunOptions{}, "MaxQuant", 150); got != want(150, 150, 1) {
+		t.Fatalf("150 spectra below the floor: plan %+v", got)
+	}
+
+	// The override is exact: no rounding, no equalising, no advice.
+	got, env := plan(observed("MaxQuant", 1), 3, RunOptions{ShardRecords: 700}, "MaxQuant", 1500)
+	if got != want(1500, 700, 3) || env.result.Advice != (knowledge.Advice{}) {
+		t.Fatalf("ShardRecords 700: plan %+v, advice %+v", got, env.result.Advice)
+	}
+
+	// A fleet worker's engine has no KB: the pinned options alone must
+	// rebuild the coordinator's wave-rounded plan.
+	coord, env := plan(observed("MaxQuant", 1), 3, RunOptions{}, "MaxQuant", 1500)
+	if remote, _ := plan(nil, 1, env.RemoteOptions(), "MaxQuant", 1500); remote != coord {
+		t.Fatalf("worker re-plan %+v, coordinator %+v", remote, coord)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"scan/internal/imaging"
 	"scan/internal/network"
@@ -193,9 +194,9 @@ type NodeRange struct {
 
 // integrateExecutor implements the integrative Integrate stage: treat each
 // feature as a network node, scatter the O(n²) pairwise edge construction
-// over Data-Broker-sized node-range partitions on the pool, then gather the
-// edge slabs and detect modules in one pass — the Cytoscape-style network
-// build.
+// over the Data Broker's count of node ranges of equal pair work on the
+// pool, then gather the edge slabs and detect modules in one pass — the
+// Cytoscape-style network build.
 type integrateExecutor struct{}
 
 func (e integrateExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
@@ -226,18 +227,38 @@ func (s *integrateStream) Split() ([]StreamShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranges := []NodeRange{{0, 0}} // empty input still runs one (empty) unit
-	if len(s.nodes) > 0 {
-		ranges = ranges[:0]
-		for lo := 0; lo < len(s.nodes); lo += per {
-			ranges = append(ranges, NodeRange{Lo: lo, Hi: min(lo+per, len(s.nodes))})
-		}
-	}
+	ranges := pairRanges(len(s.nodes), (len(s.nodes)+per-1)/per)
 	shards := make([]StreamShard, len(ranges))
 	for i, r := range ranges {
 		shards[i] = StreamShard{Records: r.Hi - r.Lo, Data: r}
 	}
 	return shards, nil
+}
+
+// pairRanges cuts nodes [0, n) into min(k, n) consecutive non-empty ranges
+// of near-equal pair work — node a owns the n−1−a pairs (a, b>a), so equal
+// node counts would give the first range most of the work. Cut i is the
+// first node whose prefix work reaches ⌈i·P/k⌉ of the P pairs, so no range
+// exceeds ⌈P/k⌉ + n−1. An empty input is one empty range. The cut depends
+// only on (n, k): a fleet worker's re-Split reproduces the coordinator's.
+func pairRanges(n, k int) []NodeRange {
+	if n == 0 {
+		return []NodeRange{{0, 0}}
+	}
+	k = min(max(k, 1), n)
+	p := n * (n - 1) / 2
+	work := func(x int) int { return x*(n-1) - x*(x-1)/2 } // pairs owned by [0, x)
+	ranges := make([]NodeRange, 0, k)
+	lo := 0
+	for i := 1; i < k; i++ {
+		// Keep at least one node per range on either side of the cut.
+		first, last := lo+1, n-(k-i)
+		target := (i*p + k - 1) / k
+		cut := first + sort.Search(last-first, func(j int) bool { return work(first+j) >= target })
+		ranges = append(ranges, NodeRange{Lo: lo, Hi: cut})
+		lo = cut
+	}
+	return append(ranges, NodeRange{Lo: lo, Hi: n})
 }
 
 func (s *integrateStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -194,6 +195,67 @@ func TestNetworkWorkflowEndToEnd(t *testing.T) {
 	}
 	if got := runLogCount(t, kb, "Cytoscape", 0); got != 3 {
 		t.Fatalf("%d Cytoscape run logs, want 3", got)
+	}
+}
+
+// TestIntegrateRangesBalancePairs: node ranges partition [0, n) in order,
+// carry near-equal pair work rather than near-equal node counts, and the
+// scattered build still equals the one-pass network.Build.
+func TestIntegrateRangesBalancePairs(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 60, 1000} {
+		pairs := n * (n - 1) / 2
+		ds := NewFeatureDataset(nil)
+		if n > 0 {
+			ds = featureDataset(t, n, min(n, 4), int64(n))
+		}
+		nodes := make([]network.Node, n)
+		for i, f := range ds.Features {
+			nodes[i] = network.Node{Name: f.Name, Value: f.Value}
+		}
+		ref := network.Build(nodes, network.Config{})
+		for k := 1; k <= 8; k++ {
+			ranges := pairRanges(n, k)
+			if want := min(k, max(n, 1)); len(ranges) != want {
+				t.Fatalf("n=%d k=%d: %d ranges, want %d", n, k, len(ranges), want)
+			}
+			next, maxWork := 0, 0
+			for _, r := range ranges {
+				if r.Lo != next || r.Hi < r.Lo || (n > 0 && r.Hi == r.Lo) {
+					t.Fatalf("n=%d k=%d: ranges %v do not partition [0,%d) in order", n, k, ranges, n)
+				}
+				next = r.Hi
+				work := 0
+				for a := r.Lo; a < r.Hi; a++ {
+					work += n - 1 - a
+				}
+				maxWork = max(maxWork, work)
+			}
+			if next != n {
+				t.Fatalf("n=%d k=%d: ranges %v end at %d", n, k, ranges, next)
+			}
+			if bound := (pairs+k-1)/k + max(n-1, 0); maxWork > bound {
+				t.Fatalf("n=%d k=%d: largest range holds %d pairs, bound %d (%v)", n, k, maxWork, bound, ranges)
+			}
+
+			// The stage cuts ⌈n/per⌉ ranges for a per-shard override.
+			per := max((n+k-1)/k, 1)
+			env := &StageEnv{engine: testEngine(t, 4), opts: RunOptions{ShardRecords: per}, result: &StageResult{}}
+			out, err := integrateExecutor{}.Execute(context.Background(), env, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(pairRanges(n, (n+per-1)/per)); env.result.Shards != want || env.result.Plan.NumShards != want {
+				t.Fatalf("n=%d per=%d: %d shards, plan %+v, want %d", n, per, env.result.Shards, env.result.Plan, want)
+			}
+			if !reflect.DeepEqual(out.Net.Edges, ref.Edges) || !reflect.DeepEqual(out.Net.Modules, ref.Modules) {
+				t.Fatalf("n=%d per=%d: scattered network differs from network.Build", n, per)
+			}
+		}
+	}
+	// The motivating shape: 16 000 genes in two ranges split near node
+	// 4 686, not at 8 000 or 10 000.
+	if r := pairRanges(16000, 2); r[0].Hi < 4680 || r[0].Hi > 4692 {
+		t.Fatalf("16000 nodes, k=2: ranges %v", r)
 	}
 }
 

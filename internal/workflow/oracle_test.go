@@ -108,3 +108,34 @@ func TestCostOracleAnswersOnEngineTelemetry(t *testing.T) {
 		t.Fatalf("PendingLogs = %d after oracle reads, want 1: the job path must not flush", got)
 	}
 }
+
+// TestFirstTelemetryReachesTheBroker: one job's handful of shard logs is far
+// below the ingest batch, yet the next job's plan must be able to price the
+// stage — the engine has an unpriced stage's telemetry folded in the
+// background, with no Flush on the job path.
+func TestFirstTelemetryReachesTheBroker(t *testing.T) {
+	records := 3
+	execs := NewExecutorRegistry()
+	if err := execs.Register("SizedOnce", "", &sizedTool{records: &records, perRecord: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	w := Workflow{Name: "sized-once", Family: "genomic", Stages: []Stage{
+		{Name: "Once", Tool: "SizedOnce", Consumes: FASTQ, Produces: FASTQ, Parallelizable: true},
+	}}
+	kb := knowledge.New()
+	e := NewEngine(EngineOptions{Executors: execs, KB: kb, Workers: 2, RecordsPerUnit: 1})
+	if _, err := e.Run(context.Background(), w, &Dataset{Type: FASTQ}, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if rate, ok := kb.StageRate("SizedOnce", 0); ok {
+			if rate <= 0 {
+				t.Fatalf("StageRate = %v", rate)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("StageRate still unknown with %d logs buffered", kb.PendingLogs())
+		}
+	}
+}
