@@ -11,11 +11,11 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"scan/internal/blobstore"
+	"scan/internal/route"
 	"scan/internal/scheduler"
 	"scan/internal/workflow"
 )
@@ -610,58 +610,38 @@ func (c *Coordinator) evictBlobsLocked() {
 
 // --- HTTP surface -----------------------------------------------------
 
-// Mount registers the fleet's routes on mux: the token-authed control
-// plane (register/poll/result) and blob data plane, plus the open
-// GET /api/v2/workers roster. rpc.Server and the in-process tests mount
-// the same set, so the paths have one definition.
-func Mount(mux *http.ServeMux, c *Coordinator) {
-	mux.HandleFunc("/api/v2/fleet/register", c.handleRegister)
-	mux.HandleFunc("/api/v2/fleet/poll", c.handlePoll)
-	mux.HandleFunc("/api/v2/fleet/result", c.handleResult)
-	mux.HandleFunc("/api/v2/blobs/", c.handleBlob)
-	mux.HandleFunc("/api/v2/workers", c.handleWorkers)
+// Routes is the fleet's route table, in the route.V2 envelope: the
+// token-guarded control plane and blob data plane, and the open roster.
+// rpc.Server and the in-process tests register the same rows.
+func (c *Coordinator) Routes() []route.Route {
+	return []route.Route{
+		{Method: "POST", Pattern: "/api/v2/fleet/register", Admit: c.admit, Handler: c.handleRegister},
+		{Method: "POST", Pattern: "/api/v2/fleet/poll", Admit: c.admit, Handler: c.handlePoll},
+		{Method: "POST", Pattern: "/api/v2/fleet/result", Admit: c.admit, Handler: c.handleResult},
+		{Method: "GET", Pattern: "/api/v2/blobs/{hash}", Admit: c.admit, Handler: c.handleBlob},
+		{Method: "GET", Pattern: "/api/v2/workers", Handler: c.handleWorkers},
+	}
 }
 
-// writeErr emits the same structured envelope as the /api/v2 handlers
-// ({"error":{"code","message"}}), so fleet endpoints honor the v2 route
-// contract without importing internal/rpc.
-func writeErr(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]string{"code": code, "message": fmt.Sprintf(format, args...)},
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (c *Coordinator) authed(w http.ResponseWriter, r *http.Request) bool {
+// admit requires the fleet bearer token, when one is configured.
+func (c *Coordinator) admit(next http.HandlerFunc) http.HandlerFunc {
 	if c.opts.Token == "" {
-		return true
+		return next
 	}
-	want := "Bearer " + c.opts.Token
-	got := r.Header.Get("Authorization")
-	if subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1 {
-		return true
+	want := []byte("Bearer " + c.opts.Token)
+	return func(w http.ResponseWriter, r *http.Request) {
+		if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) != 1 {
+			route.V2.Error(w, http.StatusUnauthorized, "unauthorized", "missing or invalid fleet token")
+			return
+		}
+		next(w, r)
 	}
-	writeErr(w, http.StatusUnauthorized, "unauthorized", "missing or invalid fleet token")
-	return false
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if !c.authed(w, r) {
-		return
-	}
 	var req RegisterRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_argument", "bad register body: %v", err)
+		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "bad register body: %v", err)
 		return
 	}
 	if req.Slots <= 0 {
@@ -681,20 +661,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.order = append(c.order, id)
 	c.mu.Unlock()
 	c.opts.Logf("fleet: worker %s registered as %s (%s, %d slots)", name, id, r.RemoteAddr, req.Slots)
-	writeJSON(w, RegisterResponse{ID: id, PollWaitMS: int(c.opts.PollWait / time.Millisecond)})
+	route.JSON(w, http.StatusOK, RegisterResponse{ID: id, PollWaitMS: int(c.opts.PollWait / time.Millisecond)})
 }
 
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if !c.authed(w, r) {
-		return
-	}
 	var req PollRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_argument", "bad poll body: %v", err)
+		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "bad poll body: %v", err)
 		return
 	}
 	deadline := time.Now().Add(c.opts.PollWait)
@@ -703,7 +676,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		ws, ok := c.workers[req.WorkerID]
 		if !ok {
 			c.mu.Unlock()
-			writeErr(w, http.StatusNotFound, "unknown_worker", "no worker %q (re-register)", req.WorkerID)
+			route.V2.Error(w, http.StatusNotFound, "unknown_worker", "no worker %q (re-register)", req.WorkerID)
 			return
 		}
 		now := c.opts.Now()
@@ -712,12 +685,12 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		wake := c.wake
 		c.mu.Unlock()
 		if t != nil {
-			writeJSON(w, PollResponse{Task: t})
+			route.JSON(w, http.StatusOK, PollResponse{Task: t})
 			return
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			writeJSON(w, PollResponse{})
+			route.JSON(w, http.StatusOK, PollResponse{})
 			return
 		}
 		// Park at most half the worker expiry per wait: each loop
@@ -742,20 +715,13 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if !c.authed(w, r) {
-		return
-	}
 	var res ResultRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEnvelope+(1<<20))).Decode(&res); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_argument", "bad result body: %v", err)
+		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "bad result body: %v", err)
 		return
 	}
 	if res.WorkerID == "" || res.TaskID == "" {
-		writeErr(w, http.StatusBadRequest, "invalid_argument", "result needs worker_id and task_id")
+		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "result needs worker_id and task_id")
 		return
 	}
 
@@ -766,7 +732,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	ws, ok := c.workers[res.WorkerID]
 	if !ok {
 		c.mu.Unlock()
-		writeErr(w, http.StatusNotFound, "unknown_worker", "no worker %q (re-register)", res.WorkerID)
+		route.V2.Error(w, http.StatusNotFound, "unknown_worker", "no worker %q (re-register)", res.WorkerID)
 		return
 	}
 	ws.lastSeen = now
@@ -792,7 +758,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		sr.lastErr = fmt.Errorf("fleet: worker %s: %s", res.WorkerID, res.Error)
 		c.enqueueLocked(&task{sr: sr, shard: shard}, true)
 		c.mu.Unlock()
-		writeJSON(w, ResultResponse{})
+		route.JSON(w, http.StatusOK, ResultResponse{})
 		return
 	}
 	c.mu.Unlock()
@@ -802,7 +768,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		c.mu.Lock()
 		c.metrics.DuplicatesDiscarded++
 		c.mu.Unlock()
-		writeJSON(w, ResultResponse{})
+		route.JSON(w, http.StatusOK, ResultResponse{})
 		return
 	}
 
@@ -812,13 +778,13 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	defer c.mu.Unlock()
 	if sr.closed || sr.done[shard] {
 		c.metrics.DuplicatesDiscarded++
-		writeJSON(w, ResultResponse{})
+		route.JSON(w, http.StatusOK, ResultResponse{})
 		return
 	}
 	if err != nil {
 		sr.lastErr = fmt.Errorf("fleet: worker %s shard %d: %v", res.WorkerID, shard, err)
 		c.enqueueLocked(&task{sr: sr, shard: shard}, true)
-		writeJSON(w, ResultResponse{})
+		route.JSON(w, http.StatusOK, ResultResponse{})
 		return
 	}
 	sr.done[shard] = true
@@ -833,22 +799,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		sr.closed = true
 		close(sr.finished)
 	}
-	writeJSON(w, ResultResponse{Accepted: true})
+	route.JSON(w, http.StatusOK, ResultResponse{Accepted: true})
 }
 
 func (c *Coordinator) handleBlob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
-	if !c.authed(w, r) {
-		return
-	}
-	hash := strings.TrimPrefix(r.URL.Path, "/api/v2/blobs/")
-	if hash == "" || strings.Contains(hash, "/") {
-		writeErr(w, http.StatusNotFound, "not_found", "no such resource")
-		return
-	}
+	hash := r.PathValue("hash")
 	c.mu.Lock()
 	b, ok := c.blobs[hash]
 	c.mu.Unlock()
@@ -865,7 +820,7 @@ func (c *Coordinator) handleBlob(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		writeErr(w, http.StatusNotFound, "not_found", "no blob %q", hash)
+		route.V2.Error(w, http.StatusNotFound, "not_found", "no blob %q", hash)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -874,11 +829,7 @@ func (c *Coordinator) handleBlob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
-	writeJSON(w, c.Snapshot())
+	route.JSON(w, http.StatusOK, c.Snapshot())
 }
 
 // Snapshot builds the roster response: one row per registered worker in

@@ -20,6 +20,7 @@ import (
 	"scan/internal/knowledge"
 	"scan/internal/network"
 	"scan/internal/proteome"
+	"scan/internal/route"
 	"scan/internal/scheduler"
 	"scan/internal/workflow"
 )
@@ -116,7 +117,7 @@ func startFleetWith(t testing.TB, copts Options, workers int, client *http.Clien
 	}
 	coord := NewCoordinator(copts)
 	mux := http.NewServeMux()
-	Mount(mux, coord)
+	route.Register(mux, route.V2, coord.Routes())
 	srv := httptest.NewServer(mux)
 	ctx, cancel := context.WithCancel(context.Background())
 	tf := &testFleet{coord: coord, server: srv, cancel: cancel}

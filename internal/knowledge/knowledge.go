@@ -10,6 +10,13 @@
 // coefficients the scheduler's estimators use: FitStageModel evaluates the
 // full model in SPARQL (experiment T2, linear in history); jobs read the
 // cost oracle (cost.go), constant-time accumulators every fold maintains.
+//
+// Threads: daemon shards are single goroutines, so the daemon's run logs
+// carry Threads: 1 only. Width is priced as shard count instead (StageRate
+// decides whether a wave of the pool is worth splitting). FitStageModel and
+// its Amdahl step, which needs multi-thread runs, stay as the
+// paper-reproduction reference (scansim's T2, examples/knowledgebase), on
+// no job's path.
 package knowledge
 
 import (

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"net/http"
-	"strings"
 
 	"scan/internal/metrics"
 )
@@ -19,8 +18,9 @@ import (
 // serverMetrics is the daemon's metric set.
 type serverMetrics struct {
 	reg *metrics.Registry
-	// httpRequests counts every served request by normalized route and
-	// status code (IDs collapse to {id} so cardinality stays bounded).
+	// httpRequests counts every served request by the mux pattern it
+	// matched and status code, so cardinality is bounded by the route
+	// tables, not by client behaviour (unrouted paths count as "other").
 	httpRequests *metrics.CounterVec
 	// shardSeconds observes every completed shard's wall time by workflow
 	// family — the per-family latency histograms the Data Broker's advice
@@ -159,52 +159,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 // telemetry and stays unauthenticated like /healthz — scrapers run inside
 // the deployment perimeter.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.reg.Render(w)
-}
-
-// routeLabel normalizes a request path to its route pattern so the request
-// counter's cardinality is bounded by the route table, not by client
-// behaviour: resource IDs collapse to {id}, unknown paths to "other".
-func routeLabel(path string) string {
-	switch path {
-	case "/healthz", "/metrics",
-		"/api/v1/status", "/api/v1/workflows", "/api/v1/jobs",
-		"/api/v1/kb/query", "/api/v1/kb/profiles", "/api/v1/kb/export",
-		"/api/v2/jobs", "/api/v2/datasets", "/api/v2/uploads",
-		"/api/v2/workers",
-		"/api/v2/fleet/register", "/api/v2/fleet/poll", "/api/v2/fleet/result":
-		return path
-	}
-	for _, p := range []struct{ prefix, label string }{
-		{"/api/v1/jobs/", "/api/v1/jobs/{id}"},
-		{"/api/v2/jobs/", ""}, // split below: resource vs events
-		{"/api/v2/datasets/", "/api/v2/datasets/{id}"},
-		{"/api/v2/uploads/", ""}, // split below: resource vs commit
-		{"/api/v2/blobs/", "/api/v2/blobs/{hash}"},
-	} {
-		rest, ok := strings.CutPrefix(path, p.prefix)
-		if !ok {
-			continue
-		}
-		if p.label != "" {
-			return p.label
-		}
-		_, sub, _ := strings.Cut(rest, "/")
-		switch {
-		case p.prefix == "/api/v2/jobs/" && sub == "events":
-			return "/api/v2/jobs/{id}/events"
-		case p.prefix == "/api/v2/jobs/":
-			return "/api/v2/jobs/{id}"
-		case p.prefix == "/api/v2/uploads/" && sub == "commit":
-			return "/api/v2/uploads/{id}/commit"
-		default:
-			return "/api/v2/uploads/{id}"
-		}
-	}
-	return "other"
 }

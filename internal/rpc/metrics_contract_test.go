@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"maps"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -162,9 +164,15 @@ func TestMetricsContract(t *testing.T) {
 }
 
 // TestRouteLabelNormalization pins the cardinality bound: request paths
-// collapse to route patterns, IDs to {id}, strangers to "other".
+// collapse to route patterns, IDs to {id}, strangers to "other". Each path
+// is requested once through the daemon's handler on a fresh server; the
+// request counter must then hold exactly those requests under the wanted
+// labels (the scrape itself is counted only after it renders).
 func TestRouteLabelNormalization(t *testing.T) {
-	for path, want := range map[string]string{
+	c, s := testServer(t)
+	h := s.Handler()
+	want := map[string]float64{}
+	for path, label := range map[string]string{
 		"/healthz":                    "/healthz",
 		"/metrics":                    "/metrics",
 		"/api/v1/jobs":                "/api/v1/jobs",
@@ -180,8 +188,17 @@ func TestRouteLabelNormalization(t *testing.T) {
 		"/api/v3/jobs":                "other",
 		"/favicon.ico":                "other",
 	} {
-		if got := routeLabel(path); got != want {
-			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+		want[label]++
+	}
+	got := map[string]float64{}
+	for key, v := range scrapeMetrics(t, c.base) {
+		if rest, ok := strings.CutPrefix(key, `scan_http_requests_total{route="`); ok {
+			label, _, _ := strings.Cut(rest, `"`)
+			got[label] += v
 		}
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("requests by route label = %v, want %v", got, want)
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"time"
+
+	"scan/internal/route"
 )
 
 // statusWriter records the response status for the access log while keeping
@@ -50,11 +53,11 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			if p := recover(); p != nil {
 				s.logf("rpc: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 				if sw.status == 0 {
-					if isV2(r) {
-						writeV2Error(sw, http.StatusInternalServerError, CodeInternal, "internal server error")
-					} else {
-						writeError(sw, http.StatusInternalServerError, "internal server error")
+					surface := route.V1
+					if strings.HasPrefix(r.URL.Path, "/api/v2/") {
+						surface = route.V2
 					}
+					surface.Error(sw, http.StatusInternalServerError, CodeInternal, "internal server error")
 				}
 			}
 			status := sw.status
@@ -63,7 +66,12 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				// net/http sends 200 on return.
 				status = http.StatusOK
 			}
-			s.metrics.httpRequests.With(routeLabel(r.URL.Path), strconv.Itoa(status)).Inc()
+			// The route label is the path half of the pattern the mux matched.
+			label := r.Pattern[strings.IndexByte(r.Pattern, ' ')+1:]
+			if label == "" {
+				label = "other"
+			}
+			s.metrics.httpRequests.With(label, strconv.Itoa(status)).Inc()
 			s.logf("rpc: %s %s -> %d (%s)", r.Method, r.URL.Path, status,
 				time.Since(start).Round(time.Millisecond))
 		}()

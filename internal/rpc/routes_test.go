@@ -2,7 +2,12 @@ package rpc
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"scan/internal/route"
 )
 
 // TestRouteContract locks down the wire API's route table: every v1 and v2
@@ -11,7 +16,7 @@ import (
 // method, or swaps an envelope breaks this table loudly instead of breaking
 // deployed clients silently.
 func TestRouteContract(t *testing.T) {
-	c, _ := testServer(t)
+	c, s := testServer(t)
 	const (
 		envNone = iota // no JSON error envelope expected
 		envV1          // {"error":"<string>"}
@@ -140,6 +145,19 @@ func TestRouteContract(t *testing.T) {
 		{"GET", "/metrics", "", 200, envNone},
 		{"POST", "/metrics", "", 405, envNone},
 		{"PUT", "/metrics", "", 405, envNone},
+
+		// The route table on the stdlib mux (appended rows). /healthz has
+		// no method row, so it answers every method; HEAD is served
+		// wherever GET is; the method is checked before any ID is parsed
+		// or looked up; the ID is checked before a sub-resource is.
+		{"POST", "/healthz", "", 200, envNone},
+		{"HEAD", "/api/v1/status", "", 200, envNone},
+		{"HEAD", "/api/v2/jobs", "", 200, envNone},
+		{"POST", "/api/v2/jobs/abc", "", 405, envV2},
+		{"POST", "/api/v2/uploads/up-404", "", 405, envV2},
+		{"GET", "/api/v2/uploads/up-404/commit", "", 405, envV2},
+		{"GET", "/api/v2/jobs/abc/events", "", 400, envV2},
+		{"GET", "/api/v2/jobs/abc/bogus", "", 400, envV2},
 	}
 	for _, tc := range cases {
 		code, raw := rawRequest(t, c, tc.method, tc.path, tc.body)
@@ -165,4 +183,47 @@ func TestRouteContract(t *testing.T) {
 			}
 		}
 	}
+
+	// Every 405 carries Allow (RFC 9110 §15.5.6): the path's row methods,
+	// plus HEAD wherever GET is routed (appended rows).
+	for _, tc := range []struct{ method, path, allow string }{
+		{"POST", "/api/v1/status", "GET, HEAD"},
+		{"PUT", "/api/v2/jobs/999", "DELETE, GET, HEAD"},
+		{"GET", "/api/v2/fleet/poll", "POST"},
+		{"POST", "/metrics", "GET, HEAD"},
+	} {
+		req, err := http.NewRequest(tc.method, c.base+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := resp.Header.Get("Allow"); resp.StatusCode != 405 || got != tc.allow {
+			t.Errorf("%s %s: %d, Allow %q; want 405, Allow %q", tc.method, tc.path, resp.StatusCode, got, tc.allow)
+		}
+	}
+
+	// A new route cannot land unpinned: every row of the daemon's route
+	// tables is the pattern some case above resolves to.
+	t.Run("every route has a case", func(t *testing.T) {
+		mux := http.NewServeMux()
+		for surface, rows := range s.routes() {
+			route.Register(mux, surface, rows)
+		}
+		pinned := map[string]bool{}
+		for _, tc := range cases {
+			_, pattern := mux.Handler(httptest.NewRequest(tc.method, tc.path, nil))
+			pinned[pattern] = true
+		}
+		for _, rows := range s.routes() {
+			for _, rt := range rows {
+				if p := strings.TrimSpace(rt.Method + " " + rt.Pattern); !pinned[p] {
+					t.Errorf("route %q has no TestRouteContract case", p)
+				}
+			}
+		}
+	})
 }

@@ -34,6 +34,16 @@ func testServer(t *testing.T) (*Client, *Server) {
 	return NewClient(ts.URL), s
 }
 
+// errorResponse and v2ErrorResponse decode the v1 {"error":"<string>"} and
+// v2 {"error":{"code","message"}} envelopes internal/route writes.
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
+type v2ErrorResponse struct {
+	Error APIError `json:"error"`
+}
+
 func TestSubmitAndWait(t *testing.T) {
 	c, _ := testServer(t)
 	ctx := context.Background()

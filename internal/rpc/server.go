@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
 	"scan/internal/core"
 	"scan/internal/fleet"
 	"scan/internal/registry"
+	"scan/internal/route"
 	"scan/internal/tenant"
 	"scan/internal/variant"
 	"scan/internal/workflow"
@@ -229,36 +229,57 @@ func (s *Server) Close() {
 	s.platform.Flush()
 }
 
-// Handler returns the HTTP routing for both API versions, wrapped in the
+// Handler returns the HTTP routing for every surface, wrapped in the
 // logging/recovery middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok"))
-	})
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	// v1: the original flat RPC surface, pinned by compatibility tests.
-	mux.HandleFunc("/api/v1/status", s.handleStatus)
-	mux.HandleFunc("/api/v1/workflows", s.handleWorkflows)
-	mux.HandleFunc("/api/v1/jobs", s.handleJobs)
-	mux.HandleFunc("/api/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/api/v1/kb/query", s.handleQuery)
-	mux.HandleFunc("/api/v1/kb/profiles", s.handleProfiles)
-	mux.HandleFunc("/api/v1/kb/export", s.handleExport)
-	// v2: resource-oriented jobs, the dataset registry and resumable
-	// uploads, behind tenant admission (inert without a tenants registry).
-	mux.HandleFunc("/api/v2/jobs", s.admit(s.handleV2Jobs))
-	mux.HandleFunc("/api/v2/jobs/", s.admit(s.handleV2Job))
-	mux.HandleFunc("/api/v2/datasets", s.admit(s.handleV2Datasets))
-	mux.HandleFunc("/api/v2/datasets/", s.admit(s.handleV2Dataset))
-	mux.HandleFunc("/api/v2/uploads", s.admit(s.handleV2Uploads))
-	mux.HandleFunc("/api/v2/uploads/", s.admit(s.handleV2Upload))
-	// Fleet: the worker roster, control plane and blob data plane
-	// (internal/fleet owns the handlers so in-process tests mount the
-	// identical surface).
-	fleet.Mount(mux, s.fleet)
+	for surface, rows := range s.routes() {
+		route.Register(mux, surface, rows)
+	}
 	return s.middleware(mux)
+}
+
+// routes is the daemon's route tables, keyed by the envelope each surface
+// speaks: the open ops endpoints; /api/v1, frozen and never authenticated;
+// /api/v2 behind tenant admission, plus the fleet's own table.
+func (s *Server) routes() map[route.Surface][]route.Route {
+	const get, post, put, del = http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete
+	return map[route.Surface][]route.Route{
+		route.Text: {
+			{Pattern: "/healthz", Handler: func(w http.ResponseWriter, r *http.Request) { _, _ = w.Write([]byte("ok")) }},
+			{Method: get, Pattern: "/metrics", Handler: s.handleMetrics},
+		},
+		route.V1: {
+			{Method: get, Pattern: "/api/v1/status", Handler: s.handleStatus},
+			{Method: get, Pattern: "/api/v1/workflows", Handler: s.handleWorkflows},
+			{Method: get, Pattern: "/api/v1/jobs", Handler: s.handleJobs},
+			{Method: post, Pattern: "/api/v1/jobs", Handler: s.handleSubmit},
+			{Method: get, Pattern: "/api/v1/jobs/{id}", Handler: s.handleJob},
+			{Method: post, Pattern: "/api/v1/kb/query", Handler: s.handleQuery},
+			{Method: get, Pattern: "/api/v1/kb/profiles", Handler: s.handleProfiles},
+			{Method: get, Pattern: "/api/v1/kb/export", Handler: s.handleExport},
+		},
+		route.V2: append([]route.Route{
+			{Method: get, Pattern: "/api/v2/jobs", Admit: s.admit, Handler: s.handleV2List},
+			{Method: post, Pattern: "/api/v2/jobs", Admit: s.admit, Handler: s.handleV2Submit},
+			{Method: get, Pattern: "/api/v2/jobs/{id}", Admit: s.admit, Handler: byJobID(s.handleV2Get)},
+			{Method: del, Pattern: "/api/v2/jobs/{id}", Admit: s.admit, Handler: byJobID(s.handleV2Cancel)},
+			{Method: get, Pattern: "/api/v2/jobs/{id}/events", Admit: s.admit, Handler: byJobID(s.handleV2Events)},
+			{Pattern: "/api/v2/jobs/{id}/{rest...}", Admit: s.admit, Handler: byJobID(noSuchJobResource)},
+			{Method: get, Pattern: "/api/v2/datasets", Admit: s.admit, Handler: s.handleV2Datasets},
+			{Method: post, Pattern: "/api/v2/datasets", Admit: s.admitUploads, Handler: s.handleV2DatasetUpload},
+			{Method: get, Pattern: "/api/v2/datasets/{id}", Admit: s.admit, Handler: s.handleV2Dataset},
+			{Method: del, Pattern: "/api/v2/datasets/{id}", Admit: s.admit, Handler: s.handleV2DatasetDelete},
+			{Pattern: "/api/v2/datasets/{id}/{rest...}", Admit: s.admit, Handler: noSuchResource},
+			{Method: get, Pattern: "/api/v2/uploads", Admit: s.admitUploads, Handler: s.handleV2Uploads},
+			{Method: post, Pattern: "/api/v2/uploads", Admit: s.admitUploads, Handler: s.handleV2UploadCreate},
+			{Method: get, Pattern: "/api/v2/uploads/{id}", Admit: s.admitUploads, Handler: s.handleV2Upload},
+			{Method: put, Pattern: "/api/v2/uploads/{id}", Admit: s.admitUploads, Handler: s.appendUpload},
+			{Method: del, Pattern: "/api/v2/uploads/{id}", Admit: s.admitUploads, Handler: s.abortUpload},
+			{Method: post, Pattern: "/api/v2/uploads/{id}/commit", Admit: s.admitUploads, Handler: s.commitUpload},
+			{Pattern: "/api/v2/uploads/{id}/{rest...}", Admit: s.admitUploads, Handler: noSuchResource},
+		}, s.fleet.Routes()...),
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -605,10 +626,4 @@ func v1View(j Job) JobInfo {
 		info.Shards = r.Shards
 	}
 	return info
-}
-
-// isV2 reports whether the request belongs to the v2 surface (which uses
-// the structured error envelope).
-func isV2(r *http.Request) bool {
-	return strings.HasPrefix(r.URL.Path, "/api/v2/")
 }

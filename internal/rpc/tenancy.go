@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"scan/internal/route"
 	"scan/internal/tenant"
 )
 
@@ -52,18 +53,17 @@ const (
 	reasonQuotaExceeded = "quota_exceeded"
 )
 
-// admit wraps a v2 handler with authentication and rate limiting. The
-// tenant rides the request context to the handler, where resource quotas
-// apply.
+// admit wraps a v2 handler with authentication and rate limiting (the v2
+// route table's Admit column). The tenant rides the request context to the
+// handler, where resource quotas apply.
 func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
+	if s.tenants == nil {
+		return next
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.tenants == nil {
-			next(w, r)
-			return
-		}
 		st := s.tenants.Authenticate(apiKey(r))
 		if st == nil {
-			writeV2Error(w, http.StatusUnauthorized, CodeUnauthenticated,
+			route.V2.Error(w, http.StatusUnauthorized, CodeUnauthenticated,
 				"a configured API key is required (Authorization: Bearer <key>)")
 			return
 		}
@@ -73,7 +73,7 @@ func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
 			w.Header().Set("Retry-After",
 				strconv.Itoa(int(math.Ceil(retry.Seconds()))))
 			s.metrics.tenantRejected.With(st.Name(), reasonRateLimited).Inc()
-			writeV2Error(w, http.StatusTooManyRequests, CodeRateLimited,
+			route.V2.Error(w, http.StatusTooManyRequests, CodeRateLimited,
 				"tenant %q is over its request rate; retry in %v", st.Name(), retry)
 			return
 		}
@@ -103,7 +103,7 @@ func (s *Server) admitJobQuota(w http.ResponseWriter, r *http.Request, spec *job
 	if !ok {
 		spec.source.release(s.platform.Datasets())
 		s.metrics.tenantRejected.With(st.Name(), reasonQuotaExceeded).Inc()
-		writeV2Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+		route.V2.Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 			"tenant %q holds %d of %d concurrent jobs; wait for one to finish or cancel it",
 			st.Name(), active, limit)
 		return false
@@ -122,7 +122,7 @@ func (s *Server) admitDatasetCount(w http.ResponseWriter, st *tenant.State) bool
 	ok, count, limit := st.CheckDataset(s.datasetLive)
 	if !ok {
 		s.metrics.tenantRejected.With(st.Name(), reasonQuotaExceeded).Inc()
-		writeV2Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+		route.V2.Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 			"tenant %q holds %d of %d datasets; delete one first", st.Name(), count, limit)
 		return false
 	}
@@ -141,7 +141,7 @@ func (s *Server) settleDatasetQuota(w http.ResponseWriter, st *tenant.State, id 
 	if !ok {
 		_, _ = s.platform.Datasets().Delete(id)
 		s.metrics.tenantRejected.With(st.Name(), reasonQuotaExceeded).Inc()
-		writeV2Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+		route.V2.Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 			"dataset of %d bytes would put tenant %q over its %d-byte quota (%d in use); delete datasets first",
 			bytes, st.Name(), limit, used)
 		return false
@@ -163,7 +163,7 @@ func (s *Server) authorizeDatasetDelete(w http.ResponseWriter, r *http.Request, 
 	for _, other := range s.tenants.Tenants() {
 		if other != st && other.Owns(id) {
 			s.metrics.tenantRejected.With(st.Name(), "forbidden").Inc()
-			writeV2Error(w, http.StatusForbidden, CodeForbidden,
+			route.V2.Error(w, http.StatusForbidden, CodeForbidden,
 				"dataset %q belongs to another tenant", id)
 			return false
 		}
@@ -220,7 +220,7 @@ func (s *Server) authorizeUpload(w http.ResponseWriter, r *http.Request, id stri
 		return true
 	}
 	s.metrics.tenantRejected.With(st.Name(), "forbidden").Inc()
-	writeV2Error(w, http.StatusForbidden, CodeForbidden,
+	route.V2.Error(w, http.StatusForbidden, CodeForbidden,
 		"upload session %q belongs to another tenant", id)
 	return false
 }

@@ -155,8 +155,3 @@ type StatusResponse struct {
 	RunLogs        int `json:"run_logs"`
 	RunLogsPending int `json:"run_logs_pending,omitempty"`
 }
-
-// errorResponse is the JSON error envelope.
-type errorResponse struct {
-	Error string `json:"error"`
-}

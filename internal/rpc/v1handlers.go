@@ -3,12 +3,13 @@ package rpc
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
+
+	"scan/internal/route"
 )
 
 // The /api/v1 handlers: the original flat RPC surface, wire-compatible with
@@ -20,22 +21,12 @@ import (
 // maxQueryBody bounds a SPARQL query request body before JSON decoding.
 const maxQueryBody = 1 << 20
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeError sends the v1 {"error":"<string>"} envelope.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+	route.V1.Error(w, status, "", format, args...)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	// One consistent snapshot: separate RunCount/PendingLogs calls could
 	// interleave with a fold and report pending > total.
 	runLogs, runPending := s.platform.KB().RunCounts()
@@ -58,63 +49,55 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	route.JSON(w, http.StatusOK, resp)
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	// v1 predates the family specs: its submissions are always synthetic
+	// sequencing reads, and its errors drop v2's prefix.
+	spec, apiErr := s.normalizeSubmission(SubmitJobRequest{
+		Workflow:     req.Workflow,
+		ShardRecords: req.ShardRecords,
+		Synthetic: &SyntheticSpec{
+			ReferenceLength: req.ReferenceLength,
+			Reads:           req.Reads,
+			ReadLength:      req.ReadLength,
+			SNVs:            req.SNVs,
+			ErrorRate:       req.ErrorRate,
+			Seed:            req.Seed,
+		},
+	})
+	if apiErr != nil {
+		writeError(w, http.StatusBadRequest, "%s", strings.TrimPrefix(apiErr.Message, "synthetic: "))
+		return
+	}
+	job, apiErr := s.enqueue(spec)
+	if apiErr != nil {
+		writeError(w, http.StatusServiceUnavailable, "%s", apiErr.Message)
+		return
+	}
+	route.JSON(w, http.StatusAccepted, v1View(job))
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req SubmitRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-		// v1 predates the family specs: its submissions are always
-		// synthetic sequencing reads, and its errors drop v2's prefix.
-		spec, apiErr := s.normalizeSubmission(SubmitJobRequest{
-			Workflow:     req.Workflow,
-			ShardRecords: req.ShardRecords,
-			Synthetic: &SyntheticSpec{
-				ReferenceLength: req.ReferenceLength,
-				Reads:           req.Reads,
-				ReadLength:      req.ReadLength,
-				SNVs:            req.SNVs,
-				ErrorRate:       req.ErrorRate,
-				Seed:            req.Seed,
-			},
-		})
-		if apiErr != nil {
-			writeError(w, http.StatusBadRequest, "%s", strings.TrimPrefix(apiErr.Message, "synthetic: "))
-			return
-		}
-		job, apiErr := s.enqueue(spec)
-		if apiErr != nil {
-			writeError(w, http.StatusServiceUnavailable, "%s", apiErr.Message)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, v1View(job))
-	case http.MethodGet:
-		s.mu.Lock()
-		out := make([]JobInfo, 0, len(s.order))
-		for _, id := range s.order {
-			out = append(out, v1View(s.jobs[id].job))
-		}
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, out)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
+	s.mu.Lock()
+	out := make([]JobInfo, 0, len(s.order))
+	for _, id := range s.order {
+		out = append(out, v1View(s.jobs[id].job))
 	}
+	s.mu.Unlock()
+	route.JSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	idStr := strings.TrimPrefix(r.URL.Path, "/api/v1/jobs/")
-	id, err := strconv.Atoi(idStr)
+	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad job id %q", idStr)
+		writeError(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
 		return
 	}
 	s.mu.Lock()
@@ -128,14 +111,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	route.JSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -159,14 +138,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Rows = append(resp.Rows, m)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	route.JSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	ps, err := s.platform.KB().Profiles()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "profiles: %v", err)
@@ -180,16 +155,12 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	writeJSON(w, http.StatusOK, out)
+	route.JSON(w, http.StatusOK, out)
 }
 
 // handleExport serves the knowledge base as Turtle (default) or RDF/XML
 // (?format=rdfxml), the paper's listing format.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	switch r.URL.Query().Get("format") {
 	case "", "turtle":
 		writeDocument(w, "text/turtle", s.platform.KB().Export)
@@ -218,10 +189,6 @@ func writeDocument(w http.ResponseWriter, contentType string, encode func(io.Wri
 }
 
 func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	cat := s.platform.Catalogue()
 	out := make([]WorkflowInfo, 0, cat.Len())
 	for _, name := range cat.Names() {
@@ -251,5 +218,5 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, info)
 	}
-	writeJSON(w, http.StatusOK, out)
+	route.JSON(w, http.StatusOK, out)
 }

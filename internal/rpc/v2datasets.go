@@ -6,9 +6,9 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"strings"
 
 	"scan/internal/registry"
+	"scan/internal/route"
 )
 
 // The /api/v2/datasets handlers: streaming dataset uploads into the
@@ -35,62 +35,47 @@ func uploadLimits(maxRecords int) registry.Limits {
 	return registry.Limits{MaxRecords: maxRecords, MaxBytes: maxUploadBytes}
 }
 
-// handleV2Datasets routes the dataset collection: POST uploads, GET lists.
 func (s *Server) handleV2Datasets(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handleV2DatasetUpload(w, r)
-	case http.MethodGet:
-		list := DatasetList{Datasets: []DatasetInfo{}}
-		for _, d := range s.platform.Datasets().List() {
-			list.Datasets = append(list.Datasets, datasetInfo(d))
-		}
-		writeJSON(w, http.StatusOK, list)
-	default:
-		writeV2Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET or POST only")
+	list := DatasetList{Datasets: []DatasetInfo{}}
+	for _, d := range s.platform.Datasets().List() {
+		list.Datasets = append(list.Datasets, datasetInfo(d))
 	}
+	route.JSON(w, http.StatusOK, list)
 }
 
-// handleV2Dataset routes one dataset resource: GET fetches, DELETE removes.
 func (s *Server) handleV2Dataset(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/api/v2/datasets/")
-	if id == "" || strings.Contains(id, "/") {
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, "no such resource")
+	id := r.PathValue("id")
+	meta, _, err := s.platform.Datasets().Resolve(id)
+	if err != nil {
+		route.V2.Error(w, http.StatusNotFound, CodeNotFound, "no dataset %q", id)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		meta, _, err := s.platform.Datasets().Resolve(id)
-		if err != nil {
-			writeV2Error(w, http.StatusNotFound, CodeNotFound, "no dataset %q", id)
+	route.JSON(w, http.StatusOK, datasetInfo(meta))
+}
+
+func (s *Server) handleV2DatasetDelete(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	// Resolve first for the canonical ID — ownership records are keyed by
+	// ID, but clients may delete by name.
+	if meta, _, err := s.platform.Datasets().Resolve(id); err == nil {
+		if !s.authorizeDatasetDelete(w, r, meta.ID) {
 			return
 		}
-		writeJSON(w, http.StatusOK, datasetInfo(meta))
-	case http.MethodDelete:
-		// Resolve first for the canonical ID — ownership records are keyed
-		// by ID, but clients may delete by name.
-		if meta, _, err := s.platform.Datasets().Resolve(id); err == nil {
-			if !s.authorizeDatasetDelete(w, r, meta.ID) {
-				return
-			}
-		}
-		meta, err := s.platform.Datasets().Delete(id)
-		switch {
-		case errors.Is(err, registry.ErrNotFound):
-			writeV2Error(w, http.StatusNotFound, CodeNotFound, "no dataset %q", id)
-		case errors.Is(err, registry.ErrPinned):
-			writeV2Error(w, http.StatusConflict, CodeConflict,
-				"dataset %q is referenced by unfinished jobs; cancel or wait them out", id)
-		case err != nil:
-			writeV2Error(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		default:
-			if st := requestTenant(r); st != nil {
-				st.ForgetDataset(meta.ID)
-			}
-			writeJSON(w, http.StatusOK, datasetInfo(meta))
-		}
+	}
+	meta, err := s.platform.Datasets().Delete(id)
+	switch {
+	case errors.Is(err, registry.ErrNotFound):
+		route.V2.Error(w, http.StatusNotFound, CodeNotFound, "no dataset %q", id)
+	case errors.Is(err, registry.ErrPinned):
+		route.V2.Error(w, http.StatusConflict, CodeConflict,
+			"dataset %q is referenced by unfinished jobs; cancel or wait them out", id)
+	case err != nil:
+		route.V2.Error(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 	default:
-		writeV2Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET or DELETE only")
+		if st := requestTenant(r); st != nil {
+			st.ForgetDataset(meta.ID)
+		}
+		route.JSON(w, http.StatusOK, datasetInfo(meta))
 	}
 }
 
@@ -123,9 +108,6 @@ func datasetInfo(d registry.Dataset) DatasetInfo {
 // including durable blob ingestion when the platform runs with a data
 // directory.
 func (s *Server) handleV2DatasetUpload(w http.ResponseWriter, r *http.Request) {
-	if !s.uploadsReady(w) {
-		return
-	}
 	// The dataset-count quota is checkable before any bytes decode; the
 	// byte quota only after commit reveals the decoded size (settle below).
 	tn := requestTenant(r)
@@ -146,26 +128,18 @@ func (s *Server) handleV2DatasetUpload(w http.ResponseWriter, r *http.Request) {
 		if u != nil {
 			u.Abort()
 		}
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
+		route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 		return
 	}
 	meta, err := u.Commit()
 	if err != nil {
 		// One-shot callers cannot resume; drop the session and its spools.
 		u.Abort()
+		writeUploadError(w, err)
+		return
 	}
-	switch {
-	case errors.Is(err, registry.ErrDuplicateName):
-		writeV2Error(w, http.StatusConflict, CodeConflict, "%v", err)
-	case errors.Is(err, registry.ErrStoreFull):
-		writeV2Error(w, http.StatusInsufficientStorage, CodeUnavailable, "%v", err)
-	case err != nil:
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
-	default:
-		if !s.settleDatasetQuota(w, tn, meta.ID, meta.Bytes) {
-			return
-		}
-		writeJSON(w, http.StatusCreated, datasetInfo(meta))
+	if s.settleDatasetQuota(w, tn, meta.ID, meta.Bytes) {
+		route.JSON(w, http.StatusCreated, datasetInfo(meta))
 	}
 }
 

@@ -9,18 +9,12 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"scan/internal/route"
 )
 
 // The /api/v2 handlers: resource-oriented jobs with machine-readable error
 // codes, cancellation, filtered + paginated listing, and SSE event streams.
-
-// writeV2Error sends the structured v2 error envelope.
-func writeV2Error(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, v2ErrorResponse{Error: APIError{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
-}
 
 // maxSubmitBody bounds the raw v2 submission body *before* JSON decoding —
 // without it the inline-bases check runs only after an arbitrarily large
@@ -28,22 +22,10 @@ func writeV2Error(w http.ResponseWriter, status int, code, format string, args .
 // per-read quality strings and JSON structure overhead.
 const maxSubmitBody = 3*maxInlineBases + 1<<20
 
-// handleV2Jobs routes the job collection: POST submits, GET lists.
-func (s *Server) handleV2Jobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handleV2Submit(w, r)
-	case http.MethodGet:
-		s.handleV2List(w, r)
-	default:
-		writeV2Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET or POST only")
-	}
-}
-
 func (s *Server) handleV2Submit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitJobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: %v", err)
+		route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: %v", err)
 		return
 	}
 	spec, apiErr := s.normalizeSubmission(req)
@@ -54,7 +36,7 @@ func (s *Server) handleV2Submit(w http.ResponseWriter, r *http.Request) {
 			// or evicted) — a machine-readable 404, not a malformed request.
 			status = http.StatusNotFound
 		}
-		writeJSON(w, status, v2ErrorResponse{Error: *apiErr})
+		route.V2.Error(w, status, apiErr.Code, "%s", apiErr.Message)
 		return
 	}
 	if !s.admitJobQuota(w, r, &spec) {
@@ -62,10 +44,10 @@ func (s *Server) handleV2Submit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, apiErr := s.enqueue(spec)
 	if apiErr != nil {
-		writeJSON(w, http.StatusServiceUnavailable, v2ErrorResponse{Error: *apiErr})
+		route.V2.Error(w, http.StatusServiceUnavailable, apiErr.Code, "%s", apiErr.Message)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job)
+	route.JSON(w, http.StatusAccepted, job)
 }
 
 // normalizeSubmission admits a submission's input: its one source is
@@ -141,14 +123,14 @@ func (s *Server) handleV2List(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
-			writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "limit must be a positive integer")
+			route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "limit must be a positive integer")
 			return
 		}
 		limit = min(n, maxPageLimit)
 	}
 	state := JobState(q.Get("state"))
 	if state != "" && !knownStates[state] {
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "unknown state %q", state)
+		route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "unknown state %q", state)
 		return
 	}
 	workflowFilter := q.Get("workflow")
@@ -156,7 +138,7 @@ func (s *Server) handleV2List(w http.ResponseWriter, r *http.Request) {
 	if tok := q.Get("page_token"); tok != "" {
 		id, err := decodePageToken(tok)
 		if err != nil {
-			writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
+			route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 			return
 		}
 		after = id
@@ -183,41 +165,30 @@ func (s *Server) handleV2List(w http.ResponseWriter, r *http.Request) {
 		page.Jobs = append(page.Jobs, job.clone())
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, page)
+	route.JSON(w, http.StatusOK, page)
 }
 
-// handleV2Job routes one job resource: GET fetches, DELETE cancels, and the
-// /events subresource streams.
-func (s *Server) handleV2Job(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v2/jobs/")
-	idStr, sub, _ := strings.Cut(rest, "/")
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "bad job id %q", idStr)
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			s.handleV2Get(w, id)
-		case http.MethodDelete:
-			s.handleV2Cancel(w, r, id)
-		default:
-			writeV2Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET or DELETE only")
-		}
-	case "events":
-		if r.Method != http.MethodGet {
-			writeV2Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
+// byJobID adapts a handler of one job to the {id} path wildcard, answering
+// 400 itself when the wildcard is not a job ID.
+func byJobID(h func(w http.ResponseWriter, r *http.Request, id int)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, err := strconv.Atoi(r.PathValue("id"))
+		if err != nil {
+			route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "bad job id %q", r.PathValue("id"))
 			return
 		}
-		s.handleV2Events(w, r, id)
-	default:
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, "no such resource")
+		h(w, r, id)
 	}
 }
 
-func (s *Server) handleV2Get(w http.ResponseWriter, id int) {
+// noSuchResource answers a path under a resource that names no sub-resource.
+func noSuchResource(w http.ResponseWriter, r *http.Request) {
+	route.V2.Error(w, http.StatusNotFound, CodeNotFound, "no such resource")
+}
+
+func noSuchJobResource(w http.ResponseWriter, r *http.Request, _ int) { noSuchResource(w, r) }
+
+func (s *Server) handleV2Get(w http.ResponseWriter, r *http.Request, id int) {
 	s.mu.Lock()
 	rec, ok := s.jobs[id]
 	var job Job
@@ -226,19 +197,19 @@ func (s *Server) handleV2Get(w http.ResponseWriter, id int) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, "no job %d", id)
+		route.V2.Error(w, http.StatusNotFound, CodeNotFound, "no job %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, job)
+	route.JSON(w, http.StatusOK, job)
 }
 
 func (s *Server) handleV2Cancel(w http.ResponseWriter, r *http.Request, id int) {
 	job, status, apiErr := s.cancelJob(id, requestTenant(r))
 	if apiErr != nil {
-		writeJSON(w, status, v2ErrorResponse{Error: *apiErr})
+		route.V2.Error(w, status, apiErr.Code, "%s", apiErr.Message)
 		return
 	}
-	writeJSON(w, status, job)
+	route.JSON(w, status, job)
 }
 
 // handleV2Events streams the job's event log as Server-Sent Events: the
@@ -248,14 +219,14 @@ func (s *Server) handleV2Cancel(w http.ResponseWriter, r *http.Request, id int) 
 func (s *Server) handleV2Events(w http.ResponseWriter, r *http.Request, id int) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeV2Error(w, http.StatusInternalServerError, CodeInternal, "response writer cannot stream")
+		route.V2.Error(w, http.StatusInternalServerError, CodeInternal, "response writer cannot stream")
 		return
 	}
 	s.mu.Lock()
 	rec, exists := s.jobs[id]
 	s.mu.Unlock()
 	if !exists {
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, "no job %d", id)
+		route.V2.Error(w, http.StatusNotFound, CodeNotFound, "no job %d", id)
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -48,13 +48,6 @@ type APIError struct {
 
 func (e *APIError) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Message) }
 
-// v2ErrorResponse is the v2 JSON error envelope. (v1 keeps its original
-// {"error":"<string>"} envelope; the two are distinguishable by the type of
-// the "error" member.)
-type v2ErrorResponse struct {
-	Error APIError `json:"error"`
-}
-
 // SyntheticSpec describes a daemon-generated dataset: a seeded reference
 // with planted SNVs and simulated reads. It is the v2 form of the v1
 // SubmitRequest's dataset fields, with identical tri-state semantics for the

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"scan/internal/registry"
+	"scan/internal/route"
 )
 
 // The /api/v2/uploads handlers: resumable dataset uploads. A session is
@@ -57,108 +57,95 @@ func uploadInfo(st registry.UploadStatus) UploadInfo {
 	return info
 }
 
-// uploadsReady reports whether the session manager came up (its spool
-// directory could fail to create); when it didn't, requests get a 503
-// instead of a panic.
-func (s *Server) uploadsReady(w http.ResponseWriter) bool {
-	if s.uploads == nil {
-		writeV2Error(w, http.StatusServiceUnavailable, CodeUnavailable, "upload spool unavailable")
-		return false
-	}
-	return true
+// admitUploads is admit for the routes that need the session manager. It
+// is nil when its spool directory could not be created, and then they
+// answer 503 instead of panicking.
+func (s *Server) admitUploads(next http.HandlerFunc) http.HandlerFunc {
+	return s.admit(func(w http.ResponseWriter, r *http.Request) {
+		if s.uploads == nil {
+			route.V2.Error(w, http.StatusServiceUnavailable, CodeUnavailable, "upload spool unavailable")
+			return
+		}
+		next(w, r)
+	})
 }
 
-// handleV2Uploads routes the session collection: POST opens, GET lists.
 func (s *Server) handleV2Uploads(w http.ResponseWriter, r *http.Request) {
-	if !s.uploadsReady(w) {
+	list := UploadList{Uploads: []UploadInfo{}}
+	for _, st := range s.uploads.List() {
+		list.Uploads = append(list.Uploads, uploadInfo(st))
+	}
+	route.JSON(w, http.StatusOK, list)
+}
+
+func (s *Server) handleV2UploadCreate(w http.ResponseWriter, r *http.Request) {
+	var req UploadCreateRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadCreateBody)).Decode(&req); err != nil {
+		route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: %v", err)
 		return
 	}
-	switch r.Method {
-	case http.MethodPost:
-		var req UploadCreateRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadCreateBody)).Decode(&req); err != nil {
-			writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: %v", err)
-			return
-		}
-		family, err := registry.ParseFamily(req.Family)
-		if err != nil {
-			writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
-			return
-		}
-		// The session will become a dataset; check the count quota at open
-		// so a tenant at its limit learns immediately, not at commit.
-		if !s.admitDatasetCount(w, requestTenant(r)) {
-			return
-		}
-		u, err := s.uploads.Create(req.Name, family)
-		switch {
-		case errors.Is(err, registry.ErrDuplicateName):
-			writeV2Error(w, http.StatusConflict, CodeConflict, "%v", err)
-		case errors.Is(err, registry.ErrTooManyUploads):
-			writeV2Error(w, http.StatusTooManyRequests, CodeUnavailable, "%v", err)
-		case err != nil:
-			writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
-		default:
-			s.recordUploadOwner(u.Status().ID, requestTenant(r))
-			writeJSON(w, http.StatusCreated, uploadInfo(u.Status()))
-		}
-	case http.MethodGet:
-		list := UploadList{Uploads: []UploadInfo{}}
-		for _, st := range s.uploads.List() {
-			list.Uploads = append(list.Uploads, uploadInfo(st))
-		}
-		writeJSON(w, http.StatusOK, list)
-	default:
-		writeV2Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET or POST only")
+	family, err := registry.ParseFamily(req.Family)
+	if err != nil {
+		route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
+		return
+	}
+	// The session will become a dataset; check the count quota at open so
+	// a tenant at its limit learns immediately, not at commit.
+	if !s.admitDatasetCount(w, requestTenant(r)) {
+		return
+	}
+	u, err := s.uploads.Create(req.Name, family)
+	if err != nil {
+		writeUploadError(w, err)
+		return
+	}
+	s.recordUploadOwner(u.Status().ID, requestTenant(r))
+	route.JSON(w, http.StatusCreated, uploadInfo(u.Status()))
+}
+
+// writeUploadError answers a failed session call (open, look up, append,
+// commit) with the status and code of its registry error; anything else —
+// a bad name, an undecodable part, a body cut short — is a 400.
+func writeUploadError(w http.ResponseWriter, err error) {
+	var offErr *registry.OffsetError
+	status, code := http.StatusBadRequest, CodeInvalidArgument
+	switch {
+	case errors.Is(err, registry.ErrNoUpload):
+		status, code = http.StatusNotFound, CodeNotFound
+	case errors.Is(err, registry.ErrDuplicateName), errors.As(err, &offErr):
+		status, code = http.StatusConflict, CodeConflict
+	case errors.Is(err, registry.ErrTooManyUploads):
+		status, code = http.StatusTooManyRequests, CodeUnavailable
+	case errors.Is(err, registry.ErrStoreFull):
+		status, code = http.StatusInsufficientStorage, CodeUnavailable
+	}
+	route.V2.Error(w, status, code, "%v", err)
+}
+
+// session resolves the {id} upload session, answering 404 itself when
+// there is none.
+func (s *Server) session(w http.ResponseWriter, r *http.Request) (*registry.UploadSession, bool) {
+	u, err := s.uploads.Get(r.PathValue("id"))
+	if err != nil {
+		writeUploadError(w, err)
+	}
+	return u, err == nil
+}
+
+func (s *Server) handleV2Upload(w http.ResponseWriter, r *http.Request) {
+	if u, ok := s.session(w, r); ok {
+		route.JSON(w, http.StatusOK, uploadInfo(u.Status()))
 	}
 }
 
-// handleV2Upload routes one session: GET inspects, PUT appends a chunk,
-// DELETE aborts, POST /commit promotes.
-func (s *Server) handleV2Upload(w http.ResponseWriter, r *http.Request) {
-	if !s.uploadsReady(w) {
+func (s *Server) abortUpload(w http.ResponseWriter, r *http.Request) {
+	u, ok := s.session(w, r)
+	if !ok || !s.authorizeUpload(w, r, u.Status().ID) {
 		return
 	}
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v2/uploads/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if id == "" || (sub != "" && sub != "commit") {
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, "no such resource")
-		return
-	}
-	u, err := s.uploads.Get(id)
-	if err != nil {
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, "%v", err)
-		return
-	}
-	if sub == "commit" {
-		if r.Method != http.MethodPost {
-			writeV2Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-			return
-		}
-		if !s.authorizeUpload(w, r, u.Status().ID) {
-			return
-		}
-		s.commitUpload(w, r, u)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, uploadInfo(u.Status()))
-	case http.MethodPut:
-		if !s.authorizeUpload(w, r, u.Status().ID) {
-			return
-		}
-		s.appendUpload(w, r, u)
-	case http.MethodDelete:
-		if !s.authorizeUpload(w, r, u.Status().ID) {
-			return
-		}
-		u.Abort()
-		s.forgetUploadOwner(u.Status().ID)
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeV2Error(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET, PUT, DELETE or POST commit only")
-	}
+	u.Abort()
+	s.forgetUploadOwner(u.Status().ID)
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // appendUpload spools one chunk: PUT /api/v2/uploads/{id}?part=F&offset=N.
@@ -167,69 +154,57 @@ func (s *Server) handleV2Upload(w http.ResponseWriter, r *http.Request) {
 // response is the part's new status — size and running hash — whether or not
 // the body arrived whole, so a client whose send died mid-chunk learns its
 // resume point from the same response path.
-func (s *Server) appendUpload(w http.ResponseWriter, r *http.Request, u *registry.UploadSession) {
+func (s *Server) appendUpload(w http.ResponseWriter, r *http.Request) {
+	u, ok := s.session(w, r)
+	if !ok || !s.authorizeUpload(w, r, u.Status().ID) {
+		return
+	}
 	q := r.URL.Query()
 	field := q.Get("part")
 	if field == "" {
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "append needs a ?part= field name")
+		route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "append needs a ?part= field name")
 		return
 	}
 	offset := int64(0)
 	if raw := q.Get("offset"); raw != "" {
 		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || v < 0 {
-			writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "bad offset %q", raw)
+			route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "bad offset %q", raw)
 			return
 		}
 		offset = v
 	}
-	_, err := u.Append(field, offset, r.Body)
-	var offErr *registry.OffsetError
-	switch {
-	case errors.As(err, &offErr):
-		writeV2Error(w, http.StatusConflict, CodeConflict, "%v", err)
-		return
-	case errors.Is(err, registry.ErrNoUpload):
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, "%v", err)
-		return
-	case errors.Is(err, registry.ErrTooLarge):
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
-		return
-	case err != nil:
-		// A mid-body read error: the spooled prefix is kept. Report the
-		// failure; the part status rides along in the session resource.
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
+	if _, err := u.Append(field, offset, r.Body); err != nil {
+		// After a mid-body read error the spooled prefix is kept; the part
+		// status rides along in the session resource.
+		writeUploadError(w, err)
 		return
 	}
 	for _, p := range u.Status().Parts {
 		if p.Field == field {
-			writeJSON(w, http.StatusOK, UploadPartInfo{Field: p.Field, Size: p.Size, SHA256: p.SHA256})
+			route.JSON(w, http.StatusOK, UploadPartInfo{Field: p.Field, Size: p.Size, SHA256: p.SHA256})
 			return
 		}
 	}
-	writeV2Error(w, http.StatusInternalServerError, CodeInternal, "part %q vanished", field)
+	route.V2.Error(w, http.StatusInternalServerError, CodeInternal, "part %q vanished", field)
 }
 
 // commitUpload promotes the session into the registry. Validation failures
 // (missing parts, undecodable payloads, name conflicts) leave the session
 // open for inspection or abort; success and post-validation failures end it.
-func (s *Server) commitUpload(w http.ResponseWriter, r *http.Request, u *registry.UploadSession) {
+func (s *Server) commitUpload(w http.ResponseWriter, r *http.Request) {
+	u, ok := s.session(w, r)
+	if !ok || !s.authorizeUpload(w, r, u.Status().ID) {
+		return
+	}
 	id := u.Status().ID
 	meta, err := u.Commit()
-	switch {
-	case errors.Is(err, registry.ErrNoUpload):
-		writeV2Error(w, http.StatusNotFound, CodeNotFound, "%v", err)
-	case errors.Is(err, registry.ErrDuplicateName):
-		writeV2Error(w, http.StatusConflict, CodeConflict, "%v", err)
-	case errors.Is(err, registry.ErrStoreFull):
-		writeV2Error(w, http.StatusInsufficientStorage, CodeUnavailable, "%v", err)
-	case err != nil:
-		writeV2Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
-	default:
-		s.forgetUploadOwner(id)
-		if !s.settleDatasetQuota(w, requestTenant(r), meta.ID, meta.Bytes) {
-			return
-		}
-		writeJSON(w, http.StatusCreated, datasetInfo(meta))
+	if err != nil {
+		writeUploadError(w, err)
+		return
+	}
+	s.forgetUploadOwner(id)
+	if s.settleDatasetQuota(w, requestTenant(r), meta.ID, meta.Bytes) {
+		route.JSON(w, http.StatusCreated, datasetInfo(meta))
 	}
 }
