@@ -1,10 +1,9 @@
 // Command scanvet runs the platform's invariant analyzer suite
 // (internal/invariant) over Go packages: project-specific vet passes that
 // mechanically enforce the carry-forward invariants — cancellation polls
-// in executor loops, the *Locked calling convention, streaming executors
-// routing Execute through runStreamBarrier, the registry zero-copy rule,
-// and the knowledge base's Flush-before-read telemetry barrier. See
-// docs/ANALYSIS.md.
+// in executor loops, the *Locked calling convention, the registry
+// zero-copy rule, and the knowledge base's Flush-before-read telemetry
+// barrier. See docs/ANALYSIS.md.
 //
 // Usage:
 //

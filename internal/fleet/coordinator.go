@@ -59,9 +59,6 @@ type Options struct {
 	// SweepEvery is the active-stage bookkeeping cadence: timeouts, lost
 	// workers, stragglers (default 25ms).
 	SweepEvery time.Duration
-	// InlineLimit is the largest encoded context shipped inline in the
-	// dispatch instead of by blob hash (default 64 KiB).
-	InlineLimit int
 	// MaxBlobs bounds the coordinator's cached context blobs (default 16;
 	// blobs referenced by active stages are never evicted).
 	MaxBlobs int
@@ -99,9 +96,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SweepEvery <= 0 {
 		o.SweepEvery = 25 * time.Millisecond
-	}
-	if o.InlineLimit <= 0 {
-		o.InlineLimit = 64 << 10
 	}
 	if o.MaxBlobs <= 0 {
 		o.MaxBlobs = 16
@@ -180,12 +174,11 @@ type workerState struct {
 }
 
 type stageRun struct {
-	spec        Task // template: workflow, stage, context, options
+	spec        Task // template: workflow, stage, context hash, options
 	estSec      float64
 	n           int
 	done        []bool
 	outs        []workflow.StreamShard
-	recs        []int
 	elaps       []time.Duration
 	attempts    []int
 	outstanding []int // queued + dispatched, per shard
@@ -195,7 +188,6 @@ type stageRun struct {
 	lastErr     error
 	finished    chan struct{}
 	completions []float64 // accepted shard durations, seconds
-	blobHash    string
 }
 
 type task struct {
@@ -219,34 +211,34 @@ func (sr *stageRun) failLocked(err error) {
 	close(sr.finished)
 }
 
-// RunShards implements workflow.ShardPool: encode the stage's input for
+// RunShards implements workflow.ShardPool: publish the stage's input on
 // the data plane, enqueue one task per shard, and wait for first-wins
-// results while sweeping timeouts, lost workers and stragglers.
-func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, shards []workflow.StreamShard) ([]workflow.StreamShard, error) {
+// results while sweeping timeouts, lost workers and stragglers. A fleet
+// with no live workers answers ErrNoWorkers, so the engine runs the stage
+// locally.
+func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, shards []workflow.StreamShard) ([]workflow.StreamShard, []time.Duration, error) {
 	if len(shards) == 0 {
-		return []workflow.StreamShard{}, ctx.Err()
+		return []workflow.StreamShard{}, []time.Duration{}, ctx.Err()
 	}
-	c.mu.Lock()
-	alive := c.aliveLocked(c.opts.Now())
-	c.mu.Unlock()
-	if alive == 0 {
-		return nil, workflow.ErrNoWorkers
+	if c.ReadyWorkers() == 0 {
+		return nil, nil, workflow.ErrNoWorkers
 	}
 	enc, err := workflow.EncodeDataset(env.Input())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	sum := sha256.Sum256(enc)
 	n := len(shards)
 	sr := &stageRun{
 		spec: Task{
-			Workflow: env.Workflow(),
-			Stage:    env.StageIndex(),
-			Options:  PinOptions(env.RemoteOptions()),
+			Workflow:    env.Workflow(),
+			Stage:       env.StageIndex(),
+			ContextHash: hex.EncodeToString(sum[:]),
+			Options:     PinOptions(env.RemoteOptions()),
 		},
 		n:           n,
 		done:        make([]bool, n),
 		outs:        make([]workflow.StreamShard, n),
-		recs:        make([]int, n),
 		elaps:       make([]time.Duration, n),
 		attempts:    make([]int, n),
 		outstanding: make([]int, n),
@@ -258,18 +250,9 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 		total += s.Records
 	}
 	sr.estSec = env.EstimateShardCost(total/n, 1.0)
-	if len(enc) <= c.opts.InlineLimit {
-		sr.spec.Context = enc
-	} else {
-		sum := sha256.Sum256(enc)
-		sr.blobHash = hex.EncodeToString(sum[:])
-		sr.spec.ContextHash = sr.blobHash
-	}
 
 	c.mu.Lock()
-	if sr.blobHash != "" {
-		c.putBlobLocked(sr.blobHash, enc)
-	}
+	c.putBlobLocked(sr.spec.ContextHash, enc)
 	c.stages[sr] = struct{}{}
 	c.metrics.RemoteStages++
 	now := c.opts.Now()
@@ -285,12 +268,8 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 		c.enqueueLocked(&task{sr: sr, shard: i}, false)
 	}
 	c.mu.Unlock()
-	src := "inline context"
-	if sr.blobHash != "" {
-		src = "blob " + sr.blobHash[:12]
-	}
-	c.opts.Logf("fleet: stage %s[%d]: dispatching %d shards from %s (est %.3fs/shard)",
-		sr.spec.Workflow, sr.spec.Stage, n, src, sr.estSec)
+	c.opts.Logf("fleet: stage %s[%d]: dispatching %d shards from blob %s (est %.3fs/shard)",
+		sr.spec.Workflow, sr.spec.Stage, n, sr.spec.ContextHash[:12], sr.estSec)
 
 	sweep := time.NewTicker(c.opts.SweepEvery)
 	defer sweep.Stop()
@@ -301,7 +280,7 @@ wait:
 			c.mu.Lock()
 			c.abortStageLocked(sr, ctx.Err())
 			c.mu.Unlock()
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		case <-sr.finished:
 			break wait
 		case <-sweep.C:
@@ -315,16 +294,12 @@ wait:
 	c.cleanupStageLocked(sr)
 	c.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i := 0; i < n; i++ {
-		env.LogShard(sr.recs[i], sr.elaps[i])
-	}
-	return sr.outs, nil
+	return sr.outs, sr.elaps, nil
 }
 
-// ReadyWorkers reports live registered workers — the gate callers use to
-// decide whether to offer a run to the fleet at all.
+// ReadyWorkers reports live registered workers.
 func (c *Coordinator) ReadyWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -562,10 +537,8 @@ func (c *Coordinator) cleanupStageLocked(sr *stageRun) {
 		}
 		delete(c.tasks, id)
 	}
-	if sr.blobHash != "" {
-		c.blobRef[sr.blobHash]--
-		c.evictBlobsLocked()
-	}
+	c.blobRef[sr.spec.ContextHash]--
+	c.evictBlobsLocked()
 	if len(c.queue) == 0 && len(c.tasks) == 0 {
 		c.lastDrain = c.opts.Now()
 	}
@@ -715,13 +688,13 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEnvelope+(1<<20)))
 	var res ResultRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEnvelope+(1<<20))).Decode(&res); err != nil {
-		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "bad result body: %v", err)
-		return
+	if err == nil {
+		res, err = DecodeResult(body)
 	}
-	if res.WorkerID == "" || res.TaskID == "" {
-		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "result needs worker_id and task_id")
+	if err != nil {
+		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "bad result body: %v", err)
 		return
 	}
 
@@ -789,7 +762,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	sr.done[shard] = true
 	sr.outs[shard] = out
-	sr.recs[shard] = res.Records
 	sr.elaps[shard] = time.Duration(res.ElapsedMS * float64(time.Millisecond))
 	sr.completions = append(sr.completions, res.ElapsedMS/1000)
 	sr.remaining--

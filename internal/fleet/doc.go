@@ -8,15 +8,15 @@
 // default and the equivalence reference. Remote and local pools share one
 // executor path: a worker rebuilds the stage's stream from the stage's
 // materialized input and coordinator-pinned options
-// (workflow.Engine.PrepareStageShards) and runs the same
-// Split/Transform the barrier scheduler would — there is no separate
-// remote Execute.
+// (workflow.Engine.PrepareStageShards) and runs the same Split and
+// StagePrep.RunShard the engine's local pool does. The coordinator returns
+// each shard's worker-observed time and the engine logs it, so remote
+// shards feed the Data Broker exactly like local ones.
 //
 // The data plane is content-addressed: a stage's input dataset gob-encodes
 // once (workflow.EncodeDataset, deterministic) and ships by SHA-256 hash;
 // workers fetch GET /api/v2/blobs/{hash} on first sight and cache it, so
-// repeated stages over the same dataset transfer nothing. Small contexts
-// (synthetic specs) fall back to inline bytes in the dispatch itself.
+// repeated stages over the same dataset transfer nothing.
 //
 // Dispatch is pull-based over HTTP (register, long-poll, result) with
 // per-shard timeout, bounded retry, and straggler re-dispatch: the first

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -517,11 +519,11 @@ func TestStragglerRacedAndLateResultDiscarded(t *testing.T) {
 	// the coordinator discards the duplicate and says so.
 	prep := workflow.NewEngine(workflow.EngineOptions{Workers: 1})
 	sp, err := prep.PrepareStageShards(taken.Workflow, taken.Stage,
-		mustDecode(t, taken), taken.Options.RunOptions())
+		fetchContext(t, tf.server.URL, taken), taken.Options.RunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, records, err := sp.RunShard(context.Background(), taken.Shard)
+	out, _, err := sp.RunShard(context.Background(), taken.Shard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +533,7 @@ func TestStragglerRacedAndLateResultDiscarded(t *testing.T) {
 	}
 	var ack ResultResponse
 	slow.post("/api/v2/fleet/result", ResultRequest{
-		WorkerID: slow.id, TaskID: taken.ID, Output: enc, Records: records, ElapsedMS: 1,
+		WorkerID: slow.id, TaskID: taken.ID, Output: enc, ElapsedMS: 1,
 	}, &ack)
 	if ack.Accepted {
 		t.Fatal("late straggler result was accepted after the duplicate already won")
@@ -541,12 +543,20 @@ func TestStragglerRacedAndLateResultDiscarded(t *testing.T) {
 	}
 }
 
-func mustDecode(t testing.TB, task Task) *workflow.Dataset {
+// fetchContext fetches a task's stage input the way a worker does, by
+// GET /api/v2/blobs/{hash}.
+func fetchContext(t testing.TB, base string, task Task) *workflow.Dataset {
 	t.Helper()
-	if task.Context == nil {
-		t.Fatal("task shipped by blob; test expected inline context")
+	resp, err := http.Get(base + "/api/v2/blobs/" + task.ContextHash)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ds, err := workflow.DecodeDataset(task.Context)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("blob %s: HTTP %d, %v", task.ContextHash, resp.StatusCode, err)
+	}
+	ds, err := workflow.DecodeDataset(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,13 +674,21 @@ func TestScalingPoliciesGateEngagement(t *testing.T) {
 	})
 }
 
-// TestBlobDataPlane: a context over the inline limit ships by hash; the
-// worker fetches it once and reuses the cached dataset for later shards.
+// blobCounter is a worker-side transport that counts blob fetches.
+type blobCounter struct{ fetches atomic.Int32 }
+
+func (b *blobCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasPrefix(r.URL.Path, "/api/v2/blobs/") {
+		b.fetches.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestBlobDataPlane: every stage context ships by hash; each worker
+// fetches it at most once and reuses the cached dataset for later shards.
 func TestBlobDataPlane(t *testing.T) {
-	tf := startFleet(t, Options{
-		Scaling:     scheduler.AlwaysScale,
-		InlineLimit: 1, // force everything through the blob store
-	}, 2)
+	blobs := &blobCounter{}
+	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 2, &http.Client{Transport: blobs})
 	e := workflow.NewEngine(workflow.EngineOptions{KB: seededKB(t), Workers: 4})
 	got, err := e.RunByName(context.Background(), "integrative-network",
 		featureDataset(t, 60, 4, 29), workflow.RunOptions{ShardRecords: 20, ShardPool: tf.coord})
@@ -685,6 +703,9 @@ func TestBlobDataPlane(t *testing.T) {
 	}
 	if !bytes.Equal(encode(t, want.Output), encode(t, got.Output)) {
 		t.Fatal("blob-shipped output diverges from local")
+	}
+	if n := blobs.fetches.Load(); n < 1 || n > 2 {
+		t.Fatalf("%d blob fetches for one stage on two workers, want 1 or 2", n)
 	}
 }
 
@@ -716,5 +737,47 @@ func TestFleetTokenAuth(t *testing.T) {
 	if _, err := e.RunByName(context.Background(), "integrative-network",
 		featureDataset(t, 60, 4, 29), workflow.RunOptions{ShardRecords: 20, ShardPool: tf.coord}); err != nil {
 		t.Fatalf("authed worker run: %v", err)
+	}
+}
+
+// TestResultWithoutOutputOrErrorRejected: the result endpoint decodes
+// through DecodeResult, so a result that carries neither an output nor an
+// error is a 400 — not a decode failure that re-queues the shard.
+func TestResultWithoutOutputOrErrorRejected(t *testing.T) {
+	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale, ShardTimeout: time.Minute, WorkerExpiry: time.Minute}, 0)
+	fw := newFakeWorker(t, tf.server.URL, "empty-handed")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		e := workflow.NewEngine(workflow.EngineOptions{Workers: 1})
+		_, err := e.RunByName(ctx, "integrative-network", featureDataset(t, 60, 4, 29),
+			workflow.RunOptions{ShardRecords: 20, ShardPool: tf.coord})
+		done <- err
+	}()
+	taken := fw.pollUntilTask(5 * time.Second)
+	if code := fw.post("/api/v2/fleet/result", ResultRequest{WorkerID: fw.id, TaskID: taken.ID}, nil); code != http.StatusBadRequest {
+		t.Fatalf("result with neither output nor error: HTTP %d, want 400", code)
+	}
+	if m := tf.coord.FleetMetrics(); m.Redispatched != 0 {
+		t.Fatalf("metrics = %+v: the rejected result re-queued its shard", m)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("run err = %v, want context.Canceled", err)
+	}
+}
+
+// TestWorkerRejectsMalformedTask: the worker applies DecodeTask's checks
+// to every polled task before touching the data plane.
+func TestWorkerRejectsMalformedTask(t *testing.T) {
+	wk := NewWorker(WorkerOptions{Coordinator: "http://127.0.0.1:0"})
+	for _, task := range []Task{
+		{ID: "t1", Workflow: "integrative-network", ContextHash: "deadbeef"},
+		{ID: "t2", Workflow: "integrative-network", Shard: -1, ContextHash: strings.Repeat("ab", 32)},
+		{Workflow: "integrative-network", ContextHash: strings.Repeat("ab", 32)},
+	} {
+		if _, _, err := wk.runTask(context.Background(), task); !errors.Is(err, ErrBadEnvelope) {
+			t.Fatalf("task %+v: err = %v, want ErrBadEnvelope", task, err)
+		}
 	}
 }

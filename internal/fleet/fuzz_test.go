@@ -3,8 +3,10 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
+	"scan/internal/blobstore"
 	"scan/internal/workflow"
 )
 
@@ -17,17 +19,18 @@ import (
 // upload-decoder fuzzers.
 
 func FuzzDecodeTask(f *testing.F) {
+	hash := strings.Repeat("5e", 32)
 	seed, err := json.Marshal(Task{
 		ID: "t1", Workflow: "dna-variant-detection", Stage: 0, Shard: 2,
-		Attempt: 1, ContextHash: "deadbeef",
+		Attempt: 1, ContextHash: hash,
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"id":"t2","workflow":"w","stage":0,"shard":0,"context":"aGk="}`))
+	f.Add([]byte(`{"id":"t2","workflow":"w","stage":0,"shard":0,"context_hash":"` + strings.ToUpper(hash) + `"}`))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"id":"t3","workflow":"w","stage":-1,"shard":0,"context_hash":"x"}`))
+	f.Add([]byte(`{"id":"t3","workflow":"w","stage":-1,"shard":0,"context_hash":"` + hash + `"}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		task, err := DecodeTask(data)
@@ -43,8 +46,8 @@ func FuzzDecodeTask(f *testing.F) {
 		if task.Stage < 0 || task.Shard < 0 {
 			t.Fatalf("accepted negative indices: %+v", task)
 		}
-		if task.ContextHash == "" && task.Context == nil {
-			t.Fatalf("accepted task with no context source: %+v", task)
+		if !blobstore.ValidHash(task.ContextHash) {
+			t.Fatalf("accepted task without a SHA-256 context hash: %+v", task)
 		}
 	})
 }
@@ -55,7 +58,7 @@ func FuzzDecodeResult(f *testing.F) {
 		f.Fatal(err)
 	}
 	seed, err := json.Marshal(ResultRequest{
-		WorkerID: "w1", TaskID: "t1", Output: out, Records: 3, ElapsedMS: 12.5,
+		WorkerID: "w1", TaskID: "t1", Output: out, ElapsedMS: 12.5,
 	})
 	if err != nil {
 		f.Fatal(err)

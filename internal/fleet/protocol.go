@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"scan/internal/align"
+	"scan/internal/blobstore"
 	"scan/internal/variant"
 	"scan/internal/workflow"
 )
@@ -80,30 +81,26 @@ func (o TaskOptions) RunOptions() workflow.RunOptions {
 }
 
 // Task is one shard dispatch: which shard of which stage of which
-// workflow, plus where the stage's input lives — by content hash
-// (GET /api/v2/blobs/{ContextHash}, cacheable) or inline for small
-// contexts. The worker re-Splits the context with the pinned Options and
-// transforms shard Shard.
+// workflow, plus the content hash of the stage's input (GET
+// /api/v2/blobs/{ContextHash}, cacheable). The worker re-Splits the
+// context with the pinned Options and transforms shard Shard.
 type Task struct {
 	ID          string      `json:"id"`
 	Workflow    string      `json:"workflow"`
 	Stage       int         `json:"stage"`
 	Shard       int         `json:"shard"`
 	Attempt     int         `json:"attempt"`
-	ContextHash string      `json:"context_hash,omitempty"`
-	Context     []byte      `json:"context,omitempty"`
+	ContextHash string      `json:"context_hash"`
 	Options     TaskOptions `json:"options"`
 }
 
 // ResultRequest reports one finished dispatch. Exactly one of Output or
-// Error is set; Records is the shard's input record count and ElapsedMS
-// the worker-observed transform time — the coordinator feeds both to the
-// Data Broker as the stage's shard telemetry.
+// Error is set; ElapsedMS is the worker-observed transform time, which the
+// engine logs to the Data Broker as the shard's telemetry.
 type ResultRequest struct {
 	WorkerID  string  `json:"worker_id"`
 	TaskID    string  `json:"task_id"`
 	Output    []byte  `json:"output,omitempty"`
-	Records   int     `json:"records"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Error     string  `json:"error,omitempty"`
 }
@@ -166,8 +163,8 @@ var (
 	ErrBadEnvelope = errors.New("fleet: bad envelope")
 )
 
-// DecodeTask parses and validates a task envelope (the worker's half of
-// the shard-dispatch wire; fuzzed in fuzz_test.go).
+// DecodeTask parses and validates a task envelope (fuzzed in
+// fuzz_test.go). The worker applies the same checks to every polled task.
 func DecodeTask(b []byte) (Task, error) {
 	if len(b) > maxEnvelope {
 		return Task{}, fmt.Errorf("%w: task envelope over %d bytes", ErrBadEnvelope, maxEnvelope)
@@ -176,22 +173,29 @@ func DecodeTask(b []byte) (Task, error) {
 	if err := json.Unmarshal(b, &t); err != nil {
 		return Task{}, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
 	}
-	if t.ID == "" || t.Workflow == "" {
-		return Task{}, fmt.Errorf("%w: task needs id and workflow", ErrBadEnvelope)
-	}
-	if t.Stage < 0 || t.Shard < 0 {
-		return Task{}, fmt.Errorf("%w: negative stage or shard index", ErrBadEnvelope)
-	}
-	if t.ContextHash == "" && t.Context == nil {
-		return Task{}, fmt.Errorf("%w: task needs a context hash or inline context", ErrBadEnvelope)
+	if err := t.validate(); err != nil {
+		return Task{}, err
 	}
 	return t, nil
 }
 
+func (t Task) validate() error {
+	if t.ID == "" || t.Workflow == "" {
+		return fmt.Errorf("%w: task needs id and workflow", ErrBadEnvelope)
+	}
+	if t.Stage < 0 || t.Shard < 0 {
+		return fmt.Errorf("%w: negative stage or shard index", ErrBadEnvelope)
+	}
+	if !blobstore.ValidHash(t.ContextHash) {
+		return fmt.Errorf("%w: task needs a SHA-256 context hash", ErrBadEnvelope)
+	}
+	return nil
+}
+
 // DecodeResult parses and validates a result envelope (the coordinator's
-// half; fuzzed in fuzz_test.go). The gob Output payload is decoded
-// separately by the coordinator so a duplicate result can be discarded
-// without paying for its decode.
+// POST /api/v2/fleet/result body; fuzzed in fuzz_test.go). The gob Output
+// payload is decoded separately by the coordinator so a duplicate result
+// can be discarded without paying for its decode.
 func DecodeResult(b []byte) (ResultRequest, error) {
 	if len(b) > maxEnvelope {
 		return ResultRequest{}, fmt.Errorf("%w: result envelope over %d bytes", ErrBadEnvelope, maxEnvelope)

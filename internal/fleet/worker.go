@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -177,26 +175,20 @@ func (wk *Worker) poll(ctx context.Context) (PollResponse, error) {
 }
 
 // execute runs one task through the shared executor path and reports the
-// result; executor errors travel back as task failures, never crash the
-// worker.
+// result; a malformed task and executor errors travel back as task
+// failures, never crash the worker.
 func (wk *Worker) execute(ctx context.Context, id string, t Task) {
-	out, records, err := wk.runTask(ctx, t)
+	out, elapsed, err := wk.runTask(ctx, t)
 	if ctx.Err() != nil {
 		return // shutting down: the coordinator's timeout re-queues the shard
 	}
-	res := ResultRequest{WorkerID: id, TaskID: t.ID}
-	if err != nil {
-		res.Error = err.Error()
-	} else {
-		enc, encErr := workflow.EncodeShard(out.shard)
-		if encErr != nil {
-			res.Error = encErr.Error()
-		} else {
-			res.Output = enc
-			res.Records = records
-		}
+	res := ResultRequest{WorkerID: id, TaskID: t.ID, ElapsedMS: float64(elapsed) / float64(time.Millisecond)}
+	if err == nil {
+		res.Output, err = workflow.EncodeShard(out)
 	}
-	res.ElapsedMS = float64(out.elapsed) / float64(time.Millisecond)
+	if err != nil {
+		res.Output, res.Error = nil, err.Error()
+	}
 	var ack ResultResponse
 	for attempt := 0; attempt < 3; attempt++ {
 		if err := wk.post(ctx, "/api/v2/fleet/result", res, &ack); err == nil {
@@ -214,38 +206,21 @@ func (wk *Worker) execute(ctx context.Context, id string, t Task) {
 	}
 }
 
-// taskOutput carries a transform's payload plus its observed duration.
-type taskOutput struct {
-	shard   workflow.StreamShard
-	elapsed time.Duration
-}
-
-func (wk *Worker) runTask(ctx context.Context, t Task) (taskOutput, int, error) {
+func (wk *Worker) runTask(ctx context.Context, t Task) (workflow.StreamShard, time.Duration, error) {
+	if err := t.validate(); err != nil {
+		return workflow.StreamShard{}, 0, err
+	}
 	prep, err := wk.prepare(ctx, t)
 	if err != nil {
-		return taskOutput{}, 0, err
+		return workflow.StreamShard{}, 0, err
 	}
-	if t.Shard >= prep.NumShards() {
-		return taskOutput{}, 0, fmt.Errorf("fleet: shard %d out of range: local split yields %d shards (coordinator/worker divergence)",
-			t.Shard, prep.NumShards())
-	}
-	start := time.Now()
-	out, records, err := prep.RunShard(ctx, t.Shard)
-	if err != nil {
-		return taskOutput{}, 0, err
-	}
-	return taskOutput{shard: out, elapsed: time.Since(start)}, records, nil
+	return prep.RunShard(ctx, t.Shard)
 }
 
-// prepare resolves the task's context dataset (inline, cache, or blob
-// fetch) and its prepared stage stream.
+// prepare resolves the task's context dataset (cache or blob fetch) and
+// its prepared stage stream.
 func (wk *Worker) prepare(ctx context.Context, t Task) (*workflow.StagePrep, error) {
 	key := t.ContextHash
-	var ds *workflow.Dataset
-	if len(t.Context) > 0 {
-		sum := sha256.Sum256(t.Context)
-		key = hex.EncodeToString(sum[:])
-	}
 	optsJSON, err := json.Marshal(t.Options)
 	if err != nil {
 		return nil, err
@@ -256,17 +231,12 @@ func (wk *Worker) prepare(ctx context.Context, t Task) (*workflow.StagePrep, err
 		wk.mu.Unlock()
 		return p, nil
 	}
-	ds = wk.blobs[key]
+	ds := wk.blobs[key]
 	wk.mu.Unlock()
 	if ds == nil {
-		var raw []byte
-		if len(t.Context) > 0 {
-			raw = t.Context
-		} else {
-			raw, err = wk.fetchBlob(ctx, t.ContextHash)
-			if err != nil {
-				return nil, err
-			}
+		raw, err := wk.fetchBlob(ctx, key)
+		if err != nil {
+			return nil, err
 		}
 		ds, err = workflow.DecodeDataset(raw)
 		if err != nil {

@@ -1,8 +1,10 @@
-// Package invariant is scanvet's analyzer suite: five go/analysis passes
+// Package invariant is scanvet's analyzer suite: four go/analysis passes
 // that mechanically enforce the platform's carry-forward invariants (see
-// ROADMAP.md and docs/ANALYSIS.md), so the contracts that keep local and
-// remote execution equivalent, cancellation prompt, telemetry visible
+// ROADMAP.md and docs/ANALYSIS.md), so the contracts that keep
+// cancellation prompt, the *Locked convention honest, telemetry visible
 // and the registry zero-copy survive refactors without relying on prose.
+// (Local==remote equivalence needs no analyzer: the engine drives every
+// stage stream, so no executor can own a second execution path.)
 //
 // The analyzers are deliberately per-package and intraprocedural — no
 // facts, no cross-package flow — which keeps them fast, deterministic and
@@ -25,7 +27,6 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		CtxPoll,
 		LockedCall,
-		StreamBarrier,
 		NoMutate,
 		FlushRead,
 	}

@@ -542,12 +542,9 @@ func (s *Server) execute(ctx context.Context, id int, spec jobSpec) (JobResult, 
 		ShardObserver: func(tool string, records int, elapsed time.Duration) {
 			s.metrics.shardSeconds.With(spec.wf.Family).Observe(elapsed.Seconds())
 		},
-	}
-	// Scatter to the fleet only when remote workers are actually registered:
-	// a workerless daemon keeps the engine's local pool. (A fleet that
-	// empties mid-run still falls back per stage via ErrNoWorkers.)
-	if s.fleet.ReadyWorkers() > 0 {
-		opts.ShardPool = s.fleet
+		// A fleet with no live workers answers ErrNoWorkers, and the engine
+		// runs that stage on its local pool.
+		ShardPool: s.fleet,
 	}
 	wres, err := s.platform.Engine().Run(ctx, spec.wf, in, opts)
 	if err != nil {

@@ -32,8 +32,9 @@
 //	                                   shards on a bounded worker pool,
 //	                                   per-shard timings logged back
 //	stage streams (streaming.go,       one Split/Transform/Gather per
-//	remote.go, wire.go)                scattering stage, run on the local
-//	                                   pool or on remote fleet workers
+//	wire.go)                           scattering stage, driven by the
+//	                                   engine on the local pool or on
+//	                                   remote fleet workers
 //	platform / rpc (internal/core,     core.Platform wraps the engine for
 //	internal/rpc)                      variant calling; scand exposes
 //	                                   "submit workflow by name" over HTTP
@@ -46,12 +47,14 @@
 // Engine.Run executes one stage at a time, each behind a barrier; the
 // parallelism is across a stage's shards. A scattering stage implements
 // StreamingExecutor: it exposes its scatter/transform/gather shape as a
-// StageStream and implements Execute through runStreamBarrier, which
-// splits the stage's input, runs every shard's Transform on the engine's
-// bounded worker pool — or, when the run carries a ShardPool, on fleet
-// workers — and gathers the outputs. A fleet worker rebuilds the same
-// stream from the stage's input and the coordinator-pinned options
-// (PrepareStageShards) and runs only Transform.
+// StageStream, and the engine drives it — Stream, Split, every shard's
+// Transform on the run's ShardPool (fleet workers) or on the engine's
+// bounded worker pool when there is none or it has no workers, then
+// Gather. The engine never calls a streaming executor's Execute, and it
+// logs every shard exactly once, with the elapsed time the pool that ran
+// it reports. A fleet worker rebuilds the same stream from the stage's
+// input and the coordinator-pinned options (PrepareStageShards) and runs
+// only Transform, through the same StagePrep.RunShard as the local pool.
 //
 // The stage contract, shared by the local pool and fleet workers:
 //
@@ -59,14 +62,14 @@
 //     StageEnv.RemoteOptions pins, so a worker's re-Split yields the
 //     coordinator's shards and a dispatch names only a shard index.
 //   - Transform must be safe for concurrent calls with distinct shard
-//     indices, must poll ctx inside long per-record loops, and must not
-//     call StageEnv.LogShard — its caller times and logs every shard.
+//     indices and must poll ctx inside long per-record loops; the engine
+//     times and logs every shard.
 //   - Gather must be deterministic in shard index order.
 //
 // # Determinism guarantee
 //
-// Local and remote execution produce identical results: streaming
-// executors implement Execute via runStreamBarrier, so the local pool and
+// Local and remote execution produce identical results by construction:
+// the engine alone drives every stage stream, so the local pool and
 // fleet workers run the exact same Split/Transform/Gather code and differ
 // only in where each shard runs. Because every Gather is deterministic in
 // shard index order and every Transform is a pure function of its input

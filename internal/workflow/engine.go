@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"scan/internal/align"
@@ -104,10 +103,10 @@ type RunOptions struct {
 	StageObserver func(StageResult)
 	// ShardObserver, when non-nil, is invoked for every completed shard
 	// with the stage's tool name, the records the shard processed and its
-	// wall time — the same observation LogShard feeds the knowledge base.
-	// It runs on the shard's worker goroutine (local pool or fleet result
-	// path), possibly concurrently across shards, so it must be cheap and
-	// thread-safe: scand points it at per-family latency histograms.
+	// wall time — the same observation the engine logs to the knowledge
+	// base. It runs on the engine's goroutine once the stage's shards have
+	// all completed (on the local pool or the ShardPool), so it must be
+	// cheap: scand points it at per-family latency histograms.
 	ShardObserver func(tool string, records int, elapsed time.Duration)
 	// Barrier is kept only for bench/, which sets it; nothing reads it.
 	//
@@ -118,8 +117,8 @@ type RunOptions struct {
 	// the engine's local goroutine pool. Each stage's input materializes
 	// before its shards dispatch, so a worker can rebuild the stage's
 	// stream from that input alone. The local pool stays the default and
-	// the equivalence reference; a pool reporting ErrNoWorkers falls back
-	// to it per stage.
+	// the equivalence reference; a pool reporting ErrNoWorkers (a fleet
+	// with no live workers) falls back to it per stage.
 	ShardPool ShardPool
 }
 
@@ -201,17 +200,12 @@ func (e *Engine) RunByName(ctx context.Context, name string, in *Dataset, opts R
 //
 // Stages run one at a time, each behind a barrier: a stage's scatter
 // starts only once the previous stage's output is whole. Parallelism is
-// per stage, across its shards (see doc.go).
+// per stage, across its shards (see doc.go). Run alone drives a
+// StreamingExecutor's stream: it calls Stream, Split, every shard's
+// Transform (locally or on the ShardPool) and Gather, never Execute.
 func (e *Engine) Run(ctx context.Context, w Workflow, in *Dataset, opts RunOptions) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
-	}
-	if in == nil {
-		return nil, ErrNilDataset
-	}
-	if in.Type != w.Consumes() {
-		return nil, fmt.Errorf("%w: workflow %s consumes %s, dataset is %s",
-			ErrTypeMismatch, w.Name, w.Consumes(), in.Type)
 	}
 	res := &Result{Workflow: w.Name}
 	ds := in
@@ -219,20 +213,17 @@ func (e *Engine) Run(ctx context.Context, w Workflow, in *Dataset, opts RunOptio
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		exec, ok := e.execs.Lookup(st.Tool, st.Name)
-		if !ok {
-			return nil, fmt.Errorf("workflow %s: %w for stage %q (tool %s)",
-				w.Name, ErrNoExecutor, st.Name, st.Tool)
+		exec, env, err := e.bindStage(w, i, ds, opts)
+		if err != nil {
+			return nil, err
 		}
-		if ds.Type != st.Consumes {
-			return nil, fmt.Errorf("%w: workflow %s stage %q consumes %s, dataset is %s",
-				ErrTypeMismatch, w.Name, st.Name, st.Consumes, ds.Type)
-		}
-		sr := StageResult{Stage: st.Name, Tool: st.Tool}
-		env := &StageEnv{engine: e, stage: st, index: i, opts: opts, result: &sr,
-			workflow: w.Name, input: ds}
 		start := time.Now()
-		out, err := exec.Execute(ctx, env, ds)
+		var out *Dataset
+		if sx, ok := exec.(StreamingExecutor); ok {
+			out, err = env.runStream(ctx, sx)
+		} else {
+			out, err = exec.Execute(ctx, env, ds)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("workflow %s: stage %q: %w", w.Name, st.Name, err)
 		}
@@ -244,23 +235,46 @@ func (e *Engine) Run(ctx context.Context, w Workflow, in *Dataset, opts RunOptio
 			return nil, fmt.Errorf("%w: workflow %s stage %q produced %s, catalogue declares %s",
 				ErrTypeMismatch, w.Name, st.Name, out.Type, st.Produces)
 		}
+		sr := env.result
 		sr.Elapsed = time.Since(start)
-		sr.Records = int(env.records.Load())
-		// LogShard only buffers: a stage the broker cannot price yet has its
+		sr.Records = env.records
+		// logShard only buffers: a stage the broker cannot price yet has its
 		// first telemetry folded in the background, for the next job's plan.
 		if e.kb != nil && sr.Records > 0 {
 			if _, ok := e.kb.StageRate(st.Tool, i); !ok {
 				e.kb.FoldSoon()
 			}
 		}
-		res.Stages = append(res.Stages, sr)
+		res.Stages = append(res.Stages, *sr)
 		if opts.StageObserver != nil {
-			opts.StageObserver(sr)
+			opts.StageObserver(*sr)
 		}
 		ds = out
 	}
 	res.Output = ds
 	return res, nil
+}
+
+// bindStage resolves stage i of w over its input: the executor lookup, the
+// input type check, and a fresh environment. Run and PrepareStageShards
+// share it, so a fleet worker binds a stage exactly as the coordinator did.
+func (e *Engine) bindStage(w Workflow, i int, in *Dataset, opts RunOptions) (StageExecutor, *StageEnv, error) {
+	st := w.Stages[i]
+	exec, ok := e.execs.Lookup(st.Tool, st.Name)
+	if !ok {
+		return nil, nil, fmt.Errorf("workflow %s: %w for stage %q (tool %s)",
+			w.Name, ErrNoExecutor, st.Name, st.Tool)
+	}
+	if in == nil {
+		return nil, nil, ErrNilDataset
+	}
+	if in.Type != st.Consumes {
+		return nil, nil, fmt.Errorf("%w: workflow %s stage %q consumes %s, dataset is %s",
+			ErrTypeMismatch, w.Name, st.Name, st.Consumes, in.Type)
+	}
+	env := &StageEnv{engine: e, stage: st, index: i, opts: opts,
+		result: &StageResult{Stage: st.Name, Tool: st.Tool}, workflow: w.Name, input: in}
+	return exec, env, nil
 }
 
 // StageEnv is the engine-provided execution environment handed to a
@@ -273,14 +287,13 @@ type StageEnv struct {
 	opts   RunOptions
 	result *StageResult
 	// workflow and input identify the stage for remote dispatch: the
-	// workflow name and the stage's materialized input dataset. Set only
-	// by Engine.Run (a worker's PrepareStageShards env never re-dispatches).
+	// workflow name and the stage's materialized input dataset.
 	workflow string
 	input    *Dataset
-	// records accumulates the stage's processed input records across
-	// concurrent shards (LogShard adds to it); the engine copies it onto
+	// records accumulates the stage's processed input records (logShard
+	// adds to it, on the engine's goroutine); the engine copies it onto
 	// the stage result once the stage completes.
-	records atomic.Int64
+	records int
 }
 
 // Options returns the run's tuning options.
@@ -288,9 +301,6 @@ func (env *StageEnv) Options() RunOptions { return env.opts }
 
 // Stage returns the catalogue stage being executed.
 func (env *StageEnv) Stage() Stage { return env.stage }
-
-// Workers returns the bounded pool width.
-func (env *StageEnv) Workers() int { return env.engine.workers }
 
 // minShardSeconds is the least predicted work per shard for the Data Broker
 // to split past its advised count: smaller shards cost more than they save.
@@ -346,13 +356,11 @@ func (env *StageEnv) RegionCount() int {
 	return env.engine.workers
 }
 
-// Pool runs fn(0..n-1) on the engine's bounded worker pool and records n
-// as the stage's scatter width. A cancelled context stops new shards from
-// being queued promptly (acquiring a pool slot selects on ctx.Done), the
-// first shard error or the cancellation is returned, and Pool always waits
-// for in-flight shards before returning.
-func (env *StageEnv) Pool(ctx context.Context, n int, fn func(int) error) error {
-	env.result.Shards = n
+// pool runs fn(0..n-1) on the engine's bounded worker pool. A cancelled
+// context stops new shards from being queued promptly (acquiring a pool
+// slot selects on ctx.Done), the first shard error or the cancellation is
+// returned, and pool always waits for in-flight shards before returning.
+func (env *StageEnv) pool(ctx context.Context, n int, fn func(int) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -390,17 +398,17 @@ queue:
 	return ctx.Err()
 }
 
-// LogShard feeds one shard's observed execution back into the knowledge
+// logShard feeds one shard's observed execution back into the knowledge
 // base, keyed by the stage's tool and position in the workflow — the
 // feedback loop that grows per-stage performance profiles. Observations go
 // through the knowledge base's batched ingestion buffer (LogRunAsync), so
-// concurrent shards do not serialize on the graph's write lock; they are
+// concurrent jobs do not serialize on the graph's write lock; they are
 // folded in batches and are guaranteed visible after knowledge.Base.Flush
 // or any flushing read (Query, FitStageModel, Export). Telemetry must
 // never fail an analysis, so errors (and a nil knowledge base) are
 // ignored.
-func (env *StageEnv) LogShard(records int, elapsed time.Duration) {
-	env.records.Add(int64(records))
+func (env *StageEnv) logShard(records int, elapsed time.Duration) {
+	env.records += records
 	if env.opts.ShardObserver != nil {
 		env.opts.ShardObserver(env.stage.Tool, records, elapsed)
 	}
@@ -416,23 +424,14 @@ func (env *StageEnv) LogShard(records int, elapsed time.Duration) {
 	})
 }
 
-// Workflow returns the running workflow's name ("" outside Engine.Run — a
-// ShardPool must not dispatch such envs).
+// Workflow returns the running workflow's name.
 func (env *StageEnv) Workflow() string { return env.workflow }
 
 // StageIndex returns the stage's position in the workflow chain.
 func (env *StageEnv) StageIndex() int { return env.index }
 
-// Input returns the stage's materialized input dataset (nil outside
-// Engine.Run).
+// Input returns the stage's materialized input dataset.
 func (env *StageEnv) Input() *Dataset { return env.input }
-
-// remoteable reports whether this env's stage may dispatch to a remote
-// shard pool: the stage must come from Engine.Run, so its input is
-// materialized and addressable.
-func (env *StageEnv) remoteable() bool {
-	return env.workflow != "" && env.input != nil
-}
 
 // RemoteOptions pins the run options a remote worker needs to rebuild this
 // stage's stream deterministically without a knowledge base: the shard

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"scan/internal/genomics"
 	"scan/internal/knowledge"
@@ -272,7 +273,7 @@ func TestCancellationStopsQueueing(t *testing.T) {
 	execs := NewExecutorRegistry()
 	if err := execs.Register("TestTool", "", executorFunc(
 		func(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-			err := env.Pool(ctx, 100, func(i int) error {
+			err := env.pool(ctx, 100, func(i int) error {
 				executed.Add(1)
 				cancel()
 				return nil
@@ -585,5 +586,136 @@ func TestStageObserverStopsWithRun(t *testing.T) {
 	}
 	if len(observed) != 1 || observed[0] != "ok" {
 		t.Fatalf("observed stages = %v, want [ok]", observed)
+	}
+}
+
+// drivenTool is a streaming stage whose Execute fails the test: Engine.Run
+// must drive its stream. It counts every stream call the engine makes.
+type drivenTool struct {
+	t                                *testing.T
+	stream, split, transform, gather atomic.Int32
+}
+
+func (d *drivenTool) Execute(context.Context, *StageEnv, *Dataset) (*Dataset, error) {
+	d.t.Error("Engine.Run called Execute on a streaming executor")
+	return nil, errors.New("Execute called")
+}
+
+func (d *drivenTool) Stream(*StageEnv, *Dataset) (StageStream, bool, error) {
+	d.stream.Add(1)
+	return d, true, nil
+}
+
+func (d *drivenTool) Split() ([]StreamShard, error) {
+	d.split.Add(1)
+	return []StreamShard{{Records: 5, Data: 0}, {Records: 5, Data: 1}, {Records: 5, Data: 2}}, nil
+}
+
+func (d *drivenTool) Transform(_ context.Context, _ int, in StreamShard) (StreamShard, error) {
+	d.transform.Add(1)
+	return in, nil
+}
+
+func (d *drivenTool) Gather(shards []StreamShard) (*Dataset, error) {
+	d.gather.Add(1)
+	for i, s := range shards {
+		if s.Data != i {
+			return nil, fmt.Errorf("shard %d gathered %v", i, s.Data)
+		}
+	}
+	return &Dataset{Type: BAM}, nil
+}
+
+// fakePool runs a stage's shards the way a fleet worker does — a fresh
+// PrepareStageShards from the stage's input and pinned options, then
+// RunShard — and reports a fixed elapsed time per shard. With err set it
+// refuses the stage instead.
+type fakePool struct {
+	calls atomic.Int32
+	err   error
+}
+
+const fakeElapsed = 7 * time.Millisecond
+
+func (p *fakePool) RunShards(ctx context.Context, env *StageEnv, shards []StreamShard) ([]StreamShard, []time.Duration, error) {
+	p.calls.Add(1)
+	if p.err != nil {
+		return nil, nil, p.err
+	}
+	prep, err := env.engine.PrepareStageShards(env.Workflow(), env.StageIndex(), env.Input(), env.RemoteOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	outs := make([]StreamShard, len(shards))
+	elapsed := make([]time.Duration, len(shards))
+	for i := range shards {
+		if outs[i], _, err = prep.RunShard(ctx, i); err != nil {
+			return nil, nil, err
+		}
+		elapsed[i] = fakeElapsed
+	}
+	return outs, elapsed, nil
+}
+
+// TestEngineDrivesTheStream: Engine.Run alone drives a streaming stage.
+// It calls Stream, Split, every Transform and Gather — on the local
+// pool, on a ShardPool, and locally again when that pool has no workers —
+// never Execute, and logs every shard exactly once with the elapsed time
+// of the pool that ran it. bench/'s stream decorators rely on this.
+func TestEngineDrivesTheStream(t *testing.T) {
+	w := Workflow{Name: "driven", Family: "genomic", Stages: []Stage{
+		{Name: "Drive", Tool: "Driven", Consumes: FASTQ, Produces: BAM, Parallelizable: true},
+	}}
+	for _, tc := range []struct {
+		name string
+		pool *fakePool
+		// streams counts Stream (and Split) calls: a remote pool re-prepares
+		// the stage, as a fleet worker does.
+		streams int32
+		remote  bool
+	}{
+		{name: "local-pool", streams: 1},
+		{name: "shard-pool", pool: &fakePool{}, streams: 2, remote: true},
+		{name: "no-workers-fallback", pool: &fakePool{err: fmt.Errorf("fleet: %w", ErrNoWorkers)}, streams: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := &drivenTool{t: t}
+			cat, execs := NewRegistry(), NewExecutorRegistry()
+			if err := cat.Register(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := execs.Register("Driven", "", d); err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(EngineOptions{Catalogue: cat, Executors: execs, Workers: 2})
+			var logged []time.Duration
+			opts := RunOptions{ShardObserver: func(tool string, records int, elapsed time.Duration) {
+				logged = append(logged, elapsed)
+			}}
+			if tc.pool != nil {
+				opts.ShardPool = tc.pool
+			}
+			res, err := e.Run(context.Background(), w, &Dataset{Type: FASTQ}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := [4]int32{d.stream.Load(), d.split.Load(), d.transform.Load(), d.gather.Load()}; got != [4]int32{tc.streams, tc.streams, 3, 1} {
+				t.Fatalf("Stream, Split, Transform, Gather calls = %v, want [%d %d 3 1]", got, tc.streams, tc.streams)
+			}
+			if tc.pool != nil && tc.pool.calls.Load() != 1 {
+				t.Fatalf("ShardPool called %d times, want 1", tc.pool.calls.Load())
+			}
+			if sr := res.Stages[0]; sr.Shards != 3 || sr.Records != 15 {
+				t.Fatalf("stage result = %+v, want 3 shards over 15 records", sr)
+			}
+			if len(logged) != 3 {
+				t.Fatalf("%d shards logged, want 3", len(logged))
+			}
+			for _, el := range logged {
+				if (el == fakeElapsed) != tc.remote {
+					t.Fatalf("logged elapsed %v; remote pool ran the shards: %v", logged, tc.remote)
+				}
+			}
+		})
 	}
 }

@@ -13,12 +13,12 @@ import (
 )
 
 // StageExecutor is one stage implementation: it transforms the stage's
-// whole input dataset into its output dataset, using the StageEnv for
-// scatter sizing, the bounded worker pool and per-shard telemetry. An
-// executor owns its own scatter/gather shape (record shards for aligners,
-// genomic regions for callers) because the correct split is tool-specific;
-// the engine owns everything around it. Executors must be stateless —
-// one instance serves concurrent runs.
+// whole input dataset into its output dataset. A scattering stage is a
+// StreamingExecutor instead: it owns its scatter/gather shape (record
+// shards for aligners, genomic regions for callers) because the correct
+// split is tool-specific, and the engine drives it — scatter sizing, the
+// bounded worker pool or fleet, per-shard telemetry. Executors must be
+// stateless — one instance serves concurrent runs.
 type StageExecutor interface {
 	Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error)
 }
@@ -81,12 +81,12 @@ func DefaultExecutors() *ExecutorRegistry {
 			panic(err)
 		}
 	}
-	must("BWA", "", alignExecutor{})
-	must("GATK", "UnifiedGenotyper", callExecutor{})
-	must("MuTect", "SomaticCall", callExecutor{})
-	must("GATK", "FusionScan", callExecutor{})
+	must("BWA", "", streamOnly{alignExecutor{}})
+	must("GATK", "UnifiedGenotyper", streamOnly{callExecutor{}})
+	must("MuTect", "SomaticCall", streamOnly{callExecutor{}})
+	must("GATK", "FusionScan", streamOnly{callExecutor{}})
 	must("GATK", "VariantFiltration", filterExecutor{})
-	must("GATK", "Quantify", quantifyExecutor{})
+	must("GATK", "Quantify", streamOnly{quantifyExecutor{}})
 	must("GATK", "MergeVCF", mergeVCFExecutor{})
 	// The GATK refinement stages between alignment and genotyping
 	// (duplicate marking, indel realignment, base recalibration) have
@@ -101,12 +101,12 @@ func DefaultExecutors() *ExecutorRegistry {
 		must("GATK", stage, identityExecutor{})
 	}
 	// The non-genomic families (executor_families.go): spectrum shards,
-	// image tiles and node-range partitions, each logging telemetry under
-	// its own tool name.
-	must("MaxQuant", "Quantify", spectralSearchExecutor{quantify: true})
-	must("GPM", "Search", spectralSearchExecutor{})
-	must("CellProfiler", "Profile", cellProfileExecutor{})
-	must("Cytoscape", "Integrate", integrateExecutor{})
+	// image tiles and node-range partitions, each logged under its own
+	// tool name.
+	must("MaxQuant", "Quantify", streamOnly{spectralSearchExecutor{quantify: true}})
+	must("GPM", "Search", streamOnly{spectralSearchExecutor{}})
+	must("CellProfiler", "Profile", streamOnly{cellProfileExecutor{}})
+	must("Cytoscape", "Integrate", streamOnly{integrateExecutor{}})
 	return r
 }
 
@@ -117,20 +117,10 @@ const ctxCheckInterval = 64
 
 // alignExecutor implements the BWA stages: scatter reads into
 // Data-Broker-sized shards, align each shard on the pool, gather the
-// per-shard outputs into one coordinate-sorted alignment set. Execute runs
-// its stream through runStreamBarrier, so the local pool and fleet workers
-// share one implementation.
+// per-shard outputs into one coordinate-sorted alignment set.
 type alignExecutor struct{}
 
-func (e alignExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-	st, _, err := e.Stream(env, in)
-	if err != nil {
-		return nil, err
-	}
-	return runStreamBarrier(ctx, env, st)
-}
-
-// Stream implements StreamingExecutor.
+// Stream implements streamer.
 func (alignExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	aligner, err := align.New(in.Reference, env.Options().Aligner)
 	if err != nil {
@@ -215,15 +205,7 @@ func (s *alignStream) Gather(shards []StreamShard) (*Dataset, error) {
 // materialized alignment set.
 type callExecutor struct{}
 
-func (e callExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-	st, _, err := e.Stream(env, in)
-	if err != nil {
-		return nil, err
-	}
-	return runStreamBarrier(ctx, env, st)
-}
-
-// Stream implements StreamingExecutor.
+// Stream implements streamer.
 func (callExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	return &callStream{env: env, in: in}, true, nil
 }
@@ -323,15 +305,7 @@ func (filterExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (
 // the RNA-seq expression workload.
 type quantifyExecutor struct{}
 
-func (e quantifyExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-	st, _, err := e.Stream(env, in)
-	if err != nil {
-		return nil, err
-	}
-	return runStreamBarrier(ctx, env, st)
-}
-
-// Stream implements StreamingExecutor.
+// Stream implements streamer.
 func (quantifyExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	return &quantifyStream{env: env, in: in}, true, nil
 }
@@ -399,7 +373,7 @@ func (mergeVCFExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset)
 	start := time.Now()
 	out := *in
 	out.Variants = genomics.MergeVariants(in.Variants)
-	env.LogShard(len(in.Variants), time.Since(start))
+	env.logShard(len(in.Variants), time.Since(start))
 	return &out, nil
 }
 

@@ -15,9 +15,10 @@ import (
 // This file binds the non-genomic data-process families of the paper's
 // Figure 1 to the engine. Each executor owns the scatter/gather shape its
 // tool family needs — spectrum shards for database search, image tiles for
-// segmentation, node-range partitions for network construction — and logs
-// per-shard telemetry under its tool name, so the Data Broker accumulates
-// performance profiles for every family, not just the GATK chain.
+// segmentation, node-range partitions for network construction — and the
+// engine logs its shards under its tool name, so the Data Broker
+// accumulates performance profiles for every family, not just the GATK
+// chain.
 
 // spectralSearchExecutor implements the proteomic stages (MaxQuant
 // Quantify, GPM Search): scatter spectra into Data-Broker-sized shards,
@@ -27,15 +28,7 @@ import (
 // quantification); in search mode it carries identification counts only.
 type spectralSearchExecutor struct{ quantify bool }
 
-func (e spectralSearchExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-	st, _, err := e.Stream(env, in)
-	if err != nil {
-		return nil, err
-	}
-	return runStreamBarrier(ctx, env, st)
-}
-
-// Stream implements StreamingExecutor.
+// Stream implements streamer.
 func (e spectralSearchExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	if len(in.PeptideDB.Peptides) == 0 {
 		return nil, false, errors.New("spectral search needs a peptide database")
@@ -113,15 +106,7 @@ type TileShard struct {
 // detected cell.
 type cellProfileExecutor struct{}
 
-func (e cellProfileExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-	st, _, err := e.Stream(env, in)
-	if err != nil {
-		return nil, err
-	}
-	return runStreamBarrier(ctx, env, st)
-}
-
-// Stream implements StreamingExecutor.
+// Stream implements streamer.
 func (cellProfileExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	return &cellStream{env: env, in: in}, true, nil
 }
@@ -199,15 +184,7 @@ type NodeRange struct {
 // Cytoscape-style network build.
 type integrateExecutor struct{}
 
-func (e integrateExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-	st, _, err := e.Stream(env, in)
-	if err != nil {
-		return nil, err
-	}
-	return runStreamBarrier(ctx, env, st)
-}
-
-// Stream implements StreamingExecutor.
+// Stream implements streamer.
 func (integrateExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	return &integrateStream{env: env, in: in}, true, nil
 }

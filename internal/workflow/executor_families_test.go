@@ -239,8 +239,8 @@ func TestIntegrateRangesBalancePairs(t *testing.T) {
 
 			// The stage cuts ⌈n/per⌉ ranges for a per-shard override.
 			per := max((n+k-1)/k, 1)
-			env := &StageEnv{engine: testEngine(t, 4), opts: RunOptions{ShardRecords: per}, result: &StageResult{}}
-			out, err := integrateExecutor{}.Execute(context.Background(), env, ds)
+			env := &StageEnv{engine: testEngine(t, 4), opts: RunOptions{ShardRecords: per}, result: &StageResult{}, input: ds}
+			out, err := env.runStream(context.Background(), streamOnly{integrateExecutor{}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,8 +353,8 @@ func TestCancellationInterruptsShardMidFlight(t *testing.T) {
 	t.Run("network-integrate", func(t *testing.T) {
 		ds := featureDataset(t, 300, 4, 28)
 		e := testEngine(t, 1)
-		env := &StageEnv{engine: e, opts: RunOptions{ShardRecords: 1000}, result: &StageResult{}}
-		_, err := integrateExecutor{}.Execute(newCountdownCtx(2), env, ds)
+		env := &StageEnv{engine: e, opts: RunOptions{ShardRecords: 1000}, result: &StageResult{}, input: ds}
+		_, err := env.runStream(newCountdownCtx(2), streamOnly{integrateExecutor{}})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}

@@ -17,10 +17,6 @@ type sizedTool struct {
 	perRecord time.Duration
 }
 
-func (s *sizedTool) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-	return runStreamBarrier(ctx, env, s)
-}
-
 func (s *sizedTool) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	return s, true, nil
 }
@@ -58,7 +54,7 @@ func TestCostOracleAnswersOnEngineTelemetry(t *testing.T) {
 		w.Stages = append(w.Stages, Stage{
 			Name: name, Tool: "Sized" + name, Consumes: FASTQ, Produces: FASTQ, Parallelizable: true,
 		})
-		if err := execs.Register("Sized"+name, "", &sizedTool{records: &records, perRecord: perRecord[i]}); err != nil {
+		if err := execs.Register("Sized"+name, "", streamOnly{&sizedTool{records: &records, perRecord: perRecord[i]}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +112,7 @@ func TestCostOracleAnswersOnEngineTelemetry(t *testing.T) {
 func TestFirstTelemetryReachesTheBroker(t *testing.T) {
 	records := 3
 	execs := NewExecutorRegistry()
-	if err := execs.Register("SizedOnce", "", &sizedTool{records: &records, perRecord: time.Millisecond}); err != nil {
+	if err := execs.Register("SizedOnce", "", streamOnly{&sizedTool{records: &records, perRecord: time.Millisecond}}); err != nil {
 		t.Fatal(err)
 	}
 	w := Workflow{Name: "sized-once", Family: "genomic", Stages: []Stage{
