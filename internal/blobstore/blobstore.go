@@ -10,13 +10,13 @@
 // no locality win from a mapping while an mmap'd slice would pin address
 // space per open blob.
 //
-// Reference counts are store metadata, not heap bookkeeping: each blob's
-// dataset reference count lives in a sibling "<hash>.ref" file, rewritten
-// atomically, so references survive a restart. Runtime pins (a job actively
-// reading a blob) are process-local and additionally hold a blob alive;
-// eviction is simply the release that drops both counts to zero, which
-// unlinks the chunk file. Opening a store sweeps orphaned temp files and
-// unreferenced blobs left by a crash.
+// Reference counts are process-local; the store keeps no record of who owns
+// a blob. That record is the owner's: after a restart the registry claims
+// the blobs its manifest lists with AddRef, then calls Sweep, which unlinks
+// every blob nobody claimed. At runtime the release that drops a blob's last
+// reference unlinks its file. Open itself clears only crash debris: temp
+// files from interrupted writes, and the per-blob ".ref" files earlier
+// versions of the store kept.
 package blobstore
 
 import (
@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -35,69 +34,49 @@ import (
 // ErrNoBlob reports an unknown blob hash.
 var ErrNoBlob = errors.New("blobstore: no such blob")
 
-// Store is a directory of content-addressed blobs with durable refcounts.
-// Safe for concurrent use.
+// Store is a directory of content-addressed blobs with process-local
+// refcounts. Safe for concurrent use.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
-	refs map[string]int // durable dataset references, mirrored in .ref files
-	pins map[string]int // process-local pins; never persisted
+	refs map[string]int
 }
 
-// Open opens (creating if needed) the blob store rooted at dir and recovers
-// its metadata: refcount files are loaded, orphaned temp files from
-// interrupted writes are removed, and blobs whose reference count is zero —
-// including blobs missing their .ref file entirely — are swept, so a crash
-// between ingest and the owner taking its reference cannot leak disk.
+// Open opens (creating if needed) the blob store rooted at dir, removing
+// temp files left by interrupted writes and leftover ".ref" files. Blob files
+// are kept until Sweep: a fresh Store holds no references, so its owner
+// claims what it still needs first.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blobstore: %w", err)
 	}
-	s := &Store{dir: dir, refs: make(map[string]int), pins: make(map[string]int)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("blobstore: %w", err)
 	}
-	present := map[string]bool{}
 	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
+		if name := e.Name(); strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".ref") {
 			_ = os.Remove(filepath.Join(dir, name))
-		case strings.HasSuffix(name, ".ref"):
-			hash := strings.TrimSuffix(name, ".ref")
-			if !ValidHash(hash) {
-				continue
-			}
-			raw, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				continue
-			}
-			if n, err := strconv.Atoi(strings.TrimSpace(string(raw))); err == nil && n > 0 {
-				s.refs[hash] = n
-			}
-		case ValidHash(name):
-			present[name] = true
 		}
 	}
-	// Sweep: a blob without a positive refcount is unowned (crash between
-	// ingest and AddRef, or between the last Release and the unlink); a
-	// refcount without its blob is stale metadata. The store is not yet
-	// published, but removeLocked's contract wants the mutex regardless.
+	return &Store{dir: dir, refs: make(map[string]int)}, nil
+}
+
+// Sweep unlinks every blob file that holds no reference. Called once the
+// owner has claimed its blobs after Open, it reclaims bytes ingested just
+// before a crash and blobs whose owner let them go.
+func (s *Store) Sweep() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for hash := range present {
-		if s.refs[hash] == 0 {
-			s.removeLocked(hash)
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if name := e.Name(); ValidHash(name) && s.refs[name] == 0 {
+			_ = os.Remove(s.blobPath(name))
 		}
 	}
-	for hash := range s.refs {
-		if !present[hash] {
-			delete(s.refs, hash)
-			_ = os.Remove(s.refPath(hash))
-		}
-	}
-	return s, nil
 }
 
 // Dir returns the store's root directory.
@@ -120,7 +99,6 @@ func ValidHash(hash string) bool {
 }
 
 func (s *Store) blobPath(hash string) string { return filepath.Join(s.dir, hash) }
-func (s *Store) refPath(hash string) string  { return filepath.Join(s.dir, hash+".ref") }
 
 // Write streams r into the store and returns the blob's hash and size,
 // holding one reference for the caller (pass ownership on with AddRef /
@@ -174,104 +152,43 @@ func (s *Store) Ingest(path, hash string) error {
 	} else if err := os.Rename(path, s.blobPath(hash)); err != nil {
 		return fmt.Errorf("blobstore: %w", err)
 	}
-	return s.setRefLocked(hash, s.refs[hash]+1)
+	s.refs[hash]++
+	return nil
 }
 
-// AddRef takes one durable reference on an existing blob.
+// AddRef takes one reference on an existing blob.
 func (s *Store) AddRef(hash string) error {
+	if !ValidHash(hash) {
+		return fmt.Errorf("%w: %q", ErrNoBlob, hash)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := os.Stat(s.blobPath(hash)); err != nil {
 		return fmt.Errorf("%w: %q", ErrNoBlob, hash)
 	}
-	return s.setRefLocked(hash, s.refs[hash]+1)
-}
-
-// Release drops one durable reference. The blob is unlinked once no
-// references and no pins remain — eviction is exactly this edge. Unknown
-// hashes are a no-op so release-after-crash-sweep stays safe.
-func (s *Store) Release(hash string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.refs[hash]
-	if !ok {
-		return
-	}
-	if n > 1 {
-		_ = s.setRefLocked(hash, n-1)
-		return
-	}
-	delete(s.refs, hash)
-	_ = os.Remove(s.refPath(hash))
-	if s.pins[hash] == 0 {
-		s.removeLocked(hash)
-	}
-}
-
-// Pin marks a blob as actively read by this process (a pinned blob is never
-// unlinked even if every durable reference is released mid-read). Pair with
-// Unpin.
-func (s *Store) Pin(hash string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pins[hash]++
-}
-
-// Unpin drops one pin, completing a deferred eviction if the last durable
-// reference went away while the blob was pinned.
-func (s *Store) Unpin(hash string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pins[hash] <= 1 {
-		delete(s.pins, hash)
-	} else {
-		s.pins[hash]--
-	}
-	if s.refs[hash] == 0 && s.pins[hash] == 0 {
-		s.removeLocked(hash)
-	}
-}
-
-// setRefLocked persists a refcount through an atomic rewrite of the .ref
-// file, keeping the in-memory mirror consistent. The caller holds s.mu.
-func (s *Store) setRefLocked(hash string, n int) error {
-	tmp := s.refPath(hash) + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.Itoa(n)), 0o644); err != nil {
-		return fmt.Errorf("blobstore: %w", err)
-	}
-	if err := os.Rename(tmp, s.refPath(hash)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("blobstore: %w", err)
-	}
-	s.refs[hash] = n
+	s.refs[hash]++
 	return nil
 }
 
-// removeLocked unlinks a blob's files best-effort. The caller holds s.mu.
-func (s *Store) removeLocked(hash string) {
-	_ = os.Remove(s.blobPath(hash))
-	_ = os.Remove(s.refPath(hash))
+// Release drops one reference; dropping the last unlinks the blob. Open
+// Blobs stay readable (POSIX unlink semantics). Unknown hashes are a no-op.
+func (s *Store) Release(hash string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch n := s.refs[hash]; {
+	case n > 1:
+		s.refs[hash] = n - 1
+	case n == 1:
+		delete(s.refs, hash)
+		_ = os.Remove(s.blobPath(hash))
+	}
 }
 
-// Refs reports a blob's durable reference count (0 for unknown blobs).
+// Refs reports a blob's reference count (0 for unknown blobs).
 func (s *Store) Refs(hash string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.refs[hash]
-}
-
-// Hashes returns every referenced blob hash, in no particular order. Owners
-// use it on startup to reconcile their own metadata against the store —
-// releasing references a crash orphaned (e.g. an upload session that was
-// ingested but never promoted).
-func (s *Store) Hashes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.refs))
-	for hash := range s.refs {
-		out = append(out, hash)
-	}
-	return out
 }
 
 // Len reports resident blobs and their summed sizes.

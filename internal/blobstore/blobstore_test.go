@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -87,32 +88,15 @@ func TestDedupAndRefcountLifecycle(t *testing.T) {
 	if _, err := s.Get(hash); err == nil {
 		t.Fatal("blob survived its last release")
 	}
-	if _, err := os.Stat(filepath.Join(dir, hash+".ref")); !os.IsNotExist(err) {
-		t.Fatal("ref file survived eviction")
+	if got := dirNames(t, dir); len(got) != 0 {
+		t.Fatalf("files after eviction = %v", got)
 	}
 }
 
-func TestPinDefersEviction(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, _, err := s.Write(strings.NewReader("pinned"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Pin(hash)
-	s.Release(hash) // last durable ref, but pinned
-	if _, err := s.Get(hash); err != nil {
-		t.Fatalf("pinned blob evicted: %v", err)
-	}
-	s.Unpin(hash)
-	if _, err := s.Get(hash); err == nil {
-		t.Fatal("unpinned zero-ref blob not evicted")
-	}
-}
-
-func TestOpenRecoversRefsAndSweepsOrphans(t *testing.T) {
+// TestOpenClearsCrashDebris: Open removes interrupted writes and the
+// ".ref" files earlier stores kept, but leaves every blob file for the
+// owner to claim — a fresh store holds no references.
+func TestOpenClearsCrashDebris(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -122,19 +106,40 @@ func TestOpenRecoversRefsAndSweepsOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddRef(hash); err != nil {
+	for _, name := range []string{"ingest-zz.tmp", hash + ".ref", hash + ".ref.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("3"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash debris: a temp spool, an unreferenced blob, a stale ref file.
-	orphan := strings.Repeat("0", 63) + "a"
-	if err := os.WriteFile(filepath.Join(dir, orphan), []byte("junk"), 0o644); err != nil {
+	if got := s2.Refs(hash); got != 0 {
+		t.Fatalf("reopened refs = %d, want 0 (refcounts are process-local)", got)
+	}
+	if got := dirNames(t, dir); len(got) != 1 || got[0] != hash {
+		t.Fatalf("files after Open = %v, want only the blob", got)
+	}
+}
+
+// TestSweepUnlinksUnclaimedBlobs: after Open, the blobs the owner claims
+// survive Sweep and every other blob file goes.
+func TestSweepUnlinksUnclaimedBlobs(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "ingest-zz.tmp"), []byte("junk"), 0o644); err != nil {
+	keep, _, err := s.Write(strings.NewReader("claimed"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	stale := strings.Repeat("1", 63) + "b"
-	if err := os.WriteFile(filepath.Join(dir, stale+".ref"), []byte("3"), 0o644); err != nil {
+	if _, _, err := s.Write(strings.NewReader("orphaned")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "uploads"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,21 +147,33 @@ func TestOpenRecoversRefsAndSweepsOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Refs(hash); got != 2 {
-		t.Fatalf("recovered refs = %d, want 2", got)
+	if err := s2.AddRef(keep); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s2.Get(hash); err != nil {
-		t.Fatalf("referenced blob swept: %v", err)
+	if err := s2.AddRef(strings.Repeat("0", 64)); !errors.Is(err, ErrNoBlob) {
+		t.Fatalf("AddRef of a missing blob: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, orphan)); !os.IsNotExist(err) {
-		t.Fatal("unreferenced blob not swept")
+	s2.Sweep()
+	if got := dirNames(t, dir); len(got) != 2 || got[0] != keep || got[1] != "uploads" {
+		t.Fatalf("files after Sweep = %v, want the claimed blob and the uploads dir", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "ingest-zz.tmp")); !os.IsNotExist(err) {
-		t.Fatal("temp spool not swept")
+	s2.Release(keep)
+	if got := dirNames(t, dir); len(got) != 1 {
+		t.Fatalf("files after the last release = %v", got)
 	}
-	if got := s2.Refs(stale); got != 0 {
-		t.Fatalf("stale ref survived: %d", got)
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 func TestRejectsBadHashes(t *testing.T) {
@@ -190,12 +207,10 @@ func TestConcurrentWriteReleaseRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				s.Pin(hash)
 				if b, err := s.Get(hash); err == nil {
 					_, _ = io.ReadAll(b.Reader())
 					b.Close()
 				}
-				s.Unpin(hash)
 				s.Release(hash)
 			}
 		}()

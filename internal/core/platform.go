@@ -56,13 +56,8 @@ type Options struct {
 	// tests use it to inject stages with controlled blocking behavior when
 	// proving cancellation propagates into a running workflow.
 	Executors *workflow.ExecutorRegistry
-	// Datasets overrides the platform's dataset registry (default: a fresh
-	// store with registry defaults). scand sizes it from flags. Mutually
-	// exclusive with DataDir's registry wiring — when both are given, the
-	// provided store wins and only the knowledge base becomes durable.
-	Datasets *registry.Store
-	// Registry configures the dataset store built when Datasets is nil;
-	// DataDir's blob-store wiring is layered on top of it.
+	// Registry bounds the platform's dataset store (scand sizes it from
+	// flags); DataDir's blob-store wiring is layered on top of it.
 	Registry registry.Options
 	// DataDir, when set, roots the platform's durable state: the blob store
 	// and dataset manifest under <dir>/blobs + <dir>/manifest.json (uploads
@@ -143,22 +138,15 @@ func OpenPlatform(opts Options) (*Platform, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("core: knowledge storage: %w", err)
 		}
-		if opts.Datasets == nil {
-			blobs, err := blobstore.Open(filepath.Join(opts.DataDir, "blobs"))
-			if err != nil {
-				return nil, fmt.Errorf("core: blob store: %w", err)
-			}
-			ro := opts.Registry
-			ro.Blobs = blobs
-			ro.Dir = opts.DataDir
-			if ro.Logf == nil {
-				ro.Logf = opts.Logf
-			}
-			opts.Datasets = registry.NewStore(ro)
+		blobs, err := blobstore.Open(filepath.Join(opts.DataDir, "blobs"))
+		if err != nil {
+			return nil, fmt.Errorf("core: blob store: %w", err)
 		}
-	}
-	if opts.Datasets == nil {
-		opts.Datasets = registry.NewStore(opts.Registry)
+		opts.Registry.Blobs = blobs
+		opts.Registry.Dir = opts.DataDir
+		if opts.Registry.Logf == nil {
+			opts.Registry.Logf = opts.Logf
+		}
 	}
 	engine := workflow.NewEngine(workflow.EngineOptions{
 		Catalogue:      catalogue,
@@ -171,7 +159,7 @@ func OpenPlatform(opts Options) (*Platform, error) {
 		kb:             opts.KB,
 		catalogue:      catalogue,
 		engine:         engine,
-		datasets:       opts.Datasets,
+		datasets:       registry.NewStore(opts.Registry),
 		workers:        opts.Workers,
 		recordsPerUnit: opts.RecordsPerUnit,
 	}, nil

@@ -8,7 +8,9 @@ package registry
 // its blob-store parts, re-decoded (rematerialized) on the next Resolve or
 // Pin. Dataset metadata persists in a manifest JSON next to the blobs, so a
 // restarted daemon resolves every committed dataset by id, name or content
-// hash, rematerializing payloads lazily.
+// hash, rematerializing payloads lazily. The manifest is also the one
+// durable record of which blobs are live: blob-store references are
+// process-local, and startup claims them again from the manifest.
 //
 // Pinning and eviction interplay: a pinned dataset (one referenced by an
 // unfinished job) is never spilled and never evicted, because jobs hold its
@@ -58,96 +60,6 @@ type storeManifest struct {
 }
 
 const manifestFile = "manifest.json"
-
-// PutDurable stores a dataset whose raw parts are already ingested into the
-// blob store (the upload-session commit path). Unlike Put it accepts
-// payloads larger than MaxBytes: the budget is enforced by spilling, not by
-// rejection, since the blob store holds the bytes either way. The blob
-// takes its own references on the parts; the caller's ingest references
-// remain the caller's to release.
-func (s *Store) PutDurable(name string, family Family, payload Payload, st Stats, parts []Part) (Dataset, error) {
-	if s.disk == nil {
-		return Dataset{}, fmt.Errorf("registry: store has no blob store attached")
-	}
-	if err := validateName(name); err != nil {
-		return Dataset{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.byName[name]; dup {
-		return Dataset{}, fmt.Errorf("%w: %q", ErrDuplicateName, name)
-	}
-	key := blobKey{family: family, hash: st.Hash}
-	b := s.blobs[key]
-	if b != nil {
-		b.refs++
-		s.deduped++
-	}
-	// The dataset-count bound still evicts; the byte budget spills instead.
-	for len(s.byID) >= s.maxN {
-		if !s.evictOldestLocked() {
-			if b != nil {
-				s.releaseBlobLocked(key, b)
-			}
-			return Dataset{}, fmt.Errorf("%w: every resident dataset is referenced by unfinished jobs", ErrStoreFull)
-		}
-	}
-	size := st.footprint()
-	if b == nil {
-		b = &blob{payload: payload, bytes: size, refs: 1}
-		if st.Hash != "" {
-			s.blobs[key] = b
-		}
-		s.total += size
-	}
-	if b.parts == nil {
-		// New blob — or an upgrade of a heap-only blob the plain Put path
-		// created: either way the blob now owns one store reference per part.
-		for i, p := range parts {
-			if err := s.disk.AddRef(p.Hash); err != nil {
-				for _, q := range parts[:i] {
-					s.disk.Release(q.Hash)
-				}
-				s.releaseBlobLocked(key, b)
-				return Dataset{}, err
-			}
-		}
-		b.parts = parts
-	}
-	id := fmt.Sprintf("ds-%d", s.next)
-	s.next++
-	e := &entry{
-		meta: Dataset{
-			ID:           id,
-			Name:         name,
-			Family:       family,
-			Hash:         st.Hash,
-			Records:      st.Records,
-			Bytes:        size,
-			HasReference: hasReferencePart(family, parts) || b.payload.Ref.Len() > 0,
-			Created:      s.now(),
-		},
-		blob: b,
-	}
-	s.byID[id] = e
-	s.byName[name] = id
-	s.order = append(s.order, id)
-	s.reclaimLocked()
-	s.persistLocked()
-	return e.meta, nil
-}
-
-func hasReferencePart(family Family, parts []Part) bool {
-	for _, p := range parts {
-		if family == Reference && p.Field == "data" {
-			return true
-		}
-		if p.Field == "reference" {
-			return true
-		}
-	}
-	return false
-}
 
 // reclaimLocked spills oldest-first until resident payload bytes fit the
 // budget. Only durable, unpinned, resident blobs qualify: a spilled blob's
@@ -268,29 +180,35 @@ func (s *Store) persistLocked() {
 	}
 }
 
-// loadManifest rebuilds dataset metadata from the manifest, dropping
-// entries whose parts did not survive (self-healing: a corrupt manifest
-// loads as empty, a missing blob drops its dataset), then reconciles the
-// blob store's durable refcounts against the rebuilt state, releasing
-// references nothing owns anymore — e.g. an upload ingested right before a
-// crash that never reached commit. Every rebuilt blob starts spilled;
-// payloads decode on first use. Called from NewStore before the store is
-// shared.
+// loadManifest rebuilds dataset metadata from the manifest — the one
+// durable record of which blobs are live. Each rebuilt blob claims its
+// parts in the blob store; a dataset whose part is missing
+// (blobstore.ErrNoBlob) is dropped, and a corrupt manifest loads as empty.
+// The blob store then sweeps every blob nobody claimed — e.g. an upload
+// ingested right before a crash that never reached commit. Every rebuilt
+// blob starts spilled; payloads decode on first use. Called from NewStore
+// before the store is shared.
 func (s *Store) loadManifest() {
+	// Claims a dropped dataset took are released only once every surviving
+	// dataset holds its own: releasing the last claim unlinks the blob.
+	var dropped []Part
+	defer func() {
+		for _, p := range dropped {
+			s.disk.Release(p.Hash)
+		}
+		s.disk.Sweep()
+	}()
 	raw, err := os.ReadFile(filepath.Join(s.dir, manifestFile))
 	if os.IsNotExist(err) {
-		s.reconcileDiskRefs()
 		return
 	}
 	if err != nil {
 		s.logf("registry: reading manifest: %v", err)
-		s.reconcileDiskRefs()
 		return
 	}
 	var m storeManifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		s.logf("registry: corrupt manifest, starting empty: %v", err)
-		s.reconcileDiskRefs()
 		return
 	}
 	if m.Next > s.next {
@@ -307,22 +225,16 @@ func (s *Store) loadManifest() {
 		if _, dup := s.byName[d.Name]; dup {
 			continue
 		}
-		complete := true
-		for _, p := range me.Parts {
-			if s.disk.Refs(p.Hash) == 0 {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			s.logf("registry: dropping dataset %s (%s): blob parts missing", d.ID, d.Name)
-			continue
-		}
 		key := blobKey{family: d.Family, hash: d.Hash}
 		b := s.blobs[key]
 		if b != nil {
 			b.refs++
 		} else {
+			if claimed, err := s.claim(me.Parts); err != nil {
+				s.logf("registry: dropping dataset %s (%s): %v", d.ID, d.Name, err)
+				dropped = append(dropped, claimed...)
+				continue
+			}
 			b = &blob{bytes: d.Bytes, refs: 1, parts: me.Parts, spilled: true}
 			if d.Hash != "" {
 				s.blobs[key] = b
@@ -332,33 +244,25 @@ func (s *Store) loadManifest() {
 		s.byName[d.Name] = d.ID
 		s.order = append(s.order, d.ID)
 	}
-	s.reconcileDiskRefs()
-}
-
-// reconcileDiskRefs drops blob-store references the rebuilt registry does
-// not own: each registry blob owns exactly one reference per part, so any
-// surplus is debris from a crash between an ingest and the matching commit
-// or release. Called from NewStore before the store is shared.
-func (s *Store) reconcileDiskRefs() {
-	want := map[string]int{}
-	seen := map[*blob]bool{}
-	for _, e := range s.byID {
-		if seen[e.blob] {
-			continue
-		}
-		seen[e.blob] = true
-		for _, p := range e.blob.parts {
-			want[p.Hash]++
-		}
-	}
-	for _, hash := range s.disk.Hashes() {
-		for extra := s.disk.Refs(hash) - want[hash]; extra > 0; extra-- {
-			s.disk.Release(hash)
-		}
+	if len(s.order) < len(m.Datasets) {
+		s.mu.Lock()
+		s.persistLocked() // record the healed state
+		s.mu.Unlock()
 	}
 }
 
-// validateName applies the Put name rules (shared with PutDurable).
+// claim takes one blob-store reference per part. On a missing part it
+// returns the parts it did claim along with the error.
+func (s *Store) claim(parts []Part) ([]Part, error) {
+	for i, p := range parts {
+		if err := s.disk.AddRef(p.Hash); err != nil {
+			return parts[:i], err
+		}
+	}
+	return nil, nil
+}
+
+// validateName applies the dataset name rules (shared with Create).
 func validateName(name string) error {
 	if name == "" {
 		return fmt.Errorf("registry: dataset needs a name")

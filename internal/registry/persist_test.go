@@ -1,8 +1,13 @@
 package registry
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +16,7 @@ import (
 )
 
 // durableStore builds a blob-store-backed registry in dir with the given
-// resident budget, plus an upload manager spooling next to it.
+// resident budget, plus an upload manager spooling under its blobs.
 func durableStore(t *testing.T, dir string, maxBytes int64) (*Store, *UploadManager) {
 	t.Helper()
 	bs, err := blobstore.Open(dir + "/blobs")
@@ -21,7 +26,6 @@ func durableStore(t *testing.T, dir string, maxBytes int64) (*Store, *UploadMana
 	s := NewStore(Options{MaxBytes: maxBytes, Blobs: bs, Dir: dir, Logf: t.Logf})
 	m, err := NewUploadManager(UploadConfig{
 		Store: s,
-		Dir:   dir + "/uploads",
 		LimitsFor: func(Family, string) Limits {
 			return Limits{MaxRecords: 100000, MaxBytes: 1 << 20}
 		},
@@ -60,6 +64,40 @@ func rowsBody(n int) string {
 	return b.String()
 }
 
+// assertBlobsMatchManifest checks the manifest is the one record of what is
+// durable: the blob files under dir are exactly its datasets' part hashes,
+// and no other file (such as a per-blob ".ref") sits beside them.
+func assertBlobsMatchManifest(t *testing.T, dir string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m storeManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, me := range m.Datasets {
+		for _, p := range me.Parts {
+			want[p.Hash] = true
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			got[e.Name()] = true
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("blob files %v, want the manifest's part hashes %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+}
+
 func TestDurablePutSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s, m := durableStore(t, dir, 1<<20)
@@ -76,6 +114,7 @@ func TestDurablePutSurvivesRestart(t *testing.T) {
 
 	// "Restart": reopen the blob store and registry over the same dir.
 	s2, _ := durableStore(t, dir, 1<<20)
+	assertBlobsMatchManifest(t, dir)
 	got, payload, err := s2.Resolve("sha256:" + meta.Hash)
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +205,7 @@ func TestDeleteReleasesBlobFiles(t *testing.T) {
 	}
 	// And the manifest no longer resurrects it.
 	s2, _ := durableStore(t, dir, 1<<20)
+	assertBlobsMatchManifest(t, dir)
 	if _, _, err := s2.Resolve("gone"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted dataset resurrected: %v", err)
 	}
@@ -177,7 +217,7 @@ func TestManifestSelfHealsMissingBlobs(t *testing.T) {
 	keep := uploadRows(t, m, "keep", 10)
 	lose := uploadRows(t, m, "lose", 20)
 	// Sabotage: delete the second dataset's blob out from under the store,
-	// ref file included, simulating disk damage.
+	// simulating disk damage.
 	s.mu.Lock()
 	loseParts := s.byID[lose.ID].blob.parts
 	s.mu.Unlock()
@@ -186,6 +226,7 @@ func TestManifestSelfHealsMissingBlobs(t *testing.T) {
 	}
 
 	s2, _ := durableStore(t, dir, 1<<20)
+	assertBlobsMatchManifest(t, dir)
 	if _, _, err := s2.Resolve("keep"); err != nil {
 		t.Fatalf("intact dataset lost: %v", err)
 	}
@@ -197,22 +238,130 @@ func TestManifestSelfHealsMissingBlobs(t *testing.T) {
 	}
 }
 
+// TestDroppedDatasetKeepsSharedParts: two datasets share a part (the same
+// reference genome) but not their reads. Losing the first one's reads blob
+// drops it at startup, and must not unlink the shared part the second
+// dataset still needs.
+func TestDroppedDatasetKeepsSharedParts(t *testing.T) {
+	dir := t.TempDir()
+	s, m := durableStore(t, dir, 1<<20)
+	var metas []Dataset
+	for i, reads := range []string{"@r1\nACGT\n+\nIIII\n", "@r2\nCGTA\n+\nIIII\n"} {
+		u, err := m.Create(fmt.Sprintf("sample%d", i), FASTQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, part := range [][2]string{{"reference", ">chr1\nACGTACGTACGTACGT\n"}, {"data", reads}} {
+			if _, err := u.Append(part[0], 0, strings.NewReader(part[1])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		meta, err := u.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas = append(metas, meta)
+	}
+	s.mu.Lock()
+	parts := s.byID[metas[0].ID].blob.parts
+	s.mu.Unlock()
+	for _, p := range parts {
+		if p.Field == "data" {
+			if err := os.Remove(filepath.Join(dir, "blobs", p.Hash)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	s2, _ := durableStore(t, dir, 1<<20)
+	if _, _, err := s2.Resolve(metas[0].ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("dataset with a lost part should drop, got %v", err)
+	}
+	if _, payload, err := s2.Resolve(metas[1].ID); err != nil || payload.Ref.Len() == 0 || len(payload.Reads) != 1 {
+		t.Fatalf("intact dataset sharing the reference part: %v", err)
+	}
+	assertBlobsMatchManifest(t, dir)
+}
+
 func TestReconcileReleasesOrphanedIngests(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := durableStore(t, dir, 1<<20)
-	// A crash between ingest and commit: a blob with a reference nothing in
-	// the manifest owns.
+	s, m := durableStore(t, dir, 1<<20)
+	uploadRows(t, m, "committed", 10)
+	// A crash between ingest and commit: a blob nothing in the manifest owns.
 	hash, _, err := s.Blobs().Write(strings.NewReader("orphaned upload bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Blobs().Refs(hash) != 1 {
-		t.Fatal("setup failed")
-	}
 	s2, _ := durableStore(t, dir, 1<<20)
-	if got := s2.Blobs().Refs(hash); got != 0 {
-		t.Fatalf("orphaned ingest survived reconcile: refs=%d", got)
+	if _, err := os.Stat(filepath.Join(s2.Blobs().Dir(), hash)); !os.IsNotExist(err) {
+		t.Fatalf("orphaned ingest survived the startup sweep: %v", err)
 	}
+	assertBlobsMatchManifest(t, dir)
+}
+
+// TestOpensRefFileLayout: a data dir written by a store that kept a
+// "<hash>.ref" refcount file beside every blob opens cleanly. The manifest
+// alone decides what is live: every dataset resolves, an unlisted blob is
+// swept despite its ref file, and no ref file remains.
+func TestOpensRefFileLayout(t *testing.T) {
+	dir := t.TempDir()
+	_, m := durableStore(t, dir, 1<<20)
+	var metas []Dataset
+	for _, name := range []string{"rows", "alias", "other"} {
+		n := 10
+		if name == "other" {
+			n = 12
+		}
+		metas = append(metas, uploadRows(t, m, name, n))
+	}
+	u, err := m.Create("spectra", MGF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, body := range map[string]string{"peptides": "prot pep 10.5\n", "spectra": "BEGIN IONS\n100.5\nEND IONS\n"} {
+		if _, err := u.Append(field, 0, strings.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgf, err := u.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas = append(metas, mgf)
+	blobs := filepath.Join(dir, "blobs")
+	orphan := strings.Repeat("0", 63) + "a"
+	files := map[string]string{orphan: "junk", orphan + ".ref": "1", strings.Repeat("1", 64) + ".ref": "3"}
+	entries, err := os.ReadDir(blobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() && e.Name() != orphan {
+			files[e.Name()+".ref"] = "2"
+		}
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(blobs, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, _ := durableStore(t, dir, 1<<20)
+	for _, meta := range metas {
+		for _, key := range []string{meta.ID, meta.Name, "sha256:" + meta.Hash} {
+			got, payload, err := s2.Resolve(key)
+			if err != nil {
+				t.Fatalf("Resolve(%q): %v", key, err)
+			}
+			if got.Records != meta.Records || len(payload.Features)+len(payload.Spectra) != meta.Records {
+				t.Fatalf("Resolve(%q) = %+v, want %d records", key, got, meta.Records)
+			}
+		}
+	}
+	if refs, _ := filepath.Glob(filepath.Join(blobs, "*.ref")); len(refs) != 0 {
+		t.Fatalf("ref files survived Open: %v", refs)
+	}
+	assertBlobsMatchManifest(t, dir)
 }
 
 func TestHashResolutionPicksOldest(t *testing.T) {

@@ -232,12 +232,22 @@ func NewStore(opts Options) *Store {
 	return s
 }
 
-// Put stores a decoded dataset under a unique name and returns its
-// metadata. The payload's Bytes/Hash/Records come from the decoder's
+// Put stores a decoded heap-only dataset under a unique name and returns
+// its metadata. The payload's Bytes/Hash/Records come from the decoder's
 // Stats. Oldest unpinned datasets are evicted to make room; if the new
 // dataset still cannot fit (every resident dataset is pinned, or it is
 // larger than the store bound on its own), Put returns ErrStoreFull.
 func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Dataset, error) {
+	return s.put(name, family, payload, st, nil)
+}
+
+// put is the one insert path. parts, when non-nil, are the dataset's raw
+// upload parts, already ingested into the blob store (the upload-session
+// commit): the byte bound then spills instead of rejecting, since the blob
+// store holds the bytes either way, and the blob takes its own reference
+// on each part — the caller's ingest references remain the caller's to
+// release.
+func (s *Store) put(name string, family Family, payload Payload, st Stats, parts []Part) (Dataset, error) {
 	// Names share a resolution namespace with ids and content hashes
 	// (Resolve prefers hashes, then ids), so id-shaped and "sha256:"-prefixed
 	// names are reserved. '/' would make the name unaddressable through the
@@ -251,7 +261,7 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 		return Dataset{}, fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
 	size := st.footprint()
-	if size > s.maxB {
+	if parts == nil && size > s.maxB {
 		return Dataset{}, fmt.Errorf("%w: %d bytes exceeds the %d-byte store bound", ErrStoreFull, size, s.maxB)
 	}
 	// Content dedup: an upload hashing identically to a resident blob of the
@@ -268,8 +278,8 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 		s.deduped++
 	}
 	// Retention-style reclamation: drop oldest unpinned entries until the
-	// new dataset fits both bounds.
-	for len(s.byID) >= s.maxN || s.total+addBytes > s.maxB {
+	// new dataset fits the count bound and, heap-only, the byte bound.
+	for len(s.byID) >= s.maxN || (parts == nil && s.total+addBytes > s.maxB) {
 		if !s.evictOldestLocked() {
 			if b != nil {
 				s.releaseBlobLocked(key, b)
@@ -284,6 +294,20 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 		}
 		s.total += size
 	}
+	if parts != nil && b.parts == nil {
+		// New blob — or an upgrade of a heap-only blob a plain Put created:
+		// either way the blob now owns one store reference per part.
+		for i, p := range parts {
+			if err := s.disk.AddRef(p.Hash); err != nil {
+				for _, q := range parts[:i] {
+					s.disk.Release(q.Hash)
+				}
+				s.releaseBlobLocked(key, b)
+				return Dataset{}, err
+			}
+		}
+		b.parts = parts
+	}
 	id := fmt.Sprintf("ds-%d", s.next)
 	s.next++
 	e := &entry{
@@ -294,7 +318,7 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 			Hash:         st.Hash,
 			Records:      st.Records,
 			Bytes:        size,
-			HasReference: b.payload.Ref.Len() > 0,
+			HasReference: payload.Ref.Len() > 0,
 			Created:      s.now(),
 		},
 		blob: b,
@@ -302,6 +326,7 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 	s.byID[id] = e
 	s.byName[name] = id
 	s.order = append(s.order, id)
+	s.reclaimLocked()
 	s.persistLocked()
 	return e.meta, nil
 }
@@ -326,13 +351,19 @@ func (s *Store) releaseBlobLocked(key blobKey, b *blob) {
 	}
 }
 
-// evictOldestLocked removes the oldest unpinned dataset; false when none
-// qualifies. Blobs with in-flight rematerializations (blob pins) count as
-// pinned: a resolver is about to hand their records out. The caller holds
-// s.mu.
+// removable reports whether e may leave the store: no unfinished job pins
+// it, and no pin on its blob — a job of a dedup alias, or an in-flight
+// rematerialization — would lose its records. A blob another dataset still
+// references outlives e, so only an unshared blob's pins hold e.
+func (e *entry) removable() bool {
+	return e.pins == 0 && (e.blob.pins == 0 || e.blob.refs > 1)
+}
+
+// evictOldestLocked removes the oldest removable dataset; false when none
+// qualifies. The caller holds s.mu.
 func (s *Store) evictOldestLocked() bool {
 	for _, id := range s.order {
-		if e := s.byID[id]; e != nil && e.pins == 0 && e.blob.pins == 0 {
+		if e := s.byID[id]; e != nil && e.removable() {
 			s.removeLocked(id)
 			s.evicted++
 			return true
@@ -469,11 +500,7 @@ func (s *Store) Delete(idOrName string) (Dataset, error) {
 	if err != nil {
 		return Dataset{}, err
 	}
-	if e.pins > 0 {
-		return Dataset{}, fmt.Errorf("%w: %q (%d)", ErrPinned, e.meta.ID, e.pins)
-	}
-	if e.blob.pins > 0 {
-		// An in-flight rematerialization is reading the blob's parts.
+	if !e.removable() {
 		return Dataset{}, fmt.Errorf("%w: %q (%d)", ErrPinned, e.meta.ID, e.blob.pins)
 	}
 	s.removeLocked(e.meta.ID)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"scan/internal/genomics"
+	"scan/internal/workflow"
 )
 
 var statsSeq int
@@ -97,6 +98,50 @@ func TestStoreEvictsOldestUnpinned(t *testing.T) {
 	if _, err := s.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDedupAliasOfPinnedDatasetIsRemovable: identical uploads alias one
+// blob, so a job pinning one alias leaves the blob pinned — but deleting or
+// evicting another alias only drops a reference, and must not be refused.
+func TestDedupAliasOfPinnedDatasetIsRemovable(t *testing.T) {
+	payload := Payload{Features: []workflow.Feature{{Name: "g0", Value: 1.5}}}
+	st := Stats{Records: 1, Bytes: 8, Hash: "same-bytes"}
+	aliasedStore := func(t *testing.T) *Store {
+		t.Helper()
+		s := NewStore(Options{MaxDatasets: 2})
+		for _, name := range []string{"a", "b"} {
+			if _, err := s.Put(name, FeatureTable, payload, st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.Pin("b"); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	stillResolves := func(t *testing.T, s *Store) {
+		t.Helper()
+		if _, p, err := s.Resolve("b"); err != nil || len(p.Features) != 1 || p.Features[0].Name != "g0" {
+			t.Fatalf("pinned alias b: %v, %d features", err, len(p.Features))
+		}
+	}
+	t.Run("delete", func(t *testing.T) {
+		s := aliasedStore(t)
+		if _, err := s.Delete("a"); err != nil {
+			t.Fatalf("Delete(a) with only alias b pinned: %v", err)
+		}
+		stillResolves(t, s)
+	})
+	t.Run("evict", func(t *testing.T) {
+		s := aliasedStore(t)
+		if _, err := s.Put("c", FeatureTable, Payload{}, testStats(1)); err != nil {
+			t.Fatalf("Put(c) at MaxDatasets 2 with only alias b pinned: %v", err)
+		}
+		if _, _, err := s.Resolve("a"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("unpinned alias a was not evicted: %v", err)
+		}
+		stillResolves(t, s)
+	})
 }
 
 func TestStoreByteBound(t *testing.T) {

@@ -10,9 +10,11 @@ package registry
 // *while* spooling, so that path keeps its exact streaming error behavior
 // and still converges on the same commit.
 //
-// Sessions are process-local: a restart sweeps the spool directory. What
-// survives a restart is committed datasets — the durable registry — not
-// half-finished uploads.
+// Sessions are process-local. A durable store's sessions spool under the
+// blob store's "uploads" directory (same filesystem, so commit ingests by
+// rename), which a restart sweeps; a heap-only store's sessions spool in a
+// private temp directory that Close removes. What survives a restart is
+// committed datasets — the durable registry — not half-finished uploads.
 
 import (
 	"crypto/sha256"
@@ -49,29 +51,31 @@ func (e *OffsetError) Error() string {
 	return fmt.Sprintf("registry: part %q is at offset %d", e.Field, e.Size)
 }
 
-// UploadConfig configures an UploadManager.
+// UploadConfig configures an UploadManager. Sessions spool under a durable
+// Store's blob directory, in "uploads", or else in a private temp directory
+// the manager removes on Close.
 type UploadConfig struct {
 	// Store is the destination registry.
 	Store *Store
-	// Dir is the spool directory (created, swept of leftovers). Spools are
-	// renamed into the blob store at commit, so Dir should share a
-	// filesystem with it; empty falls back to the blob store's directory or
-	// the OS temp dir.
-	Dir string
 	// LimitsFor returns the decode caps for one part. Required.
 	LimitsFor func(family Family, field string) Limits
-	// MaxSessions bounds concurrently open sessions (default 16).
-	MaxSessions int
-	// MaxParts bounds parts per session (default 4).
-	MaxParts int
 	// Logf receives spool-cleanup warnings (default: silent).
 	Logf func(format string, args ...any)
 }
+
+// Upload-session bounds. maxSessions leaves room for the one-shot dataset
+// POST, which rides a transient session per request; maxParts covers the
+// largest family (reference + data, peptides + spectra) with room to spare.
+const (
+	maxSessions = 64
+	maxParts    = 4
+)
 
 // UploadManager owns the open upload sessions. Safe for concurrent use.
 type UploadManager struct {
 	mu       sync.Mutex
 	cfg      UploadConfig
+	dir      string // spool directory
 	sessions map[string]*UploadSession
 	next     int
 }
@@ -118,8 +122,9 @@ type UploadStatus struct {
 	Parts   []PartStatus
 }
 
-// NewUploadManager builds a manager spooling into cfg.Dir, sweeping any
-// spool files a previous process left behind.
+// NewUploadManager builds a manager. A durable store's spool directory is
+// swept of the spool files a previous process left behind; a heap-only
+// store gets a fresh private one.
 func NewUploadManager(cfg UploadConfig) (*UploadManager, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("registry: upload manager needs a store")
@@ -127,33 +132,30 @@ func NewUploadManager(cfg UploadConfig) (*UploadManager, error) {
 	if cfg.LimitsFor == nil {
 		return nil, errors.New("registry: upload manager needs decode limits")
 	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 16
-	}
-	if cfg.MaxParts <= 0 {
-		cfg.MaxParts = 4
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.Dir == "" {
-		if cfg.Store.disk != nil {
-			cfg.Dir = filepath.Join(cfg.Store.disk.Dir(), "uploads")
-		} else {
-			cfg.Dir = filepath.Join(os.TempDir(), "scan-uploads")
+	m := &UploadManager{cfg: cfg, sessions: make(map[string]*UploadSession), next: 1}
+	if cfg.Store.disk == nil {
+		dir, err := os.MkdirTemp("", "scan-uploads-")
+		if err != nil {
+			return nil, fmt.Errorf("registry: %w", err)
 		}
+		m.dir = dir
+		return m, nil
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	m.dir = filepath.Join(cfg.Store.disk.Dir(), "uploads")
+	if err := os.MkdirAll(m.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
-	if names, err := filepath.Glob(filepath.Join(cfg.Dir, "*.part")); err == nil {
+	if names, err := filepath.Glob(filepath.Join(m.dir, "*.part")); err == nil {
 		for _, n := range names {
 			if err := os.Remove(n); err != nil {
 				cfg.Logf("registry: sweeping stale spool %s: %v", n, err)
 			}
 		}
 	}
-	return &UploadManager{cfg: cfg, sessions: make(map[string]*UploadSession), next: 1}, nil
+	return m, nil
 }
 
 // Create opens a validated session: the name must be registrable (shape and
@@ -183,7 +185,7 @@ func (m *UploadManager) Stage(name string, family Family) (*UploadSession, error
 func (m *UploadManager) stage(name string, family Family) (*UploadSession, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.sessions) >= m.cfg.MaxSessions {
+	if len(m.sessions) >= maxSessions {
 		return nil, fmt.Errorf("%w: %d open", ErrTooManyUploads, len(m.sessions))
 	}
 	u := &UploadSession{
@@ -230,8 +232,8 @@ func (m *UploadManager) List() []UploadStatus {
 	return out
 }
 
-// Close aborts every open session, deleting their spools. Called on server
-// shutdown.
+// Close aborts every open session, deleting their spools, and removes a
+// private spool directory. Called on server shutdown.
 func (m *UploadManager) Close() {
 	m.mu.Lock()
 	sessions := make([]*UploadSession, 0, len(m.sessions))
@@ -241,6 +243,9 @@ func (m *UploadManager) Close() {
 	m.mu.Unlock()
 	for _, u := range sessions {
 		u.Abort()
+	}
+	if m.cfg.Store.disk == nil {
+		os.RemoveAll(m.dir) // the private temp dir
 	}
 }
 
@@ -294,11 +299,11 @@ func (u *UploadSession) partLocked(field string) (*uploadPart, error) {
 	if !validUploadField(u.family, field) {
 		return nil, fmt.Errorf("unexpected part %q for family %q", field, u.family)
 	}
-	if len(u.parts) >= u.mgr.cfg.MaxParts {
-		return nil, fmt.Errorf("registry: more than %d parts", u.mgr.cfg.MaxParts)
+	if len(u.parts) >= maxParts {
+		return nil, fmt.Errorf("registry: more than %d parts", maxParts)
 	}
 	spool, err := os.OpenFile(
-		filepath.Join(u.mgr.cfg.Dir, fmt.Sprintf("%s-%s.part", u.id, field)),
+		filepath.Join(u.mgr.dir, fmt.Sprintf("%s-%s.part", u.id, field)),
 		os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
@@ -479,7 +484,7 @@ func (u *UploadSession) Commit() (Dataset, error) {
 		}
 		parts = append(parts, Part{Field: p.field, Hash: p.st.Hash, Bytes: p.st.Bytes, Records: p.st.Records})
 	}
-	meta, err := store.PutDurable(u.name, u.family, u.payload, combined, parts)
+	meta, err := store.put(u.name, u.family, u.payload, combined, parts)
 	for _, q := range parts {
 		// Release the ingest references: on success the blob owns its own.
 		store.disk.Release(q.Hash)

@@ -18,7 +18,6 @@ func heapManager(t *testing.T) (*Store, *UploadManager) {
 	s := NewStore(Options{})
 	m, err := NewUploadManager(UploadConfig{
 		Store: s,
-		Dir:   t.TempDir(),
 		LimitsFor: func(Family, string) Limits {
 			return Limits{MaxRecords: 1000, MaxBytes: 1 << 16}
 		},
@@ -26,6 +25,7 @@ func heapManager(t *testing.T) (*Store, *UploadManager) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(m.Close)
 	return s, m
 }
 
@@ -166,12 +166,12 @@ func TestUploadAbortRemovesSpools(t *testing.T) {
 	if _, err := u.Append("data", 0, strings.NewReader("g0 1.5\n")); err != nil {
 		t.Fatal(err)
 	}
-	spools, _ := filepath.Glob(filepath.Join(m.cfg.Dir, "*.part"))
+	spools, _ := filepath.Glob(filepath.Join(m.dir, "*.part"))
 	if len(spools) != 1 {
 		t.Fatalf("spools = %v", spools)
 	}
 	u.Abort()
-	spools, _ = filepath.Glob(filepath.Join(m.cfg.Dir, "*.part"))
+	spools, _ = filepath.Glob(filepath.Join(m.dir, "*.part"))
 	if len(spools) != 0 {
 		t.Fatalf("spools after abort = %v", spools)
 	}
@@ -184,7 +184,6 @@ func TestUploadByteCapMatchesDecoderWording(t *testing.T) {
 	s := NewStore(Options{})
 	m, err := NewUploadManager(UploadConfig{
 		Store: s,
-		Dir:   t.TempDir(),
 		LimitsFor: func(Family, string) Limits {
 			return Limits{MaxRecords: 1000, MaxBytes: 32}
 		},
@@ -192,6 +191,7 @@ func TestUploadByteCapMatchesDecoderWording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	u, err := m.Create("capped", FeatureTable)
 	if err != nil {
 		t.Fatal(err)
@@ -205,19 +205,25 @@ func TestUploadByteCapMatchesDecoderWording(t *testing.T) {
 
 func TestNewUploadManagerSweepsStaleSpools(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, "up-9-data.part")
+	stale := filepath.Join(dir, "blobs", "uploads", "up-9-data.part")
+	if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(stale, []byte("left by a dead process"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewUploadManager(UploadConfig{
-		Store:     NewStore(Options{}),
-		Dir:       dir,
-		LimitsFor: func(Family, string) Limits { return Limits{MaxRecords: 10, MaxBytes: 1 << 10} },
-	}); err != nil {
-		t.Fatal(err)
+	_, m := durableStore(t, dir, 1<<20)
+	if m.dir != filepath.Dir(stale) {
+		t.Fatalf("durable spool dir = %s, want %s", m.dir, filepath.Dir(stale))
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatal("stale spool survived manager startup")
+	}
+	// A heap-only store spools in a private directory Close removes.
+	_, heap := heapManager(t)
+	heap.Close()
+	if _, err := os.Stat(heap.dir); !os.IsNotExist(err) {
+		t.Fatalf("private spool dir %s survived Close: %v", heap.dir, err)
 	}
 }
 

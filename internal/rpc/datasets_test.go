@@ -351,7 +351,7 @@ func TestDatasetSubmitValidation(t *testing.T) {
 func TestSubmitEvictedDataset(t *testing.T) {
 	p := core.NewPlatform(core.Options{
 		Workers:  2,
-		Datasets: registry.NewStore(registry.Options{MaxDatasets: 1}),
+		Registry: registry.Options{MaxDatasets: 1},
 	})
 	c, _ := testServerOptions(t, p, ServerOptions{Executors: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -158,6 +158,18 @@ func TestRouteContract(t *testing.T) {
 		{"GET", "/api/v2/uploads/up-404/commit", "", 405, envV2},
 		{"GET", "/api/v2/jobs/abc/events", "", 400, envV2},
 		{"GET", "/api/v2/jobs/abc/bogus", "", 400, envV2},
+
+		// Unrouted paths under an API surface get that surface's 404
+		// envelope (appended rows): empty IDs and extra segments included.
+		{"GET", "/api/v2/jobs/", "", 404, envV2},
+		{"GET", "/api/v2/datasets/", "", 404, envV2},
+		{"GET", "/api/v2/blobs/a/b", "", 404, envV2},
+		{"POST", "/api/v2/fleet/bogus", "", 404, envV2},
+		{"GET", "/api/v2/other", "", 404, envV2},
+		{"GET", "/api/v1/jobs/", "", 404, envV1},
+		{"GET", "/api/v1/jobs/1/x", "", 404, envV1},
+		{"GET", "/api/v1/kb/bogus", "", 404, envV1},
+		{"GET", "/api/v1/other", "", 404, envV1},
 	}
 	for _, tc := range cases {
 		code, raw := rawRequest(t, c, tc.method, tc.path, tc.body)

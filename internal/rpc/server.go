@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -68,7 +67,6 @@ type Server struct {
 	logf      func(format string, args ...any)
 	fleet     *fleet.Coordinator
 	uploads   *registry.UploadManager
-	uploadTmp string           // private spool dir to remove on Close ("" if none)
 	tenants   *tenant.Registry // nil: v2 admission disabled
 	watchWTO  time.Duration    // per-write SSE deadline (0: disabled)
 	metrics   *serverMetrics
@@ -83,7 +81,7 @@ type Server struct {
 	// there — v1's state enum predates cancellation.
 	statDone, statFailed, statCanceled int
 	// uploadOwners maps open resumable-upload session IDs to the tenant
-	// that opened them (tenancy only; bounded by the manager's MaxSessions
+	// that opened them (tenancy only; bounded by the manager's session cap
 	// — recordUploadOwner prunes entries for dead sessions).
 	uploadOwners map[string]*tenant.State
 
@@ -155,23 +153,10 @@ func NewServerOptions(p *core.Platform, opts ServerOptions) *Server {
 		queue:        make(chan int, 1024),
 		stop:         cancel,
 	}
-	// Resumable upload sessions spool next to the blob store when the
-	// platform is durable (commit then promotes by rename); a heap-only
-	// platform gets a private temp spool removed on Close. MaxSessions is
-	// sized above the resumable default because the one-shot dataset POST
-	// also rides a (transient) session per request.
-	var spool string
-	if p.Datasets().Blobs() == nil {
-		if tmp, err := os.MkdirTemp("", "scan-uploads-"); err == nil {
-			spool, s.uploadTmp = tmp, tmp
-		}
-	}
 	uploads, err := registry.NewUploadManager(registry.UploadConfig{
-		Store:       p.Datasets(),
-		Dir:         spool,
-		LimitsFor:   uploadPartLimits,
-		MaxSessions: 64,
-		Logf:        opts.Logf,
+		Store:     p.Datasets(),
+		LimitsFor: uploadPartLimits,
+		Logf:      opts.Logf,
 	})
 	if err != nil {
 		// The spool directory is unusable; uploads (v2 sessions and the
@@ -216,13 +201,9 @@ func (s *Server) Close() {
 		}
 	}
 	s.mu.Unlock()
-	// Abort open upload sessions (their spools are process-local state) and
-	// drop a private spool directory if we created one.
+	// Abort open upload sessions (their spools are process-local state).
 	if s.uploads != nil {
 		s.uploads.Close()
-	}
-	if s.uploadTmp != "" {
-		os.RemoveAll(s.uploadTmp)
 	}
 	// Fold any run-log telemetry still buffered in the knowledge base, so
 	// exports taken after shutdown carry every completed job's telemetry.
@@ -241,7 +222,9 @@ func (s *Server) Handler() http.Handler {
 
 // routes is the daemon's route tables, keyed by the envelope each surface
 // speaks: the open ops endpoints; /api/v1, frozen and never authenticated;
-// /api/v2 behind tenant admission, plus the fleet's own table.
+// /api/v2 behind tenant admission, plus the fleet's own table. Each API
+// surface ends in a catch-all that answers its unrouted paths with a 404 in
+// that surface's envelope.
 func (s *Server) routes() map[route.Surface][]route.Route {
 	const get, post, put, del = http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete
 	return map[route.Surface][]route.Route{
@@ -258,6 +241,9 @@ func (s *Server) routes() map[route.Surface][]route.Route {
 			{Method: post, Pattern: "/api/v1/kb/query", Handler: s.handleQuery},
 			{Method: get, Pattern: "/api/v1/kb/profiles", Handler: s.handleProfiles},
 			{Method: get, Pattern: "/api/v1/kb/export", Handler: s.handleExport},
+			{Pattern: "/api/v1/", Handler: func(w http.ResponseWriter, r *http.Request) {
+				route.V1.Error(w, http.StatusNotFound, CodeNotFound, "no such resource")
+			}},
 		},
 		route.V2: append([]route.Route{
 			{Method: get, Pattern: "/api/v2/jobs", Admit: s.admit, Handler: s.handleV2List},
@@ -278,6 +264,7 @@ func (s *Server) routes() map[route.Surface][]route.Route {
 			{Method: del, Pattern: "/api/v2/uploads/{id}", Admit: s.admitUploads, Handler: s.abortUpload},
 			{Method: post, Pattern: "/api/v2/uploads/{id}/commit", Admit: s.admitUploads, Handler: s.commitUpload},
 			{Pattern: "/api/v2/uploads/{id}/{rest...}", Admit: s.admitUploads, Handler: noSuchResource},
+			{Pattern: "/api/v2/", Admit: s.admit, Handler: noSuchResource},
 		}, s.fleet.Routes()...),
 	}
 }

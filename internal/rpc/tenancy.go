@@ -181,7 +181,7 @@ func (s *Server) uploadOwner(id string) *tenant.State {
 
 // recordUploadOwner ties a session to the tenant that opened it, pruning
 // entries for sessions the manager no longer tracks (committed, aborted,
-// or expired server-side) so the map stays bounded by MaxSessions.
+// or expired server-side) so the map stays bounded by the manager's session cap.
 func (s *Server) recordUploadOwner(id string, st *tenant.State) {
 	if st == nil {
 		return
