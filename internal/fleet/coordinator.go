@@ -20,8 +20,31 @@ import (
 	"scan/internal/workflow"
 )
 
-// Options tunes a Coordinator. The zero value works: every knob has a
-// production default, and tests shrink the timing knobs.
+// The fleet's timing and retry constants.
+const (
+	// shardTimeout bounds one dispatch; past it the shard re-queues.
+	shardTimeout = 60 * time.Second
+	// maxAttempts bounds dispatches per shard, counting retries and
+	// straggler duplicates.
+	maxAttempts = 5
+	// stragglerAfter is the minimum age before a running dispatch is raced
+	// by a duplicate; stragglerFactor scales the stage's median completion
+	// time into the effective threshold.
+	stragglerAfter  = 2 * time.Second
+	stragglerFactor = 3
+	// workerExpiry is the heartbeat horizon: a worker silent for longer is
+	// lost and its dispatches re-queue.
+	workerExpiry = 10 * time.Second
+	// pollWait is how long an empty poll is held before it returns no
+	// task. It is well under workerExpiry, so a parked poll never outlives
+	// its worker's heartbeat.
+	pollWait = time.Second
+	// sweepEvery is the active-stage bookkeeping cadence: timeouts, lost
+	// workers, stragglers.
+	sweepEvery = 25 * time.Millisecond
+)
+
+// Options configures a Coordinator. The zero value works.
 type Options struct {
 	// Token, when non-empty, is required as `Authorization: Bearer <Token>`
 	// on the fleet control endpoints and the blob data plane.
@@ -32,36 +55,8 @@ type Options struct {
 	// Allocation selects the Table I resource-allocation policy, mapped
 	// onto idle-release horizons (scheduler.FleetAdvisor.IdleRelease).
 	Allocation scheduler.AllocationPolicy
-	// Baseline, HirePrice, DelayCostPerSec, Margin and StartupDelay feed
-	// the FleetAdvisor (zero: its defaults).
-	Baseline        int
-	HirePrice       float64
-	DelayCostPerSec float64
-	Margin          float64
-	StartupDelay    time.Duration
-	// ShardTimeout bounds one dispatch; past it the shard re-queues
-	// (default 60s).
-	ShardTimeout time.Duration
-	// MaxAttempts bounds dispatches per shard, counting retries and
-	// straggler duplicates (default 5).
-	MaxAttempts int
-	// StragglerAfter is the minimum age before a running dispatch can be
-	// raced by a duplicate (default 2s); StragglerFactor scales the stage's
-	// median completion time into the effective threshold (default 3).
-	StragglerAfter  time.Duration
-	StragglerFactor float64
-	// WorkerExpiry is the heartbeat horizon: a worker silent for longer is
-	// treated as lost and its dispatches re-queue (default 10s).
-	WorkerExpiry time.Duration
-	// PollWait is how long an empty poll is held before returning no task
-	// (default 1s).
-	PollWait time.Duration
-	// SweepEvery is the active-stage bookkeeping cadence: timeouts, lost
-	// workers, stragglers (default 25ms).
-	SweepEvery time.Duration
-	// MaxBlobs bounds the coordinator's cached context blobs (default 16;
-	// blobs referenced by active stages are never evicted).
-	MaxBlobs int
+	// Baseline is the FleetAdvisor's private-tier size (zero: its default).
+	Baseline int
 	// Blobs is the durable content-addressed store the dataset registry
 	// spills into. When set, blob GETs that miss the in-memory context
 	// cache fall back to it, so coordinator and workers share one
@@ -71,35 +66,14 @@ type Options struct {
 	Blobs *blobstore.Store
 	// Logf receives coordinator events (default: silent).
 	Logf func(format string, args ...any)
-	// Now is the clock (default time.Now; a test seam).
+	// Now is the clock every fleet decision reads: heartbeat expiry,
+	// dispatch timeouts, straggler races and idle release (default
+	// time.Now). Parking a poll and the sweep cadence stay on the wall
+	// clock, so a test that steps Now decides when each path fires.
 	Now func() time.Time
 }
 
 func (o Options) withDefaults() Options {
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 60 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 5
-	}
-	if o.StragglerAfter <= 0 {
-		o.StragglerAfter = 2 * time.Second
-	}
-	if o.StragglerFactor <= 0 {
-		o.StragglerFactor = 3
-	}
-	if o.WorkerExpiry <= 0 {
-		o.WorkerExpiry = 10 * time.Second
-	}
-	if o.PollWait <= 0 {
-		o.PollWait = time.Second
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = 25 * time.Millisecond
-	}
-	if o.MaxBlobs <= 0 {
-		o.MaxBlobs = 16
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -125,13 +99,12 @@ type Coordinator struct {
 	seq     int
 	taskSeq int
 	workers map[string]*workerState
-	order   []string // registration order, for stable rosters
-	queue   []*task
+	order   []string         // registration order, for stable rosters
+	queue   []*task          // shards still waiting for a worker
 	tasks   map[string]*task // dispatched and still routable
 	stages  map[*stageRun]struct{}
-	blobs   map[string][]byte
+	blobs   map[string][]byte // stage contexts, live while a stage pins them
 	blobRef map[string]int
-	blobAge []string
 	metrics Metrics
 	// lastDrain and gapSec observe the spacing of work bursts for the
 	// LongTermAdaptive idle-release horizon.
@@ -143,15 +116,8 @@ type Coordinator struct {
 func NewCoordinator(opts Options) *Coordinator {
 	opts = opts.withDefaults()
 	return &Coordinator{
-		opts: opts,
-		advisor: scheduler.FleetAdvisor{
-			Policy:          opts.Scaling,
-			Baseline:        opts.Baseline,
-			HirePrice:       opts.HirePrice,
-			DelayCostPerSec: opts.DelayCostPerSec,
-			Margin:          opts.Margin,
-			StartupDelaySec: opts.StartupDelay.Seconds(),
-		},
+		opts:    opts,
+		advisor: scheduler.FleetAdvisor{Policy: opts.Scaling, Baseline: opts.Baseline},
 		wake:    make(chan struct{}),
 		workers: make(map[string]*workerState),
 		tasks:   make(map[string]*task),
@@ -202,15 +168,6 @@ type task struct {
 	superseded bool
 }
 
-func (sr *stageRun) failLocked(err error) {
-	if sr.closed {
-		return
-	}
-	sr.closed = true
-	sr.err = err
-	close(sr.finished)
-}
-
 // RunShards implements workflow.ShardPool: publish the stage's input on
 // the data plane, enqueue one task per shard, and wait for first-wins
 // results while sweeping timeouts, lost workers and stragglers. A fleet
@@ -252,7 +209,8 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 	sr.estSec = env.EstimateShardCost(total/n, 1.0)
 
 	c.mu.Lock()
-	c.putBlobLocked(sr.spec.ContextHash, enc)
+	c.blobs[sr.spec.ContextHash] = enc
+	c.blobRef[sr.spec.ContextHash]++
 	c.stages[sr] = struct{}{}
 	c.metrics.RemoteStages++
 	now := c.opts.Now()
@@ -271,14 +229,15 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 	c.opts.Logf("fleet: stage %s[%d]: dispatching %d shards from blob %s (est %.3fs/shard)",
 		sr.spec.Workflow, sr.spec.Stage, n, sr.spec.ContextHash[:12], sr.estSec)
 
-	sweep := time.NewTicker(c.opts.SweepEvery)
+	sweep := time.NewTicker(sweepEvery)
 	defer sweep.Stop()
 wait:
 	for {
 		select {
 		case <-ctx.Done():
 			c.mu.Lock()
-			c.abortStageLocked(sr, ctx.Err())
+			c.failStageLocked(sr, ctx.Err())
+			c.cleanupStageLocked(sr)
 			c.mu.Unlock()
 			return nil, nil, ctx.Err()
 		case <-sr.finished:
@@ -316,7 +275,7 @@ func (c *Coordinator) FleetMetrics() Metrics {
 func (c *Coordinator) aliveLocked(now time.Time) int {
 	n := 0
 	for _, ws := range c.workers {
-		if now.Sub(ws.lastSeen) <= c.opts.WorkerExpiry {
+		if now.Sub(ws.lastSeen) <= workerExpiry {
 			n++
 		}
 	}
@@ -326,7 +285,7 @@ func (c *Coordinator) aliveLocked(now time.Time) int {
 func (c *Coordinator) engagedLocked(now time.Time) int {
 	n := 0
 	for _, ws := range c.workers {
-		if ws.engaged && now.Sub(ws.lastSeen) <= c.opts.WorkerExpiry {
+		if ws.engaged && now.Sub(ws.lastSeen) <= workerExpiry {
 			n++
 		}
 	}
@@ -351,13 +310,13 @@ func (c *Coordinator) enqueueLocked(t *task, redispatch bool) {
 	if sr.closed || sr.done[t.shard] {
 		return
 	}
-	if sr.attempts[t.shard] >= c.opts.MaxAttempts {
+	if sr.attempts[t.shard] >= maxAttempts {
 		if sr.outstanding[t.shard] == 0 {
 			err := sr.lastErr
 			if err == nil {
 				err = errors.New("fleet: dispatch attempts exhausted")
 			}
-			sr.failLocked(fmt.Errorf("fleet: shard %d failed after %d dispatches: %w",
+			c.failStageLocked(sr, fmt.Errorf("fleet: shard %d failed after %d dispatches: %w",
 				t.shard, sr.attempts[t.shard], err))
 		}
 		return
@@ -374,16 +333,6 @@ func (c *Coordinator) enqueueLocked(t *task, redispatch bool) {
 // workers (or workers the ScalingPolicy says to engage now) take the queue
 // head; everyone else waits.
 func (c *Coordinator) grantLocked(ws *workerState, now time.Time) *Task {
-	// Drop stale queue entries (their shard finished via another dispatch).
-	for len(c.queue) > 0 {
-		head := c.queue[0]
-		if head.sr.closed || head.sr.done[head.shard] {
-			head.sr.outstanding[head.shard]--
-			c.queue = c.queue[1:]
-			continue
-		}
-		break
-	}
 	if len(c.queue) == 0 {
 		c.maybeReleaseLocked(ws, now)
 		return nil
@@ -405,7 +354,7 @@ func (c *Coordinator) grantLocked(ws *workerState, now time.Time) *Task {
 	t.id = fmt.Sprintf("t%d", c.taskSeq)
 	t.worker = ws
 	t.dispatched = now
-	t.deadline = now.Add(c.opts.ShardTimeout)
+	t.deadline = now.Add(shardTimeout)
 	t.sr.attempts[t.shard]++
 	ws.inflight[t.id] = t
 	ws.lastWork = now
@@ -436,7 +385,7 @@ func (c *Coordinator) maybeReleaseLocked(ws *workerState, now time.Time) {
 // fleet is gone (the engine then falls back to its local pool).
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for _, ws := range c.workers {
-		if now.Sub(ws.lastSeen) <= c.opts.WorkerExpiry {
+		if now.Sub(ws.lastSeen) <= workerExpiry {
 			continue
 		}
 		if len(ws.inflight) > 0 {
@@ -464,7 +413,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		}
 		t.sr.outstanding[t.shard]--
 		if !t.sr.done[t.shard] {
-			t.sr.lastErr = fmt.Errorf("fleet: shard %d dispatch timed out after %s", t.shard, c.opts.ShardTimeout)
+			t.sr.lastErr = fmt.Errorf("fleet: shard %d dispatch timed out after %s", t.shard, shardTimeout)
 		}
 		c.enqueueLocked(&task{sr: t.sr, shard: t.shard}, true)
 	}
@@ -474,12 +423,8 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		if sr.closed {
 			continue
 		}
-		threshold := c.opts.StragglerAfter
-		if med := medianSeconds(sr.completions); med > 0 {
-			if t := time.Duration(c.opts.StragglerFactor * med * float64(time.Second)); t > threshold {
-				threshold = t
-			}
-		}
+		median := time.Duration(medianSeconds(sr.completions) * float64(time.Second))
+		threshold := max(stragglerAfter, stragglerFactor*median)
 		for _, t := range c.tasks {
 			if t.sr != sr || t.superseded || sr.done[t.shard] {
 				continue
@@ -494,12 +439,12 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 	}
 	if c.aliveLocked(now) == 0 {
 		for sr := range c.stages {
-			sr.failLocked(fmt.Errorf("%w: every fleet worker expired mid-stage", workflow.ErrNoWorkers))
+			c.failStageLocked(sr, fmt.Errorf("%w: every fleet worker expired mid-stage", workflow.ErrNoWorkers))
 		}
 	}
 	// Forget long-gone workers so the roster does not grow without bound.
 	for id, ws := range c.workers {
-		if now.Sub(ws.lastSeen) > 6*c.opts.WorkerExpiry && len(ws.inflight) == 0 {
+		if now.Sub(ws.lastSeen) > 6*workerExpiry && len(ws.inflight) == 0 {
 			delete(c.workers, id)
 			for i, oid := range c.order {
 				if oid == id {
@@ -511,23 +456,41 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 	}
 }
 
-// abortStageLocked fails sr and releases its coordinator-side state in
-// one step. A stageRun is guarded by c.mu, so the *Locked obligation
-// roots at the coordinator, not the run.
-func (c *Coordinator) abortStageLocked(sr *stageRun, err error) {
-	sr.failLocked(err)
-	c.cleanupStageLocked(sr)
+// failStageLocked closes sr with err and drops its queued shards. A
+// stageRun is guarded by c.mu, so the *Locked obligation roots at the
+// coordinator, not the run.
+func (c *Coordinator) failStageLocked(sr *stageRun, err error) {
+	if sr.closed {
+		return
+	}
+	sr.closed = true
+	sr.err = err
+	close(sr.finished)
+	c.unqueueLocked(sr, -1)
 }
 
-func (c *Coordinator) cleanupStageLocked(sr *stageRun) {
-	delete(c.stages, sr)
+// unqueueLocked drops sr's queued dispatches of one shard, or of every
+// shard when shard is negative, so the queue holds only shards still
+// waiting for a worker.
+func (c *Coordinator) unqueueLocked(sr *stageRun, shard int) {
 	kept := c.queue[:0]
 	for _, t := range c.queue {
-		if t.sr != sr {
-			kept = append(kept, t)
+		if t.sr == sr && (shard < 0 || t.shard == shard) {
+			sr.outstanding[t.shard]--
+			continue
 		}
+		kept = append(kept, t)
 	}
 	c.queue = kept
+}
+
+// cleanupStageLocked releases a finished stage's coordinator-side state:
+// its queued and dispatched shards, and its pin on the context blob. The
+// blob is dropped with its last pin; workers cache the decoded dataset by
+// hash, so no later fetch needs it.
+func (c *Coordinator) cleanupStageLocked(sr *stageRun) {
+	delete(c.stages, sr)
+	c.unqueueLocked(sr, -1)
 	for id, t := range c.tasks {
 		if t.sr != sr {
 			continue
@@ -537,8 +500,11 @@ func (c *Coordinator) cleanupStageLocked(sr *stageRun) {
 		}
 		delete(c.tasks, id)
 	}
-	c.blobRef[sr.spec.ContextHash]--
-	c.evictBlobsLocked()
+	hash := sr.spec.ContextHash
+	if c.blobRef[hash]--; c.blobRef[hash] == 0 {
+		delete(c.blobs, hash)
+		delete(c.blobRef, hash)
+	}
 	if len(c.queue) == 0 && len(c.tasks) == 0 {
 		c.lastDrain = c.opts.Now()
 	}
@@ -551,34 +517,6 @@ func medianSeconds(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return s[len(s)/2]
-}
-
-// putBlobLocked stores a context blob and pins it for one stage.
-func (c *Coordinator) putBlobLocked(hash string, b []byte) {
-	if _, ok := c.blobs[hash]; !ok {
-		c.blobs[hash] = b
-		c.blobAge = append(c.blobAge, hash)
-	}
-	c.blobRef[hash]++
-	c.evictBlobsLocked()
-}
-
-func (c *Coordinator) evictBlobsLocked() {
-	for len(c.blobAge) > c.opts.MaxBlobs {
-		evicted := false
-		for i, h := range c.blobAge {
-			if c.blobRef[h] <= 0 {
-				delete(c.blobs, h)
-				delete(c.blobRef, h)
-				c.blobAge = append(c.blobAge[:i], c.blobAge[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return // everything pinned by active stages
-		}
-	}
 }
 
 // --- HTTP surface -----------------------------------------------------
@@ -634,7 +572,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.order = append(c.order, id)
 	c.mu.Unlock()
 	c.opts.Logf("fleet: worker %s registered as %s (%s, %d slots)", name, id, r.RemoteAddr, req.Slots)
-	route.JSON(w, http.StatusOK, RegisterResponse{ID: id, PollWaitMS: int(c.opts.PollWait / time.Millisecond)})
+	route.JSON(w, http.StatusOK, RegisterResponse{ID: id})
 }
 
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
@@ -643,7 +581,9 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "bad poll body: %v", err)
 		return
 	}
-	deadline := time.Now().Add(c.opts.PollWait)
+	// The hold runs on the wall clock, not Options.Now.
+	timer := time.NewTimer(pollWait)
+	defer timer.Stop()
 	for {
 		c.mu.Lock()
 		ws, ok := c.workers[req.WorkerID]
@@ -661,29 +601,14 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			route.JSON(w, http.StatusOK, PollResponse{Task: t})
 			return
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			route.JSON(w, http.StatusOK, PollResponse{})
-			return
-		}
-		// Park at most half the worker expiry per wait: each loop
-		// iteration refreshes lastSeen, so a worker parked in a long-poll
-		// keeps heartbeating even when PollWait exceeds WorkerExpiry
-		// (otherwise the sweep expires an idle-but-connected worker
-		// mid-poll and the fleet looks empty).
-		park := remain
-		if beat := c.opts.WorkerExpiry / 2; beat > 0 && park > beat {
-			park = beat
-		}
-		timer := time.NewTimer(park)
 		select {
 		case <-wake:
 		case <-timer.C:
+			route.JSON(w, http.StatusOK, PollResponse{})
+			return
 		case <-r.Context().Done():
-			timer.Stop()
 			return
 		}
-		timer.Stop()
 	}
 }
 
@@ -761,6 +686,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sr.done[shard] = true
+	c.unqueueLocked(sr, shard) // a straggler duplicate no longer waits
 	sr.outs[shard] = out
 	sr.elaps[shard] = time.Duration(res.ElapsedMS * float64(time.Millisecond))
 	sr.completions = append(sr.completions, res.ElapsedMS/1000)
@@ -818,7 +744,7 @@ func (c *Coordinator) Snapshot() Roster {
 		}
 		state := "idle"
 		switch {
-		case now.Sub(ws.lastSeen) > c.opts.WorkerExpiry:
+		case now.Sub(ws.lastSeen) > workerExpiry:
 			state = "gone"
 		case ws.engaged:
 			state = "active"

@@ -20,8 +20,10 @@
 //
 // Dispatch is pull-based over HTTP (register, long-poll, result) with
 // per-shard timeout, bounded retry, and straggler re-dispatch: the first
-// result for a shard wins and duplicates are discarded idempotently.
-// Hire/release decisions route through scheduler.FleetAdvisor — the
+// result for a shard wins and duplicates are discarded idempotently. The
+// timing and retry values are constants; the coordinator's clock
+// (Options.Now) drives every fleet decision, while parking a poll and the
+// sweep cadence stay on the wall clock. Hire/release decisions route through scheduler.FleetAdvisor — the
 // Section III-A2 scaling economics over live queue depth and Data-Broker
 // fitted stage costs. See docs/FLEET.md for the protocol.
 package fleet

@@ -3,10 +3,11 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -92,10 +93,53 @@ func seededKB(t testing.TB) *knowledge.Base {
 	return kb
 }
 
+// manualClock is the coordinator's injected clock in tests. It stands
+// still until a test advances it, so no heartbeat expiry, dispatch
+// timeout, straggler race or idle release fires unless the test steps time
+// past it.
+type manualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+// logRecorder collects coordinator events, so a test can assert which
+// failure path fired.
+type logRecorder struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logRecorder) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+func (l *logRecorder) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return strings.Join(l.lines, "\n")
+}
+
+func (l *logRecorder) contains(sub string) bool { return strings.Contains(l.String(), sub) }
+
 // testFleet is an in-process coordinator with real workers attached over
-// loopback HTTP.
+// loopback HTTP. The coordinator reads a manual clock.
 type testFleet struct {
 	coord  *Coordinator
+	clock  *manualClock
 	server *httptest.Server
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -111,18 +155,14 @@ func startFleet(t testing.TB, copts Options, workers int) *testFleet {
 // coordinator.
 func startFleetWith(t testing.TB, copts Options, workers int, client *http.Client) *testFleet {
 	t.Helper()
-	if copts.SweepEvery == 0 {
-		copts.SweepEvery = 5 * time.Millisecond
-	}
-	if copts.PollWait == 0 {
-		copts.PollWait = 200 * time.Millisecond
-	}
+	clock := &manualClock{now: time.Now()}
+	copts.Now = clock.Now
 	coord := NewCoordinator(copts)
 	mux := http.NewServeMux()
 	route.Register(mux, route.V2, coord.Routes())
 	srv := httptest.NewServer(mux)
 	ctx, cancel := context.WithCancel(context.Background())
-	tf := &testFleet{coord: coord, server: srv, cancel: cancel}
+	tf := &testFleet{coord: coord, clock: clock, server: srv, cancel: cancel}
 	for i := 0; i < workers; i++ {
 		wk := NewWorker(WorkerOptions{
 			Coordinator: srv.URL,
@@ -358,15 +398,8 @@ func (fw *fakeWorker) pollUntilTask(timeout time.Duration) Task {
 // its dispatch to the heartbeat sweep; the shard re-queues and the
 // surviving worker completes the stage with no lost or duplicated results.
 func TestWorkerLossRedispatches(t *testing.T) {
-	tf := startFleet(t, Options{
-		Scaling: scheduler.AlwaysScale,
-		// Long enough that the healthy worker, silent while its first
-		// result is held below, outlives a loaded host's scheduling stalls.
-		WorkerExpiry: 500 * time.Millisecond,
-		// The sweep must attribute the loss to the dead worker, not a shard
-		// timeout.
-		ShardTimeout: time.Minute,
-	}, 0)
+	events := &logRecorder{}
+	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale, Logf: events.logf}, 0)
 
 	// The doomed worker registers first and parks a long-poll on the
 	// queue head.
@@ -413,11 +446,17 @@ func TestWorkerLossRedispatches(t *testing.T) {
 
 	// Take one shard and go silent: no result, no more polls. The shard
 	// is stranded until the heartbeat sweep expires the worker.
-	taken := dead.pollUntilTask(5 * time.Second)
-	if taken.ID == "" {
+	if taken := dead.pollUntilTask(5 * time.Second); taken.ID == "" {
 		t.Fatal("no task taken")
 	}
+	// One second on, short of stragglerAfter: every heartbeat the healthy
+	// worker sends from here is newer than the doomed worker's last.
+	tf.clock.advance(time.Second)
 	close(gate.open)
+	waitFor(t, 10*time.Second, func() bool { return tf.coord.FleetMetrics().Completed == 2 })
+	// The doomed worker's silence passes workerExpiry; the healthy
+	// worker's, a second shorter, does not.
+	tf.clock.advance(workerExpiry - time.Second/2)
 
 	got := <-done
 	if got.err != nil {
@@ -434,11 +473,14 @@ func TestWorkerLossRedispatches(t *testing.T) {
 		t.Fatal("output diverges after worker loss re-dispatch")
 	}
 	m := tf.coord.FleetMetrics()
-	if m.Redispatched == 0 {
-		t.Fatalf("metrics = %+v: the stranded shard never re-dispatched", m)
+	if m.Redispatched != 1 {
+		t.Fatalf("metrics = %+v: want exactly one re-dispatch, of the stranded shard", m)
 	}
 	if m.Completed != 3 {
 		t.Fatalf("completed = %d accepted shard results, want exactly 3 (no loss, no double-commit)", m.Completed)
+	}
+	if !events.contains("(doomed) lost with 1 shards in flight") || events.contains("straggling") {
+		t.Fatalf("re-dispatch not caused by the worker's expiry; events:\n%s", events)
 	}
 }
 
@@ -447,15 +489,8 @@ func TestWorkerLossRedispatches(t *testing.T) {
 // dispatch, the fast worker's result wins, and the straggler's late result
 // is discarded idempotently.
 func TestStragglerRacedAndLateResultDiscarded(t *testing.T) {
-	tf := startFleet(t, Options{
-		Scaling:         scheduler.AlwaysScale,
-		StragglerAfter:  100 * time.Millisecond,
-		StragglerFactor: 1,
-		// Neither the shard timeout nor worker expiry may fire first: the
-		// duplicate must come from the straggler race alone.
-		ShardTimeout: time.Minute,
-		WorkerExpiry: time.Minute,
-	}, 0)
+	events := &logRecorder{}
+	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale, Logf: events.logf}, 0)
 
 	slow := newFakeWorker(t, tf.server.URL, "slow")
 
@@ -473,28 +508,6 @@ func TestStragglerRacedAndLateResultDiscarded(t *testing.T) {
 
 	taken := slow.pollUntilTask(5 * time.Second)
 
-	// Keep the heartbeat fresh but never finish: with one slot and one
-	// inflight task the polls grant nothing, they just prove liveness.
-	stop := make(chan struct{})
-	var hb sync.WaitGroup
-	hb.Add(1)
-	go func() {
-		defer hb.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(20 * time.Millisecond):
-				var resp PollResponse
-				slow.post("/api/v2/fleet/poll", PollRequest{WorkerID: slow.id}, &resp)
-				if resp.Task != nil {
-					fw := resp.Task
-					_ = fw // one slot, one inflight: never granted
-				}
-			}
-		}
-	}()
-
 	wctx, wcancel := context.WithCancel(context.Background())
 	defer wcancel()
 	wk := NewWorker(WorkerOptions{Coordinator: tf.server.URL, Name: "fast", Slots: 1, Logf: t.Logf})
@@ -504,36 +517,26 @@ func TestStragglerRacedAndLateResultDiscarded(t *testing.T) {
 	defer wg.Wait()
 	defer wcancel()
 
+	// The fast worker drains the other shards. Then the slow shard's age
+	// passes the straggler threshold (stragglerAfter, or three times the
+	// fast shards' median) while staying short of workerExpiry and
+	// shardTimeout: the duplicate can come from the straggler race alone.
+	waitFor(t, 10*time.Second, func() bool { return tf.coord.FleetMetrics().Completed == 2 })
+	tf.clock.advance(workerExpiry / 2)
+
 	got := <-done
-	close(stop)
-	hb.Wait()
 	if got.err != nil {
 		t.Fatalf("run with straggler: %v", got.err)
 	}
-	m := tf.coord.FleetMetrics()
-	if m.Redispatched == 0 {
-		t.Fatalf("metrics = %+v: straggler never raced", m)
+	if m := tf.coord.FleetMetrics(); m.Redispatched != 1 || !events.contains("straggling on worker") || events.contains("lost with") {
+		t.Fatalf("metrics = %+v: want one re-dispatch, from the straggler race; events:\n%s", m, events)
 	}
 
 	// The straggler finally reports. The shard is long since complete, so
 	// the coordinator discards the duplicate and says so.
-	prep := workflow.NewEngine(workflow.EngineOptions{Workers: 1})
-	sp, err := prep.PrepareStageShards(taken.Workflow, taken.Stage,
-		fetchContext(t, tf.server.URL, taken), taken.Options.RunOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := sp.RunShard(context.Background(), taken.Shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := workflow.EncodeShard(out)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ack ResultResponse
 	slow.post("/api/v2/fleet/result", ResultRequest{
-		WorkerID: slow.id, TaskID: taken.ID, Output: enc, ElapsedMS: 1,
+		WorkerID: slow.id, TaskID: taken.ID, Output: shardOutput(t, taken, featureDataset(t, 60, 4, 29)), ElapsedMS: 1,
 	}, &ack)
 	if ack.Accepted {
 		t.Fatal("late straggler result was accepted after the duplicate already won")
@@ -543,24 +546,72 @@ func TestStragglerRacedAndLateResultDiscarded(t *testing.T) {
 	}
 }
 
-// fetchContext fetches a task's stage input the way a worker does, by
-// GET /api/v2/blobs/{hash}.
-func fetchContext(t testing.TB, base string, task Task) *workflow.Dataset {
+// TestCommittedShardLeavesQueue: a straggler duplicate leaves the queue
+// when its shard's first result commits, so the roster and the hire
+// decision count only shards still waiting for a worker.
+func TestCommittedShardLeavesQueue(t *testing.T) {
+	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 0)
+	a := newFakeWorker(t, tf.server.URL, "a")
+	b := newFakeWorker(t, tf.server.URL, "b")
+
+	done := make(chan error, 1)
+	go func() {
+		e := workflow.NewEngine(workflow.EngineOptions{Workers: 1})
+		_, err := e.RunByName(context.Background(), "integrative-network", featureDataset(t, 40, 4, 29),
+			workflow.RunOptions{ShardRecords: 20, ShardPool: tf.coord})
+		done <- err
+	}()
+	ta := a.pollUntilTask(5 * time.Second)
+	tb := b.pollUntilTask(5 * time.Second)
+
+	// Both shards straggle. Each fake worker's one slot is busy, so both
+	// duplicates stay queued.
+	tf.clock.advance(stragglerAfter)
+	waitFor(t, 5*time.Second, func() bool { return tf.coord.Snapshot().Queued == 2 })
+
+	var ack ResultResponse
+	a.post("/api/v2/fleet/result", ResultRequest{
+		WorkerID: a.id, TaskID: ta.ID, Output: shardOutput(t, ta, featureDataset(t, 40, 4, 29)), ElapsedMS: 1,
+	}, &ack)
+	if !ack.Accepted {
+		t.Fatal("first result for shard rejected")
+	}
+	if q := tf.coord.Snapshot().Queued; q != 1 {
+		t.Fatalf("roster queued = %d after shard %d committed, want 1 (only shard %d waits)", q, ta.Shard, tb.Shard)
+	}
+
+	b.post("/api/v2/fleet/result", ResultRequest{
+		WorkerID: b.id, TaskID: tb.ID, Output: shardOutput(t, tb, featureDataset(t, 40, 4, 29)), ElapsedMS: 1,
+	}, &ack)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if q := tf.coord.Snapshot().Queued; q != 0 {
+		t.Fatalf("roster queued = %d after the stage finished", q)
+	}
+}
+
+// shardOutput runs a task's shard the way a worker does, over the stage
+// input the test supplies, and returns the encoded shard result.
+func shardOutput(t testing.TB, task Task, input *workflow.Dataset) []byte {
 	t.Helper()
-	resp, err := http.Get(base + "/api/v2/blobs/" + task.ContextHash)
+	if sum := sha256.Sum256(encode(t, input)); hex.EncodeToString(sum[:]) != task.ContextHash {
+		t.Fatalf("task %s context is not the supplied input", task.ID)
+	}
+	prep, err := workflow.NewEngine(workflow.EngineOptions{Workers: 1}).PrepareStageShards(
+		task.Workflow, task.Stage, input, task.Options.RunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("blob %s: HTTP %d, %v", task.ContextHash, resp.StatusCode, err)
-	}
-	ds, err := workflow.DecodeDataset(raw)
+	out, _, err := prep.RunShard(context.Background(), task.Shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	enc, err := workflow.EncodeShard(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
 }
 
 // resultGate is a worker-side transport that counts poll requests and holds
@@ -595,12 +646,11 @@ func TestScalingPoliciesGateEngagement(t *testing.T) {
 	run := func(t *testing.T, copts Options, shards int) (*Coordinator, Roster) {
 		t.Helper()
 		gate := &resultGate{open: make(chan struct{})}
-		copts.PollWait = 20 * time.Millisecond // a declined poll returns soon
 		tf := startFleetWith(t, copts, 2, &http.Client{Transport: gate})
 		// A knowledge-base-free engine estimates every shard at the 1s
 		// fallback, making the hire economics deterministic: with q shards
-		// queued the 1→2 hire saves DelayCostPerSec·q(q-1)/4 and costs
-		// HirePrice·Margin·(startup+1s).
+		// queued the 1→2 hire saves q(q-1)/4 in delay cost and costs
+		// 3×(0.1s+1s) = 3.3.
 		e := workflow.NewEngine(workflow.EngineOptions{Workers: 4})
 		ds := featureDataset(t, 20*shards, 4, 29)
 		errc := make(chan error, 1)
@@ -613,7 +663,8 @@ func TestScalingPoliciesGateEngagement(t *testing.T) {
 		// shards-1 queued. The other worker is judged against exactly that
 		// depth: it is hired (a second dispatch), or it finishes a poll
 		// begun after the enqueue — two poll starts, since a worker polls
-		// sequentially — and was declined.
+		// sequentially — and was declined. A declined poll is held for
+		// pollWait.
 		waitFor(t, 5*time.Second, func() bool { return tf.coord.FleetMetrics().Dispatched >= 1 })
 		base := gate.polls.Load()
 		waitFor(t, 5*time.Second, func() bool {
@@ -647,23 +698,24 @@ func TestScalingPoliciesGateEngagement(t *testing.T) {
 		}
 	})
 	t.Run("predictive-below-threshold", func(t *testing.T) {
-		// 8 shards × 1s est: delay saving 14, hire cost 3×1000×1.1 — the
-		// queue never justifies the second worker.
-		coord, roster := run(t, Options{Scaling: scheduler.PredictiveScale, HirePrice: 1000}, 8)
+		// 5 shards: the second worker is judged against 4 queued, a delay
+		// saving of 3 under the hire cost of 3.3. The queue only shrinks
+		// from there, so it never justifies the second worker.
+		coord, roster := run(t, Options{Scaling: scheduler.PredictiveScale}, 5)
 		busy, total := shardsDone(roster)
-		if busy != 1 || total != 8 {
-			t.Fatalf("predictive(expensive): %d workers busy over %d shards, want exactly 1 over 8", busy, total)
+		if busy != 1 || total != 5 {
+			t.Fatalf("predictive(shallow): %d workers busy over %d shards, want exactly 1 over 5", busy, total)
 		}
 		if m := coord.FleetMetrics(); m.Hires != 1 {
-			t.Fatalf("predictive(expensive) hired %d, want 1", m.Hires)
+			t.Fatalf("predictive(shallow) hired %d, want 1", m.Hires)
 		}
 	})
 	t.Run("predictive-above-threshold", func(t *testing.T) {
-		// Same queue at default prices: saving 14 clears cost 3.3, so the
-		// policy hires the second worker.
+		// 8 shards: 7 queued save 10.5, which clears the cost of 3.3, so
+		// the policy hires the second worker.
 		coord, _ := run(t, Options{Scaling: scheduler.PredictiveScale}, 8)
 		if m := coord.FleetMetrics(); m.Hires != 2 {
-			t.Fatalf("predictive(default) hired %d, want 2", m.Hires)
+			t.Fatalf("predictive(deep) hired %d, want 2", m.Hires)
 		}
 	})
 	t.Run("always-scale", func(t *testing.T) {
@@ -674,18 +726,24 @@ func TestScalingPoliciesGateEngagement(t *testing.T) {
 	})
 }
 
-// blobCounter is a worker-side transport that counts blob fetches.
-type blobCounter struct{ fetches atomic.Int32 }
+// blobCounter is a worker-side transport that counts blob fetches and
+// keeps the last path fetched.
+type blobCounter struct {
+	fetches atomic.Int32
+	last    atomic.Value // string
+}
 
 func (b *blobCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	if strings.HasPrefix(r.URL.Path, "/api/v2/blobs/") {
 		b.fetches.Add(1)
+		b.last.Store(r.URL.Path)
 	}
 	return http.DefaultTransport.RoundTrip(r)
 }
 
 // TestBlobDataPlane: every stage context ships by hash; each worker
 // fetches it at most once and reuses the cached dataset for later shards.
+// The context blob lives exactly as long as its stage.
 func TestBlobDataPlane(t *testing.T) {
 	blobs := &blobCounter{}
 	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 2, &http.Client{Transport: blobs})
@@ -706,6 +764,20 @@ func TestBlobDataPlane(t *testing.T) {
 	}
 	if n := blobs.fetches.Load(); n < 1 || n > 2 {
 		t.Fatalf("%d blob fetches for one stage on two workers, want 1 or 2", n)
+	}
+	tf.coord.mu.Lock()
+	held := len(tf.coord.blobs)
+	tf.coord.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("coordinator holds %d context blobs after the run returned, want 0", held)
+	}
+	resp, err := http.Get(tf.server.URL + blobs.last.Load().(string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of the finished stage's context: HTTP %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -744,7 +816,7 @@ func TestFleetTokenAuth(t *testing.T) {
 // through DecodeResult, so a result that carries neither an output nor an
 // error is a 400 — not a decode failure that re-queues the shard.
 func TestResultWithoutOutputOrErrorRejected(t *testing.T) {
-	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale, ShardTimeout: time.Minute, WorkerExpiry: time.Minute}, 0)
+	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 0)
 	fw := newFakeWorker(t, tf.server.URL, "empty-handed")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

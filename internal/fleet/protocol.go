@@ -31,8 +31,6 @@ type RegisterRequest struct {
 // RegisterResponse assigns the worker its roster identity.
 type RegisterResponse struct {
 	ID string `json:"id"`
-	// PollWaitMS hints how long the coordinator holds an empty poll.
-	PollWaitMS int `json:"poll_wait_ms"`
 }
 
 // PollRequest asks for work (long poll).

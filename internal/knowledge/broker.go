@@ -123,14 +123,6 @@ func (b *Base) RunCounts() (total, pending int) {
 	return total + pending, pending
 }
 
-// InvalidateCache drops the materialized profile/advice cache, forcing the
-// next advice call to recompute from SPARQL. Correctness never requires
-// calling it — the profile epoch invalidates automatically — it exists so
-// benchmarks and tests can measure the uncached path.
-func (b *Base) InvalidateCache() {
-	b.cache.Store(nil)
-}
-
 // takePending swaps out the buffered batch.
 func (b *Base) takePending() []RunLog {
 	b.ingestMu.Lock()

@@ -286,20 +286,6 @@ func TestFamilyProfilesGroundAdvice(t *testing.T) {
 	}
 }
 
-func TestInvalidateCache(t *testing.T) {
-	b := New()
-	b.SeedPaperProfiles()
-	adv, err := b.ShardAdvice(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.InvalidateCache()
-	again, err := b.ShardAdvice(6)
-	if err != nil || again != adv {
-		t.Fatalf("advice after InvalidateCache = %+v, %v; want %+v", again, err, adv)
-	}
-}
-
 // TestConcurrentAsyncIngest hammers the batched path from many goroutines
 // (run with -race): no observation may be lost, RunCount must be exact
 // after Flush, and advice must be stable throughout.

@@ -42,14 +42,14 @@ import (
 type StorageOptions struct {
 	// Dir is the storage directory (created if missing).
 	Dir string
-	// SnapshotEvery is the number of folded run records between graph
-	// snapshots (default 4096). Each snapshot truncates the WAL, bounding
-	// both the log's size and the next startup's replay work.
-	SnapshotEvery int
 	// Logf receives storage failures (default: silent). A failed append or
 	// snapshot disables persistence rather than failing ingestion: the
 	// in-memory knowledge base stays authoritative.
 	Logf func(format string, args ...any)
+	// snapshotEvery is the number of folded run records between graph
+	// snapshots (default 4096; tests lower it). Each snapshot truncates the
+	// WAL, bounding both the log's size and the next startup's replay work.
+	snapshotEvery int
 }
 
 // storage is the attached durability state, reached only under foldMu.
@@ -79,8 +79,8 @@ func (b *Base) AttachStorage(o StorageOptions) error {
 	if o.Dir == "" {
 		return errors.New("knowledge: storage needs a directory")
 	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 4096
+	if o.snapshotEvery <= 0 {
+		o.snapshotEvery = 4096
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -101,7 +101,7 @@ func (b *Base) AttachStorage(o StorageOptions) error {
 	if err != nil {
 		return err
 	}
-	d := &storage{dir: o.Dir, snapshotEvery: o.SnapshotEvery, logf: o.Logf}
+	d := &storage{dir: o.Dir, snapshotEvery: o.snapshotEvery, logf: o.Logf}
 	// Compact on attach: fold the replayed WAL into a fresh snapshot so the
 	// log never grows across restarts and the next boot replays only what
 	// this run appends.

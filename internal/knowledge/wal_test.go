@@ -9,7 +9,7 @@ import (
 
 func attach(t *testing.T, b *Base, dir string, every int) {
 	t.Helper()
-	if err := b.AttachStorage(StorageOptions{Dir: dir, SnapshotEvery: every, Logf: t.Logf}); err != nil {
+	if err := b.AttachStorage(StorageOptions{Dir: dir, Logf: t.Logf, snapshotEvery: every}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,21 +11,13 @@ import (
 	"time"
 
 	"scan/internal/core"
-	"scan/internal/fleet"
 	"scan/internal/knowledge"
 )
 
 func testServer(t *testing.T) (*Client, *Server) {
 	t.Helper()
 	p := core.NewPlatform(core.Options{Workers: 2})
-	// The short worker expiry bounds the fleet fallback for tests that
-	// register a worker which never polls (the route contract does): a job
-	// racing such a ghost worker reverts to the local pool in milliseconds,
-	// not the production heartbeat horizon.
-	s := NewServerOptions(p, ServerOptions{Executors: 2, Fleet: fleet.NewCoordinator(fleet.Options{
-		WorkerExpiry: 100 * time.Millisecond,
-		SweepEvery:   5 * time.Millisecond,
-	})})
+	s := NewServerOptions(p, ServerOptions{Executors: 2})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

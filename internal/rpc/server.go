@@ -44,17 +44,13 @@ type ServerOptions struct {
 	// docs/SERVING.md). Nil keeps v2 unauthenticated — the default every
 	// pre-tenancy client relies on. /api/v1 is never authenticated.
 	Tenants *tenant.Registry
-	// WatchWriteTimeout bounds each SSE write to a Watch subscriber: a
-	// client that stalls past it has its stream severed (job execution and
-	// other subscribers are never blocked either way — the fan-out is
-	// pull-per-subscriber). 0 means DefaultWatchWriteTimeout; negative
-	// disables the deadline.
-	WatchWriteTimeout time.Duration
 }
 
-// DefaultWatchWriteTimeout is the default per-write deadline on SSE event
-// streams.
-const DefaultWatchWriteTimeout = 30 * time.Second
+// watchWriteTimeout bounds each SSE write to a Watch subscriber: a client
+// that stalls past it has its stream severed (job execution and other
+// subscribers are never blocked either way — the fan-out is
+// pull-per-subscriber).
+const watchWriteTimeout = 30 * time.Second
 
 // Server exposes a core.Platform over HTTP — /api/v1 (the original flat RPC
 // surface, kept wire-compatible) and /api/v2 (resource-oriented jobs with
@@ -68,7 +64,6 @@ type Server struct {
 	fleet     *fleet.Coordinator
 	uploads   *registry.UploadManager
 	tenants   *tenant.Registry // nil: v2 admission disabled
-	watchWTO  time.Duration    // per-write SSE deadline (0: disabled)
 	metrics   *serverMetrics
 
 	mu     sync.Mutex
@@ -133,12 +128,6 @@ func NewServerOptions(p *core.Platform, opts ServerOptions) *Server {
 			Blobs: p.Datasets().Blobs(),
 		})
 	}
-	switch {
-	case opts.WatchWriteTimeout == 0:
-		opts.WatchWriteTimeout = DefaultWatchWriteTimeout
-	case opts.WatchWriteTimeout < 0:
-		opts.WatchWriteTimeout = 0
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		platform:     p,
@@ -147,7 +136,6 @@ func NewServerOptions(p *core.Platform, opts ServerOptions) *Server {
 		logf:         opts.Logf,
 		fleet:        opts.Fleet,
 		tenants:      opts.Tenants,
-		watchWTO:     opts.WatchWriteTimeout,
 		jobs:         make(map[int]*jobRecord),
 		uploadOwners: make(map[string]*tenant.State),
 		queue:        make(chan int, 1024),

@@ -12,8 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"scan/internal/core"
 )
 
 // Slow-consumer behaviour of the Watch stream: a client that stops reading
@@ -72,9 +70,8 @@ func (d *deadlineRecorder) snapshot() (deadlines []time.Time, writes int) {
 // arm a deadline before every write and return as soon as a write fails,
 // instead of parking forever on a dead consumer.
 func TestWatchWriteDeadlineTearsDownStalledStream(t *testing.T) {
-	const wto = 250 * time.Millisecond
 	p, block := blockingPlatform(t)
-	c, s := testServerOptions(t, p, ServerOptions{Executors: 1, WatchWriteTimeout: wto})
+	c, s := testServerOptions(t, p, ServerOptions{Executors: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -109,8 +106,8 @@ func TestWatchWriteDeadlineTearsDownStalledStream(t *testing.T) {
 		t.Fatalf("deadlines armed = %d, want one per write (%d)", len(deadlines), writes)
 	}
 	for i, dl := range deadlines {
-		if lag := dl.Sub(start); lag <= 0 || lag > wto+10*time.Second {
-			t.Fatalf("deadline %d = %v from start, want ≈ the %v write timeout ahead", i, lag, wto)
+		if lag := dl.Sub(start); lag <= 0 || lag > watchWriteTimeout+10*time.Second {
+			t.Fatalf("deadline %d = %v from start, want ≈ the %v write timeout ahead", i, lag, watchWriteTimeout)
 		}
 	}
 
@@ -132,7 +129,7 @@ func TestWatchWriteDeadlineTearsDownStalledStream(t *testing.T) {
 // means the stalled socket parks only its own handler goroutine.
 func TestWatchStalledClientDoesNotBlock(t *testing.T) {
 	p, block := blockingPlatform(t)
-	c, _ := testServerOptions(t, p, ServerOptions{Executors: 1, WatchWriteTimeout: 200 * time.Millisecond})
+	c, _ := testServerOptions(t, p, ServerOptions{Executors: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -207,20 +204,4 @@ func TestWatchStalledClientDoesNotBlock(t *testing.T) {
 	if err != nil || final.State != StateDone {
 		t.Fatalf("follow-up job = %+v (%v)", final, err)
 	}
-}
-
-// TestWatchWriteTimeoutOptionNormalization pins the option's semantics:
-// zero means the default, negative disables.
-func TestWatchWriteTimeoutOptionNormalization(t *testing.T) {
-	p := core.NewPlatform(core.Options{Workers: 1})
-	s := NewServerOptions(p, ServerOptions{})
-	if s.watchWTO != DefaultWatchWriteTimeout {
-		t.Fatalf("default watch write timeout = %v, want %v", s.watchWTO, DefaultWatchWriteTimeout)
-	}
-	s.Close()
-	s = NewServerOptions(p, ServerOptions{WatchWriteTimeout: -1})
-	if s.watchWTO != 0 {
-		t.Fatalf("negative watch write timeout = %v, want disabled (0)", s.watchWTO)
-	}
-	s.Close()
 }

@@ -31,12 +31,14 @@ func featureRows(n int) []byte {
 }
 
 // sentChunk records one append PUT as the transport saw it: the offset the
-// client claimed, how many body bytes actually left the client, and whether
-// this attempt was deliberately killed mid-body.
+// client claimed, how many body bytes actually left the client, whether
+// this attempt was deliberately killed mid-body, and the server's status
+// (0 when no response arrived).
 type sentChunk struct {
 	offset int64
 	read   int64
 	killed bool
+	status int
 }
 
 // chopTransport simulates disconnects: the first `kills` upload-append
@@ -63,7 +65,13 @@ func (t *chopTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.sent = append(t.sent, rec)
 	t.mu.Unlock()
 	req.Body = &chopBody{r: req.Body, t: t, rec: rec}
-	return t.base.RoundTrip(req)
+	resp, err := t.base.RoundTrip(req)
+	if err == nil {
+		t.mu.Lock()
+		rec.status = resp.StatusCode
+		t.mu.Unlock()
+	}
+	return resp, err
 }
 
 type chopBody struct {
@@ -131,15 +139,28 @@ func TestResumableUploadNeverResendsVerifiedBytes(t *testing.T) {
 	if len(sent) < 2 || !sent[0].killed {
 		t.Fatalf("expected the first of several appends to be killed; sent = %d", len(sent))
 	}
+	// A retry can reach the server before the severed body does; once that
+	// body lands, the retry's offset is stale and the server refuses it
+	// with 409. Only the appends the server accepted count.
+	var ok []*sentChunk
+	for _, ch := range sent[1:] {
+		if ch.status == http.StatusOK {
+			ok = append(ok, ch)
+		} else if ch.status != http.StatusConflict {
+			t.Fatalf("append at offset %d answered %d", ch.offset, ch.status)
+		}
+	}
+	if len(ok) == 0 {
+		t.Fatal("no append after the severed one was accepted")
+	}
 	// The resume point is where the server said it was — necessarily within
 	// what the first, severed append delivered.
-	resumeAt := sent[1].offset
+	resumeAt := ok[0].offset
 	if resumeAt > sent[0].read {
 		t.Fatalf("resumed at %d, beyond the %d bytes that left the client", resumeAt, sent[0].read)
 	}
 	// No byte below the verified offset ever travels again, and the
-	// successful appends tile [resumeAt, len(body)) exactly once.
-	ok := sent[1:]
+	// accepted appends tile [resumeAt, len(body)) exactly once.
 	sort.Slice(ok, func(i, j int) bool { return ok[i].offset < ok[j].offset })
 	at := resumeAt
 	for _, ch := range ok {

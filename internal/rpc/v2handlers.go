@@ -237,7 +237,7 @@ func (s *Server) handleV2Events(w http.ResponseWriter, r *http.Request, id int) 
 	// Fan-out is pull-per-subscriber, so a stalled client never blocks job
 	// transitions or other watchers — it only parks this goroutine. The
 	// per-write deadline bounds that goroutine's lifetime: a client that
-	// stops reading for watchWTO gets its stream torn down instead of
+	// stops reading for watchWriteTimeout gets its stream torn down instead of
 	// holding a connection (and its kernel buffers) forever. Recorders used
 	// in tests have no deadline support; that is fine, not fatal.
 	ctrl := http.NewResponseController(w)
@@ -252,11 +252,9 @@ func (s *Server) handleV2Events(w http.ResponseWriter, r *http.Request, id int) 
 			if err != nil {
 				return // cannot happen for these types; drop the stream
 			}
-			if s.watchWTO > 0 {
-				if err := ctrl.SetWriteDeadline(time.Now().Add(s.watchWTO)); err != nil &&
-					!errors.Is(err, http.ErrNotSupported) {
-					return
-				}
+			if err := ctrl.SetWriteDeadline(time.Now().Add(watchWriteTimeout)); err != nil &&
+				!errors.Is(err, http.ErrNotSupported) {
+				return
 			}
 			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
 				return

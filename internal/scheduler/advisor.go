@@ -14,45 +14,29 @@ package scheduler
 
 import "time"
 
-// FleetAdvisor holds the tunables of the wall-clock scaling decision.
-// The zero value is usable: defaults applied per call.
+// The prices of the wall-clock hire decision: the simulator's unit prices
+// and its default predictive margin (Config.PredictiveMargin).
+const (
+	// hirePrice is the public-tier price of one worker-second.
+	hirePrice = 1.0
+	// delayCostPerSec converts one queued task-second into reward-scheme
+	// delay cost.
+	delayCostPerSec = 1.0
+	// hireMargin is the hire-cost multiplier the delay cost must exceed.
+	hireMargin = 3.0
+	// startupDelaySec estimates a fresh worker's engage-to-first-result
+	// overhead.
+	startupDelaySec = 0.1
+)
+
+// FleetAdvisor holds the policy of the wall-clock scaling decision. The
+// zero value is usable.
 type FleetAdvisor struct {
 	// Policy selects the Table I horizontal-scaling algorithm.
 	Policy ScalingPolicy
 	// Baseline is the private-tier size: workers engaged whenever work
 	// exists, with no hire decision (default 1).
 	Baseline int
-	// HirePrice is the public-tier price of one worker-second (default 1,
-	// matching the simulator's unit price).
-	HirePrice float64
-	// DelayCostPerSec converts one queued task-second into reward-scheme
-	// delay cost (default 1).
-	DelayCostPerSec float64
-	// Margin is the hire-cost multiplier the delay cost must exceed,
-	// mirroring Config.PredictiveMargin (default 3).
-	Margin float64
-	// StartupDelaySec estimates the engage-to-first-result overhead of a
-	// fresh worker (default 0.1).
-	StartupDelaySec float64
-}
-
-func (a FleetAdvisor) withDefaults() FleetAdvisor {
-	if a.Baseline <= 0 {
-		a.Baseline = 1
-	}
-	if a.HirePrice <= 0 {
-		a.HirePrice = 1
-	}
-	if a.DelayCostPerSec <= 0 {
-		a.DelayCostPerSec = 1
-	}
-	if a.Margin <= 0 {
-		a.Margin = 3
-	}
-	if a.StartupDelaySec <= 0 {
-		a.StartupDelaySec = 0.1
-	}
-	return a
 }
 
 // DesiredWorkers answers "how many of the available workers should be
@@ -62,7 +46,6 @@ func (a FleetAdvisor) withDefaults() FleetAdvisor {
 // queued task. The result is always within [0, available]; release of
 // workers above it is idle-driven (IdleRelease), never preemptive.
 func (a FleetAdvisor) DesiredWorkers(queued, engaged, available int, estTaskSec float64) int {
-	a = a.withDefaults()
 	if available <= 0 {
 		return 0
 	}
@@ -73,7 +56,7 @@ func (a FleetAdvisor) DesiredWorkers(queued, engaged, available int, estTaskSec 
 		// Nothing waiting: keep what is engaged, hire nothing.
 		return engaged
 	}
-	base := min(a.Baseline, available)
+	base := min(max(a.Baseline, 1), available)
 	switch a.Policy {
 	case NeverScale:
 		// Private tier only: queue rather than hire.
@@ -84,9 +67,9 @@ func (a FleetAdvisor) DesiredWorkers(queued, engaged, available int, estTaskSec 
 		return min(available, max(base, engaged+queued))
 	}
 	// PredictiveScale: grow k one worker at a time while the marginal
-	// Equation 1 delay-cost reduction exceeds Margin × hire cost. With k
+	// Equation 1 delay-cost reduction exceeds hireMargin × hire cost. With k
 	// workers task j of the queue waits ≈ (j-1)/k · estTaskSec, so the
-	// aggregate delay cost is DelayCostPerSec · estTaskSec · q(q-1)/(2k)
+	// aggregate delay cost is delayCostPerSec · estTaskSec · q(q-1)/(2k)
 	// and the k→k+1 hire removes the 1/k − 1/(k+1) share of it. The hire
 	// costs its startup plus one task's execution at the public price —
 	// the same shape as shouldHirePublic's hireCost.
@@ -95,14 +78,14 @@ func (a FleetAdvisor) DesiredWorkers(queued, engaged, available int, estTaskSec 
 	}
 	k := max(base, engaged)
 	q := float64(queued)
-	aggregate := a.DelayCostPerSec * estTaskSec * q * (q - 1) / 2
-	hireCost := a.HirePrice * (a.StartupDelaySec + estTaskSec)
+	aggregate := delayCostPerSec * estTaskSec * q * (q - 1) / 2
+	hireCost := hirePrice * (startupDelaySec + estTaskSec)
 	for k < available {
-		if q*estTaskSec/float64(k) <= a.StartupDelaySec {
+		if q*estTaskSec/float64(k) <= startupDelaySec {
 			break // an existing worker frees before a fresh one would boot
 		}
 		saved := aggregate * (1/float64(k) - 1/float64(k+1))
-		if saved <= a.Margin*hireCost {
+		if saved <= hireMargin*hireCost {
 			break
 		}
 		k++
@@ -118,11 +101,11 @@ func (a FleetAdvisor) DesiredWorkers(queued, engaged, available int, estTaskSec 
 // observed gap between work bursts (gapSec, an EWMA the coordinator
 // maintains; ≤0 when unobserved); BestConstant holds a fixed default.
 func (a FleetAdvisor) IdleRelease(policy AllocationPolicy, gapSec float64) time.Duration {
-	a = a.withDefaults()
 	const def = 2 * time.Second
+	const startup = time.Duration(startupDelaySec * float64(time.Second))
 	switch policy {
 	case Greedy:
-		return time.Duration(a.StartupDelaySec * float64(time.Second))
+		return startup
 	case LongTerm:
 		return 10 * def
 	case LongTermAdaptive:
@@ -130,7 +113,7 @@ func (a FleetAdvisor) IdleRelease(policy AllocationPolicy, gapSec float64) time.
 			return def
 		}
 		hold := time.Duration(2 * gapSec * float64(time.Second))
-		return min(max(hold, time.Duration(a.StartupDelaySec*float64(time.Second))), 10*def)
+		return min(max(hold, startup), 10*def)
 	default: // BestConstant
 		return def
 	}
