@@ -57,6 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	header := genomics.NewHeader(genomics.RefInfo{Name: reference.Name, Length: reference.Len()})
 	var sbamShards []*bytes.Buffer
 	var vcfShards []*bytes.Buffer
 	for i, b := range shards {
@@ -67,7 +68,7 @@ func main() {
 		alns, mapped := aligner.AlignAll(shardReads)
 
 		var sbam bytes.Buffer
-		if err := genomics.WriteSBAM(&sbam, aligner.Header(), alns); err != nil {
+		if err := genomics.WriteSBAM(&sbam, header, alns); err != nil {
 			log.Fatal(err)
 		}
 		sbamShards = append(sbamShards, &sbam)

@@ -45,19 +45,32 @@ type Aligner struct {
 	seeds map[string][]int32
 }
 
-// ErrShortReference is returned when the reference is shorter than the seed
-// length.
-var ErrShortReference = errors.New("align: reference shorter than seed length")
+// Check's (and so New's) errors: a reference shorter than the seed length,
+// or one holding a byte outside ACGTN.
+var (
+	ErrShortReference = errors.New("align: reference shorter than seed length")
+	ErrBadReference   = errors.New("align: bad reference")
+)
 
-// New indexes ref for alignment.
-func New(ref genomics.Sequence, cfg Config) (*Aligner, error) {
+// Check validates ref for alignment under cfg without indexing it: at
+// least K bases, every one valid. New fails exactly when Check does.
+func Check(ref genomics.Sequence, cfg Config) error {
 	cfg.fill()
 	if ref.Len() < cfg.K {
-		return nil, ErrShortReference
+		return ErrShortReference
 	}
 	if err := genomics.ValidateBases(ref.Seq); err != nil {
-		return nil, fmt.Errorf("align: bad reference: %w", err)
+		return fmt.Errorf("%w: %w", ErrBadReference, err)
 	}
+	return nil
+}
+
+// New checks ref and indexes every k-mer of it for alignment.
+func New(ref genomics.Sequence, cfg Config) (*Aligner, error) {
+	if err := Check(ref, cfg); err != nil {
+		return nil, err
+	}
+	cfg.fill()
 	a := &Aligner{cfg: cfg, ref: ref, seeds: make(map[string][]int32)}
 	seq := genomics.Upper(ref.Seq)
 	for i := 0; i+cfg.K <= len(seq); i++ {
@@ -65,14 +78,6 @@ func New(ref genomics.Sequence, cfg Config) (*Aligner, error) {
 		a.seeds[kmer] = append(a.seeds[kmer], int32(i))
 	}
 	return a, nil
-}
-
-// Reference returns the indexed reference.
-func (a *Aligner) Reference() genomics.Sequence { return a.ref }
-
-// Header returns the SAM header for this aligner's reference.
-func (a *Aligner) Header() genomics.Header {
-	return genomics.NewHeader(genomics.RefInfo{Name: a.ref.Name, Length: a.ref.Len()})
 }
 
 // AlignRead maps one read, returning a SAM record (possibly unmapped).

@@ -2,6 +2,7 @@ package align
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -145,8 +146,32 @@ func TestNewRejectsBadInput(t *testing.T) {
 	if _, err := New(genomics.Sequence{Name: "s", Seq: []byte("ACG")}, Config{K: 16}); err != ErrShortReference {
 		t.Fatalf("short reference: err = %v", err)
 	}
-	if _, err := New(genomics.Sequence{Name: "s", Seq: bytes.Repeat([]byte("Z"), 100)}, Config{}); err == nil {
-		t.Fatal("invalid bases accepted")
+	if _, err := New(genomics.Sequence{Name: "s", Seq: bytes.Repeat([]byte("Z"), 100)}, Config{}); !errors.Is(err, ErrBadReference) {
+		t.Fatalf("invalid bases: err = %v, want ErrBadReference", err)
+	}
+}
+
+// TestNewFailsExactlyWhenCheckDoes: New's only failures are Check's, so a
+// caller that has passed Check may build the index later with no new
+// error path (the align stream checks in Stream and indexes in Transform).
+func TestNewFailsExactlyWhenCheckDoes(t *testing.T) {
+	const alphabet = "ACGTNacgtnX"
+	f := func(raw []byte, k uint8) bool {
+		seq := make([]byte, len(raw))
+		for i, b := range raw {
+			seq[i] = alphabet[int(b)%len(alphabet)]
+		}
+		ref := genomics.Sequence{Name: "r", Seq: seq}
+		cfg := Config{K: int(k % 24)}
+		checkErr := Check(ref, cfg)
+		a, err := New(ref, cfg)
+		if checkErr == nil {
+			return err == nil && a != nil
+		}
+		return a == nil && err != nil && err.Error() == checkErr.Error()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -48,7 +48,7 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 	if err != nil {
 		return nil, err
 	}
-	res.Header = aligner.Header()
+	res.Header = genomics.NewHeader(genomics.RefInfo{Name: job.Reference.Name, Length: job.Reference.Len()})
 
 	readShards, err := shard.ChunkReads(job.Reads, recordsPerShard)
 	if err != nil {

@@ -613,11 +613,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEnvelope+(1<<20)))
-	var res ResultRequest
-	if err == nil {
-		res, err = DecodeResult(body)
-	}
+	res, payload, err := ReadResult(http.MaxBytesReader(w, r.Body, maxEnvelope+maxPayload))
 	if err != nil {
 		route.V2.Error(w, http.StatusBadRequest, "invalid_argument", "bad result body: %v", err)
 		return
@@ -670,8 +666,13 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Phase 2: decode outside the lock, then commit if still first.
-	out, err := workflow.DecodeShard(res.Output)
+	// Phase 2: outside the lock, decode exactly OutputBytes bytes straight
+	// off the body, with nothing after them; then commit if still first.
+	lr := &io.LimitedReader{R: payload, N: res.OutputBytes + 1}
+	out, err := workflow.DecodeShard(lr)
+	if err == nil && lr.N != 1 {
+		err = fmt.Errorf("payload is %d bytes, envelope declares %d", res.OutputBytes+1-lr.N, res.OutputBytes)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if sr.closed || sr.done[shard] {

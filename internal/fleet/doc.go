@@ -15,8 +15,10 @@
 //
 // The data plane is content-addressed: a stage's input dataset gob-encodes
 // once (workflow.EncodeDataset, deterministic) and ships by SHA-256 hash;
-// workers fetch GET /api/v2/blobs/{hash} on first sight and cache it, so
-// repeated stages over the same dataset transfer nothing.
+// workers fetch GET /api/v2/blobs/{hash} on first sight, check the bytes
+// against the hash and cache the dataset, so repeated stages over the same
+// dataset transfer nothing. Shard outputs return as raw gob bytes behind a
+// JSON result envelope.
 //
 // Dispatch is pull-based over HTTP (register, long-poll, result) with
 // per-shard timeout, bounded retry, and straggler re-dispatch: the first

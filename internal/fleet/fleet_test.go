@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -366,6 +367,22 @@ func (fw *fakeWorker) post(path string, in, out any) int {
 	if err != nil {
 		fw.t.Fatal(err)
 	}
+	return fw.send(path, body, out)
+}
+
+// postResult posts a result envelope with payload right behind it, as a
+// Worker does; the caller sets the envelope's OutputBytes.
+func (fw *fakeWorker) postResult(res ResultRequest, payload []byte, out any) int {
+	fw.t.Helper()
+	env, err := json.Marshal(res)
+	if err != nil {
+		fw.t.Fatal(err)
+	}
+	return fw.send("/api/v2/fleet/result", append(env, payload...), out)
+}
+
+func (fw *fakeWorker) send(path string, body []byte, out any) int {
+	fw.t.Helper()
 	resp, err := http.Post(fw.base+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		fw.t.Fatal(err)
@@ -535,9 +552,10 @@ func TestStragglerRacedAndLateResultDiscarded(t *testing.T) {
 	// The straggler finally reports. The shard is long since complete, so
 	// the coordinator discards the duplicate and says so.
 	var ack ResultResponse
-	slow.post("/api/v2/fleet/result", ResultRequest{
-		WorkerID: slow.id, TaskID: taken.ID, Output: shardOutput(t, taken, featureDataset(t, 60, 4, 29)), ElapsedMS: 1,
-	}, &ack)
+	late := shardOutput(t, taken, featureDataset(t, 60, 4, 29))
+	slow.postResult(ResultRequest{
+		WorkerID: slow.id, TaskID: taken.ID, OutputBytes: int64(len(late)), ElapsedMS: 1,
+	}, late, &ack)
 	if ack.Accepted {
 		t.Fatal("late straggler result was accepted after the duplicate already won")
 	}
@@ -570,9 +588,10 @@ func TestCommittedShardLeavesQueue(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return tf.coord.Snapshot().Queued == 2 })
 
 	var ack ResultResponse
-	a.post("/api/v2/fleet/result", ResultRequest{
-		WorkerID: a.id, TaskID: ta.ID, Output: shardOutput(t, ta, featureDataset(t, 40, 4, 29)), ElapsedMS: 1,
-	}, &ack)
+	outA := shardOutput(t, ta, featureDataset(t, 40, 4, 29))
+	a.postResult(ResultRequest{
+		WorkerID: a.id, TaskID: ta.ID, OutputBytes: int64(len(outA)), ElapsedMS: 1,
+	}, outA, &ack)
 	if !ack.Accepted {
 		t.Fatal("first result for shard rejected")
 	}
@@ -580,9 +599,10 @@ func TestCommittedShardLeavesQueue(t *testing.T) {
 		t.Fatalf("roster queued = %d after shard %d committed, want 1 (only shard %d waits)", q, ta.Shard, tb.Shard)
 	}
 
-	b.post("/api/v2/fleet/result", ResultRequest{
-		WorkerID: b.id, TaskID: tb.ID, Output: shardOutput(t, tb, featureDataset(t, 40, 4, 29)), ElapsedMS: 1,
-	}, &ack)
+	outB := shardOutput(t, tb, featureDataset(t, 40, 4, 29))
+	b.postResult(ResultRequest{
+		WorkerID: b.id, TaskID: tb.ID, OutputBytes: int64(len(outB)), ElapsedMS: 1,
+	}, outB, &ack)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -781,6 +801,144 @@ func TestBlobDataPlane(t *testing.T) {
 	}
 }
 
+// resultCounter is a worker-side transport that counts result POSTs and
+// their body bytes.
+type resultCounter struct {
+	posts, bytes atomic.Int64
+}
+
+func (c *resultCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, "/fleet/result") {
+		c.posts.Add(1)
+		c.bytes.Add(r.ContentLength)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// payloadSizer is a ShardPool over a coordinator that adds up the
+// EncodeShard size of every shard output the fleet returns.
+type payloadSizer struct {
+	coord *Coordinator
+	bytes atomic.Int64
+}
+
+func (p *payloadSizer) RunShards(ctx context.Context, env *workflow.StageEnv, shards []workflow.StreamShard) ([]workflow.StreamShard, []time.Duration, error) {
+	outs, elapsed, err := p.coord.RunShards(ctx, env, shards)
+	for _, out := range outs {
+		b, encErr := workflow.EncodeShard(out)
+		if encErr != nil {
+			return nil, nil, encErr
+		}
+		p.bytes.Add(int64(len(b)))
+	}
+	return outs, elapsed, err
+}
+
+// TestResultWireCarriesRawBytes: a shard output crosses the result wire as
+// its gob bytes behind a small JSON envelope, not re-encoded as text.
+func TestResultWireCarriesRawBytes(t *testing.T) {
+	wire := &resultCounter{}
+	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 2, &http.Client{Transport: wire})
+	sizer := &payloadSizer{coord: tf.coord}
+	e := workflow.NewEngine(workflow.EngineOptions{KB: seededKB(t), Workers: 4})
+	if _, err := e.RunByName(context.Background(), "dna-variant-detection",
+		fastqDataset(t, 8000, 2000, 7), workflow.RunOptions{ShardPool: sizer}); err != nil {
+		t.Fatal(err)
+	}
+	posts, payload := wire.posts.Load(), sizer.bytes.Load()
+	if m := tf.coord.FleetMetrics(); m.RemoteStages < 2 || posts == 0 || int64(m.Completed) != posts {
+		t.Fatalf("metrics = %+v over %d result posts: want every stage remote, one post per shard", m, posts)
+	}
+	if got, limit := wire.bytes.Load(), payload+512*posts; got > limit {
+		t.Fatalf("%d result bytes posted for %d payload bytes in %d results, want at most %d", got, payload, posts, limit)
+	}
+}
+
+// TestMalformedPayloadRequeues: a payload shorter or longer than its
+// envelope's output_bytes is a decode failure. The shard does not commit
+// and re-queues once.
+func TestMalformedPayloadRequeues(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		garble func(out []byte) []byte
+	}{
+		{name: "short", garble: func(out []byte) []byte { return out[:len(out)-1] }},
+		{name: "trailing", garble: func(out []byte) []byte { return append(out, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 0)
+			fw := newFakeWorker(t, tf.server.URL, "garbler")
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				e := workflow.NewEngine(workflow.EngineOptions{Workers: 1})
+				_, err := e.RunByName(ctx, "integrative-network", featureDataset(t, 60, 4, 29),
+					workflow.RunOptions{ShardRecords: 20, ShardPool: tf.coord})
+				done <- err
+			}()
+			taken := fw.pollUntilTask(5 * time.Second)
+			out := shardOutput(t, taken, featureDataset(t, 60, 4, 29))
+			var ack ResultResponse
+			code := fw.postResult(ResultRequest{WorkerID: fw.id, TaskID: taken.ID, OutputBytes: int64(len(out)), ElapsedMS: 1},
+				tc.garble(out), &ack)
+			if code != http.StatusOK || ack.Accepted {
+				t.Fatalf("garbled payload: HTTP %d, accepted %v; want 200 and not accepted", code, ack.Accepted)
+			}
+			if m := tf.coord.FleetMetrics(); m.Completed != 0 || m.Redispatched != 1 {
+				t.Fatalf("metrics = %+v: want no commit and exactly one re-dispatch", m)
+			}
+			cancel()
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("run err = %v, want context.Canceled", err)
+			}
+		})
+	}
+}
+
+// blobFlipper is a worker-side transport that flips one byte of every blob
+// it fetches and counts the fetches.
+type blobFlipper struct{ fetches atomic.Int32 }
+
+func (f *blobFlipper) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || !strings.HasPrefix(r.URL.Path, "/api/v2/blobs/") || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	f.fetches.Add(1)
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	b[len(b)/2] ^= 0x20
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	return resp, nil
+}
+
+// TestWorkerRejectsBlobThatMissesItsHash: a worker checks a fetched blob
+// against the task's context hash before decoding or caching it. Bytes
+// corrupted in transit fail every dispatch, so the stage fails with the
+// mismatch, no shard commits, and each retry fetches again.
+func TestWorkerRejectsBlobThatMissesItsHash(t *testing.T) {
+	flip := &blobFlipper{}
+	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 1, &http.Client{Transport: flip})
+	e := workflow.NewEngine(workflow.EngineOptions{Workers: 1})
+	res, err := e.RunByName(context.Background(), "integrative-network", featureDataset(t, 60, 4, 29),
+		workflow.RunOptions{ShardRecords: 20, ShardPool: tf.coord})
+	if err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
+		t.Fatalf("run err = %v, want a content hash mismatch", err)
+	}
+	if res != nil && res.Output != nil {
+		t.Fatal("a run over a corrupted context produced output")
+	}
+	if m := tf.coord.FleetMetrics(); m.Completed != 0 {
+		t.Fatalf("metrics = %+v: a shard committed over a corrupted context", m)
+	}
+	if n := flip.fetches.Load(); n < maxAttempts {
+		t.Fatalf("%d blob fetches for %d failed dispatches: a corrupted blob was cached", n, maxAttempts)
+	}
+}
+
 // TestFleetTokenAuth: with a token configured, unauthenticated control and
 // data-plane requests are rejected with the v2 error envelope, and a real
 // worker carrying the token still completes work end to end.
@@ -813,7 +971,7 @@ func TestFleetTokenAuth(t *testing.T) {
 }
 
 // TestResultWithoutOutputOrErrorRejected: the result endpoint decodes
-// through DecodeResult, so a result that carries neither an output nor an
+// through ReadResult, so a result that carries neither an output nor an
 // error is a 400 — not a decode failure that re-queues the shard.
 func TestResultWithoutOutputOrErrorRejected(t *testing.T) {
 	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 0)

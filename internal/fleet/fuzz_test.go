@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -12,10 +14,10 @@ import (
 
 // The fleet's wire surface decodes bytes from the network on both ends:
 // the worker decodes task envelopes, the coordinator decodes result
-// envelopes and their gob shard payloads. The fuzzers assert the decoders
-// never panic and that every accepted envelope satisfies the validated
-// invariants — a malformed or hostile peer can produce errors, not
-// crashes. CI's fuzz-smoke job runs these alongside the registry's
+// envelopes and the raw gob shard payloads behind them. The fuzzers assert
+// the decoders never panic and that every accepted envelope satisfies the
+// validated invariants — a malformed or hostile peer can produce errors,
+// not crashes. CI's fuzz-smoke job runs these alongside the registry's
 // upload-decoder fuzzers.
 
 func FuzzDecodeTask(f *testing.F) {
@@ -52,40 +54,41 @@ func FuzzDecodeTask(f *testing.F) {
 	})
 }
 
-func FuzzDecodeResult(f *testing.F) {
+func FuzzReadResult(f *testing.F) {
 	out, err := workflow.EncodeShard(workflow.StreamShard{Records: 3, Data: workflow.Feature{Name: "g1", Value: 1.5}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	seed, err := json.Marshal(ResultRequest{
-		WorkerID: "w1", TaskID: "t1", Output: out, ElapsedMS: 12.5,
-	})
-	if err != nil {
-		f.Fatal(err)
+	body := func(declared int, payload []byte) []byte {
+		env, err := json.Marshal(ResultRequest{WorkerID: "w1", TaskID: "t1", OutputBytes: int64(declared), ElapsedMS: 12.5})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(env, payload...)
 	}
-	f.Add(seed)
+	f.Add(body(len(out), out))
 	f.Add([]byte(`{"worker_id":"w1","task_id":"t1","error":"boom"}`))
-	f.Add([]byte(`{"worker_id":"","task_id":"t1","output":"aGk="}`))
-	f.Add([]byte(`{"worker_id":"w1","task_id":"t1","output":"aGk="}`))
+	f.Add(body(len(out), out[:len(out)-1]))
+	f.Add(body(len(out), append(append([]byte(nil), out...), 0)))
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := DecodeResult(data)
+		res, payload, err := ReadResult(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadEnvelope) {
-				t.Fatalf("decode error outside ErrBadEnvelope: %v", err)
+				t.Fatalf("read error outside ErrBadEnvelope: %v", err)
 			}
 			return
 		}
 		if res.WorkerID == "" || res.TaskID == "" {
 			t.Fatalf("accepted result without identity: %+v", res)
 		}
-		if res.Error == "" && res.Output == nil {
-			t.Fatalf("accepted result with neither output nor error: %+v", res)
+		if (res.Error != "") == (res.OutputBytes > 0) {
+			t.Fatalf("accepted result without exactly one of output or error: %+v", res)
 		}
-		// The gob payload decode is the coordinator's second step; arbitrary
+		// The payload decode is the coordinator's second step; arbitrary
 		// bytes must error cleanly, never panic.
-		if res.Output != nil {
-			_, _ = workflow.DecodeShard(res.Output)
+		if res.OutputBytes > 0 {
+			_, _ = workflow.DecodeShard(io.LimitReader(payload, res.OutputBytes+1))
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"scan/internal/align"
 	"scan/internal/blobstore"
@@ -16,9 +17,9 @@ import (
 	"scan/internal/workflow"
 )
 
-// maxEnvelope bounds a control envelope's decoded size; data travels in
-// blobs, so a control message beyond this is malformed or hostile.
-const maxEnvelope = 64 << 20
+// maxEnvelope bounds a JSON control envelope, maxPayload the raw shard
+// output behind a result envelope: anything larger is malformed or hostile.
+const maxEnvelope, maxPayload = 1 << 20, 64 << 20
 
 // RegisterRequest announces a worker to the coordinator.
 type RegisterRequest struct {
@@ -92,15 +93,16 @@ type Task struct {
 	Options     TaskOptions `json:"options"`
 }
 
-// ResultRequest reports one finished dispatch. Exactly one of Output or
-// Error is set; ElapsedMS is the worker-observed transform time, which the
-// engine logs to the Data Broker as the shard's telemetry.
+// ResultRequest opens a result body. Exactly one of Error or OutputBytes
+// is set; OutputBytes raw bytes of workflow.EncodeShard output follow it.
+// ElapsedMS is the worker-observed transform time, which the engine logs
+// to the Data Broker as the shard's telemetry.
 type ResultRequest struct {
-	WorkerID  string  `json:"worker_id"`
-	TaskID    string  `json:"task_id"`
-	Output    []byte  `json:"output,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	Error     string  `json:"error,omitempty"`
+	WorkerID    string  `json:"worker_id"`
+	TaskID      string  `json:"task_id"`
+	ElapsedMS   float64 `json:"elapsed_ms"`
+	Error       string  `json:"error,omitempty"`
+	OutputBytes int64   `json:"output_bytes,omitempty"`
 }
 
 // ResultResponse acknowledges a result; Accepted is false when the shard
@@ -190,23 +192,21 @@ func (t Task) validate() error {
 	return nil
 }
 
-// DecodeResult parses and validates a result envelope (the coordinator's
-// POST /api/v2/fleet/result body; fuzzed in fuzz_test.go). The gob Output
-// payload is decoded separately by the coordinator so a duplicate result
-// can be discarded without paying for its decode.
-func DecodeResult(b []byte) (ResultRequest, error) {
-	if len(b) > maxEnvelope {
-		return ResultRequest{}, fmt.Errorf("%w: result envelope over %d bytes", ErrBadEnvelope, maxEnvelope)
-	}
+// ReadResult reads and validates the envelope that opens a result body
+// (POST /api/v2/fleet/result; fuzzed in fuzz_test.go) and returns the body
+// positioned at the payload, which the coordinator decodes only for a
+// shard still waiting, so a duplicate costs no decode.
+func ReadResult(body io.Reader) (ResultRequest, io.Reader, error) {
+	dec := json.NewDecoder(io.LimitReader(body, maxEnvelope))
 	var res ResultRequest
-	if err := json.Unmarshal(b, &res); err != nil {
-		return ResultRequest{}, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
+	if err := dec.Decode(&res); err != nil {
+		return ResultRequest{}, nil, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
 	}
 	if res.WorkerID == "" || res.TaskID == "" {
-		return ResultRequest{}, fmt.Errorf("%w: result needs worker_id and task_id", ErrBadEnvelope)
+		return ResultRequest{}, nil, fmt.Errorf("%w: result needs worker_id and task_id", ErrBadEnvelope)
 	}
-	if res.Error == "" && res.Output == nil {
-		return ResultRequest{}, fmt.Errorf("%w: result needs an output or an error", ErrBadEnvelope)
+	if (res.Error != "") == (res.OutputBytes != 0) || res.OutputBytes < 0 || res.OutputBytes > maxPayload {
+		return ResultRequest{}, nil, fmt.Errorf("%w: result needs an error or output_bytes in (0, %d]", ErrBadEnvelope, maxPayload)
 	}
-	return res, nil
+	return res, io.MultiReader(dec.Buffered(), body), nil
 }

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -156,7 +158,7 @@ var errUnknownWorker = errors.New("fleet: unknown worker")
 func (wk *Worker) register(ctx context.Context) error {
 	var resp RegisterResponse
 	err := wk.post(ctx, "/api/v2/fleet/register",
-		RegisterRequest{Name: wk.opts.Name, Slots: wk.opts.Slots}, &resp)
+		RegisterRequest{Name: wk.opts.Name, Slots: wk.opts.Slots}, nil, &resp)
 	if err != nil {
 		return err
 	}
@@ -170,7 +172,7 @@ func (wk *Worker) register(ctx context.Context) error {
 
 func (wk *Worker) poll(ctx context.Context) (PollResponse, error) {
 	var resp PollResponse
-	err := wk.post(ctx, "/api/v2/fleet/poll", PollRequest{WorkerID: wk.id}, &resp)
+	err := wk.post(ctx, "/api/v2/fleet/poll", PollRequest{WorkerID: wk.id}, nil, &resp)
 	return resp, err
 }
 
@@ -183,15 +185,17 @@ func (wk *Worker) execute(ctx context.Context, id string, t Task) {
 		return // shutting down: the coordinator's timeout re-queues the shard
 	}
 	res := ResultRequest{WorkerID: id, TaskID: t.ID, ElapsedMS: float64(elapsed) / float64(time.Millisecond)}
+	var payload []byte
 	if err == nil {
-		res.Output, err = workflow.EncodeShard(out)
+		payload, err = workflow.EncodeShard(out)
 	}
 	if err != nil {
-		res.Output, res.Error = nil, err.Error()
+		payload, res.Error = nil, err.Error()
 	}
+	res.OutputBytes = int64(len(payload))
 	var ack ResultResponse
 	for attempt := 0; attempt < 3; attempt++ {
-		if err := wk.post(ctx, "/api/v2/fleet/result", res, &ack); err == nil {
+		if err := wk.post(ctx, "/api/v2/fleet/result", res, payload, &ack); err == nil {
 			if !ack.Accepted && res.Error == "" {
 				wk.opts.Logf("fleet worker: task %s shard %d: duplicate discarded (another dispatch won)", t.ID, t.Shard)
 			}
@@ -290,16 +294,23 @@ func (wk *Worker) fetchBlob(ctx context.Context, hash string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("fleet: blob %s: HTTP %d", hash, resp.StatusCode)
 	}
-	return io.ReadAll(resp.Body)
+	// Bytes that do not hash to the name they were served under are never
+	// decoded or cached.
+	b, err := io.ReadAll(resp.Body)
+	if sum := sha256.Sum256(b); err == nil && hex.EncodeToString(sum[:]) != hash {
+		return nil, fmt.Errorf("fleet: blob %s: content hash mismatch", hash)
+	}
+	return b, err
 }
 
-func (wk *Worker) post(ctx context.Context, path string, in, out any) error {
+// post sends in as JSON with payload (raw bytes, or nil) right behind it.
+func (wk *Worker) post(ctx context.Context, path string, in any, payload []byte, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		wk.opts.Coordinator+path, bytes.NewReader(body))
+		wk.opts.Coordinator+path, bytes.NewReader(append(body, payload...)))
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"scan/internal/align"
 	"scan/internal/genomics"
 	"scan/internal/knowledge"
 	"scan/internal/shard"
@@ -715,6 +716,38 @@ func TestEngineDrivesTheStream(t *testing.T) {
 				if (el == fakeElapsed) != tc.remote {
 					t.Fatalf("logged elapsed %v; remote pool ran the shards: %v", logged, tc.remote)
 				}
+			}
+		})
+	}
+}
+
+// TestBadReferenceFailsBeforeAnyShard: the align stream checks its
+// reference before Split and builds the seed index only in Transform, so
+// a reference with a non-ACGTN base still fails the run before any shard
+// runs — on the local pool and on a shard pool, which is never called.
+func TestBadReferenceFailsBeforeAnyShard(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pool *fakePool
+	}{{name: "local"}, {name: "shard-pool", pool: &fakePool{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := synthDataset(t, 8000, 500, 31)
+			ds.Reference.Seq = append([]byte(nil), ds.Reference.Seq...)
+			ds.Reference.Seq[4000] = 'X'
+			var shards atomic.Int32
+			opts := RunOptions{ShardObserver: func(string, int, time.Duration) { shards.Add(1) }}
+			if tc.pool != nil {
+				opts.ShardPool = tc.pool
+			}
+			_, err := testEngine(t, 2).RunByName(context.Background(), "dna-variant-detection", ds, opts)
+			if !errors.Is(err, align.ErrBadReference) {
+				t.Fatalf("err = %v, want align.ErrBadReference", err)
+			}
+			if n := shards.Load(); n != 0 {
+				t.Fatalf("%d shards ran over a bad reference", n)
+			}
+			if tc.pool != nil && tc.pool.calls.Load() != 0 {
+				t.Fatalf("ShardPool called %d times, want 0", tc.pool.calls.Load())
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"scan/internal/align"
@@ -120,13 +121,15 @@ const ctxCheckInterval = 64
 // per-shard outputs into one coordinate-sorted alignment set.
 type alignExecutor struct{}
 
-// Stream implements streamer.
+// Stream implements streamer. It only checks the reference: the first
+// Transform builds the seed index, so a fleet coordinator never does.
 func (alignExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
-	aligner, err := align.New(in.Reference, env.Options().Aligner)
-	if err != nil {
+	cfg := env.Options().Aligner
+	if err := align.Check(in.Reference, cfg); err != nil {
 		return nil, false, err
 	}
-	return &alignStream{env: env, in: in, aligner: aligner}, true, nil
+	index := sync.OnceValues(func() (*align.Aligner, error) { return align.New(in.Reference, cfg) })
+	return &alignStream{env: env, in: in, index: index}, true, nil
 }
 
 // AlignedShard is the alignment stage's per-shard output payload. Exported
@@ -138,9 +141,9 @@ type AlignedShard struct {
 }
 
 type alignStream struct {
-	env     *StageEnv
-	in      *Dataset
-	aligner *align.Aligner
+	env   *StageEnv
+	in    *Dataset
+	index func() (*align.Aligner, error)
 }
 
 func (s *alignStream) Split() ([]StreamShard, error) {
@@ -160,6 +163,10 @@ func (s *alignStream) Split() ([]StreamShard, error) {
 }
 
 func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
+	aligner, err := s.index()
+	if err != nil {
+		return StreamShard{}, err
+	}
 	reads := in.Data.([]genomics.Read)
 	alns := make([]genomics.Alignment, 0, len(reads))
 	mapped := 0
@@ -169,7 +176,7 @@ func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (Str
 				return StreamShard{}, err
 			}
 		}
-		aln := s.aligner.AlignRead(r)
+		aln := aligner.AlignRead(r)
 		if !aln.Unmapped() {
 			mapped++
 		}
@@ -190,7 +197,7 @@ func (s *alignStream) Gather(shards []StreamShard) (*Dataset, error) {
 	out := *s.in
 	out.Type = BAM
 	out.Reads = nil
-	out.Header = s.aligner.Header()
+	out.Header = genomics.NewHeader(genomics.RefInfo{Name: s.in.Reference.Name, Length: s.in.Reference.Len()})
 	out.Alignments = genomics.MergeSorted(groups...)
 	out.Mapped += mapped
 	return &out, nil

@@ -3,19 +3,24 @@ package workflow
 // The fleet wire codec: gob encodings for the two payload kinds that cross
 // the coordinator/worker boundary (internal/fleet). Context datasets ship
 // whole — content-addressed by SHA-256 of these bytes, so workers cache
-// them — and shard outputs ship per task. gob is deterministic for the
-// platform's payload types (exported fields, no maps), which is what makes
-// "equal datasets encode to equal bytes" hold for the content-hash data
-// plane, and what the distributed-vs-local equivalence tests compare.
+// them — and shard outputs ship per task, raw behind a JSON result
+// envelope. gob is deterministic for the platform's payload types
+// (exported fields, no maps), which is what makes "equal datasets encode
+// to equal bytes" hold for the content-hash data plane, and what the
+// distributed-vs-local equivalence tests compare.
 //
 // Every stage payload that can appear in a StreamShard's Data must be
 // registered here; forgetting one fails the first remote dispatch loudly
 // with a gob "type not registered" error, never silently.
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 
 	"scan/internal/genomics"
 	"scan/internal/imaging"
@@ -72,11 +77,16 @@ func EncodeShard(s StreamShard) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeShard reverses EncodeShard.
-func DecodeShard(b []byte) (StreamShard, error) {
+// DecodeShard reads one EncodeShard encoding from r, which must end with
+// it: bytes after the shard are an error.
+func DecodeShard(r io.Reader) (StreamShard, error) {
+	br := bufio.NewReader(r)
 	var s StreamShard
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
+	if err := gob.NewDecoder(br).Decode(&s); err != nil {
 		return StreamShard{}, fmt.Errorf("workflow: decode shard: %w", err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return StreamShard{}, fmt.Errorf("workflow: decode shard: %w", cmp.Or(err, errors.New("bytes after the shard")))
 	}
 	return s, nil
 }
