@@ -149,6 +149,9 @@ func TestNewRejectsBadInput(t *testing.T) {
 	if _, err := New(genomics.Sequence{Name: "s", Seq: bytes.Repeat([]byte("Z"), 100)}, Config{}); !errors.Is(err, ErrBadReference) {
 		t.Fatalf("invalid bases: err = %v, want ErrBadReference", err)
 	}
+	if _, err := New(genomics.Sequence{Name: "s", Seq: bytes.Repeat([]byte("A"), 100)}, Config{K: 33}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("K = 33: err = %v, want ErrBadConfig", err)
+	}
 }
 
 // TestNewFailsExactlyWhenCheckDoes: New's only failures are Check's, so a
@@ -162,7 +165,7 @@ func TestNewFailsExactlyWhenCheckDoes(t *testing.T) {
 			seq[i] = alphabet[int(b)%len(alphabet)]
 		}
 		ref := genomics.Sequence{Name: "r", Seq: seq}
-		cfg := Config{K: int(k % 24)}
+		cfg := Config{K: int(k % 40)}
 		checkErr := Check(ref, cfg)
 		a, err := New(ref, cfg)
 		if checkErr == nil {
@@ -238,5 +241,16 @@ func BenchmarkAlignRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.AlignRead(reads[i%len(reads)])
+	}
+}
+
+func BenchmarkNew(b *testing.B) {
+	ref := genomics.GenerateReference(rand.New(rand.NewSource(1)), "chr1", 100000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(ref, Config{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -75,22 +75,43 @@ func PartitionByRegion(alns []genomics.Alignment, regions []Region) (parts [][]g
 // region sees full coverage at region boundaries. A caller that emits
 // variants only inside its own region still produces each call exactly
 // once, with no evidence lost to the boundary — the correct GATK-style
-// scatter. Unmapped records are returned separately.
+// scatter. Unmapped records are returned separately. A first pass counts
+// each region's records, so every part is allocated once at its size.
 func PartitionByOverlap(alns []genomics.Alignment, regions []Region) (parts [][]genomics.Alignment, unmapped []genomics.Alignment) {
-	parts = make([][]genomics.Alignment, len(regions))
-	for _, a := range alns {
+	// span returns the regions [first, last) that a overlaps; first is -1
+	// for an unmapped record or one outside every region.
+	span := func(a *genomics.Alignment) (first, last int) {
 		if a.Unmapped() {
-			unmapped = append(unmapped, a)
-			continue
+			return -1, -1
 		}
-		first := findRegion(regions, a.Pos)
-		if first < 0 {
-			unmapped = append(unmapped, a)
-			continue
+		if first = findRegion(regions, a.Pos); first < 0 {
+			return -1, -1
 		}
 		end := a.End()
-		for i := first; i < len(regions) && regions[i].Start <= end; i++ {
-			parts[i] = append(parts[i], a)
+		for last = first; last < len(regions) && regions[last].Start <= end; last++ {
+		}
+		return first, last
+	}
+	sizes := make([]int, len(regions))
+	for i := range alns {
+		first, last := span(&alns[i])
+		for r := first; r < last; r++ {
+			sizes[r]++
+		}
+	}
+	parts = make([][]genomics.Alignment, len(regions))
+	for r, n := range sizes {
+		if n > 0 {
+			parts[r] = make([]genomics.Alignment, 0, n)
+		}
+	}
+	for i := range alns {
+		first, last := span(&alns[i])
+		if first < 0 {
+			unmapped = append(unmapped, alns[i])
+		}
+		for r := first; r < last; r++ {
+			parts[r] = append(parts[r], alns[i])
 		}
 	}
 	return parts, unmapped

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -89,5 +90,26 @@ func TestPartitionByOverlapCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func BenchmarkPartitionByOverlap(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	alns := make([]genomics.Alignment, 30000)
+	seq := make([]byte, 100)
+	for i := range alns {
+		alns[i] = genomics.Alignment{RName: "chr1", Pos: 1 + rng.Intn(100000-len(seq)), Seq: seq}
+		if rng.Intn(50) == 0 {
+			alns[i].Flag = genomics.FlagUnmapped
+		}
+	}
+	regs, err := Regions(100000, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PartitionByOverlap(alns, regs)
 	}
 }

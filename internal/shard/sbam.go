@@ -38,7 +38,8 @@ func SplitSBAM(r io.Reader, recordsPerShard int, newShard func(int) (io.Writer, 
 }
 
 // MergeSBAM gathers SBAM shards into one coordinate-sorted container. All
-// shards must agree on the reference dictionary.
+// shards must agree on the reference dictionary. A shard is a file, not a
+// promise, so each is sorted before the merge.
 func MergeSBAM(w io.Writer, inputs ...io.Reader) (int, error) {
 	var header genomics.Header
 	var groups [][]genomics.Alignment
@@ -52,6 +53,7 @@ func MergeSBAM(w io.Writer, inputs ...io.Reader) (int, error) {
 		} else if !sameRefs(header.Refs, h.Refs) {
 			return 0, fmt.Errorf("shard: SBAM shard %d has a different reference dictionary", i)
 		}
+		genomics.SortAlignments(alns)
 		groups = append(groups, alns)
 	}
 	merged := genomics.MergeSorted(groups...)
@@ -62,7 +64,8 @@ func MergeSBAM(w io.Writer, inputs ...io.Reader) (int, error) {
 	return len(merged), nil
 }
 
-// MergeSAM gathers SAM text shards into one coordinate-sorted document.
+// MergeSAM gathers SAM text shards into one coordinate-sorted document,
+// sorting each shard before the merge as MergeSBAM does.
 func MergeSAM(w io.Writer, inputs ...io.Reader) (int, error) {
 	var header genomics.Header
 	var groups [][]genomics.Alignment
@@ -76,6 +79,7 @@ func MergeSAM(w io.Writer, inputs ...io.Reader) (int, error) {
 		} else if !sameRefs(header.Refs, h.Refs) {
 			return 0, fmt.Errorf("shard: SAM shard %d has a different reference dictionary", i)
 		}
+		genomics.SortAlignments(alns)
 		groups = append(groups, alns)
 	}
 	merged := genomics.MergeSorted(groups...)
