@@ -666,12 +666,13 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Phase 2: outside the lock, decode exactly OutputBytes bytes straight
-	// off the body, with nothing after them; then commit if still first.
-	lr := &io.LimitedReader{R: payload, N: res.OutputBytes + 1}
-	out, err := workflow.DecodeShard(lr)
-	if err == nil && lr.N != 1 {
-		err = fmt.Errorf("payload is %d bytes, envelope declares %d", res.OutputBytes+1-lr.N, res.OutputBytes)
+	// Phase 2: outside the lock, read exactly OutputBytes bytes off the
+	// body, with nothing after them, and decode them; then commit if still
+	// first.
+	var out workflow.StreamShard
+	b, err := readPayload(payload, res.OutputBytes)
+	if err == nil {
+		out, err = workflow.DecodeShard(b)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -699,6 +700,20 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		close(sr.finished)
 	}
 	route.JSON(w, http.StatusOK, ResultResponse{Accepted: true})
+}
+
+// readPayload reads the n-byte shard payload behind a result envelope in
+// one read; a body that ends before n bytes or runs past them is an error.
+func readPayload(body io.Reader, n int64) ([]byte, error) {
+	b := make([]byte, n)
+	if got, err := io.ReadFull(body, b); err != nil {
+		return nil, fmt.Errorf("payload is %d bytes, envelope declares %d", got, n)
+	}
+	var one [1]byte
+	if _, err := io.ReadFull(body, one[:]); err != io.EOF {
+		return nil, fmt.Errorf("payload runs past the %d bytes its envelope declares", n)
+	}
+	return b, nil
 }
 
 func (c *Coordinator) handleBlob(w http.ResponseWriter, r *http.Request) {

@@ -13,12 +13,12 @@
 // each shard's worker-observed time and the engine logs it, so remote
 // shards feed the Data Broker exactly like local ones.
 //
-// The data plane is content-addressed: a stage's input dataset gob-encodes
-// once (workflow.EncodeDataset, deterministic) and ships by SHA-256 hash;
-// workers fetch GET /api/v2/blobs/{hash} on first sight, check the bytes
-// against the hash and cache the dataset, so repeated stages over the same
-// dataset transfer nothing. Shard outputs return as raw gob bytes behind a
-// JSON result envelope.
+// The data plane is content-addressed: a stage's input dataset encodes
+// once (workflow.EncodeDataset, a deterministic binary codec) and ships by
+// SHA-256 hash; workers fetch GET /api/v2/blobs/{hash} on first sight,
+// check the bytes against the hash and cache the dataset, so repeated
+// stages over the same dataset transfer nothing. Shard outputs return as
+// raw codec bytes (workflow.EncodeShard) behind a JSON result envelope.
 //
 // Dispatch is pull-based over HTTP (register, long-poll, result) with
 // per-shard timeout, bounded retry, and straggler re-dispatch: the first

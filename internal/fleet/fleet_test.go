@@ -835,7 +835,7 @@ func (p *payloadSizer) RunShards(ctx context.Context, env *workflow.StageEnv, sh
 }
 
 // TestResultWireCarriesRawBytes: a shard output crosses the result wire as
-// its gob bytes behind a small JSON envelope, not re-encoded as text.
+// its encoded bytes behind a small JSON envelope, not re-encoded as text.
 func TestResultWireCarriesRawBytes(t *testing.T) {
 	wire := &resultCounter{}
 	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 2, &http.Client{Transport: wire})

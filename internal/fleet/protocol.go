@@ -1,7 +1,7 @@
 package fleet
 
 // The fleet wire protocol: JSON envelopes for control (register, poll,
-// result, roster) with gob payloads (workflow/wire.go) for data. Decode
+// result, roster) with binary payloads (workflow/wire.go) for data. Decode
 // helpers validate structurally here so both ends and the fuzz targets
 // share one entry point.
 

@@ -303,17 +303,20 @@ func (wk *Worker) fetchBlob(ctx context.Context, hash string) ([]byte, error) {
 	return b, err
 }
 
-// post sends in as JSON with payload (raw bytes, or nil) right behind it.
+// post sends in as JSON with payload (raw bytes, or nil) right behind it,
+// streamed from both slices without joining them.
 func (wk *Worker) post(ctx context.Context, path string, in any, payload []byte, out any) error {
-	body, err := json.Marshal(in)
+	env, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		wk.opts.Coordinator+path, bytes.NewReader(append(body, payload...)))
+	body := func() io.Reader { return io.MultiReader(bytes.NewReader(env), bytes.NewReader(payload)) }
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.opts.Coordinator+path, body())
 	if err != nil {
 		return err
 	}
+	req.ContentLength = int64(len(env) + len(payload))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(body()), nil }
 	req.Header.Set("Content-Type", "application/json")
 	if wk.opts.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+wk.opts.Token)

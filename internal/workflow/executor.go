@@ -133,8 +133,8 @@ func (alignExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, erro
 }
 
 // AlignedShard is the alignment stage's per-shard output payload. Exported
-// (with exported fields) because it crosses the fleet wire: a remote worker
-// gob-encodes it back to the coordinator (wire.go).
+// because it crosses the fleet wire: a remote worker encodes it back to
+// the coordinator (wire.go).
 type AlignedShard struct {
 	Alns   []genomics.Alignment
 	Mapped int

@@ -43,7 +43,7 @@ type StreamShard struct {
 	Records int
 	// Data is the stage-specific payload: Split's output type is the
 	// Transform input type, and Transform's output type is Gather's input.
-	// Types that cross the fleet wire are registered in wire.go.
+	// Types that cross the fleet wire each have an entry in wire.go's payloads.
 	Data any
 }
 

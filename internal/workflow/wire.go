@@ -1,26 +1,37 @@
 package workflow
 
-// The fleet wire codec: gob encodings for the two payload kinds that cross
-// the coordinator/worker boundary (internal/fleet). Context datasets ship
-// whole — content-addressed by SHA-256 of these bytes, so workers cache
-// them — and shard outputs ship per task, raw behind a JSON result
-// envelope. gob is deterministic for the platform's payload types
-// (exported fields, no maps), which is what makes "equal datasets encode
-// to equal bytes" hold for the content-hash data plane, and what the
+// The fleet wire codec: one deterministic, length-prefixed binary format
+// for the two payload kinds that cross the coordinator/worker boundary
+// (internal/fleet). Context datasets ship whole — content-addressed by
+// SHA-256 of these bytes, so workers cache them — and shard outputs ship
+// per task, raw behind a JSON result envelope.
+//
+// Format: counts and lengths are uvarints, ints are zigzag varints, floats
+// are their 8 IEEE-754 bits, little-endian (so −0.0 and NaN payloads
+// survive), strings and byte slices are a length then the bytes, and a
+// slice is a count then its elements. A zero count decodes as nil, so nil
+// and empty encode alike. Fields follow in declaration order. The bytes
+// depend only on the value, which is what makes "equal datasets encode to
+// equal bytes" hold for the content-hash data plane, and what the
 // distributed-vs-local equivalence tests compare.
 //
-// Every stage payload that can appear in a StreamShard's Data must be
-// registered here; forgetting one fails the first remote dispatch loudly
-// with a gob "type not registered" error, never silently.
+// One function per type codes it in both directions (the wire's mode
+// picks which), so the encoder and decoder cannot drift apart. Encoding
+// runs it twice: a counting pass, then a write into a buffer of exactly
+// that size. Decoding checks every count against the bytes left before it
+// allocates, rejects bytes after the payload, and aliases byte-slice
+// fields into the input through 3-index slices instead of copying them.
+//
+// A StreamShard's Data opens with a one-byte tag naming its type; every
+// stage payload that can appear there needs an entry in payloads. A type
+// without one fails the first remote dispatch loudly, never silently.
 
 import (
-	"bufio"
-	"bytes"
-	"cmp"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"math"
+	"math/bits"
 
 	"scan/internal/genomics"
 	"scan/internal/imaging"
@@ -28,21 +39,7 @@ import (
 	"scan/internal/proteome"
 )
 
-func init() {
-	// Shard inputs: record chunks and re-scatter descriptors.
-	gob.Register([]genomics.Read(nil))
-	gob.Register([]genomics.Alignment(nil))
-	gob.Register([]proteome.Spectrum(nil))
-	gob.Register(TileShard{})
-	gob.Register(NodeRange{})
-	// Shard outputs, one per streaming family.
-	gob.Register(AlignedShard{})
-	gob.Register([]genomics.Variant(nil))
-	gob.Register(Feature{})
-	gob.Register([]proteome.Match(nil))
-	gob.Register([]imaging.Region(nil))
-	gob.Register([]network.Edge(nil))
-}
+var errShort = errors.New("payload ends mid-record")
 
 // EncodeDataset serializes a dataset for the fleet data plane. Equal
 // datasets produce equal bytes, so SHA-256 of the encoding is a stable
@@ -51,17 +48,13 @@ func EncodeDataset(d *Dataset) ([]byte, error) {
 	if d == nil {
 		return nil, ErrNilDataset
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		return nil, fmt.Errorf("workflow: encode dataset: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encode(func(w *wire) { w.dataset(d) })
 }
 
-// DecodeDataset reverses EncodeDataset.
+// DecodeDataset reverses EncodeDataset. The dataset's byte slices alias b.
 func DecodeDataset(b []byte) (*Dataset, error) {
 	d := new(Dataset)
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(d); err != nil {
+	if err := decode(b, func(w *wire) { w.dataset(d) }); err != nil {
 		return nil, fmt.Errorf("workflow: decode dataset: %w", err)
 	}
 	return d, nil
@@ -70,23 +63,375 @@ func DecodeDataset(b []byte) (*Dataset, error) {
 // EncodeShard serializes one stream shard (a worker's task output, or an
 // inline task input).
 func EncodeShard(s StreamShard) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+	b, err := encode(func(w *wire) { w.shard(&s) })
+	if err != nil {
 		return nil, fmt.Errorf("workflow: encode shard: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// DecodeShard reads one EncodeShard encoding from r, which must end with
-// it: bytes after the shard are an error.
-func DecodeShard(r io.Reader) (StreamShard, error) {
-	br := bufio.NewReader(r)
+// DecodeShard reverses EncodeShard; b must hold exactly one shard. The
+// shard's byte slices alias b.
+func DecodeShard(b []byte) (StreamShard, error) {
 	var s StreamShard
-	if err := gob.NewDecoder(br).Decode(&s); err != nil {
+	if err := decode(b, func(w *wire) { w.shard(&s) }); err != nil {
 		return StreamShard{}, fmt.Errorf("workflow: decode shard: %w", err)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return StreamShard{}, fmt.Errorf("workflow: decode shard: %w", cmp.Or(err, errors.New("bytes after the shard")))
-	}
 	return s, nil
+}
+
+func encode(code func(*wire)) ([]byte, error) {
+	var w wire
+	code(&w)
+	if w.err != nil {
+		return nil, w.err
+	}
+	w = wire{b: make([]byte, w.off)}
+	code(&w)
+	return w.b, nil
+}
+
+func decode(b []byte, code func(*wire)) error {
+	w := wire{b: b, dec: true}
+	code(&w)
+	if w.err == nil && w.off != len(b) {
+		w.err = fmt.Errorf("%d bytes after the payload", len(b)-w.off)
+	}
+	return w.err
+}
+
+// wire is one pass of the codec. Encoding, b is nil while counting and
+// then the exactly-sized output; decoding, b is the input. off is the
+// bytes counted, written or read so far. The first decode error sticks
+// and exhausts the input, so later reads fail fast and allocate nothing.
+type wire struct {
+	b   []byte
+	off int
+	dec bool
+	err error
+}
+
+func (w *wire) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+	w.off = len(w.b)
+}
+
+func (w *wire) uvarint(v *uint64) {
+	switch {
+	case w.dec:
+		x, n := binary.Uvarint(w.b[w.off:])
+		if n <= 0 {
+			w.fail(errShort)
+			return
+		}
+		*v, w.off = x, w.off+n
+	case w.b == nil:
+		w.off += (bits.Len64(*v|1) + 6) / 7
+	default:
+		w.off += binary.PutUvarint(w.b[w.off:], *v)
+	}
+}
+
+func (w *wire) int(v *int) {
+	x := uint64(*v)<<1 ^ uint64(*v>>63)
+	w.uvarint(&x)
+	if w.dec {
+		*v = int(x>>1) ^ -int(x&1)
+	}
+}
+
+func (w *wire) float(v *float64) {
+	switch {
+	case w.dec:
+		if len(w.b)-w.off < 8 {
+			w.fail(errShort)
+			return
+		}
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(w.b[w.off:]))
+	case w.b != nil:
+		binary.LittleEndian.PutUint64(w.b[w.off:], math.Float64bits(*v))
+	}
+	w.off += 8
+}
+
+// count codes n, the length of something whose every unit takes at least
+// unit bytes; decoding, a count the bytes left cannot hold is an error.
+func (w *wire) count(n *int, unit int) {
+	x := uint64(*n)
+	w.uvarint(&x)
+	if w.dec {
+		if left := len(w.b) - w.off; x > uint64(left/unit) {
+			w.fail(fmt.Errorf("count %d exceeds the %d bytes left", x, left))
+			x = 0
+		}
+		*n = int(x)
+	}
+}
+
+// span codes a length-prefixed byte run and returns its position in b.
+func (w *wire) span(n *int) (int, int) {
+	w.count(n, 1)
+	lo := w.off
+	w.off += *n
+	return lo, w.off
+}
+
+func (w *wire) bytes(p *[]byte) {
+	n := len(*p)
+	lo, hi := w.span(&n)
+	switch {
+	case w.dec && n > 0:
+		*p = w.b[lo:hi:hi]
+	case w.dec:
+		*p = nil
+	case w.b != nil:
+		copy(w.b[lo:hi], *p)
+	}
+}
+
+func (w *wire) str(s *string) {
+	n := len(*s)
+	lo, hi := w.span(&n)
+	switch {
+	case w.dec:
+		*s = string(w.b[lo:hi])
+	case w.b != nil:
+		copy(w.b[lo:hi], *s)
+	}
+}
+
+// present codes whether an optional value follows, as one 0 or 1 byte.
+func (w *wire) present(ok bool) bool {
+	x := uint64(0)
+	if ok {
+		x = 1
+	}
+	w.uvarint(&x)
+	if x > 1 {
+		w.fail(fmt.Errorf("presence byte %d", x))
+	}
+	return x == 1
+}
+
+// slice codes s as a count and its elements; decoding, each element
+// takes at least the encoded size of T's zero value.
+func slice[T any](w *wire, s *[]T, code func(*wire, *T)) {
+	n := len(*s)
+	if w.dec {
+		var zero T
+		unit := wire{}
+		code(&unit, &zero)
+		w.count(&n, unit.off)
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	} else {
+		w.count(&n, 1)
+	}
+	for i := range *s {
+		code(w, &(*s)[i])
+	}
+}
+
+func (w *wire) dataset(d *Dataset) {
+	w.str((*string)(&d.Type))
+	w.str(&d.Reference.Name)
+	w.bytes(&d.Reference.Seq)
+	w.str(&d.Header.Version)
+	w.str(&d.Header.SortOrder)
+	slice(w, &d.Header.Refs, func(w *wire, r *genomics.RefInfo) {
+		w.str(&r.Name)
+		w.int(&r.Length)
+	})
+	slice(w, &d.PeptideDB.Peptides, func(w *wire, p *proteome.Peptide) {
+		w.str(&p.Protein)
+		w.str(&p.Name)
+		slice(w, &p.Masses, (*wire).float)
+	})
+	slice(w, &d.Reads, (*wire).read)
+	slice(w, &d.Alignments, (*wire).alignment)
+	w.int(&d.Mapped)
+	slice(w, &d.Variants, (*wire).variant)
+	slice(w, &d.Features, (*wire).feature)
+	slice(w, &d.Spectra, (*wire).spectrum)
+	slice(w, &d.Proteins, func(w *wire, p *proteome.ProteinQuant) {
+		w.str(&p.Protein)
+		w.int(&p.Peptides)
+		w.int(&p.Spectra)
+		w.float(&p.Abundance)
+	})
+	slice(w, &d.Images, func(w *wire, im *imaging.Image) {
+		w.str(&im.ID)
+		w.int(&im.W)
+		w.int(&im.H)
+		slice(w, &im.Pix, (*wire).float)
+	})
+	if w.present(d.Net != nil) {
+		if w.dec {
+			d.Net = new(network.Network)
+		}
+		w.network(d.Net)
+	}
+}
+
+func (w *wire) network(n *network.Network) {
+	slice(w, &n.Nodes, func(w *wire, nd *network.Node) {
+		w.str(&nd.Name)
+		w.float(&nd.Value)
+	})
+	slice(w, &n.Edges, (*wire).edge)
+	slice(w, &n.Modules, func(w *wire, m *[]int) { slice(w, m, (*wire).int) })
+}
+
+func (w *wire) read(r *genomics.Read) {
+	w.str(&r.ID)
+	w.bytes(&r.Seq)
+	w.bytes(&r.Qual)
+}
+
+func (w *wire) alignment(a *genomics.Alignment) {
+	w.str(&a.QName)
+	w.int(&a.Flag)
+	w.str(&a.RName)
+	w.int(&a.Pos)
+	w.int(&a.MapQ)
+	w.str(&a.CIGAR)
+	w.str(&a.RNext)
+	w.int(&a.PNext)
+	w.int(&a.TLen)
+	w.bytes(&a.Seq)
+	w.bytes(&a.Qual)
+	w.int(&a.NM)
+}
+
+func (w *wire) variant(v *genomics.Variant) {
+	w.str(&v.Chrom)
+	w.int(&v.Pos)
+	w.str(&v.ID)
+	w.str(&v.Ref)
+	w.str(&v.Alt)
+	w.float(&v.Qual)
+	w.str(&v.Filter)
+	w.str(&v.Info)
+}
+
+func (w *wire) feature(f *Feature) {
+	w.str(&f.Name)
+	w.int(&f.Start)
+	w.int(&f.End)
+	w.int(&f.Count)
+	w.float(&f.Value)
+}
+
+func (w *wire) spectrum(s *proteome.Spectrum) {
+	w.str(&s.ID)
+	slice(w, &s.Peaks, (*wire).float)
+}
+
+func (w *wire) edge(e *network.Edge) {
+	w.int(&e.A)
+	w.int(&e.B)
+	w.float(&e.Weight)
+}
+
+func (w *wire) rect(r *imaging.Rect) {
+	w.int(&r.X0)
+	w.int(&r.Y0)
+	w.int(&r.X1)
+	w.int(&r.Y1)
+}
+
+func (w *wire) shard(s *StreamShard) {
+	w.int(&s.Records)
+	if w.dec {
+		var tag uint64
+		w.uvarint(&tag)
+		if tag >= uint64(len(payloads)) {
+			w.fail(fmt.Errorf("unknown shard payload tag %d", tag))
+			return
+		}
+		payloads[tag](w, &s.Data, tag)
+		return
+	}
+	for tag, code := range payloads {
+		if code(w, &s.Data, uint64(tag)) {
+			return
+		}
+	}
+	w.fail(fmt.Errorf("shard payload %T has no wire tag", s.Data))
+}
+
+// payloads codes every StreamShard.Data type that crosses the fleet wire.
+// An entry's index is its tag, which opens the payload; the indices are
+// the wire format, so append, never reorder. Encoding, an entry reports
+// whether the payload is its type, and codes it only then.
+var payloads = []func(w *wire, v *any, tag uint64) bool{
+	func(w *wire, v *any, tag uint64) bool { // no payload: a nil Data
+		if *v == nil && !w.dec {
+			w.uvarint(&tag)
+		}
+		return *v == nil
+	},
+	// Shard inputs: record chunks and re-scatter descriptors.
+	payload(func(w *wire, v *[]genomics.Read) { slice(w, v, (*wire).read) }),
+	payload(func(w *wire, v *[]genomics.Alignment) { slice(w, v, (*wire).alignment) }),
+	payload(func(w *wire, v *[]proteome.Spectrum) { slice(w, v, (*wire).spectrum) }),
+	payload(func(w *wire, v *TileShard) {
+		w.int(&v.Img)
+		w.rect(&v.Tile.Core)
+		w.rect(&v.Tile.Halo)
+	}),
+	payload(func(w *wire, v *NodeRange) {
+		w.int(&v.Lo)
+		w.int(&v.Hi)
+	}),
+	// Shard outputs, one per streaming family.
+	payload(func(w *wire, v *AlignedShard) {
+		slice(w, &v.Alns, (*wire).alignment)
+		w.int(&v.Mapped)
+	}),
+	payload(func(w *wire, v *[]genomics.Variant) { slice(w, v, (*wire).variant) }),
+	payload((*wire).feature),
+	payload(func(w *wire, v *[]proteome.Match) {
+		slice(w, v, func(w *wire, m *proteome.Match) {
+			w.str(&m.Spectrum)
+			w.int(&m.Peptide)
+			w.float(&m.Score)
+		})
+	}),
+	payload(func(w *wire, v *[]imaging.Region) {
+		slice(w, v, func(w *wire, r *imaging.Region) {
+			w.int(&r.Area)
+			w.float(&r.CX)
+			w.float(&r.CY)
+			w.float(&r.Mean)
+			w.int(&r.MinX)
+			w.int(&r.MinY)
+			w.int(&r.MaxX)
+			w.int(&r.MaxY)
+		})
+	}),
+	payload(func(w *wire, v *[]network.Edge) { slice(w, v, (*wire).edge) }),
+}
+
+// payload makes the payloads entry for an interface-held value of type T.
+func payload[T any](code func(*wire, *T)) func(*wire, *any, uint64) bool {
+	return func(w *wire, v *any, tag uint64) bool {
+		var x T
+		if !w.dec {
+			var ok bool
+			if x, ok = (*v).(T); !ok {
+				return false
+			}
+			w.uvarint(&tag)
+		}
+		code(w, &x)
+		if w.dec {
+			*v = x
+		}
+		return true
+	}
 }
