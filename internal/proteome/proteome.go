@@ -160,39 +160,11 @@ type Match struct {
 	Score float64
 }
 
-// Search assigns one spectrum to the best-covered database peptide: for
-// each peptide, the score is the fraction of its fragment ladder present in
-// the spectrum within Tolerance; the best score wins if it clears MinScore.
-// Ties resolve to the lower peptide index, keeping results deterministic.
+// Search assigns one spectrum to the best-covered database peptide under
+// the rules of Index.Search. It builds a fragment-ion index per call; a
+// stage searching many spectra builds one Index and reuses it.
 func Search(db Database, sp Spectrum, cfg Config) Match {
-	cfg = cfg.withDefaults()
-	m := Match{Spectrum: sp.ID, Peptide: -1}
-	for i, pep := range db.Peptides {
-		hits := 0
-		for _, mass := range pep.Masses {
-			if hasPeakNear(sp.Peaks, mass, cfg.Tolerance) {
-				hits++
-			}
-		}
-		if len(pep.Masses) == 0 {
-			continue
-		}
-		score := float64(hits) / float64(len(pep.Masses))
-		if score > m.Score {
-			m.Peptide, m.Score = i, score
-		}
-	}
-	if m.Score < cfg.MinScore {
-		m.Peptide, m.Score = -1, 0
-	}
-	return m
-}
-
-// hasPeakNear reports whether the ascending peak list holds a peak within
-// tol of mass (binary search).
-func hasPeakNear(peaks []float64, mass, tol float64) bool {
-	i := sort.SearchFloat64s(peaks, mass-tol)
-	return i < len(peaks) && peaks[i] <= mass+tol
+	return NewIndex(db, cfg).Search(sp)
 }
 
 // ProteinQuant is one row of a ProteinTable: per-protein evidence gathered

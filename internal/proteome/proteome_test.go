@@ -24,7 +24,7 @@ func TestGenerateDatabaseDeterministic(t *testing.T) {
 	if got := a.Proteins(); got != 5 {
 		t.Fatalf("proteins = %d, want 5", got)
 	}
-	// Fragment ladders arrive sorted — the search's binary probe needs it.
+	// Fragment ladders arrive sorted, the form the peptide decoder produces.
 	for _, p := range a.Peptides {
 		for j := 1; j < len(p.Masses); j++ {
 			if p.Masses[j-1] > p.Masses[j] {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -277,8 +278,8 @@ func DecodeMGFSpectra(r io.Reader, lim Limits) ([]proteome.Spectrum, Stats, erro
 			if cur == nil {
 				return fail("peak %q outside BEGIN IONS", text)
 			}
-			mass, err := strconv.ParseFloat(firstField(text), 64)
-			if err != nil || mass <= 0 {
+			mass, ok := parseMass(firstField(text))
+			if !ok {
 				return fail("bad peak %q", text)
 			}
 			if len(cur.Peaks) >= maxPeaksPerSpectrum {
@@ -299,9 +300,17 @@ func DecodeMGFSpectra(r io.Reader, lim Limits) ([]proteome.Spectrum, Stats, erro
 	return spectra, src.stats(len(spectra)), nil
 }
 
+// parseMass parses a peak or fragment mass, which must be finite and
+// positive: strconv.ParseFloat also accepts "nan" and "inf".
+func parseMass(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && v > 0 && !math.IsInf(v, 0)
+}
+
 // DecodePeptides streams a peptide-database table: one peptide per line,
 // whitespace-separated "protein peptide m1,m2,…" with '#' comments. The
-// fragment ladder is sorted ascending, the form the search expects.
+// fragment ladder is sorted ascending, as proteome.GenerateDatabase builds
+// it.
 func DecodePeptides(r io.Reader, lim Limits) (proteome.Database, Stats, error) {
 	src := newSource(r, lim.MaxBytes)
 	sc, release := pooledScanner(src)
@@ -330,8 +339,8 @@ func DecodePeptides(r io.Reader, lim Limits) (proteome.Database, Stats, error) {
 		for rest, more := fields[2], true; more; {
 			var m string
 			m, rest, more = strings.Cut(rest, ",")
-			v, err := strconv.ParseFloat(m, 64)
-			if err != nil || v <= 0 {
+			v, ok := parseMass(m)
+			if !ok {
 				return fail("bad fragment mass %q", m)
 			}
 			masses = append(masses, v)

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"testing"
 )
@@ -87,7 +88,8 @@ func FuzzDecodeFASTQ(f *testing.F) {
 }
 
 // FuzzDecodeMGF hammers the MGF spectra decoder: scans must be properly
-// bracketed, peak lists validated, capped and sorted ascending.
+// bracketed, peak lists validated (every peak finite and positive), capped
+// and sorted ascending.
 func FuzzDecodeMGF(f *testing.F) {
 	f.Add([]byte("# acquisition export\nBEGIN IONS\nTITLE=scan_a\nPEPMASS=442.7\n500.1 12.0\n250.2 3.0\n750.3\nEND IONS\nBEGIN IONS\n300.5\nEND IONS\n"))
 	f.Add([]byte("BEGIN IONS\n100.0\n"))          // unterminated scan
@@ -97,6 +99,7 @@ func FuzzDecodeMGF(f *testing.F) {
 	f.Add([]byte("BEGIN IONS\n-1\nEND IONS\n"))   // non-positive mass
 	f.Add([]byte("BEGIN IONS\nBEGIN IONS\n"))     // nested begin
 	f.Add([]byte("\n"))                           // no scans
+	f.Add([]byte("BEGIN IONS\nNaN\nEND IONS\n"))  // non-finite mass
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spectra, st, err := DecodeMGFSpectra(bytes.NewReader(data), fuzzLimits)
 		if err != nil {
@@ -119,8 +122,8 @@ func FuzzDecodeMGF(f *testing.F) {
 				t.Fatalf("spectrum %q: peaks not sorted: %v", sp.ID, sp.Peaks)
 			}
 			for _, p := range sp.Peaks {
-				if p <= 0 {
-					t.Fatalf("spectrum %q: non-positive peak %v", sp.ID, p)
+				if !(p > 0) || math.IsInf(p, 0) {
+					t.Fatalf("spectrum %q: peak %v not finite and positive", sp.ID, p)
 				}
 			}
 		}

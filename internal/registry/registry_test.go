@@ -340,6 +340,10 @@ END IONS
 		"stray end":    "END IONS\n",
 		"stray peak":   "100.0\n",
 		"bad peak":     "BEGIN IONS\nnope\nEND IONS\n",
+		"NaN peak":     "BEGIN IONS\n100.0\nNaN 3.0\nEND IONS\n",
+		"+Inf peak":    "BEGIN IONS\n+Inf\nEND IONS\n",
+		"infinity":     "BEGIN IONS\ninfinity\nEND IONS\n",
+		"zero peak":    "BEGIN IONS\n0\nEND IONS\n",
 		"empty":        "\n",
 	} {
 		if _, _, err := DecodeMGFSpectra(strings.NewReader(bad), Limits{MaxRecords: 10, MaxBytes: 1 << 20}); err == nil {
@@ -376,6 +380,10 @@ func TestDecodePeptides(t *testing.T) {
 	for name, bad := range map[string]string{
 		"wrong columns": "P1 pep\n",
 		"bad mass":      "P1 pep x,y\n",
+		"NaN mass":      "P1 p1 nan,200\n",
+		"+Inf mass":     "P1 p1 200,inf\n",
+		"infinity":      "P1 p1 Infinity\n",
+		"-Inf mass":     "P1 p1 -inf,200\n",
 		"empty":         "# nothing\n",
 	} {
 		if _, _, err := DecodePeptides(strings.NewReader(bad), Limits{MaxRecords: 10, MaxBytes: 1 << 20}); err == nil {

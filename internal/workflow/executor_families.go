@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"scan/internal/imaging"
 	"scan/internal/network"
@@ -28,18 +29,21 @@ import (
 // quantification); in search mode it carries identification counts only.
 type spectralSearchExecutor struct{ quantify bool }
 
-// Stream implements streamer.
+// Stream implements streamer. The first Transform builds the fragment-ion
+// index every shard of the stage shares, so a fleet coordinator never does.
 func (e spectralSearchExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	if len(in.PeptideDB.Peptides) == 0 {
 		return nil, false, errors.New("spectral search needs a peptide database")
 	}
-	return &spectralStream{env: env, in: in, quantify: e.quantify}, true, nil
+	index := sync.OnceValue(func() *proteome.Index { return proteome.NewIndex(in.PeptideDB, proteome.Config{}) })
+	return &spectralStream{env: env, in: in, quantify: e.quantify, index: index}, true, nil
 }
 
 type spectralStream struct {
 	env      *StageEnv
 	in       *Dataset
 	quantify bool
+	index    func() *proteome.Index
 }
 
 func (s *spectralStream) Split() ([]StreamShard, error) {
@@ -59,6 +63,7 @@ func (s *spectralStream) Split() ([]StreamShard, error) {
 }
 
 func (s *spectralStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
+	index := s.index()
 	spectra := in.Data.([]proteome.Spectrum)
 	ms := make([]proteome.Match, 0, len(spectra))
 	for i, sp := range spectra {
@@ -67,7 +72,7 @@ func (s *spectralStream) Transform(ctx context.Context, _ int, in StreamShard) (
 				return StreamShard{}, err
 			}
 		}
-		ms = append(ms, proteome.Search(s.in.PeptideDB, sp, proteome.Config{}))
+		ms = append(ms, index.Search(sp))
 	}
 	return StreamShard{Records: len(ms), Data: ms}, nil
 }
