@@ -1,5 +1,6 @@
-// Benchmarks regenerating each evaluation artifact of the paper (see the
-// experiment index in DESIGN.md). Each benchmark runs a reduced-fidelity
+// Benchmarks regenerating each evaluation artifact of the paper: Table I's
+// sweep, Table II's profile fit, Figures 4 and 5, the allocation comparison
+// and the real pipeline. Each benchmark runs a reduced-fidelity
 // version of the corresponding experiment per iteration — the full-fidelity
 // versions are produced by cmd/scansim. Benchmark *output* is the paper's
 // artifact shape; the reported ns/op measures the harness itself.

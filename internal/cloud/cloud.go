@@ -82,9 +82,6 @@ func DefaultTiers(publicPrice float64) []Tier {
 // StartupDelay returns the configured boot/reconfigure penalty.
 func (c *Cloud) StartupDelay() float64 { return c.startup }
 
-// Tiers returns the tier table.
-func (c *Cloud) Tiers() []Tier { return c.tiers }
-
 // FreeCores reports the remaining capacity of tier i (a large sentinel for
 // unbounded tiers).
 func (c *Cloud) FreeCores(i int) int {

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime"
 	"time"
@@ -240,18 +239,6 @@ type VariantCallingResult struct {
 	// Advice is the Data Broker's recommendation that sized the shards
 	// (zero value when ShardRecords overrode it).
 	Advice knowledge.Advice
-}
-
-// WriteSAM writes the alignments in SAM format.
-func (r *VariantCallingResult) WriteSAM(w io.Writer) error {
-	h := r.Header
-	h.SortOrder = "coordinate"
-	return genomics.WriteSAM(w, h, r.Alignments)
-}
-
-// WriteVCF writes the variant calls in VCF format.
-func (r *VariantCallingResult) WriteVCF(w io.Writer) error {
-	return genomics.WriteVCF(w, "SCAN", r.Variants)
 }
 
 // ErrNoReads is returned for an empty read set.

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"scan/internal/genomics"
@@ -165,28 +163,6 @@ func TestContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := p.RunVariantCalling(ctx, job); err == nil {
 		t.Fatal("cancelled context succeeded")
-	}
-}
-
-func TestResultWriters(t *testing.T) {
-	p := NewPlatform(Options{Workers: 2})
-	job, _ := synthJob(t, 4000, 800, 5, 10)
-	res, err := p.RunVariantCalling(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sam, vcf bytes.Buffer
-	if err := res.WriteSAM(&sam); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.WriteVCF(&vcf); err != nil {
-		t.Fatal(err)
-	}
-	if _, alns, err := genomics.ReadSAM(&sam); err != nil || len(alns) != len(res.Alignments) {
-		t.Fatalf("SAM round trip: %d records, %v", len(alns), err)
-	}
-	if !strings.Contains(vcf.String(), "##source=SCAN") {
-		t.Fatal("VCF missing source header")
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the ablation studies over the reproduction's own
-// design choices (DESIGN.md §5): the Data Broker's shard size, the
-// predictive scaler's hire margin, and the warm-pool idle windows. Each
+// design choices: the Data Broker's shard size, the predictive scaler's
+// hire margin, and the warm-pool idle windows. Each
 // sweep varies exactly one knob around the calibrated default and reports
 // profit per run, making the sensitivity of the headline results visible.
 

@@ -222,6 +222,3 @@ func ProfitPerJob(r RunResult) float64 { return r.Metrics.ProfitPerJob() }
 
 // RewardToCost selects Figure 5's y-axis metric.
 func RewardToCost(r RunResult) float64 { return r.Metrics.RewardToCost() }
-
-// MeanLatency selects the mean end-to-end job latency.
-func MeanLatency(r RunResult) float64 { return r.Metrics.Latency.Mean() }

@@ -205,7 +205,7 @@ type PlanObjective struct {
 //	LatencyCostPerTU·T_i(t) + PricePerCoreTU·Shards·t·(T_i(t) + OverheadTU)
 //
 // Because stage latencies and costs are additive, per-stage minimisation is
-// globally optimal for the time-oriented reward (see DESIGN.md).
+// globally optimal for the time-oriented reward.
 func (p Pipeline) OptimalConstantPlan(shardSize float64, obj PlanObjective) (Plan, error) {
 	if len(p.Stages) == 0 {
 		return Plan{}, ErrNoStages

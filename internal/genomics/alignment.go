@@ -1,12 +1,8 @@
 package genomics
 
 import (
-	"bufio"
 	"cmp"
-	"fmt"
-	"io"
 	"slices"
-	"strconv"
 	"strings"
 )
 
@@ -62,191 +58,6 @@ func (a Alignment) End() int {
 // NewHeader returns an unsorted header over the given references.
 func NewHeader(refs ...RefInfo) Header {
 	return Header{Version: "1.6", SortOrder: "unsorted", Refs: refs}
-}
-
-// WriteSAM writes a header and records in SAM text format.
-func WriteSAM(w io.Writer, h Header, alns []Alignment) error {
-	bw := bufio.NewWriter(w)
-	if err := writeSAMHeader(bw, h); err != nil {
-		return err
-	}
-	for _, a := range alns {
-		if err := writeSAMRecord(bw, a); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func writeSAMHeader(bw *bufio.Writer, h Header) error {
-	version := h.Version
-	if version == "" {
-		version = "1.6"
-	}
-	so := h.SortOrder
-	if so == "" {
-		so = "unsorted"
-	}
-	if _, err := fmt.Fprintf(bw, "@HD\tVN:%s\tSO:%s\n", version, so); err != nil {
-		return err
-	}
-	for _, r := range h.Refs {
-		if _, err := fmt.Fprintf(bw, "@SQ\tSN:%s\tLN:%d\n", r.Name, r.Length); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeSAMRecord(bw *bufio.Writer, a Alignment) error {
-	seq := string(a.Seq)
-	if seq == "" {
-		seq = "*"
-	}
-	qual := string(a.Qual)
-	if qual == "" {
-		qual = "*"
-	}
-	rnext := a.RNext
-	if rnext == "" {
-		rnext = "*"
-	}
-	_, err := fmt.Fprintf(bw, "%s\t%d\t%s\t%d\t%d\t%s\t%s\t%d\t%d\t%s\t%s",
-		a.QName, a.Flag, orStar(a.RName), a.Pos, a.MapQ, orStar(a.CIGAR),
-		rnext, a.PNext, a.TLen, seq, qual)
-	if err != nil {
-		return err
-	}
-	if a.NM >= 0 {
-		if _, err := fmt.Fprintf(bw, "\tNM:i:%d", a.NM); err != nil {
-			return err
-		}
-	}
-	return bw.WriteByte('\n')
-}
-
-func orStar(s string) string {
-	if s == "" {
-		return "*"
-	}
-	return s
-}
-
-// ReadSAM parses SAM text, returning the header and all records.
-func ReadSAM(r io.Reader) (Header, []Alignment, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var h Header
-	var alns []Alignment
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimRight(sc.Text(), "\r")
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "@") {
-			if err := parseHeaderLine(&h, text); err != nil {
-				return h, nil, fmt.Errorf("genomics: line %d: %w", line, err)
-			}
-			continue
-		}
-		a, err := parseSAMRecord(text)
-		if err != nil {
-			return h, nil, fmt.Errorf("genomics: line %d: %w", line, err)
-		}
-		alns = append(alns, a)
-	}
-	return h, alns, sc.Err()
-}
-
-func parseHeaderLine(h *Header, text string) error {
-	fields := strings.Split(text, "\t")
-	switch fields[0] {
-	case "@HD":
-		for _, f := range fields[1:] {
-			switch {
-			case strings.HasPrefix(f, "VN:"):
-				h.Version = f[3:]
-			case strings.HasPrefix(f, "SO:"):
-				h.SortOrder = f[3:]
-			}
-		}
-	case "@SQ":
-		var ref RefInfo
-		for _, f := range fields[1:] {
-			switch {
-			case strings.HasPrefix(f, "SN:"):
-				ref.Name = f[3:]
-			case strings.HasPrefix(f, "LN:"):
-				n, err := strconv.Atoi(f[3:])
-				if err != nil {
-					return fmt.Errorf("bad @SQ LN %q", f[3:])
-				}
-				ref.Length = n
-			}
-		}
-		if ref.Name == "" {
-			return fmt.Errorf("@SQ without SN")
-		}
-		h.Refs = append(h.Refs, ref)
-	default:
-		// @RG, @PG, @CO lines are tolerated and dropped.
-	}
-	return nil
-}
-
-func parseSAMRecord(text string) (Alignment, error) {
-	f := strings.Split(text, "\t")
-	if len(f) < 11 {
-		return Alignment{}, fmt.Errorf("SAM record has %d fields, need 11", len(f))
-	}
-	flag, err := strconv.Atoi(f[1])
-	if err != nil {
-		return Alignment{}, fmt.Errorf("bad FLAG %q", f[1])
-	}
-	pos, err := strconv.Atoi(f[3])
-	if err != nil {
-		return Alignment{}, fmt.Errorf("bad POS %q", f[3])
-	}
-	mapq, err := strconv.Atoi(f[4])
-	if err != nil {
-		return Alignment{}, fmt.Errorf("bad MAPQ %q", f[4])
-	}
-	pnext, err := strconv.Atoi(f[7])
-	if err != nil {
-		return Alignment{}, fmt.Errorf("bad PNEXT %q", f[7])
-	}
-	tlen, err := strconv.Atoi(f[8])
-	if err != nil {
-		return Alignment{}, fmt.Errorf("bad TLEN %q", f[8])
-	}
-	a := Alignment{
-		QName: f[0], Flag: flag, RName: starEmpty(f[2]), Pos: pos, MapQ: mapq,
-		CIGAR: starEmpty(f[5]), RNext: starEmpty(f[6]), PNext: pnext, TLen: tlen,
-		NM: -1,
-	}
-	if f[9] != "*" {
-		a.Seq = []byte(f[9])
-	}
-	if f[10] != "*" {
-		a.Qual = []byte(f[10])
-	}
-	for _, tag := range f[11:] {
-		if strings.HasPrefix(tag, "NM:i:") {
-			if n, err := strconv.Atoi(tag[5:]); err == nil {
-				a.NM = n
-			}
-		}
-	}
-	return a, nil
-}
-
-func starEmpty(s string) string {
-	if s == "*" {
-		return ""
-	}
-	return s
 }
 
 // compareAlignments orders records by (reference, position, name) — SAM

@@ -1,8 +1,10 @@
 // Package genomics implements the genomic data formats and synthetic data
 // generation that stand in for the paper's NGS inputs: FASTA references,
-// FASTQ reads, SAM alignments, VCF variant calls, and SBAM — a simplified
-// binary alignment container replacing BAM (length-prefixed binary records
-// without BGZF compression; see DESIGN.md, substitutions).
+// FASTQ reads, VCF variant calls, and alignment records (SAM's mandatory
+// fields, with their coordinate sort and k-way merge) stored as SBAM — a
+// simplified binary container standing in for BAM: length-prefixed binary
+// records without BGZF compression. There is no SAM text codec; alignments
+// travel as SBAM files or in the fleet's wire codec.
 //
 // The synthetic generator produces seeded, reproducible references and
 // reads with configurable sequencing error and planted mutations, so the
@@ -26,43 +28,6 @@ type Sequence struct {
 
 // Len returns the sequence length in bases.
 func (s Sequence) Len() int { return len(s.Seq) }
-
-// ReadFASTA parses all records from r. Sequence lines may be wrapped at any
-// width; blank lines are ignored.
-func ReadFASTA(r io.Reader) ([]Sequence, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var out []Sequence
-	var cur *Sequence
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimRight(sc.Text(), "\r")
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, ">") {
-			name := strings.TrimSpace(strings.TrimPrefix(text, ">"))
-			if name == "" {
-				return nil, fmt.Errorf("genomics: line %d: empty FASTA header", line)
-			}
-			out = append(out, Sequence{Name: firstField(name)})
-			cur = &out[len(out)-1]
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("genomics: line %d: sequence data before FASTA header", line)
-		}
-		cur.Seq = append(cur.Seq, []byte(text)...)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("genomics: empty FASTA input")
-	}
-	return out, nil
-}
 
 // WriteFASTA writes records to w, wrapping sequence lines at width columns
 // (60 when width <= 0).

@@ -135,20 +135,3 @@ func WriteAllFASTQ(w io.Writer, reads []Read) error {
 	}
 	return fw.Flush()
 }
-
-// CountFASTQ counts records in r without retaining them (used by the shard
-// planner to size chunks).
-func CountFASTQ(r io.Reader) (int, error) {
-	fr := NewFASTQReader(r)
-	n := 0
-	for {
-		_, err := fr.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		n++
-	}
-}

@@ -2,52 +2,39 @@ package genomics
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// TestFASTARoundTrip pins WriteFASTA's bytes: each record's header, then
+// its sequence wrapped at the given width, with a short last line and no
+// empty line when the length is a multiple of the width; width <= 0 wraps
+// at 60. Uploads decode FASTA with registry.DecodeFASTA (TestDecodeFASTA).
 func TestFASTARoundTrip(t *testing.T) {
 	seqs := []Sequence{
 		{Name: "chr1", Seq: []byte("ACGTACGTACGTACGTACGT")},
 		{Name: "chr2", Seq: []byte("TTTT")},
+		{Name: "chr3", Seq: []byte("GGGGCCCC")},
 	}
 	var buf bytes.Buffer
 	if err := WriteFASTA(&buf, seqs, 8); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFASTA(&buf)
-	if err != nil {
+	want := ">chr1\nACGTACGT\nACGTACGT\nACGT\n>chr2\nTTTT\n>chr3\nGGGGCCCC\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteFASTA wrote %q, want %q", got, want)
+	}
+	long := Sequence{Name: "chr4", Seq: bytes.Repeat([]byte("A"), 61)}
+	buf.Reset()
+	if err := WriteFASTA(&buf, []Sequence{long}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name != "chr1" || string(got[0].Seq) != "ACGTACGTACGTACGTACGT" ||
-		got[1].Name != "chr2" || string(got[1].Seq) != "TTTT" {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-}
-
-func TestFASTAHeaderDescriptionTrimmed(t *testing.T) {
-	src := ">chr1 some description here\nACGT\n"
-	got, err := ReadFASTA(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Name != "chr1" {
-		t.Fatalf("Name = %q, want chr1", got[0].Name)
-	}
-}
-
-func TestFASTAErrors(t *testing.T) {
-	cases := map[string]string{
-		"no header":    "ACGT\n",
-		"empty header": ">\nACGT\n",
-		"empty input":  "",
-	}
-	for name, src := range cases {
-		if _, err := ReadFASTA(strings.NewReader(src)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
+	want = ">chr4\n" + strings.Repeat("A", 60) + "\nA\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteFASTA at the default width wrote %q, want %q", got, want)
 	}
 }
 
@@ -102,21 +89,6 @@ func TestFASTQErrors(t *testing.T) {
 	}
 }
 
-func TestFASTQCount(t *testing.T) {
-	var buf bytes.Buffer
-	reads := make([]Read, 37)
-	for i := range reads {
-		reads[i] = Read{ID: "r", Seq: []byte("AC"), Qual: []byte("II")}
-	}
-	if err := WriteAllFASTQ(&buf, reads); err != nil {
-		t.Fatal(err)
-	}
-	n, err := CountFASTQ(&buf)
-	if err != nil || n != 37 {
-		t.Fatalf("CountFASTQ = %d, %v", n, err)
-	}
-}
-
 func TestFASTQWriterRejectsMismatch(t *testing.T) {
 	fw := NewFASTQWriter(&bytes.Buffer{})
 	if err := fw.Write(Read{ID: "x", Seq: []byte("ACGT"), Qual: []byte("I")}); err == nil {
@@ -136,47 +108,6 @@ func sampleAlignments() []Alignment {
 			Seq: []byte("GGCC"), Qual: []byte("FFFF"), NM: 2},
 		{QName: "r3", Flag: FlagUnmapped, Pos: 0, MapQ: 0,
 			Seq: []byte("TTTT"), Qual: []byte("!!!!"), NM: -1},
-	}
-}
-
-func TestSAMRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSAM(&buf, sampleHeader(), sampleAlignments()); err != nil {
-		t.Fatal(err)
-	}
-	h, alns, err := ReadSAM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Refs) != 2 || h.Refs[0].Name != "chr1" || h.Refs[0].Length != 1000 {
-		t.Fatalf("header mismatch: %+v", h)
-	}
-	if len(alns) != 3 {
-		t.Fatalf("got %d records", len(alns))
-	}
-	if alns[0].QName != "r1" || alns[0].Pos != 10 || alns[0].NM != 0 {
-		t.Fatalf("record 0 mismatch: %+v", alns[0])
-	}
-	if alns[1].Flag != FlagReverseStrand || alns[1].NM != 2 {
-		t.Fatalf("record 1 mismatch: %+v", alns[1])
-	}
-	if !alns[2].Unmapped() || alns[2].RName != "" || alns[2].NM != -1 {
-		t.Fatalf("record 2 mismatch: %+v", alns[2])
-	}
-}
-
-func TestSAMParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"short record":    "r1\t0\tchr1\n",
-		"bad flag":        "r1\tx\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\tIIII\n",
-		"bad pos":         "r1\t0\tchr1\tx\t60\t4M\t*\t0\t0\tACGT\tIIII\n",
-		"bad sq":          "@SQ\tSN:chr1\tLN:abc\n",
-		"sq without name": "@SQ\tLN:100\n",
-	}
-	for name, src := range cases {
-		if _, _, err := ReadSAM(strings.NewReader(src)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
 	}
 }
 
@@ -510,8 +441,13 @@ func BenchmarkFASTQScan(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CountFASTQ(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
+		fr := NewFASTQReader(bytes.NewReader(data))
+		for {
+			if _, err := fr.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -188,7 +188,7 @@ func (b *Base) FoldSoon() {
 // epoch, or nil. The epoch is atomic and a published cache is immutable,
 // so this is safe without any lock: matching epochs mean no profile-
 // affecting mutation since the cache's view was snapshotted (run-log folds
-// bump only the graph's write epoch, which no cache watches).
+// never bump it).
 func (b *Base) currentCache() *adviceCache {
 	if c := b.cache.Load(); c != nil && c.epoch == b.profileEpoch.Load() {
 		return c

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Graph is an in-memory indexed triple store with set semantics: adding a
@@ -18,7 +17,6 @@ type Graph struct {
 	pos      map[Term]map[Term]map[Term]struct{}
 	osp      map[Term]map[Term]map[Term]struct{}
 	size     int
-	epoch    atomic.Uint64
 	prefixes map[string]string // prefix -> namespace IRI
 	order    []string          // prefix insertion order for stable encoding
 }
@@ -36,14 +34,6 @@ func NewGraph() *Graph {
 // Len returns the number of distinct triples.
 func (g *Graph) Len() int { return g.size }
 
-// Epoch returns the graph's write epoch: a counter advanced by every
-// mutation that actually changes the triple set (duplicate adds and
-// removals of absent triples do not count). Caches layered above the graph
-// compare epochs to decide whether materialized views are still current.
-// Unlike the rest of Graph, Epoch is safe to call concurrently with a
-// mutation holding the owner's lock.
-func (g *Graph) Epoch() uint64 { return g.epoch.Load() }
-
 // Add inserts the triple, reporting whether it was new.
 func (g *Graph) Add(t Triple) bool {
 	if !index3(g.spo, t.S, t.P, t.O) {
@@ -52,30 +42,6 @@ func (g *Graph) Add(t Triple) bool {
 	index3(g.pos, t.P, t.O, t.S)
 	index3(g.osp, t.O, t.S, t.P)
 	g.size++
-	g.epoch.Add(1)
-	return true
-}
-
-// AddAll inserts every triple in ts, returning the number newly added.
-func (g *Graph) AddAll(ts []Triple) int {
-	n := 0
-	for _, t := range ts {
-		if g.Add(t) {
-			n++
-		}
-	}
-	return n
-}
-
-// Remove deletes the triple, reporting whether it was present.
-func (g *Graph) Remove(t Triple) bool {
-	if !unindex3(g.spo, t.S, t.P, t.O) {
-		return false
-	}
-	unindex3(g.pos, t.P, t.O, t.S)
-	unindex3(g.osp, t.O, t.S, t.P)
-	g.size--
-	g.epoch.Add(1)
 	return true
 }
 
@@ -91,17 +57,6 @@ func (g *Graph) Has(t Triple) bool {
 	}
 	_, ok = m2[t.O]
 	return ok
-}
-
-// Match returns all triples matching the pattern; a nil pointer is a
-// wildcard. The result order is unspecified.
-func (g *Graph) Match(s, p, o *Term) []Triple {
-	var out []Triple
-	g.ForEachMatch(s, p, o, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
 }
 
 // ForEachMatch streams every triple matching the pattern to fn; fn returns
@@ -155,16 +110,6 @@ func (g *Graph) ForEachMatch(s, p, o *Term, fn func(Triple) bool) {
 			}
 		}
 	}
-}
-
-// Objects returns the objects of all (s, p, *) triples.
-func (g *Graph) Objects(s, p Term) []Term {
-	var out []Term
-	for o := range g.spo[s][p] {
-		out = append(out, o)
-	}
-	sortTerms(out)
-	return out
 }
 
 // Object returns the single object of (s, p, *), with ok=false when the
@@ -301,34 +246,12 @@ func index3(m map[Term]map[Term]map[Term]struct{}, a, b, c Term) bool {
 	return true
 }
 
-func unindex3(m map[Term]map[Term]map[Term]struct{}, a, b, c Term) bool {
-	m2, ok := m[a]
-	if !ok {
-		return false
-	}
-	m3, ok := m2[b]
-	if !ok {
-		return false
-	}
-	if _, exists := m3[c]; !exists {
-		return false
-	}
-	delete(m3, c)
-	if len(m3) == 0 {
-		delete(m2, b)
-		if len(m2) == 0 {
-			delete(m, a)
-		}
-	}
-	return true
-}
-
 func sortTerms(ts []Term) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }
 
 // DescribeIndividual returns a human-readable dump of every property of s,
-// used by scanctl's inspect command and in debugging.
+// sorted by property then value, for knowledge.Base.Describe.
 func (g *Graph) DescribeIndividual(s Term) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", g.Compact(s))

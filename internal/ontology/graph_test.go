@@ -2,6 +2,7 @@ package ontology
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -12,9 +13,12 @@ func tr(s, p, o string) Triple {
 	return Triple{NewIRI(scanNS + s), NewIRI(scanNS + p), NewIRI(scanNS + o)}
 }
 
-func TestGraphAddHasRemove(t *testing.T) {
+func TestGraphAddHas(t *testing.T) {
 	g := NewGraph()
 	tt := tr("GATK1", "performance", "good")
+	if g.Has(tt) {
+		t.Fatal("empty graph has a triple")
+	}
 	if !g.Add(tt) {
 		t.Fatal("first Add returned false")
 	}
@@ -24,15 +28,16 @@ func TestGraphAddHasRemove(t *testing.T) {
 	if g.Len() != 1 || !g.Has(tt) {
 		t.Fatal("triple missing after Add")
 	}
-	if !g.Remove(tt) {
-		t.Fatal("Remove returned false")
-	}
-	if g.Remove(tt) {
-		t.Fatal("second Remove returned true")
-	}
-	if g.Len() != 0 || g.Has(tt) {
-		t.Fatal("triple present after Remove")
-	}
+}
+
+// countMatches counts the triples ForEachMatch streams for a pattern.
+func countMatches(g *Graph, s, p, o *Term) int {
+	n := 0
+	g.ForEachMatch(s, p, o, func(Triple) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 func TestGraphMatchPatterns(t *testing.T) {
@@ -46,25 +51,25 @@ func TestGraphMatchPatterns(t *testing.T) {
 	p := NewIRI(scanNS + "requires")
 	o := NewIRI(scanNS + "CPU")
 
-	if got := len(g.Match(&s, nil, nil)); got != 2 {
+	if got := countMatches(g, &s, nil, nil); got != 2 {
 		t.Fatalf("S** match = %d, want 2", got)
 	}
-	if got := len(g.Match(nil, &p, nil)); got != 3 {
+	if got := countMatches(g, nil, &p, nil); got != 3 {
 		t.Fatalf("*P* match = %d, want 3", got)
 	}
-	if got := len(g.Match(nil, nil, &o)); got != 2 {
+	if got := countMatches(g, nil, nil, &o); got != 2 {
 		t.Fatalf("**O match = %d, want 2", got)
 	}
-	if got := len(g.Match(&s, &p, nil)); got != 2 {
+	if got := countMatches(g, &s, &p, nil); got != 2 {
 		t.Fatalf("SP* match = %d, want 2", got)
 	}
-	if got := len(g.Match(nil, &p, &o)); got != 2 {
+	if got := countMatches(g, nil, &p, &o); got != 2 {
 		t.Fatalf("*PO match = %d, want 2", got)
 	}
-	if got := len(g.Match(&s, &p, &o)); got != 1 {
+	if got := countMatches(g, &s, &p, &o); got != 1 {
 		t.Fatalf("SPO match = %d, want 1", got)
 	}
-	if got := len(g.Match(nil, nil, nil)); got != 4 {
+	if got := countMatches(g, nil, nil, nil); got != 4 {
 		t.Fatalf("*** match = %d, want 4", got)
 	}
 }
@@ -84,18 +89,18 @@ func TestGraphForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestObjectsSubjectsSorted(t *testing.T) {
+func TestSubjectsSorted(t *testing.T) {
 	g := NewGraph()
-	g.Add(tr("app", "supports", "c"))
-	g.Add(tr("app", "supports", "a"))
-	g.Add(tr("app", "supports", "b"))
-	got := g.Objects(NewIRI(scanNS+"app"), NewIRI(scanNS+"supports"))
+	g.Add(tr("c", "supports", "app"))
+	g.Add(tr("a", "supports", "app"))
+	g.Add(tr("b", "supports", "app"))
+	got := g.Subjects(NewIRI(scanNS+"supports"), NewIRI(scanNS+"app"))
 	if len(got) != 3 {
-		t.Fatalf("got %d objects", len(got))
+		t.Fatalf("got %d subjects", len(got))
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i-1].Compare(got[i]) >= 0 {
-			t.Fatal("objects not sorted")
+			t.Fatal("subjects not sorted")
 		}
 	}
 }
@@ -197,52 +202,17 @@ func TestPrefixExpandCompact(t *testing.T) {
 	}
 }
 
-func TestIndividualsAndIsA(t *testing.T) {
-	g := NewGraph()
-	app := NewIRI(scanNS + "Application")
-	genomeApp := NewIRI(scanNS + "GenomeAnalysis")
-	g.DeclareSubClass(genomeApp, app)
-	g.AddIndividual(NewIRI(scanNS+"GATK1"), genomeApp, map[Term]Term{
-		NewIRI(scanNS + "eTime"): NewInt(180),
-	})
-	g.AddIndividual(NewIRI(scanNS+"BWA1"), app, nil)
-
-	if got := g.Individuals(genomeApp); len(got) != 1 {
-		t.Fatalf("Individuals(GenomeAnalysis) = %d, want 1", len(got))
-	}
-	if got := g.Individuals(app); len(got) != 1 {
-		t.Fatalf("Individuals(Application) = %d, want 1 (direct only)", len(got))
-	}
-	if !g.IsA(NewIRI(scanNS+"GATK1"), app) {
-		t.Fatal("IsA should follow subClassOf")
-	}
-	if g.IsA(NewIRI(scanNS+"BWA1"), genomeApp) {
-		t.Fatal("IsA must not invent subclass relations")
-	}
-}
-
-func TestIsACycleTolerant(t *testing.T) {
-	g := NewGraph()
-	a, b := NewIRI(scanNS+"A"), NewIRI(scanNS+"B")
-	g.DeclareSubClass(a, b)
-	g.DeclareSubClass(b, a)
-	g.AddIndividual(NewIRI(scanNS+"x"), a, nil)
-	if !g.IsA(NewIRI(scanNS+"x"), b) {
-		t.Fatal("cycle traversal failed")
-	}
-	if g.IsA(NewIRI(scanNS+"x"), NewIRI(scanNS+"C")) {
-		t.Fatal("false positive in cyclic hierarchy")
-	}
-}
-
 func TestCloneAndEqual(t *testing.T) {
 	g := NewGraph()
 	g.SetPrefix("scan", scanNS)
 	g.Add(tr("a", "b", "c"))
 	g.Add(Triple{NewIRI(scanNS + "a"), NewIRI(scanNS + "v"), NewInt(5)})
-	c := g.Clone()
+	c := NewGraph()
+	for _, tt := range g.Triples() {
+		c.Add(tt)
+	}
 	if !g.Equal(c) {
-		t.Fatal("clone not equal")
+		t.Fatal("copy not equal")
 	}
 	c.Add(tr("x", "y", "z"))
 	if g.Equal(c) {
@@ -254,13 +224,11 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 }
 
-// Property: after any interleaving of adds and removes, Has/Len agree with a
-// reference map implementation.
+// Property: after any sequence of adds, duplicates included, Has/Len agree
+// with a reference set, and each index streams exactly the triples of the
+// reference that match its pattern.
 func TestGraphMatchesReferenceProperty(t *testing.T) {
-	f := func(ops []struct {
-		S, P, O uint8
-		Del     bool
-	}) bool {
+	f := func(ops []struct{ S, P, O uint8 }) bool {
 		g := NewGraph()
 		ref := map[Triple]bool{}
 		for _, op := range ops {
@@ -269,13 +237,8 @@ func TestGraphMatchesReferenceProperty(t *testing.T) {
 				NewIRI(string(rune('p' + op.P%3))),
 				NewInt(int64(op.O % 7)),
 			}
-			if op.Del {
-				delete(ref, tt)
-				g.Remove(tt)
-			} else {
-				ref[tt] = true
-				g.Add(tt)
-			}
+			ref[tt] = true
+			g.Add(tt)
 		}
 		if g.Len() != len(ref) {
 			return false
@@ -284,9 +247,28 @@ func TestGraphMatchesReferenceProperty(t *testing.T) {
 			if !g.Has(tt) {
 				return false
 			}
+			// The SPO, POS and OSP indexes each stream as many triples
+			// as the reference holds for the pattern.
+			var bySub, byPred, byObj int
+			for rt := range ref {
+				if rt.S == tt.S {
+					bySub++
+				}
+				if rt.P == tt.P {
+					byPred++
+				}
+				if rt.O == tt.O {
+					byObj++
+				}
+			}
+			if countMatches(g, &tt.S, nil, nil) != bySub ||
+				countMatches(g, nil, &tt.P, nil) != byPred ||
+				countMatches(g, nil, nil, &tt.O) != byObj ||
+				countMatches(g, &tt.S, &tt.P, &tt.O) != 1 {
+				return false
+			}
 		}
-		// All three indexes agree with a full scan.
-		return len(g.Match(nil, nil, nil)) == len(ref)
+		return countMatches(g, nil, nil, nil) == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -311,28 +293,27 @@ func BenchmarkGraphMatchPO(b *testing.B) {
 	}
 }
 
-func TestGraphEpoch(t *testing.T) {
-	g := NewGraph()
-	if g.Epoch() != 0 {
-		t.Fatalf("fresh graph epoch = %d", g.Epoch())
+// Equal reports whether two graphs contain exactly the same triples
+// (prefixes are ignored: they are presentation, not content). It is the
+// Turtle round-trip tests' oracle.
+func (g *Graph) Equal(o *Graph) bool {
+	if g.size != o.size {
+		return false
 	}
-	g.Add(tr("GATK1", "requires", "CPU"))
-	e1 := g.Epoch()
-	if e1 == 0 {
-		t.Fatal("Add did not advance the epoch")
-	}
-	// Duplicate adds are no-ops and must not invalidate caches.
-	g.Add(tr("GATK1", "requires", "CPU"))
-	if g.Epoch() != e1 {
-		t.Fatalf("duplicate Add advanced the epoch: %d -> %d", e1, g.Epoch())
-	}
-	// Removing an absent triple is a no-op too.
-	g.Remove(tr("GATK1", "requires", "RAM"))
-	if g.Epoch() != e1 {
-		t.Fatal("no-op Remove advanced the epoch")
-	}
-	g.Remove(tr("GATK1", "requires", "CPU"))
-	if g.Epoch() <= e1 {
-		t.Fatal("effective Remove did not advance the epoch")
-	}
+	equal := true
+	g.ForEachMatch(nil, nil, nil, func(t Triple) bool {
+		if !o.Has(t) {
+			equal = false
+			return false
+		}
+		return true
+	})
+	return equal
+}
+
+// sortedPrefixNames returns the registered prefix names, sorted.
+func (g *Graph) sortedPrefixNames() []string {
+	out := append([]string(nil), g.order...)
+	sort.Strings(out)
+	return out
 }

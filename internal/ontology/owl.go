@@ -38,41 +38,3 @@ func (g *Graph) AddIndividual(iri, class Term, props map[Term]Term) {
 		g.Add(Triple{iri, p, o})
 	}
 }
-
-// Individuals returns all owl:NamedIndividual subjects that are also typed
-// with the given class.
-func (g *Graph) Individuals(class Term) []Term {
-	named := NewIRI(OWLNamedIndividual)
-	var out []Term
-	for _, s := range g.SubjectsOfType(class) {
-		if g.Has(Triple{s, NewIRI(RDFType), named}) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// IsA reports whether s has rdf:type class, following rdfs:subClassOf
-// upward (a small transitive closure; cycles are tolerated).
-func (g *Graph) IsA(s, class Term) bool {
-	typeIRI := NewIRI(RDFType)
-	subIRI := NewIRI(RDFSSubClassOf)
-	seen := map[Term]bool{}
-	var stack []Term
-	for _, t := range g.Objects(s, typeIRI) {
-		stack = append(stack, t)
-	}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		if c == class {
-			return true
-		}
-		stack = append(stack, g.Objects(c, subIRI)...)
-	}
-	return false
-}

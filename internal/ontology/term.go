@@ -73,15 +73,6 @@ func NewBool(b bool) Term {
 	return Term{Kind: Literal, Value: strconv.FormatBool(b), Datatype: XSDBoolean}
 }
 
-// IsIRI reports whether the term is an IRI.
-func (t Term) IsIRI() bool { return t.Kind == IRI }
-
-// IsLiteral reports whether the term is a literal.
-func (t Term) IsLiteral() bool { return t.Kind == Literal }
-
-// IsBlank reports whether the term is a blank node.
-func (t Term) IsBlank() bool { return t.Kind == Blank }
-
 // IsNumeric reports whether the term is an integer or double literal.
 func (t Term) IsNumeric() bool {
 	return t.Kind == Literal && (t.Datatype == XSDInteger || t.Datatype == XSDDouble)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -385,41 +384,4 @@ func (p *turtleParser) parseTerm(objectPos bool) (Term, error) {
 	default:
 		return Term{}, p.errf(t, "unexpected token %q", t.text)
 	}
-}
-
-// Clone returns a deep copy of the graph (triples and prefixes).
-func (g *Graph) Clone() *Graph {
-	ng := NewGraph()
-	for _, p := range g.order {
-		ng.SetPrefix(p, g.prefixes[p])
-	}
-	g.ForEachMatch(nil, nil, nil, func(t Triple) bool {
-		ng.Add(t)
-		return true
-	})
-	return ng
-}
-
-// Equal reports whether two graphs contain exactly the same triples
-// (prefixes are ignored: they are presentation, not content).
-func (g *Graph) Equal(o *Graph) bool {
-	if g.size != o.size {
-		return false
-	}
-	equal := true
-	g.ForEachMatch(nil, nil, nil, func(t Triple) bool {
-		if !o.Has(t) {
-			equal = false
-			return false
-		}
-		return true
-	})
-	return equal
-}
-
-// sortedKeys is a test/debug helper returning prefix names sorted.
-func (g *Graph) sortedPrefixNames() []string {
-	out := append([]string(nil), g.order...)
-	sort.Strings(out)
-	return out
 }

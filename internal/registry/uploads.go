@@ -87,6 +87,7 @@ type UploadSession struct {
 	id      string
 	name    string
 	family  Family
+	owner   string // opening tenant; "" when tenancy is off
 	created time.Time
 	parts   []*uploadPart // arrival order
 	payload Payload       // fragments decoded so far (AppendDecoded)
@@ -158,10 +159,11 @@ func NewUploadManager(cfg UploadConfig) (*UploadManager, error) {
 	return m, nil
 }
 
-// Create opens a validated session: the name must be registrable (shape and
-// uniqueness checked now for fast feedback; uniqueness is re-checked at
-// commit, which is what counts).
-func (m *UploadManager) Create(name string, family Family) (*UploadSession, error) {
+// Create opens a validated session owned by the named tenant ("" when
+// tenancy is off): the name must be registrable (shape and uniqueness
+// checked now for fast feedback; uniqueness is re-checked at commit, which
+// is what counts).
+func (m *UploadManager) Create(name string, family Family, owner string) (*UploadSession, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
@@ -172,17 +174,17 @@ func (m *UploadManager) Create(name string, family Family) (*UploadSession, erro
 	if dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
-	return m.stage(name, family)
+	return m.stage(name, family, owner)
 }
 
 // Stage opens a session without name validation — the compat path for the
 // one-shot dataset POST, which historically validated names only at store
 // time so a malformed body fails before a malformed name.
-func (m *UploadManager) Stage(name string, family Family) (*UploadSession, error) {
-	return m.stage(name, family)
+func (m *UploadManager) Stage(name string, family Family, owner string) (*UploadSession, error) {
+	return m.stage(name, family, owner)
 }
 
-func (m *UploadManager) stage(name string, family Family) (*UploadSession, error) {
+func (m *UploadManager) stage(name string, family Family, owner string) (*UploadSession, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.sessions) >= maxSessions {
@@ -193,6 +195,7 @@ func (m *UploadManager) stage(name string, family Family) (*UploadSession, error
 		id:      fmt.Sprintf("up-%d", m.next),
 		name:    name,
 		family:  family,
+		owner:   owner,
 		created: m.cfg.Store.now(),
 	}
 	m.next++
@@ -257,6 +260,11 @@ func (m *UploadManager) drop(id string) {
 
 // ID returns the session's id.
 func (u *UploadSession) ID() string { return u.id }
+
+// Owner returns the tenant that opened the session ("" when tenancy is
+// off). It is fixed at creation, so no request ever sees an unowned
+// session.
+func (u *UploadSession) Owner() string { return u.owner }
 
 // Status snapshots the session's progress.
 func (u *UploadSession) Status() UploadStatus {

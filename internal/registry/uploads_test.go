@@ -50,7 +50,7 @@ func (f *failAfter) Read(p []byte) (int, error) {
 
 func TestUploadSessionResumeAfterDisconnect(t *testing.T) {
 	s, m := heapManager(t)
-	u, err := m.Create("rows", FeatureTable)
+	u, err := m.Create("rows", FeatureTable, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestUploadSessionResumeAfterDisconnect(t *testing.T) {
 
 func TestUploadCommitValidationKeepsSession(t *testing.T) {
 	_, m := heapManager(t)
-	u, err := m.Create("mgfset", MGF)
+	u, err := m.Create("mgfset", MGF, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,10 @@ func TestUploadRejectsUnknownFieldAndDuplicateName(t *testing.T) {
 	if _, err := s.Put("taken", FeatureTable, Payload{Features: nil}, Stats{Records: 1, Bytes: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Create("taken", FeatureTable); !errors.Is(err, ErrDuplicateName) {
+	if _, err := m.Create("taken", FeatureTable, ""); !errors.Is(err, ErrDuplicateName) {
 		t.Fatalf("want ErrDuplicateName, got %v", err)
 	}
-	u, err := m.Create("fresh", FeatureTable)
+	u, err := m.Create("fresh", FeatureTable, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestUploadRejectsUnknownFieldAndDuplicateName(t *testing.T) {
 
 func TestUploadAbortRemovesSpools(t *testing.T) {
 	_, m := heapManager(t)
-	u, err := m.Create("tmp", FeatureTable)
+	u, err := m.Create("tmp", FeatureTable, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestUploadByteCapMatchesDecoderWording(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	u, err := m.Create("capped", FeatureTable)
+	u, err := m.Create("capped", FeatureTable, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestResumableTIFFMatchesOneShot(t *testing.T) {
 	_, m := durableStore(t, t.TempDir(), 1<<20)
 	body := pgmFrame(32, 32, 1) + pgmFrame(32, 32, 7)
 
-	one, err := m.Create("one-shot", TIFF)
+	one, err := m.Create("one-shot", TIFF, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestResumableTIFFMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := m.Create("resumable", TIFF)
+	res, err := m.Create("resumable", TIFF, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,10 +75,6 @@ type Server struct {
 	// records but must not rewrite history. Canceled jobs count as failed
 	// there — v1's state enum predates cancellation.
 	statDone, statFailed, statCanceled int
-	// uploadOwners maps open resumable-upload session IDs to the tenant
-	// that opened them (tenancy only; bounded by the manager's session cap
-	// — recordUploadOwner prunes entries for dead sessions).
-	uploadOwners map[string]*tenant.State
 
 	queue chan int
 	wg    sync.WaitGroup
@@ -130,16 +126,15 @@ func NewServerOptions(p *core.Platform, opts ServerOptions) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		platform:     p,
-		now:          time.Now,
-		retention:    opts.Retention,
-		logf:         opts.Logf,
-		fleet:        opts.Fleet,
-		tenants:      opts.Tenants,
-		jobs:         make(map[int]*jobRecord),
-		uploadOwners: make(map[string]*tenant.State),
-		queue:        make(chan int, 1024),
-		stop:         cancel,
+		platform:  p,
+		now:       time.Now,
+		retention: opts.Retention,
+		logf:      opts.Logf,
+		fleet:     opts.Fleet,
+		tenants:   opts.Tenants,
+		jobs:      make(map[int]*jobRecord),
+		queue:     make(chan int, 1024),
+		stop:      cancel,
 	}
 	uploads, err := registry.NewUploadManager(registry.UploadConfig{
 		Store:     p.Datasets(),
@@ -179,13 +174,8 @@ func (s *Server) Close() {
 	s.mu.Lock()
 	for _, rec := range s.jobs {
 		if !rec.job.State.Terminal() {
-			s.releaseSpecLocked(&rec.spec) // the payload can never be used
-			now := s.now()
-			rec.job.State = StateFailed
-			rec.job.Finished = &now
-			rec.job.Error = &JobError{Code: CodeShutdown, Message: "server shut down before the job ran"}
-			s.statFailed++
-			s.publishStateLocked(rec)
+			s.finishLocked(rec, StateFailed,
+				&JobError{Code: CodeShutdown, Message: "server shut down before the job ran"})
 		}
 	}
 	s.mu.Unlock()
@@ -278,6 +268,29 @@ func (s *Server) releaseSpecLocked(spec *jobSpec) {
 		spec.tenant.ReleaseJob()
 		spec.tenant = nil
 	}
+}
+
+// finishLocked is a job's one terminal transition: it releases the spec
+// (the payload can never be used again; releaseSpecLocked makes a second
+// release a no-op), stamps Finished — and a done job's run time — sets the
+// state and error, counts the outcome for /api/v1/status and publishes the
+// terminal event. Eviction stays with the caller. Callers hold s.mu.
+func (s *Server) finishLocked(rec *jobRecord, state JobState, jerr *JobError) {
+	s.releaseSpecLocked(&rec.spec)
+	now := s.now()
+	rec.job.Finished = &now
+	rec.job.State = state
+	rec.job.Error = jerr
+	switch state {
+	case StateDone:
+		rec.job.Result.ElapsedSec = now.Sub(*rec.job.Started).Seconds()
+		s.statDone++
+	case StateCanceled:
+		s.statCanceled++
+	default:
+		s.statFailed++
+	}
+	s.publishStateLocked(rec)
 }
 
 // enqueue adds an admitted submission to the store and queue. On failure
@@ -417,13 +430,8 @@ func (s *Server) cancelJob(id int, requester *tenant.State) (Job, int, *APIError
 	switch rec.job.State {
 	case StatePending:
 		rec.cancelRequested = true
-		s.releaseSpecLocked(&rec.spec) // the payload can never be used
-		now := s.now()
-		rec.job.State = StateCanceled
-		rec.job.Finished = &now
-		rec.job.Error = &JobError{Code: CodeCanceled, Message: "job canceled before it started"}
-		s.statCanceled++
-		s.publishStateLocked(rec)
+		s.finishLocked(rec, StateCanceled,
+			&JobError{Code: CodeCanceled, Message: "job canceled before it started"})
 		s.evictLocked()
 		return rec.job.clone(), http.StatusOK, nil
 	case StateRunning:
@@ -478,26 +486,18 @@ func (s *Server) runJob(ctx context.Context, id int) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	finished := s.now()
 	rec.cancel = nil
-	s.releaseSpecLocked(&rec.spec) // release the payload; the record outlives the run
-	rec.job.Finished = &finished
 	switch {
 	case err == nil:
-		result.ElapsedSec = finished.Sub(started).Seconds()
-		rec.job.State = StateDone
 		rec.job.Result = &result
-		s.statDone++
+		s.finishLocked(rec, StateDone, nil)
 	case rec.cancelRequested:
-		rec.job.State = StateCanceled
-		rec.job.Error = &JobError{Code: CodeCanceled, Message: "job canceled while running"}
-		s.statCanceled++
+		s.finishLocked(rec, StateCanceled,
+			&JobError{Code: CodeCanceled, Message: "job canceled while running"})
 	default:
-		rec.job.State = StateFailed
-		rec.job.Error = &JobError{Code: CodeExecutionFailed, Message: err.Error()}
-		s.statFailed++
+		s.finishLocked(rec, StateFailed,
+			&JobError{Code: CodeExecutionFailed, Message: err.Error()})
 	}
-	s.publishStateLocked(rec)
 	s.evictLocked()
 }
 

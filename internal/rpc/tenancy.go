@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"scan/internal/registry"
 	"scan/internal/route"
 	"scan/internal/tenant"
 )
@@ -33,6 +34,15 @@ type tenantKey struct{}
 func requestTenant(r *http.Request) *tenant.State {
 	st, _ := r.Context().Value(tenantKey{}).(*tenant.State)
 	return st
+}
+
+// requestTenantName is the authenticated tenant's name, "" when tenancy is
+// disabled: the owner recorded on the upload sessions the request opens.
+func requestTenantName(r *http.Request) string {
+	if st := requestTenant(r); st != nil {
+		return st.Name()
+	}
+	return ""
 }
 
 // apiKey extracts the presented API key: the Bearer token, or the
@@ -171,56 +181,16 @@ func (s *Server) authorizeDatasetDelete(w http.ResponseWriter, r *http.Request, 
 	return true
 }
 
-// uploadOwner returns the tenant that opened a resumable upload session
-// ("" when tenancy is off or the session predates it).
-func (s *Server) uploadOwner(id string) *tenant.State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.uploadOwners[id]
-}
-
-// recordUploadOwner ties a session to the tenant that opened it, pruning
-// entries for sessions the manager no longer tracks (committed, aborted,
-// or expired server-side) so the map stays bounded by the manager's session cap.
-func (s *Server) recordUploadOwner(id string, st *tenant.State) {
-	if st == nil {
-		return
-	}
-	live := map[string]bool{}
-	for _, u := range s.uploads.List() {
-		live[u.ID] = true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for old := range s.uploadOwners {
-		if !live[old] {
-			delete(s.uploadOwners, old)
-		}
-	}
-	s.uploadOwners[id] = st
-}
-
-// forgetUploadOwner drops a session's ownership entry (commit or abort).
-func (s *Server) forgetUploadOwner(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.uploadOwners, id)
-}
-
 // authorizeUpload enforces session ownership on the mutating session verbs
 // (append, commit, abort): with tenancy on, only the opener may touch a
 // session. Writes the 403 and reports false otherwise.
-func (s *Server) authorizeUpload(w http.ResponseWriter, r *http.Request, id string) bool {
+func (s *Server) authorizeUpload(w http.ResponseWriter, r *http.Request, u *registry.UploadSession) bool {
 	st := requestTenant(r)
-	if st == nil {
-		return true
-	}
-	owner := s.uploadOwner(id)
-	if owner == nil || owner == st {
+	if st == nil || u.Owner() == st.Name() {
 		return true
 	}
 	s.metrics.tenantRejected.With(st.Name(), "forbidden").Inc()
 	route.V2.Error(w, http.StatusForbidden, CodeForbidden,
-		"upload session %q belongs to another tenant", id)
+		"upload session %q belongs to another tenant", u.ID())
 	return false
 }

@@ -417,3 +417,81 @@ func TestTenantOwnership(t *testing.T) {
 		t.Fatalf("own delete: %v", err)
 	}
 }
+
+// TestUploadOwnershipUnderConcurrentCreates: a session's owner is fixed
+// when the session is created, so sessions two tenants open concurrently
+// each keep their opener, and every cross-tenant append, commit or abort
+// answers 403 while the opener may still abort.
+func TestUploadOwnershipUnderConcurrentCreates(t *testing.T) {
+	keys := map[string]string{"ann": "ann-key-1234567890", "bob": "bob-key-1234567890"}
+	reg, err := tenant.Parse([]byte(`{"tenants": [
+		{"name": "ann", "key": "` + keys["ann"] + `", "rate_per_sec": 10000, "burst": 10000},
+		{"name": "bob", "key": "` + keys["bob"] + `", "rate_per_sec": 10000, "burst": 10000}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerOptions(core.NewPlatform(core.Options{Workers: 1}), ServerOptions{Executors: 1, Tenants: reg})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	clients := map[string]*Client{}
+	for name, key := range keys {
+		clients[name] = NewClient(ts.URL, WithAPIKey(key))
+	}
+	other := map[string]string{"ann": "bob", "bob": "ann"}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// Several rounds, each opening 2×perTenant sessions at once and then
+	// probing them all, so creates race each other many times over.
+	const rounds, perTenant = 5, 12
+	type session struct{ owner, id string }
+	forbidden := func(what string, u session, err error) {
+		t.Helper()
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Code != CodeForbidden {
+			t.Errorf("%s's %s of %s's session %s: err = %v, want %s", other[u.owner], what, u.owner, u.id, err, CodeForbidden)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		var (
+			mu       sync.Mutex
+			sessions []session
+			wg       sync.WaitGroup
+		)
+		for owner := range keys {
+			for i := 0; i < perTenant; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					up, err := clients[owner].CreateUpload(ctx, fmt.Sprintf("%s-%d-%d", owner, round, i), "feature-table")
+					if err != nil {
+						t.Errorf("%s create: %v", owner, err)
+						return
+					}
+					mu.Lock()
+					sessions = append(sessions, session{owner, up.ID})
+					mu.Unlock()
+				}()
+			}
+		}
+		wg.Wait()
+		if len(sessions) != 2*perTenant {
+			t.Fatalf("round %d opened %d sessions, want %d", round, len(sessions), 2*perTenant)
+		}
+		for _, u := range sessions {
+			intruder := clients[other[u.owner]]
+			_, err := intruder.AppendUpload(ctx, u.id, "data", 0, strings.NewReader("g1 1.0\n"))
+			forbidden("append", u, err)
+			_, err = intruder.CommitUpload(ctx, u.id)
+			forbidden("commit", u, err)
+			forbidden("abort", u, intruder.AbortUpload(ctx, u.id))
+			if err := clients[u.owner].AbortUpload(ctx, u.id); err != nil {
+				t.Fatalf("%s's own abort of %s: %v", u.owner, u.id, err)
+			}
+		}
+	}
+}

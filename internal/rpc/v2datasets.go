@@ -194,7 +194,7 @@ func (s *Server) decodeMultipartUpload(r *http.Request) (*registry.UploadSession
 				// Stage, not Create: this path historically validated names
 				// only at store time, so a malformed body fails before a
 				// malformed name.
-				if u, err = s.uploads.Stage(name, family); err != nil {
+				if u, err = s.uploads.Stage(name, family, requestTenantName(r)); err != nil {
 					return nil, err
 				}
 			}
@@ -214,7 +214,7 @@ func (s *Server) decodeMultipartUpload(r *http.Request) (*registry.UploadSession
 	if u == nil {
 		// Metadata but no data parts: commit on the empty session reports
 		// the family's missing-part error.
-		if u, err = s.uploads.Stage(name, family); err != nil {
+		if u, err = s.uploads.Stage(name, family, requestTenantName(r)); err != nil {
 			return nil, err
 		}
 	}
@@ -236,7 +236,7 @@ func (s *Server) decodeRawUpload(r *http.Request) (*registry.UploadSession, erro
 	if family == registry.MGF {
 		return nil, errors.New("mgf uploads need multipart/form-data with peptides and spectra parts")
 	}
-	u, err := s.uploads.Stage(name, family)
+	u, err := s.uploads.Stage(name, family, requestTenantName(r))
 	if err != nil {
 		return nil, err
 	}

@@ -94,12 +94,11 @@ func (s *Server) handleV2UploadCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.admitDatasetCount(w, requestTenant(r)) {
 		return
 	}
-	u, err := s.uploads.Create(req.Name, family)
+	u, err := s.uploads.Create(req.Name, family, requestTenantName(r))
 	if err != nil {
 		writeUploadError(w, err)
 		return
 	}
-	s.recordUploadOwner(u.Status().ID, requestTenant(r))
 	route.JSON(w, http.StatusCreated, uploadInfo(u.Status()))
 }
 
@@ -140,11 +139,10 @@ func (s *Server) handleV2Upload(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) abortUpload(w http.ResponseWriter, r *http.Request) {
 	u, ok := s.session(w, r)
-	if !ok || !s.authorizeUpload(w, r, u.Status().ID) {
+	if !ok || !s.authorizeUpload(w, r, u) {
 		return
 	}
 	u.Abort()
-	s.forgetUploadOwner(u.Status().ID)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -156,7 +154,7 @@ func (s *Server) abortUpload(w http.ResponseWriter, r *http.Request) {
 // resume point from the same response path.
 func (s *Server) appendUpload(w http.ResponseWriter, r *http.Request) {
 	u, ok := s.session(w, r)
-	if !ok || !s.authorizeUpload(w, r, u.Status().ID) {
+	if !ok || !s.authorizeUpload(w, r, u) {
 		return
 	}
 	q := r.URL.Query()
@@ -194,16 +192,14 @@ func (s *Server) appendUpload(w http.ResponseWriter, r *http.Request) {
 // open for inspection or abort; success and post-validation failures end it.
 func (s *Server) commitUpload(w http.ResponseWriter, r *http.Request) {
 	u, ok := s.session(w, r)
-	if !ok || !s.authorizeUpload(w, r, u.Status().ID) {
+	if !ok || !s.authorizeUpload(w, r, u) {
 		return
 	}
-	id := u.Status().ID
 	meta, err := u.Commit()
 	if err != nil {
 		writeUploadError(w, err)
 		return
 	}
-	s.forgetUploadOwner(id)
 	if s.settleDatasetQuota(w, requestTenant(r), meta.ID, meta.Bytes) {
 		route.JSON(w, http.StatusCreated, datasetInfo(meta))
 	}

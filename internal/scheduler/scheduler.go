@@ -220,9 +220,6 @@ func (s *Scheduler) Metrics() Metrics {
 	return m
 }
 
-// QueueLen returns the number of waiting tasks at stage i.
-func (s *Scheduler) QueueLen(i int) int { return len(s.queues[i]) }
-
 // Submit admits one job of the given input size at the current time.
 func (s *Scheduler) Submit(size float64) *Job {
 	j := &Job{

@@ -1,9 +1,11 @@
 // Package shard implements SCAN's Data Sharders: record-boundary-aware
-// splitting and merging for each genomic data format, so a large input can
-// be fanned out to parallel analysis subtasks and the per-shard outputs
-// gathered back (the paper's example: divide a 100 GB FASTQ file into 25
-// 4 GB files and create 25 subtasks; merge small files for gather stages
-// such as VariantsToVCF).
+// splitting and merging, so a large input can be fanned out to parallel
+// analysis subtasks and the per-shard outputs gathered back (the paper's
+// example: divide a 100 GB FASTQ file into 25 4 GB files and create 25
+// subtasks; merge small files for gather stages such as VariantsToVCF).
+// Files: SplitFASTQ splits reads, MergeSBAM and MergeVCF gather alignments
+// and calls. In memory: Chunk and ChunkReads split record sets, and Regions
+// with PartitionByRegion/PartitionByOverlap scatter alignments by locus.
 //
 // The shard size itself is chosen by the knowledge base (package
 // knowledge); this package is the mechanical layer.
@@ -113,30 +115,6 @@ func SplitFASTQ(r io.Reader, recordsPerShard int, newShard func(int) (io.Writer,
 	return shards, total, nil
 }
 
-// MergeFASTQ concatenates FASTQ streams into w, returning the total record
-// count. Records are re-encoded, so malformed shards are caught here.
-func MergeFASTQ(w io.Writer, inputs ...io.Reader) (int, error) {
-	fw := genomics.NewFASTQWriter(w)
-	total := 0
-	for i, in := range inputs {
-		fr := genomics.NewFASTQReader(in)
-		for {
-			rd, err := fr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return total, fmt.Errorf("shard: merging input %d: %w", i, err)
-			}
-			if err := fw.Write(rd); err != nil {
-				return total, err
-			}
-			total++
-		}
-	}
-	return total, fw.Flush()
-}
-
 // Chunk splits an in-memory record set into shards of at most maxPerShard
 // records, preserving order; the last shard may be smaller. An empty input
 // yields one empty shard, so scatter loops always have at least one unit.
@@ -163,10 +141,4 @@ func Chunk[T any](records []T, maxPerShard int) ([][]T, error) {
 // maxPerShard records, preserving order. The last shard may be smaller.
 func ChunkReads(reads []genomics.Read, maxPerShard int) ([][]genomics.Read, error) {
 	return Chunk(reads, maxPerShard)
-}
-
-// ChunkAlignments splits alignments into shards of at most maxPerShard
-// records, preserving order.
-func ChunkAlignments(alns []genomics.Alignment, maxPerShard int) ([][]genomics.Alignment, error) {
-	return Chunk(alns, maxPerShard)
 }

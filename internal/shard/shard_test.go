@@ -100,11 +100,11 @@ func TestSplitFASTQAndMergeRoundTrip(t *testing.T) {
 	// Shard sizes: 25,25,25,25,7.
 	counts := make([]int, n)
 	for i, b := range shards {
-		c, err := genomics.CountFASTQ(bytes.NewReader(b.Bytes()))
+		rs, err := genomics.ReadAllFASTQ(bytes.NewReader(b.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[i] = c
+		counts[i] = len(rs)
 	}
 	want := []int{25, 25, 25, 25, 7}
 	for i := range want {
@@ -112,19 +112,10 @@ func TestSplitFASTQAndMergeRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d has %d records, want %d", i, counts[i], want[i])
 		}
 	}
-	// Merge restores the original records in order.
-	var merged bytes.Buffer
-	readers := make([]io.Reader, len(shards))
-	for i, b := range shards {
-		readers[i] = bytes.NewReader(b.Bytes())
-	}
-	mc, err := MergeFASTQ(&merged, readers...)
-	if err != nil || mc != 107 {
-		t.Fatalf("merge count = %d, %v", mc, err)
-	}
-	got, err := genomics.ReadAllFASTQ(&merged)
-	if err != nil {
-		t.Fatal(err)
+	// Reading the shards back in order restores the original records.
+	got, err := readShards(shards)
+	if err != nil || len(got) != 107 {
+		t.Fatalf("read back %d records, %v", len(got), err)
 	}
 	for i := range reads {
 		if got[i].ID != reads[i].ID || !bytes.Equal(got[i].Seq, reads[i].Seq) {
@@ -133,7 +124,21 @@ func TestSplitFASTQAndMergeRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: split+merge is the identity for any record count and shard size.
+// readShards reads FASTQ shards back in order, as one record list.
+func readShards(shards []*bytes.Buffer) ([]genomics.Read, error) {
+	var out []genomics.Read
+	for _, b := range shards {
+		rs, err := genomics.ReadAllFASTQ(bytes.NewReader(b.Bytes()))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rs...)
+	}
+	return out, nil
+}
+
+// Property: splitting and reading the shards back in order is the identity
+// for any record count and shard size.
 func TestSplitMergeIdentityProperty(t *testing.T) {
 	allReads := simReads(t, 150, 2)
 	f := func(nRaw, perRaw uint8) bool {
@@ -153,16 +158,7 @@ func TestSplitMergeIdentityProperty(t *testing.T) {
 		if err != nil || total != n {
 			return false
 		}
-		var merged bytes.Buffer
-		rs := make([]io.Reader, len(shards))
-		for i, b := range shards {
-			rs[i] = bytes.NewReader(b.Bytes())
-		}
-		mc, err := MergeFASTQ(&merged, rs...)
-		if err != nil || mc != n {
-			return false
-		}
-		got, err := genomics.ReadAllFASTQ(&merged)
+		got, err := readShards(shards)
 		if err != nil || len(got) != n {
 			return false
 		}
@@ -271,8 +267,7 @@ func TestPartitionByRegion(t *testing.T) {
 	}
 }
 
-func sampleSBAM(t testing.TB, n int) (genomics.Header, []genomics.Alignment, []byte) {
-	t.Helper()
+func sampleAlignments(n int) (genomics.Header, []genomics.Alignment) {
 	h := genomics.NewHeader(genomics.RefInfo{Name: "chr1", Length: 100000})
 	rng := rand.New(rand.NewSource(7))
 	alns := make([]genomics.Alignment, n)
@@ -284,54 +279,22 @@ func sampleSBAM(t testing.TB, n int) (genomics.Header, []genomics.Alignment, []b
 			Seq: seq, Qual: []byte("IIIIIIIIII"), NM: 0,
 		}
 	}
-	var buf bytes.Buffer
-	if err := genomics.WriteSBAM(&buf, h, alns); err != nil {
-		t.Fatal(err)
-	}
-	return h, alns, buf.Bytes()
-}
-
-func TestSplitSBAMReplicatesHeader(t *testing.T) {
-	_, _, data := sampleSBAM(t, 55)
-	var shards []*bytes.Buffer
-	n, total, err := SplitSBAM(bytes.NewReader(data), 20, func(int) (io.Writer, error) {
-		b := &bytes.Buffer{}
-		shards = append(shards, b)
-		return b, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || total != 55 {
-		t.Fatalf("n=%d total=%d", n, total)
-	}
-	for i, b := range shards {
-		h, alns, err := genomics.ReadSBAM(bytes.NewReader(b.Bytes()))
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if len(h.Refs) != 1 || h.Refs[0].Name != "chr1" {
-			t.Fatalf("shard %d lost header: %+v", i, h)
-		}
-		want := 20
-		if i == 2 {
-			want = 15
-		}
-		if len(alns) != want {
-			t.Fatalf("shard %d has %d records, want %d", i, len(alns), want)
-		}
-	}
+	return h, alns
 }
 
 func TestMergeSBAMSortsAndValidates(t *testing.T) {
-	_, _, data := sampleSBAM(t, 40)
-	var shards []*bytes.Buffer
-	if _, _, err := SplitSBAM(bytes.NewReader(data), 13, func(int) (io.Writer, error) {
-		b := &bytes.Buffer{}
-		shards = append(shards, b)
-		return b, nil
-	}); err != nil {
+	h, recs := sampleAlignments(40)
+	chunks, err := Chunk(recs, 13)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var shards []*bytes.Buffer
+	for _, chunk := range chunks {
+		b := &bytes.Buffer{}
+		if err := genomics.WriteSBAM(b, h, chunk); err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, b)
 	}
 	var merged bytes.Buffer
 	rs := make([]io.Reader, len(shards))
@@ -342,11 +305,11 @@ func TestMergeSBAMSortsAndValidates(t *testing.T) {
 	if err != nil || n != 40 {
 		t.Fatalf("merge: n=%d err=%v", n, err)
 	}
-	h, alns, err := genomics.ReadSBAM(&merged)
+	mh, alns, err := genomics.ReadSBAM(&merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.SortOrder != "coordinate" {
+	if mh.SortOrder != "coordinate" {
 		t.Fatalf("SortOrder = %q", h.SortOrder)
 	}
 	for i := 1; i < len(alns); i++ {
@@ -363,32 +326,6 @@ func TestMergeSBAMSortsAndValidates(t *testing.T) {
 	if _, err := MergeSBAM(&bytes.Buffer{},
 		bytes.NewReader(shards[0].Bytes()), bytes.NewReader(bad.Bytes())); err == nil {
 		t.Fatal("mismatched dictionaries accepted")
-	}
-}
-
-func TestMergeSAM(t *testing.T) {
-	h := genomics.NewHeader(genomics.RefInfo{Name: "chr1", Length: 1000})
-	a := []genomics.Alignment{{QName: "a", RName: "chr1", Pos: 500, CIGAR: "4M",
-		Seq: []byte("ACGT"), Qual: []byte("IIII"), NM: -1}}
-	b := []genomics.Alignment{{QName: "b", RName: "chr1", Pos: 100, CIGAR: "4M",
-		Seq: []byte("GGTT"), Qual: []byte("IIII"), NM: -1}}
-	var sa, sb, out bytes.Buffer
-	if err := genomics.WriteSAM(&sa, h, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := genomics.WriteSAM(&sb, h, b); err != nil {
-		t.Fatal(err)
-	}
-	n, err := MergeSAM(&out, &sa, &sb)
-	if err != nil || n != 2 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	_, alns, err := genomics.ReadSAM(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alns[0].QName != "b" || alns[1].QName != "a" {
-		t.Fatalf("merge order: %+v", alns)
 	}
 }
 

@@ -1,50 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
-
-// Dist is a sampleable probability distribution. All workload randomness in
-// the simulator flows through this interface so experiments stay
-// reproducible under a fixed seed.
-type Dist interface {
-	Sample(r *rand.Rand) float64
-	// Mean returns the distribution's expected value (used by the
-	// scheduler's estimators, which reason about average behaviour).
-	Mean() float64
-}
-
-// Constant is a degenerate distribution that always returns its value.
-type Constant float64
-
-// Sample returns the constant value.
-func (c Constant) Sample(*rand.Rand) float64 { return float64(c) }
-
-// Mean returns the constant value.
-func (c Constant) Mean() float64 { return float64(c) }
-
-// Uniform samples uniformly from [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample draws from the uniform distribution.
-func (u Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
-
-// Mean returns (Lo+Hi)/2.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// Normal is a Gaussian distribution.
-type Normal struct {
-	Mu, Sigma float64
-}
-
-// Sample draws from N(Mu, Sigma²).
-func (n Normal) Sample(r *rand.Rand) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
-
-// Mean returns Mu.
-func (n Normal) Mean() float64 { return n.Mu }
+import "math/rand"
 
 // TruncNormal is a Gaussian clipped to [Lo, Hi]. It is used for the paper's
 // "mean jobs per arrival = 3, variance = 2" style parameters, which must
@@ -74,10 +30,6 @@ func (t TruncNormal) Sample(r *rand.Rand) float64 {
 	return x
 }
 
-// Mean returns Mu (the untruncated mean; adequate for the estimators given
-// the mild truncation used by the experiments).
-func (t TruncNormal) Mean() float64 { return t.Mu }
-
 // Exponential has the given mean (rate 1/Mean). Inter-arrival gaps in the
 // workload generator are exponential, making arrivals a Poisson process as
 // in the paper's "mean job inter-arrival interval" parameter.
@@ -89,20 +41,3 @@ type Exponential struct {
 func (e Exponential) Sample(r *rand.Rand) float64 {
 	return r.ExpFloat64() * e.MeanVal
 }
-
-// Mean returns the configured mean.
-func (e Exponential) Mean() float64 { return e.MeanVal }
-
-// Lognormal wraps exp(N(mu, sigma²)), parameterised directly by mu and
-// sigma of the underlying normal.
-type Lognormal struct {
-	Mu, Sigma float64
-}
-
-// Sample draws from the lognormal distribution.
-func (l Lognormal) Sample(r *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
-}
-
-// Mean returns exp(mu + sigma²/2).
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // ErrInsufficientData is returned by the fitting routines when the sample is
 // too small or degenerate to determine the model coefficients.
@@ -95,68 +92,4 @@ func FitAmdahl(threads []int, times []float64) (float64, error) {
 		c = 1
 	}
 	return c, nil
-}
-
-// FitPlane computes the least-squares plane z = A*x + B*y + C. The knowledge
-// base uses it when a profile varies both input size and a second covariate
-// (for example record count and reference size).
-func FitPlane(xs, ys, zs []float64) (a, b, c float64, err error) {
-	n := len(xs)
-	if n != len(ys) || n != len(zs) || n < 3 {
-		return 0, 0, 0, ErrInsufficientData
-	}
-	// Normal equations for [A B C] via 3x3 solve.
-	var sx, sy, sz, sxx, syy, sxy, sxz, syz float64
-	for i := 0; i < n; i++ {
-		sx += xs[i]
-		sy += ys[i]
-		sz += zs[i]
-		sxx += xs[i] * xs[i]
-		syy += ys[i] * ys[i]
-		sxy += xs[i] * ys[i]
-		sxz += xs[i] * zs[i]
-		syz += ys[i] * zs[i]
-	}
-	nf := float64(n)
-	m := [3][4]float64{
-		{sxx, sxy, sx, sxz},
-		{sxy, syy, sy, syz},
-		{sx, sy, nf, sz},
-	}
-	sol, ok := solve3(m)
-	if !ok {
-		return 0, 0, 0, ErrInsufficientData
-	}
-	return sol[0], sol[1], sol[2], nil
-}
-
-// solve3 performs Gaussian elimination with partial pivoting on a 3x4
-// augmented matrix. Returns false when the system is singular.
-func solve3(m [3][4]float64) ([3]float64, bool) {
-	for col := 0; col < 3; col++ {
-		pivot := col
-		for r := col + 1; r < 3; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-12 {
-			return [3]float64{}, false
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := 0; r < 3; r++ {
-			if r == col {
-				continue
-			}
-			f := m[r][col] / m[col][col]
-			for k := col; k < 4; k++ {
-				m[r][k] -= f * m[col][k]
-			}
-		}
-	}
-	var out [3]float64
-	for i := 0; i < 3; i++ {
-		out[i] = m[i][3] / m[i][i]
-	}
-	return out, true
 }

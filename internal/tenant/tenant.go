@@ -21,8 +21,8 @@ import (
 	"time"
 )
 
-// Priority classes order tenants under contention and pick the rate-limit
-// defaults below. An empty class means PriorityNormal.
+// Priority classes pick a tenant's rate-limit defaults below; they do not
+// order tenants under contention. An empty class means PriorityNormal.
 const (
 	PriorityHigh   = "high"
 	PriorityNormal = "normal"
@@ -216,9 +216,6 @@ func (r *Registry) Tenants() []*State {
 
 // Name is the tenant's configured name.
 func (s *State) Name() string { return s.tenant.Name }
-
-// Priority is the tenant's resolved priority class.
-func (s *State) Priority() string { return s.tenant.Priority }
 
 // ---------------------------------------------------------------------------
 // Token-bucket rate limiting

@@ -74,7 +74,7 @@ func TestPriorityDefaults(t *testing.T) {
 			t.Errorf("%s: shape = %v, want %v", name, shapes[name], w)
 		}
 	}
-	if r.Authenticate("kn").Priority() != PriorityNormal {
+	if r.Authenticate("kn").tenant.Priority != PriorityNormal {
 		t.Error("empty priority did not default to normal")
 	}
 }

@@ -184,15 +184,3 @@ func (c *Caller) quality(altCount, depth uint32) float64 {
 	}
 	return math.Round(q*10) / 10
 }
-
-// MeanCoverage returns the average pileup depth across the reference.
-func (c *Caller) MeanCoverage() float64 {
-	if c.ref.Len() == 0 {
-		return 0
-	}
-	var sum uint64
-	for _, d := range c.depth {
-		sum += uint64(d)
-	}
-	return float64(sum) / float64(c.ref.Len())
-}

@@ -158,18 +158,6 @@ func Config2Aligner() align.Config {
 	return align.Config{K: 16, MaxMismatches: 6}
 }
 
-func TestMeanCoverage(t *testing.T) {
-	ref := genomics.Sequence{Name: "chr1", Seq: []byte("ACGTACGTAC")}
-	c := NewCaller(ref, Config{})
-	if err := c.Add(genomics.Alignment{QName: "r", RName: "chr1", Pos: 1, CIGAR: "10M",
-		Seq: []byte("ACGTACGTAC"), Qual: []byte("IIIIIIIIII")}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.MeanCoverage(); got != 1 {
-		t.Fatalf("MeanCoverage = %v", got)
-	}
-}
-
 func TestQualityCapped(t *testing.T) {
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("AAAA")}
 	c := NewCaller(ref, Config{MinDepth: 1, MinAltFraction: 0.1})

@@ -73,9 +73,6 @@ func NewEngine(opts EngineOptions) *Engine {
 // Catalogue returns the registry RunByName resolves workflow names in.
 func (e *Engine) Catalogue() *Registry { return e.catalogue }
 
-// Workers returns the bounded pool width.
-func (e *Engine) Workers() int { return e.workers }
-
 // RunOptions tunes one workflow execution.
 type RunOptions struct {
 	// Aligner configures alignment stages (zero value: package defaults).
@@ -298,9 +295,6 @@ type StageEnv struct {
 
 // Options returns the run's tuning options.
 func (env *StageEnv) Options() RunOptions { return env.opts }
-
-// Stage returns the catalogue stage being executed.
-func (env *StageEnv) Stage() Stage { return env.stage }
 
 // minShardSeconds is the least predicted work per shard for the Data Broker
 // to split past its advised count: smaller shards cost more than they save.

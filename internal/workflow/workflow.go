@@ -6,7 +6,6 @@ package workflow
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"scan/internal/knowledge"
 )
@@ -122,19 +121,6 @@ func (r *Registry) Names() []string {
 
 // Len returns the number of registered workflows.
 func (r *Registry) Len() int { return len(r.byName) }
-
-// ForInput returns the workflows consuming the given data type, sorted by
-// name — the Data Broker's "which analyses can run on this file" question.
-func (r *Registry) ForInput(dt DataType) []Workflow {
-	var out []Workflow
-	for _, name := range r.order {
-		if w := r.byName[name]; w.Consumes() == dt {
-			out = append(out, w)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
 
 // ExportTo records every workflow in the knowledge base as a
 // GenomeAnalysis individual with stage and data-type triples, queryable by

@@ -97,21 +97,6 @@ func TestRegistryOperations(t *testing.T) {
 	}
 }
 
-func TestForInput(t *testing.T) {
-	r := DefaultCatalogue()
-	fastqWorkflows := r.ForInput(FASTQ)
-	if len(fastqWorkflows) < 5 {
-		t.Fatalf("only %d FASTQ workflows", len(fastqWorkflows))
-	}
-	mgf := r.ForInput(MGF)
-	if len(mgf) != 2 {
-		t.Fatalf("MGF workflows = %d, want 2 (MaxQuant + GPM)", len(mgf))
-	}
-	if len(r.ForInput("bogus")) != 0 {
-		t.Fatal("bogus data type matched workflows")
-	}
-}
-
 func TestExportToKnowledgeBase(t *testing.T) {
 	kb := knowledge.New()
 	r := DefaultCatalogue()
