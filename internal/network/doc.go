@@ -7,17 +7,17 @@
 // similarity edges, and the connected-component modules the edges imply.
 //
 // Scatter/gather shape: the graph partition is the scatter unit. Node
-// index ranges split the O(n²) pairwise edge construction into independent
-// slabs (each range compares its nodes against every later node, so every
-// pair is examined exactly once across slabs), and the per-slab edge sets
-// gather — sorted into canonical order — into one network for a single
-// union-find module-detection pass.
+// index ranges split edge construction into independent slabs: each range
+// emits the edges (a, b>a) of its nodes, found by walking each node's
+// value window in an Index sorted once per stage, so every pair is decided
+// exactly once. Consecutive slabs concatenate, in range order, into the
+// full edge set for a single union-find module-detection pass.
 //
 // Determinism guarantee: generation is seeded (SimulateMeasurements
 // regenerates identical tables from equal seeds), edge construction is a
-// pure function of the node values, SortEdges canonicalizes the gathered
-// edge order, and module detection sorts members and modules — so the
-// partitioned build equals the full build for any partition size (proven
-// by the package's partitioned-equals-full tests) and repeated runs are
-// byte-identical.
+// pure function of the node values, every slab is in (A, B) order, and
+// module detection emits members ascending and modules by first member —
+// so the partitioned build equals the full build for any partition size
+// (proven by the package's partitioned-equals-full tests) and repeated
+// runs are byte-identical.
 package network

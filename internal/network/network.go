@@ -2,9 +2,7 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 )
 
 // Measurement is one gene-level observation, the integrative input row.
@@ -81,25 +79,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// EdgesInRange computes the similarity edges whose lower endpoint lies in
-// [lo, hi): node a connects to every later node b with |value(a)-value(b)|
-// <= Epsilon, weighted by closeness. Ranges partition the pair space, so
-// per-range edge sets concatenate without duplicates — the scatter unit of
-// the Integrate stage.
-func EdgesInRange(nodes []Node, lo, hi int, cfg Config) []Edge {
-	cfg = cfg.withDefaults()
-	var out []Edge
-	for a := lo; a < hi && a < len(nodes); a++ {
-		for b := a + 1; b < len(nodes); b++ {
-			d := math.Abs(nodes[a].Value - nodes[b].Value)
-			if d <= cfg.Epsilon {
-				out = append(out, Edge{A: a, B: b, Weight: 1 - d/cfg.Epsilon})
-			}
-		}
-	}
-	return out
-}
-
 // Modules returns the connected components the edges imply over n nodes:
 // each component's node indexes sorted ascending, components ordered by
 // their smallest member. Isolated nodes form singleton modules.
@@ -108,8 +87,7 @@ func Modules(n int, edges []Edge) [][]int {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -125,33 +103,24 @@ func Modules(n int, edges []Edge) [][]int {
 			parent[rb] = ra
 		}
 	}
-	byRoot := map[int][]int{}
-	for i := 0; i < n; i++ {
+	// A union hangs the larger root under the smaller, so a root is its
+	// component's smallest member: an ascending pass meets it first.
+	out := [][]int{}
+	at := make([]int, n) // a root's index in out
+	for i := range n {
 		r := find(i)
-		byRoot[r] = append(byRoot[r], i)
-	}
-	out := make([][]int, 0, len(byRoot))
-	for _, members := range byRoot {
-		sort.Ints(members)
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// SortEdges puts a gathered edge set into canonical (A, B) order.
-func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
+		if r == i {
+			at[i] = len(out)
+			out = append(out, nil)
 		}
-		return edges[i].B < edges[j].B
-	})
+		out[at[r]] = append(out[at[r]], i)
+	}
+	return out
 }
 
 // Build constructs the full network in one pass — the unscattered
 // reference implementation tiled executions must reproduce.
 func Build(nodes []Node, cfg Config) *Network {
-	edges := EdgesInRange(nodes, 0, len(nodes), cfg)
+	edges := NewIndex(nodes, cfg).AppendEdges(nil, 0, len(nodes))
 	return &Network{Nodes: nodes, Edges: edges, Modules: Modules(len(nodes), edges)}
 }

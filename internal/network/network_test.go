@@ -65,26 +65,18 @@ func TestBuildRecoversPlantedModules(t *testing.T) {
 }
 
 // TestRangePartitionMatchesFullBuild: concatenating per-range edge slabs
-// (any partitioning) reproduces the single-pass edge set — the gather
-// invariant of the Integrate scatter.
+// in range order (any partitioning) reproduces the single-pass edge set —
+// the gather invariant of the Integrate scatter — with no re-sort.
 func TestRangePartitionMatchesFullBuild(t *testing.T) {
-	ms, _, err := SimulateMeasurements(rand.New(rand.NewSource(13)), 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]Node, len(ms))
-	for i, m := range ms {
-		nodes[i] = Node{Name: m.Name, Value: m.Value}
-	}
-	want := EdgesInRange(nodes, 0, len(nodes), Config{})
-	SortEdges(want)
+	nodes := plantedNodes(t, 13, 50, 3)
+	want := bruteEdges(nodes, 0, len(nodes), Config{})
+	ix := NewIndex(nodes, Config{})
 	for _, per := range []int{7, 10, 25, 50} {
 		var got []Edge
 		for lo := 0; lo < len(nodes); lo += per {
 			hi := min(lo+per, len(nodes))
-			got = append(got, EdgesInRange(nodes, lo, hi, Config{})...)
+			got = ix.AppendEdges(got, lo, hi)
 		}
-		SortEdges(got)
 		if len(got) != len(want) {
 			t.Fatalf("per=%d: %d edges, full build has %d", per, len(got), len(want))
 		}

@@ -300,11 +300,16 @@ func DecodeMGFSpectra(r io.Reader, lim Limits) ([]proteome.Spectrum, Stats, erro
 	return spectra, src.stats(len(spectra)), nil
 }
 
-// parseMass parses a peak or fragment mass, which must be finite and
-// positive: strconv.ParseFloat also accepts "nan" and "inf".
-func parseMass(s string) (float64, bool) {
+// parseFinite parses a finite number; strconv.ParseFloat takes "nan", "inf".
+func parseFinite(s string) (float64, bool) {
 	v, err := strconv.ParseFloat(s, 64)
-	return v, err == nil && v > 0 && !math.IsInf(v, 0)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// parseMass parses a peak or fragment mass, which must be finite and positive.
+func parseMass(s string) (float64, bool) {
+	v, ok := parseFinite(s)
+	return v, ok && v > 0
 }
 
 // DecodePeptides streams a peptide-database table: one peptide per line,
@@ -429,7 +434,7 @@ func DecodeFrames(r io.Reader, lim Limits) ([]imaging.Image, Stats, error) {
 
 // DecodeFeatures streams a feature table: one row per line, whitespace-
 // separated "name value [count]" with '#' comments — the gene-level
-// measurements the integrative workflow consumes.
+// measurements the integrative workflow consumes. Values must be finite.
 func DecodeFeatures(r io.Reader, lim Limits) ([]workflow.Feature, Stats, error) {
 	src := newSource(r, lim.MaxBytes)
 	sc, release := pooledScanner(src)
@@ -453,8 +458,8 @@ func DecodeFeatures(r io.Reader, lim Limits) ([]workflow.Feature, Stats, error) 
 		if len(rows) >= lim.MaxRecords {
 			return nil, src.stats(len(rows)), tooMany("rows", lim.MaxRecords)
 		}
-		value, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
+		value, ok := parseFinite(fields[1]) // a log ratio may be zero or negative
+		if !ok {
 			return fail("bad value %q", fields[1])
 		}
 		f := workflow.Feature{Name: fields[0], Count: 1, Value: value}

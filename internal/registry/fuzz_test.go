@@ -134,7 +134,7 @@ func FuzzDecodeMGF(f *testing.F) {
 
 // FuzzDecodeFeatureTable hammers the feature-table decoder feeding the
 // integrative workflow: rows parse as 'name value [count]' or fail the
-// whole decode; counts are never negative.
+// whole decode; values are finite and counts are never negative.
 func FuzzDecodeFeatureTable(f *testing.F) {
 	f.Add([]byte("# name value count\ng0 1.5\ng1 -2.25 7\n"))
 	f.Add([]byte("g0 abc\n"))    // bad value
@@ -163,6 +163,9 @@ func FuzzDecodeFeatureTable(f *testing.F) {
 			}
 			if r.Count < 0 {
 				t.Fatalf("row %q: negative count %d", r.Name, r.Count)
+			}
+			if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
+				t.Fatalf("row %q: non-finite value %v", r.Name, r.Value)
 			}
 		}
 		_, st2, err2 := DecodeFeatures(bytes.NewReader(data), fuzzLimits)

@@ -434,25 +434,34 @@ func TestDecodeFrames(t *testing.T) {
 }
 
 func TestDecodeFeatures(t *testing.T) {
-	body := "# name value count\ng0 1.5\ng1 -2.25 7\n"
+	// A value may be a log ratio: negatives and zero decode.
+	body := "# name value count\ng0 1.5\ng1 -2.25 7\ng2 0\n"
 	rows, st, err := DecodeFeatures(strings.NewReader(body), Limits{MaxRecords: 10, MaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Name != "g0" || rows[0].Count != 1 || rows[1].Count != 7 || rows[1].Value != -2.25 {
+	if len(rows) != 3 || rows[0].Name != "g0" || rows[0].Count != 1 || rows[1].Count != 7 || rows[1].Value != -2.25 || rows[2].Value != 0 {
 		t.Fatalf("rows = %+v", rows)
 	}
-	if st.Records != 2 {
+	if st.Records != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 	for name, bad := range map[string]string{
-		"bad value": "g0 abc\n",
-		"bad count": "g0 1.0 -3\n",
-		"columns":   "g0\n",
-		"empty":     "#\n",
+		"bad value":   "g0 abc\n",
+		"bad count":   "g0 1.0 -3\n",
+		"columns":     "g0\n",
+		"empty":       "#\n",
+		"NaN value":   "g0 1\ng1 nan\n",
+		"+Inf value":  "g0 1\ng1 +Inf 3\n",
+		"-Inf value":  "g0 1\ng1 -inf\n",
+		"infinity":    "g0 1\ng1 Infinity\n",
+		"overflowing": "g0 1\ng1 1e309\n",
 	} {
-		if _, _, err := DecodeFeatures(strings.NewReader(bad), Limits{MaxRecords: 10, MaxBytes: 1 << 20}); err == nil {
+		_, _, err := DecodeFeatures(strings.NewReader(bad), Limits{MaxRecords: 10, MaxBytes: 1 << 20})
+		if err == nil {
 			t.Errorf("%s: decode succeeded", name)
+		} else if strings.HasPrefix(bad, "g0 1\n") && !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: error %q does not name line 2", name, err)
 		}
 	}
 }

@@ -306,8 +306,8 @@ const minShardSeconds = 0.010
 // rounded up to whole waves of the pool (a multiple of Workers, at most
 // total) when the KB's observed rate for this (tool, stage) predicts each
 // at minShardSeconds or more; either way they are cut equal. The price is
-// linear in records (rate per record × records); Integrate's pair work
-// grows with the square of its nodes, so a KB that has seen other network
+// linear in records (rate per record × records); Integrate's work grows
+// with its edges, not its nodes, so a KB that has seen other network
 // sizes misprices it. The plan (and advice, when consulted) is recorded on
 // the stage result, and RemoteOptions pins it for fleet workers.
 func (env *StageEnv) RecordShardSize(total int) (int, error) {

@@ -360,3 +360,40 @@ func TestCancellationInterruptsShardMidFlight(t *testing.T) {
 		}
 	})
 }
+
+// TestIntegrateTransformPollsBothPasses: the Integrate Transform counts its
+// range's edges and then fills the slab, polling ctx once per
+// ctxCheckInterval nodes in each pass, so a cancel stops either pass at
+// the poll it lands on.
+func TestIntegrateTransformPollsBothPasses(t *testing.T) {
+	const blocks = 10
+	ds := featureDataset(t, blocks*ctxCheckInterval, 4, 29)
+	env := &StageEnv{engine: testEngine(t, 1), opts: RunOptions{ShardRecords: blocks * ctxCheckInterval}, result: &StageResult{}, input: ds}
+	st, _, err := integrateExecutor{}.Stream(env, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := st.Split()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 1 {
+		t.Fatalf("%d shards, want 1", len(shards))
+	}
+	full := newCountdownCtx(2 * blocks)
+	if _, err := st.Transform(full, 0, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	if left := full.remaining.Load(); left != 0 {
+		t.Fatalf("a full Transform left %d of %d polls, want one per block per pass", left, 2*blocks)
+	}
+	for pass, polls := range map[string]int64{"count": blocks / 2, "fill": blocks + blocks/2} {
+		ctx := newCountdownCtx(polls)
+		if _, err := st.Transform(ctx, 0, shards[0]); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s pass: err = %v, want context.Canceled", pass, err)
+		}
+		if left := ctx.remaining.Load(); left != -1 {
+			t.Fatalf("%s pass: Transform polled %d times after the cancel", pass, -1-left)
+		}
+	}
+}

@@ -242,7 +242,7 @@ func DefaultCatalogue() *Registry {
 		Description: "Omics integration into interaction networks (Figure 1, Cytoscape)",
 		Stages: []Stage{
 			// Parallelizable: edge construction scatters over node-range
-			// partitions of the O(n²) pair space.
+			// partitions of the pair space.
 			{Name: "Integrate", Tool: "Cytoscape", Consumes: FeatureTable, Produces: Network, Parallelizable: true},
 		},
 	})
