@@ -19,7 +19,9 @@
 //     would exceed a bound, the oldest datasets not pinned by an unfinished
 //     job are evicted retention-style (mirroring the job store's
 //     terminal-job eviction), and a submission naming an evicted dataset
-//     gets a machine-readable not-found.
+//     gets a machine-readable not-found. Each dataset records the tenant
+//     that committed it, and the commit checks that owner's Quota in the
+//     same step that stores the dataset, before any dedup or eviction.
 //
 // Scatter/gather shape: the registry sits before the scatter — it is the
 // staging area the Data Broker shards from. A job that references a dataset

@@ -41,7 +41,7 @@ func durableStore(t *testing.T, dir string, maxBytes int64) (*Store, *UploadMana
 // resumable path and returns its metadata.
 func uploadRows(t *testing.T, m *UploadManager, name string, n int) Dataset {
 	t.Helper()
-	u, err := m.Create(name, FeatureTable, "")
+	u, err := m.Create(name, FeatureTable, Quota{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestDroppedDatasetKeepsSharedParts(t *testing.T) {
 	s, m := durableStore(t, dir, 1<<20)
 	var metas []Dataset
 	for i, reads := range []string{"@r1\nACGT\n+\nIIII\n", "@r2\nCGTA\n+\nIIII\n"} {
-		u, err := m.Create(fmt.Sprintf("sample%d", i), FASTQ, "")
+		u, err := m.Create(fmt.Sprintf("sample%d", i), FASTQ, Quota{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestOpensRefFileLayout(t *testing.T) {
 		}
 		metas = append(metas, uploadRows(t, m, name, n))
 	}
-	u, err := m.Create("spectra", MGF, "")
+	u, err := m.Create("spectra", MGF, Quota{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestConcurrentPinEvictSpillStress(t *testing.T) {
 					}
 				case 2:
 					extra := fmt.Sprintf("tmp-%d-%d", g, i)
-					u, err := m.Create(extra, FeatureTable, "")
+					u, err := m.Create(extra, FeatureTable, Quota{})
 					if err != nil {
 						continue // session table full under contention
 					}

@@ -99,6 +99,10 @@ type Dataset struct {
 	HasReference bool
 	// Created is the upload time.
 	Created time.Time
+	// Owner is the tenant that committed the dataset; "" when tenancy is
+	// off. It persists in the manifest with the rest of the metadata, so
+	// ownership and quotas survive a restart.
+	Owner string
 }
 
 // Store errors.
@@ -113,6 +117,34 @@ var (
 	// unreferenced dataset.
 	ErrStoreFull = errors.New("registry: store is full")
 )
+
+// Quota bounds what one owner's datasets may hold. It is fixed when an
+// upload session opens and checked again in the step that stores the
+// dataset. The zero Quota is unowned and unbounded; a bound of zero or less
+// is unlimited.
+type Quota struct {
+	Owner       string
+	MaxDatasets int
+	MaxBytes    int64
+}
+
+// QuotaError reports a dataset its owner's quota has no room for: Datasets
+// and Bytes are what the owner already holds, Adding the rejected size.
+type QuotaError struct {
+	Quota    Quota
+	Datasets int
+	Bytes    int64
+	Adding   int64
+}
+
+func (e *QuotaError) Error() string {
+	if q := e.Quota; q.MaxDatasets > 0 && e.Datasets >= q.MaxDatasets {
+		return fmt.Sprintf("registry: owner %q holds %d of %d datasets; delete one first",
+			q.Owner, e.Datasets, q.MaxDatasets)
+	}
+	return fmt.Sprintf("registry: dataset of %d bytes would put owner %q over its %d-byte quota (%d in use); delete datasets first",
+		e.Adding, e.Quota.Owner, e.Quota.MaxBytes, e.Bytes)
+}
 
 // Options bounds a Store.
 type Options struct {
@@ -238,7 +270,7 @@ func NewStore(opts Options) *Store {
 // dataset still cannot fit (every resident dataset is pinned, or it is
 // larger than the store bound on its own), Put returns ErrStoreFull.
 func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Dataset, error) {
-	return s.put(name, family, payload, st, nil)
+	return s.put(name, family, payload, st, nil, Quota{})
 }
 
 // put is the one insert path. parts, when non-nil, are the dataset's raw
@@ -246,8 +278,9 @@ func (s *Store) Put(name string, family Family, payload Payload, st Stats) (Data
 // commit): the byte bound then spills instead of rejecting, since the blob
 // store holds the bytes either way, and the blob takes its own reference
 // on each part — the caller's ingest references remain the caller's to
-// release.
-func (s *Store) put(name string, family Family, payload Payload, st Stats, parts []Part) (Dataset, error) {
+// release. The name and the owner's quota are checked first, so a rejected
+// dataset stores, evicts and spills nothing.
+func (s *Store) put(name string, family Family, payload Payload, st Stats, parts []Part, q Quota) (Dataset, error) {
 	// Names share a resolution namespace with ids and content hashes
 	// (Resolve prefers hashes, then ids), so id-shaped and "sha256:"-prefixed
 	// names are reserved. '/' would make the name unaddressable through the
@@ -255,12 +288,12 @@ func (s *Store) put(name string, family Family, payload Payload, st Stats, parts
 	if err := validateName(name); err != nil {
 		return Dataset{}, err
 	}
+	size := st.footprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.byName[name]; dup {
-		return Dataset{}, fmt.Errorf("%w: %q", ErrDuplicateName, name)
+	if err := s.admitLocked(name, q, size); err != nil {
+		return Dataset{}, err
 	}
-	size := st.footprint()
 	if parts == nil && size > s.maxB {
 		return Dataset{}, fmt.Errorf("%w: %d bytes exceeds the %d-byte store bound", ErrStoreFull, size, s.maxB)
 	}
@@ -320,6 +353,7 @@ func (s *Store) put(name string, family Family, payload Payload, st Stats, parts
 			Bytes:        size,
 			HasReference: payload.Ref.Len() > 0,
 			Created:      s.now(),
+			Owner:        q.Owner,
 		},
 		blob: b,
 	}
@@ -329,6 +363,49 @@ func (s *Store) put(name string, family Family, payload Payload, st Stats, parts
 	s.reclaimLocked()
 	s.persistLocked()
 	return e.meta, nil
+}
+
+// admitLocked reports why a dataset named name (when name is non-empty) of
+// size bytes could not be stored under q now: the name is taken, or the
+// owner is at a bound. The caller holds s.mu.
+func (s *Store) admitLocked(name string, q Quota, size int64) error {
+	if _, dup := s.byName[name]; name != "" && dup {
+		return fmt.Errorf("%w: %q", ErrDuplicateName, name)
+	}
+	if q.Owner == "" {
+		return nil
+	}
+	n, b := s.ownedLocked(q.Owner)
+	if (q.MaxDatasets > 0 && n >= q.MaxDatasets) || (q.MaxBytes > 0 && b+size > q.MaxBytes) {
+		return &QuotaError{Quota: q, Datasets: n, Bytes: b, Adding: size}
+	}
+	return nil
+}
+
+// admit is admitLocked under the store lock: the early checks that let an
+// upload fail before its bytes are spent. A pass is advisory; put checks
+// again in the step that stores.
+func (s *Store) admit(name string, q Quota, size int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.admitLocked(name, q, size)
+}
+
+// Owned reports how many datasets owner holds and their summed Bytes.
+func (s *Store) Owned(owner string) (datasets int, bytes int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ownedLocked(owner)
+}
+
+func (s *Store) ownedLocked(owner string) (datasets int, bytes int64) {
+	for _, e := range s.byID {
+		if e.meta.Owner == owner {
+			datasets++
+			bytes += e.meta.Bytes
+		}
+	}
+	return datasets, bytes
 }
 
 // releaseBlobLocked drops one blob reference, freeing the payload and its

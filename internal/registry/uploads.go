@@ -87,7 +87,7 @@ type UploadSession struct {
 	id      string
 	name    string
 	family  Family
-	owner   string // opening tenant; "" when tenancy is off
+	quota   Quota // the opening tenant's; zero when tenancy is off
 	created time.Time
 	parts   []*uploadPart // arrival order
 	payload Payload       // fragments decoded so far (AppendDecoded)
@@ -159,32 +159,32 @@ func NewUploadManager(cfg UploadConfig) (*UploadManager, error) {
 	return m, nil
 }
 
-// Create opens a validated session owned by the named tenant ("" when
-// tenancy is off): the name must be registrable (shape and uniqueness
-// checked now for fast feedback; uniqueness is re-checked at commit, which
-// is what counts).
-func (m *UploadManager) Create(name string, family Family, owner string) (*UploadSession, error) {
+// Create opens a validated session whose dataset will be stored under q
+// (the zero Quota when tenancy is off): the name must be registrable and
+// the owner below its count bound, both checked now for fast feedback and
+// again at commit, which is what counts.
+func (m *UploadManager) Create(name string, family Family, q Quota) (*UploadSession, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
-	st := m.cfg.Store
-	st.mu.Lock()
-	_, dup := st.byName[name]
-	st.mu.Unlock()
-	if dup {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name)
+	if err := m.cfg.Store.admit(name, q, 0); err != nil {
+		return nil, err
 	}
-	return m.stage(name, family, owner)
+	return m.stage(name, family, q)
 }
 
-// Stage opens a session without name validation — the compat path for the
-// one-shot dataset POST, which historically validated names only at store
-// time so a malformed body fails before a malformed name.
-func (m *UploadManager) Stage(name string, family Family, owner string) (*UploadSession, error) {
-	return m.stage(name, family, owner)
+// Stage opens a session without name checks — the compat path for the
+// one-shot dataset POST, which historically checked names only at store
+// time so a malformed body fails before a malformed name. The owner's
+// count bound is still checked now, before any body byte decodes.
+func (m *UploadManager) Stage(name string, family Family, q Quota) (*UploadSession, error) {
+	if err := m.cfg.Store.admit("", q, 0); err != nil {
+		return nil, err
+	}
+	return m.stage(name, family, q)
 }
 
-func (m *UploadManager) stage(name string, family Family, owner string) (*UploadSession, error) {
+func (m *UploadManager) stage(name string, family Family, q Quota) (*UploadSession, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.sessions) >= maxSessions {
@@ -195,7 +195,7 @@ func (m *UploadManager) stage(name string, family Family, owner string) (*Upload
 		id:      fmt.Sprintf("up-%d", m.next),
 		name:    name,
 		family:  family,
-		owner:   owner,
+		quota:   q,
 		created: m.cfg.Store.now(),
 	}
 	m.next++
@@ -264,7 +264,7 @@ func (u *UploadSession) ID() string { return u.id }
 // Owner returns the tenant that opened the session ("" when tenancy is
 // off). It is fixed at creation, so no request ever sees an unowned
 // session.
-func (u *UploadSession) Owner() string { return u.owner }
+func (u *UploadSession) Owner() string { return u.quota.Owner }
 
 // Status snapshots the session's progress.
 func (u *UploadSession) Status() UploadStatus {
@@ -454,19 +454,17 @@ func (u *UploadSession) Commit() (Dataset, error) {
 		return Dataset{}, err
 	}
 	store := u.mgr.cfg.Store
-	// Pre-check the name collision before the ingest consumes the spools,
-	// so the common conflict leaves the session intact (Put re-checks under
-	// its own lock either way, with the identical error).
-	store.mu.Lock()
-	_, dup := store.byName[u.name]
-	store.mu.Unlock()
-	if dup {
-		return Dataset{}, fmt.Errorf("%w: %q", ErrDuplicateName, u.name)
+	// Pre-check the name collision and the owner's quota before the ingest
+	// consumes the spools, so the common rejections leave the session
+	// intact (put re-checks under its own lock either way, with the
+	// identical error).
+	if err := store.admit(u.name, u.quota, combined.footprint()); err != nil {
+		return Dataset{}, err
 	}
 
 	if store.disk == nil {
-		// No blob store: promote heap-only, exactly the legacy Put.
-		meta, err := store.Put(u.name, u.family, u.payload, combined)
+		// No blob store: promote heap-only, as Put does.
+		meta, err := store.put(u.name, u.family, u.payload, combined, nil, u.quota)
 		if err != nil {
 			return Dataset{}, err
 		}
@@ -492,7 +490,7 @@ func (u *UploadSession) Commit() (Dataset, error) {
 		}
 		parts = append(parts, Part{Field: p.field, Hash: p.st.Hash, Bytes: p.st.Bytes, Records: p.st.Records})
 	}
-	meta, err := store.put(u.name, u.family, u.payload, combined, parts)
+	meta, err := store.put(u.name, u.family, u.payload, combined, parts, u.quota)
 	for _, q := range parts {
 		// Release the ingest references: on success the blob owns its own.
 		store.disk.Release(q.Hash)

@@ -129,7 +129,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	if s.tenants != nil {
 		states := s.tenants.Tenants()
-		live := s.datasetLive
 		reg.GaugeFunc("scan_tenant_active_jobs",
 			"Concurrent job slots currently held, by tenant.",
 			[]string{"tenant"}, func() []metrics.Sample {
@@ -145,7 +144,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			[]string{"tenant"}, func() []metrics.Sample {
 				out := make([]metrics.Sample, 0, len(states))
 				for _, st := range states {
-					_, b := st.Usage(live)
+					_, b := store.Owned(st.Name())
 					out = append(out, metrics.Sample{
 						Values: []string{st.Name()}, Value: float64(b)})
 				}

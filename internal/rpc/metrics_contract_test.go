@@ -65,8 +65,9 @@ func TestMetricsContract(t *testing.T) {
 
 	// Scripted workload. alice: one genomic job watched to completion plus
 	// one dataset upload — 3 admitted requests. mallory: one dataset upload
-	// admitted, a second one rejected by the count quota — 2 admitted
-	// requests, 1 quota rejection.
+	// admitted, a second one rejected by the count quota, then a cancel of
+	// alice's job and a delete of alice's dataset, both forbidden — 4
+	// admitted requests, 1 quota rejection, 2 forbidden.
 	job, err := alice.CreateJob(ctx, SubmitJobRequest{Synthetic: smallSynthetic(21)})
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +89,10 @@ func TestMetricsContract(t *testing.T) {
 	_, err = mallory.UploadDataset(ctx, "m-rows2", "feature-table",
 		UploadPart{Field: "data", R: strings.NewReader("g4 0.5\n")})
 	wantCode(t, err, CodeQuotaExceeded)
+	_, err = mallory.Cancel(ctx, job.ID)
+	wantCode(t, err, CodeForbidden)
+	_, err = mallory.DeleteDataset(ctx, aliceDS.ID)
+	wantCode(t, err, CodeForbidden)
 
 	// Exact post-workload expectations. The Watch handler's request counter
 	// increments a hair after the client sees the terminal event, so poll
@@ -104,8 +109,9 @@ func TestMetricsContract(t *testing.T) {
 		"scan_registry_evicted_total":  0,
 
 		"scan_tenant_requests_total{tenant=\"alice\"}":                             3,
-		"scan_tenant_requests_total{tenant=\"mallory\"}":                           2,
+		"scan_tenant_requests_total{tenant=\"mallory\"}":                           4,
 		"scan_tenant_rejected_total{tenant=\"mallory\",reason=\"quota_exceeded\"}": 1,
+		"scan_tenant_rejected_total{tenant=\"mallory\",reason=\"forbidden\"}":      2,
 		"scan_tenant_active_jobs{tenant=\"alice\"}":                                0,
 		"scan_tenant_active_jobs{tenant=\"mallory\"}":                              0,
 		"scan_tenant_dataset_bytes{tenant=\"alice\"}":                              float64(aliceDS.Bytes),

@@ -15,13 +15,14 @@ import (
 // Multi-tenant admission for the v2 surface. With ServerOptions.Tenants
 // set, every /api/v2 jobs/datasets/uploads request must present a
 // configured API key ("Authorization: Bearer <key>" or "X-API-Key") and
-// passes the tenant's token bucket before its handler runs; per-tenant
-// quotas (concurrent jobs, datasets, resident bytes) are enforced at the
-// resource handlers. Without a tenants registry the whole layer is inert
-// and v2 stays unauthenticated — the default every pre-tenancy test,
-// example and deployment relies on. /api/v1 is compat-frozen and never
-// authenticated; /healthz, /metrics and the worker roster stay open; the
-// fleet control plane keeps its own bearer token (fleet.Options.Token).
+// passes the tenant's token bucket before its handler runs; the job quota
+// is enforced at the job handlers, and the dataset quotas (count, resident
+// bytes) by the registry, against the owner each dataset records. Without
+// a tenants registry the whole layer is inert and v2 stays unauthenticated
+// — the default every pre-tenancy test, example and deployment relies on.
+// /api/v1 is compat-frozen and never authenticated; /healthz, /metrics and
+// the worker roster stay open; the fleet control plane keeps its own
+// bearer token (fleet.Options.Token).
 //
 // The tenancy model, quota semantics and error codes are documented in
 // docs/SERVING.md.
@@ -36,13 +37,16 @@ func requestTenant(r *http.Request) *tenant.State {
 	return st
 }
 
-// requestTenantName is the authenticated tenant's name, "" when tenancy is
-// disabled: the owner recorded on the upload sessions the request opens.
-func requestTenantName(r *http.Request) string {
-	if st := requestTenant(r); st != nil {
-		return st.Name()
+// requestQuota is the authenticated tenant's dataset quota, the zero
+// (unowned, unbounded) Quota when tenancy is disabled: fixed on the upload
+// sessions the request opens and checked by the registry at commit.
+func requestQuota(r *http.Request) registry.Quota {
+	st := requestTenant(r)
+	if st == nil {
+		return registry.Quota{}
 	}
-	return ""
+	n, b := st.DatasetLimits()
+	return registry.Quota{Owner: st.Name(), MaxDatasets: n, MaxBytes: b}
 }
 
 // apiKey extracts the presented API key: the Bearer token, or the
@@ -61,6 +65,7 @@ func apiKey(r *http.Request) string {
 const (
 	reasonRateLimited   = "rate_limited"
 	reasonQuotaExceeded = "quota_exceeded"
+	reasonForbidden     = "forbidden"
 )
 
 // admit wraps a v2 handler with authentication and rate limiting (the v2
@@ -92,14 +97,6 @@ func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// datasetLive reports whether a dataset ID still resolves in the registry —
-// the liveness callback that keeps tenant quota ledgers honest after
-// evictions and deletes the tenants never saw.
-func (s *Server) datasetLive(id string) bool {
-	_, _, err := s.platform.Datasets().Resolve(id)
-	return err == nil
-}
-
 // admitJobQuota claims a job slot for the request's tenant (no-op without
 // tenancy). On rejection it releases the spec's source, writes the 429 and
 // reports false; on success the state is recorded on the spec so
@@ -122,63 +119,19 @@ func (s *Server) admitJobQuota(w http.ResponseWriter, r *http.Request, spec *job
 	return true
 }
 
-// admitDatasetCount pre-checks the tenant's dataset-count quota before an
-// upload decodes (the byte quota is only knowable post-commit; see
-// settleDatasetQuota). Writes the 429 and reports false on rejection.
-func (s *Server) admitDatasetCount(w http.ResponseWriter, st *tenant.State) bool {
-	if st == nil {
-		return true
-	}
-	ok, count, limit := st.CheckDataset(s.datasetLive)
-	if !ok {
-		s.metrics.tenantRejected.With(st.Name(), reasonQuotaExceeded).Inc()
-		route.V2.Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
-			"tenant %q holds %d of %d datasets; delete one first", st.Name(), count, limit)
-		return false
-	}
-	return true
-}
-
-// settleDatasetQuota charges a just-committed dataset against its owner's
-// byte quota. A dataset that busts the quota is deleted again — it was
-// committed this request, so nothing can have pinned it — and the request
-// answers 429. Reports whether the dataset survived.
-func (s *Server) settleDatasetQuota(w http.ResponseWriter, st *tenant.State, id string, bytes int64) bool {
-	if st == nil {
-		return true
-	}
-	ok, used, limit := st.RecordDataset(id, bytes, s.datasetLive)
-	if !ok {
-		_, _ = s.platform.Datasets().Delete(id)
-		s.metrics.tenantRejected.With(st.Name(), reasonQuotaExceeded).Inc()
-		route.V2.Error(w, http.StatusTooManyRequests, CodeQuotaExceeded,
-			"dataset of %d bytes would put tenant %q over its %d-byte quota (%d in use); delete datasets first",
-			bytes, st.Name(), limit, used)
-		return false
-	}
-	return true
-}
-
 // authorizeDatasetDelete enforces delete ownership: with tenancy enabled a
-// dataset recorded by one tenant can only be deleted by that tenant.
-// Unowned datasets (admin-seeded, or owned records already pruned) stay
+// dataset committed by one tenant can only be deleted by that tenant.
+// Unowned datasets (committed without tenancy, or admin-seeded) stay
 // deletable by anyone authenticated — reads are shared by design, so
 // ownership gates destruction only. Writes the 403 and reports false when
 // the requester is someone else.
-func (s *Server) authorizeDatasetDelete(w http.ResponseWriter, r *http.Request, id string) bool {
+func (s *Server) authorizeDatasetDelete(w http.ResponseWriter, r *http.Request, meta registry.Dataset) bool {
 	st := requestTenant(r)
-	if st == nil || st.Owns(id) {
+	if st == nil || meta.Owner == "" || meta.Owner == st.Name() {
 		return true
 	}
-	for _, other := range s.tenants.Tenants() {
-		if other != st && other.Owns(id) {
-			s.metrics.tenantRejected.With(st.Name(), "forbidden").Inc()
-			route.V2.Error(w, http.StatusForbidden, CodeForbidden,
-				"dataset %q belongs to another tenant", id)
-			return false
-		}
-	}
-	return true
+	s.forbid(w, st, "dataset %q belongs to another tenant", meta.ID)
+	return false
 }
 
 // authorizeUpload enforces session ownership on the mutating session verbs
@@ -189,8 +142,12 @@ func (s *Server) authorizeUpload(w http.ResponseWriter, r *http.Request, u *regi
 	if st == nil || u.Owner() == st.Name() {
 		return true
 	}
-	s.metrics.tenantRejected.With(st.Name(), "forbidden").Inc()
-	route.V2.Error(w, http.StatusForbidden, CodeForbidden,
-		"upload session %q belongs to another tenant", u.ID())
+	s.forbid(w, st, "upload session %q belongs to another tenant", u.ID())
 	return false
+}
+
+// forbid counts a cross-tenant rejection against st and answers the 403.
+func (s *Server) forbid(w http.ResponseWriter, st *tenant.State, format string, args ...any) {
+	s.metrics.tenantRejected.With(st.Name(), reasonForbidden).Inc()
+	route.V2.Error(w, http.StatusForbidden, CodeForbidden, format, args...)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"scan/internal/core"
+	"scan/internal/registry"
 	"scan/internal/tenant"
 )
 
@@ -320,8 +322,9 @@ func TestTwoTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestTenantByteQuota: the byte quota is settled post-commit — an upload
-// whose decoded size busts it is deleted again and answers 429.
+// TestTenantByteQuota: the registry checks the byte quota in the commit
+// that would store the dataset — an upload whose decoded size busts it is
+// never stored and answers 429.
 func TestTenantByteQuota(t *testing.T) {
 	_, mallory, _, _ := tenantTestServer(t, core.NewPlatform(core.Options{Workers: 2}))
 	ctx := context.Background()
@@ -343,7 +346,7 @@ func TestTenantByteQuota(t *testing.T) {
 	if len(list) != 0 {
 		t.Fatalf("datasets after rejected upload = %+v, want none", list)
 	}
-	// And the tenant ledger holds no phantom bytes: a small upload fits.
+	// And the quota holds no phantom bytes: a small upload fits.
 	if _, err := mallory.UploadDataset(ctx, "m-small", "feature-table",
 		UploadPart{Field: "data", R: strings.NewReader("g1 2.5\n")}); err != nil {
 		t.Fatalf("small upload after rejection: %v", err)
@@ -411,8 +414,8 @@ func TestTenantOwnership(t *testing.T) {
 		t.Fatalf("own commit: %v", err)
 	}
 
-	// Finally alice cleans up her own dataset; the registry and her quota
-	// ledger both let go.
+	// Finally alice cleans up her own dataset, which frees her quota with
+	// it.
 	if _, err := alice.DeleteDataset(ctx, ds.ID); err != nil {
 		t.Fatalf("own delete: %v", err)
 	}
@@ -493,5 +496,153 @@ func TestUploadOwnershipUnderConcurrentCreates(t *testing.T) {
 				t.Fatalf("%s's own abort of %s: %v", u.owner, u.id, err)
 			}
 		}
+	}
+}
+
+// wantCodes sorts responses into counts by v2 error code ("" = success).
+func wantCodes(t *testing.T, errs []error, want map[string]int) {
+	t.Helper()
+	got := map[string]int{}
+	for _, err := range errs {
+		var ae *APIError
+		switch {
+		case err == nil:
+			got[""]++
+		case errors.As(err, &ae):
+			got[ae.Code]++
+		default:
+			t.Fatalf("unstructured error: %v", err)
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("outcomes by code = %v, want %v", got, want)
+	}
+}
+
+// TestDatasetCountQuotaUnderConcurrentCommits: the count quota is checked
+// in the commit that stores, not only when a session opens. Three sessions
+// opened while mallory (max_datasets 1) held nothing commit concurrently
+// into one dataset and two 429s, and a burst of concurrent one-shot uploads
+// also leaves her exactly one.
+func TestDatasetCountQuotaUnderConcurrentCommits(t *testing.T) {
+	_, mallory, _, _ := tenantTestServer(t, core.NewPlatform(core.Options{Workers: 1}))
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	var ids []string
+	for i := 0; i < 3; i++ {
+		up, err := mallory.CreateUpload(ctx, fmt.Sprintf("m-resume-%d", i), "feature-table")
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := fmt.Sprintf("g%d 1.5\n", i)
+		if _, err := mallory.AppendUpload(ctx, up.ID, "data", 0, strings.NewReader(row)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, up.ID)
+	}
+	commits := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, commits[i] = mallory.CommitUpload(ctx, id)
+		}()
+	}
+	wg.Wait()
+	wantCodes(t, commits, map[string]int{"": 1, CodeQuotaExceeded: 2})
+	list, err := mallory.Datasets(ctx)
+	if err != nil || len(list) != 1 {
+		t.Fatalf("datasets after the commits = %+v (%v), want 1", list, err)
+	}
+
+	// Free the slot, then race one-shot uploads for it.
+	if _, err := mallory.DeleteDataset(ctx, list[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	uploads := make([]error, n)
+	for i := range uploads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, uploads[i] = mallory.UploadDataset(ctx, fmt.Sprintf("m-oneshot-%d", i), "feature-table",
+				UploadPart{Field: "data", R: strings.NewReader(fmt.Sprintf("g%d 2.5\n", i))})
+		}()
+	}
+	wg.Wait()
+	wantCodes(t, uploads, map[string]int{"": 1, CodeQuotaExceeded: n - 1})
+	if list, err := mallory.Datasets(ctx); err != nil || len(list) != 1 {
+		t.Fatalf("datasets after the one-shot burst = %+v (%v), want 1", list, err)
+	}
+}
+
+// TestTenantQuotasSurviveRestart: a dataset's owner is recorded on the
+// dataset and persists with it, so after a -data-dir restart mallory is
+// still at her count quota and still cannot delete alice's dataset.
+func TestTenantQuotasSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (alice, mallory *Client, stop func()) {
+		p, err := core.OpenPlatform(core.Options{Workers: 1, DataDir: dir, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServerOptions(p, ServerOptions{Executors: 1, Tenants: tenantConfig(t)})
+		ts := httptest.NewServer(s.Handler())
+		return NewClient(ts.URL, WithAPIKey(aliceKey)), NewClient(ts.URL, WithAPIKey(malloryKey)),
+			func() { ts.Close(); s.Close(); p.Close() }
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	alice, mallory, stop := open()
+	ds, err := alice.UploadDataset(ctx, "a-feat", "feature-table",
+		UploadPart{Field: "data", R: strings.NewReader("g1 2.5\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mallory.UploadDataset(ctx, "m-feat", "feature-table",
+		UploadPart{Field: "data", R: strings.NewReader("g2 2.5\n")}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop()
+	alice, mallory, stop = open() // a second daemon over the same data directory
+	t.Cleanup(stop)
+	_, err = mallory.UploadDataset(ctx, "m-feat2", "feature-table",
+		UploadPart{Field: "data", R: strings.NewReader("g3 2.5\n")})
+	wantCode(t, err, CodeQuotaExceeded)
+	_, err = mallory.DeleteDataset(ctx, ds.ID)
+	wantCode(t, err, CodeForbidden)
+	if _, err := alice.DeleteDataset(ctx, "a-feat"); err != nil {
+		t.Fatalf("own delete after restart: %v", err)
+	}
+}
+
+// TestQuotaRejectionEvictsNothing: on a full registry, an upload the byte
+// quota rejects is refused before the store makes room, so no other
+// tenant's dataset is evicted for it.
+func TestQuotaRejectionEvictsNothing(t *testing.T) {
+	p := core.NewPlatform(core.Options{Workers: 1, Registry: registry.Options{MaxDatasets: 2}})
+	alice, mallory, _, _ := tenantTestServer(t, p)
+	ctx := context.Background()
+	for _, name := range []string{"a1", "a2"} {
+		if _, err := alice.UploadDataset(ctx, name, "feature-table",
+			UploadPart{Field: "data", R: strings.NewReader(name + " 2.5\n")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// ~62 KiB of rows against mallory's 4096-byte quota.
+	_, err := mallory.UploadDataset(ctx, "m-big", "feature-table",
+		UploadPart{Field: "data", R: strings.NewReader(string(featureRows(4000)))})
+	wantCode(t, err, CodeQuotaExceeded)
+	for _, name := range []string{"a1", "a2"} {
+		if _, err := alice.Dataset(ctx, name); err != nil {
+			t.Fatalf("%s after the rejected upload: %v", name, err)
+		}
+	}
+	if got := scrapeMetrics(t, alice.base)["scan_registry_evicted_total"]; got != 0 {
+		t.Fatalf("scan_registry_evicted_total = %v, want 0", got)
 	}
 }

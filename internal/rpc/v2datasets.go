@@ -55,14 +55,16 @@ func (s *Server) handleV2Dataset(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleV2DatasetDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	// Resolve first for the canonical ID — ownership records are keyed by
-	// ID, but clients may delete by name.
-	if meta, _, err := s.platform.Datasets().Resolve(id); err == nil {
-		if !s.authorizeDatasetDelete(w, r, meta.ID) {
+	// Resolve first: ownership is on the dataset, and clients may delete by
+	// name. The delete then names the resolved id, which is never reused,
+	// so a name rebound in between cannot be hit.
+	meta, _, err := s.platform.Datasets().Resolve(id)
+	if err == nil {
+		if !s.authorizeDatasetDelete(w, r, meta) {
 			return
 		}
+		meta, err = s.platform.Datasets().Delete(meta.ID)
 	}
-	meta, err := s.platform.Datasets().Delete(id)
 	switch {
 	case errors.Is(err, registry.ErrNotFound):
 		route.V2.Error(w, http.StatusNotFound, CodeNotFound, "no dataset %q", id)
@@ -72,9 +74,6 @@ func (s *Server) handleV2DatasetDelete(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		route.V2.Error(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 	default:
-		if st := requestTenant(r); st != nil {
-			st.ForgetDataset(meta.ID)
-		}
 		route.JSON(w, http.StatusOK, datasetInfo(meta))
 	}
 }
@@ -106,14 +105,10 @@ func datasetInfo(d registry.Dataset) DatasetInfo {
 // spooling, so decode errors surface mid-body exactly as they always did,
 // and the commit is the identical atomic promotion the resumable API gets —
 // including durable blob ingestion when the platform runs with a data
-// directory.
+// directory. The tenant's count quota is checked when the session opens,
+// before any data part decodes; the registry checks both quota bounds
+// again in the commit that stores the dataset.
 func (s *Server) handleV2DatasetUpload(w http.ResponseWriter, r *http.Request) {
-	// The dataset-count quota is checkable before any bytes decode; the
-	// byte quota only after commit reveals the decoded size (settle below).
-	tn := requestTenant(r)
-	if !s.admitDatasetCount(w, tn) {
-		return
-	}
 	mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	var (
 		u   *registry.UploadSession
@@ -128,19 +123,17 @@ func (s *Server) handleV2DatasetUpload(w http.ResponseWriter, r *http.Request) {
 		if u != nil {
 			u.Abort()
 		}
-		route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
+		s.writeUploadError(w, err)
 		return
 	}
 	meta, err := u.Commit()
 	if err != nil {
 		// One-shot callers cannot resume; drop the session and its spools.
 		u.Abort()
-		writeUploadError(w, err)
+		s.writeUploadError(w, err)
 		return
 	}
-	if s.settleDatasetQuota(w, tn, meta.ID, meta.Bytes) {
-		route.JSON(w, http.StatusCreated, datasetInfo(meta))
-	}
+	route.JSON(w, http.StatusCreated, datasetInfo(meta))
 }
 
 // decodeMultipartUpload streams a multipart/form-data body into a staged
@@ -194,7 +187,7 @@ func (s *Server) decodeMultipartUpload(r *http.Request) (*registry.UploadSession
 				// Stage, not Create: this path historically validated names
 				// only at store time, so a malformed body fails before a
 				// malformed name.
-				if u, err = s.uploads.Stage(name, family, requestTenantName(r)); err != nil {
+				if u, err = s.uploads.Stage(name, family, requestQuota(r)); err != nil {
 					return nil, err
 				}
 			}
@@ -214,7 +207,7 @@ func (s *Server) decodeMultipartUpload(r *http.Request) (*registry.UploadSession
 	if u == nil {
 		// Metadata but no data parts: commit on the empty session reports
 		// the family's missing-part error.
-		if u, err = s.uploads.Stage(name, family, requestTenantName(r)); err != nil {
+		if u, err = s.uploads.Stage(name, family, requestQuota(r)); err != nil {
 			return nil, err
 		}
 	}
@@ -236,7 +229,7 @@ func (s *Server) decodeRawUpload(r *http.Request) (*registry.UploadSession, erro
 	if family == registry.MGF {
 		return nil, errors.New("mgf uploads need multipart/form-data with peptides and spectra parts")
 	}
-	u, err := s.uploads.Stage(name, family, requestTenantName(r))
+	u, err := s.uploads.Stage(name, family, requestQuota(r))
 	if err != nil {
 		return nil, err
 	}

@@ -205,11 +205,14 @@ func (s *Server) handleV2Get(w http.ResponseWriter, r *http.Request, id int) {
 
 func (s *Server) handleV2Cancel(w http.ResponseWriter, r *http.Request, id int) {
 	job, status, apiErr := s.cancelJob(id, requestTenant(r))
-	if apiErr != nil {
+	switch {
+	case status == http.StatusForbidden:
+		s.forbid(w, requestTenant(r), "%s", apiErr.Message)
+	case apiErr != nil:
 		route.V2.Error(w, status, apiErr.Code, "%s", apiErr.Message)
-		return
+	default:
+		route.JSON(w, status, job)
 	}
-	route.JSON(w, status, job)
 }
 
 // handleV2Events streams the job's event log as Server-Sent Events: the

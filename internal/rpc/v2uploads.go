@@ -89,26 +89,30 @@ func (s *Server) handleV2UploadCreate(w http.ResponseWriter, r *http.Request) {
 		route.V2.Error(w, http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 		return
 	}
-	// The session will become a dataset; check the count quota at open so
-	// a tenant at its limit learns immediately, not at commit.
-	if !s.admitDatasetCount(w, requestTenant(r)) {
-		return
-	}
-	u, err := s.uploads.Create(req.Name, family, requestTenantName(r))
+	// The session will become a dataset; Create checks the count quota at
+	// open so a tenant at its limit learns immediately, not at commit.
+	u, err := s.uploads.Create(req.Name, family, requestQuota(r))
 	if err != nil {
-		writeUploadError(w, err)
+		s.writeUploadError(w, err)
 		return
 	}
 	route.JSON(w, http.StatusCreated, uploadInfo(u.Status()))
 }
 
-// writeUploadError answers a failed session call (open, look up, append,
-// commit) with the status and code of its registry error; anything else —
-// a bad name, an undecodable part, a body cut short — is a 400.
-func writeUploadError(w http.ResponseWriter, err error) {
-	var offErr *registry.OffsetError
+// writeUploadError answers a failed upload (open, look up, append, commit)
+// with the status and code of its registry error, counting a quota
+// rejection against its tenant; anything else — a bad name, an undecodable
+// part, a body cut short — is a 400.
+func (s *Server) writeUploadError(w http.ResponseWriter, err error) {
+	var (
+		offErr   *registry.OffsetError
+		quotaErr *registry.QuotaError
+	)
 	status, code := http.StatusBadRequest, CodeInvalidArgument
 	switch {
+	case errors.As(err, &quotaErr):
+		status, code = http.StatusTooManyRequests, CodeQuotaExceeded
+		s.metrics.tenantRejected.With(quotaErr.Quota.Owner, reasonQuotaExceeded).Inc()
 	case errors.Is(err, registry.ErrNoUpload):
 		status, code = http.StatusNotFound, CodeNotFound
 	case errors.Is(err, registry.ErrDuplicateName), errors.As(err, &offErr):
@@ -126,7 +130,7 @@ func writeUploadError(w http.ResponseWriter, err error) {
 func (s *Server) session(w http.ResponseWriter, r *http.Request) (*registry.UploadSession, bool) {
 	u, err := s.uploads.Get(r.PathValue("id"))
 	if err != nil {
-		writeUploadError(w, err)
+		s.writeUploadError(w, err)
 	}
 	return u, err == nil
 }
@@ -175,7 +179,7 @@ func (s *Server) appendUpload(w http.ResponseWriter, r *http.Request) {
 	if _, err := u.Append(field, offset, r.Body); err != nil {
 		// After a mid-body read error the spooled prefix is kept; the part
 		// status rides along in the session resource.
-		writeUploadError(w, err)
+		s.writeUploadError(w, err)
 		return
 	}
 	for _, p := range u.Status().Parts {
@@ -197,10 +201,8 @@ func (s *Server) commitUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	meta, err := u.Commit()
 	if err != nil {
-		writeUploadError(w, err)
+		s.writeUploadError(w, err)
 		return
 	}
-	if s.settleDatasetQuota(w, requestTenant(r), meta.ID, meta.Bytes) {
-		route.JSON(w, http.StatusCreated, datasetInfo(meta))
-	}
+	route.JSON(w, http.StatusCreated, datasetInfo(meta))
 }

@@ -2,14 +2,16 @@
 // identities with per-tenant quotas (concurrent jobs, datasets, resident
 // bytes) and token-bucket rate limits shaped by priority class.
 //
-// The package is deliberately free of HTTP: it answers the three admission
+// The package is deliberately free of HTTP: it answers the admission
 // questions — who is this key (Registry.Authenticate, constant-time like
 // the fleet token), may they send another request now (State.Allow), and
-// may they hold another job/dataset (State.AdmitJob, State.CheckDataset,
-// State.RecordDataset) — and internal/rpc turns the answers into 401/429/403
-// envelopes. All per-tenant state is allocated once at config load and
-// bounded by the tenants file: a client connecting, streaming, or vanishing
-// mid-upload never allocates or leaks limiter state.
+// may they hold another job (State.AdmitJob) — and internal/rpc turns the
+// answers into 401/429/403 envelopes. Datasets are not counted here: each
+// dataset records its owner in the registry, which checks the bounds
+// State.DatasetLimits reports in the same step that stores the dataset.
+// All per-tenant state is allocated once at config load and bounded by the
+// tenants file: a client connecting, streaming, or vanishing mid-upload
+// never allocates or leaks limiter state.
 package tenant
 
 import (
@@ -97,11 +99,6 @@ type State struct {
 	tokens     float64
 	last       time.Time
 	activeJobs int
-	// datasets maps owned dataset IDs to their registry byte size. Entries
-	// for deleted or evicted datasets are pruned lazily at check time via
-	// the caller's liveness callback — the registry evicts without telling
-	// us, so eviction must never leak quota.
-	datasets map[string]int64
 }
 
 // Parse loads a tenants config from JSON bytes and validates it: every
@@ -143,7 +140,6 @@ func Parse(raw []byte) (*Registry, error) {
 			maxBytes:    resolveInt64(t.MaxBytes, DefaultMaxBytes),
 			rate:        shape.rate,
 			burst:       shape.burst,
-			datasets:    make(map[string]int64),
 		}
 		if t.RatePerSec > 0 {
 			st.rate = t.RatePerSec
@@ -278,81 +274,9 @@ func (s *State) ActiveJobs() int {
 	return s.activeJobs
 }
 
-// ---------------------------------------------------------------------------
-// Dataset quotas
-// ---------------------------------------------------------------------------
-
-// CheckDataset reports whether the tenant may register one more dataset.
-// live filters the ownership ledger first: datasets deleted or evicted
-// since they were recorded stop counting (nil means everything is live).
-// The byte quota cannot be checked here — an upload's registry size is
-// only known after decode — so RecordDataset re-checks bytes post-commit.
-func (s *State) CheckDataset(live func(id string) bool) (ok bool, count, limit int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked(live)
-	if s.maxDatasets >= 0 && len(s.datasets) >= s.maxDatasets {
-		return false, len(s.datasets), s.maxDatasets
-	}
-	return true, len(s.datasets), s.maxDatasets
-}
-
-// RecordDataset records ownership of a just-committed dataset and checks
-// the byte quota. When the new total would exceed MaxBytes the dataset is
-// NOT recorded and ok is false — the caller deletes the fresh (unpinned)
-// dataset from the registry and answers 429 quota_exceeded.
-func (s *State) RecordDataset(id string, bytes int64, live func(id string) bool) (ok bool, used, limit int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked(live)
-	used = s.bytesLocked()
-	if s.maxBytes >= 0 && used+bytes > s.maxBytes {
-		return false, used, s.maxBytes
-	}
-	s.datasets[id] = bytes
-	return true, used + bytes, s.maxBytes
-}
-
-// Owns reports whether the tenant recorded dataset id (ownership gates
-// DELETE — reads stay shared across tenants; see docs/SERVING.md).
-func (s *State) Owns(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.datasets[id]
-	return ok
-}
-
-// ForgetDataset drops ownership after a delete. Idempotent.
-func (s *State) ForgetDataset(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.datasets, id)
-}
-
-// Usage reports the tenant's live dataset count and summed bytes.
-func (s *State) Usage(live func(id string) bool) (datasets int, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked(live)
-	return len(s.datasets), s.bytesLocked()
-}
-
-// pruneLocked drops ledger entries the registry no longer holds.
-func (s *State) pruneLocked(live func(id string) bool) {
-	if live == nil {
-		return
-	}
-	for id := range s.datasets {
-		if !live(id) {
-			delete(s.datasets, id)
-		}
-	}
-}
-
-func (s *State) bytesLocked() int64 {
-	var total int64
-	for _, b := range s.datasets {
-		total += b
-	}
-	return total
+// DatasetLimits reports the tenant's dataset-count and byte bounds, -1 for
+// unlimited. The registry enforces them against the datasets it records
+// as the tenant's.
+func (s *State) DatasetLimits() (maxDatasets int, maxBytes int64) {
+	return s.maxDatasets, s.maxBytes
 }

@@ -138,50 +138,9 @@ func TestJobQuota(t *testing.T) {
 	st.ReleaseJob() // one more than admitted
 }
 
-func TestDatasetQuotas(t *testing.T) {
-	r := mustParse(t, twoTenants)
-	st := r.Authenticate("key-alice") // max_datasets 2, max_bytes 100
-
-	if ok, _, _ := st.CheckDataset(nil); !ok {
-		t.Fatal("first dataset rejected")
-	}
-	if ok, _, _ := st.RecordDataset("ds-1", 60, nil); !ok {
-		t.Fatal("ds-1 over byte quota at 60/100")
-	}
-	// Byte quota: 60 + 60 > 100 → rejected and NOT recorded.
-	if ok, used, limit := st.RecordDataset("ds-2", 60, nil); ok || used != 60 || limit != 100 {
-		t.Fatalf("ds-2: ok=%v used=%d limit=%d, want rejection at 60/100", ok, used, limit)
-	}
-	if st.Owns("ds-2") {
-		t.Fatal("rejected dataset was recorded")
-	}
-	if ok, _, _ := st.RecordDataset("ds-2", 40, nil); !ok {
-		t.Fatal("ds-2 at exactly the byte quota rejected")
-	}
-	// Count quota: two datasets held, third checks out full.
-	if ok, count, limit := st.CheckDataset(nil); ok || count != 2 || limit != 2 {
-		t.Fatalf("count check: ok=%v count=%d limit=%d", ok, count, limit)
-	}
-	// Eviction pruning: the registry dropped ds-1; quota must follow.
-	alive := func(id string) bool { return id != "ds-1" }
-	if ok, count, _ := st.CheckDataset(alive); !ok || count != 1 {
-		t.Fatalf("post-eviction check: ok=%v count=%d, want ok at 1", ok, count)
-	}
-	if st.Owns("ds-1") {
-		t.Fatal("evicted dataset still owned after prune")
-	}
-	// Delete path: forget is idempotent.
-	st.ForgetDataset("ds-2")
-	st.ForgetDataset("ds-2")
-	if n, b := st.Usage(nil); n != 0 || b != 0 {
-		t.Fatalf("usage after forget = %d datasets / %d bytes", n, b)
-	}
-}
-
 // TestConcurrentAdmission is the -race stress test: many goroutines hammer
-// one tenant's bucket, job slots and dataset ledger concurrently —
-// submit/release, record/forget, allow — and every counter must be exact
-// after the drain, with no slot or ledger entry leaked.
+// one tenant's bucket and job slots concurrently — submit/release, allow —
+// and every counter must be exact after the drain, with no slot leaked.
 func TestConcurrentAdmission(t *testing.T) {
 	r := mustParse(t, `{"tenants":[
 	  {"name":"a","key":"k","max_jobs":-1,"max_datasets":-1,"max_bytes":-1,"rate_per_sec":1000,"burst":50}
@@ -213,11 +172,6 @@ func TestConcurrentAdmission(t *testing.T) {
 						defer st.ReleaseJob()
 					}
 				}
-				// Dataset ledger: record, check, forget.
-				id := string(rune('a'+w)) + "-ds"
-				st.RecordDataset(id, 10, nil)
-				st.CheckDataset(func(string) bool { return true })
-				st.ForgetDataset(id)
 			}
 			mu.Lock()
 			admitted += localAdmitted
@@ -232,9 +186,6 @@ func TestConcurrentAdmission(t *testing.T) {
 	}
 	if got := st.ActiveJobs(); got != 0 {
 		t.Errorf("job slots leaked after drain: %d active", got)
-	}
-	if n, b := st.Usage(nil); n != 0 || b != 0 {
-		t.Errorf("dataset ledger leaked: %d datasets / %d bytes", n, b)
 	}
 	// Rate accounting stays sane: the bucket admitted at least its burst
 	// and at most burst + refill over the simulated window.
