@@ -8,10 +8,11 @@
 //
 // Scatter/gather shape: the graph partition is the scatter unit. Node
 // index ranges split edge construction into independent slabs: each range
-// emits the edges (a, b>a) of its nodes, found by walking each node's
-// value window in an Index sorted once per stage, so every pair is decided
-// exactly once. Consecutive slabs concatenate, in range order, into the
-// full edge set for a single union-find module-detection pass.
+// emits the edges (a, b>a) of its nodes, walking each node's value window
+// in an Index sorted once per stage and carrying overlapping windows'
+// sorted members from node to node in value order, so every pair is
+// decided exactly once. Consecutive slabs concatenate, in range order,
+// into the full edge set for a single union-find module-detection pass.
 //
 // Determinism guarantee: generation is seeded (SimulateMeasurements
 // regenerates identical tables from equal seeds), edge construction is a

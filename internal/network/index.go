@@ -1,7 +1,6 @@
 package network
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -17,21 +16,33 @@ type Index struct {
 	rank   []int32   // each node's position in order, -1 for NaN
 }
 
-// NewIndex builds the sorted index of nodes under cfg.
+// NewIndex builds the sorted index of nodes under cfg. It sorts contiguous
+// (value, index) keys: -0 and +0 tie, and ties break by index.
 func NewIndex(nodes []Node, cfg Config) *Index {
-	ix := &Index{eps: cfg.withDefaults().Epsilon, order: make([]int32, 0, len(nodes)), rank: make([]int32, len(nodes))}
+	type key struct {
+		v float64
+		a int32
+	}
+	keys := make([]key, 0, len(nodes))
+	ix := &Index{eps: cfg.withDefaults().Epsilon, rank: make([]int32, len(nodes))}
 	for a, nd := range nodes {
 		ix.rank[a] = -1
 		if !math.IsNaN(nd.Value) {
-			ix.order = append(ix.order, int32(a))
+			keys = append(keys, key{nd.Value, int32(a)})
 		}
 	}
-	slices.SortFunc(ix.order, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(nodes[a].Value, nodes[b].Value), cmp.Compare(a, b))
+	slices.SortFunc(keys, func(x, y key) int {
+		switch {
+		case x.v < y.v:
+			return -1
+		case x.v > y.v:
+			return 1
+		}
+		return int(x.a - y.a)
 	})
-	ix.sorted = make([]float64, len(ix.order))
-	for r, a := range ix.order {
-		ix.rank[a], ix.sorted[r] = int32(r), nodes[a].Value
+	ix.order, ix.sorted = make([]int32, len(keys)), make([]float64, len(keys))
+	for r, k := range keys {
+		ix.order[r], ix.sorted[r], ix.rank[k.a] = k.a, k.v, int32(r)
 	}
 	return ix
 }
@@ -58,38 +69,103 @@ func (ix *Index) window(a int) (va float64, lo, hi int) {
 	return va, lo, hi
 }
 
-// Count returns how many edges AppendEdges emits for [lo, hi).
-func (ix *Index) Count(lo, hi int) int {
-	n := 0
+// Slab appends range [lo, hi)'s slab to dst: in (A, B) order, the edges
+// (a, b>a) for a in [lo, hi) with |value(a)-value(b)| <= Epsilon, weighted
+// by closeness. Consecutive ranges' slabs concatenate into the canonical
+// edge set. Slab calls poll, if non-nil, with the ordinal of each node a
+// pass visits, and stops on its error, leaving dst unextended.
+//
+// The count pass walks each node's window in index order, unsorted; the
+// later-neighbour counts place every node's run in one presized slab. The
+// fill pass visits the nodes in rank (value) order and carries the window
+// members, sorted by index, while the next visited rank lies inside the
+// current window: it drops the members whose ranks left, sort-merges the
+// ranks that entered, and a node's run is the suffix after a binary search
+// for it. A node outside the carried window whose window misses the next
+// rank sorts its later neighbours alone and carries nothing.
+func (ix *Index) Slab(dst []Edge, lo, hi int, poll func(visited int) error) ([]Edge, error) {
+	if poll == nil {
+		poll = func(int) error { return nil }
+	}
+	type run struct{ lo, hi, at int } // a node's window and its run's offset
+	runs, ranks := make([]run, hi-lo), make([]int32, 0, hi-lo+1)
+	base, at, width := len(dst), len(dst), 0
 	for a := lo; a < hi; a++ {
+		if err := poll(a - lo); err != nil {
+			return dst, err
+		}
 		_, wlo, whi := ix.window(a)
+		runs[a-lo], width = run{wlo, whi, at}, max(width, whi-wlo)
 		for _, b := range ix.order[wlo:whi] {
 			if int(b) > a {
-				n++
+				at++
 			}
 		}
+		if r := ix.rank[a]; r >= 0 {
+			ranks = append(ranks, r)
+		}
 	}
-	return n
+	dst = slices.Grow(dst, at-base)[:at]
+	slices.Sort(ranks)
+	ranks = append(ranks, -1) // the last visit's next: in no window
+	// cur holds the members of window [clo, chi), ascending by index; a
+	// member's value is found through its rank.
+	cur, spare := make([]int32, 0, width), make([]int32, 0, width)
+	clo, chi := 0, 0
+	for i, r := range ranks[:len(ranks)-1] {
+		if err := poll(i); err != nil {
+			return dst[:base], err
+		}
+		a, va := int(ix.order[r]), ix.sorted[r]
+		w := runs[a-lo]
+		next := int(ranks[i+1])
+		var later []int32
+		if (int(r) < clo || int(r) >= chi) && (next < w.lo || next >= w.hi) { // sort a's own later neighbours
+			later, cur, clo, chi = cur[:w.hi-w.lo], cur[:0], 0, 0
+			n := 0
+			for _, b := range ix.order[w.lo:w.hi] {
+				later[n] = b
+				if int(b) > a {
+					n++
+				}
+			}
+			later = later[:n]
+			slices.Sort(later)
+		} else {
+			if w.lo > clo || w.hi < chi {
+				cur = slices.DeleteFunc(cur, func(b int32) bool { return int(ix.rank[b]) < w.lo || int(ix.rank[b]) >= w.hi })
+			}
+			m := len(cur)
+			if w.lo < clo {
+				cur = append(cur, ix.order[w.lo:min(clo, w.hi)]...)
+			}
+			if w.hi > chi {
+				cur = append(cur, ix.order[max(w.lo, chi):w.hi]...)
+			}
+			slices.Sort(cur[m:])
+			if m > 0 && m < len(cur) {
+				cur, spare = merge(spare[:0], cur[:m], cur[m:]), cur
+			}
+			clo, chi = w.lo, w.hi
+			j, _ := slices.BinarySearch(cur, int32(a+1))
+			later = cur[j:]
+		}
+		out := dst[w.at:][:len(later)]
+		for k, b := range later {
+			d := math.Abs(va - ix.sorted[ix.rank[b]])
+			out[k] = Edge{A: a, B: int(b), Weight: 1 - d/ix.eps}
+		}
+	}
+	return dst, nil
 }
 
-// AppendEdges appends, in (A, B) order, the edges (a, b>a) for a in [lo, hi)
-// with |value(a)-value(b)| <= Epsilon, weighted by closeness: consecutive
-// ranges' slabs concatenate into the canonical edge set.
-func (ix *Index) AppendEdges(dst []Edge, lo, hi int) []Edge {
-	var buf [128]int32 // a node's later neighbours, unless it has more
-	for a := lo; a < hi; a++ {
-		va, wlo, whi := ix.window(a)
-		later := buf[:0]
-		for _, b := range ix.order[wlo:whi] {
-			if int(b) > a {
-				later = append(later, b)
-			}
+// merge appends the ascending union of the disjoint ascending x and y.
+func merge(dst, x, y []int32) []int32 {
+	for len(x) > 0 && len(y) > 0 {
+		if x[0] > y[0] {
+			x, y = y, x
 		}
-		slices.Sort(later)
-		for _, b := range later {
-			d := math.Abs(va - ix.sorted[ix.rank[b]])
-			dst = append(dst, Edge{A: a, B: int(b), Weight: 1 - d/ix.eps})
-		}
+		dst, x = append(dst, x[0]), x[1:]
 	}
-	return dst
+	return append(append(dst, x...), y...)
 }

@@ -6,8 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
+
+// AppendEdges is Slab without a poll, the form the oracle tests drive.
+func (ix *Index) AppendEdges(dst []Edge, lo, hi int) []Edge {
+	dst, _ = ix.Slab(dst, lo, hi, nil)
+	return dst
+}
 
 // bruteEdges is the pairwise scan the sorted index replaced, kept as the
 // reference it must agree with: every node a in [lo, hi) is tested against
@@ -37,9 +44,9 @@ func sameEdges(a, b []Edge) bool {
 }
 
 // checkIndex compares the index of nodes under cfg with the brute force:
-// the count and the slab of every range between consecutive cuts (0 and
-// len(nodes) are added), their concatenation, which must be the full edge
-// set in canonical order with no re-sort, and Build's edges.
+// the slab of every range between consecutive cuts (0 and len(nodes) are
+// added), their concatenation, which must be the full edge set in
+// canonical order with no re-sort, and Build's edges.
 func checkIndex(t *testing.T, nodes []Node, cfg Config, cuts []int) {
 	t.Helper()
 	n := len(nodes)
@@ -50,9 +57,6 @@ func checkIndex(t *testing.T, nodes []Node, cfg Config, cuts []int) {
 	for i := 1; i < len(cuts); i++ {
 		lo, hi := cuts[i-1], cuts[i]
 		want := bruteEdges(nodes, lo, hi, cfg)
-		if got := ix.Count(lo, hi); got != len(want) {
-			t.Fatalf("eps %v, range [%d,%d): count %d, brute force %d\nvalues %v", cfg.Epsilon, lo, hi, got, len(want), values(nodes))
-		}
 		got := ix.AppendEdges(nil, lo, hi)
 		if !sameEdges(got, want) {
 			t.Fatalf("eps %v, range [%d,%d): index %v, brute force %v\nvalues %v", cfg.Epsilon, lo, hi, got, want, values(nodes))
@@ -137,7 +141,9 @@ func randomNodes(rng *rand.Rand, eps float64, special bool) []Node {
 // pairwise scan it replaced on randomised node lists, Epsilons and range
 // partitions, including the edge cases where a walk that stopped one step
 // early or late, a tie split the wrong way or a non-monotone distance
-// would show.
+// would show. Each list is also checked as one range, whose value-order
+// visits are dense so the fill carries its windows, and cut into ranges of
+// 1–3 nodes, whose visits are sparse so the fill sorts node by node.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	const cases = 600
 	for c := 0; c < cases; c++ {
@@ -151,8 +157,56 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 			cuts[i] = rng.Intn(len(nodes) + 1)
 		}
 		checkIndex(t, nodes, Config{Epsilon: eps}, cuts)
+		checkIndex(t, nodes, Config{Epsilon: eps}, nil)
+		checkIndex(t, nodes, Config{Epsilon: eps}, smallRanges(rng, len(nodes)))
 	}
 	checkIndex(t, nil, Config{}, nil)
+	// The special values alone, tied many times: an infinite value's
+	// window leaves its own tie group, so consecutive windows jump.
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, -1}
+	for c := 0; c < 100; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		nodes := make([]Node, rng.Intn(30))
+		for i := range nodes {
+			nodes[i].Value = specials[rng.Intn(len(specials))]
+		}
+		for _, eps := range []float64{math.Inf(1), 1, math.NaN()} {
+			checkIndex(t, nodes, Config{Epsilon: eps}, nil)
+			checkIndex(t, nodes, Config{Epsilon: eps}, smallRanges(rng, len(nodes)))
+		}
+	}
+}
+
+// smallRanges cuts [0, n) into ranges of 1–3 nodes.
+func smallRanges(rng *rand.Rand, n int) []int {
+	var cuts []int
+	for at := 1 + rng.Intn(3); at < n; at += 1 + rng.Intn(3) {
+		cuts = append(cuts, at)
+	}
+	return cuts
+}
+
+// TestConcurrentFills fills two ranges of one Index at once; under -race
+// it shows a fill writing anything the Index shares.
+func TestConcurrentFills(t *testing.T) {
+	nodes := plantedNodes(t, 5, 600, 6)
+	ix := NewIndex(nodes, Config{})
+	cuts := []int{0, 250, len(nodes)}
+	got := make([][]Edge, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = ix.AppendEdges(nil, cuts[i], cuts[i+1])
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if want := bruteEdges(nodes, cuts[i], cuts[i+1], Config{}); !sameEdges(got[i], want) {
+			t.Fatalf("range [%d,%d): %d edges filled concurrently, brute force %d", cuts[i], cuts[i+1], len(got[i]), len(want))
+		}
+	}
 }
 
 // TestIndexDoesNotMutate checks the index copies what it needs: the
@@ -171,41 +225,47 @@ func TestIndexDoesNotMutate(t *testing.T) {
 	}
 }
 
-// TestAppendEdgesAllocs holds the fill pass to zero allocations into a slab
-// Count sized: no node of the planted modules has more than 128 later
-// neighbours, so the scratch stays on the stack.
+// TestAppendEdgesAllocs holds a range's build into a sized slab to a fixed
+// set of scratch buffers — the per-node runs, the visit order and the two
+// window buffers the count pass sizes — so 2 000 and 16 000 nodes allocate
+// alike, however many edges or neighbours they have.
 func TestAppendEdgesAllocs(t *testing.T) {
-	nodes := plantedNodes(t, 2, 2000, 25)
-	ix := NewIndex(nodes, Config{})
-	slab := make([]Edge, 0, ix.Count(0, len(nodes)))
-	if allocs := testing.AllocsPerRun(2, func() { ix.AppendEdges(slab, 0, len(nodes)) }); allocs != 0 {
-		t.Fatalf("%v allocations filling a sized slab, want 0", allocs)
+	allocs := func(genes, modules int) float64 {
+		nodes := plantedNodes(t, 2, genes, modules)
+		ix := NewIndex(nodes, Config{})
+		slab := make([]Edge, 0, len(ix.AppendEdges(nil, 0, len(nodes))))
+		return testing.AllocsPerRun(2, func() { ix.AppendEdges(slab, 0, len(nodes)) })
+	}
+	small, large := allocs(2000, 40), allocs(16000, 200) // 50 and 80 a module
+	if small != large || large > 4 {
+		t.Fatalf("%v allocations at 2 000 nodes, %v at 16 000, want the same, at most 4", small, large)
 	}
 }
 
 // FuzzEdgeIndex runs the brute-force comparison on fuzzed node lists,
 // Epsilons and ranges. The first data byte picks a unit; the next two
 // pick a range [lo, hi), which also cuts the list into three slabs whose
-// concatenation must be the full edge set. The rest are up to 256 16-bit
-// values:
+// concatenation must be the full edge set; the fourth picks k, 1…n, and
+// the list is also cut into k near-equal ranges. The rest are up to 256
+// 16-bit values:
 // from 0xFFF0 one of the special values (NaN, ±Inf, ±0, ±MaxFloat64, the
 // smallest subnormals), otherwise a signed multiple of the unit — a grid
 // on which gaps land exactly on a small Epsilon, magnitudes near 1e300
 // where any Epsilon vanishes, or subnormals.
 func FuzzEdgeIndex(f *testing.F) {
-	f.Add([]byte{0, 1, 3, 0, 0x78, 4, 0x78, 8, 0x78, 9, 0x78}, 2.0)
-	f.Add([]byte{1, 0, 9, 0xF0, 0xFF, 0xF1, 0xFF, 0xF1, 0xFF, 0xF2, 0xFF, 0, 0x78}, math.Inf(1))
-	f.Add([]byte{2, 2, 2, 1, 0x78, 1, 0x78, 2, 0x78, 0xF4, 0xFF, 0xF5, 0xFF}, 0.0)
-	f.Add([]byte{3, 0, 4, 0, 0x78, 1, 0x78, 2, 0x78, 0xF3, 0xFF, 0xF6, 0xFF}, math.SmallestNonzeroFloat64)
-	f.Add([]byte{0, 0, 0}, math.NaN())
+	f.Add([]byte{0, 1, 3, 1, 0, 0x78, 4, 0x78, 8, 0x78, 9, 0x78}, 2.0)
+	f.Add([]byte{1, 0, 9, 0, 0xF0, 0xFF, 0xF1, 0xFF, 0xF1, 0xFF, 0xF2, 0xFF, 0, 0x78}, math.Inf(1))
+	f.Add([]byte{2, 2, 2, 2, 1, 0x78, 1, 0x78, 2, 0x78, 0xF4, 0xFF, 0xF5, 0xFF}, 0.0)
+	f.Add([]byte{3, 0, 4, 5, 0, 0x78, 1, 0x78, 2, 0x78, 0xF3, 0xFF, 0xF6, 0xFF}, math.SmallestNonzeroFloat64)
+	f.Add([]byte{0, 0, 0, 0}, math.NaN())
 	f.Fuzz(func(t *testing.T, data []byte, eps float64) {
-		if len(data) < 3 {
+		if len(data) < 4 {
 			return
 		}
 		unit := []float64{0.5, 1.0 / 3, 1e296, math.SmallestNonzeroFloat64}[data[0]%4]
 		var nodes []Node
 		// At most 256 nodes: under an infinite Epsilon every pair is an edge.
-		for rest := data[3:min(len(data), 3+2*256)]; len(rest) >= 2; rest = rest[2:] {
+		for rest := data[4:min(len(data), 4+2*256)]; len(rest) >= 2; rest = rest[2:] {
 			v := binary.LittleEndian.Uint16(rest)
 			x := float64(int(v)-0x7800) * unit
 			if v >= 0xFFF0 {
@@ -216,6 +276,12 @@ func FuzzEdgeIndex(f *testing.F) {
 		lo := int(data[1]) % (len(nodes) + 1)
 		hi := lo + int(data[2])%(len(nodes)+1-lo)
 		checkIndex(t, nodes, Config{Epsilon: eps}, []int{lo, hi})
+		k := 1 + int(data[3])%max(len(nodes), 1)
+		cuts := make([]int, k-1)
+		for i := range cuts {
+			cuts[i] = (i + 1) * len(nodes) / k
+		}
+		checkIndex(t, nodes, Config{Epsilon: eps}, cuts)
 	})
 }
 
@@ -233,18 +299,45 @@ func plantedNodes(tb testing.TB, seed int64, genes, modules int) []Node {
 	return nodes
 }
 
-var edgeSink []Edge
+var (
+	edgeSink  []Edge
+	indexSink *Index
+)
 
-// BenchmarkEdges times one Integrate stage's kernel on the benchmark's
-// batch-families network job, 16 000 genes in 200 planted modules: the
-// index build, then the count and fill passes over the full node range.
+// BenchmarkEdges times one Integrate stage's count and fill passes on the
+// benchmark's batch-families network job, 16 000 genes in 200 planted
+// modules, over 1, 2, 16 and n/64 equal node ranges of an index built
+// once. Genes join modules round-robin, so a range of 64 nodes has no two
+// in one window: its fill visits sparsely and sorts node by node, the
+// fallback these sub-benchmarks guard. Fewer, wider ranges visit densely
+// and carry their windows.
 func BenchmarkEdges(b *testing.B) {
+	nodes := plantedNodes(b, 1, 16000, 200)
+	ix := NewIndex(nodes, Config{})
+	for _, k := range []int{1, 2, 16, len(nodes) / 64} {
+		b.Run(fmt.Sprintf("ranges=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			edges := 0
+			for i := 0; i < b.N; i++ {
+				edges = 0
+				for r := range k {
+					lo, hi := r*len(nodes)/k, (r+1)*len(nodes)/k
+					edgeSink = ix.AppendEdges(nil, lo, hi)
+					edges += len(edgeSink)
+				}
+			}
+			b.ReportMetric(float64(edges), "edges")
+		})
+	}
+}
+
+// BenchmarkNewIndex times the index build BenchmarkEdges leaves out, once
+// per Integrate stage, on the same 16 000 genes.
+func BenchmarkNewIndex(b *testing.B) {
 	nodes := plantedNodes(b, 1, 16000, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := NewIndex(nodes, Config{})
-		edgeSink = ix.AppendEdges(make([]Edge, 0, ix.Count(0, len(nodes))), 0, len(nodes))
+		indexSink = NewIndex(nodes, Config{})
 	}
-	b.ReportMetric(float64(len(edgeSink)), "edges")
 }

@@ -121,6 +121,6 @@ func Modules(n int, edges []Edge) [][]int {
 // Build constructs the full network in one pass — the unscattered
 // reference implementation tiled executions must reproduce.
 func Build(nodes []Node, cfg Config) *Network {
-	edges := NewIndex(nodes, cfg).AppendEdges(nil, 0, len(nodes))
+	edges, _ := NewIndex(nodes, cfg).Slab(nil, 0, len(nodes), nil)
 	return &Network{Nodes: nodes, Edges: edges, Modules: Modules(len(nodes), edges)}
 }

@@ -5,8 +5,8 @@ package registry
 // blob store and treats MaxBytes as a *resident-memory* budget instead of a
 // hard capacity: when decoded payloads exceed the budget, the oldest
 // unpinned ones spill — the records are dropped and the dataset lives on as
-// its blob-store parts, re-decoded (rematerialized) on the next Resolve or
-// Pin. Dataset metadata persists in a manifest JSON next to the blobs, so a
+// its blob-store parts, re-decoded (rematerialized) on the next Pin;
+// Resolve reads metadata alone. Dataset metadata persists in a manifest JSON next to the blobs, so a
 // restarted daemon resolves every committed dataset by id, name or content
 // hash, rematerializing payloads lazily. The manifest is also the one
 // durable record of which blobs are live: blob-store references are
@@ -89,7 +89,7 @@ func (s *Store) reclaimLocked() {
 }
 
 // fetch rematerializes a spilled blob by re-decoding its parts from the
-// blob store. The caller must hold a fetch pin (blob.pins) and NOT hold
+// blob store. The caller must hold a pin on the blob (blob.pins) and NOT hold
 // s.mu; fetchMu collapses concurrent fetches of the same blob into one
 // decode. After the decode, pin counts and the budget are re-checked under
 // the store lock — the decoded payload is installed and accounted, and the

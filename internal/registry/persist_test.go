@@ -107,7 +107,7 @@ func TestDurablePutSurvivesRestart(t *testing.T) {
 	}
 	// Resolvable by id, name and content hash before the restart.
 	for _, key := range []string{meta.ID, "expr", "sha256:" + meta.Hash} {
-		if _, _, err := s.Resolve(key); err != nil {
+		if _, err := s.Resolve(key); err != nil {
 			t.Fatalf("Resolve(%q): %v", key, err)
 		}
 	}
@@ -115,10 +115,11 @@ func TestDurablePutSurvivesRestart(t *testing.T) {
 	// "Restart": reopen the blob store and registry over the same dir.
 	s2, _ := durableStore(t, dir, 1<<20)
 	assertBlobsMatchManifest(t, dir)
-	got, payload, err := s2.Resolve("sha256:" + meta.Hash)
+	got, payload, err := s2.Pin("sha256:" + meta.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2.Unpin(got.ID)
 	if got.ID != meta.ID || got.Name != "expr" || got.Records != 100 {
 		t.Fatalf("restarted meta = %+v, want %+v", got, meta)
 	}
@@ -141,16 +142,24 @@ func TestOversizePayloadSpills(t *testing.T) {
 	if resident, spilled, _ := s.Resident(); resident != 0 || spilled != 1 {
 		t.Fatalf("resident=%d spilled=%d, want 0/1", resident, spilled)
 	}
-	// Resolve rematerializes, then the fetch pin drops and it spills again.
-	_, payload, err := s.Resolve("big")
+	// Resolve reads the metadata alone: nothing rematerializes.
+	if got, err := s.Resolve("big"); err != nil || got.Records != 50 {
+		t.Fatalf("Resolve = %+v, %v", got, err)
+	}
+	if _, _, remats := s.Resident(); remats != 0 {
+		t.Fatalf("remats=%d after Resolve, want 0", remats)
+	}
+	// Pin rematerializes; once unpinned, the blob spills again.
+	_, payload, err := s.Pin("big")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(payload.Features) != 50 {
 		t.Fatalf("rematerialized %d rows", len(payload.Features))
 	}
+	s.Unpin(meta.ID)
 	if resident, _, _ := s.Resident(); resident != 0 {
-		t.Fatalf("resident=%d after unpinned resolve, want 0", resident)
+		t.Fatalf("resident=%d after Unpin, want 0", resident)
 	}
 	// A pinned dataset stays resident even over budget...
 	if _, _, err := s.Pin("big"); err != nil {
@@ -206,7 +215,7 @@ func TestDeleteReleasesBlobFiles(t *testing.T) {
 	// And the manifest no longer resurrects it.
 	s2, _ := durableStore(t, dir, 1<<20)
 	assertBlobsMatchManifest(t, dir)
-	if _, _, err := s2.Resolve("gone"); !errors.Is(err, ErrNotFound) {
+	if _, err := s2.Resolve("gone"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted dataset resurrected: %v", err)
 	}
 }
@@ -227,13 +236,13 @@ func TestManifestSelfHealsMissingBlobs(t *testing.T) {
 
 	s2, _ := durableStore(t, dir, 1<<20)
 	assertBlobsMatchManifest(t, dir)
-	if _, _, err := s2.Resolve("keep"); err != nil {
+	if _, err := s2.Resolve("keep"); err != nil {
 		t.Fatalf("intact dataset lost: %v", err)
 	}
-	if _, _, err := s2.Resolve("lose"); !errors.Is(err, ErrNotFound) {
+	if _, err := s2.Resolve("lose"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("damaged dataset should drop, got %v", err)
 	}
-	if _, _, err := s2.Resolve(keep.ID); err != nil {
+	if _, err := s2.Resolve(keep.ID); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -274,12 +283,13 @@ func TestDroppedDatasetKeepsSharedParts(t *testing.T) {
 	}
 
 	s2, _ := durableStore(t, dir, 1<<20)
-	if _, _, err := s2.Resolve(metas[0].ID); !errors.Is(err, ErrNotFound) {
+	if _, err := s2.Resolve(metas[0].ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("dataset with a lost part should drop, got %v", err)
 	}
-	if _, payload, err := s2.Resolve(metas[1].ID); err != nil || payload.Ref.Len() == 0 || len(payload.Reads) != 1 {
+	if _, payload, err := s2.Pin(metas[1].ID); err != nil || payload.Ref.Len() == 0 || len(payload.Reads) != 1 {
 		t.Fatalf("intact dataset sharing the reference part: %v", err)
 	}
+	s2.Unpin(metas[1].ID)
 	assertBlobsMatchManifest(t, dir)
 }
 
@@ -349,13 +359,14 @@ func TestOpensRefFileLayout(t *testing.T) {
 	s2, _ := durableStore(t, dir, 1<<20)
 	for _, meta := range metas {
 		for _, key := range []string{meta.ID, meta.Name, "sha256:" + meta.Hash} {
-			got, payload, err := s2.Resolve(key)
+			got, payload, err := s2.Pin(key)
 			if err != nil {
-				t.Fatalf("Resolve(%q): %v", key, err)
+				t.Fatalf("Pin(%q): %v", key, err)
 			}
 			if got.Records != meta.Records || len(payload.Features)+len(payload.Spectra) != meta.Records {
-				t.Fatalf("Resolve(%q) = %+v, want %d records", key, got, meta.Records)
+				t.Fatalf("Pin(%q) = %+v, want %d records", key, got, meta.Records)
 			}
+			s2.Unpin(got.ID)
 		}
 	}
 	if refs, _ := filepath.Glob(filepath.Join(blobs, "*.ref")); len(refs) != 0 {
@@ -372,7 +383,7 @@ func TestHashResolutionPicksOldest(t *testing.T) {
 	if first.Hash != second.Hash {
 		t.Fatal("expected identical hashes")
 	}
-	got, _, err := s.Resolve("sha256:" + first.Hash)
+	got, err := s.Resolve("sha256:" + first.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,10 +437,10 @@ func TestConcurrentPinEvictSpillStress(t *testing.T) {
 					}
 					s.Unpin(meta.ID)
 				case 1:
-					if _, payload, err := s.Resolve(name); err != nil {
+					if meta, err := s.Resolve(name); err != nil {
 						t.Errorf("Resolve(%s): %v", name, err)
-					} else if len(payload.Features) == 0 {
-						t.Errorf("Resolve(%s): empty payload", name)
+					} else if meta.Records == 0 {
+						t.Errorf("Resolve(%s): no records", name)
 					}
 				case 2:
 					extra := fmt.Sprintf("tmp-%d-%d", g, i)

@@ -36,7 +36,7 @@ func TestOwnerQuota(t *testing.T) {
 	// Byte bound: 60 + 60 > 100 is rejected and stores nothing.
 	_, err = put("a2", 60, alice)
 	wantQuotaError(t, err, 1, 60)
-	if _, _, err := s.Resolve("a2"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Resolve("a2"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("rejected dataset resolves: %v", err)
 	}
 	// Exactly at the byte bound is accepted.
@@ -160,7 +160,7 @@ func TestOwnerSurvivesRestart(t *testing.T) {
 	}
 
 	s2, _ := durableStore(t, dir, 1<<20)
-	if got, _, err := s2.Resolve("expr"); err != nil || got.Owner != "alice" {
+	if got, err := s2.Resolve("expr"); err != nil || got.Owner != "alice" {
 		t.Fatalf("restarted meta = %+v (%v), want owner alice", got, err)
 	}
 	if n, b := s2.Owned("alice"); n != 1 || b != meta.Bytes {
@@ -187,7 +187,7 @@ func TestOwnerSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3, _ := durableStore(t, dir, 1<<20)
-	if got, _, err := s3.Resolve("expr"); err != nil || got.Owner != "" || got.ID != meta.ID {
+	if got, err := s3.Resolve("expr"); err != nil || got.Owner != "" || got.ID != meta.ID {
 		t.Fatalf("old-manifest meta = %+v (%v), want %s unowned", got, err, meta.ID)
 	}
 	if n, _ := s3.Owned("alice"); n != 0 {

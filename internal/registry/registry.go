@@ -223,9 +223,9 @@ type blob struct {
 
 	// Durable state (persist.go). parts lists the raw upload parts held in
 	// the blob store (nil = heap-only blob, never spillable); spilled marks
-	// the payload dropped pending rematerialization; pins aggregates entry
-	// pins plus in-flight fetches — a pinned blob is never spilled; fetchMu
-	// serializes rematerializations so concurrent resolvers decode once.
+	// the payload dropped pending rematerialization; pins aggregates the
+	// pins of the entries sharing the blob — a pinned blob is never spilled;
+	// fetchMu serializes rematerializations so concurrent pins decode once.
 	parts   []Part
 	spilled bool
 	pins    int
@@ -464,35 +464,16 @@ func (s *Store) removeLocked(id string) {
 }
 
 // Resolve finds a dataset by id, name or "sha256:"-prefixed content hash
-// and returns its metadata and payload, rematerializing a spilled payload
-// from the blob store first. The payload's slices alias the stored records —
-// callers must treat them as read-only.
-func (s *Store) Resolve(idOrName string) (Dataset, Payload, error) {
+// and returns its metadata. It reads no payload, so a spilled dataset stays
+// spilled; Pin reads one.
+func (s *Store) Resolve(idOrName string) (Dataset, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, err := s.lookupLocked(idOrName)
 	if err != nil {
-		s.mu.Unlock()
-		return Dataset{}, Payload{}, err
+		return Dataset{}, err
 	}
-	meta := e.meta
-	if !e.blob.spilled {
-		p := e.blob.payload
-		s.mu.Unlock()
-		return meta, p, nil
-	}
-	// Spilled: take a fetch pin so the blob is neither evicted nor
-	// re-spilled while the decode runs outside the lock.
-	e.blob.pins++
-	s.mu.Unlock()
-	p, err := s.fetch(e)
-	s.mu.Lock()
-	e.blob.pins--
-	s.reclaimLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return Dataset{}, Payload{}, err
-	}
-	return meta, p, nil
+	return e.meta, nil
 }
 
 func (s *Store) lookupLocked(idOrName string) (*entry, error) {

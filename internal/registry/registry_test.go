@@ -30,12 +30,12 @@ func TestStorePutResolveDelete(t *testing.T) {
 		t.Fatalf("meta = %+v", meta)
 	}
 	for _, key := range []string{meta.ID, "sample"} {
-		got, _, err := s.Resolve(key)
+		got, err := s.Resolve(key)
 		if err != nil || got.ID != meta.ID {
 			t.Fatalf("Resolve(%q) = %+v, %v", key, got, err)
 		}
 	}
-	if _, _, err := s.Resolve("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Resolve("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Resolve(nope) err = %v", err)
 	}
 	if _, err := s.Put("sample", FeatureTable, Payload{}, testStats(1)); !errors.Is(err, ErrDuplicateName) {
@@ -44,7 +44,7 @@ func TestStorePutResolveDelete(t *testing.T) {
 	if _, err := s.Delete("sample"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Resolve(meta.ID); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Resolve(meta.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted dataset still resolves: %v", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestStoreEvictsOldestUnpinned(t *testing.T) {
 	if _, err := s.Put("c", FASTQ, Payload{}, testStats(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Resolve(d1.ID); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Resolve(d1.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("oldest dataset survived eviction: %v", err)
 	}
 	if n, _, evicted := s.Stats(); n != 2 || evicted != 1 {
@@ -77,10 +77,10 @@ func TestStoreEvictsOldestUnpinned(t *testing.T) {
 	if _, err := s.Put("d", FASTQ, Payload{}, testStats(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Resolve("b"); err != nil {
+	if _, err := s.Resolve("b"); err != nil {
 		t.Fatalf("pinned dataset was evicted: %v", err)
 	}
-	if _, _, err := s.Resolve("c"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Resolve("c"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("expected c evicted, got %v", err)
 	}
 	// A store whose entire residency is pinned rejects rather than evicts.
@@ -121,9 +121,11 @@ func TestDedupAliasOfPinnedDatasetIsRemovable(t *testing.T) {
 	}
 	stillResolves := func(t *testing.T, s *Store) {
 		t.Helper()
-		if _, p, err := s.Resolve("b"); err != nil || len(p.Features) != 1 || p.Features[0].Name != "g0" {
+		meta, p, err := s.Pin("b")
+		if err != nil || len(p.Features) != 1 || p.Features[0].Name != "g0" {
 			t.Fatalf("pinned alias b: %v, %d features", err, len(p.Features))
 		}
+		s.Unpin(meta.ID)
 	}
 	t.Run("delete", func(t *testing.T) {
 		s := aliasedStore(t)
@@ -137,7 +139,7 @@ func TestDedupAliasOfPinnedDatasetIsRemovable(t *testing.T) {
 		if _, err := s.Put("c", FeatureTable, Payload{}, testStats(1)); err != nil {
 			t.Fatalf("Put(c) at MaxDatasets 2 with only alias b pinned: %v", err)
 		}
-		if _, _, err := s.Resolve("a"); !errors.Is(err, ErrNotFound) {
+		if _, err := s.Resolve("a"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("unpinned alias a was not evicted: %v", err)
 		}
 		stillResolves(t, s)
@@ -156,7 +158,7 @@ func TestStoreByteBound(t *testing.T) {
 	if _, err := s.Put("b", FASTQ, Payload{}, testStats(60)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Resolve("a"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Resolve("a"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("byte bound did not evict")
 	}
 	if _, total, _ := s.Stats(); total != 60 {
@@ -516,22 +518,24 @@ func TestPutDedupsIdenticalContent(t *testing.T) {
 		t.Fatalf("deduped = %d, want 1", s.Deduped())
 	}
 	// Both names resolve to the same records.
-	_, pa, err := s.Resolve("a")
+	_, pa, err := s.Pin("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pb, err := s.Resolve("b")
+	_, pb, err := s.Pin("b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &pa.Reads[0] != &pb.Reads[0] {
 		t.Fatal("aliased datasets do not share records")
 	}
+	s.Unpin(a.ID)
+	s.Unpin(b.ID)
 	// The blob survives deleting one alias and is freed with the last.
 	if _, err := s.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Resolve("b"); err != nil {
+	if _, err := s.Resolve("b"); err != nil {
 		t.Fatalf("surviving alias broken: %v", err)
 	}
 	if _, total, _ := s.Stats(); total != 60 {

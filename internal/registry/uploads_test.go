@@ -101,7 +101,7 @@ func TestUploadSessionResumeAfterDisconnect(t *testing.T) {
 	if meta.Hash != hex.EncodeToString(whole[:]) {
 		t.Fatal("committed hash differs from the one-shot hash")
 	}
-	if _, _, err := s.Resolve("rows"); err != nil {
+	if _, err := s.Resolve("rows"); err != nil {
 		t.Fatal(err)
 	}
 	// The session is gone.

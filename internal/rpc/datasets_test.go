@@ -92,10 +92,11 @@ func TestDatasetUploadAndJobLifecycle(t *testing.T) {
 	// "Exactly one copy": a submission's materialized workflow input
 	// aliases the registry's stored records — same backing array, no
 	// per-job duplication.
-	_, stored, err := s.platform.Datasets().Resolve(ds.ID)
+	_, stored, err := s.platform.Datasets().Pin(ds.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.platform.Datasets().Unpin(ds.ID)
 	for i := 0; i < 2; i++ {
 		spec, apiErr := s.normalizeSubmission(SubmitJobRequest{Dataset: ds.ID})
 		if apiErr != nil {

@@ -283,3 +283,42 @@ func TestDurableServerRestartRecovery(t *testing.T) {
 		t.Fatal("post-restart run folded no telemetry")
 	}
 }
+
+// TestDatasetResourceReadsNoPayload: the dataset resource's GET and DELETE
+// read metadata alone, so a dataset spilled under a 1 KiB resident budget
+// is never rematerialized for them.
+func TestDatasetResourceReadsNoPayload(t *testing.T) {
+	p, err := core.OpenPlatform(core.Options{
+		Workers:  1,
+		DataDir:  t.TempDir(),
+		Registry: registry.Options{MaxBytes: 1 << 10},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerOptions(p, ServerOptions{Executors: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close(); p.Close() })
+	c, ctx := NewClient(ts.URL), context.Background()
+
+	ds, err := c.UploadDataset(ctx, "expr", "feature-table",
+		UploadPart{Field: "data", R: bytes.NewReader(featureRows(4000))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, spilled, _ := p.Datasets().Resident(); spilled == 0 {
+		t.Fatal("test needs a spilled dataset")
+	}
+	for range 3 {
+		if got, err := c.Dataset(ctx, "expr"); err != nil || got.ID != ds.ID {
+			t.Fatalf("GET = %+v, %v", got, err)
+		}
+	}
+	if _, err := c.DeleteDataset(ctx, "expr"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, remats := p.Datasets().Resident(); remats != 0 {
+		t.Fatalf("three GETs and a DELETE rematerialized %d times, want 0", remats)
+	}
+}

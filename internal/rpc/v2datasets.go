@@ -45,7 +45,7 @@ func (s *Server) handleV2Datasets(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleV2Dataset(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	meta, _, err := s.platform.Datasets().Resolve(id)
+	meta, err := s.platform.Datasets().Resolve(id)
 	if err != nil {
 		route.V2.Error(w, http.StatusNotFound, CodeNotFound, "no dataset %q", id)
 		return
@@ -58,7 +58,7 @@ func (s *Server) handleV2DatasetDelete(w http.ResponseWriter, r *http.Request) {
 	// Resolve first: ownership is on the dataset, and clients may delete by
 	// name. The delete then names the resolved id, which is never reused,
 	// so a name rebound in between cannot be hit.
-	meta, _, err := s.platform.Datasets().Resolve(id)
+	meta, err := s.platform.Datasets().Resolve(id)
 	if err == nil {
 		if !s.authorizeDatasetDelete(w, r, meta) {
 			return

@@ -249,33 +249,35 @@ func pairRanges(n, k int) []NodeRange {
 	return append(ranges, NodeRange{Lo: lo, Hi: n})
 }
 
-// Transform counts the range's edges, then allocates once and fills.
+// Transform makes the range's count pass, then fills one slab the count
+// sized, polling ctx every ctxCheckInterval nodes each pass visits.
 func (s *integrateStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
 	r := in.Data.(NodeRange)
-	n := 0
-	for lo := r.Lo; lo < r.Hi; lo += ctxCheckInterval {
-		if err := ctx.Err(); err != nil {
-			return StreamShard{}, err
+	slab, err := s.index().Slab(nil, r.Lo, r.Hi, func(i int) error {
+		if i%ctxCheckInterval == 0 {
+			return ctx.Err()
 		}
-		n += s.index().Count(lo, min(lo+ctxCheckInterval, r.Hi))
-	}
-	slab := make([]network.Edge, 0, n)
-	for lo := r.Lo; lo < r.Hi; lo += ctxCheckInterval {
-		if err := ctx.Err(); err != nil {
-			return StreamShard{}, err
-		}
-		slab = s.index().AppendEdges(slab, lo, min(lo+ctxCheckInterval, r.Hi))
+		return nil
+	})
+	if err != nil {
+		return StreamShard{}, err
 	}
 	return StreamShard{Records: in.Records, Data: slab}, nil
 }
 
-// Gather concatenates the (A, B)-ordered slabs of consecutive ranges.
+// Gather concatenates the (A, B)-ordered slabs of consecutive ranges; a
+// lone slab passes through uncopied. No edges give nil Edges.
 func (s *integrateStream) Gather(shards []StreamShard) (*Dataset, error) {
 	slabs := make([][]network.Edge, len(shards))
 	for i, sh := range shards {
 		slabs[i] = sh.Data.([]network.Edge)
 	}
-	edges := slices.Concat(slabs...)
+	var edges []network.Edge
+	if len(slabs) == 1 && len(slabs[0]) > 0 {
+		edges = slabs[0]
+	} else {
+		edges = slices.Concat(slabs...)
+	}
 	out := *s.in
 	out.Type = Network
 	out.Net = &network.Network{

@@ -397,3 +397,40 @@ func TestIntegrateTransformPollsBothPasses(t *testing.T) {
 		}
 	}
 }
+
+// TestIntegrateGatherPassesLoneSlab: a one-shard stage's Edges are its
+// shard's slab, not a copy of it, and a stage with no edges still gathers
+// nil Edges from one shard or several.
+func TestIntegrateGatherPassesLoneSlab(t *testing.T) {
+	ds := featureDataset(t, 200, 4, 30)
+	env := &StageEnv{engine: testEngine(t, 1), opts: RunOptions{ShardRecords: 200}, result: &StageResult{}, input: ds}
+	st, _, err := integrateExecutor{}.Stream(env, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := st.Split()
+	if err != nil || len(shards) != 1 {
+		t.Fatalf("split: %d shards, %v; want 1", len(shards), err)
+	}
+	sh, err := st.Transform(context.Background(), 0, shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := sh.Data.([]network.Edge)
+	out, err := st.Gather([]StreamShard{sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slab) == 0 || len(out.Net.Edges) != len(slab) || &out.Net.Edges[0] != &slab[0] {
+		t.Fatalf("one-shard Gather copied its %d-edge slab", len(slab))
+	}
+	for _, empty := range [][]StreamShard{
+		{{Data: []network.Edge{}}},
+		{{Data: []network.Edge(nil)}, {Data: []network.Edge{}}},
+	} {
+		out, err := st.Gather(empty)
+		if err != nil || out.Net.Edges != nil {
+			t.Fatalf("Gather of %d edgeless slabs: Edges %#v, %v; want nil", len(empty), out.Net.Edges, err)
+		}
+	}
+}
