@@ -1,25 +1,25 @@
-// Variant-calling workflow with explicit file-level sharding.
+// Variant calling through the catalogued dna-variant-detection workflow.
 //
-// This example mirrors the paper's Data Broker description: a large FASTQ
-// input is split into record-bounded shards ("divide a 100GB FASTQ file
-// into 25 4GB files"), each shard is analysed independently, and the
-// per-shard outputs are gathered into one coordinate-sorted SBAM and one
-// merged VCF (the VariantsToVCF-style gather step).
+// This example mirrors the paper's Data Sharder description: the reads are
+// split on record boundaries into shards of at most 1500 reads ("divide a
+// 100GB FASTQ file into 25 4GB files"), each shard is aligned
+// independently, the alignments are gathered, re-scattered by region for
+// calling, and the per-region calls merged (the VariantsToVCF-style gather
+// step). The engine partitions the records in memory; no shard files are
+// written. One line per stage reports its scatter width, records and time.
 //
 //	go run ./examples/variantcalling
 package main
 
 import (
-	"bytes"
+	"context"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
 
-	"scan/internal/align"
+	"scan/internal/core"
 	"scan/internal/genomics"
-	"scan/internal/shard"
-	"scan/internal/variant"
+	"scan/internal/workflow"
 )
 
 func main() {
@@ -32,100 +32,37 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("input: %d reads against %s (%d bp)\n", len(reads), reference.Name, reference.Len())
 
-	// Serialise the "sequencing run" to FASTQ — the input artifact.
-	var fastq bytes.Buffer
-	if err := genomics.WriteAllFASTQ(&fastq, reads); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("input: %d reads, %.1f KB of FASTQ\n", len(reads), float64(fastq.Len())/1024)
-
-	// 1. Scatter: the Data Sharder splits the stream on record boundaries.
-	var shards []*bytes.Buffer
-	nShards, total, err := shard.SplitFASTQ(&fastq, 1500, func(i int) (io.Writer, error) {
-		b := &bytes.Buffer{}
-		shards = append(shards, b)
-		return b, nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("scatter: %d shards of ≤1500 records (%d total)\n", nShards, total)
-
-	// 2. Per-shard analysis: align, then emit a per-shard SBAM.
-	aligner, err := align.New(reference, align.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	header := genomics.NewHeader(genomics.RefInfo{Name: reference.Name, Length: reference.Len()})
-	var sbamShards []*bytes.Buffer
-	var vcfShards []*bytes.Buffer
-	for i, b := range shards {
-		shardReads, err := genomics.ReadAllFASTQ(bytes.NewReader(b.Bytes()))
-		if err != nil {
-			log.Fatal(err)
-		}
-		alns, mapped := aligner.AlignAll(shardReads)
-
-		var sbam bytes.Buffer
-		if err := genomics.WriteSBAM(&sbam, header, alns); err != nil {
-			log.Fatal(err)
-		}
-		sbamShards = append(sbamShards, &sbam)
-
-		caller := variant.NewCaller(reference, variant.Config{MinDepth: 3, MinAltFraction: 0.5})
-		if err := caller.AddAll(alns); err != nil {
-			log.Fatal(err)
-		}
-		var vcf bytes.Buffer
-		if err := genomics.WriteVCF(&vcf, fmt.Sprintf("shard-%d", i), caller.Call()); err != nil {
-			log.Fatal(err)
-		}
-		vcfShards = append(vcfShards, &vcf)
-		fmt.Printf("  shard %d: %d reads, %d mapped\n", i, len(shardReads), mapped)
-	}
-
-	// 3. Gather: merge SBAM shards (coordinate sort) and VCF shards
-	// (dedupe, keep best quality).
-	var mergedSBAM bytes.Buffer
-	readers := make([]io.Reader, len(sbamShards))
-	for i, b := range sbamShards {
-		readers[i] = bytes.NewReader(b.Bytes())
-	}
-	n, err := shard.MergeSBAM(&mergedSBAM, readers...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("gather: %d alignments in merged SBAM (%.1f KB)\n",
-		n, float64(mergedSBAM.Len())/1024)
-
-	vcfReaders := make([]io.Reader, len(vcfShards))
-	for i, b := range vcfShards {
-		vcfReaders[i] = bytes.NewReader(b.Bytes())
-	}
-	var mergedVCF bytes.Buffer
-	nv, err := shard.MergeVCF(&mergedVCF, "SCAN-example", vcfReaders...)
+	platform := core.NewPlatform(core.Options{Workers: 4})
+	res, err := platform.RunWorkflow(context.Background(), core.VariantDetectionWorkflow,
+		workflow.NewFASTQDataset(reference, reads),
+		workflow.RunOptions{
+			ShardRecords: 1500,
+			StageObserver: func(sr workflow.StageResult) {
+				fmt.Printf("stage %-22s %2d shards %6d records  %v\n",
+					sr.Stage, sr.Shards, sr.Records, sr.Elapsed.Round(1000))
+			},
+		})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Per-shard calling sees only a slice of the coverage, so recall is
-	// evaluated against the merged call set.
-	variants, err := genomics.ReadVCF(bytes.NewReader(mergedVCF.Bytes()))
-	if err != nil {
-		log.Fatal(err)
+	out := res.Output
+	calledAt := map[int]genomics.Variant{}
+	for _, v := range out.Variants {
+		calledAt[v.Pos-1] = v
 	}
 	recovered := 0
-	byPos := map[int]genomics.Variant{}
-	for _, v := range variants {
-		byPos[v.Pos-1] = v
-	}
 	for _, m := range planted {
-		if v, ok := byPos[m.Pos]; ok && v.Alt == string(m.Alt) {
+		if v, ok := calledAt[m.Pos]; ok && v.Alt == string(m.Alt) {
 			recovered++
 		}
 	}
-	fmt.Printf("gather: %d merged variants, %d/%d planted SNVs present\n",
-		nv, recovered, len(planted))
+	fmt.Printf("gather: %d/%d reads mapped, %d variants called, %d/%d planted SNVs recovered\n",
+		out.Mapped, len(reads), len(out.Variants), recovered, len(planted))
+	if recovered < len(planted) {
+		log.Fatal("variantcalling: planted SNVs missed")
+	}
 	fmt.Println("ok")
 }

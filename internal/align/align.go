@@ -313,21 +313,6 @@ func mapQ(best, second, maxMM int) int {
 	return q
 }
 
-// AlignAll maps every read and returns coordinate-sorted records along with
-// the number that mapped.
-func (a *Aligner) AlignAll(reads []genomics.Read) (alns []genomics.Alignment, mapped int) {
-	alns = make([]genomics.Alignment, 0, len(reads))
-	for _, r := range reads {
-		aln := a.AlignRead(r)
-		if !aln.Unmapped() {
-			mapped++
-		}
-		alns = append(alns, aln)
-	}
-	genomics.SortAlignments(alns)
-	return alns, mapped
-}
-
 // ReverseComplement returns the reverse complement of seq (N maps to N).
 func ReverseComplement(seq []byte) []byte {
 	out := make([]byte, len(seq))

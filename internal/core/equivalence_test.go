@@ -55,10 +55,15 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 		return nil, err
 	}
 	alnShards := make([][]genomics.Alignment, len(readShards))
-	for i := range readShards {
-		var mapped int
-		alnShards[i], mapped = aligner.AlignAll(readShards[i])
-		res.Mapped += mapped
+	for i, rs := range readShards {
+		for _, r := range rs {
+			aln := aligner.AlignRead(r)
+			if !aln.Unmapped() {
+				res.Mapped++
+			}
+			alnShards[i] = append(alnShards[i], aln)
+		}
+		genomics.SortAlignments(alnShards[i])
 	}
 	res.Alignments = genomics.MergeSorted(alnShards...)
 

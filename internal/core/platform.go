@@ -1,10 +1,10 @@
 // Package core assembles the SCAN platform's public face: the Data Broker
 // (knowledge-base-advised sharding), a pool of SCAN workers, and the
 // workflow engine that executes every catalogued analysis with the in-repo
-// substrates — k-mer aligner, pileup caller and format codecs for the
-// genomic family, spectral peptide matching for the proteomic, tiled cell
-// segmentation for the imaging, and partitioned network construction for
-// the integrative family.
+// substrates — k-mer aligner and pileup caller for the genomic family,
+// spectral peptide matching for the proteomic, tiled cell segmentation for
+// the imaging, and partitioned network construction for the integrative
+// family.
 //
 // Two execution surfaces exist: this package runs real analyses on real
 // data with goroutine workers (the paper's prototype, scaled to a

@@ -15,9 +15,11 @@
 //
 // The data plane is content-addressed: a stage's input dataset encodes
 // once (workflow.EncodeDataset, a deterministic binary codec) and ships by
-// SHA-256 hash; workers fetch GET /api/v2/blobs/{hash} on first sight,
-// check the bytes against the hash and cache the dataset, so repeated
-// stages over the same dataset transfer nothing. Shard outputs return as
+// SHA-256 hash; a worker fetches GET /api/v2/blobs/{hash} once per
+// (context, stage, options), checks the bytes against the hash and caches
+// the prepared stage stream, so a stage's later shards — also those that
+// arrive while the first is still fetching — transfer nothing. Shard
+// outputs return as
 // raw codec bytes (workflow.EncodeShard) behind a JSON result envelope.
 //
 // Dispatch is pull-based over HTTP (register, long-poll, result) with

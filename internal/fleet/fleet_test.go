@@ -801,6 +801,48 @@ func TestBlobDataPlane(t *testing.T) {
 	}
 }
 
+// TestWorkerFetchesContextOnce: a 4-slot worker that runs all four shards
+// of one stage at once fetches the stage's context blob once, and the
+// shards share its decode and prepare.
+func TestWorkerFetchesContextOnce(t *testing.T) {
+	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 0, nil)
+	blobs := &blobCounter{}
+	wk := NewWorker(WorkerOptions{
+		Coordinator: tf.server.URL,
+		Name:        "wide",
+		Slots:       4,
+		HTTPClient:  &http.Client{Transport: blobs},
+		Logf:        t.Logf,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = wk.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	waitFor(t, 5*time.Second, func() bool { return tf.coord.ReadyWorkers() >= 1 })
+
+	e := workflow.NewEngine(workflow.EngineOptions{Workers: 4})
+	res, err := e.RunByName(context.Background(), "integrative-network",
+		featureDataset(t, 60, 4, 29), workflow.RunOptions{ShardRecords: 15, ShardPool: tf.coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Stages[0].Shards; n != 4 {
+		t.Fatalf("stage ran %d shards, want 4", n)
+	}
+	if m := tf.coord.FleetMetrics(); m.Completed != 4 {
+		t.Fatalf("metrics = %+v, want 4 shards completed on the worker", m)
+	}
+	if n := blobs.fetches.Load(); n != 1 {
+		t.Fatalf("%d context blob fetches for one 4-shard stage on one worker, want 1", n)
+	}
+}
+
 // resultCounter is a worker-side transport that counts result POSTs and
 // their body bytes.
 type resultCounter struct {

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,9 +44,10 @@ type WorkerOptions struct {
 // Worker is one fleet node: it registers with the coordinator, long-polls
 // for shard tasks, executes them through the exact engine path local runs
 // use (Engine.PrepareStageShards → StageStream.Transform), and posts the
-// results back. Context datasets are cached by content hash, and prepared
-// stage streams (aligner indexes, region partitions) are cached per
-// (context, stage, options), so a stage's second shard pays no setup.
+// results back. Prepared stage streams (aligner indexes, region
+// partitions) are cached per (context, stage, options), and shards of one
+// stage that arrive together share one context fetch, decode and prepare,
+// so no shard after the first pays setup.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -53,13 +55,17 @@ type Worker struct {
 	id     string
 
 	mu    sync.Mutex
-	blobs map[string]*workflow.Dataset
-	bAge  []string
-	preps map[string]*workflow.StagePrep
-	pAge  []string
+	preps map[string]*prepEntry
+	age   []string // prep keys, oldest first
 }
 
-// workerCacheMax bounds the context-dataset and prepared-stream caches.
+// prepEntry prepares one stage stream once; the first shard that needs it
+// runs load, and concurrent shards wait for its result.
+type prepEntry struct {
+	load func() (*workflow.StagePrep, error)
+}
+
+// workerCacheMax bounds the prepared-stream cache.
 const workerCacheMax = 8
 
 // NewWorker builds a worker (Run starts it).
@@ -85,8 +91,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 		opts:   opts,
 		client: opts.HTTPClient,
 		engine: opts.Engine,
-		blobs:  make(map[string]*workflow.Dataset),
-		preps:  make(map[string]*workflow.StagePrep),
+		preps:  make(map[string]*prepEntry),
 	}
 }
 
@@ -221,60 +226,47 @@ func (wk *Worker) runTask(ctx context.Context, t Task) (workflow.StreamShard, ti
 	return prep.RunShard(ctx, t.Shard)
 }
 
-// prepare resolves the task's context dataset (cache or blob fetch) and
-// its prepared stage stream.
+// prepare returns the task's prepared stage stream, fetching, checking and
+// decoding its context dataset on first use. An entry whose preparation
+// failed is dropped, so a retried shard fetches again.
 func (wk *Worker) prepare(ctx context.Context, t Task) (*workflow.StagePrep, error) {
-	key := t.ContextHash
 	optsJSON, err := json.Marshal(t.Options)
 	if err != nil {
 		return nil, err
 	}
-	prepKey := fmt.Sprintf("%s|%s|%d|%s", key, t.Workflow, t.Stage, optsJSON)
+	key := fmt.Sprintf("%s|%s|%d|%s", t.ContextHash, t.Workflow, t.Stage, optsJSON)
 	wk.mu.Lock()
-	if p, ok := wk.preps[prepKey]; ok {
-		wk.mu.Unlock()
-		return p, nil
-	}
-	ds := wk.blobs[key]
-	wk.mu.Unlock()
-	if ds == nil {
-		raw, err := wk.fetchBlob(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		ds, err = workflow.DecodeDataset(raw)
-		if err != nil {
-			return nil, err
-		}
-		wk.mu.Lock()
-		if _, ok := wk.blobs[key]; !ok {
-			wk.blobs[key] = ds
-			wk.bAge = append(wk.bAge, key)
-			if len(wk.bAge) > workerCacheMax {
-				delete(wk.blobs, wk.bAge[0])
-				wk.bAge = wk.bAge[1:]
+	e := wk.preps[key]
+	if e == nil {
+		e = &prepEntry{load: sync.OnceValues(func() (*workflow.StagePrep, error) {
+			raw, err := wk.fetchBlob(ctx, t.ContextHash)
+			if err != nil {
+				return nil, err
 			}
-		} else {
-			ds = wk.blobs[key]
+			ds, err := workflow.DecodeDataset(raw)
+			if err != nil {
+				return nil, err
+			}
+			return wk.engine.PrepareStageShards(t.Workflow, t.Stage, ds, t.Options.RunOptions())
+		})}
+		wk.preps[key] = e
+		wk.age = append(wk.age, key)
+		if len(wk.age) > workerCacheMax {
+			delete(wk.preps, wk.age[0])
+			wk.age = wk.age[1:]
+		}
+	}
+	wk.mu.Unlock()
+	prep, err := e.load()
+	if err != nil {
+		wk.mu.Lock()
+		if wk.preps[key] == e {
+			delete(wk.preps, key)
+			wk.age = slices.DeleteFunc(wk.age, func(k string) bool { return k == key })
 		}
 		wk.mu.Unlock()
 	}
-	prep, err := wk.engine.PrepareStageShards(t.Workflow, t.Stage, ds, t.Options.RunOptions())
-	if err != nil {
-		return nil, err
-	}
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	if p, ok := wk.preps[prepKey]; ok {
-		return p, nil // a concurrent shard won the prepare race
-	}
-	wk.preps[prepKey] = prep
-	wk.pAge = append(wk.pAge, prepKey)
-	if len(wk.pAge) > workerCacheMax {
-		delete(wk.preps, wk.pAge[0])
-		wk.pAge = wk.pAge[1:]
-	}
-	return prep, nil
+	return prep, err
 }
 
 func (wk *Worker) fetchBlob(ctx context.Context, hash string) ([]byte, error) {

@@ -12,7 +12,7 @@ const (
 	FlagReverseStrand = 0x10
 )
 
-// RefInfo names one reference sequence in a SAM/SBAM header.
+// RefInfo names one reference sequence in a SAM header.
 type RefInfo struct {
 	Name   string
 	Length int

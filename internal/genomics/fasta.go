@@ -1,10 +1,9 @@
-// Package genomics implements the genomic data formats and synthetic data
+// Package genomics implements the genomic records and synthetic data
 // generation that stand in for the paper's NGS inputs: FASTA references,
-// FASTQ reads, VCF variant calls, and alignment records (SAM's mandatory
-// fields, with their coordinate sort and k-way merge) stored as SBAM — a
-// simplified binary container standing in for BAM: length-prefixed binary
-// records without BGZF compression. There is no SAM text codec; alignments
-// travel as SBAM files or in the fleet's wire codec.
+// FASTQ reads, variant calls with their sort and deduplicating merge, and
+// alignment records (SAM's mandatory fields, with their coordinate sort and
+// k-way merge). Alignments and calls stay in memory; the only codec they
+// cross a process boundary in is the fleet's wire codec.
 //
 // The synthetic generator produces seeded, reproducible references and
 // reads with configurable sequencing error and planted mutations, so the

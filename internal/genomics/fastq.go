@@ -85,22 +85,6 @@ func (f *FASTQReader) nextLine() (string, error) {
 	return "", io.EOF
 }
 
-// ReadAllFASTQ reads every record from r.
-func ReadAllFASTQ(r io.Reader) ([]Read, error) {
-	fr := NewFASTQReader(r)
-	var out []Read
-	for {
-		rd, err := fr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rd)
-	}
-}
-
 // FASTQWriter streams records to an output.
 type FASTQWriter struct {
 	bw *bufio.Writer

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // TestFASTARoundTrip pins WriteFASTA's bytes: each record's header, then
@@ -57,6 +56,22 @@ func TestUpper(t *testing.T) {
 	}
 }
 
+// readFASTQ reads every record from r through a FASTQReader.
+func readFASTQ(r io.Reader) ([]Read, error) {
+	fr := NewFASTQReader(r)
+	var out []Read
+	for {
+		rd, err := fr.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rd)
+	}
+}
+
 func TestFASTQRoundTrip(t *testing.T) {
 	reads := []Read{
 		{ID: "r1", Seq: []byte("ACGT"), Qual: []byte("IIII")},
@@ -66,7 +81,7 @@ func TestFASTQRoundTrip(t *testing.T) {
 	if err := WriteAllFASTQ(&buf, reads); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAllFASTQ(&buf)
+	got, err := readFASTQ(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +98,7 @@ func TestFASTQErrors(t *testing.T) {
 		"truncated":       "@r1\nACGT\n+\n",
 	}
 	for name, src := range cases {
-		if _, err := ReadAllFASTQ(strings.NewReader(src)); err == nil {
+		if _, err := readFASTQ(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -93,21 +108,6 @@ func TestFASTQWriterRejectsMismatch(t *testing.T) {
 	fw := NewFASTQWriter(&bytes.Buffer{})
 	if err := fw.Write(Read{ID: "x", Seq: []byte("ACGT"), Qual: []byte("I")}); err == nil {
 		t.Fatal("expected error")
-	}
-}
-
-func sampleHeader() Header {
-	return NewHeader(RefInfo{Name: "chr1", Length: 1000}, RefInfo{Name: "chr2", Length: 500})
-}
-
-func sampleAlignments() []Alignment {
-	return []Alignment{
-		{QName: "r1", Flag: 0, RName: "chr1", Pos: 10, MapQ: 60, CIGAR: "4M",
-			Seq: []byte("ACGT"), Qual: []byte("IIII"), NM: 0},
-		{QName: "r2", Flag: FlagReverseStrand, RName: "chr2", Pos: 99, MapQ: 30, CIGAR: "4M",
-			Seq: []byte("GGCC"), Qual: []byte("FFFF"), NM: 2},
-		{QName: "r3", Flag: FlagUnmapped, Pos: 0, MapQ: 0,
-			Seq: []byte("TTTT"), Qual: []byte("!!!!"), NM: -1},
 	}
 }
 
@@ -144,166 +144,6 @@ func TestAlignmentEnd(t *testing.T) {
 	u := Alignment{Flag: FlagUnmapped}
 	if u.End() != 0 {
 		t.Fatal("unmapped End must be 0")
-	}
-}
-
-func TestSBAMRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSBAM(&buf, sampleHeader(), sampleAlignments()); err != nil {
-		t.Fatal(err)
-	}
-	h, alns, err := ReadSBAM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Refs) != 2 || h.Refs[1].Name != "chr2" || h.Refs[1].Length != 500 {
-		t.Fatalf("header mismatch: %+v", h)
-	}
-	want := sampleAlignments()
-	if len(alns) != len(want) {
-		t.Fatalf("got %d records, want %d", len(alns), len(want))
-	}
-	for i := range want {
-		g, w := alns[i], want[i]
-		if g.QName != w.QName || g.Flag != w.Flag || g.RName != w.RName ||
-			g.Pos != w.Pos || g.MapQ != w.MapQ || g.NM != w.NM ||
-			string(g.Seq) != string(w.Seq) || string(g.Qual) != string(w.Qual) {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, g, w)
-		}
-	}
-}
-
-func TestSBAMErrors(t *testing.T) {
-	// Bad magic.
-	if _, _, err := ReadSBAM(strings.NewReader("XXXX")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Truncated stream.
-	var buf bytes.Buffer
-	if err := WriteSBAM(&buf, sampleHeader(), sampleAlignments()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, _, err := ReadSBAM(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-	// Unknown reference in record.
-	var buf2 bytes.Buffer
-	err := WriteSBAM(&buf2, NewHeader(RefInfo{Name: "chr1", Length: 10}),
-		[]Alignment{{QName: "r", RName: "chrX", Seq: []byte("A"), Qual: []byte("I")}})
-	if err == nil {
-		t.Fatal("unknown reference accepted")
-	}
-}
-
-// Property: SBAM round-trips arbitrary well-formed alignment sets.
-func TestSBAMRoundTripProperty(t *testing.T) {
-	f := func(recs []struct {
-		Name uint16
-		Flag uint8
-		Pos  uint16
-		Len  uint8
-	}) bool {
-		h := NewHeader(RefInfo{Name: "c", Length: 1 << 20})
-		rng := rand.New(rand.NewSource(1))
-		var alns []Alignment
-		for i, r := range recs {
-			n := int(r.Len%20) + 1
-			seq := make([]byte, n)
-			qual := make([]byte, n)
-			for j := range seq {
-				seq[j] = bases[rng.Intn(4)]
-				qual[j] = '!' + byte(rng.Intn(40))
-			}
-			a := Alignment{
-				QName: "q" + itoa(i) + "-" + itoa(int(r.Name)),
-				Flag:  int(r.Flag),
-				Pos:   int(r.Pos),
-				MapQ:  int(r.Flag % 61),
-				NM:    int(r.Len%5) - 1,
-				Seq:   seq, Qual: qual,
-			}
-			if a.Flag&FlagUnmapped == 0 {
-				a.RName = "c"
-				a.CIGAR = itoa(n) + "M"
-			}
-			alns = append(alns, a)
-		}
-		var buf bytes.Buffer
-		if err := WriteSBAM(&buf, h, alns); err != nil {
-			return false
-		}
-		_, got, err := ReadSBAM(&buf)
-		if err != nil || len(got) != len(alns) {
-			return false
-		}
-		for i := range alns {
-			if got[i].QName != alns[i].QName || got[i].Pos != alns[i].Pos ||
-				string(got[i].Seq) != string(alns[i].Seq) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	if neg {
-		return "-" + string(b)
-	}
-	return string(b)
-}
-
-func TestVCFRoundTrip(t *testing.T) {
-	vars := []Variant{
-		{Chrom: "chr1", Pos: 100, Ref: "A", Alt: "T", Qual: 55.5, Info: "DP=30"},
-		{Chrom: "chr1", Pos: 250, ID: "rs1", Ref: "G", Alt: "C", Qual: 12.0, Filter: "LowQual"},
-	}
-	var buf bytes.Buffer
-	if err := WriteVCF(&buf, "scan-test", vars); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadVCF(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d variants", len(got))
-	}
-	if got[0].Pos != 100 || got[0].Alt != "T" || got[0].Qual != 55.5 || got[0].Info != "DP=30" {
-		t.Fatalf("variant 0 mismatch: %+v", got[0])
-	}
-	if got[1].ID != "rs1" || got[1].Filter != "LowQual" {
-		t.Fatalf("variant 1 mismatch: %+v", got[1])
-	}
-}
-
-func TestVCFErrors(t *testing.T) {
-	cases := map[string]string{
-		"no fileformat": "chr1\t1\t.\tA\tT\t5.0\tPASS\t.\n",
-		"short record":  "##fileformat=VCFv4.2\nchr1\t1\t.\tA\n",
-		"bad pos":       "##fileformat=VCFv4.2\nchr1\tx\t.\tA\tT\t5.0\tPASS\t.\n",
-		"bad qual":      "##fileformat=VCFv4.2\nchr1\t1\t.\tA\tT\tabc\tPASS\t.\n",
-	}
-	for name, src := range cases {
-		if _, err := ReadVCF(strings.NewReader(src)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
 	}
 }
 
@@ -448,31 +288,6 @@ func BenchmarkFASTQScan(b *testing.B) {
 			} else if err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-func BenchmarkSBAMEncode(b *testing.B) {
-	h := sampleHeader()
-	alns := make([]Alignment, 0, 1000)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		seq := make([]byte, 100)
-		qual := make([]byte, 100)
-		for j := range seq {
-			seq[j] = bases[rng.Intn(4)]
-			qual[j] = 'I'
-		}
-		alns = append(alns, Alignment{
-			QName: "r" + itoa(i), RName: "chr1", Pos: i + 1, MapQ: 60,
-			CIGAR: "100M", Seq: seq, Qual: qual, NM: 0,
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := WriteSBAM(&buf, h, alns); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -1,13 +1,6 @@
 package genomics
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "sort"
 
 // Variant is one VCF record (SNVs only in this toolkit).
 type Variant struct {
@@ -19,92 +12,6 @@ type Variant struct {
 	Qual   float64
 	Filter string
 	Info   string
-}
-
-// WriteVCF writes a minimal VCFv4.2 document.
-func WriteVCF(w io.Writer, source string, vars []Variant) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "##fileformat=VCFv4.2\n##source=%s\n", source); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(bw, "#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO"); err != nil {
-		return err
-	}
-	for _, v := range vars {
-		id := v.ID
-		if id == "" {
-			id = "."
-		}
-		filter := v.Filter
-		if filter == "" {
-			filter = "PASS"
-		}
-		info := v.Info
-		if info == "" {
-			info = "."
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%d\t%s\t%s\t%s\t%.1f\t%s\t%s\n",
-			v.Chrom, v.Pos, id, v.Ref, v.Alt, v.Qual, filter, info); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadVCF parses a VCF document produced by WriteVCF (meta lines are
-// skipped; records need the 8 fixed columns).
-func ReadVCF(r io.Reader) ([]Variant, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Variant
-	line := 0
-	sawFormat := false
-	for sc.Scan() {
-		line++
-		text := strings.TrimRight(sc.Text(), "\r")
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "##") {
-			if strings.HasPrefix(text, "##fileformat=") {
-				sawFormat = true
-			}
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			continue // column header
-		}
-		f := strings.Split(text, "\t")
-		if len(f) < 8 {
-			return nil, fmt.Errorf("genomics: line %d: VCF record has %d fields, need 8", line, len(f))
-		}
-		pos, err := strconv.Atoi(f[1])
-		if err != nil {
-			return nil, fmt.Errorf("genomics: line %d: bad POS %q", line, f[1])
-		}
-		qual := 0.0
-		if f[5] != "." {
-			qual, err = strconv.ParseFloat(f[5], 64)
-			if err != nil {
-				return nil, fmt.Errorf("genomics: line %d: bad QUAL %q", line, f[5])
-			}
-		}
-		v := Variant{
-			Chrom: f[0], Pos: pos, Ref: f[3], Alt: f[4],
-			Qual: qual, Filter: f[6], Info: f[7],
-		}
-		if f[2] != "." {
-			v.ID = f[2]
-		}
-		out = append(out, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawFormat {
-		return nil, fmt.Errorf("genomics: missing ##fileformat meta line")
-	}
-	return out, nil
 }
 
 // SortVariants orders records by (chrom, pos, alt).

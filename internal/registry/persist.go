@@ -169,12 +169,23 @@ func (s *Store) persistLocked() {
 		s.logf("registry: encoding manifest: %v", err)
 		return
 	}
+	// The temp file is synced before the rename, so a crash cannot leave a
+	// renamed manifest whose bytes never reached the disk.
 	tmp := filepath.Join(s.dir, manifestFile+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		s.logf("registry: writing manifest: %v", err)
-		return
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(raw)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, manifestFile)); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, manifestFile))
+	}
+	if err != nil {
 		os.Remove(tmp)
 		s.logf("registry: writing manifest: %v", err)
 	}
@@ -183,12 +194,24 @@ func (s *Store) persistLocked() {
 // loadManifest rebuilds dataset metadata from the manifest — the one
 // durable record of which blobs are live. Each rebuilt blob claims its
 // parts in the blob store; a dataset whose part is missing
-// (blobstore.ErrNoBlob) is dropped, and a corrupt manifest loads as empty.
-// The blob store then sweeps every blob nobody claimed — e.g. an upload
-// ingested right before a crash that never reached commit. Every rebuilt
-// blob starts spilled; payloads decode on first use. Called from NewStore
-// before the store is shared.
+// (blobstore.ErrNoBlob) is dropped. The blob store then sweeps every blob
+// nobody claimed — e.g. an upload ingested right before a crash that never
+// reached commit. A manifest that exists but cannot be read or parsed may
+// still name every blob, so the store starts empty with persistence off:
+// the file and every blob stay untouched, and nothing is swept. Every
+// rebuilt blob starts spilled; payloads decode on first use. Called from
+// NewStore before the store is shared.
 func (s *Store) loadManifest() {
+	var m storeManifest
+	raw, err := os.ReadFile(filepath.Join(s.dir, manifestFile))
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
+	}
+	if err != nil && !os.IsNotExist(err) {
+		s.logf("registry: unreadable manifest, disabling persistence: %v", err)
+		s.dir = ""
+		return
+	}
 	// Claims a dropped dataset took are released only once every surviving
 	// dataset holds its own: releasing the last claim unlinks the blob.
 	var dropped []Part
@@ -198,19 +221,6 @@ func (s *Store) loadManifest() {
 		}
 		s.disk.Sweep()
 	}()
-	raw, err := os.ReadFile(filepath.Join(s.dir, manifestFile))
-	if os.IsNotExist(err) {
-		return
-	}
-	if err != nil {
-		s.logf("registry: reading manifest: %v", err)
-		return
-	}
-	var m storeManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		s.logf("registry: corrupt manifest, starting empty: %v", err)
-		return
-	}
 	if m.Next > s.next {
 		s.next = m.Next
 	}

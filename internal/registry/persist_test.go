@@ -83,6 +83,14 @@ func assertBlobsMatchManifest(t *testing.T, dir string) {
 			want[p.Hash] = true
 		}
 	}
+	if got := blobFiles(t, dir); !maps.Equal(got, want) {
+		t.Fatalf("blob files %v, want the manifest's part hashes %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+}
+
+// blobFiles lists the files in dir's blob store.
+func blobFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
 	entries, err := os.ReadDir(filepath.Join(dir, "blobs"))
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +101,7 @@ func assertBlobsMatchManifest(t *testing.T, dir string) {
 			got[e.Name()] = true
 		}
 	}
-	if !maps.Equal(got, want) {
-		t.Fatalf("blob files %v, want the manifest's part hashes %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
-	}
+	return got
 }
 
 func TestDurablePutSurvivesRestart(t *testing.T) {
@@ -307,6 +313,54 @@ func TestReconcileReleasesOrphanedIngests(t *testing.T) {
 		t.Fatalf("orphaned ingest survived the startup sweep: %v", err)
 	}
 	assertBlobsMatchManifest(t, dir)
+}
+
+// TestUnreadableManifestDeletesNothing: a manifest that exists but does not
+// parse may still name every blob. Reopening leaves the file and every blob
+// as they are, and the store runs without persistence: a later commit
+// rewrites no manifest, and a second reopen sweeps nothing.
+func TestUnreadableManifestDeletesNothing(t *testing.T) {
+	dir := t.TempDir()
+	_, m := durableStore(t, dir, 1<<20)
+	uploadRows(t, m, "expr", 100)
+	path := filepath.Join(dir, manifestFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := raw[:len(raw)/2]
+	if err := os.WriteFile(path, truncated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := blobFiles(t, dir)
+	if len(before) == 0 {
+		t.Fatal("the upload left no blob file")
+	}
+	assertUntouched := func(stage string, wantBlobs int) {
+		t.Helper()
+		got := blobFiles(t, dir)
+		for h := range before {
+			if !got[h] {
+				t.Fatalf("%s: blob %s was deleted", stage, h)
+			}
+		}
+		if len(got) != wantBlobs {
+			t.Fatalf("%s: %d blob files, want %d", stage, len(got), wantBlobs)
+		}
+		if now, err := os.ReadFile(path); err != nil || string(now) != string(truncated) {
+			t.Fatalf("%s: manifest rewritten (err %v)", stage, err)
+		}
+	}
+
+	s2, m2 := durableStore(t, dir, 1<<20)
+	if n := len(s2.List()); n != 0 {
+		t.Fatalf("store over an unreadable manifest lists %d datasets, want 0", n)
+	}
+	assertUntouched("reopen", len(before))
+	uploadRows(t, m2, "more", 10)
+	assertUntouched("commit", len(before)+1)
+	durableStore(t, dir, 1<<20)
+	assertUntouched("second reopen", len(before)+1)
 }
 
 // TestOpensRefFileLayout: a data dir written by a store that kept a

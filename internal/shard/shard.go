@@ -3,9 +3,9 @@
 // analysis subtasks and the per-shard outputs gathered back (the paper's
 // example: divide a 100 GB FASTQ file into 25 4 GB files and create 25
 // subtasks; merge small files for gather stages such as VariantsToVCF).
-// Files: SplitFASTQ splits reads, MergeSBAM and MergeVCF gather alignments
-// and calls. In memory: Chunk and ChunkReads split record sets, and Regions
-// with PartitionByRegion/PartitionByOverlap scatter alignments by locus.
+// The split is in memory, with no intermediate files: Chunk and ChunkReads
+// split record sets, and Regions with PartitionByRegion/PartitionByOverlap
+// scatter alignments by locus.
 //
 // The shard size itself is chosen by the knowledge base (package
 // knowledge); this package is the mechanical layer.
@@ -14,7 +14,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"scan/internal/genomics"
 )
@@ -66,53 +65,6 @@ func (p Plan) Bounds(i int) (start, end int) {
 		start = p.TotalRecords
 	}
 	return start, end
-}
-
-// SplitFASTQ streams records from r into consecutive shards of
-// recordsPerShard records each. newShard is called with the shard index and
-// must return the destination writer. It returns the shard count and total
-// records.
-func SplitFASTQ(r io.Reader, recordsPerShard int, newShard func(int) (io.Writer, error)) (shards, total int, err error) {
-	if recordsPerShard <= 0 {
-		return 0, 0, ErrBadShardSize
-	}
-	fr := genomics.NewFASTQReader(r)
-	var fw *genomics.FASTQWriter
-	inShard := 0
-	for {
-		rd, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return shards, total, err
-		}
-		if fw == nil || inShard == recordsPerShard {
-			if fw != nil {
-				if err := fw.Flush(); err != nil {
-					return shards, total, err
-				}
-			}
-			w, err := newShard(shards)
-			if err != nil {
-				return shards, total, err
-			}
-			fw = genomics.NewFASTQWriter(w)
-			shards++
-			inShard = 0
-		}
-		if err := fw.Write(rd); err != nil {
-			return shards, total, err
-		}
-		inShard++
-		total++
-	}
-	if fw != nil {
-		if err := fw.Flush(); err != nil {
-			return shards, total, err
-		}
-	}
-	return shards, total, nil
 }
 
 // Chunk splits an in-memory record set into shards of at most maxPerShard

@@ -104,16 +104,6 @@ func (c *Caller) Add(a genomics.Alignment) error {
 	return nil
 }
 
-// AddAll folds a batch of alignments, stopping at the first error.
-func (c *Caller) AddAll(alns []genomics.Alignment) error {
-	for _, a := range alns {
-		if err := c.Add(a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // pureMatch reports whether cigar is exactly "<n>M" for the given length.
 func pureMatch(cigar string, n int) bool {
 	if len(cigar) < 2 || cigar[len(cigar)-1] != 'M' {

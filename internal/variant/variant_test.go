@@ -122,13 +122,19 @@ func TestEndToEndVariantRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alns, mapped := aligner.AlignAll(reads)
+	caller := NewCaller(ref, Config{MinDepth: 8, MinAltFraction: 0.6})
+	mapped := 0
+	for _, r := range reads {
+		aln := aligner.AlignRead(r)
+		if !aln.Unmapped() {
+			mapped++
+		}
+		if err := caller.Add(aln); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if mapped < len(reads)*9/10 {
 		t.Fatalf("mapped only %d/%d reads", mapped, len(reads))
-	}
-	caller := NewCaller(ref, Config{MinDepth: 8, MinAltFraction: 0.6})
-	if err := caller.AddAll(alns); err != nil {
-		t.Fatal(err)
 	}
 	called := caller.Call()
 
@@ -194,8 +200,10 @@ func BenchmarkPileup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := NewCaller(ref, Config{})
-		if err := c.AddAll(alns); err != nil {
-			b.Fatal(err)
+		for _, a := range alns {
+			if err := c.Add(a); err != nil {
+				b.Fatal(err)
+			}
 		}
 		c.Call()
 	}

@@ -16,7 +16,7 @@ type DataType string
 // The data types of the paper's Figure 1 data-flow diagram.
 const (
 	FASTQ        DataType = "FASTQ"        // raw NGS reads (Illumina HiSeq)
-	BAM          DataType = "BAM"          // aligned reads (SBAM in this repo)
+	BAM          DataType = "BAM"          // aligned reads (in memory in this repo)
 	VCF          DataType = "VCF"          // variant calls
 	MGF          DataType = "MGF"          // mass-spectrometry peak lists
 	ProteinTable DataType = "ProteinTable" // quantified proteins
