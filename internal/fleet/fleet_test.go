@@ -248,6 +248,11 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		{name: "integrative-network", workflow: "integrative-network", opts: workflow.RunOptions{ShardRecords: 20}, dataset: func(t testing.TB) *workflow.Dataset {
 			return featureDataset(t, 60, 4, 29)
 		}},
+		// Three regions over eight expression bins: shards own unequal runs
+		// of whole bins and ship per-bin feature lists.
+		{name: "rna-expression", workflow: "rna-expression", opts: workflow.RunOptions{Regions: 3}, dataset: func(t testing.TB) *workflow.Dataset {
+			return fastqDataset(t, 8000, 2000, 13)
+		}},
 	}
 	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 2)
 	for _, tc := range cases {

@@ -128,31 +128,23 @@ func (c *Counter) Add(n int64) {
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// CounterVec is a counter family with zero or more label dimensions.
-type CounterVec struct {
+// vec is a family of push-style metrics with zero or more label
+// dimensions, one child per distinct label values.
+type vec[M any] struct {
 	name, help string
 	labels     []string
 	mu         sync.Mutex
-	children   map[string]*child[*Counter]
+	children   map[string]*child[M]
 }
 
-type child[T any] struct {
+type child[M any] struct {
 	values []string
-	metric T
+	metric M
 }
 
-// Counter registers a counter family. With no label names it is a single
-// counter addressed as v.With().
-func (r *Registry) Counter(name, help string, labelNames ...string) *CounterVec {
-	v := &CounterVec{name: name, help: help, labels: labelNames,
-		children: make(map[string]*child[*Counter])}
-	r.add(name, v)
-	return v
-}
-
-// With returns the child counter for the given label values, creating it on
+// with returns the child for the given label values, making it with mk on
 // first use. The arity must match the registered label names.
-func (v *CounterVec) With(values ...string) *Counter {
+func (v *vec[M]) with(values []string, mk func() M) M {
 	if len(values) != len(v.labels) {
 		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
 	}
@@ -161,29 +153,50 @@ func (v *CounterVec) With(values ...string) *Counter {
 	defer v.mu.Unlock()
 	c, ok := v.children[key]
 	if !ok {
-		c = &child[*Counter]{values: append([]string(nil), values...), metric: &Counter{}}
+		c = &child[M]{values: append([]string(nil), values...), metric: mk()}
 		v.children[key] = c
 	}
 	return c.metric
 }
 
-func (v *CounterVec) write(w io.Writer) {
+// sorted returns the children ordered by label values, for rendering.
+func (v *vec[M]) sorted() []*child[M] {
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	keys := make([]string, 0, len(v.children))
 	for k := range v.children {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	lines := make([]string, 0, len(keys))
-	for _, k := range keys {
-		c := v.children[k]
-		lines = append(lines, fmt.Sprintf("%s%s %s", v.name,
-			renderLabels(v.labels, c.values), formatValue(float64(c.metric.Value()))))
+	children := make([]*child[M], len(keys))
+	for i, k := range keys {
+		children[i] = v.children[k]
 	}
-	v.mu.Unlock()
+	return children
+}
+
+// CounterVec is a counter family with zero or more label dimensions.
+type CounterVec struct{ vec[*Counter] }
+
+// Counter registers a counter family. With no label names it is a single
+// counter addressed as v.With().
+func (r *Registry) Counter(name, help string, labelNames ...string) *CounterVec {
+	v := &CounterVec{vec[*Counter]{name: name, help: help, labels: labelNames,
+		children: make(map[string]*child[*Counter])}}
+	r.add(name, v)
+	return v
+}
+
+// With returns the child counter for the given label values, creating it on
+// first use. The arity must match the registered label names.
+func (v *CounterVec) With(values ...string) *Counter {
+	return v.with(values, func() *Counter { return &Counter{} })
+}
+
+func (v *CounterVec) write(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", v.name, v.help, v.name)
-	for _, l := range lines {
-		fmt.Fprintln(w, l)
+	for _, c := range v.sorted() {
+		fmt.Fprintf(w, "%s%s %s\n", v.name, renderLabels(v.labels, c.values), formatValue(float64(c.metric.Value())))
 	}
 }
 
@@ -278,11 +291,8 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 
 // HistogramVec is a histogram family with label dimensions.
 type HistogramVec struct {
-	name, help string
-	labels     []string
-	bounds     []float64
-	mu         sync.Mutex
-	children   map[string]*child[*Histogram]
+	vec[*Histogram]
+	bounds []float64
 }
 
 // DefaultLatencyBuckets spans 1ms..60s — sized for serving latencies where
@@ -302,8 +312,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labelNames ...
 			panic(fmt.Sprintf("metrics: %s buckets not ascending", name))
 		}
 	}
-	v := &HistogramVec{name: name, help: help, labels: labelNames,
-		bounds: bounds, children: make(map[string]*child[*Histogram])}
+	v := &HistogramVec{vec: vec[*Histogram]{name: name, help: help, labels: labelNames,
+		children: make(map[string]*child[*Histogram])}, bounds: bounds}
 	r.add(name, v)
 	return v
 }
@@ -311,36 +321,15 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labelNames ...
 // With returns the child histogram for the given label values, creating it
 // on first use.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	key := strings.Join(values, labelSep)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[key]
-	if !ok {
-		h := &Histogram{bounds: v.bounds, counts: make([]atomic.Int64, len(v.bounds))}
-		c = &child[*Histogram]{values: append([]string(nil), values...), metric: h}
-		v.children[key] = c
-	}
-	return c.metric
+	return v.with(values, func() *Histogram {
+		return &Histogram{bounds: v.bounds, counts: make([]atomic.Int64, len(v.bounds))}
+	})
 }
 
 func (v *HistogramVec) write(w io.Writer) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	children := make([]*child[*Histogram], 0, len(keys))
-	for _, k := range keys {
-		children = append(children, v.children[k])
-	}
-	v.mu.Unlock()
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", v.name, v.help, v.name)
 	leName := append(append([]string(nil), v.labels...), "le")
-	for _, c := range children {
+	for _, c := range v.sorted() {
 		h := c.metric
 		cum := int64(0)
 		for i, b := range v.bounds {

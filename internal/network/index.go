@@ -69,6 +69,44 @@ func (ix *Index) window(a int) (va float64, lo, hi int) {
 	return va, lo, hi
 }
 
+// Modules returns the connected components of the edges the index implies:
+// each component's node indexes ascending, components ordered by their
+// smallest member. An edge between ranks i < j means every rank-adjacent
+// gap between them is within Epsilon too, as rounded subtraction is
+// monotone, so a component is a maximal run of such gaps. A NaN node is a
+// singleton, and so is an infinite one under a finite Epsilon (its gaps are
+// infinite or NaN). Under an infinite Epsilon every non-NaN pair is an edge
+// except two equal infinities, so all the non-NaN nodes form one component
+// unless they are all the same infinity.
+func (ix *Index) Modules() [][]int {
+	s := ix.sorted
+	whole := math.IsInf(ix.eps, 1) && len(s) > 0 && !(math.IsInf(s[0], 0) && s[0] == s[len(s)-1])
+	run := make([]int32, len(s)) // each rank's run
+	for r := 1; r < len(s); r++ {
+		run[r] = run[r-1]
+		if !whole && !(s[r]-s[r-1] <= ix.eps) {
+			run[r]++
+		}
+	}
+	// An ascending pass over the nodes numbers the modules by first member.
+	out, at := [][]int{}, make([]int32, len(s)) // each run's module plus one
+	for a, r := range ix.rank {
+		m := len(out)
+		switch {
+		case r < 0: // NaN
+		case at[run[r]] > 0:
+			m = int(at[run[r]]) - 1
+		default:
+			at[run[r]] = int32(m) + 1
+		}
+		if m == len(out) {
+			out = append(out, nil)
+		}
+		out[m] = append(out[m], a)
+	}
+	return out
+}
+
 // Slab appends range [lo, hi)'s slab to dst: in (A, B) order, the edges
 // (a, b>a) for a in [lo, hi) with |value(a)-value(b)| <= Epsilon, weighted
 // by closeness. Consecutive ranges' slabs concatenate into the canonical

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -67,8 +68,22 @@ func checkIndex(t *testing.T, nodes []Node, cfg Config, cuts []int) {
 	if !sameEdges(all, want) {
 		t.Fatalf("eps %v, cuts %v: concatenated slabs %v, brute force %v", cfg.Epsilon, cuts, all, want)
 	}
-	if got := Build(nodes, cfg).Edges; !sameEdges(got, want) {
+	if got := Build(nodes, cfg).Slabs; len(got) != 1 || !sameEdges(got[0], want) {
 		t.Fatalf("eps %v: Build %v, brute force %v", cfg.Epsilon, got, want)
+	}
+	checkModules(t, nodes, cfg)
+}
+
+// checkModules compares the index's rank-run modules of nodes under cfg,
+// and Build's, with union-find over the brute-force edges.
+func checkModules(t *testing.T, nodes []Node, cfg Config) {
+	t.Helper()
+	want := Modules(len(nodes), bruteEdges(nodes, 0, len(nodes), cfg))
+	if got := NewIndex(nodes, cfg).Modules(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("eps %v: index modules %v, union-find %v\nvalues %v", cfg.Epsilon, got, want, values(nodes))
+	}
+	if got := Build(nodes, cfg).Modules; !reflect.DeepEqual(got, want) {
+		t.Fatalf("eps %v: Build modules %v, union-find %v", cfg.Epsilon, got, want)
 	}
 }
 
@@ -285,23 +300,79 @@ func FuzzEdgeIndex(f *testing.F) {
 	})
 }
 
+// moduleEpsilons are the Epsilons the modules checks run under: one where
+// only ties and subnormal gaps connect, two ordinary ones, the largest
+// finite one (an overflowing gap is still past it) and +Inf, under which
+// every non-NaN pair but two equal infinities is an edge.
+var moduleEpsilons = []float64{1e-300, 0.5, 2, math.MaxFloat64, math.Inf(1)}
+
+// TestIndexModulesMatchUnionFind quick-checks the rank-run modules against
+// union-find over the pairwise edges, on randomised node lists with NaN,
+// ±Inf, ±0, subnormals, magnitudes near 1e300 and ties, and on lists of
+// the special values alone, tied many times.
+func TestIndexModulesMatchUnionFind(t *testing.T) {
+	for c := 0; c < 1000; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		eps := moduleEpsilons[rng.Intn(len(moduleEpsilons))]
+		checkModules(t, randomNodes(rng, eps, c%2 == 0), Config{Epsilon: eps})
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, -1}
+	for c := 0; c < 200; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		pick := specials[:1+rng.Intn(len(specials))]
+		nodes := make([]Node, rng.Intn(12))
+		for i := range nodes {
+			nodes[i].Value = pick[rng.Intn(len(pick))]
+		}
+		for _, eps := range moduleEpsilons {
+			checkModules(t, nodes, Config{Epsilon: eps})
+		}
+	}
+	checkModules(t, nil, Config{})
+}
+
+// FuzzIndexModules runs the union-find comparison on fuzzed node lists and
+// Epsilons. The first data byte picks a unit as FuzzEdgeIndex's does, and
+// the rest are up to 256 16-bit values coded the same way.
+func FuzzIndexModules(f *testing.F) {
+	f.Add([]byte{0, 0, 0x78, 4, 0x78, 8, 0x78, 9, 0x78}, 2.0)
+	f.Add([]byte{1, 0xF1, 0xFF, 0xF1, 0xFF, 0, 0x78, 0xF0, 0xFF}, math.Inf(1))
+	f.Add([]byte{1, 0xF1, 0xFF, 0xF1, 0xFF, 0xF0, 0xFF}, math.Inf(1))
+	f.Add([]byte{2, 1, 0x78, 1, 0x78, 2, 0x78, 0xF4, 0xFF, 0xF5, 0xFF}, 1e-300)
+	f.Add([]byte{3, 0, 0x78, 1, 0x78, 0xF3, 0xFF, 0xF7, 0xFF}, math.MaxFloat64)
+	f.Add([]byte{0, 0, 0x78}, math.NaN())
+	f.Fuzz(func(t *testing.T, data []byte, eps float64) {
+		if len(data) < 1 {
+			return
+		}
+		unit := []float64{0.5, 1.0 / 3, 1e296, math.SmallestNonzeroFloat64}[data[0]%4]
+		var nodes []Node
+		for rest := data[1:min(len(data), 1+2*256)]; len(rest) >= 2; rest = rest[2:] {
+			v := binary.LittleEndian.Uint16(rest)
+			x := float64(int(v)-0x7800) * unit
+			if v >= 0xFFF0 {
+				x = specialValues[int(v-0xFFF0)%len(specialValues)]
+			}
+			nodes = append(nodes, Node{Value: x})
+		}
+		checkModules(t, nodes, Config{Epsilon: eps})
+	})
+}
+
 // plantedNodes simulates genes measurements in planted modules as nodes.
 func plantedNodes(tb testing.TB, seed int64, genes, modules int) []Node {
 	tb.Helper()
-	ms, _, err := SimulateMeasurements(rand.New(rand.NewSource(seed)), genes, modules)
+	nodes, _, err := SimulateMeasurements(rand.New(rand.NewSource(seed)), genes, modules)
 	if err != nil {
 		tb.Fatal(err)
-	}
-	nodes := make([]Node, len(ms))
-	for i, m := range ms {
-		nodes[i] = Node{Name: m.Name, Value: m.Value}
 	}
 	return nodes
 }
 
 var (
-	edgeSink  []Edge
-	indexSink *Index
+	edgeSink   []Edge
+	indexSink  *Index
+	moduleSink [][]int
 )
 
 // BenchmarkEdges times one Integrate stage's count and fill passes on the
@@ -340,4 +411,24 @@ func BenchmarkNewIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		indexSink = NewIndex(nodes, Config{})
 	}
+}
+
+// BenchmarkModules times module detection on the same 16 000 genes: the
+// index's rank runs against union-find over the 632 000 edges it replaced.
+func BenchmarkModules(b *testing.B) {
+	nodes := plantedNodes(b, 1, 16000, 200)
+	ix := NewIndex(nodes, Config{})
+	edges := ix.AppendEdges(nil, 0, len(nodes))
+	b.Run("index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			moduleSink = ix.Modules()
+		}
+	})
+	b.Run("union-find", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			moduleSink = Modules(len(nodes), edges)
+		}
+	})
 }

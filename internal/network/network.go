@@ -5,12 +5,6 @@ import (
 	"math/rand"
 )
 
-// Measurement is one gene-level observation, the integrative input row.
-type Measurement struct {
-	Name  string
-	Value float64
-}
-
 // moduleSpacing separates planted module centers; moduleSpread bounds the
 // within-module jitter. Spread is well under the default edge epsilon and
 // spacing well over it, so planted modules are exactly the connected
@@ -23,20 +17,21 @@ const (
 // SimulateMeasurements draws `genes` measurements from `modules` planted
 // modules: genes are assigned round-robin, and each value sits within
 // ±moduleSpread/2 of its module center. Seeded generation regenerates
-// identical tables. Returns the measurements and each gene's true module.
-func SimulateMeasurements(rng *rand.Rand, genes, modules int) ([]Measurement, []int, error) {
+// identical tables. Returns the measurements, one node each, and each
+// gene's true module.
+func SimulateMeasurements(rng *rand.Rand, genes, modules int) ([]Node, []int, error) {
 	if genes < 1 {
 		return nil, nil, fmt.Errorf("network: gene count %d invalid", genes)
 	}
 	if modules < 1 || modules > genes {
 		return nil, nil, fmt.Errorf("network: module count %d invalid for %d genes", modules, genes)
 	}
-	ms := make([]Measurement, genes)
+	ms := make([]Node, genes)
 	truth := make([]int, genes)
 	for i := range ms {
 		m := i % modules
 		center := moduleSpacing * float64(m+1)
-		ms[i] = Measurement{
+		ms[i] = Node{
 			Name:  fmt.Sprintf("gene%04d", i),
 			Value: center + (rng.Float64()-0.5)*moduleSpread,
 		}
@@ -45,7 +40,8 @@ func SimulateMeasurements(rng *rand.Rand, genes, modules int) ([]Measurement, []
 	return ms, truth, nil
 }
 
-// Node is one network node.
+// Node is one network node: a gene-level measurement, the integrative
+// input row.
 type Node struct {
 	Name  string
 	Value float64
@@ -59,11 +55,22 @@ type Edge struct {
 
 // Network is the integrative output: the interaction graph plus its
 // detected modules (connected components, each a sorted node-index list,
-// ordered by first member).
+// ordered by first member). The edges are kept as the slabs that built
+// them, in range order; their concatenation is the canonical (A, B)-ordered
+// edge list.
 type Network struct {
 	Nodes   []Node
-	Edges   []Edge
+	Slabs   [][]Edge
 	Modules [][]int
+}
+
+// EdgeCount returns the number of edges over all slabs.
+func (n *Network) EdgeCount() int {
+	total := 0
+	for _, slab := range n.Slabs {
+		total += len(slab)
+	}
+	return total
 }
 
 // Config tunes network construction.
@@ -79,48 +86,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Modules returns the connected components the edges imply over n nodes:
-// each component's node indexes sorted ascending, components ordered by
-// their smallest member. Isolated nodes form singleton modules.
-func Modules(n int, edges []Edge) [][]int {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range edges {
-		ra, rb := find(e.A), find(e.B)
-		if ra != rb {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-	// A union hangs the larger root under the smaller, so a root is its
-	// component's smallest member: an ascending pass meets it first.
-	out := [][]int{}
-	at := make([]int, n) // a root's index in out
-	for i := range n {
-		r := find(i)
-		if r == i {
-			at[i] = len(out)
-			out = append(out, nil)
-		}
-		out[at[r]] = append(out[at[r]], i)
-	}
-	return out
-}
-
-// Build constructs the full network in one pass — the unscattered
-// reference implementation tiled executions must reproduce.
+// Build constructs the full network in one pass, as one slab — the
+// unscattered reference implementation tiled executions must reproduce.
 func Build(nodes []Node, cfg Config) *Network {
-	edges, _ := NewIndex(nodes, cfg).Slab(nil, 0, len(nodes), nil)
-	return &Network{Nodes: nodes, Edges: edges, Modules: Modules(len(nodes), edges)}
+	ix := NewIndex(nodes, cfg)
+	edges, _ := ix.Slab(nil, 0, len(nodes), nil)
+	return &Network{Nodes: nodes, Slabs: [][]Edge{edges}, Modules: ix.Modules()}
 }

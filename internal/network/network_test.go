@@ -28,13 +28,9 @@ func TestSimulateMeasurementsDeterministic(t *testing.T) {
 }
 
 func TestBuildRecoversPlantedModules(t *testing.T) {
-	ms, truth, err := SimulateMeasurements(rand.New(rand.NewSource(8)), 60, 4)
+	nodes, truth, err := SimulateMeasurements(rand.New(rand.NewSource(8)), 60, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	nodes := make([]Node, len(ms))
-	for i, m := range ms {
-		nodes[i] = Node{Name: m.Name, Value: m.Value}
 	}
 	net := Build(nodes, Config{})
 	if len(net.Modules) != 4 {
@@ -54,10 +50,10 @@ func TestBuildRecoversPlantedModules(t *testing.T) {
 	if total != 60 {
 		t.Fatalf("modules cover %d genes, want 60", total)
 	}
-	if len(net.Edges) == 0 {
-		t.Fatal("no edges built")
+	if len(net.Slabs) != 1 || len(net.Slabs[0]) == 0 || net.EdgeCount() != len(net.Slabs[0]) {
+		t.Fatalf("Build gave %d slabs, %d edges; want one non-empty slab", len(net.Slabs), net.EdgeCount())
 	}
-	for _, e := range net.Edges {
+	for _, e := range net.Slabs[0] {
 		if e.A >= e.B || e.Weight < 0 || e.Weight > 1 {
 			t.Fatalf("malformed edge %+v", e)
 		}
@@ -86,6 +82,47 @@ func TestRangePartitionMatchesFullBuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Modules returns the connected components the edges imply over n nodes,
+// by union-find: each component's node indexes sorted ascending,
+// components ordered by their smallest member, isolated nodes as
+// singletons. It is the edge-list pass Index.Modules replaced, kept as the
+// reference it must agree with.
+func Modules(n int, edges []Edge) [][]int {
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range edges {
+		ra, rb := find(e.A), find(e.B)
+		if ra != rb {
+			if ra > rb {
+				ra, rb = rb, ra
+			}
+			parent[rb] = ra
+		}
+	}
+	// A union hangs the larger root under the smaller, so a root is its
+	// component's smallest member: an ascending pass meets it first.
+	out := [][]int{}
+	at := make([]int, n) // a root's index in out
+	for i := range n {
+		r := find(i)
+		if r == i {
+			at[i] = len(out)
+			out = append(out, nil)
+		}
+		out[at[r]] = append(out[at[r]], i)
+	}
+	return out
 }
 
 func TestModulesSingletons(t *testing.T) {

@@ -540,7 +540,7 @@ func (s *Server) execute(ctx context.Context, id int, spec jobSpec) (JobResult, 
 	}
 	if out.Net != nil {
 		result.Nodes = len(out.Net.Nodes)
-		result.Edges = len(out.Net.Edges)
+		result.Edges = out.Net.EdgeCount()
 		result.Modules = len(out.Net.Modules)
 	}
 	for _, sr := range wres.Stages {

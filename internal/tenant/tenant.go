@@ -135,9 +135,9 @@ func Parse(raw []byte) (*Registry, error) {
 		}
 		st := &State{
 			tenant:      t,
-			maxJobs:     resolveInt(t.MaxJobs, DefaultMaxJobs),
-			maxDatasets: resolveInt(t.MaxDatasets, DefaultMaxDatasets),
-			maxBytes:    resolveInt64(t.MaxBytes, DefaultMaxBytes),
+			maxJobs:     resolve(t.MaxJobs, DefaultMaxJobs),
+			maxDatasets: resolve(t.MaxDatasets, DefaultMaxDatasets),
+			maxBytes:    resolve(t.MaxBytes, DefaultMaxBytes),
 			rate:        shape.rate,
 			burst:       shape.burst,
 		}
@@ -162,20 +162,9 @@ func Load(path string) (*Registry, error) {
 	return Parse(raw)
 }
 
-// resolveInt applies the zero-means-default, negative-means-unlimited
+// resolve applies the zero-means-default, negative-means-unlimited
 // convention (unlimited is represented as -1 internally).
-func resolveInt(v, def int) int {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return -1
-	default:
-		return v
-	}
-}
-
-func resolveInt64(v, def int64) int64 {
+func resolve[T int | int64](v, def T) T {
 	switch {
 	case v == 0:
 		return def

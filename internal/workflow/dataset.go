@@ -52,9 +52,9 @@ type Dataset struct {
 }
 
 // Feature is one row of a FeatureTable payload: a quantified signal over a
-// reference interval (per-region expression, image phenotypes, ...).
+// reference interval (per-bin expression, image phenotypes, ...).
 type Feature struct {
-	// Name identifies the feature, e.g. "chr1:1-2500".
+	// Name identifies the feature, e.g. "chr1:1-1000".
 	Name string
 	// Start and End bound the interval (1-based inclusive) when the
 	// feature is positional; zero otherwise.

@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -428,6 +429,9 @@ func TestSomaticWorkflowEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRNAExpressionFeatures: a feature row is one quantifyBinWidth bin of
+// the reference, whatever the region count, and the counts partition the
+// mapped reads.
 func TestRNAExpressionFeatures(t *testing.T) {
 	e := testEngine(t, 4)
 	ds := synthDataset(t, 8000, 2000, 7)
@@ -436,19 +440,53 @@ func TestRNAExpressionFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := res.Output
-	if out.Type != FeatureTable || len(out.Features) != 5 {
-		t.Fatalf("output = %s with %d features, want 5", out.Type, len(out.Features))
+	if bins := 8000 / quantifyBinWidth; out.Type != FeatureTable || len(out.Features) != bins {
+		t.Fatalf("output = %s with %d features, want %d bins", out.Type, len(out.Features), bins)
 	}
 	// Start-position scatter: feature counts partition the mapped reads.
 	total := 0
-	for _, f := range out.Features {
+	for i, f := range out.Features {
 		total += f.Count
-		if f.Name == "" || f.End < f.Start {
-			t.Fatalf("malformed feature %+v", f)
+		if f.Name == "" || f.Start != i*quantifyBinWidth+1 || f.End != f.Start+quantifyBinWidth-1 {
+			t.Fatalf("feature %d = %+v, want bin %d", i, f, i)
 		}
 	}
 	if total != out.Mapped {
 		t.Fatalf("feature counts sum to %d, mapped = %d", total, out.Mapped)
+	}
+}
+
+// TestRNAExpressionIgnoresPlan: the expression table is a function of the
+// input, not of the pool width or the region count — more regions than
+// bins included — down to its encoded bytes. The reference ends in a
+// partial bin.
+func TestRNAExpressionIgnoresPlan(t *testing.T) {
+	ds := synthDataset(t, 6500, 1200, 11)
+	var want []byte
+	run := func(pool int, opts RunOptions) {
+		t.Helper()
+		res, err := testEngine(t, pool).RunByName(context.Background(), "rna-expression", ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.Output.Features); n != 7 {
+			t.Fatalf("pool %d, %+v: %d features, want 7 bins", pool, opts, n)
+		}
+		got, err := EncodeDataset(res.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("pool %d, %+v: the table differs from pool 1's", pool, opts)
+		}
+	}
+	for _, pool := range []int{1, 2, 8} {
+		run(pool, RunOptions{})
+	}
+	for _, regions := range []int{1, 2, 7, 50} {
+		run(2, RunOptions{Regions: regions})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -155,11 +156,7 @@ func (s *alignStream) Split() ([]StreamShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]StreamShard, len(readShards))
-	for i, rs := range readShards {
-		shards[i] = StreamShard{Records: len(rs), Data: rs}
-	}
-	return shards, nil
+	return chunkShards(readShards), nil
 }
 
 func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
@@ -189,8 +186,7 @@ func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (Str
 func (s *alignStream) Gather(shards []StreamShard) (*Dataset, error) {
 	groups := make([][]genomics.Alignment, len(shards))
 	mapped := 0
-	for i, sh := range shards {
-		as := sh.Data.(AlignedShard)
+	for i, as := range shardData[AlignedShard](shards) {
 		groups[i] = as.Alns
 		mapped += as.Mapped
 	}
@@ -232,11 +228,7 @@ func (s *callStream) Split() ([]StreamShard, error) {
 	// Overlap-aware scatter: a read spanning a region boundary feeds the
 	// pileups of both regions, so boundary positions see full coverage.
 	parts, _ := shard.PartitionByOverlap(s.in.Alignments, regions)
-	shards := make([]StreamShard, len(parts))
-	for i, p := range parts {
-		shards[i] = StreamShard{Records: len(p), Data: p}
-	}
-	return shards, nil
+	return chunkShards(parts), nil
 }
 
 func (s *callStream) Transform(ctx context.Context, i int, in StreamShard) (StreamShard, error) {
@@ -270,13 +262,9 @@ func (s *callStream) Transform(ctx context.Context, i int, in StreamShard) (Stre
 }
 
 func (s *callStream) Gather(shards []StreamShard) (*Dataset, error) {
-	varShards := make([][]genomics.Variant, len(shards))
-	for i, sh := range shards {
-		varShards[i] = sh.Data.([]genomics.Variant)
-	}
 	out := *s.in
 	out.Type = VCF
-	out.Variants = genomics.MergeVariants(varShards...)
+	out.Variants = genomics.MergeVariants(shardData[[]genomics.Variant](shards)...)
 	return &out, nil
 }
 
@@ -306,11 +294,16 @@ func (filterExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (
 	return &out, nil
 }
 
-// quantifyExecutor implements the expression Quantify stage: scatter the
-// reference into regions, count the mapped alignments starting in each and
-// their mean coverage on the pool, and gather a per-region FeatureTable —
-// the RNA-seq expression workload.
+// quantifyExecutor implements the expression Quantify stage: bin the
+// reference at quantifyBinWidth, scatter whole bins over regions, count the
+// mapped alignments starting in each bin and their mean coverage on the
+// pool, and gather a per-bin FeatureTable — the RNA-seq expression
+// workload. The bins, not the regions, are the rows, so the table does not
+// depend on the scatter width.
 type quantifyExecutor struct{}
+
+// quantifyBinWidth is the width in bases of an expression feature's bin.
+const quantifyBinWidth = 1000
 
 // Stream implements streamer.
 func (quantifyExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
@@ -324,51 +317,56 @@ type quantifyStream struct {
 }
 
 func (s *quantifyStream) Split() ([]StreamShard, error) {
-	regions, err := shard.Regions(s.in.Reference.Len(), s.env.RegionCount())
+	refLen := s.in.Reference.Len()
+	binRuns, err := shard.Regions((refLen+quantifyBinWidth-1)/quantifyBinWidth, s.env.RegionCount())
 	if err != nil {
 		return nil, err
 	}
-	s.regions = regions
-	// Start-position scatter: each alignment counts toward exactly one
-	// region, so feature counts sum to the mapped total.
-	parts, _ := shard.PartitionByRegion(s.in.Alignments, regions)
-	shards := make([]StreamShard, len(parts))
-	for i, p := range parts {
-		shards[i] = StreamShard{Records: len(p), Data: p}
+	// Each region covers a run of whole bins, in bases.
+	s.regions = make([]shard.Region, len(binRuns))
+	for i, b := range binRuns {
+		s.regions[i] = shard.Region{Start: (b.Start-1)*quantifyBinWidth + 1, End: min(b.End*quantifyBinWidth, refLen)}
 	}
-	return shards, nil
+	// Start-position scatter: each alignment counts toward exactly one
+	// bin, so feature counts sum to the mapped total.
+	parts, _ := shard.PartitionByRegion(s.in.Alignments, s.regions)
+	return chunkShards(parts), nil
 }
 
+// Transform emits one Feature per bin of region i.
 func (s *quantifyStream) Transform(ctx context.Context, i int, in StreamShard) (StreamShard, error) {
-	alns := in.Data.([]genomics.Alignment)
-	bases := 0
-	for j, a := range alns {
+	r := s.regions[i]
+	first := (r.Start - 1) / quantifyBinWidth
+	features := make([]Feature, (r.End-1)/quantifyBinWidth-first+1)
+	for j, a := range in.Data.([]genomics.Alignment) {
 		if j%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return StreamShard{}, err
 			}
 		}
-		bases += len(a.Seq)
+		b := (a.Pos-1)/quantifyBinWidth - first
+		features[b].Count++
+		features[b].Value += float64(len(a.Seq)) // bases, then mean coverage
 	}
-	r := s.regions[i]
-	f := Feature{
-		Name:  fmt.Sprintf("%s:%d-%d", s.in.Reference.Name, r.Start, r.End),
-		Start: r.Start,
-		End:   r.End,
-		Count: len(alns),
-		Value: float64(bases) / float64(r.Len()),
+	for b := range features {
+		if b%ctxCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return StreamShard{}, err
+			}
+		}
+		f := &features[b]
+		f.Start = (first+b)*quantifyBinWidth + 1
+		f.End = min(f.Start+quantifyBinWidth-1, r.End)
+		f.Name = fmt.Sprintf("%s:%d-%d", s.in.Reference.Name, f.Start, f.End)
+		f.Value /= float64(f.End - f.Start + 1)
 	}
-	return StreamShard{Records: 1, Data: f}, nil
+	return StreamShard{Records: len(features), Data: features}, nil
 }
 
 func (s *quantifyStream) Gather(shards []StreamShard) (*Dataset, error) {
-	features := make([]Feature, len(shards))
-	for i, sh := range shards {
-		features[i] = sh.Data.(Feature)
-	}
 	out := *s.in
 	out.Type = FeatureTable
-	out.Features = features
+	out.Features = slices.Concat(shardData[[]Feature](shards)...)
 	return &out, nil
 }
 

@@ -56,11 +56,7 @@ func (s *spectralStream) Split() ([]StreamShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]StreamShard, len(chunks))
-	for i, c := range chunks {
-		shards[i] = StreamShard{Records: len(c), Data: c}
-	}
-	return shards, nil
+	return chunkShards(chunks), nil
 }
 
 func (s *spectralStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
@@ -79,11 +75,7 @@ func (s *spectralStream) Transform(ctx context.Context, _ int, in StreamShard) (
 }
 
 func (s *spectralStream) Gather(shards []StreamShard) (*Dataset, error) {
-	var matches []proteome.Match
-	for _, sh := range shards {
-		matches = append(matches, sh.Data.([]proteome.Match)...)
-	}
-	quants := proteome.Quantify(s.in.PeptideDB, matches)
+	quants := proteome.Quantify(s.in.PeptideDB, slices.Concat(shardData[[]proteome.Match](shards)...))
 	if !s.quantify {
 		for i := range quants {
 			quants[i].Abundance = 0
@@ -185,11 +177,13 @@ type NodeRange struct {
 
 // integrateExecutor implements the integrative Integrate stage: treat each
 // feature as a network node, scatter the sorted-index edge sweep over the
-// Data Broker's count of node ranges on the pool, then concatenate the edge
-// slabs and detect modules in one pass — the Cytoscape-style network build.
+// Data Broker's count of node ranges on the pool, then keep the edge slabs
+// as the shards built them and take the modules as runs of rank-adjacent
+// values in the index — the Cytoscape-style network build.
 type integrateExecutor struct{}
 
-// Stream implements streamer. The first Transform builds the shared index.
+// Stream implements streamer. The first Transform builds the shared index,
+// or Gather does on a fleet coordinator whose shards all ran remotely.
 func (integrateExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	nodes := make([]network.Node, len(in.Features))
 	for i, f := range in.Features {
@@ -265,25 +259,11 @@ func (s *integrateStream) Transform(ctx context.Context, _ int, in StreamShard) 
 	return StreamShard{Records: in.Records, Data: slab}, nil
 }
 
-// Gather concatenates the (A, B)-ordered slabs of consecutive ranges; a
-// lone slab passes through uncopied. No edges give nil Edges.
+// Gather keeps the (A, B)-ordered slabs of consecutive ranges as they
+// are, in shard order, and reads the modules off the sorted index.
 func (s *integrateStream) Gather(shards []StreamShard) (*Dataset, error) {
-	slabs := make([][]network.Edge, len(shards))
-	for i, sh := range shards {
-		slabs[i] = sh.Data.([]network.Edge)
-	}
-	var edges []network.Edge
-	if len(slabs) == 1 && len(slabs[0]) > 0 {
-		edges = slabs[0]
-	} else {
-		edges = slices.Concat(slabs...)
-	}
 	out := *s.in
 	out.Type = Network
-	out.Net = &network.Network{
-		Nodes:   s.nodes,
-		Edges:   edges,
-		Modules: network.Modules(len(s.nodes), edges),
-	}
+	out.Net = &network.Network{Nodes: s.nodes, Slabs: shardData[[]network.Edge](shards), Modules: s.index().Modules()}
 	return &out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -175,8 +176,8 @@ func TestNetworkWorkflowEndToEnd(t *testing.T) {
 	if out.Type != Network || out.Net == nil {
 		t.Fatalf("output = %s, net = %v", out.Type, out.Net)
 	}
-	if len(out.Net.Nodes) != 60 || len(out.Net.Edges) == 0 {
-		t.Fatalf("network = %d nodes, %d edges", len(out.Net.Nodes), len(out.Net.Edges))
+	if len(out.Net.Nodes) != 60 || out.Net.EdgeCount() == 0 {
+		t.Fatalf("network = %d nodes, %d edges", len(out.Net.Nodes), out.Net.EdgeCount())
 	}
 	// Partitioned edge construction recovers the planted module structure.
 	if len(out.Net.Modules) != 4 {
@@ -247,7 +248,9 @@ func TestIntegrateRangesBalancePairs(t *testing.T) {
 			if want := len(pairRanges(n, (n+per-1)/per)); env.result.Shards != want || env.result.Plan.NumShards != want {
 				t.Fatalf("n=%d per=%d: %d shards, plan %+v, want %d", n, per, env.result.Shards, env.result.Plan, want)
 			}
-			if !reflect.DeepEqual(out.Net.Edges, ref.Edges) || !reflect.DeepEqual(out.Net.Modules, ref.Modules) {
+			// One slab per shard, concatenating to Build's one slab.
+			if len(out.Net.Slabs) != env.result.Shards || !slices.Equal(slices.Concat(out.Net.Slabs...), ref.Slabs[0]) ||
+				!reflect.DeepEqual(out.Net.Modules, ref.Modules) {
 				t.Fatalf("n=%d per=%d: scattered network differs from network.Build", n, per)
 			}
 		}
@@ -260,8 +263,9 @@ func TestIntegrateRangesBalancePairs(t *testing.T) {
 }
 
 // TestExpressionFeedsIntegration chains two families: the rna-expression
-// FeatureTable output is a valid integrative-network input, so multi-omics
-// pipelines compose through the catalogue's shared data types.
+// FeatureTable output, one row per reference bin, is a valid
+// integrative-network input, so multi-omics pipelines compose through the
+// catalogue's shared data types.
 func TestExpressionFeedsIntegration(t *testing.T) {
 	e := testEngine(t, 4)
 	ds := synthDataset(t, 8000, 2000, 31)
@@ -274,7 +278,7 @@ func TestExpressionFeedsIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Output.Type != Network || len(res.Output.Net.Nodes) != 6 {
+	if bins := 8000 / quantifyBinWidth; res.Output.Type != Network || len(res.Output.Net.Nodes) != bins {
 		t.Fatalf("chained output = %+v", res.Output)
 	}
 }
@@ -398,9 +402,9 @@ func TestIntegrateTransformPollsBothPasses(t *testing.T) {
 	}
 }
 
-// TestIntegrateGatherPassesLoneSlab: a one-shard stage's Edges are its
-// shard's slab, not a copy of it, and a stage with no edges still gathers
-// nil Edges from one shard or several.
+// TestIntegrateGatherPassesLoneSlab: a one-shard stage's only slab is its
+// shard's slab, not a copy of it, and a stage with no edges gathers a
+// count of 0 from one shard or several.
 func TestIntegrateGatherPassesLoneSlab(t *testing.T) {
 	ds := featureDataset(t, 200, 4, 30)
 	env := &StageEnv{engine: testEngine(t, 1), opts: RunOptions{ShardRecords: 200}, result: &StageResult{}, input: ds}
@@ -421,7 +425,7 @@ func TestIntegrateGatherPassesLoneSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slab) == 0 || len(out.Net.Edges) != len(slab) || &out.Net.Edges[0] != &slab[0] {
+	if len(slab) == 0 || len(out.Net.Slabs) != 1 || len(out.Net.Slabs[0]) != len(slab) || &out.Net.Slabs[0][0] != &slab[0] {
 		t.Fatalf("one-shard Gather copied its %d-edge slab", len(slab))
 	}
 	for _, empty := range [][]StreamShard{
@@ -429,8 +433,8 @@ func TestIntegrateGatherPassesLoneSlab(t *testing.T) {
 		{{Data: []network.Edge(nil)}, {Data: []network.Edge{}}},
 	} {
 		out, err := st.Gather(empty)
-		if err != nil || out.Net.Edges != nil {
-			t.Fatalf("Gather of %d edgeless slabs: Edges %#v, %v; want nil", len(empty), out.Net.Edges, err)
+		if err != nil || out.Net.EdgeCount() != 0 {
+			t.Fatalf("Gather of %d edgeless slabs: %d edges, %v; want 0", len(empty), out.Net.EdgeCount(), err)
 		}
 	}
 }

@@ -47,6 +47,24 @@ type StreamShard struct {
 	Data any
 }
 
+// chunkShards makes one shard of each chunk, counting its records.
+func chunkShards[T any](chunks [][]T) []StreamShard {
+	shards := make([]StreamShard, len(chunks))
+	for i, c := range chunks {
+		shards[i] = StreamShard{Records: len(c), Data: c}
+	}
+	return shards
+}
+
+// shardData returns the shards' payloads, each of type T, in shard order.
+func shardData[T any](shards []StreamShard) []T {
+	data := make([]T, len(shards))
+	for i, sh := range shards {
+		data[i] = sh.Data.(T)
+	}
+	return data
+}
+
 // StreamingExecutor is the StageExecutor extension for scattering stages:
 // Engine.Run calls Stream and drives the stage's Split/Transform/Gather
 // itself, on the local pool or on remote fleet workers, and never calls

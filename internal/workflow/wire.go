@@ -282,7 +282,20 @@ func (w *wire) network(n *network.Network) {
 		w.str(&nd.Name)
 		w.float(&nd.Value)
 	})
-	slice(w, &n.Edges, (*wire).edge)
+	// The edges go as one list, the slabs' concatenation, so the bytes do
+	// not depend on the shard plan; they decode as one slab.
+	if w.dec {
+		n.Slabs = make([][]network.Edge, 1)
+		slice(w, &n.Slabs[0], (*wire).edge)
+	} else {
+		total := n.EdgeCount()
+		w.count(&total, 1)
+		for _, slab := range n.Slabs {
+			for i := range slab {
+				w.edge(&slab[i])
+			}
+		}
+	}
 	slice(w, &n.Modules, func(w *wire, m *[]int) { slice(w, m, (*wire).int) })
 }
 
@@ -415,6 +428,7 @@ var payloads = []func(w *wire, v *any, tag uint64) bool{
 		})
 	}),
 	payload(func(w *wire, v *[]network.Edge) { slice(w, v, (*wire).edge) }),
+	payload(func(w *wire, v *[]Feature) { slice(w, v, (*wire).feature) }),
 }
 
 // payload makes the payloads entry for an interface-held value of type T.

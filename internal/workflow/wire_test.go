@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,6 +34,7 @@ var shardPayloads = []any{
 	[]proteome.Match(nil),
 	[]imaging.Region(nil),
 	[]network.Edge(nil),
+	[]Feature(nil),
 }
 
 // filler sets every field reachable from a value: strings, byte slices
@@ -89,9 +91,14 @@ func finiteFloat(r *rand.Rand) float64 {
 	}
 }
 
+// dataset fills a dataset. Its network's edges are concatenated into one
+// slab, the form a network decodes in.
 func (f filler) dataset() *Dataset {
 	d := new(Dataset)
 	f.fill(reflect.ValueOf(d).Elem())
+	if d.Net != nil {
+		d.Net.Slabs = [][]network.Edge{slices.Concat(d.Net.Slabs...)}
+	}
 	return d
 }
 
@@ -244,7 +251,7 @@ func goldenDataset() *Dataset {
 		Mapped:    -2,
 		Variants:  []genomics.Variant{{Chrom: "chr1", Pos: 3, Ref: "G", Alt: "T", Qual: 0.5}},
 		Net: &network.Network{
-			Edges:   []network.Edge{{A: 0, B: 1, Weight: -1}},
+			Slabs:   [][]network.Edge{{{A: 0, B: 1, Weight: -1}}},
 			Modules: [][]int{{0, 1}},
 		},
 	}
@@ -272,6 +279,61 @@ func TestWireGoldenBytes(t *testing.T) {
 	b := reencode(t, goldenDataset(), EncodeDataset, DecodeDataset)
 	if got := hex.EncodeToString(b); got != goldenHex {
 		t.Fatalf("encoding drifted:\n got  %s\n want %s", got, goldenHex)
+	}
+}
+
+// TestWireNetworkIgnoresSlabs: one edge list held as 1, 2 or k slabs,
+// some of them empty, encodes to the same bytes, and decodes as one slab
+// holding the list — so a network's encoding does not depend on the shard
+// plan that built it.
+func TestWireNetworkIgnoresSlabs(t *testing.T) {
+	for seed := range int64(50) {
+		r := rand.New(rand.NewSource(seed))
+		edges := make([]network.Edge, r.Intn(40))
+		for i := range edges {
+			edges[i] = network.Edge{A: r.Intn(100), B: r.Intn(100), Weight: r.Float64()}
+		}
+		net := func(slabs [][]network.Edge) *Dataset {
+			return &Dataset{Type: Network, Net: &network.Network{Nodes: []network.Node{{Name: "g", Value: 1}}, Slabs: slabs, Modules: [][]int{{0}}}}
+		}
+		want, err := EncodeDataset(net([][]network.Edge{edges}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := len(edges) / 2
+		plans := [][][]network.Edge{
+			{edges[:half], edges[half:]},
+			{nil, edges, {}},
+		}
+		// k slabs cut at random points, empty ones included.
+		var k [][]network.Edge
+		for rest := edges; ; {
+			n := r.Intn(len(rest) + 1)
+			if r.Intn(3) == 0 {
+				n = 0
+			}
+			k, rest = append(k, rest[:n]), rest[n:]
+			if len(rest) == 0 {
+				break
+			}
+		}
+		plans = append(plans, k)
+		for _, slabs := range plans {
+			got, err := EncodeDataset(net(slabs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: %d slabs encode differently from one", seed, len(slabs))
+			}
+			d, err := DecodeDataset(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := d.Net.Slabs; len(s) != 1 || !slices.Equal(s[0], edges) {
+				t.Fatalf("seed %d: decoded %d slabs, %d edges; want one slab of %d", seed, len(s), d.Net.EdgeCount(), len(edges))
+			}
+		}
 	}
 }
 
