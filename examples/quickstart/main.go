@@ -58,7 +58,7 @@ func main() {
 		calledAt[v.Pos-1] = v
 	}
 	for _, m := range planted {
-		if v, ok := calledAt[m.Pos]; ok && v.Alt == string(m.Alt) {
+		if v, ok := calledAt[m.Pos]; ok && v.Alt == m.Alt {
 			recovered++
 		}
 	}

@@ -55,7 +55,7 @@ func main() {
 	}
 	recovered := 0
 	for _, m := range planted {
-		if v, ok := calledAt[m.Pos]; ok && v.Alt == string(m.Alt) {
+		if v, ok := calledAt[m.Pos]; ok && v.Alt == m.Alt {
 			recovered++
 		}
 	}

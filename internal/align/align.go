@@ -3,9 +3,9 @@
 // sequence. It indexes every k-mer of the uppercased reference, seeds
 // candidate placements from several read offsets, verifies candidates by
 // Hamming distance against the same uppercased sequence (the synthetic read
-// simulator produces substitution errors only), and emits SAM records with
-// mapping qualities derived from the gap between the best and second-best
-// placements.
+// simulator produces substitution errors only), and emits ungapped
+// alignment records with mapping qualities derived from the gap between the
+// best and second-best placements.
 //
 // The seed index packs each A/C/G/T-only k-mer into a 2-bit code (so K is at
 // most 32) and counting-sorts the codes into buckets keyed by their top
@@ -50,10 +50,9 @@ func (c *Config) fill() {
 
 // Aligner maps reads against one indexed reference.
 type Aligner struct {
-	cfg  Config
-	name string
-	seq  []byte // the uppercased reference, as indexed
-	idx  index
+	cfg Config
+	seq []byte // the uppercased reference, as indexed
+	idx index
 }
 
 // index holds every k-mer position of the reference. The A/C/G/T-only
@@ -99,7 +98,7 @@ func New(ref genomics.Sequence, cfg Config) (*Aligner, error) {
 		return nil, err
 	}
 	cfg.fill()
-	a := &Aligner{cfg: cfg, name: ref.Name, seq: genomics.Upper(ref.Seq)}
+	a := &Aligner{cfg: cfg, seq: genomics.Upper(ref.Seq)}
 	a.idx = buildIndex(a.seq, cfg.K)
 	return a, nil
 }
@@ -193,7 +192,7 @@ func (x *index) hits(kmer []byte, fn func(int32)) {
 	}
 }
 
-// AlignRead maps one read, returning a SAM record (possibly unmapped).
+// AlignRead maps one read, returning its alignment (possibly unmapped).
 func (a *Aligner) AlignRead(r genomics.Read) genomics.Alignment {
 	fwd, fwdMM, fwdSecond := a.bestPlacement(r.Seq)
 	rcSeq := ReverseComplement(r.Seq)
@@ -210,18 +209,12 @@ func (a *Aligner) AlignRead(r genomics.Read) genomics.Alignment {
 	}
 
 	if best < 0 || bestMM > a.cfg.MaxMismatches {
-		return genomics.Alignment{
-			QName: r.ID, Flag: genomics.FlagUnmapped,
-			Seq: r.Seq, Qual: r.Qual, NM: -1,
-		}
+		return genomics.Alignment{Flag: genomics.FlagUnmapped, NM: -1, Seq: r.Seq, Qual: r.Qual}
 	}
 	aln := genomics.Alignment{
-		QName: r.ID,
-		RName: a.name,
-		Pos:   best + 1, // SAM is 1-based
-		MapQ:  mapQ(bestMM, second, a.cfg.MaxMismatches),
-		CIGAR: fmt.Sprintf("%dM", len(r.Seq)),
-		NM:    bestMM,
+		Pos:  best + 1, // 1-based
+		MapQ: mapQ(bestMM, second, a.cfg.MaxMismatches),
+		NM:   bestMM,
 	}
 	if reverse {
 		aln.Flag |= genomics.FlagReverseStrand

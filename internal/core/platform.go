@@ -230,7 +230,6 @@ type StageTiming struct {
 
 // VariantCallingResult carries the pipeline outputs.
 type VariantCallingResult struct {
-	Header     genomics.Header
 	Alignments []genomics.Alignment // coordinate-sorted
 	Variants   []genomics.Variant   // sorted, deduplicated
 	Mapped     int
@@ -268,7 +267,6 @@ func (p *Platform) RunVariantCalling(ctx context.Context, job VariantCallingJob)
 	}
 	out := wres.Output
 	res := &VariantCallingResult{
-		Header:     out.Header,
 		Alignments: out.Alignments,
 		Variants:   out.Variants,
 		Mapped:     out.Mapped,

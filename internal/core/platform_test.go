@@ -60,7 +60,7 @@ func TestEndToEndVariantCalling(t *testing.T) {
 	}
 	recovered := 0
 	for _, m := range planted {
-		if v, ok := calledAt[m.Pos]; ok && v.Alt == string(m.Alt) {
+		if v, ok := calledAt[m.Pos]; ok && v.Alt == m.Alt {
 			recovered++
 		}
 	}

@@ -54,7 +54,7 @@ func FuzzDecodeTask(f *testing.F) {
 }
 
 func FuzzReadResult(f *testing.F) {
-	out, err := workflow.EncodeShard(workflow.StreamShard{Records: 3, Data: workflow.Feature{Name: "g1", Value: 1.5}})
+	out, err := workflow.EncodeShard(workflow.StreamShard{Records: 3, Data: []workflow.Feature{{Name: "g1", Value: 1.5}}})
 	if err != nil {
 		f.Fatal(err)
 	}

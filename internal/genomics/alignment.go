@@ -3,51 +3,29 @@ package genomics
 import (
 	"cmp"
 	"slices"
-	"strings"
 )
 
-// SAM flag bits used by the toolkit.
+// Flag bits used by the toolkit (SAM's values).
 const (
 	FlagUnmapped      = 0x4
 	FlagReverseStrand = 0x10
 )
 
-// RefInfo names one reference sequence in a SAM header.
-type RefInfo struct {
-	Name   string
-	Length int
-}
-
-// Header is the subset of the SAM header the toolkit uses: the format
-// version, sort order, and reference dictionary.
-type Header struct {
-	Version   string // @HD VN:
-	SortOrder string // @HD SO: ("unsorted", "coordinate")
-	Refs      []RefInfo
-}
-
-// Alignment is one SAM record (the 11 mandatory fields).
+// Alignment is one read placed on its dataset's reference. The aligner is
+// ungapped, so a mapped read matches the len(Seq) bases from Pos.
 type Alignment struct {
-	QName string
-	Flag  int
-	RName string // "*" when unmapped
-	Pos   int    // 1-based leftmost position; 0 when unmapped
-	MapQ  int
-	CIGAR string // "*" when unmapped
-	RNext string
-	PNext int
-	TLen  int
-	Seq   []byte
-	Qual  []byte
-	// NM is the edit distance tag (NM:i:n); -1 when absent.
-	NM int
+	Pos  int // 1-based leftmost position; 0 when unmapped
+	Flag int
+	MapQ int
+	NM   int    // edit distance; -1 when unmapped
+	Seq  []byte // reverse-complemented on the reverse strand
+	Qual []byte
 }
 
 // Unmapped reports whether the record has the unmapped flag set.
 func (a Alignment) Unmapped() bool { return a.Flag&FlagUnmapped != 0 }
 
-// End returns the 1-based inclusive end position covered on the reference,
-// assuming a pure-match CIGAR (the toolkit's aligner emits only «nM»).
+// End returns the 1-based inclusive end position covered on the reference.
 func (a Alignment) End() int {
 	if a.Unmapped() {
 		return 0
@@ -55,13 +33,7 @@ func (a Alignment) End() int {
 	return a.Pos + len(a.Seq) - 1
 }
 
-// NewHeader returns an unsorted header over the given references.
-func NewHeader(refs ...RefInfo) Header {
-	return Header{Version: "1.6", SortOrder: "unsorted", Refs: refs}
-}
-
-// compareAlignments orders records by (reference, position, name) — SAM
-// "coordinate" sort order — with unmapped records last.
+// compareAlignments orders records by position, unmapped records last.
 func compareAlignments(a, b *Alignment) int {
 	if au, bu := a.Unmapped(), b.Unmapped(); au != bu {
 		if au {
@@ -69,19 +41,12 @@ func compareAlignments(a, b *Alignment) int {
 		}
 		return -1
 	}
-	if a.RName != b.RName {
-		return strings.Compare(a.RName, b.RName)
-	}
-	if a.Pos != b.Pos {
-		return cmp.Compare(a.Pos, b.Pos)
-	}
-	return strings.Compare(a.QName, b.QName)
+	return cmp.Compare(a.Pos, b.Pos)
 }
 
-// SortAlignments stably orders records by (reference, position, name) —
-// SAM "coordinate" sort order. Unmapped records sort last. It sorts an
-// index permutation, ties broken on the original index, then moves each
-// record once.
+// SortAlignments stably orders records by position, unmapped records last:
+// coordinate order. It sorts an index permutation, ties broken on the
+// original index, then moves each record once.
 func SortAlignments(alns []Alignment) {
 	perm := make([]int32, len(alns))
 	for i := range perm {

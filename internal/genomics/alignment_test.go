@@ -1,7 +1,6 @@
 package genomics
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -19,32 +18,19 @@ func stableSorted(alns []Alignment) []Alignment {
 		if a.Unmapped() != b.Unmapped() {
 			return !a.Unmapped()
 		}
-		if a.RName != b.RName {
-			return a.RName < b.RName
-		}
-		if a.Pos != b.Pos {
-			return a.Pos < b.Pos
-		}
-		return a.QName < b.QName
+		return a.Pos < b.Pos
 	})
 	return out
 }
 
-// randomAlignments draws n records over few references, positions and
-// names, so ties are common; MapQ numbers the records so a tie's order is
-// visible.
+// randomAlignments draws n records over few positions, so ties are
+// common; MapQ numbers the records so a tie's order is visible.
 func randomAlignments(rng *rand.Rand, n int) []Alignment {
 	alns := make([]Alignment, n)
 	for i := range alns {
-		alns[i] = Alignment{
-			QName: fmt.Sprint("r", rng.Intn(5)),
-			RName: []string{"chr1", "chr2"}[rng.Intn(2)],
-			Pos:   1 + rng.Intn(8),
-			MapQ:  i,
-			Seq:   []byte("ACGT"),
-		}
+		alns[i] = Alignment{Pos: 1 + rng.Intn(8), MapQ: i, Seq: []byte("ACGT")}
 		if rng.Intn(6) == 0 {
-			alns[i].Flag, alns[i].RName, alns[i].Pos = FlagUnmapped, "", 0
+			alns[i].Flag, alns[i].Pos = FlagUnmapped, 0
 		}
 	}
 	return alns
@@ -87,15 +73,15 @@ func TestMergeSortedEqualsSortOfConcat(t *testing.T) {
 	}
 }
 
-// benchAlignments is one 15 000-read shard's records: distinct names over
-// a 100 kb reference, a few unmapped.
+// benchAlignments is one 15 000-read shard's records over a 100 kb
+// reference, a few unmapped.
 func benchAlignments(n int) []Alignment {
 	rng := rand.New(rand.NewSource(1))
 	alns := make([]Alignment, n)
 	for i := range alns {
-		alns[i] = Alignment{QName: fmt.Sprintf("read%07d", i), RName: "chr1", Pos: 1 + rng.Intn(100000), NM: -1}
+		alns[i] = Alignment{Pos: 1 + rng.Intn(100000), NM: -1}
 		if rng.Intn(50) == 0 {
-			alns[i].Flag, alns[i].RName, alns[i].Pos = FlagUnmapped, "", 0
+			alns[i].Flag, alns[i].Pos = FlagUnmapped, 0
 		}
 	}
 	return alns

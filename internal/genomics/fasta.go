@@ -1,9 +1,12 @@
 // Package genomics implements the genomic records and synthetic data
 // generation that stand in for the paper's NGS inputs: FASTA references,
-// FASTQ reads, variant calls with their sort and deduplicating merge, and
-// alignment records (SAM's mandatory fields, with their coordinate sort and
-// k-way merge). Alignments and calls stay in memory; the only codec they
-// cross a process boundary in is the fleet's wire codec.
+// FASTQ reads, alignment records with their coordinate sort and k-way
+// merge, and SNV calls with their sort and deduplicating merge. An
+// alignment holds what the kernels read — position, flag, MapQ, edit
+// distance, bases and qualities — and a call its position, bases and
+// quality; the reference they lie on is their dataset's. Alignments and
+// calls stay in memory; the only codec they cross a process boundary in is
+// the fleet's wire codec.
 //
 // The synthetic generator produces seeded, reproducible references and
 // reads with configurable sequencing error and planted mutations, so the

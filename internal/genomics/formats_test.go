@@ -111,33 +111,35 @@ func TestFASTQWriterRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestSortAlignmentsOrder: position order, unmapped last, and equal
+// positions in input order. MapQ names the records.
 func TestSortAlignmentsOrder(t *testing.T) {
 	alns := []Alignment{
-		{QName: "d", Flag: FlagUnmapped},
-		{QName: "c", RName: "chr2", Pos: 5},
-		{QName: "b", RName: "chr1", Pos: 100},
-		{QName: "a", RName: "chr1", Pos: 7},
+		{MapQ: 4, Flag: FlagUnmapped},
+		{MapQ: 2, Pos: 7},
+		{MapQ: 3, Pos: 100},
+		{MapQ: 1, Pos: 5},
+		{MapQ: 5, Pos: 7},
 	}
 	SortAlignments(alns)
-	order := []string{"a", "b", "c", "d"}
-	for i, want := range order {
-		if alns[i].QName != want {
-			t.Fatalf("position %d = %q, want %q (%+v)", i, alns[i].QName, want, alns)
+	for i, want := range []int{1, 2, 5, 3, 4} {
+		if alns[i].MapQ != want {
+			t.Fatalf("position %d = record %d, want %d (%+v)", i, alns[i].MapQ, want, alns)
 		}
 	}
 }
 
 func TestMergeSorted(t *testing.T) {
-	a := []Alignment{{QName: "x", RName: "chr1", Pos: 1}, {QName: "y", RName: "chr1", Pos: 50}}
-	b := []Alignment{{QName: "z", RName: "chr1", Pos: 25}}
+	a := []Alignment{{MapQ: 1, Pos: 1}, {MapQ: 2, Pos: 50}}
+	b := []Alignment{{MapQ: 3, Pos: 25}}
 	merged := MergeSorted(a, b)
-	if len(merged) != 3 || merged[1].QName != "z" {
+	if len(merged) != 3 || merged[1].MapQ != 3 {
 		t.Fatalf("merge order wrong: %+v", merged)
 	}
 }
 
 func TestAlignmentEnd(t *testing.T) {
-	a := Alignment{RName: "chr1", Pos: 10, Seq: []byte("ACGTA")}
+	a := Alignment{Pos: 10, Seq: []byte("ACGTA")}
 	if a.End() != 14 {
 		t.Fatalf("End = %d, want 14", a.End())
 	}
@@ -148,10 +150,10 @@ func TestAlignmentEnd(t *testing.T) {
 }
 
 func TestMergeVariantsDedupe(t *testing.T) {
-	a := []Variant{{Chrom: "chr1", Pos: 10, Ref: "A", Alt: "T", Qual: 20}}
+	a := []Variant{{Pos: 10, Ref: 'A', Alt: 'T', Qual: 20}}
 	b := []Variant{
-		{Chrom: "chr1", Pos: 10, Ref: "A", Alt: "T", Qual: 35},
-		{Chrom: "chr1", Pos: 5, Ref: "G", Alt: "C", Qual: 10},
+		{Pos: 10, Ref: 'A', Alt: 'T', Qual: 35},
+		{Pos: 5, Ref: 'G', Alt: 'C', Qual: 10},
 	}
 	merged := MergeVariants(a, b)
 	if len(merged) != 2 {

@@ -94,7 +94,7 @@ func (p plantedSNVs) score(calls []genomics.Variant, r *JobResult) {
 		calledAt[v.Pos-1] = v
 	}
 	for _, m := range p {
-		if v, ok := calledAt[m.Pos]; ok && v.Alt == string(m.Alt) {
+		if v, ok := calledAt[m.Pos]; ok && v.Alt == m.Alt {
 			r.Recovered++
 		}
 	}

@@ -4,8 +4,8 @@
 // example: divide a 100 GB FASTQ file into 25 4 GB files and create 25
 // subtasks; merge small files for gather stages such as VariantsToVCF).
 // The split is in memory, with no intermediate files: Chunk and ChunkReads
-// split record sets, and Regions with PartitionByRegion/PartitionByOverlap
-// scatter alignments by locus.
+// split record sets, and Regions with SliceByRegion scatter coordinate-
+// sorted alignments by locus, each region's shard a run of them.
 //
 // The shard size itself is chosen by the knowledge base (package
 // knowledge); this package is the mechanical layer.

@@ -142,30 +142,3 @@ func TestRegionsTileProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPartitionByRegion(t *testing.T) {
-	alns := []genomics.Alignment{
-		{QName: "a", RName: "chr1", Pos: 1},
-		{QName: "b", RName: "chr1", Pos: 5},
-		{QName: "c", RName: "chr1", Pos: 10},
-		{QName: "d", Flag: genomics.FlagUnmapped},
-	}
-	regs, err := Regions(10, 2) // 1-5, 6-10
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, unmapped := PartitionByRegion(alns, regs)
-	if len(parts[0]) != 2 || len(parts[1]) != 1 || len(unmapped) != 1 {
-		t.Fatalf("partition = %v / %v", parts, unmapped)
-	}
-	// Out-of-range record is preserved in unmapped, not dropped.
-	parts, unmapped = PartitionByRegion([]genomics.Alignment{{QName: "x", RName: "chr1", Pos: 99}}, regs)
-	if len(unmapped) != 1 {
-		t.Fatal("out-of-range record dropped")
-	}
-	for _, p := range parts {
-		if len(p) != 0 {
-			t.Fatal("out-of-range record mis-assigned")
-		}
-	}
-}

@@ -1,13 +1,12 @@
 // Package variant implements the pileup-based SNV caller that stands in
-// for the GATK variant-calling stages of the paper's pipeline. Alignments
-// are accumulated into per-position base counts; positions where a non-
-// reference allele reaches the configured depth and allele-fraction
-// thresholds are emitted as VCF records with a simplified Phred-style
-// quality.
+// for the GATK variant-calling stages of the paper's pipeline. A caller
+// covers one region of the reference: alignments are folded into base
+// counts at the region's positions, and positions where a non-reference
+// allele reaches the configured depth and allele-fraction thresholds are
+// called with a simplified Phred-style quality.
 package variant
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -38,11 +37,13 @@ func (c *Config) fill() {
 	}
 }
 
-// Caller accumulates a pileup over one reference and calls SNVs.
+// Caller accumulates a pileup over one region of a reference and calls
+// SNVs in it.
 type Caller struct {
 	cfg    Config
 	ref    genomics.Sequence
-	counts [][4]uint32 // per-position A/C/G/T counts
+	start  int         // the region's first position, 0-based
+	counts [][4]uint32 // per region position: A/C/G/T counts
 	depth  []uint32
 }
 
@@ -60,92 +61,82 @@ func init() {
 
 var indexBase = [4]byte{'A', 'C', 'G', 'T'}
 
-// ErrWrongReference is returned when an alignment references a different
-// sequence than the caller's reference.
-var ErrWrongReference = errors.New("variant: alignment references a different sequence")
-
-// NewCaller returns a caller over ref.
-func NewCaller(ref genomics.Sequence, cfg Config) *Caller {
+// NewCaller returns a caller over the 1-based inclusive region [start, end]
+// of ref, clipped to the reference.
+func NewCaller(ref genomics.Sequence, start, end int, cfg Config) *Caller {
 	cfg.fill()
+	start, end = max(start, 1), min(end, ref.Len())
+	n := 0
+	if end >= start {
+		n = end - start + 1
+	}
 	return &Caller{
 		cfg:    cfg,
 		ref:    ref,
-		counts: make([][4]uint32, ref.Len()),
-		depth:  make([]uint32, ref.Len()),
+		start:  start - 1,
+		counts: make([][4]uint32, n),
+		depth:  make([]uint32, n),
 	}
 }
 
-// Add folds one alignment into the pileup. Unmapped records are ignored.
-// Only pure-match CIGARs (the aligner's output) are supported; soft-clips
-// and indels are rejected.
+// Add folds the bases of one alignment that lie inside the region into the
+// pileup. Unmapped records are ignored; a read that runs off the reference
+// is an error.
 func (c *Caller) Add(a genomics.Alignment) error {
 	if a.Unmapped() {
 		return nil
 	}
-	if a.RName != c.ref.Name {
-		return fmt.Errorf("%w: got %q, want %q", ErrWrongReference, a.RName, c.ref.Name)
-	}
-	if !pureMatch(a.CIGAR, len(a.Seq)) {
-		return fmt.Errorf("variant: unsupported CIGAR %q for read %q", a.CIGAR, a.QName)
-	}
 	start := a.Pos - 1
 	if start < 0 || start+len(a.Seq) > c.ref.Len() {
-		return fmt.Errorf("variant: read %q at %d overflows reference of %d bases",
-			a.QName, a.Pos, c.ref.Len())
+		return fmt.Errorf("variant: %d-base read at %d overflows reference of %d bases",
+			len(a.Seq), a.Pos, c.ref.Len())
 	}
-	for i, b := range a.Seq {
+	// Read offsets [lo, hi) fall inside the region.
+	lo := max(c.start-start, 0)
+	hi := min(len(a.Seq), c.start+len(c.depth)-start)
+	if lo >= hi {
+		return nil
+	}
+	seq := a.Seq[lo:hi]
+	at := start + lo - c.start
+	counts, depth := c.counts[at:at+len(seq)], c.depth[at:at+len(seq)]
+	for i, b := range seq {
 		idx := baseIndex[b]
 		if idx < 0 {
 			continue // N or other ambiguity code: not evidence
 		}
-		c.counts[start+i][idx]++
-		c.depth[start+i]++
+		counts[i][idx]++
+		depth[i]++
 	}
 	return nil
 }
 
-// pureMatch reports whether cigar is exactly "<n>M" for the given length.
-func pureMatch(cigar string, n int) bool {
-	if len(cigar) < 2 || cigar[len(cigar)-1] != 'M' {
-		return false
-	}
-	v := 0
-	for i := 0; i < len(cigar)-1; i++ {
-		d := cigar[i]
-		if d < '0' || d > '9' {
-			return false
-		}
-		v = v*10 + int(d-'0')
-	}
-	return v == n
-}
+// Depth returns the pileup depth at 0-based reference position pos, which
+// must lie in the region.
+func (c *Caller) Depth(pos int) int { return int(c.depth[pos-c.start]) }
 
-// Depth returns the pileup depth at 0-based position pos.
-func (c *Caller) Depth(pos int) int { return int(c.depth[pos]) }
-
-// Call scans the pileup and returns SNVs sorted by position.
+// Call scans the region's pileup and returns its SNVs sorted by position.
 func (c *Caller) Call() []genomics.Variant {
 	var out []genomics.Variant
-	for pos := 0; pos < c.ref.Len(); pos++ {
-		depth := c.depth[pos]
+	for p, depth := range c.depth {
 		if int(depth) < c.cfg.MinDepth {
 			continue
 		}
+		pos := c.start + p
 		refIdx := baseIndex[c.ref.Seq[pos]]
 		bestAlt, bestCount := -1, uint32(0)
 		for idx := 0; idx < 4; idx++ {
 			if int8(idx) == refIdx {
 				continue
 			}
-			if n := c.counts[pos][idx]; n > bestCount {
+			if n := c.counts[p][idx]; n > bestCount {
 				bestAlt, bestCount = idx, n
 			}
 		}
 		if bestAlt < 0 || bestCount == 0 {
 			continue
 		}
-		frac := float64(bestCount) / float64(depth)
-		if frac < c.cfg.MinAltFraction {
+		if float64(bestCount)/float64(depth) < c.cfg.MinAltFraction {
 			continue
 		}
 		refBase := byte('N')
@@ -153,12 +144,10 @@ func (c *Caller) Call() []genomics.Variant {
 			refBase = indexBase[refIdx]
 		}
 		out = append(out, genomics.Variant{
-			Chrom: c.ref.Name,
-			Pos:   pos + 1,
-			Ref:   string(refBase),
-			Alt:   string(indexBase[bestAlt]),
-			Qual:  c.quality(bestCount, depth),
-			Info:  fmt.Sprintf("DP=%d;AF=%.3f;AC=%d", depth, frac, bestCount),
+			Pos:  pos + 1,
+			Ref:  refBase,
+			Alt:  indexBase[bestAlt],
+			Qual: c.quality(bestCount, depth),
 		})
 	}
 	return out

@@ -1,7 +1,12 @@
 package variant
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"scan/internal/align"
@@ -10,14 +15,11 @@ import (
 
 func TestPileupAndCall(t *testing.T) {
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("ACGTACGTAC")}
-	c := NewCaller(ref, Config{MinDepth: 3, MinAltFraction: 0.5})
+	c := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 3, MinAltFraction: 0.5})
 	// Five reads covering position 3 (0-based), all reading 'G' where the
 	// reference has 'T'.
 	for i := 0; i < 5; i++ {
-		err := c.Add(genomics.Alignment{
-			QName: "r", RName: "chr1", Pos: 3, CIGAR: "3M",
-			Seq: []byte("GGA"), Qual: []byte("III"),
-		})
+		err := c.Add(genomics.Alignment{Pos: 3, Seq: []byte("GGA"), Qual: []byte("III")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +30,7 @@ func TestPileupAndCall(t *testing.T) {
 		t.Fatalf("called %d variants, want 1: %+v", len(vars), vars)
 	}
 	v := vars[0]
-	if v.Pos != 4 || v.Ref != "T" || v.Alt != "G" {
+	if v.Pos != 4 || v.Ref != 'T' || v.Alt != 'G' {
 		t.Fatalf("variant = %+v", v)
 	}
 	if v.Qual <= 0 {
@@ -41,12 +43,9 @@ func TestPileupAndCall(t *testing.T) {
 
 func TestCallRespectsMinDepth(t *testing.T) {
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("AAAA")}
-	c := NewCaller(ref, Config{MinDepth: 4, MinAltFraction: 0.3})
+	c := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 4, MinAltFraction: 0.3})
 	for i := 0; i < 3; i++ {
-		if err := c.Add(genomics.Alignment{
-			QName: "r", RName: "chr1", Pos: 1, CIGAR: "4M",
-			Seq: []byte("TTTT"), Qual: []byte("IIII"),
-		}); err != nil {
+		if err := c.Add(genomics.Alignment{Pos: 1, Seq: []byte("TTTT"), Qual: []byte("IIII")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,13 +56,10 @@ func TestCallRespectsMinDepth(t *testing.T) {
 
 func TestCallRespectsAltFraction(t *testing.T) {
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("AAAA")}
-	c := NewCaller(ref, Config{MinDepth: 4, MinAltFraction: 0.5})
+	c := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 4, MinAltFraction: 0.5})
 	add := func(seq string, n int) {
 		for i := 0; i < n; i++ {
-			if err := c.Add(genomics.Alignment{
-				QName: "r", RName: "chr1", Pos: 1, CIGAR: "4M",
-				Seq: []byte(seq), Qual: []byte("IIII"),
-			}); err != nil {
+			if err := c.Add(genomics.Alignment{Pos: 1, Seq: []byte(seq), Qual: []byte("IIII")}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -77,26 +73,18 @@ func TestCallRespectsAltFraction(t *testing.T) {
 
 func TestAddValidations(t *testing.T) {
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("ACGTACGT")}
-	c := NewCaller(ref, Config{})
-	if err := c.Add(genomics.Alignment{QName: "r", RName: "chr2", Pos: 1, CIGAR: "4M",
-		Seq: []byte("ACGT"), Qual: []byte("IIII")}); err == nil {
-		t.Fatal("wrong reference accepted")
-	}
-	if err := c.Add(genomics.Alignment{QName: "r", RName: "chr1", Pos: 7, CIGAR: "4M",
-		Seq: []byte("ACGT"), Qual: []byte("IIII")}); err == nil {
+	// The region is one base, but a read must still lie inside the
+	// reference, not only the region.
+	c := NewCaller(ref, 2, 2, Config{})
+	if err := c.Add(genomics.Alignment{Pos: 7, Seq: []byte("ACGT"), Qual: []byte("IIII")}); err == nil {
 		t.Fatal("overflowing read accepted")
 	}
-	if err := c.Add(genomics.Alignment{QName: "r", RName: "chr1", Pos: 1, CIGAR: "2M1I1M",
-		Seq: []byte("ACGT"), Qual: []byte("IIII")}); err == nil {
-		t.Fatal("indel CIGAR accepted")
-	}
 	// Unmapped records are silently skipped.
-	if err := c.Add(genomics.Alignment{QName: "r", Flag: genomics.FlagUnmapped}); err != nil {
+	if err := c.Add(genomics.Alignment{Flag: genomics.FlagUnmapped}); err != nil {
 		t.Fatalf("unmapped record rejected: %v", err)
 	}
 	// N bases contribute no evidence but are not an error.
-	if err := c.Add(genomics.Alignment{QName: "r", RName: "chr1", Pos: 1, CIGAR: "4M",
-		Seq: []byte("ANGT"), Qual: []byte("IIII")}); err != nil {
+	if err := c.Add(genomics.Alignment{Pos: 1, Seq: []byte("ANGT"), Qual: []byte("IIII")}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Depth(1) != 0 {
@@ -122,7 +110,7 @@ func TestEndToEndVariantRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caller := NewCaller(ref, Config{MinDepth: 8, MinAltFraction: 0.6})
+	caller := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 8, MinAltFraction: 0.6})
 	mapped := 0
 	for _, r := range reads {
 		aln := aligner.AlignRead(r)
@@ -144,7 +132,7 @@ func TestEndToEndVariantRecovery(t *testing.T) {
 	}
 	recovered := 0
 	for _, m := range planted {
-		if v, ok := calledAt[m.Pos]; ok && v.Alt == string(m.Alt) && v.Ref == string(m.Ref) {
+		if v, ok := calledAt[m.Pos]; ok && v.Alt == m.Alt && v.Ref == m.Ref {
 			recovered++
 		}
 	}
@@ -166,10 +154,9 @@ func Config2Aligner() align.Config {
 
 func TestQualityCapped(t *testing.T) {
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("AAAA")}
-	c := NewCaller(ref, Config{MinDepth: 1, MinAltFraction: 0.1})
+	c := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 1, MinAltFraction: 0.1})
 	for i := 0; i < 600; i++ {
-		if err := c.Add(genomics.Alignment{QName: "r", RName: "chr1", Pos: 1, CIGAR: "4M",
-			Seq: []byte("TTTT"), Qual: []byte("IIII")}); err != nil {
+		if err := c.Add(genomics.Alignment{Pos: 1, Seq: []byte("TTTT"), Qual: []byte("IIII")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,6 +169,9 @@ func TestQualityCapped(t *testing.T) {
 	}
 }
 
+// BenchmarkPileup calls a 50 kb reference's 5 000 reads whole and as 8
+// regions, each region's caller fed the reads that overlap it, as the
+// calling stage's shards are.
 func BenchmarkPileup(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ref := genomics.GenerateReference(rng, "chr1", 50000)
@@ -191,20 +181,164 @@ func BenchmarkPileup(b *testing.B) {
 	}
 	alns := make([]genomics.Alignment, len(reads))
 	for i, r := range reads {
-		// Reads are exact substrings; reconstruct position from ID suffix.
-		alns[i] = genomics.Alignment{
-			QName: r.ID, RName: "chr1", Pos: 1, CIGAR: "100M",
-			Seq: r.Seq, Qual: r.Qual,
+		// Reads are exact substrings; the ID ends with the 0-based start.
+		start, err := strconv.Atoi(r.ID[strings.LastIndexByte(r.ID, ':')+1:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		alns[i] = genomics.Alignment{Pos: start + 1, Seq: r.Seq, Qual: r.Qual}
+	}
+	for _, n := range []int{1, 8} {
+		b.Run(fmt.Sprintf("regions=%d", n), func(b *testing.B) {
+			width := (ref.Len() + n - 1) / n
+			parts := make([][]genomics.Alignment, n)
+			for _, a := range alns {
+				for r := (a.Pos - 1) / width; r <= (a.End()-1)/width; r++ {
+					parts[r] = append(parts[r], a)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				for r, part := range parts {
+					c := NewCaller(ref, r*width+1, (r+1)*width, Config{})
+					for _, a := range part {
+						if err := c.Add(a); err != nil {
+							b.Fatal(err)
+						}
+					}
+					c.Call()
+				}
+			}
+		})
+	}
+}
+
+// wholeCaller is the caller as it was before regions: a pileup the size of
+// the reference, each read folded whole, every position scanned. It is
+// the reference the region caller is checked against.
+type wholeCaller struct {
+	cfg    Config
+	ref    genomics.Sequence
+	counts [][4]uint32
+	depth  []uint32
+}
+
+func newWholeCaller(ref genomics.Sequence, cfg Config) *wholeCaller {
+	cfg.fill()
+	return &wholeCaller{cfg: cfg, ref: ref, counts: make([][4]uint32, ref.Len()), depth: make([]uint32, ref.Len())}
+}
+
+func (c *wholeCaller) add(a genomics.Alignment) {
+	if a.Unmapped() {
+		return
+	}
+	for i, b := range a.Seq {
+		if idx := baseIndex[b]; idx >= 0 {
+			c.counts[a.Pos-1+i][idx]++
+			c.depth[a.Pos-1+i]++
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := NewCaller(ref, Config{})
-		for _, a := range alns {
-			if err := c.Add(a); err != nil {
-				b.Fatal(err)
+}
+
+func (c *wholeCaller) call() []genomics.Variant {
+	var out []genomics.Variant
+	for pos := 0; pos < c.ref.Len(); pos++ {
+		depth := c.depth[pos]
+		if int(depth) < c.cfg.MinDepth {
+			continue
+		}
+		refIdx := baseIndex[c.ref.Seq[pos]]
+		bestAlt, bestCount := -1, uint32(0)
+		for idx := 0; idx < 4; idx++ {
+			if int8(idx) == refIdx {
+				continue
+			}
+			if n := c.counts[pos][idx]; n > bestCount {
+				bestAlt, bestCount = idx, n
 			}
 		}
-		c.Call()
+		if bestAlt < 0 || bestCount == 0 {
+			continue
+		}
+		if float64(bestCount)/float64(depth) < c.cfg.MinAltFraction {
+			continue
+		}
+		refBase := byte('N')
+		if refIdx >= 0 {
+			refBase = indexBase[refIdx]
+		}
+		q := min(-10*float64(bestCount)*math.Log10(c.cfg.BaseErrorRate), 1000)
+		out = append(out, genomics.Variant{
+			Pos: pos + 1, Ref: refBase, Alt: indexBase[bestAlt], Qual: math.Round(q*10) / 10,
+		})
 	}
+	return out
+}
+
+// checkRegionCaller draws a reference holding Ns and lowercase bases,
+// reads of mixed lengths anywhere on it (Ns and unmapped records among
+// them) and thresholds, all from seed. It checks that a caller over
+// [start, end] — clipped to the reference — calls exactly the whole-
+// reference caller's calls inside the region, from the same depths.
+func checkRegionCaller(t *testing.T, seed int64, start, end int) {
+	rng := rand.New(rand.NewSource(seed))
+	ref := genomics.Sequence{Name: "chr1", Seq: make([]byte, 1+rng.Intn(200))}
+	for i := range ref.Seq {
+		ref.Seq[i] = "ACGTACGTacgtN"[rng.Intn(13)]
+	}
+	cfg := Config{MinDepth: 1 + rng.Intn(4), MinAltFraction: 0.1 + 0.8*rng.Float64()}
+	whole := newWholeCaller(ref, cfg)
+	region := NewCaller(ref, start, end, cfg)
+	for range rng.Intn(80) {
+		n := 1 + rng.Intn(min(30, ref.Len()))
+		a := genomics.Alignment{Pos: 1 + rng.Intn(ref.Len()-n+1), Seq: make([]byte, n)}
+		for i := range a.Seq {
+			if rng.Intn(3) == 0 {
+				a.Seq[i] = "ACGTN"[rng.Intn(5)]
+			} else {
+				a.Seq[i] = ref.Seq[a.Pos-1+i] &^ 0x20 // the reference base, uppercased
+			}
+		}
+		if rng.Intn(10) == 0 {
+			a.Flag, a.Pos = genomics.FlagUnmapped, 0
+		}
+		whole.add(a)
+		if err := region.Add(a); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	lo, hi := max(start, 1), min(end, ref.Len())
+	var want []genomics.Variant
+	for _, v := range whole.call() {
+		if v.Pos >= lo && v.Pos <= hi {
+			want = append(want, v)
+		}
+	}
+	if got := region.Call(); !slices.Equal(got, want) {
+		t.Fatalf("seed %d, region [%d, %d] of %d bases: calls\n%+v\nwant\n%+v", seed, start, end, ref.Len(), got, want)
+	}
+	for p := lo; p <= hi; p++ {
+		if got, want := region.Depth(p-1), int(whole.depth[p-1]); got != want {
+			t.Fatalf("seed %d, region [%d, %d]: depth %d at %d, want %d", seed, start, end, got, p, want)
+		}
+	}
+}
+
+func TestRegionCallerMatchesWholeReference(t *testing.T) {
+	for seed := range int64(500) {
+		r := rand.New(rand.NewSource(-seed))
+		start := r.Intn(220) - 10
+		checkRegionCaller(t, seed, start, start+r.Intn(120))
+	}
+}
+
+func FuzzRegionCaller(f *testing.F) {
+	f.Add(int64(1), 1, 1)
+	f.Add(int64(2), 5, 60)
+	f.Add(int64(3), -4, 300)
+	f.Add(int64(4), 50, 40)
+	f.Fuzz(func(t *testing.T, seed int64, start, end int) {
+		checkRegionCaller(t, seed, start, end)
+	})
 }

@@ -16,7 +16,7 @@ import (
 // declaration); downstream fields accumulate: a stage that turns alignments
 // into variant calls keeps the alignments it consumed, so the workflow's
 // final output still carries the derived artifacts a caller may want (the
-// SAM records behind a VCF, say). The exception is the raw input payload —
+// alignments behind a call set, say). The exception is the raw input payload —
 // Reads, Spectra, Images — which the consuming stage releases: it is the
 // caller's own input and dominates the payload's memory.
 type Dataset struct {
@@ -25,15 +25,14 @@ type Dataset struct {
 	// Reference is the genome the payload is expressed against; executors
 	// for alignment and calling stages require it.
 	Reference genomics.Sequence
-	// Header is the SAM header (populated once reads are aligned).
-	Header genomics.Header
 	// PeptideDB is the reference peptide index MGF spectra are searched
 	// against; proteomic stages require it.
 	PeptideDB proteome.Database
 
 	// Reads is the FASTQ payload.
 	Reads []genomics.Read
-	// Alignments is the BAM payload (coordinate-sorted).
+	// Alignments is the BAM payload, coordinate-sorted with unmapped
+	// records last; region shards are runs of it.
 	Alignments []genomics.Alignment
 	// Mapped counts the alignments that mapped.
 	Mapped int

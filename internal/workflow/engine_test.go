@@ -14,6 +14,7 @@ import (
 	"scan/internal/align"
 	"scan/internal/genomics"
 	"scan/internal/knowledge"
+	"scan/internal/network"
 	"scan/internal/shard"
 	"scan/internal/variant"
 )
@@ -456,45 +457,100 @@ func TestRNAExpressionFeatures(t *testing.T) {
 	}
 }
 
-// TestRNAExpressionIgnoresPlan: the expression table is a function of the
-// input, not of the pool width or the region count — more regions than
-// bins included — down to its encoded bytes. The reference ends in a
-// partial bin.
-func TestRNAExpressionIgnoresPlan(t *testing.T) {
-	ds := synthDataset(t, 6500, 1200, 11)
-	var want []byte
-	run := func(pool int, opts RunOptions) {
-		t.Helper()
-		res, err := testEngine(t, pool).RunByName(context.Background(), "rna-expression", ds, opts)
-		if err != nil {
-			t.Fatal(err)
+// planInput draws a genomic input that stresses the region scatters:
+// reads of mixed lengths, reads at both reference ends, reads long enough
+// to span several regions, N bases and unmapped reads. The reference ends
+// in a partial expression bin.
+func planInput(t testing.TB, seed int64) *Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ref := genomics.GenerateReference(rng, "chr1", 2300)
+	mutated, _ := genomics.PlantSNVs(rng, ref, 8)
+	reads, err := genomics.SimulateReads(rng, mutated, genomics.ReadSimConfig{Count: 400, Length: 60, ErrorRate: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range reads {
+		if rng.Intn(4) == 0 { // a shorter read
+			n := 20 + rng.Intn(40)
+			reads[i].Seq, reads[i].Qual = reads[i].Seq[:n], reads[i].Qual[:n]
 		}
-		if n := len(res.Output.Features); n != 7 {
-			t.Fatalf("pool %d, %+v: %d features, want 7 bins", pool, opts, n)
-		}
-		got, err := EncodeDataset(res.Output)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Fatalf("pool %d, %+v: the table differs from pool 1's", pool, opts)
+		if rng.Intn(8) == 0 {
+			reads[i].Seq[rng.Intn(len(reads[i].Seq))] = 'N'
 		}
 	}
-	for _, pool := range []int{1, 2, 8} {
-		run(pool, RunOptions{})
+	add := func(seq []byte) {
+		reads = append(reads, genomics.Read{ID: fmt.Sprint("extra", len(reads)), Seq: seq, Qual: bytes.Repeat([]byte("I"), len(seq))})
 	}
-	for _, regions := range []int{1, 2, 7, 50} {
-		run(2, RunOptions{Regions: regions})
+	end := mutated.Len()
+	for range 6 {
+		add(bytes.Clone(mutated.Seq[:60]))
+		add(bytes.Clone(mutated.Seq[:25]))
+		add(bytes.Clone(mutated.Seq[end-60:]))
+		add(bytes.Clone(mutated.Seq[end-25:]))
+		at := rng.Intn(end - 700)
+		add(bytes.Clone(mutated.Seq[at : at+700]))
+		junk := make([]byte, 60) // maps nowhere
+		for i := range junk {
+			junk[i] = "ACGT"[rng.Intn(4)]
+		}
+		add(junk)
+	}
+	rng.Shuffle(len(reads), func(i, j int) { reads[i], reads[j] = reads[j], reads[i] })
+	return NewFASTQDataset(ref, reads)
+}
+
+// TestGenomicWorkflowsIgnorePlan: every read-consuming genomic workflow's
+// answer is a function of its input, not of its shard plan — align shards
+// of the advised size, one read, an odd count or all reads, times 1, 2, 7
+// or more regions than reference bases, on a pool of 1, 2 or 8 — down to
+// the encoded bytes of its output.
+func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
+	ds := planInput(t, 11)
+	for _, name := range []string{
+		"dna-variant-detection", "exome-variant-detection", "wgs-variant-detection",
+		"somatic-mutation-detection", "mirna-fusion-detection", "rna-expression",
+	} {
+		t.Run(name, func(t *testing.T) {
+			var want []byte
+			for _, pool := range []int{1, 2, 8} {
+				for _, records := range []int{0, 1, 37, len(ds.Reads)} {
+					for _, regions := range []int{1, 2, 7, ds.Reference.Len() + 1} {
+						opts := RunOptions{ShardRecords: records, Regions: regions, Caller: varConfigForTests()}
+						res, err := testEngine(t, pool).RunByName(context.Background(), name, ds, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out := res.Output
+						if out.Mapped == 0 || out.Mapped == len(ds.Reads) || len(out.Variants)+len(out.Features) == 0 {
+							t.Fatalf("pool %d, %+v: %d of %d reads mapped, %d calls, %d features",
+								pool, opts, out.Mapped, len(ds.Reads), len(out.Variants), len(out.Features))
+						}
+						if bins := (ds.Reference.Len() + quantifyBinWidth - 1) / quantifyBinWidth; out.Type == FeatureTable && len(out.Features) != bins {
+							t.Fatalf("pool %d, %+v: %d features, want %d bins", pool, opts, len(out.Features), bins)
+						}
+						got, err := EncodeDataset(out)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want == nil {
+							want = got
+						} else if !bytes.Equal(got, want) {
+							t.Fatalf("pool %d, %d records per shard, %d regions: the output differs from the first plan's",
+								pool, records, regions)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
 func TestMergeVCFWorkflowDeduplicates(t *testing.T) {
 	e := testEngine(t, 2)
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("ACGTACGTACGT")}
-	v := genomics.Variant{Chrom: "chr1", Pos: 3, Ref: "G", Alt: "T", Qual: 50}
-	in := NewVCFDataset(ref, []genomics.Variant{v, v, {Chrom: "chr1", Pos: 1, Ref: "A", Alt: "C", Qual: 40}})
+	v := genomics.Variant{Pos: 3, Ref: 'G', Alt: 'T', Qual: 50}
+	in := NewVCFDataset(ref, []genomics.Variant{v, v, {Pos: 1, Ref: 'A', Alt: 'C', Qual: 40}})
 	res, err := e.RunByName(context.Background(), "variants-to-vcf", in, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -788,5 +844,53 @@ func TestBadReferenceFailsBeforeAnyShard(t *testing.T) {
 				t.Fatalf("ShardPool called %d times, want 0", tc.pool.calls.Load())
 			}
 		})
+	}
+}
+
+// wrongPool answers every shard of one stage with data, a well-formed
+// payload of the wrong type (or none), and runs the other stages' shards
+// as fakePool does.
+type wrongPool struct {
+	fakePool
+	stage int
+	data  any
+}
+
+func (p *wrongPool) RunShards(ctx context.Context, env *StageEnv, shards []StreamShard) ([]StreamShard, []time.Duration, error) {
+	if env.StageIndex() != p.stage {
+		return p.fakePool.RunShards(ctx, env, shards)
+	}
+	outs := make([]StreamShard, len(shards))
+	for i := range outs {
+		outs[i] = StreamShard{Records: 1, Data: p.data}
+	}
+	return outs, make([]time.Duration, len(shards)), nil
+}
+
+// TestGatherRejectsWrongPayload: every streaming family's Gather fails
+// its run with an error naming the shard when a shard pool answers with a
+// payload of the wrong type or none, instead of panicking the process.
+func TestGatherRejectsWrongPayload(t *testing.T) {
+	edges := []network.Edge{{A: 0, B: 1}}
+	for _, tc := range []struct {
+		workflow string
+		stage    int
+		in       func() *Dataset
+		wrong    any
+	}{
+		{"dna-variant-detection", 0, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, edges},
+		{"somatic-mutation-detection", 1, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, edges},
+		{"rna-expression", 1, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, edges},
+		{"proteome-gpm", 0, func() *Dataset { return mgfDataset(t, 5, 40, 1) }, edges},
+		{"cell-imaging", 0, func() *Dataset { d, _ := tiffDataset(t, 1, 4, 1); return d }, edges},
+		{"integrative-network", 0, func() *Dataset { return featureDataset(t, 40, 3, 1) }, AlignedShard{}},
+	} {
+		for _, data := range []any{tc.wrong, nil} {
+			pool := &wrongPool{stage: tc.stage, data: data}
+			_, err := testEngine(t, 2).RunByName(context.Background(), tc.workflow, tc.in(), RunOptions{ShardPool: pool})
+			if err == nil || !strings.Contains(err.Error(), "shard 0") {
+				t.Fatalf("%s, stage %d answered with %T: err = %v, want one naming shard 0", tc.workflow, tc.stage, data, err)
+			}
+		}
 	}
 }

@@ -92,8 +92,8 @@ func DefaultExecutors() *ExecutorRegistry {
 	must("GATK", "MergeVCF", mergeVCFExecutor{})
 	// The GATK refinement stages between alignment and genotyping
 	// (duplicate marking, indel realignment, base recalibration) have
-	// nothing to correct on this repo's substrate — the aligner emits
-	// pure-match CIGARs over uniquely-named simulated reads — so they
+	// nothing to correct on this repo's substrate — the aligner places
+	// reads ungapped and the simulator plants no duplicates — so they
 	// pass the dataset through unchanged, holding the pipeline shape of
 	// the paper's 7-stage GATK chain.
 	for _, stage := range []string{
@@ -184,28 +184,30 @@ func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (Str
 }
 
 func (s *alignStream) Gather(shards []StreamShard) (*Dataset, error) {
+	aligned, err := shardData[AlignedShard](shards)
+	if err != nil {
+		return nil, err
+	}
 	groups := make([][]genomics.Alignment, len(shards))
 	mapped := 0
-	for i, as := range shardData[AlignedShard](shards) {
+	for i, as := range aligned {
 		groups[i] = as.Alns
 		mapped += as.Mapped
 	}
 	out := *s.in
 	out.Type = BAM
 	out.Reads = nil
-	out.Header = genomics.NewHeader(genomics.RefInfo{Name: s.in.Reference.Name, Length: s.in.Reference.Len()})
 	out.Alignments = genomics.MergeSorted(groups...)
 	out.Mapped += mapped
 	return &out, nil
 }
 
 // callExecutor implements the pileup-calling stages (UnifiedGenotyper,
-// SomaticCall, FusionScan): scatter coordinate-sorted alignments over
-// genomic regions with boundary overlap, call variants per region on the
-// pool, keep each call only in the region that contains it, and gather
-// into one sorted, deduplicated call set — the GATK-style scatter the
-// paper parallelizes. Its region scatter re-partitions the whole
-// materialized alignment set.
+// SomaticCall, FusionScan): scatter the coordinate-sorted alignments over
+// genomic regions, each region's shard the run of reads that can overlap
+// it, call each region's variants from a pileup of the region's size on
+// the pool, and gather the regions' calls in order — the GATK-style
+// scatter the paper parallelizes.
 type callExecutor struct{}
 
 // Stream implements streamer.
@@ -219,22 +221,30 @@ type callStream struct {
 	regions []shard.Region
 }
 
+// Split makes region i's shard the reads starting in [Start−pad, End],
+// where pad is one less than the longest mapped read: every read that
+// overlaps the region, so its positions see full coverage. A shard's
+// Records counts that run; a shorter read in its first pad positions may
+// end before the region and adds nothing to the pileup.
 func (s *callStream) Split() ([]StreamShard, error) {
 	regions, err := shard.Regions(s.in.Reference.Len(), s.env.RegionCount())
 	if err != nil {
 		return nil, err
 	}
 	s.regions = regions
-	// Overlap-aware scatter: a read spanning a region boundary feeds the
-	// pileups of both regions, so boundary positions see full coverage.
-	parts, _ := shard.PartitionByOverlap(s.in.Alignments, regions)
-	return chunkShards(parts), nil
+	longest := 0
+	for i := range s.in.Alignments {
+		if a := &s.in.Alignments[i]; !a.Unmapped() {
+			longest = max(longest, len(a.Seq))
+		}
+	}
+	return chunkShards(shard.SliceByRegion(s.in.Alignments, regions, max(longest-1, 0))), nil
 }
 
 func (s *callStream) Transform(ctx context.Context, i int, in StreamShard) (StreamShard, error) {
-	alns := in.Data.([]genomics.Alignment)
-	caller := variant.NewCaller(s.in.Reference, s.env.Options().Caller)
-	for j, a := range alns {
+	r := s.regions[i]
+	caller := variant.NewCaller(s.in.Reference, r.Start, r.End, s.env.Options().Caller)
+	for j, a := range in.Data.([]genomics.Alignment) {
 		if j%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return StreamShard{}, err
@@ -245,26 +255,20 @@ func (s *callStream) Transform(ctx context.Context, i int, in StreamShard) (Stre
 		}
 	}
 	calls := caller.Call()
-	// Keep only calls inside this region so region overlaps cannot
-	// duplicate evidence across shards.
-	kept := calls[:0]
-	for j, v := range calls {
-		if j%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return StreamShard{}, err
-			}
-		}
-		if s.regions[i].Contains(v.Pos) {
-			kept = append(kept, v)
-		}
-	}
-	return StreamShard{Records: len(kept), Data: kept}, nil
+	return StreamShard{Records: len(calls), Data: calls}, nil
 }
 
+// Gather concatenates the regions' calls: each region's are sorted and
+// lie inside it, and the regions are in order, so the set is sorted and
+// has no duplicates.
 func (s *callStream) Gather(shards []StreamShard) (*Dataset, error) {
+	calls, err := shardData[[]genomics.Variant](shards)
+	if err != nil {
+		return nil, err
+	}
 	out := *s.in
 	out.Type = VCF
-	out.Variants = genomics.MergeVariants(shardData[[]genomics.Variant](shards)...)
+	out.Variants = slices.Concat(calls...)
 	return &out, nil
 }
 
@@ -329,8 +333,7 @@ func (s *quantifyStream) Split() ([]StreamShard, error) {
 	}
 	// Start-position scatter: each alignment counts toward exactly one
 	// bin, so feature counts sum to the mapped total.
-	parts, _ := shard.PartitionByRegion(s.in.Alignments, s.regions)
-	return chunkShards(parts), nil
+	return chunkShards(shard.SliceByRegion(s.in.Alignments, s.regions, 0)), nil
 }
 
 // Transform emits one Feature per bin of region i.
@@ -364,9 +367,13 @@ func (s *quantifyStream) Transform(ctx context.Context, i int, in StreamShard) (
 }
 
 func (s *quantifyStream) Gather(shards []StreamShard) (*Dataset, error) {
+	features, err := shardData[[]Feature](shards)
+	if err != nil {
+		return nil, err
+	}
 	out := *s.in
 	out.Type = FeatureTable
-	out.Features = slices.Concat(shardData[[]Feature](shards)...)
+	out.Features = slices.Concat(features...)
 	return &out, nil
 }
 

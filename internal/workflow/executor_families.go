@@ -75,7 +75,11 @@ func (s *spectralStream) Transform(ctx context.Context, _ int, in StreamShard) (
 }
 
 func (s *spectralStream) Gather(shards []StreamShard) (*Dataset, error) {
-	quants := proteome.Quantify(s.in.PeptideDB, slices.Concat(shardData[[]proteome.Match](shards)...))
+	matches, err := shardData[[]proteome.Match](shards)
+	if err != nil {
+		return nil, err
+	}
+	quants := proteome.Quantify(s.in.PeptideDB, slices.Concat(matches...))
 	if !s.quantify {
 		for i := range quants {
 			quants[i].Abundance = 0
@@ -88,11 +92,11 @@ func (s *spectralStream) Gather(shards []StreamShard) (*Dataset, error) {
 	return &out, nil
 }
 
-// TileShard is the imaging Profile stage's per-shard input payload: which
-// frame to segment and the tile window inside it. Exported (with exported
-// fields) because it crosses the fleet wire (wire.go) — the pixels
-// themselves travel in the stage's context dataset, not per shard.
-type TileShard struct {
+// tileShard is the imaging Profile stage's per-shard input payload: which
+// frame to segment and the tile window inside it. It never crosses the
+// fleet wire: a worker re-Splits the stage's context dataset, which holds
+// the pixels.
+type tileShard struct {
 	Img  int
 	Tile imaging.Tile
 }
@@ -112,7 +116,7 @@ func (cellProfileExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool
 type cellStream struct {
 	env   *StageEnv
 	in    *Dataset
-	units []TileShard
+	units []tileShard
 }
 
 func (s *cellStream) Split() ([]StreamShard, error) {
@@ -120,7 +124,7 @@ func (s *cellStream) Split() ([]StreamShard, error) {
 	for i := range s.in.Images {
 		im := &s.in.Images[i]
 		for _, t := range imaging.TileGrid(im.W, im.H, tilesPerImage, imaging.DefaultHalo) {
-			s.units = append(s.units, TileShard{Img: i, Tile: t})
+			s.units = append(s.units, tileShard{Img: i, Tile: t})
 		}
 	}
 	shards := make([]StreamShard, len(s.units))
@@ -137,18 +141,22 @@ func (s *cellStream) Transform(ctx context.Context, _ int, in StreamShard) (Stre
 	if err := ctx.Err(); err != nil {
 		return StreamShard{}, err
 	}
-	u := in.Data.(TileShard)
+	u := in.Data.(tileShard)
 	regions := imaging.SegmentTile(&s.in.Images[u.Img], u.Tile, imaging.SegConfig{})
 	return StreamShard{Records: in.Records, Data: regions}, nil
 }
 
 func (s *cellStream) Gather(shards []StreamShard) (*Dataset, error) {
+	tiles, err := shardData[[]imaging.Region](shards)
+	if err != nil {
+		return nil, err
+	}
 	var features []Feature
 	for i := range s.in.Images {
 		var regions []imaging.Region
 		for j, u := range s.units {
 			if u.Img == i {
-				regions = append(regions, shards[j].Data.([]imaging.Region)...)
+				regions = append(regions, tiles[j]...)
 			}
 		}
 		imaging.SortRegions(regions) // canonical order regardless of tiling
@@ -167,11 +175,11 @@ func (s *cellStream) Gather(shards []StreamShard) (*Dataset, error) {
 	return &out, nil
 }
 
-// NodeRange is the Integrate stage's per-shard input payload: a half-open
+// nodeRange is the Integrate stage's per-shard input payload: a half-open
 // range [Lo, Hi) of node indices whose pairwise edges the shard builds.
-// Exported because it crosses the fleet wire (wire.go) — workers rebuild
-// the node list from the stage's context dataset.
-type NodeRange struct {
+// Workers rebuild the node list and re-Split it from the stage's context
+// dataset.
+type nodeRange struct {
 	Lo, Hi int
 }
 
@@ -223,30 +231,30 @@ func (s *integrateStream) Split() ([]StreamShard, error) {
 // the P pairs, so no range exceeds ⌈P/k⌉ + n−1. An empty input is one
 // empty range. The cut depends only on (n, k): a fleet worker's re-Split
 // reproduces the coordinator's.
-func pairRanges(n, k int) []NodeRange {
+func pairRanges(n, k int) []nodeRange {
 	if n == 0 {
-		return []NodeRange{{0, 0}}
+		return []nodeRange{{0, 0}}
 	}
 	k = min(max(k, 1), n)
 	p := n * (n - 1) / 2
 	work := func(x int) int { return x*(n-1) - x*(x-1)/2 } // pairs owned by [0, x)
-	ranges := make([]NodeRange, 0, k)
+	ranges := make([]nodeRange, 0, k)
 	lo := 0
 	for i := 1; i < k; i++ {
 		// Keep at least one node per range on either side of the cut.
 		first, last := lo+1, n-(k-i)
 		target := (i*p + k - 1) / k
 		cut := first + sort.Search(last-first, func(j int) bool { return work(first+j) >= target })
-		ranges = append(ranges, NodeRange{Lo: lo, Hi: cut})
+		ranges = append(ranges, nodeRange{Lo: lo, Hi: cut})
 		lo = cut
 	}
-	return append(ranges, NodeRange{Lo: lo, Hi: n})
+	return append(ranges, nodeRange{Lo: lo, Hi: n})
 }
 
 // Transform makes the range's count pass, then fills one slab the count
 // sized, polling ctx every ctxCheckInterval nodes each pass visits.
 func (s *integrateStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
-	r := in.Data.(NodeRange)
+	r := in.Data.(nodeRange)
 	slab, err := s.index().Slab(nil, r.Lo, r.Hi, func(i int) error {
 		if i%ctxCheckInterval == 0 {
 			return ctx.Err()
@@ -262,8 +270,12 @@ func (s *integrateStream) Transform(ctx context.Context, _ int, in StreamShard) 
 // Gather keeps the (A, B)-ordered slabs of consecutive ranges as they
 // are, in shard order, and reads the modules off the sorted index.
 func (s *integrateStream) Gather(shards []StreamShard) (*Dataset, error) {
+	slabs, err := shardData[[]network.Edge](shards)
+	if err != nil {
+		return nil, err
+	}
 	out := *s.in
 	out.Type = Network
-	out.Net = &network.Network{Nodes: s.nodes, Slabs: shardData[[]network.Edge](shards), Modules: s.index().Modules()}
+	out.Net = &network.Network{Nodes: s.nodes, Slabs: slabs, Modules: s.index().Modules()}
 	return &out, nil
 }

@@ -57,12 +57,19 @@ func chunkShards[T any](chunks [][]T) []StreamShard {
 }
 
 // shardData returns the shards' payloads, each of type T, in shard order.
-func shardData[T any](shards []StreamShard) []T {
+// A payload of another type — a remote worker's well-formed answer of the
+// wrong kind, or none — is an error naming the shard, so the stage fails
+// and the process lives.
+func shardData[T any](shards []StreamShard) ([]T, error) {
 	data := make([]T, len(shards))
 	for i, sh := range shards {
-		data[i] = sh.Data.(T)
+		d, ok := sh.Data.(T)
+		if !ok {
+			return nil, fmt.Errorf("workflow: shard %d's output is %T, want %T", i, sh.Data, d)
+		}
+		data[i] = d
 	}
-	return data
+	return data, nil
 }
 
 // StreamingExecutor is the StageExecutor extension for scattering stages:

@@ -6,8 +6,8 @@ package workflow
 // SHA-256 of these bytes, so workers cache them — and shard outputs ship
 // per task, raw behind a JSON result envelope.
 //
-// Format: counts and lengths are uvarints, ints are zigzag varints, floats
-// are their 8 IEEE-754 bits, little-endian (so −0.0 and NaN payloads
+// Format: counts and lengths are uvarints, ints are zigzag varints, bytes
+// are themselves, floats are their 8 IEEE-754 bits, little-endian (so −0.0 and NaN payloads
 // survive), strings and byte slices are a length then the bytes, and a
 // slice is a count then its elements. A zero count decodes as nil, so nil
 // and empty encode alike. Fields follow in declaration order. The bytes
@@ -60,8 +60,7 @@ func DecodeDataset(b []byte) (*Dataset, error) {
 	return d, nil
 }
 
-// EncodeShard serializes one stream shard (a worker's task output, or an
-// inline task input).
+// EncodeShard serializes one stream shard: a worker's task output.
 func EncodeShard(s StreamShard) ([]byte, error) {
 	b, err := encode(func(w *wire) { w.shard(&s) })
 	if err != nil {
@@ -156,6 +155,20 @@ func (w *wire) float(v *float64) {
 	w.off += 8
 }
 
+func (w *wire) octet(v *byte) {
+	switch {
+	case w.dec:
+		if w.off == len(w.b) {
+			w.fail(errShort)
+			return
+		}
+		*v = w.b[w.off]
+	case w.b != nil:
+		w.b[w.off] = *v
+	}
+	w.off++
+}
+
 // count codes n, the length of something whose every unit takes at least
 // unit bytes; decoding, a count the bytes left cannot hold is an error.
 func (w *wire) count(n *int, unit int) {
@@ -240,12 +253,6 @@ func (w *wire) dataset(d *Dataset) {
 	w.str((*string)(&d.Type))
 	w.str(&d.Reference.Name)
 	w.bytes(&d.Reference.Seq)
-	w.str(&d.Header.Version)
-	w.str(&d.Header.SortOrder)
-	slice(w, &d.Header.Refs, func(w *wire, r *genomics.RefInfo) {
-		w.str(&r.Name)
-		w.int(&r.Length)
-	})
 	slice(w, &d.PeptideDB.Peptides, func(w *wire, p *proteome.Peptide) {
 		w.str(&p.Protein)
 		w.str(&p.Name)
@@ -306,29 +313,19 @@ func (w *wire) read(r *genomics.Read) {
 }
 
 func (w *wire) alignment(a *genomics.Alignment) {
-	w.str(&a.QName)
-	w.int(&a.Flag)
-	w.str(&a.RName)
 	w.int(&a.Pos)
+	w.int(&a.Flag)
 	w.int(&a.MapQ)
-	w.str(&a.CIGAR)
-	w.str(&a.RNext)
-	w.int(&a.PNext)
-	w.int(&a.TLen)
+	w.int(&a.NM)
 	w.bytes(&a.Seq)
 	w.bytes(&a.Qual)
-	w.int(&a.NM)
 }
 
 func (w *wire) variant(v *genomics.Variant) {
-	w.str(&v.Chrom)
 	w.int(&v.Pos)
-	w.str(&v.ID)
-	w.str(&v.Ref)
-	w.str(&v.Alt)
+	w.octet(&v.Ref)
+	w.octet(&v.Alt)
 	w.float(&v.Qual)
-	w.str(&v.Filter)
-	w.str(&v.Info)
 }
 
 func (w *wire) feature(f *Feature) {
@@ -348,13 +345,6 @@ func (w *wire) edge(e *network.Edge) {
 	w.int(&e.A)
 	w.int(&e.B)
 	w.float(&e.Weight)
-}
-
-func (w *wire) rect(r *imaging.Rect) {
-	w.int(&r.X0)
-	w.int(&r.Y0)
-	w.int(&r.X1)
-	w.int(&r.Y1)
 }
 
 func (w *wire) shard(s *StreamShard) {
@@ -388,26 +378,16 @@ var payloads = []func(w *wire, v *any, tag uint64) bool{
 		}
 		return *v == nil
 	},
-	// Shard inputs: record chunks and re-scatter descriptors.
-	payload(func(w *wire, v *[]genomics.Read) { slice(w, v, (*wire).read) }),
-	payload(func(w *wire, v *[]genomics.Alignment) { slice(w, v, (*wire).alignment) }),
-	payload(func(w *wire, v *[]proteome.Spectrum) { slice(w, v, (*wire).spectrum) }),
-	payload(func(w *wire, v *TileShard) {
-		w.int(&v.Img)
-		w.rect(&v.Tile.Core)
-		w.rect(&v.Tile.Halo)
-	}),
-	payload(func(w *wire, v *NodeRange) {
-		w.int(&v.Lo)
-		w.int(&v.Hi)
-	}),
+	// Tags 1–5 coded shard inputs ([]Read, []Alignment, []Spectrum, a
+	// tile, a node range); workers re-Split the stage's context instead.
+	retired, retired, retired, retired, retired,
 	// Shard outputs, one per streaming family.
 	payload(func(w *wire, v *AlignedShard) {
 		slice(w, &v.Alns, (*wire).alignment)
 		w.int(&v.Mapped)
 	}),
 	payload(func(w *wire, v *[]genomics.Variant) { slice(w, v, (*wire).variant) }),
-	payload((*wire).feature),
+	retired, // a lone Feature
 	payload(func(w *wire, v *[]proteome.Match) {
 		slice(w, v, func(w *wire, m *proteome.Match) {
 			w.str(&m.Spectrum)
@@ -429,6 +409,16 @@ var payloads = []func(w *wire, v *any, tag uint64) bool{
 	}),
 	payload(func(w *wire, v *[]network.Edge) { slice(w, v, (*wire).edge) }),
 	payload(func(w *wire, v *[]Feature) { slice(w, v, (*wire).feature) }),
+}
+
+// retired holds the tag of a payload type nothing sends: it never matches
+// on encode, and decoding it is an error, so a coordinator re-queues the
+// shard as it does for any corrupt payload.
+func retired(w *wire, _ *any, tag uint64) bool {
+	if w.dec {
+		w.fail(fmt.Errorf("retired shard payload tag %d", tag))
+	}
+	return false
 }
 
 // payload makes the payloads entry for an interface-held value of type T.

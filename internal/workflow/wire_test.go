@@ -19,18 +19,22 @@ import (
 	"scan/internal/proteome"
 )
 
+// retiredPayload holds a wire tag whose payload type nothing sends: it
+// names the type the tag once coded.
+type retiredPayload struct{ was any }
+
 // shardPayloads holds one value of every StreamShard.Data type that crosses
 // the fleet wire, indexed by its wire tag.
 var shardPayloads = []any{
 	nil,
-	[]genomics.Read(nil),
-	[]genomics.Alignment(nil),
-	[]proteome.Spectrum(nil),
-	TileShard{},
-	NodeRange{},
+	retiredPayload{[]genomics.Read(nil)},
+	retiredPayload{[]genomics.Alignment(nil)},
+	retiredPayload{[]proteome.Spectrum(nil)},
+	retiredPayload{tileShard{}},
+	retiredPayload{nodeRange{}},
 	AlignedShard{},
 	[]genomics.Variant(nil),
-	Feature{},
+	retiredPayload{Feature{}},
 	[]proteome.Match(nil),
 	[]imaging.Region(nil),
 	[]network.Edge(nil),
@@ -182,17 +186,39 @@ func TestWireRoundTrip(t *testing.T) {
 	for seed := range int64(300) {
 		f := filler{t: t, r: rand.New(rand.NewSource(seed)), float: finiteFloat}
 		reencode(t, f.dataset(), EncodeDataset, DecodeDataset)
-		for tag := range shardPayloads {
+		for _, tag := range liveTags() {
 			reencode(t, f.shard(tag), EncodeShard, DecodeShard)
 		}
 	}
 	reencode(t, &Dataset{}, EncodeDataset, DecodeDataset)
 }
 
+// liveTags lists the tags of shardPayloads that are not retired.
+func liveTags() []int {
+	var tags []int
+	for tag, p := range shardPayloads {
+		if _, ok := p.(retiredPayload); !ok {
+			tags = append(tags, tag)
+		}
+	}
+	return tags
+}
+
 // TestWireTagsArePayloadIndices pins each payload type's tag to its index
-// in shardPayloads, so the list above covers every tag the codec knows.
+// in shardPayloads, so the list above covers every tag the codec knows. A
+// retired tag's type no longer encodes, and the tag no longer decodes,
+// even before the body its type once had (an empty slice, here).
 func TestWireTagsArePayloadIndices(t *testing.T) {
 	for tag, p := range shardPayloads {
+		if r, ok := p.(retiredPayload); ok {
+			if _, err := EncodeShard(StreamShard{Data: r.was}); err == nil {
+				t.Fatalf("%T, retired with tag %d, encoded", r.was, tag)
+			}
+			if _, err := DecodeShard([]byte{0, byte(tag), 0}); err == nil {
+				t.Fatalf("retired tag %d decoded", tag)
+			}
+			continue
+		}
 		b, err := EncodeShard(StreamShard{Data: p})
 		if err != nil {
 			t.Fatal(err)
@@ -224,11 +250,11 @@ func TestWireFloatsBitExact(t *testing.T) {
 	for seed := range int64(50) {
 		f := filler{t: t, r: rand.New(rand.NewSource(seed)), float: pick}
 		reencode(t, f.dataset(), EncodeDataset, DecodeDataset)
-		for tag := range shardPayloads {
+		for _, tag := range liveTags() {
 			reencode(t, f.shard(tag), EncodeShard, DecodeShard)
 		}
 	}
-	negZero := Feature{Name: "g", Value: math.Copysign(0, -1)}
+	negZero := []Feature{{Name: "g", Value: math.Copysign(0, -1)}}
 	b, err := EncodeShard(StreamShard{Data: negZero})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +263,7 @@ func TestWireFloatsBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := s.Data.(Feature).Value; !math.Signbit(v) {
+	if v := s.Data.([]Feature)[0].Value; !math.Signbit(v) {
 		t.Fatalf("−0.0 decoded as %v", v)
 	}
 }
@@ -246,10 +272,12 @@ func goldenDataset() *Dataset {
 	return &Dataset{
 		Type:      FASTQ,
 		Reference: genomics.Sequence{Name: "chr1", Seq: []byte("ACGT")},
-		Header:    genomics.Header{Version: "1.6", Refs: []genomics.RefInfo{{Name: "chr1", Length: 4}}},
 		Reads:     []genomics.Read{{ID: "r1", Seq: []byte("AC"), Qual: []byte("I#")}},
-		Mapped:    -2,
-		Variants:  []genomics.Variant{{Chrom: "chr1", Pos: 3, Ref: "G", Alt: "T", Qual: 0.5}},
+		Alignments: []genomics.Alignment{
+			{Pos: 2, Flag: genomics.FlagReverseStrand, MapQ: 60, NM: 1, Seq: []byte("CG"), Qual: []byte("I#")},
+		},
+		Mapped:   -2,
+		Variants: []genomics.Variant{{Pos: 3, Ref: 'G', Alt: 'T', Qual: 0.5}},
 		Net: &network.Network{
 			Slabs:   [][]network.Edge{{{A: 0, B: 1, Weight: -1}}},
 			Modules: [][]int{{0, 1}},
@@ -262,13 +290,12 @@ func goldenDataset() *Dataset {
 const goldenHex = "" +
 	"054641535451" + // Type "FASTQ"
 	"0463687231" + "0441434754" + // Reference "chr1", "ACGT"
-	"03312e36" + "00" + // Header.Version "1.6", SortOrder ""
-	"01" + "0463687231" + "08" + // Refs: 1 × {"chr1", 4}
 	"00" + // PeptideDB.Peptides
 	"01" + "027231" + "024143" + "024923" + // Reads: 1 × {"r1", "AC", "I#"}
-	"00" + "03" + // Alignments, Mapped −2
-	"01" + "0463687231" + "06" + "00" + "0147" + "0154" + // Variants: 1 × {"chr1", 3, "", "G", "T",
-	"000000000000e03f" + "00" + "00" + // 0.5, "", ""}
+	"01" + "04" + "20" + "78" + "02" + // Alignments: 1 × {2, 0x10, 60, 1,
+	"024347" + "024923" + // "CG", "I#"}
+	"03" + // Mapped −2
+	"01" + "06" + "47" + "54" + "000000000000e03f" + // Variants: 1 × {3, 'G', 'T', 0.5}
 	"00" + "00" + "00" + "00" + // Features, Spectra, Proteins, Images
 	"01" + "00" + // Net present; Nodes
 	"01" + "00" + "02" + "000000000000f0bf" + // Edges: 1 × {0, 1, −1}
@@ -346,7 +373,7 @@ func TestWireRejectsHostileInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	validShard, err := EncodeShard(filler{t: t, r: rand.New(rand.NewSource(1)), float: finiteFloat}.shard(2))
+	validShard, err := EncodeShard(filler{t: t, r: rand.New(rand.NewSource(1)), float: finiteFloat}.shard(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +392,9 @@ func TestWireRejectsHostileInput(t *testing.T) {
 	}
 	cases := []hostile{
 		{"dataset count 2^60 in ten bytes", decodeDataset, append(bytes.Clone(huge), 0)},
-		{"shard count 2^60", decodeShard, append([]byte{0, 1}, huge...)},
-		{"count past the bytes left", decodeShard, append([]byte{0, 1, 0xa0, 0x8d, 0x06}, make([]byte, 40)...)},
+		{"shard count 2^60", decodeShard, append([]byte{0, 7}, huge...)},
+		{"count past the bytes left", decodeShard, append([]byte{0, 7, 0xa0, 0x8d, 0x06}, make([]byte, 40)...)},
+		{"retired tag", decodeShard, []byte{0, 1, 0}},
 		{"varint overflow", decodeShard, bytes.Repeat([]byte{0xff}, 11)},
 		{"trailing dataset byte", decodeDataset, append(bytes.Clone(valid), 0)},
 		{"trailing shard byte", decodeShard, append(bytes.Clone(validShard), 0)},
@@ -417,7 +445,11 @@ func FuzzDecodeDataset(f *testing.F) {
 
 func FuzzDecodeShard(f *testing.F) {
 	fl := filler{t: f, r: rand.New(rand.NewSource(7)), float: finiteFloat}
-	for tag := range shardPayloads {
+	for tag, p := range shardPayloads {
+		if _, ok := p.(retiredPayload); ok {
+			f.Add([]byte{0, byte(tag), 0})
+			continue
+		}
 		b, err := EncodeShard(fl.shard(tag))
 		if err != nil {
 			f.Fatal(err)
@@ -452,7 +484,7 @@ func wireBenchInputs(b *testing.B) {
 		}
 		out := res.Output
 		wireBench.fastq = synthDataset(b, 100_000, 30_000, 1)
-		wireBench.bam = &Dataset{Type: BAM, Reference: out.Reference, Header: out.Header,
+		wireBench.bam = &Dataset{Type: BAM, Reference: out.Reference,
 			Alignments: out.Alignments, Mapped: out.Mapped}
 		half := out.Alignments[:len(out.Alignments)/2]
 		wireBench.shard = StreamShard{Records: len(half), Data: AlignedShard{Alns: half, Mapped: len(half)}}
