@@ -11,12 +11,23 @@
 // most 32) and counting-sorts the codes into buckets keyed by their top
 // bits: a lookup scans one bucket of about one entry. K-mers that hold an N
 // live in a small side table keyed by their bytes.
+//
+// A read's lookups are batched, since they are cache misses rather than
+// work: AlignRead encodes the seeds of both strands before it looks any up,
+// so the lookups' misses overlap, gathers each strand's distinct candidates
+// in seed order, then position order, and only then verifies them, eight
+// bytes per step. Its buffers live in a Scratch that one shard reuses for
+// all of its reads, so a read that maps forward, or not at all, allocates
+// nothing; a reverse-strand record takes one exact buffer for its bases and
+// qualities.
 package align
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"scan/internal/genomics"
 )
@@ -114,7 +125,7 @@ var baseCode = func() (t [256]byte) {
 	return t
 }()
 
-const noBase = 4
+const noBase = 4 // a bit of its own, above the 2-bit codes
 
 // kmers calls fn for every k-mer start of seq, in order, with the k-mer's
 // 2-bit code and whether it is A/C/G/T-only (the code is meaningless when
@@ -171,32 +182,47 @@ func buildIndex(seq []byte, k int) index {
 	return x
 }
 
-// hits calls fn with every reference position of kmer, ascending.
-func (x *index) hits(kmer []byte, fn func(int32)) {
-	var code uint64
-	for _, b := range kmer {
-		c := baseCode[b]
-		if c == noBase {
-			for _, p := range x.nkmers[string(kmer)] {
-				fn(p)
-			}
-			return
-		}
-		code = code<<2 | uint64(c)
-	}
-	b := code >> x.shift
-	for e := x.start[b]; e < x.start[b+1]; e++ {
-		if x.codes[e] == code {
-			fn(x.pos[e])
-		}
-	}
+// Scratch is the working memory AlignRead reuses from read to read: the
+// reverse-complement probe, the seed probes and the candidate lists. One
+// shard owns one Scratch and aligns its reads with it one at a time; the
+// zero value is ready. No record points into it.
+type Scratch struct {
+	rc     []byte
+	probes []probe
+	nhits  [][]int32  // side-table positions of the read's N-holding seeds
+	cands  [2][]int32 // forward, reverse strand
+	ends   []int32
 }
 
-// AlignRead maps one read, returning its alignment (possibly unmapped).
-func (a *Aligner) AlignRead(r genomics.Read) genomics.Alignment {
-	fwd, fwdMM, fwdSecond := a.bestPlacement(r.Seq)
-	rcSeq := ReverseComplement(r.Seq)
-	rev, revMM, revSecond := a.bestPlacement(rcSeq)
+// probe is one seed of one strand: its offset in the strand and, for an
+// A/C/G/T-only seed (n = 0), its code. A seed that holds any other byte has
+// its positions in Scratch.nhits[n-1].
+type probe struct {
+	code uint64
+	off  int32
+	n    int32
+}
+
+// AlignRead maps one read, returning its alignment (possibly unmapped). A
+// forward or unmapped record aliases the read's Seq and Qual; a reverse
+// one holds them reverse-complemented and reversed in a buffer of its own.
+func (a *Aligner) AlignRead(r genomics.Read, s *Scratch) genomics.Alignment {
+	n := len(r.Seq)
+	s.rc = slices.Grow(s.rc[:0], n)[:n]
+	for i, b := range r.Seq {
+		s.rc[n-1-i] = complement[b]
+	}
+	// Both strands' probes are encoded first, so that the bucket reads of
+	// all of them overlap their cache misses; then each strand's candidates
+	// are gathered and verified in seed order, then position order.
+	s.probes, s.nhits = s.probes[:0], s.nhits[:0]
+	a.seeds(s, r.Seq)
+	a.seeds(s, s.rc)
+	half := len(s.probes) / 2
+	s.cands[0] = a.candidates(s.cands[0][:0], s, s.probes[:half], n)
+	s.cands[1] = a.candidates(s.cands[1][:0], s, s.probes[half:], n)
+	fwd, fwdMM, fwdSecond := a.bestPlacement(s.cands[0], r.Seq)
+	rev, revMM, revSecond := a.bestPlacement(s.cands[1], s.rc)
 
 	best, bestMM, second := fwd, fwdMM, fwdSecond
 	reverse := false
@@ -215,72 +241,142 @@ func (a *Aligner) AlignRead(r genomics.Read) genomics.Alignment {
 		Pos:  best + 1, // 1-based
 		MapQ: mapQ(bestMM, second, a.cfg.MaxMismatches),
 		NM:   bestMM,
+		Seq:  r.Seq,
+		Qual: r.Qual,
 	}
 	if reverse {
 		aln.Flag |= genomics.FlagReverseStrand
-		aln.Seq = rcSeq
-		aln.Qual = reverseBytes(r.Qual)
-	} else {
-		aln.Seq = r.Seq
-		aln.Qual = r.Qual
+		buf := make([]byte, n+len(r.Qual))
+		aln.Seq, aln.Qual = buf[:n:n], buf[n:]
+		copy(aln.Seq, s.rc)
+		for i, q := range r.Qual {
+			aln.Qual[len(r.Qual)-1-i] = q
+		}
 	}
 	return aln
 }
 
-// bestPlacement returns the 0-based best candidate position, its mismatch
-// count, and the mismatch count of the second-best distinct candidate
-// (maxInt when none). pos is -1 when no candidate was found.
-func (a *Aligner) bestPlacement(seq []byte) (pos, mismatches, second int) {
+// seeds appends seq's probes to s.probes: a seed every SeedStride bases,
+// plus one at the read tail so trailing-unique reads map. Reads shorter
+// than K have none.
+func (a *Aligner) seeds(s *Scratch, seq []byte) {
+	k := a.cfg.K
+	for off := 0; off+k <= len(seq); off += a.cfg.SeedStride {
+		a.seed(s, seq[off:off+k], off)
+	}
+	if tail := len(seq) - k; tail > 0 && tail%a.cfg.SeedStride != 0 {
+		a.seed(s, seq[tail:], tail)
+	}
+}
+
+// seed appends the probe of kmer, found at offset off of its strand. The
+// encoding loop has no branch: noBase's bit marks a byte outside A/C/G/T,
+// and such a k-mer looks up the side table instead.
+func (a *Aligner) seed(s *Scratch, kmer []byte, off int) {
+	var code uint64
+	var seen byte
+	for _, b := range kmer {
+		c := baseCode[b]
+		seen |= c
+		code = code<<2 | uint64(c&3)
+	}
+	pr := probe{code: code, off: int32(off)}
+	if seen&noBase != 0 {
+		s.nhits = append(s.nhits, a.idx.nkmers[string(kmer)])
+		pr.n = int32(len(s.nhits))
+	}
+	s.probes = append(s.probes, pr)
+}
+
+// candidates appends to dst the distinct placements on the reference that
+// probes propose for a strand of n bases, in seed order, then position
+// order. A seed's hits ascend, so each seed adds one ascending run, and a
+// placement can repeat only an earlier run: add binary-searches those,
+// which keeps a repetitive reference's thousands of hits per seed from
+// costing a quadratic scan: BenchmarkAlignRepetitive runs about 12 times
+// slower with a linear scan on a period-11 repeat, and 90 times on a run
+// of A.
+func (a *Aligner) candidates(dst []int32, s *Scratch, probes []probe, n int) []int32 {
+	ends := s.ends[:0]
+	for _, pr := range probes {
+		if x := &a.idx; pr.n == 0 {
+			b := pr.code >> x.shift
+			for e := x.start[b]; e < x.start[b+1]; e++ {
+				if x.codes[e] == pr.code {
+					dst = a.add(dst, ends, x.pos[e]-pr.off, n)
+				}
+			}
+		} else {
+			for _, p := range s.nhits[pr.n-1] {
+				dst = a.add(dst, ends, p-pr.off, n)
+			}
+		}
+		ends = append(ends, int32(len(dst)))
+	}
+	s.ends = ends
+	return dst
+}
+
+// add appends placement c to dst unless n bases from c overrun the
+// reference or an earlier run, ending at ends, already holds c.
+func (a *Aligner) add(dst, ends []int32, c int32, n int) []int32 {
+	if c < 0 || int(c)+n > len(a.seq) {
+		return dst
+	}
+	lo := int32(0)
+	for _, hi := range ends {
+		if _, ok := slices.BinarySearch(dst[lo:hi], c); ok {
+			return dst
+		}
+		lo = hi
+	}
+	return append(dst, c)
+}
+
+// bestPlacement verifies cands against seq in order, returning the 0-based
+// best candidate position, its mismatch count, and the mismatch count of
+// the second-best distinct candidate (none when there is none). pos is -1
+// when there was no candidate.
+func (a *Aligner) bestPlacement(cands []int32, seq []byte) (pos, mismatches, second int) {
 	const none = 1 << 30
 	pos, mismatches, second = -1, none, none
-	if len(seq) < a.cfg.K {
-		return
-	}
-	tried := make(map[int32]struct{})
-	consider := func(cand int32) {
-		if cand < 0 || int(cand)+len(seq) > len(a.seq) {
-			return
-		}
-		if _, dup := tried[cand]; dup {
-			return
-		}
-		tried[cand] = struct{}{}
+	for _, c := range cands {
 		// Counting beyond the current second-best cannot change the result,
 		// so use it as the early-exit limit.
-		limit := second
-		if limit > len(seq) {
-			limit = len(seq)
-		}
-		mm := hamming(a.seq[cand:int(cand)+len(seq)], seq, limit)
+		mm := hamming(a.seq[c:int(c)+len(seq)], seq, min(second, len(seq)))
 		switch {
 		case mm < mismatches:
 			second = mismatches
 			mismatches = mm
-			pos = int(cand)
+			pos = int(c)
 		case mm < second:
 			second = mm
 		}
 	}
-	for off := 0; off+a.cfg.K <= len(seq); off += a.cfg.SeedStride {
-		a.idx.hits(seq[off:off+a.cfg.K], func(p int32) { consider(p - int32(off)) })
-	}
-	// Also seed from the read tail so trailing-unique reads map.
-	if tail := len(seq) - a.cfg.K; tail > 0 && tail%a.cfg.SeedStride != 0 {
-		a.idx.hits(seq[tail:], func(p int32) { consider(p - int32(tail)) })
-	}
 	return
 }
 
-// hamming counts mismatches between equal-length slices, giving up once the
-// count exceeds limit (a standard early-exit optimisation).
+// hamming counts mismatches between equal-length slices, eight bytes at a
+// time, giving up once the count exceeds limit: past the limit it returns
+// some count above limit, not necessarily the exact one.
 func hamming(a, b []byte, limit int) int {
-	mm := 0
-	for i := range a {
+	mm, i := 0, 0
+	for ; i+8 <= len(a); i += 8 {
+		x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
+		if x == 0 {
+			continue
+		}
+		// Fold each byte's bits onto its lowest: one bit per differing byte.
+		x |= x >> 4
+		x |= x >> 2
+		x |= x >> 1
+		if mm += bits.OnesCount64(x & 0x0101010101010101); mm > limit {
+			return mm
+		}
+	}
+	for ; i < len(a); i++ {
 		if a[i] != b[i] {
 			mm++
-			if mm > limit {
-				return mm
-			}
 		}
 	}
 	return mm
@@ -306,15 +402,6 @@ func mapQ(best, second, maxMM int) int {
 	return q
 }
 
-// ReverseComplement returns the reverse complement of seq (N maps to N).
-func ReverseComplement(seq []byte) []byte {
-	out := make([]byte, len(seq))
-	for i, b := range seq {
-		out[len(seq)-1-i] = complement[b]
-	}
-	return out
-}
-
 // complement maps each base, either case, to its uppercase complement and
 // every other byte to N.
 var complement = func() (t [256]byte) {
@@ -326,11 +413,3 @@ var complement = func() (t [256]byte) {
 	}
 	return t
 }()
-
-func reverseBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	for i := range b {
-		out[len(b)-1-i] = b[i]
-	}
-	return out
-}

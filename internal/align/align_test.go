@@ -3,7 +3,9 @@ package align
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -27,9 +29,10 @@ func TestAlignExactReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var s Scratch
 	mapped := 0
 	for _, r := range reads {
-		aln := a.AlignRead(r)
+		aln := a.AlignRead(r, &s)
 		if aln.Unmapped() {
 			continue
 		}
@@ -55,9 +58,10 @@ func TestAlignReadsWithErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var s Scratch
 	mapped := 0
 	for _, r := range reads {
-		if !a.AlignRead(r).Unmapped() {
+		if !a.AlignRead(r, &s).Unmapped() {
 			mapped++
 		}
 	}
@@ -74,7 +78,8 @@ func TestAlignReverseComplement(t *testing.T) {
 	fwd := append([]byte(nil), ref.Seq[start:start+80]...)
 	rc := ReverseComplement(fwd)
 	qual := bytes.Repeat([]byte("I"), 80)
-	aln := a.AlignRead(genomics.Read{ID: "rc-read", Seq: rc, Qual: qual})
+	var s Scratch
+	aln := a.AlignRead(genomics.Read{ID: "rc-read", Seq: rc, Qual: qual}, &s)
 	if aln.Unmapped() {
 		t.Fatal("reverse-complement read unmapped")
 	}
@@ -99,9 +104,10 @@ func TestAlignUnmappableRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var s Scratch
 	unmapped := 0
 	for _, r := range junk {
-		if a.AlignRead(r).Unmapped() {
+		if a.AlignRead(r, &s).Unmapped() {
 			unmapped++
 		}
 	}
@@ -128,7 +134,8 @@ func TestAlignRepeatAmbiguityLowersMapQ(t *testing.T) {
 		Seq:  append([]byte(nil), unit.Seq[50:150]...),
 		Qual: bytes.Repeat([]byte("I"), 100),
 	}
-	aln := a.AlignRead(read)
+	var s Scratch
+	aln := a.AlignRead(read, &s)
 	if aln.Unmapped() {
 		t.Fatal("repeat read unmapped")
 	}
@@ -141,7 +148,7 @@ func TestAlignRepeatAmbiguityLowersMapQ(t *testing.T) {
 		Seq:  append([]byte(nil), tail.Seq[100:200]...),
 		Qual: bytes.Repeat([]byte("I"), 100),
 	}
-	if got := a.AlignRead(uniq); got.MapQ != 60 {
+	if got := a.AlignRead(uniq, &s); got.MapQ != 60 {
 		t.Fatalf("unique read MapQ = %d, want 60", got.MapQ)
 	}
 }
@@ -195,7 +202,8 @@ func TestReverseComplement(t *testing.T) {
 
 func TestShortReadUnmapped(t *testing.T) {
 	a, _, _ := mkAligner(t, 1000, 6)
-	aln := a.AlignRead(genomics.Read{ID: "tiny", Seq: []byte("ACGT"), Qual: []byte("IIII")})
+	var s Scratch
+	aln := a.AlignRead(genomics.Read{ID: "tiny", Seq: []byte("ACGT"), Qual: []byte("IIII")}, &s)
 	if !aln.Unmapped() {
 		t.Fatal("read shorter than K must be unmapped")
 	}
@@ -205,6 +213,7 @@ func TestShortReadUnmapped(t *testing.T) {
 // source position (or an identical copy elsewhere).
 func TestAlignExactSubstringProperty(t *testing.T) {
 	a, ref, _ := mkAligner(t, 3000, 7)
+	var s Scratch
 	f := func(startRaw, lenRaw uint16) bool {
 		length := 40 + int(lenRaw%80)
 		if length > ref.Len() {
@@ -216,7 +225,7 @@ func TestAlignExactSubstringProperty(t *testing.T) {
 			Seq:  append([]byte(nil), ref.Seq[start:start+length]...),
 			Qual: bytes.Repeat([]byte("I"), length),
 		}
-		aln := a.AlignRead(read)
+		aln := a.AlignRead(read, &s)
 		if aln.Unmapped() || aln.NM != 0 {
 			return false
 		}
@@ -229,6 +238,8 @@ func TestAlignExactSubstringProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkAlignRead cycles through 256 reads, which stay warm in cache;
+// BenchmarkAlignShard is the figure for a shard-sized run.
 func BenchmarkAlignRead(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ref := genomics.GenerateReference(rng, "chr1", 100000)
@@ -242,9 +253,66 @@ func BenchmarkAlignRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var s Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.AlignRead(reads[i%len(reads)])
+		a.AlignRead(reads[i%len(reads)], &s)
+	}
+}
+
+// BenchmarkAlignShard aligns one shard as the Align stage does: 15 000
+// reads of 100 bases at error rate 0.002 over a 100 kb reference, through
+// one scratch, then the coordinate sort. It reports ns per read.
+func BenchmarkAlignShard(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ref := genomics.GenerateReference(rng, "chr1", 100000)
+	a, err := New(ref, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reads, err := genomics.SimulateReads(rng, ref, genomics.ReadSimConfig{
+		Count: 15000, Length: 100, ErrorRate: 0.002,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	alns := make([]genomics.Alignment, len(reads))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var s Scratch
+		for j, r := range reads {
+			alns[j] = a.AlignRead(r, &s)
+		}
+		genomics.SortAlignments(alns)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reads)), "ns/read")
+}
+
+// BenchmarkAlignRepetitive aligns reads to 20 kb references made of one
+// repeated unit, where each seed hits thousands of positions: the
+// candidates' deduplication sets the pace.
+func BenchmarkAlignRepetitive(b *testing.B) {
+	for _, unit := range []string{"ACGTTGCAAGT", "A"} {
+		b.Run(fmt.Sprintf("period=%d", len(unit)), func(b *testing.B) {
+			seq := bytes.Repeat([]byte(unit), 20000/len(unit))
+			a, err := New(genomics.Sequence{Name: "chr1", Seq: seq}, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			reads := make([]genomics.Read, 64)
+			for i := range reads {
+				st := rng.Intn(len(seq) - 100)
+				reads[i] = genomics.Read{Seq: seq[st : st+100], Qual: bytes.Repeat([]byte("I"), 100)}
+			}
+			var s Scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.AlignRead(reads[i%len(reads)], &s)
+			}
+		})
 	}
 }
 
@@ -255,6 +323,72 @@ func BenchmarkNew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := New(ref, Config{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestAlignReadAllocations: once its scratch has warmed up, aligning a
+// forward read allocates nothing, and a reverse read allocates only its
+// record's buffer.
+func TestAlignReadAllocations(t *testing.T) {
+	a, ref, rng := mkAligner(t, 20000, 9)
+	reads, err := genomics.SimulateReads(rng, ref, genomics.ReadSimConfig{Count: 200, Length: 100, ErrorRate: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scratch
+	for i, r := range reads {
+		rev := genomics.Read{ID: r.ID, Seq: ReverseComplement(r.Seq), Qual: r.Qual}
+		if got := a.AlignRead(rev, &s); got.Flag != genomics.FlagReverseStrand {
+			t.Fatalf("read %d: reverse complement aligned with flag %#x", i, got.Flag)
+		}
+		reads = append(reads, rev)
+	}
+	for _, c := range []struct {
+		strand string
+		first  int
+		want   float64
+	}{{"forward", 0, 0}, {"reverse", 200, 1}} {
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			a.AlignRead(reads[c.first+i%200], &s)
+			i++
+		})
+		if allocs != c.want {
+			t.Errorf("%v allocations per %s read, want %v", allocs, c.strand, c.want)
+		}
+	}
+}
+
+// TestReverseRecordHoldsOnlyItsBytes: a reverse-strand record keeps alive
+// no more than its own bases and qualities, even when every read is a
+// shard of its own with a fresh scratch.
+func TestReverseRecordHoldsOnlyItsBytes(t *testing.T) {
+	a, ref, rng := mkAligner(t, 20000, 10)
+	reads, err := genomics.SimulateReads(rng, ref, genomics.ReadSimConfig{Count: 200, Length: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reads {
+		reads[i].Seq = ReverseComplement(r.Seq)
+	}
+	alns := make([]genomics.Alignment, len(reads))
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	for i, r := range reads {
+		alns[i] = a.AlignRead(r, new(Scratch))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := (int64(ms.HeapAlloc) - int64(before)) / int64(len(reads))
+	if limit := int64(2 * (100 + 100)); per > limit {
+		t.Fatalf("%d bytes held per reverse record, want at most %d", per, limit)
+	}
+	for i, aln := range alns {
+		if aln.Flag != genomics.FlagReverseStrand {
+			t.Fatalf("read %d aligned with flag %#x", i, aln.Flag)
 		}
 	}
 }

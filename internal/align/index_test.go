@@ -58,6 +58,38 @@ func (m *mapAligner) alignRead(r genomics.Read) genomics.Alignment {
 	return aln
 }
 
+// byteHamming is the byte-at-a-time count hamming replaced: it stops at
+// limit+1.
+func byteHamming(a, b []byte, limit int) int {
+	mm := 0
+	for i := range a {
+		if a[i] != b[i] {
+			mm++
+			if mm > limit {
+				return mm
+			}
+		}
+	}
+	return mm
+}
+
+// ReverseComplement returns the reverse complement of seq (N maps to N).
+func ReverseComplement(seq []byte) []byte {
+	out := make([]byte, len(seq))
+	for i, b := range seq {
+		out[len(seq)-1-i] = complement[b]
+	}
+	return out
+}
+
+func reverseBytes(b []byte) []byte {
+	out := make([]byte, len(b))
+	for i := range b {
+		out[len(b)-1-i] = b[i]
+	}
+	return out
+}
+
 func (m *mapAligner) bestPlacement(seq []byte) (pos, mismatches, second int) {
 	const none = 1 << 30
 	pos, mismatches, second = -1, none, none
@@ -73,7 +105,7 @@ func (m *mapAligner) bestPlacement(seq []byte) (pos, mismatches, second int) {
 			return
 		}
 		tried[cand] = struct{}{}
-		mm := hamming(m.seq[cand:int(cand)+len(seq)], seq, min(second, len(seq)))
+		mm := byteHamming(m.seq[cand:int(cand)+len(seq)], seq, min(second, len(seq)))
 		switch {
 		case mm < mismatches:
 			second, mismatches, pos = mismatches, mm, int(cand)
@@ -136,18 +168,36 @@ func randomRead(rng *rand.Rand, ref []byte) []byte {
 	return seq
 }
 
-// sameAsMapIndex aligns each read with both indexes and reports the first
-// difference.
+// sameAsMapIndex aligns every read with both indexes, the bucketed one
+// through a single scratch, and reports the first difference. It compares
+// only after the last read, so a scratch buffer reused under an earlier
+// record shows as a difference.
 func sameAsMapIndex(ref genomics.Sequence, cfg Config, reads [][]byte) error {
 	a, err := New(ref, cfg)
 	if err != nil {
 		return err
 	}
 	m := newMapAligner(ref, cfg)
+	rs := make([]genomics.Read, len(reads))
+	got := make([]genomics.Alignment, len(reads))
+	var s Scratch
 	for i, seq := range reads {
-		r := genomics.Read{ID: fmt.Sprint("r", i), Seq: seq, Qual: bytes.Repeat([]byte("I"), len(seq))}
-		if got, want := a.AlignRead(r), m.alignRead(r); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("cfg %+v read %q:\n got %+v\nwant %+v", cfg, seq, got, want)
+		qual := make([]byte, len(seq))
+		for j := range qual {
+			qual[j] = byte('!' + (i+j)%40)
+		}
+		rs[i] = genomics.Read{ID: fmt.Sprint("r", i), Seq: seq, Qual: qual}
+		got[i] = a.AlignRead(rs[i], &s)
+	}
+	for i, r := range rs {
+		if want := m.alignRead(r); !reflect.DeepEqual(got[i], want) {
+			return fmt.Errorf("cfg %+v read %q:\n got %+v\nwant %+v", cfg, r.Seq, got[i], want)
+		}
+		// A reverse record's Seq is capped, so it cannot grow into its
+		// Qual; the others alias their read.
+		rev := got[i].Flag&genomics.FlagReverseStrand != 0
+		if rev && (cap(got[i].Seq) != len(got[i].Seq) || cap(got[i].Qual) != len(got[i].Qual)) {
+			return fmt.Errorf("cfg %+v read %q: reverse-strand Seq or Qual has spare capacity", cfg, r.Seq)
 		}
 	}
 	return nil
@@ -180,11 +230,11 @@ func TestBucketIndexMatchesMapIndex(t *testing.T) {
 
 // FuzzBucketIndex compares the two indexes on fuzzed reference and read
 // bytes, each folded onto ACGTN in both cases (the reference) or that plus
-// one invalid byte (the read).
+// one invalid byte (the reads). The two reads go through one scratch.
 func FuzzBucketIndex(f *testing.F) {
-	f.Add([]byte("ACGTACGTTTGACNNACGTAGCTAGCTAGGA"), []byte("GTAGCTAGC"), uint8(4), uint8(0), uint8(0))
-	f.Add([]byte("acgtNNNNacgtACGTacgtAAAAAAAAAAAAAAAAAAAA"), []byte("AAAAAAAAAAAAA"), uint8(3), uint8(2), uint8(1))
-	f.Fuzz(func(t *testing.T, rawRef, rawRead []byte, k, stride, mm uint8) {
+	f.Add([]byte("ACGTACGTTTGACNNACGTAGCTAGCTAGGA"), []byte("GTAGCTAGC"), []byte("TCCTAGCTAGCTA"), uint8(4), uint8(0), uint8(0))
+	f.Add([]byte("acgtNNNNacgtACGTacgtAAAAAAAAAAAAAAAAAAAA"), []byte("AAAAAAAAAAAAA"), []byte("TTTTTTTTTT"), uint8(3), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, rawRef, rawRead, rawRead2 []byte, k, stride, mm uint8) {
 		fold := func(raw []byte, alphabet string) []byte {
 			out := make([]byte, len(raw))
 			for i, b := range raw {
@@ -197,10 +247,37 @@ func FuzzBucketIndex(f *testing.F) {
 		if Check(ref, cfg) != nil {
 			return
 		}
-		if err := sameAsMapIndex(ref, cfg, [][]byte{fold(rawRead, "ACGTNacgtnX")}); err != nil {
+		reads := [][]byte{fold(rawRead, "ACGTNacgtnX"), fold(rawRead2, "ACGTNacgtnX")}
+		if err := sameAsMapIndex(ref, cfg, reads); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestHammingCountsExactlyUpToLimit: the word-at-a-time count equals the
+// full byte-at-a-time count whenever that is within the limit, and exceeds
+// the limit otherwise.
+func TestHammingCountsExactlyUpToLimit(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(70)
+		a, b := randomReference(rng, n), randomReference(rng, n)
+		for i := range b {
+			if rng.Intn(3) > 0 {
+				b[i] = a[i]
+			}
+		}
+		want := byteHamming(a, b, n)
+		limit := rng.Intn(n + 2)
+		got := hamming(a, b, limit)
+		if want <= limit {
+			return got == want
+		}
+		return got > limit
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSoftMaskedReferenceMapsLikeUppercase: lowercase (soft-masked) bases
@@ -219,10 +296,11 @@ func TestSoftMaskedReferenceMapsLikeUppercase(t *testing.T) {
 	}
 	onUpper, _ := New(upper, Config{})
 	onMasked, _ := New(masked, Config{})
+	var s Scratch
 	mapped := 0
 	for _, r := range reads {
-		want := onUpper.AlignRead(r)
-		if got := onMasked.AlignRead(r); !reflect.DeepEqual(got, want) {
+		want := onUpper.AlignRead(r, &s)
+		if got := onMasked.AlignRead(r, &s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("read %s: soft-masked %+v, uppercase %+v", r.ID, got, want)
 		}
 		if !want.Unmapped() {

@@ -59,8 +59,9 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 	}
 	alnShards := make([][]genomics.Alignment, len(readShards))
 	for i, rs := range readShards {
+		var scratch align.Scratch
 		for _, r := range rs {
-			aln := aligner.AlignRead(r)
+			aln := aligner.AlignRead(r, &scratch)
 			if !aln.Unmapped() {
 				res.Mapped++
 			}

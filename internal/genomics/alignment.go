@@ -2,6 +2,7 @@ package genomics
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 )
 
@@ -44,20 +45,36 @@ func compareAlignments(a, b *Alignment) int {
 	return cmp.Compare(a.Pos, b.Pos)
 }
 
+// SortAlignments' packed key is (unmapped, Pos, input index) in bits 63,
+// 31–62 and 0–30 of a uint64, so it holds a Pos of at most maxSortPos and
+// at most 2^31 records. Every record the aligner makes fits, since its
+// positions are int32 offsets (Pos at most 2^31), and so does every shard
+// of a registry dataset, since an upload holds at most 500 000 reads.
+const (
+	maxSortPos = 1<<32 - 1
+	indexMask  = 1<<31 - 1
+)
+
 // SortAlignments stably orders records by position, unmapped records last:
-// coordinate order. It sorts an index permutation, ties broken on the
-// original index, then moves each record once.
+// coordinate order. It packs each record's (unmapped, Pos, input index)
+// into one uint64 key, sorts the keys, then moves each record once. It
+// panics on a Pos outside [0, maxSortPos], which the key cannot order.
 func SortAlignments(alns []Alignment) {
-	perm := make([]int32, len(alns))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(i, j int32) int {
-		if c := compareAlignments(&alns[i], &alns[j]); c != 0 {
-			return c
+	perm := make([]uint64, len(alns))
+	for i := range alns {
+		a := &alns[i]
+		if uint64(a.Pos) > maxSortPos {
+			panic(fmt.Sprintf("genomics: SortAlignments: position %d outside the packed key's [0, %d]", a.Pos, maxSortPos))
 		}
-		return cmp.Compare(i, j)
-	})
+		perm[i] = uint64(a.Pos)<<31 | uint64(i)
+		if a.Unmapped() {
+			perm[i] |= 1 << 63
+		}
+	}
+	slices.Sort(perm)
+	for i := range perm {
+		perm[i] &= indexMask
+	}
 	// Position i takes the record at perm[i]: follow each cycle of the
 	// permutation once, marking visited positions with perm[i] = i.
 	for i := range perm {
@@ -68,7 +85,7 @@ func SortAlignments(alns []Alignment) {
 		j := i
 		for {
 			next := int(perm[j])
-			perm[j] = int32(j)
+			perm[j] = uint64(j)
 			if next == i {
 				alns[j] = held
 				break

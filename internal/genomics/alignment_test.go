@@ -1,6 +1,7 @@
 package genomics
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -23,12 +24,18 @@ func stableSorted(alns []Alignment) []Alignment {
 	return out
 }
 
-// randomAlignments draws n records over few positions, so ties are
-// common; MapQ numbers the records so a tie's order is visible.
+// randomAlignments draws n records over a few positions spread across the
+// packed key's whole range, its bound maxSortPos included, so ties are
+// common and an overflowing key would misorder them; MapQ numbers the
+// records so a tie's order is visible.
 func randomAlignments(rng *rand.Rand, n int) []Alignment {
+	positions := []int{1, 2, 1<<31 - 1, 1 << 31, 1<<31 + 1, maxSortPos - 1, maxSortPos}
+	for len(positions) < 10 {
+		positions = append(positions, int(rng.Int63n(maxSortPos+1)))
+	}
 	alns := make([]Alignment, n)
 	for i := range alns {
-		alns[i] = Alignment{Pos: 1 + rng.Intn(8), MapQ: i, Seq: []byte("ACGT")}
+		alns[i] = Alignment{Pos: positions[rng.Intn(len(positions))], MapQ: i, Seq: []byte("ACGT")}
 		if rng.Intn(6) == 0 {
 			alns[i].Flag, alns[i].Pos = FlagUnmapped, 0
 		}
@@ -70,6 +77,44 @@ func TestMergeSortedEqualsSortOfConcat(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzSortAlignments checks the packed-key sort against the stable
+// comparator sort on fuzzed records: five bytes each, a flag bit and a
+// 32-bit position, so positions span the key's whole range.
+func FuzzSortAlignments(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 255, 255, 255, 255, 0, 0, 0, 0, 1})
+	f.Add([]byte{1, 0, 0, 0, 128, 0, 0, 0, 0, 128, 0, 0, 0, 0, 128, 2, 7, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		alns := make([]Alignment, len(raw)/5)
+		for i := range alns {
+			rec := raw[5*i : 5*i+5]
+			alns[i] = Alignment{Pos: int(binary.LittleEndian.Uint32(rec[1:])), MapQ: i}
+			if rec[0]&1 != 0 {
+				alns[i].Flag = FlagUnmapped
+			}
+		}
+		want := stableSorted(alns)
+		SortAlignments(alns)
+		if !reflect.DeepEqual(alns, want) {
+			t.Fatalf("got %+v\nwant %+v", alns, want)
+		}
+	})
+}
+
+// TestSortAlignmentsRejectsPositionsPastTheKey: a position the packed key
+// cannot hold panics instead of sorting out of order.
+func TestSortAlignmentsRejectsPositionsPastTheKey(t *testing.T) {
+	for _, pos := range []int{-1, maxSortPos + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Pos %d: no panic", pos)
+				}
+			}()
+			SortAlignments([]Alignment{{Pos: 1}, {Pos: pos}})
+		}()
 	}
 }
 

@@ -70,14 +70,20 @@ func firstField(s string) string {
 // ValidateBases reports the first non-ACGTN byte in seq, if any.
 func ValidateBases(seq []byte) error {
 	for i, b := range seq {
-		switch b {
-		case 'A', 'C', 'G', 'T', 'N', 'a', 'c', 'g', 't', 'n':
-		default:
+		if !validBase[b] {
 			return fmt.Errorf("genomics: invalid base %q at offset %d", b, i)
 		}
 	}
 	return nil
 }
+
+// validBase marks the bytes ValidateBases accepts: ACGTN in either case.
+var validBase = func() (t [256]bool) {
+	for _, b := range []byte("ACGTNacgtn") {
+		t[b] = true
+	}
+	return t
+}()
 
 // Upper returns seq with lowercase bases folded to uppercase, allocating
 // only when needed.

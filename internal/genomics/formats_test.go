@@ -46,6 +46,17 @@ func TestValidateBases(t *testing.T) {
 	}
 }
 
+func BenchmarkValidateBases(b *testing.B) {
+	seq := GenerateReference(rand.New(rand.NewSource(1)), "chr1", 1<<20).Seq
+	b.SetBytes(int64(len(seq)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ValidateBases(seq); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestUpper(t *testing.T) {
 	if got := Upper([]byte("acGt")); string(got) != "ACGT" {
 		t.Fatalf("Upper = %q", got)

@@ -111,9 +111,10 @@ func TestEndToEndVariantRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	caller := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 8, MinAltFraction: 0.6})
+	var scratch align.Scratch
 	mapped := 0
 	for _, r := range reads {
-		aln := aligner.AlignRead(r)
+		aln := aligner.AlignRead(r, &scratch)
 		if !aln.Unmapped() {
 			mapped++
 		}

@@ -166,6 +166,7 @@ func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (Str
 	}
 	reads := in.Data.([]genomics.Read)
 	alns := make([]genomics.Alignment, 0, len(reads))
+	var scratch align.Scratch
 	mapped := 0
 	for i, r := range reads {
 		if i%ctxCheckInterval == 0 {
@@ -173,7 +174,7 @@ func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (Str
 				return StreamShard{}, err
 			}
 		}
-		aln := aligner.AlignRead(r)
+		aln := aligner.AlignRead(r, &scratch)
 		if !aln.Unmapped() {
 			mapped++
 		}
