@@ -17,9 +17,8 @@
 // so the lookups' misses overlap, gathers each strand's distinct candidates
 // in seed order, then position order, and only then verifies them, eight
 // bytes per step. Its buffers live in a Scratch that one shard reuses for
-// all of its reads, so a read that maps forward, or not at all, allocates
-// nothing; a reverse-strand record takes one exact buffer for its bases and
-// qualities.
+// all of its reads, and a record holds no bytes of its read, so aligning a
+// read allocates nothing on either strand.
 package align
 
 import (
@@ -203,9 +202,9 @@ type probe struct {
 	n    int32
 }
 
-// AlignRead maps one read, returning its alignment (possibly unmapped). A
-// forward or unmapped record aliases the read's Seq and Qual; a reverse
-// one holds them reverse-complemented and reversed in a buffer of its own.
+// AlignRead maps one read, returning its alignment (possibly unmapped).
+// The record's Read is left 0 for the stage to set, since only it knows
+// the read's index in its dataset.
 func (a *Aligner) AlignRead(r genomics.Read, s *Scratch) genomics.Alignment {
 	n := len(r.Seq)
 	s.rc = slices.Grow(s.rc[:0], n)[:n]
@@ -235,23 +234,16 @@ func (a *Aligner) AlignRead(r genomics.Read, s *Scratch) genomics.Alignment {
 	}
 
 	if best < 0 || bestMM > a.cfg.MaxMismatches {
-		return genomics.Alignment{Flag: genomics.FlagUnmapped, NM: -1, Seq: r.Seq, Qual: r.Qual}
+		return genomics.Alignment{Len: int32(n), Flag: genomics.FlagUnmapped, NM: -1}
 	}
 	aln := genomics.Alignment{
 		Pos:  best + 1, // 1-based
+		Len:  int32(n),
 		MapQ: mapQ(bestMM, second, a.cfg.MaxMismatches),
 		NM:   bestMM,
-		Seq:  r.Seq,
-		Qual: r.Qual,
 	}
 	if reverse {
-		aln.Flag |= genomics.FlagReverseStrand
-		buf := make([]byte, n+len(r.Qual))
-		aln.Seq, aln.Qual = buf[:n:n], buf[n:]
-		copy(aln.Seq, s.rc)
-		for i, q := range r.Qual {
-			aln.Qual[len(r.Qual)-1-i] = q
-		}
+		aln.Flag = genomics.FlagReverseStrand
 	}
 	return aln
 }

@@ -60,8 +60,9 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 	alnShards := make([][]genomics.Alignment, len(readShards))
 	for i, rs := range readShards {
 		var scratch align.Scratch
-		for _, r := range rs {
+		for j, r := range rs {
 			aln := aligner.AlignRead(r, &scratch)
+			aln.Read = int32(i*recordsPerShard + j)
 			if !aln.Unmapped() {
 				res.Mapped++
 			}
@@ -73,7 +74,7 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 
 	caller := variant.NewCaller(job.Reference, 1, job.Reference.Len(), job.Caller)
 	for _, a := range res.Alignments {
-		if err := caller.Add(a); err != nil {
+		if err := caller.Add(a, job.Reads); err != nil {
 			return nil, err
 		}
 	}

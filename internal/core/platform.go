@@ -230,7 +230,7 @@ type StageTiming struct {
 
 // VariantCallingResult carries the pipeline outputs.
 type VariantCallingResult struct {
-	Alignments []genomics.Alignment // coordinate-sorted
+	Alignments []genomics.Alignment // coordinate-sorted; Read indexes the job's Reads
 	Variants   []genomics.Variant   // sorted, deduplicated
 	Mapped     int
 	ShardPlan  shard.Plan

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -103,8 +104,8 @@ type Coordinator struct {
 	queue   []*task          // shards still waiting for a worker
 	tasks   map[string]*task // dispatched and still routable
 	stages  map[*stageRun]struct{}
-	blobs   map[string][]byte // stage contexts, live while a stage pins them
-	blobRef map[string]int
+	blobs   map[string]*blob // context parts, live while a stage pins them
+	memo    []memoEntry      // part hashes, least recently used first
 	metrics Metrics
 	// lastDrain and gapSec observe the spacing of work bursts for the
 	// LongTermAdaptive idle-release horizon.
@@ -122,9 +123,25 @@ func NewCoordinator(opts Options) *Coordinator {
 		workers: make(map[string]*workerState),
 		tasks:   make(map[string]*task),
 		stages:  make(map[*stageRun]struct{}),
-		blobs:   make(map[string][]byte),
-		blobRef: make(map[string]int),
+		blobs:   make(map[string]*blob),
 	}
+}
+
+// blob is a context part that live stages pin: refs counts them, and
+// bytes returns the part's encoding, made at most once — when the stage
+// hashed it, or else when a worker first fetches it.
+type blob struct {
+	refs  int
+	bytes func() ([]byte, error)
+}
+
+// memoEntry remembers the hash of a context part the coordinator encoded,
+// under the part's key (workflow.ContextPart.Key). The key holds the
+// part's storage, so no other slice can take its identity while the entry
+// lives.
+type memoEntry struct {
+	key  any
+	hash string
 }
 
 var _ workflow.ShardPool = (*Coordinator)(nil)
@@ -140,7 +157,7 @@ type workerState struct {
 }
 
 type stageRun struct {
-	spec        Task // template: workflow, stage, context hash, options
+	spec        Task // template: workflow, stage, type, context parts, options
 	estSec      float64
 	n           int
 	done        []bool
@@ -169,10 +186,10 @@ type task struct {
 }
 
 // RunShards implements workflow.ShardPool: publish the stage's input on
-// the data plane, enqueue one task per shard, and wait for first-wins
-// results while sweeping timeouts, lost workers and stragglers. A fleet
-// with no live workers answers ErrNoWorkers, so the engine runs the stage
-// locally.
+// the data plane as content-addressed parts, enqueue one task per shard,
+// and wait for first-wins results while sweeping timeouts, lost workers
+// and stragglers. A fleet with no live workers answers ErrNoWorkers, so
+// the engine runs the stage locally.
 func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, shards []workflow.StreamShard) ([]workflow.StreamShard, []time.Duration, error) {
 	if len(shards) == 0 {
 		return []workflow.StreamShard{}, []time.Duration{}, ctx.Err()
@@ -180,18 +197,20 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 	if c.ReadyWorkers() == 0 {
 		return nil, nil, workflow.ErrNoWorkers
 	}
-	enc, err := workflow.EncodeDataset(env.Input())
+	in := env.Input()
+	parts := workflow.ContextParts(in)
+	hashes, encs, err := c.hashParts(parts)
 	if err != nil {
 		return nil, nil, err
 	}
-	sum := sha256.Sum256(enc)
 	n := len(shards)
 	sr := &stageRun{
 		spec: Task{
-			Workflow:    env.Workflow(),
-			Stage:       env.StageIndex(),
-			ContextHash: hex.EncodeToString(sum[:]),
-			Options:     PinOptions(env.RemoteOptions()),
+			Workflow:     env.Workflow(),
+			Stage:        env.StageIndex(),
+			Type:         in.Type,
+			ContextParts: hashes,
+			Options:      PinOptions(env.RemoteOptions()),
 		},
 		n:           n,
 		done:        make([]bool, n),
@@ -209,8 +228,13 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 	sr.estSec = env.EstimateShardCost(total/n, 1.0)
 
 	c.mu.Lock()
-	c.blobs[sr.spec.ContextHash] = enc
-	c.blobRef[sr.spec.ContextHash]++
+	for i, p := range parts {
+		if encs[i] != nil {
+			c.metrics.PartsEncoded++
+			c.rememberLocked(p.Key, hashes[i])
+		}
+		c.pinLocked(hashes[i], p.Data, encs[i])
+	}
 	c.stages[sr] = struct{}{}
 	c.metrics.RemoteStages++
 	now := c.opts.Now()
@@ -226,8 +250,8 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 		c.enqueueLocked(&task{sr: sr, shard: i}, false)
 	}
 	c.mu.Unlock()
-	c.opts.Logf("fleet: stage %s[%d]: dispatching %d shards from blob %s (est %.3fs/shard)",
-		sr.spec.Workflow, sr.spec.Stage, n, sr.spec.ContextHash[:12], sr.estSec)
+	c.opts.Logf("fleet: stage %s[%d]: dispatching %d shards over %d context parts (est %.3fs/shard)",
+		sr.spec.Workflow, sr.spec.Stage, n, len(hashes), sr.estSec)
 
 	sweep := time.NewTicker(sweepEvery)
 	defer sweep.Stop()
@@ -256,6 +280,76 @@ wait:
 		return nil, nil, err
 	}
 	return sr.outs, sr.elaps, nil
+}
+
+// hashParts returns each part's content hash, and the encoding of each
+// part it had to encode to hash it. A part whose key the memo holds is
+// neither encoded nor hashed.
+func (c *Coordinator) hashParts(parts []workflow.ContextPart) ([]string, [][]byte, error) {
+	hashes, encs := make([]string, len(parts)), make([][]byte, len(parts))
+	c.mu.Lock()
+	for i, p := range parts {
+		hashes[i] = c.recallLocked(p.Key)
+	}
+	c.mu.Unlock()
+	for i, p := range parts {
+		if hashes[i] != "" {
+			continue
+		}
+		enc, err := workflow.EncodeDataset(p.Data)
+		if err != nil {
+			return nil, nil, err
+		}
+		sum := sha256.Sum256(enc)
+		hashes[i], encs[i] = hex.EncodeToString(sum[:]), enc
+	}
+	return hashes, encs, nil
+}
+
+// recallLocked returns the remembered hash of the part with key, making
+// it the most recently used, or "" when the memo does not hold it.
+func (c *Coordinator) recallLocked(key any) string {
+	for i, m := range c.memo {
+		if m.key == key {
+			copy(c.memo[i:], c.memo[i+1:])
+			c.memo[len(c.memo)-1] = m
+			c.metrics.PartsRecalled++
+			return m.hash
+		}
+	}
+	return ""
+}
+
+// rememberLocked records the hash of a part the coordinator just encoded,
+// forgetting the least recently used part past partMemoMax.
+func (c *Coordinator) rememberLocked(key any, hash string) {
+	if slices.ContainsFunc(c.memo, func(m memoEntry) bool { return m.key == key }) {
+		return // a concurrent stage encoded it too
+	}
+	if len(c.memo) == partMemoMax {
+		c.memo = slices.Delete(c.memo, 0, 1)
+	}
+	c.memo = append(c.memo, memoEntry{key: key, hash: hash})
+}
+
+// pinLocked pins a part for one more live stage. A part no stage pins yet
+// keeps enc, its encoding, when the stage had to make it, and is otherwise
+// encoded only if a worker fetches it.
+func (c *Coordinator) pinLocked(hash string, part *workflow.Dataset, enc []byte) {
+	b := c.blobs[hash]
+	if b == nil {
+		b = &blob{bytes: func() ([]byte, error) { return enc, nil }}
+		if enc == nil {
+			b.bytes = sync.OnceValues(func() ([]byte, error) {
+				c.mu.Lock()
+				c.metrics.PartsEncoded++
+				c.mu.Unlock()
+				return workflow.EncodeDataset(part)
+			})
+		}
+		c.blobs[hash] = b
+	}
+	b.refs++
 }
 
 // ReadyWorkers reports live registered workers.
@@ -485,8 +579,8 @@ func (c *Coordinator) unqueueLocked(sr *stageRun, shard int) {
 }
 
 // cleanupStageLocked releases a finished stage's coordinator-side state:
-// its queued and dispatched shards, and its pin on the context blob. The
-// blob is dropped with its last pin; workers cache the decoded dataset by
+// its queued and dispatched shards, and its pins on the context parts. A
+// part is dropped with its last pin; workers cache the decoded parts by
 // hash, so no later fetch needs it.
 func (c *Coordinator) cleanupStageLocked(sr *stageRun) {
 	delete(c.stages, sr)
@@ -500,10 +594,11 @@ func (c *Coordinator) cleanupStageLocked(sr *stageRun) {
 		}
 		delete(c.tasks, id)
 	}
-	hash := sr.spec.ContextHash
-	if c.blobRef[hash]--; c.blobRef[hash] == 0 {
-		delete(c.blobs, hash)
-		delete(c.blobRef, hash)
+	for _, hash := range sr.spec.ContextParts {
+		b := c.blobs[hash]
+		if b.refs--; b.refs == 0 {
+			delete(c.blobs, hash)
+		}
 	}
 	if len(c.queue) == 0 && len(c.tasks) == 0 {
 		c.lastDrain = c.opts.Now()
@@ -719,10 +814,10 @@ func readPayload(body io.Reader, n int64) ([]byte, error) {
 func (c *Coordinator) handleBlob(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	c.mu.Lock()
-	b, ok := c.blobs[hash]
+	part, ok := c.blobs[hash]
 	c.mu.Unlock()
 	if !ok {
-		// Not a cached stage context: fall back to the durable store, which
+		// Not a pinned context part: fall back to the durable store, which
 		// streams from disk (pread off the chunk file — the bytes never
 		// become coordinator heap).
 		if c.opts.Blobs != nil {
@@ -735,6 +830,11 @@ func (c *Coordinator) handleBlob(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		route.V2.Error(w, http.StatusNotFound, "not_found", "no blob %q", hash)
+		return
+	}
+	b, err := part.bytes()
+	if err != nil {
+		route.V2.Error(w, http.StatusInternalServerError, "internal", "encode blob %q: %v", hash, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

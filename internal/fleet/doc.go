@@ -13,14 +13,17 @@
 // each shard's worker-observed time and the engine logs it, so remote
 // shards feed the Data Broker exactly like local ones.
 //
-// The data plane is content-addressed: a stage's input dataset encodes
-// once (workflow.EncodeDataset, a deterministic binary codec) and ships by
-// SHA-256 hash; a worker fetches GET /api/v2/blobs/{hash} once per
-// (context, stage, options), checks the bytes against the hash and caches
-// the prepared stage stream, so a stage's later shards — also those that
-// arrive while the first is still fetching — transfer nothing. Shard
-// outputs return as
-// raw codec bytes (workflow.EncodeShard) behind a JSON result envelope.
+// The data plane is content-addressed: a stage's input ships as parts,
+// one per payload field (workflow.ContextParts), each encoded by a
+// deterministic binary codec (workflow.EncodeDataset) and named by its
+// SHA-256 hash. The coordinator remembers the hash of each payload slice
+// it has encoded, so a slice shared by stages or jobs is hashed once, and
+// encodes a remembered part again only if a worker fetches it. A worker
+// fetches GET /api/v2/blobs/{hash} only for parts no cached stage stream
+// holds, checks the bytes against the hash and caches the prepared stage
+// stream, so a stage's later shards — also those that arrive while the
+// first is still fetching — transfer nothing. Shard outputs return as raw
+// codec bytes (workflow.EncodeShard) behind a JSON result envelope.
 //
 // Dispatch is pull-based over HTTP (register, long-poll, result) with
 // per-shard timeout, bounded retry, and straggler re-dispatch: the first

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,7 @@ import (
 	"scan/internal/proteome"
 	"scan/internal/route"
 	"scan/internal/scheduler"
+	"scan/internal/variant"
 	"scan/internal/workflow"
 )
 
@@ -45,6 +47,55 @@ func fastqDataset(t testing.TB, refLen, reads int, seed int64) *workflow.Dataset
 		t.Fatal(err)
 	}
 	return workflow.NewFASTQDataset(ref, rd)
+}
+
+// hostileFASTQ draws the genomic input that stresses every scatter: reads
+// of mixed lengths, reads at both reference ends, 700-base reads across
+// several regions, N bases, reads that map nowhere, and every third read
+// from the reverse strand, its bases reverse-complemented and its
+// qualities reversed.
+func hostileFASTQ(t testing.TB, seed int64) *workflow.Dataset {
+	t.Helper()
+	ds := fastqDataset(t, 2300, 400, seed)
+	rng := rand.New(rand.NewSource(seed))
+	reads, ref := ds.Reads, ds.Reference.Seq
+	for i := range reads {
+		if rng.Intn(4) == 0 {
+			n := 20 + rng.Intn(60)
+			reads[i].Seq, reads[i].Qual = reads[i].Seq[:n], reads[i].Qual[:n]
+		}
+		if rng.Intn(8) == 0 {
+			reads[i].Seq[rng.Intn(len(reads[i].Seq))] = 'N'
+		}
+	}
+	for _, seq := range [][]byte{ref[:60], ref[:25], ref[len(ref)-60:], ref[len(ref)-25:], ref[900:1600], ref[300:1000]} {
+		reads = append(reads, genomics.Read{ID: fmt.Sprint("edge", len(reads)), Seq: bytes.Clone(seq), Qual: bytes.Repeat([]byte("#"), len(seq))})
+	}
+	for range 6 {
+		junk := make([]byte, 60) // maps nowhere
+		for i := range junk {
+			junk[i] = "ACGT"[rng.Intn(4)]
+		}
+		reads = append(reads, genomics.Read{ID: fmt.Sprint("junk", len(reads)), Seq: junk, Qual: bytes.Repeat([]byte("I"), len(junk))})
+	}
+	rng.Shuffle(len(reads), func(i, j int) { reads[i], reads[j] = reads[j], reads[i] })
+	for i := 0; i < len(reads); i += 3 {
+		r := &reads[i]
+		seq, qual := make([]byte, len(r.Seq)), make([]byte, len(r.Qual))
+		for j, b := range r.Seq {
+			c := byte('N')
+			if k := strings.IndexByte("ACGT", b); k >= 0 {
+				c = "TGCA"[k]
+			}
+			seq[len(seq)-1-j] = c
+		}
+		for j, q := range r.Qual {
+			qual[len(qual)-1-j] = q + byte(j%7) // a varied string, so reversing shows
+		}
+		r.Seq, r.Qual = seq, qual
+	}
+	ds.Reads = reads
+	return ds
 }
 
 func mgfDataset(t testing.TB, proteins, spectra int, seed int64) *workflow.Dataset {
@@ -217,7 +268,7 @@ func encode(t testing.TB, ds *workflow.Dataset) []byte {
 // produces byte-identical output and the same per-stage scatter telemetry
 // as the same engine configuration running on its local pool.
 func TestDistributedMatchesLocal(t *testing.T) {
-	cases := []struct {
+	type distributedCase struct {
 		name     string
 		workflow string
 		opts     workflow.RunOptions
@@ -226,7 +277,8 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		// job; wantShards then pins the record scatter's wave-rounded width.
 		observed   *knowledge.RunLog
 		wantShards int
-	}{
+	}
+	cases := []distributedCase{
 		{name: "dna-variant-detection", workflow: "dna-variant-detection", dataset: func(t testing.TB) *workflow.Dataset {
 			return fastqDataset(t, 8000, 2000, 7)
 		}},
@@ -254,6 +306,16 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			return fastqDataset(t, 8000, 2000, 13)
 		}},
 	}
+	// Every read-consuming genomic workflow over the hostile read mix, in
+	// 37-read align shards and 7 regions.
+	for _, name := range []string{
+		"dna-variant-detection", "exome-variant-detection", "wgs-variant-detection",
+		"somatic-mutation-detection", "mirna-fusion-detection", "rna-expression",
+	} {
+		cases = append(cases, distributedCase{name: "hostile-" + name, workflow: name,
+			opts:    workflow.RunOptions{ShardRecords: 37, Regions: 7, Caller: variant.Config{MinDepth: 3, MinAltFraction: 0.3}},
+			dataset: func(t testing.TB) *workflow.Dataset { return hostileFASTQ(t, 31) }})
+	}
 	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 2)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,9 +341,17 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			}
 			ropts := tc.opts
 			ropts.ShardPool = tf.coord
+			remoteBefore := tf.coord.FleetMetrics().RemoteStages
 			got, err := remote.RunByName(context.Background(), tc.workflow, tc.dataset(t), ropts)
 			if err != nil {
 				t.Fatalf("distributed run: %v", err)
+			}
+			if tf.coord.FleetMetrics().RemoteStages == remoteBefore {
+				t.Fatal("no stage ran on the fleet")
+			}
+			if out := got.Output; strings.HasPrefix(tc.name, "hostile-") &&
+				(out.Mapped == 0 || out.Mapped == len(out.Reads) || len(out.Variants)+len(out.Features) == 0) {
+				t.Fatalf("%d of %d reads mapped, %d calls, %d features", out.Mapped, len(out.Reads), len(out.Variants), len(out.Features))
 			}
 
 			if !bytes.Equal(encode(t, want.Output), encode(t, got.Output)) {
@@ -620,7 +690,7 @@ func TestCommittedShardLeavesQueue(t *testing.T) {
 // input the test supplies, and returns the encoded shard result.
 func shardOutput(t testing.TB, task Task, input *workflow.Dataset) []byte {
 	t.Helper()
-	if sum := sha256.Sum256(encode(t, input)); hex.EncodeToString(sum[:]) != task.ContextHash {
+	if !slices.Equal(partHashes(t, input), task.ContextParts) {
 		t.Fatalf("task %s context is not the supplied input", task.ID)
 	}
 	prep, err := workflow.NewEngine(workflow.EngineOptions{Workers: 1}).PrepareStageShards(
@@ -637,6 +707,17 @@ func shardOutput(t testing.TB, task Task, input *workflow.Dataset) []byte {
 		t.Fatal(err)
 	}
 	return enc
+}
+
+// partHashes returns the content hashes of a stage input's context parts.
+func partHashes(t testing.TB, input *workflow.Dataset) []string {
+	t.Helper()
+	var hashes []string
+	for _, p := range workflow.ContextParts(input) {
+		sum := sha256.Sum256(encode(t, p.Data))
+		hashes = append(hashes, hex.EncodeToString(sum[:]))
+	}
+	return hashes
 }
 
 // resultGate is a worker-side transport that counts poll requests and holds
@@ -1049,12 +1130,234 @@ func TestResultWithoutOutputOrErrorRejected(t *testing.T) {
 func TestWorkerRejectsMalformedTask(t *testing.T) {
 	wk := NewWorker(WorkerOptions{Coordinator: "http://127.0.0.1:0"})
 	for _, task := range []Task{
-		{ID: "t1", Workflow: "integrative-network", ContextHash: "deadbeef"},
-		{ID: "t2", Workflow: "integrative-network", Shard: -1, ContextHash: strings.Repeat("ab", 32)},
-		{Workflow: "integrative-network", ContextHash: strings.Repeat("ab", 32)},
+		{ID: "t1", Workflow: "integrative-network", ContextParts: []string{"deadbeef"}},
+		{ID: "t2", Workflow: "integrative-network", Shard: -1, ContextParts: []string{strings.Repeat("ab", 32)}},
+		{Workflow: "integrative-network", ContextParts: []string{strings.Repeat("ab", 32)}},
 	} {
 		if _, _, err := wk.runTask(context.Background(), task); !errors.Is(err, ErrBadEnvelope) {
 			t.Fatalf("task %+v: err = %v, want ErrBadEnvelope", task, err)
 		}
+	}
+}
+
+// taskMangler is a worker-side transport that rewrites every task the
+// worker polls while a mangle is set, and answers the fetch of each part
+// it holds by itself.
+type taskMangler struct {
+	mangle atomic.Pointer[func(*Task)]
+	parts  map[string][]byte
+}
+
+// part encodes d, keeps it for fetches, and returns its hash.
+func (m *taskMangler) part(t testing.TB, d *workflow.Dataset) string {
+	b := encode(t, d)
+	sum := sha256.Sum256(b)
+	hash := hex.EncodeToString(sum[:])
+	m.parts[hash] = b
+	return hash
+}
+
+func (m *taskMangler) RoundTrip(r *http.Request) (*http.Response, error) {
+	if b, ok := m.parts[strings.TrimPrefix(r.URL.Path, "/api/v2/blobs/")]; ok {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
+			Body: io.NopCloser(bytes.NewReader(b)), ContentLength: int64(len(b))}, nil
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	mangle := m.mangle.Load()
+	if err != nil || mangle == nil || !strings.HasSuffix(r.URL.Path, "/fleet/poll") || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	var poll PollResponse
+	err = json.NewDecoder(resp.Body).Decode(&poll)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if poll.Task != nil {
+		(*mangle)(poll.Task)
+	}
+	b, err := json.Marshal(poll)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(b)), int64(len(b))
+	return resp, nil
+}
+
+// TestWorkerRejectsMalformedContext: a task whose context parts are
+// malformed — none, a repeated hash, more than the dataset has fields, two
+// setting one field, or an alignment naming a read the context lacks —
+// fails on the worker as a task error. Every dispatch re-queues until the
+// stage fails with the worker's error, no shard commits, and the worker
+// lives on to run the next job.
+func TestWorkerRejectsMalformedContext(t *testing.T) {
+	m := &taskMangler{parts: make(map[string][]byte)}
+	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 1, &http.Client{Transport: m})
+	ds := fastqDataset(t, 2000, 200, 3)
+	ref := m.part(t, &workflow.Dataset{Reference: ds.Reference})
+	readsA, readsB := m.part(t, &workflow.Dataset{Reads: ds.Reads[:100]}), m.part(t, &workflow.Dataset{Reads: ds.Reads[100:]})
+	oneRead := m.part(t, &workflow.Dataset{Reads: ds.Reads[:1]})
+	pastReads := m.part(t, &workflow.Dataset{Alignments: []genomics.Alignment{{Pos: 1, Read: 1, Len: 100}}, Mapped: 1})
+	w, err := workflow.DefaultCatalogue().Get("dna-variant-detection")
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := slices.IndexFunc(w.Stages, func(s workflow.Stage) bool { return s.Name == "UnifiedGenotyper" })
+	run := func() (*workflow.Result, error) {
+		e := workflow.NewEngine(workflow.EngineOptions{KB: seededKB(t), Workers: 4})
+		return e.RunByName(context.Background(), "dna-variant-detection", ds,
+			workflow.RunOptions{ShardRecords: 1000, ShardPool: tf.coord})
+	}
+	for _, tc := range []struct {
+		name   string
+		mangle func(*Task)
+		want   string
+	}{
+		{"no parts", func(t *Task) { t.ContextParts = nil }, "0 context parts"},
+		{"repeated part", func(t *Task) { t.ContextParts = []string{ref, ref} }, "not a distinct SHA-256 hash"},
+		{"more parts than fields", func(t *Task) { t.ContextParts = distinctHashes(workflow.MaxContextParts + 1) },
+			fmt.Sprintf("%d context parts", workflow.MaxContextParts+1)},
+		{"two parts set one field", func(t *Task) { t.ContextParts = []string{ref, readsA, readsB} }, "sets a field an earlier part set"},
+		{"read index past the reads", func(t *Task) {
+			t.Stage, t.Type, t.ContextParts = call, workflow.BAM, []string{ref, oneRead, pastReads}
+		}, "names read 1 of 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m.mangle.Store(&tc.mangle)
+			before := tf.coord.FleetMetrics()
+			_, err := run()
+			if err == nil || !strings.Contains(err.Error(), "fleet: worker") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run err = %v, want the worker's task error %q", err, tc.want)
+			}
+			after := tf.coord.FleetMetrics()
+			if after.Completed != before.Completed || after.Redispatched-before.Redispatched != maxAttempts-1 {
+				t.Fatalf("metrics %+v after %+v: want no commit and %d re-dispatches", after, before, maxAttempts-1)
+			}
+		})
+	}
+	m.mangle.Store(nil)
+	got, err := run()
+	if err != nil {
+		t.Fatalf("the worker did not survive the malformed contexts: %v", err)
+	}
+	want, err := workflow.NewEngine(workflow.EngineOptions{KB: seededKB(t), Workers: 4}).RunByName(
+		context.Background(), "dna-variant-detection", ds, workflow.RunOptions{ShardRecords: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, want.Output), encode(t, got.Output)) {
+		t.Fatal("distributed output diverges from local")
+	}
+}
+
+// TestSecondJobShipsNoContext: a second dna-variant-detection job over the
+// same upload, on a warm worker, fetches no blob, though its shard plan
+// differs from the first job's: the worker takes every part from the
+// streams it prepared for the first. The coordinator encodes none of the
+// head stage's parts — it recalls the hashes of the reference and the
+// reads — and encodes only the calling stage's new alignments, to hash
+// them.
+func TestSecondJobShipsNoContext(t *testing.T) {
+	blobs := &blobCounter{}
+	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 1, &http.Client{Transport: blobs})
+	ds := fastqDataset(t, 8000, 2000, 7)
+	run := func(records int) []byte {
+		e := workflow.NewEngine(workflow.EngineOptions{KB: seededKB(t), Workers: 4})
+		res, err := e.RunByName(context.Background(), "dna-variant-detection", ds,
+			workflow.RunOptions{ShardRecords: records, ShardPool: tf.coord})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode(t, res.Output)
+	}
+	first := run(500)
+	fetched, before := blobs.fetches.Load(), tf.coord.FleetMetrics()
+	if fetched != 3 || before.PartsEncoded != 3 {
+		t.Fatalf("first job: %d fetches, metrics %+v; want the 3 parts fetched and encoded once", fetched, before)
+	}
+	second := run(400)
+	after := tf.coord.FleetMetrics()
+	if n := blobs.fetches.Load() - fetched; n != 0 {
+		t.Fatalf("second job fetched %d blobs, want 0", n)
+	}
+	if enc, rec := after.PartsEncoded-before.PartsEncoded, after.PartsRecalled-before.PartsRecalled; enc != 1 || rec != 4 {
+		t.Fatalf("second job: %d parts encoded, %d recalled; want 1 (the alignments) and 4", enc, rec)
+	}
+	if after.RemoteStages-before.RemoteStages != 2 || !bytes.Equal(first, second) {
+		t.Fatalf("second job: %d remote stages, output equal %v", after.RemoteStages-before.RemoteStages, bytes.Equal(first, second))
+	}
+	tf.coord.mu.Lock()
+	held := len(tf.coord.blobs)
+	tf.coord.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("coordinator holds %d context parts after the jobs, want 0", held)
+	}
+}
+
+// TestConcurrentJobsShareParts: jobs running at once over one upload
+// recall, pin and release the same context parts from several goroutines,
+// and workers that join after the coordinator remembered those parts fetch
+// them, so the coordinator encodes them on first GET, concurrently. Every
+// job matches the local run, and no part outlives the jobs.
+func TestConcurrentJobsShareParts(t *testing.T) {
+	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 1)
+	ds := fastqDataset(t, 8000, 2000, 7)
+	run := func(pool workflow.ShardPool) ([]byte, error) {
+		e := workflow.NewEngine(workflow.EngineOptions{KB: seededKB(t), Workers: 4})
+		res, err := e.RunByName(context.Background(), "dna-variant-detection", ds,
+			workflow.RunOptions{ShardRecords: 250, ShardPool: pool})
+		if err != nil {
+			return nil, err
+		}
+		return workflow.EncodeDataset(res.Output)
+	}
+	want, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(tf.coord); err != nil { // the coordinator remembers the upload's parts
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var workers sync.WaitGroup
+	t.Cleanup(func() {
+		cancel()
+		workers.Wait()
+	})
+	for i := range 2 {
+		wk := NewWorker(WorkerOptions{Coordinator: tf.server.URL, Name: fmt.Sprint("late", i), Slots: 2, Logf: t.Logf})
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			_ = wk.Run(ctx)
+		}()
+	}
+	waitFor(t, 5*time.Second, func() bool { return tf.coord.ReadyWorkers() >= 3 })
+	before := tf.coord.FleetMetrics()
+	errs := make(chan error, 4)
+	for range 4 {
+		go func() {
+			got, err := run(tf.coord)
+			if err == nil && !bytes.Equal(got, want) {
+				err = errors.New("distributed output diverges from local")
+			}
+			errs <- err
+		}()
+	}
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Four jobs encode their own alignments; the late workers' fetches of
+	// the remembered reference and reads encode more.
+	if enc := tf.coord.FleetMetrics().PartsEncoded - before.PartsEncoded; enc <= 4 {
+		t.Fatalf("%d parts encoded: no remembered part was encoded on a fetch", enc)
+	}
+	tf.coord.mu.Lock()
+	held := len(tf.coord.blobs)
+	tf.coord.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("coordinator holds %d context parts after the jobs, want 0", held)
 	}
 }

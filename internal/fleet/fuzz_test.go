@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,19 +22,27 @@ import (
 // alongside the registry's upload-decoder fuzzers.
 
 func FuzzDecodeTask(f *testing.F) {
-	hash := strings.Repeat("5e", 32)
+	hash, other := strings.Repeat("5e", 32), strings.Repeat("a7", 32)
 	seed, err := json.Marshal(Task{
 		ID: "t1", Workflow: "dna-variant-detection", Stage: 0, Shard: 2,
-		Attempt: 1, ContextHash: hash,
+		Attempt: 1, Type: workflow.FASTQ, ContextParts: []string{hash, other},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"id":"t2","workflow":"w","stage":0,"shard":0,"context_hash":"` + strings.ToUpper(hash) + `"}`))
+	f.Add([]byte(`{"id":"t2","workflow":"w","stage":0,"shard":0,"context_parts":["` + strings.ToUpper(hash) + `"]}`))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"id":"t3","workflow":"w","stage":-1,"shard":0,"context_hash":"` + hash + `"}`))
+	f.Add([]byte(`{"id":"t3","workflow":"w","stage":-1,"shard":0,"context_parts":["` + hash + `"]}`))
 	f.Add([]byte(`not json`))
+	// Part lists: empty, a repeated hash, and more parts than fields.
+	f.Add([]byte(`{"id":"t4","workflow":"w","stage":0,"shard":0,"context_parts":[]}`))
+	f.Add([]byte(`{"id":"t5","workflow":"w","stage":0,"shard":0,"context_parts":["` + hash + `","` + hash + `"]}`))
+	many, err := json.Marshal(Task{ID: "t6", Workflow: "w", ContextParts: distinctHashes(workflow.MaxContextParts + 1)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(many)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		task, err := DecodeTask(data)
 		if err != nil {
@@ -47,10 +57,25 @@ func FuzzDecodeTask(f *testing.F) {
 		if task.Stage < 0 || task.Shard < 0 {
 			t.Fatalf("accepted negative indices: %+v", task)
 		}
-		if !blobstore.ValidHash(task.ContextHash) {
-			t.Fatalf("accepted task without a SHA-256 context hash: %+v", task)
+		parts := task.ContextParts
+		if len(parts) == 0 || len(parts) > workflow.MaxContextParts {
+			t.Fatalf("accepted %d context parts: %+v", len(parts), task)
+		}
+		for i, h := range parts {
+			if !blobstore.ValidHash(h) || slices.Contains(parts[:i], h) {
+				t.Fatalf("accepted context part %d that is not a distinct SHA-256 hash: %+v", i, task)
+			}
 		}
 	})
+}
+
+// distinctHashes returns n distinct valid SHA-256 hashes.
+func distinctHashes(n int) []string {
+	hashes := make([]string, n)
+	for i := range hashes {
+		hashes[i] = fmt.Sprintf("%064x", i)
+	}
+	return hashes
 }
 
 func FuzzReadResult(f *testing.F) {

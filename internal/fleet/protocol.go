@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"scan/internal/align"
 	"scan/internal/blobstore"
@@ -80,17 +81,19 @@ func (o TaskOptions) RunOptions() workflow.RunOptions {
 }
 
 // Task is one shard dispatch: which shard of which stage of which
-// workflow, plus the content hash of the stage's input (GET
-// /api/v2/blobs/{ContextHash}, cacheable). The worker re-Splits the
-// context with the pinned Options and transforms shard Shard.
+// workflow, plus the stage input's type and the content hashes of its
+// parts (workflow.ContextParts; GET /api/v2/blobs/{hash}, cacheable). The
+// worker joins the parts, re-Splits the context with the pinned Options
+// and transforms shard Shard.
 type Task struct {
-	ID          string      `json:"id"`
-	Workflow    string      `json:"workflow"`
-	Stage       int         `json:"stage"`
-	Shard       int         `json:"shard"`
-	Attempt     int         `json:"attempt"`
-	ContextHash string      `json:"context_hash"`
-	Options     TaskOptions `json:"options"`
+	ID           string            `json:"id"`
+	Workflow     string            `json:"workflow"`
+	Stage        int               `json:"stage"`
+	Shard        int               `json:"shard"`
+	Attempt      int               `json:"attempt"`
+	Type         workflow.DataType `json:"type"`
+	ContextParts []string          `json:"context_parts"`
+	Options      TaskOptions       `json:"options"`
 }
 
 // ResultRequest opens a result body. Exactly one of Error or OutputBytes
@@ -148,6 +151,11 @@ type Metrics struct {
 	DuplicatesDiscarded int `json:"duplicates_discarded"`
 	// RemoteStages counts stages executed through the fleet.
 	RemoteStages int `json:"remote_stages"`
+	// PartsEncoded counts context parts the coordinator encoded, to hash
+	// them or to serve them; PartsRecalled counts those whose hash it
+	// remembered, so that it neither encoded nor hashed them.
+	PartsEncoded  int `json:"parts_encoded"`
+	PartsRecalled int `json:"parts_recalled"`
 }
 
 // Roster is GET /api/v2/workers' body.
@@ -186,8 +194,14 @@ func (t Task) validate() error {
 	if t.Stage < 0 || t.Shard < 0 {
 		return fmt.Errorf("%w: negative stage or shard index", ErrBadEnvelope)
 	}
-	if !blobstore.ValidHash(t.ContextHash) {
-		return fmt.Errorf("%w: task needs a SHA-256 context hash", ErrBadEnvelope)
+	if len(t.ContextParts) == 0 || len(t.ContextParts) > workflow.MaxContextParts {
+		return fmt.Errorf("%w: task has %d context parts, want 1 to %d",
+			ErrBadEnvelope, len(t.ContextParts), workflow.MaxContextParts)
+	}
+	for i, h := range t.ContextParts {
+		if !blobstore.ValidHash(h) || slices.Contains(t.ContextParts[:i], h) {
+			return fmt.Errorf("%w: context part %d is not a distinct SHA-256 hash", ErrBadEnvelope, i)
+		}
 	}
 	return nil
 }

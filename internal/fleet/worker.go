@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,7 +48,8 @@ type WorkerOptions struct {
 // results back. Prepared stage streams (aligner indexes, region
 // partitions) are cached per (context, stage, options), and shards of one
 // stage that arrive together share one context fetch, decode and prepare,
-// so no shard after the first pays setup.
+// so no shard after the first pays setup. A stage whose context shares
+// parts with a cached stream's fetches only the other parts.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -60,13 +62,17 @@ type Worker struct {
 }
 
 // prepEntry prepares one stage stream once; the first shard that needs it
-// runs load, and concurrent shards wait for its result.
+// runs load, and concurrent shards wait for its result. Once load has
+// them, parts holds the stream's decoded context parts by hash (guarded by
+// Worker.mu).
 type prepEntry struct {
-	load func() (*workflow.StagePrep, error)
+	load  func() (*workflow.StagePrep, error)
+	parts map[string]*workflow.Dataset
 }
 
-// workerCacheMax bounds the prepared-stream cache.
-const workerCacheMax = 8
+// workerCacheMax bounds a worker's prepared-stream cache, and partMemoMax
+// the coordinator's memo of context-part hashes.
+const workerCacheMax, partMemoMax = 8, 8
 
 // NewWorker builds a worker (Run starts it).
 func NewWorker(opts WorkerOptions) *Worker {
@@ -226,29 +232,40 @@ func (wk *Worker) runTask(ctx context.Context, t Task) (workflow.StreamShard, ti
 	return prep.RunShard(ctx, t.Shard)
 }
 
-// prepare returns the task's prepared stage stream, fetching, checking and
-// decoding its context dataset on first use. An entry whose preparation
-// failed is dropped, so a retried shard fetches again.
+// prepare returns the task's prepared stage stream, joining its context
+// from its parts on first use. An entry whose preparation failed is
+// dropped, so a retried shard fetches again.
 func (wk *Worker) prepare(ctx context.Context, t Task) (*workflow.StagePrep, error) {
 	optsJSON, err := json.Marshal(t.Options)
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s|%s|%d|%s", t.ContextHash, t.Workflow, t.Stage, optsJSON)
+	key := fmt.Sprintf("%s|%s|%s|%d|%s", strings.Join(t.ContextParts, ","), t.Type, t.Workflow, t.Stage, optsJSON)
 	wk.mu.Lock()
 	e := wk.preps[key]
 	if e == nil {
-		e = &prepEntry{load: sync.OnceValues(func() (*workflow.StagePrep, error) {
-			raw, err := wk.fetchBlob(ctx, t.ContextHash)
+		e = &prepEntry{}
+		e.load = sync.OnceValues(func() (*workflow.StagePrep, error) {
+			parts, err := wk.contextParts(ctx, t.ContextParts)
 			if err != nil {
 				return nil, err
 			}
-			ds, err := workflow.DecodeDataset(raw)
+			in := make([]*workflow.Dataset, len(t.ContextParts))
+			for i, h := range t.ContextParts {
+				in[i] = parts[h]
+			}
+			ds, err := workflow.JoinContext(t.Type, in)
 			if err != nil {
 				return nil, err
 			}
-			return wk.engine.PrepareStageShards(t.Workflow, t.Stage, ds, t.Options.RunOptions())
-		})}
+			prep, err := wk.engine.PrepareStageShards(t.Workflow, t.Stage, ds, t.Options.RunOptions())
+			if err == nil {
+				wk.mu.Lock()
+				e.parts = parts
+				wk.mu.Unlock()
+			}
+			return prep, err
+		})
 		wk.preps[key] = e
 		wk.age = append(wk.age, key)
 		if len(wk.age) > workerCacheMax {
@@ -267,6 +284,35 @@ func (wk *Worker) prepare(ctx context.Context, t Task) (*workflow.StagePrep, err
 		wk.mu.Unlock()
 	}
 	return prep, err
+}
+
+// contextParts returns the decoded context parts named by hashes, keyed by
+// hash. A part a cached stream holds is taken from it; any other is
+// fetched, checked against its hash and decoded.
+func (wk *Worker) contextParts(ctx context.Context, hashes []string) (map[string]*workflow.Dataset, error) {
+	parts := make(map[string]*workflow.Dataset, len(hashes))
+	wk.mu.Lock()
+	for _, e := range wk.preps {
+		for _, h := range hashes {
+			if p := e.parts[h]; p != nil {
+				parts[h] = p
+			}
+		}
+	}
+	wk.mu.Unlock()
+	for _, h := range hashes {
+		if parts[h] != nil {
+			continue
+		}
+		raw, err := wk.fetchBlob(ctx, h)
+		if err != nil {
+			return nil, err
+		}
+		if parts[h], err = workflow.DecodeDataset(raw); err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }
 
 func (wk *Worker) fetchBlob(ctx context.Context, hash string) ([]byte, error) {

@@ -12,15 +12,18 @@ const (
 	FlagReverseStrand = 0x10
 )
 
-// Alignment is one read placed on its dataset's reference. The aligner is
-// ungapped, so a mapped read matches the len(Seq) bases from Pos.
+// Alignment is one read placed on its dataset's reference. It points at
+// its read instead of carrying the read's bases: Read indexes the Reads of
+// the dataset that was aligned, which keeps them. The aligner is ungapped,
+// so a mapped read matches the Len bases from Pos, which on the reverse
+// strand are its bases reverse-complemented.
 type Alignment struct {
-	Pos  int // 1-based leftmost position; 0 when unmapped
+	Pos  int   // 1-based leftmost position; 0 when unmapped
+	Read int32 // index of the read in its dataset's Reads
+	Len  int32 // the read's length: bases matched from Pos when mapped
 	Flag int
 	MapQ int
-	NM   int    // edit distance; -1 when unmapped
-	Seq  []byte // reverse-complemented on the reverse strand
-	Qual []byte
+	NM   int // edit distance; -1 when unmapped
 }
 
 // Unmapped reports whether the record has the unmapped flag set.
@@ -31,7 +34,7 @@ func (a Alignment) End() int {
 	if a.Unmapped() {
 		return 0
 	}
-	return a.Pos + len(a.Seq) - 1
+	return a.Pos + int(a.Len) - 1
 }
 
 // compareAlignments orders records by position, unmapped records last.

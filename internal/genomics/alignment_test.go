@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // stableSorted is the reference order: sort.SliceStable under the
@@ -35,7 +36,7 @@ func randomAlignments(rng *rand.Rand, n int) []Alignment {
 	}
 	alns := make([]Alignment, n)
 	for i := range alns {
-		alns[i] = Alignment{Pos: positions[rng.Intn(len(positions))], MapQ: i, Seq: []byte("ACGT")}
+		alns[i] = Alignment{Pos: positions[rng.Intn(len(positions))], MapQ: i, Len: 4}
 		if rng.Intn(6) == 0 {
 			alns[i].Flag, alns[i].Pos = FlagUnmapped, 0
 		}
@@ -154,5 +155,13 @@ func BenchmarkMergeSorted(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MergeSorted(groups...)
+	}
+}
+
+// TestAlignmentIsCompact: a record holds no bytes of its read, and is at
+// most 40 bytes.
+func TestAlignmentIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Alignment{}); n > 40 {
+		t.Fatalf("an Alignment is %d bytes, want at most 40", n)
 	}
 }

@@ -2,9 +2,10 @@
 // generation that stand in for the paper's NGS inputs: FASTA references,
 // FASTQ reads, alignment records with their coordinate sort and k-way
 // merge, and SNV calls with their sort and deduplicating merge. An
-// alignment holds what the kernels read — position, flag, MapQ, edit
-// distance, bases and qualities — and a call its position, bases and
-// quality; the reference they lie on is their dataset's. Alignments and
+// alignment holds what the kernels read — position, matched length, flag,
+// MapQ and edit distance — and the index of its read, whose bases and
+// qualities stay in the read; a call holds its position, bases and
+// quality. The reference they lie on is their dataset's. Alignments and
 // calls stay in memory; the only codec they cross a process boundary in is
 // the fleet's wire codec.
 //

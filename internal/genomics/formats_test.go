@@ -150,7 +150,7 @@ func TestMergeSorted(t *testing.T) {
 }
 
 func TestAlignmentEnd(t *testing.T) {
-	a := Alignment{Pos: 10, Seq: []byte("ACGTA")}
+	a := Alignment{Pos: 10, Len: 5}
 	if a.End() != 14 {
 		t.Fatalf("End = %d, want 14", a.End())
 	}

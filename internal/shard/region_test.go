@@ -70,7 +70,7 @@ func TestSliceByRegionMatchesPartitions(t *testing.T) {
 			if !uniform {
 				n = 1 + rng.Intn(min(40, refLen))
 			}
-			alns[i] = genomics.Alignment{Pos: 1 + rng.Intn(refLen-n+1), MapQ: i, Seq: make([]byte, n)}
+			alns[i] = genomics.Alignment{Pos: 1 + rng.Intn(refLen-n+1), MapQ: i, Len: int32(n)}
 			if rng.Intn(10) == 0 {
 				alns[i].Flag, alns[i].Pos = genomics.FlagUnmapped, 0
 			} else {
@@ -147,14 +147,14 @@ func TestPartitionByOverlapBoundarySpanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := []byte("ACGTACGTAC")
+	const readLen = 10
 	alns := []genomics.Alignment{
-		{Pos: 10, MapQ: 0, Seq: seq}, // entirely in region 0
-		{Pos: 46, MapQ: 1, Seq: seq}, // spans the 50/51 boundary
-		{Pos: 80, MapQ: 2, Seq: seq}, // entirely in region 1
+		{Pos: 10, MapQ: 0, Len: readLen}, // entirely in region 0
+		{Pos: 46, MapQ: 1, Len: readLen}, // spans the 50/51 boundary
+		{Pos: 80, MapQ: 2, Len: readLen}, // entirely in region 1
 		{Flag: genomics.FlagUnmapped, MapQ: 3},
 	}
-	parts := SliceByRegion(alns, regs, len(seq)-1)
+	parts := SliceByRegion(alns, regs, readLen-1)
 	if !sameRecords(parts[0], alns[0:2]) {
 		t.Fatalf("region 0 = %+v", parts[0])
 	}
@@ -177,7 +177,7 @@ func TestPartitionByOverlapCoverageProperty(t *testing.T) {
 		}
 		var alns []genomics.Alignment
 		for _, p := range posRaw {
-			alns = append(alns, genomics.Alignment{Pos: 1 + int(p)%(refLen-readLen), Seq: make([]byte, readLen)})
+			alns = append(alns, genomics.Alignment{Pos: 1 + int(p)%(refLen-readLen), Len: readLen})
 		}
 		genomics.SortAlignments(alns)
 		globalDepth := make([]int, refLen+1)
@@ -210,9 +210,9 @@ func TestPartitionByOverlapCoverageProperty(t *testing.T) {
 func BenchmarkSliceByRegion(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	alns := make([]genomics.Alignment, 30000)
-	seq := make([]byte, 100)
+	const readLen = 100
 	for i := range alns {
-		alns[i] = genomics.Alignment{Pos: 1 + rng.Intn(100000-len(seq)), Seq: seq}
+		alns[i] = genomics.Alignment{Pos: 1 + rng.Intn(100000-readLen), Len: readLen}
 		if rng.Intn(50) == 0 {
 			alns[i].Flag = genomics.FlagUnmapped
 		}
@@ -225,6 +225,6 @@ func BenchmarkSliceByRegion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		SliceByRegion(alns, regs, len(seq)-1)
+		SliceByRegion(alns, regs, readLen-1)
 	}
 }

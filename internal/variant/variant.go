@@ -80,33 +80,49 @@ func NewCaller(ref genomics.Sequence, start, end int, cfg Config) *Caller {
 }
 
 // Add folds the bases of one alignment that lie inside the region into the
-// pileup. Unmapped records are ignored; a read that runs off the reference
-// is an error.
-func (c *Caller) Add(a genomics.Alignment) error {
+// pileup. They are the bases of reads[a.Read], complemented and read
+// backwards on the reverse strand. Unmapped records are ignored; a record
+// whose read is not in reads or has another length, or that runs off the
+// reference, is an error.
+func (c *Caller) Add(a genomics.Alignment, reads []genomics.Read) error {
 	if a.Unmapped() {
 		return nil
 	}
-	start := a.Pos - 1
-	if start < 0 || start+len(a.Seq) > c.ref.Len() {
-		return fmt.Errorf("variant: %d-base read at %d overflows reference of %d bases",
-			len(a.Seq), a.Pos, c.ref.Len())
+	if a.Read < 0 || int(a.Read) >= len(reads) || len(reads[a.Read].Seq) != int(a.Len) {
+		return fmt.Errorf("variant: %d-base alignment at %d names read %d of %d, not one of that length",
+			a.Len, a.Pos, a.Read, len(reads))
 	}
-	// Read offsets [lo, hi) fall inside the region.
+	seq := reads[a.Read].Seq
+	start, n := a.Pos-1, len(seq)
+	if start < 0 || start+n > c.ref.Len() {
+		return fmt.Errorf("variant: %d-base read at %d overflows reference of %d bases",
+			n, a.Pos, c.ref.Len())
+	}
+	// Read offsets [lo, hi), in reference orientation, fall inside the
+	// region.
 	lo := max(c.start-start, 0)
-	hi := min(len(a.Seq), c.start+len(c.depth)-start)
+	hi := min(n, c.start+len(c.depth)-start)
 	if lo >= hi {
 		return nil
 	}
-	seq := a.Seq[lo:hi]
 	at := start + lo - c.start
-	counts, depth := c.counts[at:at+len(seq)], c.depth[at:at+len(seq)]
-	for i, b := range seq {
-		idx := baseIndex[b]
-		if idx < 0 {
-			continue // N or other ambiguity code: not evidence
+	counts, depth := c.counts[at:at+hi-lo], c.depth[at:at+hi-lo]
+	if a.Flag&genomics.FlagReverseStrand == 0 {
+		for i, b := range seq[lo:hi] {
+			if idx := baseIndex[b]; idx >= 0 { // N or other ambiguity code: not evidence
+				counts[i][idx]++
+				depth[i]++
+			}
 		}
-		counts[i][idx]++
-		depth[i]++
+		return nil
+	}
+	// Reference offset j holds the complement of read base n-1-j, and the
+	// complement of base index x is 3-x.
+	for i := range depth {
+		if idx := baseIndex[seq[n-1-lo-i]]; idx >= 0 {
+			counts[i][3-idx]++
+			depth[i]++
+		}
 	}
 	return nil
 }

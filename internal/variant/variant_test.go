@@ -1,6 +1,7 @@
 package variant
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,7 +20,7 @@ func TestPileupAndCall(t *testing.T) {
 	// Five reads covering position 3 (0-based), all reading 'G' where the
 	// reference has 'T'.
 	for i := 0; i < 5; i++ {
-		err := c.Add(genomics.Alignment{Pos: 3, Seq: []byte("GGA"), Qual: []byte("III")})
+		err := c.Add(forward(3, "GGA"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestCallRespectsMinDepth(t *testing.T) {
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("AAAA")}
 	c := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 4, MinAltFraction: 0.3})
 	for i := 0; i < 3; i++ {
-		if err := c.Add(genomics.Alignment{Pos: 1, Seq: []byte("TTTT"), Qual: []byte("IIII")}); err != nil {
+		if err := c.Add(forward(1, "TTTT")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +60,7 @@ func TestCallRespectsAltFraction(t *testing.T) {
 	c := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 4, MinAltFraction: 0.5})
 	add := func(seq string, n int) {
 		for i := 0; i < n; i++ {
-			if err := c.Add(genomics.Alignment{Pos: 1, Seq: []byte(seq), Qual: []byte("IIII")}); err != nil {
+			if err := c.Add(forward(1, seq)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -76,20 +77,33 @@ func TestAddValidations(t *testing.T) {
 	// The region is one base, but a read must still lie inside the
 	// reference, not only the region.
 	c := NewCaller(ref, 2, 2, Config{})
-	if err := c.Add(genomics.Alignment{Pos: 7, Seq: []byte("ACGT"), Qual: []byte("IIII")}); err == nil {
+	if err := c.Add(forward(7, "ACGT")); err == nil {
 		t.Fatal("overflowing read accepted")
 	}
 	// Unmapped records are silently skipped.
-	if err := c.Add(genomics.Alignment{Flag: genomics.FlagUnmapped}); err != nil {
+	if err := c.Add(genomics.Alignment{Flag: genomics.FlagUnmapped, Read: 5}, nil); err != nil {
 		t.Fatalf("unmapped record rejected: %v", err)
 	}
 	// N bases contribute no evidence but are not an error.
-	if err := c.Add(genomics.Alignment{Pos: 1, Seq: []byte("ANGT"), Qual: []byte("IIII")}); err != nil {
+	if err := c.Add(forward(1, "ANGT")); err != nil {
 		t.Fatal(err)
 	}
 	if c.Depth(1) != 0 {
 		t.Fatalf("N counted as evidence: depth = %d", c.Depth(1))
 	}
+	// A record must name a read that exists and has its length.
+	reads := []genomics.Read{{Seq: []byte("ACGT")}}
+	for _, a := range []genomics.Alignment{{Pos: 1, Len: 4, Read: 1}, {Pos: 1, Len: 4, Read: -1}, {Pos: 1, Len: 3}} {
+		if err := c.Add(a, reads); err == nil {
+			t.Fatalf("record %+v over one 4-base read accepted", a)
+		}
+	}
+}
+
+// forward returns a forward-strand record at pos and the one read it
+// names, whose bases are seq.
+func forward(pos int, seq string) (genomics.Alignment, []genomics.Read) {
+	return genomics.Alignment{Pos: pos, Len: int32(len(seq))}, []genomics.Read{{Seq: []byte(seq), Qual: bytes.Repeat([]byte("I"), len(seq))}}
 }
 
 // The headline integration test: plant SNVs, simulate reads from the
@@ -113,12 +127,13 @@ func TestEndToEndVariantRecovery(t *testing.T) {
 	caller := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 8, MinAltFraction: 0.6})
 	var scratch align.Scratch
 	mapped := 0
-	for _, r := range reads {
+	for i, r := range reads {
 		aln := aligner.AlignRead(r, &scratch)
+		aln.Read = int32(i)
 		if !aln.Unmapped() {
 			mapped++
 		}
-		if err := caller.Add(aln); err != nil {
+		if err := caller.Add(aln, reads); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +172,7 @@ func TestQualityCapped(t *testing.T) {
 	ref := genomics.Sequence{Name: "chr1", Seq: []byte("AAAA")}
 	c := NewCaller(ref, 1, ref.Len(), Config{MinDepth: 1, MinAltFraction: 0.1})
 	for i := 0; i < 600; i++ {
-		if err := c.Add(genomics.Alignment{Pos: 1, Seq: []byte("TTTT"), Qual: []byte("IIII")}); err != nil {
+		if err := c.Add(forward(1, "TTTT")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +202,7 @@ func BenchmarkPileup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		alns[i] = genomics.Alignment{Pos: start + 1, Seq: r.Seq, Qual: r.Qual}
+		alns[i] = genomics.Alignment{Pos: start + 1, Read: int32(i), Len: int32(len(r.Seq))}
 	}
 	for _, n := range []int{1, 8} {
 		b.Run(fmt.Sprintf("regions=%d", n), func(b *testing.B) {
@@ -204,7 +219,7 @@ func BenchmarkPileup(b *testing.B) {
 				for r, part := range parts {
 					c := NewCaller(ref, r*width+1, (r+1)*width, Config{})
 					for _, a := range part {
-						if err := c.Add(a); err != nil {
+						if err := c.Add(a, reads); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -230,11 +245,12 @@ func newWholeCaller(ref genomics.Sequence, cfg Config) *wholeCaller {
 	return &wholeCaller{cfg: cfg, ref: ref, counts: make([][4]uint32, ref.Len()), depth: make([]uint32, ref.Len())}
 }
 
-func (c *wholeCaller) add(a genomics.Alignment) {
+// add folds bases, a record's bases in reference orientation.
+func (c *wholeCaller) add(a genomics.Alignment, bases []byte) {
 	if a.Unmapped() {
 		return
 	}
-	for i, b := range a.Seq {
+	for i, b := range bases {
 		if idx := baseIndex[b]; idx >= 0 {
 			c.counts[a.Pos-1+i][idx]++
 			c.depth[a.Pos-1+i]++
@@ -278,10 +294,13 @@ func (c *wholeCaller) call() []genomics.Variant {
 }
 
 // checkRegionCaller draws a reference holding Ns and lowercase bases,
-// reads of mixed lengths anywhere on it (Ns and unmapped records among
-// them) and thresholds, all from seed. It checks that a caller over
-// [start, end] — clipped to the reference — calls exactly the whole-
-// reference caller's calls inside the region, from the same depths.
+// reads of mixed lengths anywhere on it (Ns, lowercase bases, unmapped and
+// reverse-strand records among them, each record naming its read by a
+// shuffled index) and thresholds, all from seed. It checks that a caller
+// over [start, end] — clipped to the reference — calls exactly the whole-
+// reference caller's calls inside the region, from the same depths; the
+// whole-reference caller is handed each record's bases in reference
+// orientation.
 func checkRegionCaller(t *testing.T, seed int64, start, end int) {
 	rng := rand.New(rand.NewSource(seed))
 	ref := genomics.Sequence{Name: "chr1", Seq: make([]byte, 1+rng.Intn(200))}
@@ -291,21 +310,33 @@ func checkRegionCaller(t *testing.T, seed int64, start, end int) {
 	cfg := Config{MinDepth: 1 + rng.Intn(4), MinAltFraction: 0.1 + 0.8*rng.Float64()}
 	whole := newWholeCaller(ref, cfg)
 	region := NewCaller(ref, start, end, cfg)
-	for range rng.Intn(80) {
+	alns := make([]genomics.Alignment, rng.Intn(80))
+	oriented := make([][]byte, len(alns))
+	reads := make([]genomics.Read, len(alns))
+	at := rng.Perm(len(alns)) // record k's read is reads[at[k]]
+	for k := range alns {
 		n := 1 + rng.Intn(min(30, ref.Len()))
-		a := genomics.Alignment{Pos: 1 + rng.Intn(ref.Len()-n+1), Seq: make([]byte, n)}
-		for i := range a.Seq {
+		a := genomics.Alignment{Pos: 1 + rng.Intn(ref.Len()-n+1), Read: int32(at[k]), Len: int32(n)}
+		bases := make([]byte, n)
+		for i := range bases {
 			if rng.Intn(3) == 0 {
-				a.Seq[i] = "ACGTN"[rng.Intn(5)]
+				bases[i] = "ACGTNacgt"[rng.Intn(9)]
 			} else {
-				a.Seq[i] = ref.Seq[a.Pos-1+i] &^ 0x20 // the reference base, uppercased
+				bases[i] = ref.Seq[a.Pos-1+i] &^ 0x20 // the reference base, uppercased
 			}
+		}
+		seq := bases
+		if rng.Intn(2) == 0 {
+			a.Flag, seq = genomics.FlagReverseStrand, reverseComplement(bases)
 		}
 		if rng.Intn(10) == 0 {
 			a.Flag, a.Pos = genomics.FlagUnmapped, 0
 		}
-		whole.add(a)
-		if err := region.Add(a); err != nil {
+		alns[k], oriented[k], reads[at[k]] = a, bases, genomics.Read{Seq: seq}
+	}
+	for k, a := range alns {
+		whole.add(a, oriented[k])
+		if err := region.Add(a, reads); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -324,6 +355,20 @@ func checkRegionCaller(t *testing.T, seed int64, start, end int) {
 			t.Fatalf("seed %d, region [%d, %d]: depth %d at %d, want %d", seed, start, end, got, p, want)
 		}
 	}
+}
+
+// reverseComplement is the read the opposite strand gives of bases,
+// keeping each base's case.
+func reverseComplement(bases []byte) []byte {
+	out := make([]byte, len(bases))
+	for i, b := range bases {
+		c := byte('N')
+		if k := strings.IndexByte("ACGTacgt", b); k >= 0 {
+			c = "TGCAtgca"[k]
+		}
+		out[len(out)-1-i] = c
+	}
+	return out
 }
 
 func TestRegionCallerMatchesWholeReference(t *testing.T) {

@@ -16,9 +16,9 @@ import (
 // declaration); downstream fields accumulate: a stage that turns alignments
 // into variant calls keeps the alignments it consumed, so the workflow's
 // final output still carries the derived artifacts a caller may want (the
-// alignments behind a call set, say). The exception is the raw input payload —
-// Reads, Spectra, Images — which the consuming stage releases: it is the
-// caller's own input and dominates the payload's memory.
+// alignments behind a call set, say). Reads are kept too, since alignments
+// point at them; the other raw input payloads — Spectra, Images — are
+// released by the stage that consumes them.
 type Dataset struct {
 	// Type is the data type of the current payload.
 	Type DataType
@@ -32,7 +32,8 @@ type Dataset struct {
 	// Reads is the FASTQ payload.
 	Reads []genomics.Read
 	// Alignments is the BAM payload, coordinate-sorted with unmapped
-	// records last; region shards are runs of it.
+	// records last; region shards are runs of it. A BAM payload keeps the
+	// Reads it was aligned from: each record names its read by index.
 	Alignments []genomics.Alignment
 	// Mapped counts the alignments that mapped.
 	Mapped int

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -457,10 +458,30 @@ func TestRNAExpressionFeatures(t *testing.T) {
 	}
 }
 
+// reverseShare makes every third read one the opposite strand gave: its
+// bases reverse-complemented and its qualities reversed.
+func reverseShare(reads []genomics.Read) {
+	for i := 0; i < len(reads); i += 3 {
+		r := &reads[i]
+		seq, qual := make([]byte, len(r.Seq)), make([]byte, len(r.Qual))
+		for j, b := range r.Seq {
+			c := byte('N')
+			if k := strings.IndexByte("ACGT", b); k >= 0 {
+				c = "TGCA"[k]
+			}
+			seq[len(seq)-1-j] = c
+		}
+		for j, q := range r.Qual {
+			qual[len(qual)-1-j] = q
+		}
+		r.Seq, r.Qual = seq, qual
+	}
+}
+
 // planInput draws a genomic input that stresses the region scatters:
 // reads of mixed lengths, reads at both reference ends, reads long enough
-// to span several regions, N bases and unmapped reads. The reference ends
-// in a partial expression bin.
+// to span several regions, N bases, unmapped reads and reads from the
+// reverse strand. The reference ends in a partial expression bin.
 func planInput(t testing.TB, seed int64) *Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -497,6 +518,7 @@ func planInput(t testing.TB, seed int64) *Dataset {
 		add(junk)
 	}
 	rng.Shuffle(len(reads), func(i, j int) { reads[i], reads[j] = reads[j], reads[i] })
+	reverseShare(reads)
 	return NewFASTQDataset(ref, reads)
 }
 
@@ -543,6 +565,32 @@ func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReverseStrandReadsCallAsForward: the plan input's reverse-strand
+// reads, turned back to the forward strand, give the same calls and
+// expression features: the caller reads a reverse record's bases
+// complemented and backwards, exactly as the read's forward form.
+func TestReverseStrandReadsCallAsForward(t *testing.T) {
+	mixed := planInput(t, 11)
+	forward := NewFASTQDataset(mixed.Reference, slices.Clone(mixed.Reads))
+	reverseShare(forward.Reads) // its own inverse: every third read turns back
+	for _, name := range []string{"dna-variant-detection", "rna-expression"} {
+		var outs [2]*Dataset
+		for i, ds := range []*Dataset{mixed, forward} {
+			res, err := testEngine(t, 2).RunByName(context.Background(), name, ds,
+				RunOptions{ShardRecords: 37, Regions: 7, Caller: varConfigForTests()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[i] = res.Output
+		}
+		if len(outs[0].Variants)+len(outs[0].Features) == 0 || outs[0].Mapped != outs[1].Mapped ||
+			!slices.Equal(outs[0].Variants, outs[1].Variants) || !slices.Equal(outs[0].Features, outs[1].Features) {
+			t.Fatalf("%s: %d mapped, calls %+v, %d features; forward-only: %d mapped, calls %+v",
+				name, outs[0].Mapped, outs[0].Variants, len(outs[0].Features), outs[1].Mapped, outs[1].Variants)
+		}
 	}
 }
 

@@ -145,6 +145,7 @@ type alignStream struct {
 	env   *StageEnv
 	in    *Dataset
 	index func() (*align.Aligner, error)
+	per   int // reads per shard: shard i starts at read i*per
 }
 
 func (s *alignStream) Split() ([]StreamShard, error) {
@@ -156,10 +157,13 @@ func (s *alignStream) Split() ([]StreamShard, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.per = per
 	return chunkShards(readShards), nil
 }
 
-func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
+// Transform aligns shard i's reads; each record points at its read by the
+// read's index in the stage input.
+func (s *alignStream) Transform(ctx context.Context, i int, in StreamShard) (StreamShard, error) {
 	aligner, err := s.index()
 	if err != nil {
 		return StreamShard{}, err
@@ -167,14 +171,15 @@ func (s *alignStream) Transform(ctx context.Context, _ int, in StreamShard) (Str
 	reads := in.Data.([]genomics.Read)
 	alns := make([]genomics.Alignment, 0, len(reads))
 	var scratch align.Scratch
-	mapped := 0
-	for i, r := range reads {
-		if i%ctxCheckInterval == 0 {
+	mapped, first := 0, i*s.per
+	for j, r := range reads {
+		if j%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return StreamShard{}, err
 			}
 		}
 		aln := aligner.AlignRead(r, &scratch)
+		aln.Read = int32(first + j)
 		if !aln.Unmapped() {
 			mapped++
 		}
@@ -197,7 +202,6 @@ func (s *alignStream) Gather(shards []StreamShard) (*Dataset, error) {
 	}
 	out := *s.in
 	out.Type = BAM
-	out.Reads = nil
 	out.Alignments = genomics.MergeSorted(groups...)
 	out.Mapped += mapped
 	return &out, nil
@@ -236,7 +240,7 @@ func (s *callStream) Split() ([]StreamShard, error) {
 	longest := 0
 	for i := range s.in.Alignments {
 		if a := &s.in.Alignments[i]; !a.Unmapped() {
-			longest = max(longest, len(a.Seq))
+			longest = max(longest, int(a.Len))
 		}
 	}
 	return chunkShards(shard.SliceByRegion(s.in.Alignments, regions, max(longest-1, 0))), nil
@@ -251,7 +255,7 @@ func (s *callStream) Transform(ctx context.Context, i int, in StreamShard) (Stre
 				return StreamShard{}, err
 			}
 		}
-		if err := caller.Add(a); err != nil {
+		if err := caller.Add(a, s.in.Reads); err != nil {
 			return StreamShard{}, err
 		}
 	}
@@ -350,7 +354,7 @@ func (s *quantifyStream) Transform(ctx context.Context, i int, in StreamShard) (
 		}
 		b := (a.Pos-1)/quantifyBinWidth - first
 		features[b].Count++
-		features[b].Value += float64(len(a.Seq)) // bases, then mean coverage
+		features[b].Value += float64(a.Len) // bases, then mean coverage
 	}
 	for b := range features {
 		if b%ctxCheckInterval == 0 {

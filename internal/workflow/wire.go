@@ -2,9 +2,10 @@ package workflow
 
 // The fleet wire codec: one deterministic, length-prefixed binary format
 // for the two payload kinds that cross the coordinator/worker boundary
-// (internal/fleet). Context datasets ship whole — content-addressed by
-// SHA-256 of these bytes, so workers cache them — and shard outputs ship
-// per task, raw behind a JSON result envelope.
+// (internal/fleet). Stage contexts ship as parts, one dataset per payload
+// field, each content-addressed by SHA-256 of these bytes, so workers
+// cache them; shard outputs ship per task, raw behind a JSON result
+// envelope.
 //
 // Format: counts and lengths are uvarints, ints are zigzag varints, bytes
 // are themselves, floats are their 8 IEEE-754 bits, little-endian (so −0.0 and NaN payloads
@@ -56,6 +57,115 @@ func DecodeDataset(b []byte) (*Dataset, error) {
 	d := new(Dataset)
 	if err := decode(b, func(w *wire) { w.dataset(d) }); err != nil {
 		return nil, fmt.Errorf("workflow: decode dataset: %w", err)
+	}
+	return d, nil
+}
+
+// ContextPart is one non-empty payload field of a stage input, alone in a
+// dataset: a stage context crosses the fleet as the EncodeDataset bytes of
+// each of its parts, and its Type beside them.
+type ContextPart struct {
+	// Key is the field's identity: the type, first element and length of
+	// its slice (the Network's pointer; the reference's name too, and the
+	// alignments' Mapped). Payloads are never mutated, so parts with equal
+	// keys encode alike. A Key holds its storage, so no other slice takes
+	// the identity while the Key lives.
+	Key  any
+	Data *Dataset
+}
+
+// sliceKey is a non-empty slice's identity.
+type sliceKey[T any] struct {
+	first *T
+	n     int
+}
+
+func keyOf[T any](s []T) any {
+	if len(s) == 0 {
+		return nil
+	}
+	return sliceKey[T]{&s[0], len(s)}
+}
+
+// contextFields are the payload fields a stage context splits into, in
+// Dataset order: each one's key (nil when it is empty) and its copy from
+// one dataset into another. Type is in none of them.
+var contextFields = [...]struct {
+	key  func(*Dataset) any
+	move func(dst, src *Dataset)
+}{
+	{func(d *Dataset) any {
+		if d.Reference.Name == "" && len(d.Reference.Seq) == 0 {
+			return nil
+		}
+		return struct {
+			seq  any
+			name string
+		}{keyOf(d.Reference.Seq), d.Reference.Name}
+	}, func(dst, src *Dataset) { dst.Reference = src.Reference }},
+	{func(d *Dataset) any { return keyOf(d.PeptideDB.Peptides) }, func(dst, src *Dataset) { dst.PeptideDB = src.PeptideDB }},
+	{func(d *Dataset) any { return keyOf(d.Reads) }, func(dst, src *Dataset) { dst.Reads = src.Reads }},
+	{func(d *Dataset) any {
+		if len(d.Alignments) == 0 && d.Mapped == 0 {
+			return nil
+		}
+		return struct {
+			alns   any
+			mapped int
+		}{keyOf(d.Alignments), d.Mapped}
+	}, func(dst, src *Dataset) { dst.Alignments, dst.Mapped = src.Alignments, src.Mapped }},
+	{func(d *Dataset) any { return keyOf(d.Variants) }, func(dst, src *Dataset) { dst.Variants = src.Variants }},
+	{func(d *Dataset) any { return keyOf(d.Features) }, func(dst, src *Dataset) { dst.Features = src.Features }},
+	{func(d *Dataset) any { return keyOf(d.Spectra) }, func(dst, src *Dataset) { dst.Spectra = src.Spectra }},
+	{func(d *Dataset) any { return keyOf(d.Proteins) }, func(dst, src *Dataset) { dst.Proteins = src.Proteins }},
+	{func(d *Dataset) any { return keyOf(d.Images) }, func(dst, src *Dataset) { dst.Images = src.Images }},
+	{func(d *Dataset) any {
+		if d.Net == nil {
+			return nil
+		}
+		return d.Net
+	}, func(dst, src *Dataset) { dst.Net = src.Net }},
+}
+
+// MaxContextParts is the number of payload fields: the most parts a stage
+// context has.
+const MaxContextParts = len(contextFields)
+
+// ContextParts splits d's payload into its parts, in field order.
+func ContextParts(d *Dataset) []ContextPart {
+	var parts []ContextPart
+	for _, f := range contextFields {
+		if k := f.key(d); k != nil {
+			p := new(Dataset)
+			f.move(p, d)
+			parts = append(parts, ContextPart{Key: k, Data: p})
+		}
+	}
+	return parts
+}
+
+// JoinContext rebuilds a stage input of type typ from its decoded parts.
+// Each part must hold exactly one payload field and no type, and no two
+// parts the same field.
+func JoinContext(typ DataType, parts []*Dataset) (*Dataset, error) {
+	d := &Dataset{Type: typ}
+	var set [MaxContextParts]bool
+	for i, p := range parts {
+		fields := 0
+		for j, f := range contextFields {
+			if f.key(p) == nil {
+				continue
+			}
+			if set[j] {
+				return nil, fmt.Errorf("workflow: context part %d sets a field an earlier part set", i)
+			}
+			set[j] = true
+			fields++
+			f.move(d, p)
+		}
+		if fields != 1 || p.Type != "" {
+			return nil, fmt.Errorf("workflow: context part %d holds %d fields and type %q, want one field and no type", i, fields, p.Type)
+		}
 	}
 	return d, nil
 }
@@ -138,6 +248,20 @@ func (w *wire) int(v *int) {
 	w.uvarint(&x)
 	if w.dec {
 		*v = int(x>>1) ^ -int(x&1)
+	}
+}
+
+// int32 codes v as an int; decoding, a value int32 cannot hold is an
+// error.
+func (w *wire) int32(v *int32) {
+	x := int(*v)
+	w.int(&x)
+	if w.dec {
+		if int(int32(x)) != x {
+			w.fail(fmt.Errorf("%d overflows int32", x))
+			return
+		}
+		*v = int32(x)
 	}
 }
 
@@ -314,11 +438,11 @@ func (w *wire) read(r *genomics.Read) {
 
 func (w *wire) alignment(a *genomics.Alignment) {
 	w.int(&a.Pos)
+	w.int32(&a.Read)
+	w.int32(&a.Len)
 	w.int(&a.Flag)
 	w.int(&a.MapQ)
 	w.int(&a.NM)
-	w.bytes(&a.Seq)
-	w.bytes(&a.Qual)
 }
 
 func (w *wire) variant(v *genomics.Variant) {

@@ -62,6 +62,8 @@ func (f filler) fill(v reflect.Value) {
 		v.SetUint(uint64(f.r.Intn(256)))
 	case reflect.Int:
 		v.SetInt(int64(f.r.Uint64()) >> f.r.Intn(64))
+	case reflect.Int32:
+		v.SetInt(int64(int32(f.r.Uint32()) >> f.r.Intn(32)))
 	case reflect.Float64:
 		v.SetFloat(f.float(f.r))
 	case reflect.Slice:
@@ -274,7 +276,7 @@ func goldenDataset() *Dataset {
 		Reference: genomics.Sequence{Name: "chr1", Seq: []byte("ACGT")},
 		Reads:     []genomics.Read{{ID: "r1", Seq: []byte("AC"), Qual: []byte("I#")}},
 		Alignments: []genomics.Alignment{
-			{Pos: 2, Flag: genomics.FlagReverseStrand, MapQ: 60, NM: 1, Seq: []byte("CG"), Qual: []byte("I#")},
+			{Pos: 2, Len: 2, Flag: genomics.FlagReverseStrand, MapQ: 60, NM: 1},
 		},
 		Mapped:   -2,
 		Variants: []genomics.Variant{{Pos: 3, Ref: 'G', Alt: 'T', Qual: 0.5}},
@@ -292,8 +294,7 @@ const goldenHex = "" +
 	"0463687231" + "0441434754" + // Reference "chr1", "ACGT"
 	"00" + // PeptideDB.Peptides
 	"01" + "027231" + "024143" + "024923" + // Reads: 1 × {"r1", "AC", "I#"}
-	"01" + "04" + "20" + "78" + "02" + // Alignments: 1 × {2, 0x10, 60, 1,
-	"024347" + "024923" + // "CG", "I#"}
+	"01" + "04" + "00" + "04" + "20" + "78" + "02" + // Alignments: 1 × {2, read 0, 2, 0x10, 60, 1}
 	"03" + // Mapped −2
 	"01" + "06" + "47" + "54" + "000000000000e03f" + // Variants: 1 × {3, 'G', 'T', 0.5}
 	"00" + "00" + "00" + "00" + // Features, Spectra, Proteins, Images
@@ -307,6 +308,71 @@ func TestWireGoldenBytes(t *testing.T) {
 	if got := hex.EncodeToString(b); got != goldenHex {
 		t.Fatalf("encoding drifted:\n got  %s\n want %s", got, goldenHex)
 	}
+}
+
+// TestContextPartsRoundTrip: a dataset split into context parts, each
+// encoded and decoded alone, joins back to the dataset's own encoding. A
+// part's key is the same for the same slice and differs for a copy of it.
+func TestContextPartsRoundTrip(t *testing.T) {
+	for seed := range int64(200) {
+		d := filler{t: t, r: rand.New(rand.NewSource(seed)), float: finiteFloat}.dataset()
+		parts := ContextParts(d)
+		if len(parts) > MaxContextParts {
+			t.Fatalf("seed %d: %d parts, more than the %d fields", seed, len(parts), MaxContextParts)
+		}
+		decoded := make([]*Dataset, len(parts))
+		for i, p := range parts {
+			var err error
+			if decoded[i], err = DecodeDataset(encodeOf(t, p.Data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		joined, err := JoinContext(d.Type, decoded)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !bytes.Equal(encodeOf(t, joined), encodeOf(t, d)) {
+			t.Fatalf("seed %d: joined parts encode differently from the dataset", seed)
+		}
+		for i, p := range ContextParts(d) {
+			if p.Key != parts[i].Key {
+				t.Fatalf("seed %d: part %d's key changed between two splits", seed, i)
+			}
+		}
+	}
+	d := goldenDataset()
+	same := ContextParts(d)
+	d.Reads = slices.Clone(d.Reads)
+	if moved := ContextParts(d); moved[1].Key == same[1].Key || moved[0].Key != same[0].Key {
+		t.Fatal("a copied slice kept its key, or an untouched one lost it")
+	}
+}
+
+// TestJoinContextRejectsBadParts: a part with two fields, none, or a
+// type, and two parts with one field, fail the join.
+func TestJoinContextRejectsBadParts(t *testing.T) {
+	g := goldenDataset()
+	reads := &Dataset{Reads: g.Reads}
+	for name, parts := range map[string][]*Dataset{
+		"two fields":       {{Reads: g.Reads, Variants: g.Variants}},
+		"no field":         {{}},
+		"typed":            {{Type: FASTQ, Reads: g.Reads}},
+		"same field twice": {reads, {Reads: slices.Clone(g.Reads)}},
+		"mapped apart":     {{Mapped: 3}, {Alignments: g.Alignments}},
+	} {
+		if _, err := JoinContext(FASTQ, parts); err == nil {
+			t.Fatalf("%s: joined", name)
+		}
+	}
+}
+
+func encodeOf(t testing.TB, d *Dataset) []byte {
+	t.Helper()
+	b, err := EncodeDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestWireNetworkIgnoresSlabs: one edge list held as 1, 2 or k slabs,
@@ -435,10 +501,66 @@ func FuzzDecodeDataset(f *testing.F) {
 	f.Add(random)
 	f.Add(golden[:len(golden)/2])
 	f.Add([]byte{})
+	// Context parts: one field each, and a typed part JoinContext refuses.
+	for _, p := range ContextParts(goldenDataset()) {
+		b, err := EncodeDataset(p.Data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	typed, err := EncodeDataset(&Dataset{Type: BAM, Alignments: goldenDataset().Alignments})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(typed)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, err := DecodeDataset(b)
 		if err == nil {
 			reencode(t, d, EncodeDataset, DecodeDataset)
+		}
+	})
+}
+
+// FuzzJoinContext decodes a list of length-prefixed parts, as a worker
+// does a task's context: a list JoinContext accepts splits back into the
+// same parts, in field order, whatever order they came in.
+func FuzzJoinContext(f *testing.F) {
+	var golden []byte
+	for _, p := range slices.Backward(ContextParts(goldenDataset())) {
+		b := encodeOf(f, p.Data)
+		golden = append(binary.AppendUvarint(golden, uint64(len(b))), b...)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var parts []*Dataset
+		var want [][]byte
+		for len(b) > 0 && len(parts) <= MaxContextParts {
+			n, k := binary.Uvarint(b)
+			if k <= 0 || n > uint64(len(b)-k) {
+				return
+			}
+			d, err := DecodeDataset(b[k : k+int(n)])
+			if err != nil {
+				return
+			}
+			parts, want = append(parts, d), append(want, encodeOf(t, d))
+			b = b[k+int(n):]
+		}
+		joined, err := JoinContext(BAM, parts)
+		if err != nil {
+			return
+		}
+		var got [][]byte
+		for _, p := range ContextParts(joined) {
+			got = append(got, encodeOf(t, p.Data))
+		}
+		slices.SortFunc(want, bytes.Compare)
+		slices.SortFunc(got, bytes.Compare)
+		if !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("%d parts joined and split into %d different ones", len(want), len(got))
 		}
 	})
 }
@@ -484,7 +606,7 @@ func wireBenchInputs(b *testing.B) {
 		}
 		out := res.Output
 		wireBench.fastq = synthDataset(b, 100_000, 30_000, 1)
-		wireBench.bam = &Dataset{Type: BAM, Reference: out.Reference,
+		wireBench.bam = &Dataset{Type: BAM, Reference: out.Reference, Reads: out.Reads,
 			Alignments: out.Alignments, Mapped: out.Mapped}
 		half := out.Alignments[:len(out.Alignments)/2]
 		wireBench.shard = StreamShard{Records: len(half), Data: AlignedShard{Alns: half, Mapped: len(half)}}
