@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -96,6 +97,69 @@ func hostileFASTQ(t testing.TB, seed int64) *workflow.Dataset {
 	}
 	ds.Reads = reads
 	return ds
+}
+
+// hostileFrames mirrors the workflow package's hostile imaging input:
+// frames that stress the tile scatter with a 70×70 square wider than any
+// tile, a fully bright frame, a one-pixel snake through every row, a 50 %
+// random frame with pixels at exactly the threshold, an empty frame, a
+// frame narrower than its tile grid, cells centred on the borders of many
+// tilings and a NaN pixel beside a cell.
+func hostileFrames(t testing.TB, seed int64) *workflow.Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	frame := func(id string, w, h int, v func(x, y int) float64) imaging.Image {
+		im := imaging.Image{ID: id, W: w, H: h, Pix: make([]float64, w*h)}
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				im.Pix[y*w+x] = v(x, y)
+			}
+		}
+		return im
+	}
+	disk := func(x, y, cx, cy, r int) bool { return (x-cx)*(x-cx)+(y-cy)*(y-cy) <= r*r }
+	frames := []imaging.Image{
+		frame("square", 128, 128, func(x, y int) float64 {
+			if x >= 29 && x < 99 && y >= 29 && y < 99 {
+				return 0.9
+			}
+			return 0.1
+		}),
+		frame("bright", 40, 40, func(x, y int) float64 { return 1 }),
+		// Full rows two apart, joined at alternate ends.
+		frame("snake", 63, 64, func(x, y int) float64 {
+			if y%2 == 0 || (y%4 == 1 && x == 62) || (y%4 == 3 && x == 0) {
+				return 0.8
+			}
+			return 0
+		}),
+		frame("random", 64, 64, func(x, y int) float64 { return []float64{0.2, 0.5, 0.8, 0.3}[rng.Intn(4)] }),
+		frame("empty", 32, 32, func(x, y int) float64 { return 0 }),
+		frame("narrow", 3, 50, func(x, y int) float64 {
+			if x == 1 || y%10 == 0 {
+				return 0.7
+			}
+			return 0.2
+		}),
+		frame("borders", 96, 96, func(x, y int) float64 {
+			for _, c := range [][2]int{{48, 48}, {32, 32}, {64, 32}, {32, 64}, {64, 64}, {48, 13}, {13, 48}, {82, 82}} {
+				if disk(x, y, c[0], c[1], 5) {
+					return 0.9
+				}
+			}
+			return 0.25
+		}),
+		frame("nan", 48, 48, func(x, y int) float64 {
+			switch {
+			case x == 19 && y == 19:
+				return math.NaN()
+			case disk(x, y, 24, 24, 5):
+				return 0.75
+			}
+			return 0.05
+		}),
+	}
+	return workflow.NewTIFFDataset(frames)
 }
 
 func mgfDataset(t testing.TB, proteins, spectra int, seed int64) *workflow.Dataset {
@@ -316,6 +380,10 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			opts:    workflow.RunOptions{ShardRecords: 37, Regions: 7, Caller: variant.Config{MinDepth: 3, MinAltFraction: 0.3}},
 			dataset: func(t testing.TB) *workflow.Dataset { return hostileFASTQ(t, 31) }})
 	}
+	// The hostile frames in 7 tiles each: cells wider than a tile, on tile
+	// borders, in a frame narrower than its grid and beside a NaN pixel.
+	cases = append(cases, distributedCase{name: "hostile-cell-imaging", workflow: "cell-imaging",
+		opts: workflow.RunOptions{Regions: 7}, dataset: func(t testing.TB) *workflow.Dataset { return hostileFrames(t, 5) }})
 	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 2)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -349,8 +417,13 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			if tf.coord.FleetMetrics().RemoteStages == remoteBefore {
 				t.Fatal("no stage ran on the fleet")
 			}
-			if out := got.Output; strings.HasPrefix(tc.name, "hostile-") &&
-				(out.Mapped == 0 || out.Mapped == len(out.Reads) || len(out.Variants)+len(out.Features) == 0) {
+			switch out := got.Output; {
+			case tc.workflow == "cell-imaging":
+				if len(out.Features) == 0 {
+					t.Fatal("no cells segmented")
+				}
+			case strings.HasPrefix(tc.name, "hostile-") &&
+				(out.Mapped == 0 || out.Mapped == len(out.Reads) || len(out.Variants)+len(out.Features) == 0):
 				t.Fatalf("%d of %d reads mapped, %d calls, %d features", out.Mapped, len(out.Reads), len(out.Variants), len(out.Features))
 			}
 

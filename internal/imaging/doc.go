@@ -7,18 +7,22 @@
 // components, with per-cell features (area, centroid, mean intensity)
 // extracted from each region.
 //
-// Scatter/gather shape: the image tile is the scatter unit. A tile's core
-// rectangle partitions the frame exactly, and a halo border widens the
-// segmented window so a cell lying across a core boundary is still seen
-// whole; each cell is counted once, by the tile that owns its centroid —
-// the 2-D analogue of the overlap-aware genomic region scatter in package
-// shard. Per-tile region sets gather into one per-frame feature list.
+// Scatter/gather shape: the image tile is the scatter unit. The tiles of a
+// grid partition the frame exactly, and a tile reads only its own rows,
+// once. A pixel is foreground iff its intensity is >= the threshold, so a
+// NaN pixel is background. A cell belongs to the tile that holds its first
+// pixel in row-major frame order, and that tile flood-fills it across the
+// whole frame, however many tiles it spans — the 2-D form of keying a
+// record by its location rather than by the worker that saw it. A tile
+// floods each component at most once, so segmenting a frame costs at most
+// one frame of flood work per tile. Per-tile region sets gather into one
+// per-frame feature list.
 //
 // Determinism guarantee: generation is seeded (Generate regenerates
 // identical frames from equal seeds), segmentation is a pure function of
 // the pixels, and gathered regions are sorted into canonical order
 // (SortRegions), so tiled and whole-frame segmentation of the same image
-// produce identical region sets regardless of the tile grid — proven by
-// the package's tiled-equals-whole tests and relied on by the workflow
-// engine's Profile stage.
+// produce identical region sets, bit for bit, regardless of the tile grid
+// — proven by the package's tiled-equals-whole tests and FuzzSegmentTile,
+// and relied on by the workflow engine's Profile stage.
 package imaging

@@ -7,17 +7,11 @@ import (
 	"sort"
 )
 
-// Default simulated-cell geometry, shared between the generator and the
-// tile halo sizing.
+// DefaultMinRadius and DefaultMaxRadius bound simulated cell radii in
+// pixels.
 const (
-	// DefaultMinRadius and DefaultMaxRadius bound simulated cell radii in
-	// pixels.
 	DefaultMinRadius = 3
 	DefaultMaxRadius = 6
-	// DefaultHalo is the tile halo width that guarantees a cell whose
-	// centroid lies in a tile's core is entirely inside the tile's
-	// segmented window: one full cell diameter plus margin.
-	DefaultHalo = 2*DefaultMaxRadius + 2
 )
 
 // Image is one grayscale microscopy frame: row-major intensities in [0,1].
@@ -26,9 +20,6 @@ type Image struct {
 	W, H int
 	Pix  []float64
 }
-
-// At returns the intensity at (x, y).
-func (im *Image) At(x, y int) float64 { return im.Pix[y*im.W+x] }
 
 // Cell is one planted ground-truth cell.
 type Cell struct {
@@ -116,28 +107,16 @@ func Generate(rng *rand.Rand, id string, cfg SimConfig) (Image, []Cell, error) {
 	return im, cells, nil
 }
 
-// Rect is a half-open pixel rectangle [X0,X1)×[Y0,Y1).
-type Rect struct {
+// Tile is one scatter unit: the half-open pixel rectangle [X0,X1)×[Y0,Y1)
+// of a frame. The tiles of a grid partition the frame exactly.
+type Tile struct {
 	X0, Y0, X1, Y1 int
 }
 
-// Contains reports whether the point lies inside the rectangle.
-func (r Rect) Contains(x, y float64) bool {
-	return x >= float64(r.X0) && x < float64(r.X1) && y >= float64(r.Y0) && y < float64(r.Y1)
-}
-
-// Tile is one scatter unit: the Core rectangles of a grid partition the
-// image exactly; Halo is the core widened by the halo margin (clipped to
-// the frame), the window the tile actually segments.
-type Tile struct {
-	Core Rect
-	Halo Rect
-}
-
 // TileGrid covers a w×h frame with approximately `tiles` tiles arranged in
-// a near-square grid, each with the given halo margin. At least one tile is
-// always returned, and core rectangles partition the frame exactly.
-func TileGrid(w, h, tiles, halo int) []Tile {
+// a near-square grid. At least one tile is returned for a non-empty frame,
+// and the tiles partition the frame exactly.
+func TileGrid(w, h, tiles int) []Tile {
 	if tiles < 1 {
 		tiles = 1
 	}
@@ -153,12 +132,7 @@ func TileGrid(w, h, tiles, halo int) []Tile {
 	for ty := 0; ty < gy; ty++ {
 		y0, y1 := ty*h/gy, (ty+1)*h/gy
 		for tx := 0; tx < gx; tx++ {
-			x0, x1 := tx*w/gx, (tx+1)*w/gx
-			core := Rect{X0: x0, Y0: y0, X1: x1, Y1: y1}
-			out = append(out, Tile{Core: core, Halo: Rect{
-				X0: max(0, x0-halo), Y0: max(0, y0-halo),
-				X1: min(w, x1+halo), Y1: min(h, y1+halo),
-			}})
+			out = append(out, Tile{X0: tx * w / gx, Y0: y0, X1: (tx + 1) * w / gx, Y1: y1})
 		}
 	}
 	return out
@@ -195,70 +169,115 @@ func (c SegConfig) withDefaults() SegConfig {
 	return c
 }
 
-// SegmentTile thresholds the tile's halo window and extracts 4-connected
-// components, keeping only regions whose centroid falls in the tile core —
-// so a cell spanning a core boundary is reported exactly once, by the tile
-// owning its centroid. Coordinates are in frame space.
+// SegmentTile extracts the 4-connected foreground components whose first
+// pixel in row-major frame order lies in the tile, in frame coordinates.
+// A pixel is foreground iff its intensity is >= the threshold, so a NaN
+// pixel is background. The tile reads its own rows once; a component that
+// starts in the tile is flood-filled across the whole frame, so every
+// tiling of a frame yields exactly the whole-frame region set, each
+// region once, from the tile holding its first pixel.
+//
+// A background pixel costs one compare. A foreground pixel with a
+// foreground left or upper neighbour is never a first pixel and starts no
+// flood. Any other unvisited foreground pixel starts one, and the tile
+// keeps the component iff the flood's least frame index is that start
+// pixel. The visited bitmap spans the frame, so a tile floods each
+// component at most once: a frame's segmentation costs at most one frame
+// of flood work per tile, and the whole frame once when the components
+// are tile-sized or smaller.
 func SegmentTile(im *Image, t Tile, cfg SegConfig) []Region {
 	cfg = cfg.withDefaults()
-	w := t.Halo.X1 - t.Halo.X0
-	h := t.Halo.Y1 - t.Halo.Y0
-	if w <= 0 || h <= 0 {
-		return nil
-	}
-	visited := make([]bool, w*h)
-	var regions []Region
-	var stack []int
-	for start := 0; start < w*h; start++ {
-		sx, sy := t.Halo.X0+start%w, t.Halo.Y0+start/w
-		if visited[start] || im.At(sx, sy) < cfg.Threshold {
-			continue
-		}
-		// Flood-fill one component.
-		reg := Region{MinX: sx, MinY: sy, MaxX: sx, MaxY: sy}
-		sumX, sumY, sumI := 0.0, 0.0, 0.0
-		visited[start] = true
-		stack = append(stack[:0], start)
-		for len(stack) > 0 {
-			idx := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			x, y := t.Halo.X0+idx%w, t.Halo.Y0+idx/w
-			reg.Area++
-			sumX += float64(x)
-			sumY += float64(y)
-			sumI += im.At(x, y)
-			reg.MinX, reg.MaxX = min(reg.MinX, x), max(reg.MaxX, x)
-			reg.MinY, reg.MaxY = min(reg.MinY, y), max(reg.MaxY, y)
-			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nx, ny := x+d[0], y+d[1]
-				if nx < t.Halo.X0 || nx >= t.Halo.X1 || ny < t.Halo.Y0 || ny >= t.Halo.Y1 {
-					continue
-				}
-				nidx := (ny-t.Halo.Y0)*w + (nx - t.Halo.X0)
-				if !visited[nidx] && im.At(nx, ny) >= cfg.Threshold {
-					visited[nidx] = true
-					stack = append(stack, nidx)
-				}
+	w, thr := im.W, cfg.Threshold
+	var (
+		regions []Region
+		f       *flood
+	)
+	for y := t.Y0; y < t.Y1; y++ {
+		for i, v := range im.Pix[y*w+t.X0 : y*w+t.X1] {
+			if !(v >= thr) {
+				continue
 			}
-		}
-		if reg.Area < cfg.MinArea {
-			continue
-		}
-		reg.CX = sumX / float64(reg.Area)
-		reg.CY = sumY / float64(reg.Area)
-		reg.Mean = sumI / float64(reg.Area)
-		if t.Core.Contains(reg.CX, reg.CY) {
-			regions = append(regions, reg)
+			x := t.X0 + i
+			start := y*w + x
+			if (x > 0 && im.Pix[start-1] >= thr) || (y > 0 && im.Pix[start-w] >= thr) {
+				continue
+			}
+			if f == nil {
+				f = &flood{im: im, thr: thr, visited: make([]uint64, (len(im.Pix)+63)/64)}
+			} else if f.seen(start) {
+				continue
+			}
+			if reg, first := f.fill(start); first == start && reg.Area >= cfg.MinArea {
+				regions = append(regions, reg)
+			}
 		}
 	}
 	sortRegions(regions)
 	return regions
 }
 
+// flood is one tile's flood-fill state: the frame, the threshold, a
+// frame-wide visited bitmap and the reused DFS stack of frame indices.
+type flood struct {
+	im      *Image
+	thr     float64
+	visited []uint64
+	stack   []int
+}
+
+// fill floods the unvisited component holding frame index start
+// depth-first, neighbours in the order +x, −x, +y, −y, and returns its
+// region and the component's least frame index.
+func (f *flood) fill(start int) (Region, int) {
+	w, h, pix := f.im.W, f.im.H, f.im.Pix
+	sx, sy := start%w, start/w
+	reg := Region{MinX: sx, MinY: sy, MaxX: sx, MaxY: sy}
+	sumX, sumY, sumI := 0.0, 0.0, 0.0
+	first := start
+	f.visit(start)
+	for len(f.stack) > 0 {
+		idx := f.stack[len(f.stack)-1]
+		f.stack = f.stack[:len(f.stack)-1]
+		x, y := idx%w, idx/w
+		first = min(first, idx)
+		reg.Area++
+		sumX += float64(x)
+		sumY += float64(y)
+		sumI += pix[idx]
+		reg.MinX, reg.MaxX = min(reg.MinX, x), max(reg.MaxX, x)
+		reg.MinY, reg.MaxY = min(reg.MinY, y), max(reg.MaxY, y)
+		if x+1 < w {
+			f.visit(idx + 1)
+		}
+		if x > 0 {
+			f.visit(idx - 1)
+		}
+		if y+1 < h {
+			f.visit(idx + w)
+		}
+		if y > 0 {
+			f.visit(idx - w)
+		}
+	}
+	reg.CX = sumX / float64(reg.Area)
+	reg.CY = sumY / float64(reg.Area)
+	reg.Mean = sumI / float64(reg.Area)
+	return reg, first
+}
+
+func (f *flood) seen(idx int) bool { return f.visited[idx>>6]&(1<<(idx&63)) != 0 }
+
+// visit marks and queues frame index idx if it is unvisited foreground.
+func (f *flood) visit(idx int) {
+	if !f.seen(idx) && f.im.Pix[idx] >= f.thr {
+		f.visited[idx>>6] |= 1 << (idx & 63)
+		f.stack = append(f.stack, idx)
+	}
+}
+
 // Segment runs single-tile segmentation over the whole frame.
 func Segment(im *Image, cfg SegConfig) []Region {
-	full := Rect{X1: im.W, Y1: im.H}
-	return SegmentTile(im, Tile{Core: full, Halo: full}, cfg)
+	return SegmentTile(im, Tile{X1: im.W, Y1: im.H}, cfg)
 }
 
 // sortRegions orders regions by centroid (row-major), the deterministic

@@ -43,9 +43,9 @@ func TestSegmentRecoversPlantedCells(t *testing.T) {
 	}
 }
 
-// TestTiledSegmentationMatchesWholeFrame is the overlap-correctness check:
-// every tiling with the default halo yields exactly the whole-frame region
-// set — boundary-straddling cells are counted once, by centroid ownership.
+// TestTiledSegmentationMatchesWholeFrame is the tiling-correctness check:
+// every tiling yields exactly the whole-frame region set — a cell across a
+// tile boundary is counted once, by the tile holding its first pixel.
 func TestTiledSegmentationMatchesWholeFrame(t *testing.T) {
 	im, _, err := Generate(rand.New(rand.NewSource(21)), "img", SimConfig{W: 200, H: 140, Cells: 12})
 	if err != nil {
@@ -53,7 +53,7 @@ func TestTiledSegmentationMatchesWholeFrame(t *testing.T) {
 	}
 	want := Segment(&im, SegConfig{})
 	for _, tiles := range []int{2, 4, 9, 16} {
-		grid := TileGrid(im.W, im.H, tiles, DefaultHalo)
+		grid := TileGrid(im.W, im.H, tiles)
 		var got []Region
 		for _, tile := range grid {
 			got = append(got, SegmentTile(&im, tile, SegConfig{})...)
@@ -74,16 +74,12 @@ func TestTileGridPartitionsFrame(t *testing.T) {
 	for _, tc := range []struct{ w, h, tiles int }{
 		{128, 128, 1}, {128, 128, 4}, {100, 60, 7}, {16, 16, 64},
 	} {
-		tiles := TileGrid(tc.w, tc.h, tc.tiles, DefaultHalo)
+		tiles := TileGrid(tc.w, tc.h, tc.tiles)
 		if len(tiles) == 0 {
 			t.Fatalf("%+v: no tiles", tc)
 		}
 		covered := make([]int, tc.w*tc.h)
-		for _, tile := range tiles {
-			c := tile.Core
-			if c.X0 < tile.Halo.X0 || c.X1 > tile.Halo.X1 || c.Y0 < tile.Halo.Y0 || c.Y1 > tile.Halo.Y1 {
-				t.Fatalf("%+v: core escapes halo: %+v", tc, tile)
-			}
+		for _, c := range tiles {
 			for y := c.Y0; y < c.Y1; y++ {
 				for x := c.X0; x < c.X1; x++ {
 					covered[y*tc.w+x]++
@@ -92,7 +88,7 @@ func TestTileGridPartitionsFrame(t *testing.T) {
 		}
 		for i, n := range covered {
 			if n != 1 {
-				t.Fatalf("%+v: pixel %d covered %d times; cores must partition the frame", tc, i, n)
+				t.Fatalf("%+v: pixel %d covered %d times; tiles must partition the frame", tc, i, n)
 			}
 		}
 	}

@@ -413,7 +413,7 @@ func TestDecodeFrames(t *testing.T) {
 	if len(frames) != 2 || frames[0].W != 32 || frames[1].ID != "frame1" {
 		t.Fatalf("frames = %+v", frames)
 	}
-	if got := frames[1].At(3, 3); got != 200.0/255.0 {
+	if got := frames[1].Pix[3*frames[1].W+3]; got != 200.0/255.0 {
 		t.Fatalf("pixel = %v", got)
 	}
 	if st.Records != 2 {

@@ -66,6 +66,12 @@
 //     times and logs every shard.
 //   - Gather must be deterministic in shard index order.
 //
+// A kernel index over a reference payload — the aligner's seed index, the
+// proteome's fragment-ion index — comes from the engine's memo, built on
+// the first Transform of the first job over that payload and kept, one
+// per kind, for later jobs over it. An index over the job's own sample
+// (the network's value index) is built once per stage.
+//
 // # Determinism guarantee
 //
 // Local and remote execution produce identical results by construction:

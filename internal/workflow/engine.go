@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"scan/internal/align"
 	"scan/internal/knowledge"
+	"scan/internal/proteome"
 	"scan/internal/shard"
 	"scan/internal/variant"
 )
@@ -19,13 +21,57 @@ import (
 // with the platform substrate — the Data Broker's shard-size advice, a
 // bounded context-aware worker pool, and per-shard run logging back into
 // the knowledge base. The engine holds no per-run state and is safe for
-// concurrent Run calls.
+// concurrent Run calls; across runs it keeps only the kernel indexes of
+// the latest reference payloads (refIndex).
 type Engine struct {
 	catalogue      *Registry
 	execs          *ExecutorRegistry
 	kb             *knowledge.Base
 	workers        int
 	recordsPerUnit int
+	// aligners and peptideIndexes remember the seed index and the
+	// fragment-ion index built over reference payloads, so a job over a
+	// reference an earlier job used does not rebuild its index.
+	aligners       refIndex[*align.Aligner]
+	peptideIndexes refIndex[*proteome.Index]
+}
+
+// refIndexMax bounds each of an engine's reference-index memos: a job over
+// another reference replaces the one index it remembers, so the memo holds
+// at most the index any job over that reference holds while it runs.
+const refIndexMax = 1
+
+// refIndex remembers the kernel indexes built over reference payloads, at
+// most refIndexMax, the latest last. An entry's key is the payload's
+// identity (keyOf: its first element and length) and the kernel config;
+// a key holds the payload's storage, so no other slice takes its identity
+// while remembered. Payloads are never mutated (the registry's zero-copy
+// rule), so one key means one index.
+type refIndex[V any] struct {
+	mu      sync.Mutex
+	entries []refIndexEntry[V]
+}
+
+type refIndexEntry[V any] struct {
+	key  any
+	load func() (V, error)
+}
+
+// get returns the index remembered under key, or remembers build under it.
+// The index is built on the returned function's first call, once, however
+// many stages and goroutines call it.
+func (m *refIndex[V]) get(key any, build func() (V, error)) func() (V, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i := slices.IndexFunc(m.entries, func(e refIndexEntry[V]) bool { return e.key == key }); i >= 0 {
+		return m.entries[i].load
+	}
+	if len(m.entries) == refIndexMax {
+		m.entries = slices.Delete(m.entries, 0, 1)
+	}
+	load := sync.OnceValues(build)
+	m.entries = append(m.entries, refIndexEntry[V]{key: key, load: load})
+	return load
 }
 
 // EngineOptions configures an Engine.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"scan/internal/align"
@@ -122,14 +121,20 @@ const ctxCheckInterval = 64
 // per-shard outputs into one coordinate-sorted alignment set.
 type alignExecutor struct{}
 
-// Stream implements streamer. It only checks the reference: the first
-// Transform builds the seed index, so a fleet coordinator never does.
+// Stream implements streamer. It only checks the reference: the seed index
+// comes from the engine's memo, built by the first Transform of the first
+// job over the reference, so a fleet coordinator never builds it.
 func (alignExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	cfg := env.Options().Aligner
 	if err := align.Check(in.Reference, cfg); err != nil {
 		return nil, false, err
 	}
-	index := sync.OnceValues(func() (*align.Aligner, error) { return align.New(in.Reference, cfg) })
+	ref := in.Reference
+	key := struct {
+		seq any
+		cfg align.Config
+	}{keyOf(ref.Seq), cfg}
+	index := env.engine.aligners.get(key, func() (*align.Aligner, error) { return align.New(ref, cfg) })
 	return &alignStream{env: env, in: in, index: index}, true, nil
 }
 

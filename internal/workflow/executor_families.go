@@ -30,13 +30,19 @@ import (
 // quantification); in search mode it carries identification counts only.
 type spectralSearchExecutor struct{ quantify bool }
 
-// Stream implements streamer. The first Transform builds the fragment-ion
-// index every shard of the stage shares, so a fleet coordinator never does.
+// Stream implements streamer. The fragment-ion index every shard shares
+// comes from the engine's memo, built by the first Transform of the first
+// job over the peptide database, so a fleet coordinator never builds it.
 func (e spectralSearchExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	if len(in.PeptideDB.Peptides) == 0 {
 		return nil, false, errors.New("spectral search needs a peptide database")
 	}
-	index := sync.OnceValue(func() *proteome.Index { return proteome.NewIndex(in.PeptideDB, proteome.Config{}) })
+	db, cfg := in.PeptideDB, proteome.Config{}
+	key := struct {
+		peptides any
+		cfg      proteome.Config
+	}{keyOf(db.Peptides), cfg}
+	index := env.engine.peptideIndexes.get(key, func() (*proteome.Index, error) { return proteome.NewIndex(db, cfg), nil })
 	return &spectralStream{env: env, in: in, quantify: e.quantify, index: index}, true, nil
 }
 
@@ -44,7 +50,7 @@ type spectralStream struct {
 	env      *StageEnv
 	in       *Dataset
 	quantify bool
-	index    func() *proteome.Index
+	index    func() (*proteome.Index, error)
 }
 
 func (s *spectralStream) Split() ([]StreamShard, error) {
@@ -60,7 +66,10 @@ func (s *spectralStream) Split() ([]StreamShard, error) {
 }
 
 func (s *spectralStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
-	index := s.index()
+	index, err := s.index()
+	if err != nil {
+		return StreamShard{}, err
+	}
 	spectra := in.Data.([]proteome.Spectrum)
 	ms := make([]proteome.Match, 0, len(spectra))
 	for i, sp := range spectra {
@@ -93,7 +102,7 @@ func (s *spectralStream) Gather(shards []StreamShard) (*Dataset, error) {
 }
 
 // tileShard is the imaging Profile stage's per-shard input payload: which
-// frame to segment and the tile window inside it. It never crosses the
+// frame to segment and the tile of it the shard owns. It never crosses the
 // fleet wire: a worker re-Splits the stage's context dataset, which holds
 // the pixels.
 type tileShard struct {
@@ -102,10 +111,11 @@ type tileShard struct {
 }
 
 // cellProfileExecutor implements the imaging Profile stage: scatter every
-// frame into overlapping tiles (core partition + halo, so a cell on a tile
-// boundary is counted once by the tile owning its centroid), segment tiles
-// on the pool, and gather per-cell features into one FeatureTable row per
-// detected cell.
+// frame into tiles that partition it, segment tiles on the pool — each
+// cell is reported by the tile holding its first pixel, however far it
+// reaches — and gather per-cell features into one FeatureTable row per
+// detected cell. The tile count only splits work: every tiling returns the
+// whole-frame cells.
 type cellProfileExecutor struct{}
 
 // Stream implements streamer.
@@ -123,16 +133,16 @@ func (s *cellStream) Split() ([]StreamShard, error) {
 	tilesPerImage := s.env.RegionCount()
 	for i := range s.in.Images {
 		im := &s.in.Images[i]
-		for _, t := range imaging.TileGrid(im.W, im.H, tilesPerImage, imaging.DefaultHalo) {
+		for _, t := range imaging.TileGrid(im.W, im.H, tilesPerImage) {
 			s.units = append(s.units, tileShard{Img: i, Tile: t})
 		}
 	}
 	shards := make([]StreamShard, len(s.units))
 	for i, u := range s.units {
-		// The tile's work scales with its segmented window, so telemetry
-		// records halo pixels as the shard's input size.
-		halo := u.Tile.Halo
-		shards[i] = StreamShard{Records: (halo.X1 - halo.X0) * (halo.Y1 - halo.Y0), Data: u}
+		// A tile reads its own pixels once, so telemetry records them as
+		// the shard's input size.
+		t := u.Tile
+		shards[i] = StreamShard{Records: (t.X1 - t.X0) * (t.Y1 - t.Y0), Data: u}
 	}
 	return shards, nil
 }

@@ -1,15 +1,20 @@
 package workflow
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"scan/internal/align"
 	"scan/internal/imaging"
 	"scan/internal/knowledge"
 	"scan/internal/network"
@@ -437,4 +442,206 @@ func TestIntegrateGatherPassesLoneSlab(t *testing.T) {
 			t.Fatalf("Gather of %d edgeless slabs: %d edges, %v; want 0", len(empty), out.Net.EdgeCount(), err)
 		}
 	}
+}
+
+// hostileFrames draws frames that stress the tile scatter: a 70×70 square
+// wider than any tile, a fully bright frame, a one-pixel snake through
+// every row, a 50 % random frame with pixels at exactly the threshold, an
+// empty frame, a frame narrower than its tile grid, cells centred on the
+// borders of many tilings and a NaN pixel beside a cell.
+func hostileFrames(t testing.TB, seed int64) *Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	frame := func(id string, w, h int, v func(x, y int) float64) imaging.Image {
+		im := imaging.Image{ID: id, W: w, H: h, Pix: make([]float64, w*h)}
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				im.Pix[y*w+x] = v(x, y)
+			}
+		}
+		return im
+	}
+	disk := func(x, y, cx, cy, r int) bool { return (x-cx)*(x-cx)+(y-cy)*(y-cy) <= r*r }
+	frames := []imaging.Image{
+		frame("square", 128, 128, func(x, y int) float64 {
+			if x >= 29 && x < 99 && y >= 29 && y < 99 {
+				return 0.9
+			}
+			return 0.1
+		}),
+		frame("bright", 40, 40, func(x, y int) float64 { return 1 }),
+		// Full rows two apart, joined at alternate ends.
+		frame("snake", 63, 64, func(x, y int) float64 {
+			if y%2 == 0 || (y%4 == 1 && x == 62) || (y%4 == 3 && x == 0) {
+				return 0.8
+			}
+			return 0
+		}),
+		frame("random", 64, 64, func(x, y int) float64 { return []float64{0.2, 0.5, 0.8, 0.3}[rng.Intn(4)] }),
+		frame("empty", 32, 32, func(x, y int) float64 { return 0 }),
+		frame("narrow", 3, 50, func(x, y int) float64 {
+			if x == 1 || y%10 == 0 {
+				return 0.7
+			}
+			return 0.2
+		}),
+		frame("borders", 96, 96, func(x, y int) float64 {
+			for _, c := range [][2]int{{48, 48}, {32, 32}, {64, 32}, {32, 64}, {64, 64}, {48, 13}, {13, 48}, {82, 82}} {
+				if disk(x, y, c[0], c[1], 5) {
+					return 0.9
+				}
+			}
+			return 0.25
+		}),
+		frame("nan", 48, 48, func(x, y int) float64 {
+			switch {
+			case x == 19 && y == 19:
+				return math.NaN()
+			case disk(x, y, 24, 24, 5):
+				return 0.75
+			}
+			return 0.05
+		}),
+	}
+	return NewTIFFDataset(frames)
+}
+
+// TestImagingWorkflowIgnoresPlan: cell-imaging's answer is a function of
+// its frames, not of its tile plan — 1, 2, 7 or 1 000 tiles per frame on a
+// pool of 1, 2 or 8 — down to the encoded bytes, on the hostile frames.
+func TestImagingWorkflowIgnoresPlan(t *testing.T) {
+	var want []byte
+	for _, pool := range []int{1, 2, 8} {
+		for _, regions := range []int{1, 2, 7, 1000} {
+			e := NewEngine(EngineOptions{Workers: pool})
+			res, err := e.RunByName(context.Background(), "cell-imaging", hostileFrames(t, 5), RunOptions{Regions: regions})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := map[string]int{}
+			for _, f := range res.Output.Features {
+				frame, _, _ := strings.Cut(f.Name, ":")
+				cells[frame]++
+				if math.IsNaN(f.Value) || f.Value < 0.5 {
+					t.Fatalf("pool %d, %d regions: cell %+v below the threshold", pool, regions, f)
+				}
+			}
+			if f := res.Output.Features[0]; cells["square"] != 1 || f.Count != 70*70 {
+				t.Fatalf("pool %d, %d regions: square is %d cells, the first %+v", pool, regions, cells["square"], f)
+			}
+			if cells["bright"] != 1 || cells["snake"] != 1 || cells["empty"] != 0 || cells["borders"] != 8 || cells["nan"] != 1 {
+				t.Fatalf("pool %d, %d regions: cells per frame %v", pool, regions, cells)
+			}
+			got, err := EncodeDataset(res.Output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("pool %d, %d regions: the output differs from the first plan's", pool, regions)
+			}
+		}
+	}
+}
+
+// TestReferenceIndexOncePerPayload: an engine builds a reference's seed
+// index and a peptide database's fragment-ion index once, for every stage
+// over that payload. An equal copy, another kernel config or another
+// payload gets its own, and the newest payload's index replaces the
+// previous one.
+func TestReferenceIndexOncePerPayload(t *testing.T) {
+	e := testEngine(t, 2)
+	aligner := func(ds *Dataset, cfg align.Config) *align.Aligner {
+		t.Helper()
+		env := &StageEnv{engine: e, opts: RunOptions{Aligner: cfg}, result: &StageResult{}}
+		st, _, err := alignExecutor{}.Stream(env, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := st.(*alignStream).index()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	peptideIndex := func(ds *Dataset) *proteome.Index {
+		t.Helper()
+		env := &StageEnv{engine: e, opts: RunOptions{}, result: &StageResult{}}
+		st, _, err := spectralSearchExecutor{quantify: true}.Stream(env, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := st.(*spectralStream).index()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+
+	t.Run("aligner", func(t *testing.T) {
+		ds, other := synthDataset(t, 3000, 50, 1), synthDataset(t, 3000, 50, 2)
+		first := aligner(ds, align.Config{})
+		if aligner(ds, align.Config{}) != first || aligner(&Dataset{Reference: ds.Reference}, align.Config{}) != first {
+			t.Fatal("a second stage over one reference built another seed index")
+		}
+		clone := &Dataset{Reference: ds.Reference}
+		clone.Reference.Seq = slices.Clone(ds.Reference.Seq)
+		if aligner(clone, align.Config{}) == first {
+			t.Fatal("an equal copy of the reference shared the first one's index")
+		}
+		again := aligner(ds, align.Config{})
+		if again == first || aligner(ds, align.Config{K: 12}) == again {
+			t.Fatal("another payload or config did not get its own index")
+		}
+		second := aligner(other, align.Config{})
+		if aligner(other, align.Config{}) != second || aligner(ds, align.Config{}) == again {
+			t.Fatal("the second reference did not replace the first")
+		}
+	})
+	t.Run("peptides", func(t *testing.T) {
+		ds, other := mgfDataset(t, 10, 20, 1), mgfDataset(t, 10, 20, 2)
+		first := peptideIndex(ds)
+		if peptideIndex(ds) != first || peptideIndex(&Dataset{PeptideDB: ds.PeptideDB}) != first {
+			t.Fatal("a second stage over one database built another fragment-ion index")
+		}
+		clone := &Dataset{PeptideDB: ds.PeptideDB}
+		clone.PeptideDB.Peptides = slices.Clone(ds.PeptideDB.Peptides)
+		if peptideIndex(clone) == first {
+			t.Fatal("an equal copy of the database shared the first one's index")
+		}
+		second := peptideIndex(other)
+		if peptideIndex(other) != second || peptideIndex(ds) == first {
+			t.Fatal("the second database did not replace the first")
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		e = testEngine(t, 2)
+		ds := synthDataset(t, 3000, 50, 3)
+		const stages = 8
+		got := make([]*align.Aligner, stages)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				env := &StageEnv{engine: e, opts: RunOptions{}, result: &StageResult{}}
+				st, _, err := alignExecutor{}.Stream(env, ds)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i], err = st.(*alignStream).index()
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, a := range got {
+			if a == nil || a != got[0] {
+				t.Fatalf("stage %d got seed index %p, stage 0 %p", i, a, got[0])
+			}
+		}
+	})
 }
