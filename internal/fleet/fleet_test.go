@@ -1215,7 +1215,7 @@ func TestWorkerRejectsMalformedTask(t *testing.T) {
 
 // taskMangler is a worker-side transport that rewrites every task the
 // worker polls while a mangle is set, and answers the fetch of each part
-// it holds by itself.
+// it holds by itself. Its parts are fixed before the worker starts.
 type taskMangler struct {
 	mangle atomic.Pointer[func(*Task)]
 	parts  map[string][]byte
@@ -1265,12 +1265,13 @@ func (m *taskMangler) RoundTrip(r *http.Request) (*http.Response, error) {
 // lives on to run the next job.
 func TestWorkerRejectsMalformedContext(t *testing.T) {
 	m := &taskMangler{parts: make(map[string][]byte)}
-	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 1, &http.Client{Transport: m})
 	ds := fastqDataset(t, 2000, 200, 3)
 	ref := m.part(t, &workflow.Dataset{Reference: ds.Reference})
 	readsA, readsB := m.part(t, &workflow.Dataset{Reads: ds.Reads[:100]}), m.part(t, &workflow.Dataset{Reads: ds.Reads[100:]})
 	oneRead := m.part(t, &workflow.Dataset{Reads: ds.Reads[:1]})
 	pastReads := m.part(t, &workflow.Dataset{Alignments: []genomics.Alignment{{Pos: 1, Read: 1, Len: 100}}, Mapped: 1})
+	// The parts are all held before the worker's first poll reads them.
+	tf := startFleetWith(t, Options{Scaling: scheduler.AlwaysScale}, 1, &http.Client{Transport: m})
 	w, err := workflow.DefaultCatalogue().Get("dna-variant-detection")
 	if err != nil {
 		t.Fatal(err)

@@ -4,20 +4,20 @@
 //
 // The input is a table of gene-level measurements (the FeatureTable the
 // other families produce); the output is an interaction network — nodes,
-// similarity edges, and the connected-component modules the edges imply.
+// the count of similarity edges (pairs of nodes within Epsilon), and the
+// connected-component modules the edges imply.
 //
-// Scatter/gather shape: the graph partition is the scatter unit. An Index
-// sorts the node values once per stage. Node index ranges split edge
-// construction into independent slabs: each range emits the edges (a, b>a)
-// of its nodes, walking each node's value window in the Index and carrying
-// overlapping windows' sorted members from node to node in value order, so
-// every pair is decided exactly once. A Network keeps the slabs as built,
-// in range order, never concatenated. Modules come from the Index, not the
-// edges: they are the maximal runs of rank-adjacent values within Epsilon.
+// The network is its index. An Index sorts the node values once per stage;
+// a node's edges are the ranks of its value window, so the edge set is
+// never listed. Scatter/gather shape: rank ranges are the scatter unit.
+// Index.Pairs counts the edges whose lower-ranked end lies in a range, in
+// one sweep of the range, and the counts of consecutive ranges sum to the
+// edge count. Modules come from the Index too: they are the maximal runs
+// of rank-adjacent values within Epsilon.
 //
-// Determinism guarantee: generation is seeded, edge construction is a pure
-// function of the node values, every slab is in (A, B) order, and modules
-// list members ascending and modules by first member — so the slabs'
-// concatenation and the modules equal the full build's for any partition
-// (proven by the package's partitioned-equals-full tests).
+// Determinism guarantee: generation is seeded, the count and the modules
+// are pure functions of the node values, and modules list members
+// ascending and modules by first member — so any cut into rank ranges
+// gives the same network (proven by the package's tests against a
+// brute-force pairwise scan).
 package network

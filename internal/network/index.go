@@ -6,14 +6,13 @@ import (
 	"sort"
 )
 
-// Index sorts the node values once; a node's edges lie in a window walked
-// outward from its rank. Rounded subtraction is monotone, so the walk may
-// stop at the first value past Epsilon. Safe for concurrent use.
+// Index sorts the node values once; a node's edges lie in a window of
+// ranks around its own. Rounded subtraction is monotone, so a window ends
+// at the first value past Epsilon. Safe for concurrent use.
 type Index struct {
 	eps    float64
-	order  []int32   // the non-NaN nodes, ascending by (value, index)
-	sorted []float64 // their values
-	rank   []int32   // each node's position in order, -1 for NaN
+	sorted []float64 // the non-NaN values, ascending by (value, index)
+	rank   []int32   // each node's position in sorted, -1 for NaN
 }
 
 // NewIndex builds the sorted index of nodes under cfg. It sorts contiguous
@@ -40,33 +39,44 @@ func NewIndex(nodes []Node, cfg Config) *Index {
 		}
 		return int(x.a - y.a)
 	})
-	ix.order, ix.sorted = make([]int32, len(keys)), make([]float64, len(keys))
+	ix.sorted = make([]float64, len(keys))
 	for r, k := range keys {
-		ix.order[r], ix.sorted[r], ix.rank[k.a] = k.a, k.v, int32(r)
+		ix.sorted[r], ix.rank[k.a] = k.v, int32(r)
 	}
 	return ix
 }
 
-// window returns the ranks [lo, hi) of the nodes within Epsilon of node a,
-// a itself included if finite. An infinite value is NaN away from its ties
-// (Inf-Inf), +Inf from the rest: its walk starts outside its tie group.
-func (ix *Index) window(a int) (va float64, lo, hi int) {
-	r := int(ix.rank[a])
-	if r < 0 {
-		return 0, 0, 0
+// Pairs counts the edges whose lower-ranked end has a rank in [lo, hi):
+// the rank pairs (r, j>r) with |value(r)-value(j)| <= Epsilon. Counts of
+// consecutive rank ranges sum to the edge count. Ranks past the last are
+// NaN nodes', which have no edges.
+//
+// A finite rank's later neighbours run up to the first value past
+// Epsilon, and that end never moves back as the rank grows (rounded
+// subtraction is monotone), so one pointer sweeps the range in
+// O(hi-lo + one window). An infinite value is NaN away from its ties
+// (Inf-Inf) and +Inf from the rest: a -Inf has every later rank but its
+// ties under an infinite Epsilon and none otherwise, and a +Inf's later
+// ranks are all its ties.
+func (ix *Index) Pairs(lo, hi int) int {
+	s, n := ix.sorted, 0
+	negInf := sort.SearchFloat64s(s, -math.MaxFloat64) // -Inf ties end here
+	for r, j := lo, lo; r < min(hi, len(s)); r++ {
+		switch {
+		case math.IsInf(s[r], -1):
+			if math.IsInf(ix.eps, 1) {
+				n += len(s) - negInf
+			}
+		case math.IsInf(s[r], 1):
+		default:
+			j = max(j, r+1)
+			for j < len(s) && s[j]-s[r] <= ix.eps {
+				j++
+			}
+			n += j - r - 1
+		}
 	}
-	va, lo, hi = ix.sorted[r], r, r+1
-	if math.IsInf(va, 0) { // where -Inf's tie group ends, or +Inf's starts
-		lo = sort.SearchFloat64s(ix.sorted, max(va, -math.MaxFloat64))
-		hi = lo
-	}
-	for lo > 0 && math.Abs(va-ix.sorted[lo-1]) <= ix.eps {
-		lo--
-	}
-	for hi < len(ix.sorted) && math.Abs(va-ix.sorted[hi]) <= ix.eps {
-		hi++
-	}
-	return va, lo, hi
+	return n
 }
 
 // Modules returns the connected components of the edges the index implies:
@@ -105,105 +115,4 @@ func (ix *Index) Modules() [][]int {
 		out[m] = append(out[m], a)
 	}
 	return out
-}
-
-// Slab appends range [lo, hi)'s slab to dst: in (A, B) order, the edges
-// (a, b>a) for a in [lo, hi) with |value(a)-value(b)| <= Epsilon, weighted
-// by closeness. Consecutive ranges' slabs concatenate into the canonical
-// edge set. Slab calls poll, if non-nil, with the ordinal of each node a
-// pass visits, and stops on its error, leaving dst unextended.
-//
-// The count pass walks each node's window in index order, unsorted; the
-// later-neighbour counts place every node's run in one presized slab. The
-// fill pass visits the nodes in rank (value) order and carries the window
-// members, sorted by index, while the next visited rank lies inside the
-// current window: it drops the members whose ranks left, sort-merges the
-// ranks that entered, and a node's run is the suffix after a binary search
-// for it. A node outside the carried window whose window misses the next
-// rank sorts its later neighbours alone and carries nothing.
-func (ix *Index) Slab(dst []Edge, lo, hi int, poll func(visited int) error) ([]Edge, error) {
-	if poll == nil {
-		poll = func(int) error { return nil }
-	}
-	type run struct{ lo, hi, at int } // a node's window and its run's offset
-	runs, ranks := make([]run, hi-lo), make([]int32, 0, hi-lo+1)
-	base, at, width := len(dst), len(dst), 0
-	for a := lo; a < hi; a++ {
-		if err := poll(a - lo); err != nil {
-			return dst, err
-		}
-		_, wlo, whi := ix.window(a)
-		runs[a-lo], width = run{wlo, whi, at}, max(width, whi-wlo)
-		for _, b := range ix.order[wlo:whi] {
-			if int(b) > a {
-				at++
-			}
-		}
-		if r := ix.rank[a]; r >= 0 {
-			ranks = append(ranks, r)
-		}
-	}
-	dst = slices.Grow(dst, at-base)[:at]
-	slices.Sort(ranks)
-	ranks = append(ranks, -1) // the last visit's next: in no window
-	// cur holds the members of window [clo, chi), ascending by index; a
-	// member's value is found through its rank.
-	cur, spare := make([]int32, 0, width), make([]int32, 0, width)
-	clo, chi := 0, 0
-	for i, r := range ranks[:len(ranks)-1] {
-		if err := poll(i); err != nil {
-			return dst[:base], err
-		}
-		a, va := int(ix.order[r]), ix.sorted[r]
-		w := runs[a-lo]
-		next := int(ranks[i+1])
-		var later []int32
-		if (int(r) < clo || int(r) >= chi) && (next < w.lo || next >= w.hi) { // sort a's own later neighbours
-			later, cur, clo, chi = cur[:w.hi-w.lo], cur[:0], 0, 0
-			n := 0
-			for _, b := range ix.order[w.lo:w.hi] {
-				later[n] = b
-				if int(b) > a {
-					n++
-				}
-			}
-			later = later[:n]
-			slices.Sort(later)
-		} else {
-			if w.lo > clo || w.hi < chi {
-				cur = slices.DeleteFunc(cur, func(b int32) bool { return int(ix.rank[b]) < w.lo || int(ix.rank[b]) >= w.hi })
-			}
-			m := len(cur)
-			if w.lo < clo {
-				cur = append(cur, ix.order[w.lo:min(clo, w.hi)]...)
-			}
-			if w.hi > chi {
-				cur = append(cur, ix.order[max(w.lo, chi):w.hi]...)
-			}
-			slices.Sort(cur[m:])
-			if m > 0 && m < len(cur) {
-				cur, spare = merge(spare[:0], cur[:m], cur[m:]), cur
-			}
-			clo, chi = w.lo, w.hi
-			j, _ := slices.BinarySearch(cur, int32(a+1))
-			later = cur[j:]
-		}
-		out := dst[w.at:][:len(later)]
-		for k, b := range later {
-			d := math.Abs(va - ix.sorted[ix.rank[b]])
-			out[k] = Edge{A: a, B: int(b), Weight: 1 - d/ix.eps}
-		}
-	}
-	return dst, nil
-}
-
-// merge appends the ascending union of the disjoint ascending x and y.
-func merge(dst, x, y []int32) []int32 {
-	for len(x) > 0 && len(y) > 0 {
-		if x[0] > y[0] {
-			x, y = y, x
-		}
-		dst, x = append(dst, x[0]), x[1:]
-	}
-	return append(append(dst, x...), y...)
 }

@@ -7,83 +7,64 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 )
 
-// AppendEdges is Slab without a poll, the form the oracle tests drive.
-func (ix *Index) AppendEdges(dst []Edge, lo, hi int) []Edge {
-	dst, _ = ix.Slab(dst, lo, hi, nil)
-	return dst
-}
-
-// bruteEdges is the pairwise scan the sorted index replaced, kept as the
-// reference it must agree with: every node a in [lo, hi) is tested against
-// every later node.
-func bruteEdges(nodes []Node, lo, hi int, cfg Config) []Edge {
+// brutePairs is the pairwise scan the sorted index replaced, kept as the
+// reference it must agree with: every node is tested against every later
+// node, and the pairs within Epsilon come back in (a, b) order.
+func brutePairs(nodes []Node, cfg Config) [][2]int {
 	cfg = cfg.withDefaults()
-	var out []Edge
-	for a := lo; a < hi && a < len(nodes); a++ {
+	var out [][2]int
+	for a := range nodes {
 		for b := a + 1; b < len(nodes); b++ {
-			d := math.Abs(nodes[a].Value - nodes[b].Value)
-			if d <= cfg.Epsilon {
-				out = append(out, Edge{A: a, B: b, Weight: 1 - d/cfg.Epsilon})
+			if math.Abs(nodes[a].Value-nodes[b].Value) <= cfg.Epsilon {
+				out = append(out, [2]int{a, b})
 			}
 		}
 	}
 	return out
 }
 
-// sameEdges compares two edge lists exactly: nil-ness, endpoints, order
-// and weight bits. Both sides compute a weight with the same expression,
-// so no rounding slack is allowed; under an infinite Epsilon an infinite
-// distance weighs NaN on both sides.
-func sameEdges(a, b []Edge) bool {
-	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, func(x, y Edge) bool {
-		return x.A == y.A && x.B == y.B && math.Float64bits(x.Weight) == math.Float64bits(y.Weight)
-	})
-}
-
 // checkIndex compares the index of nodes under cfg with the brute force:
-// the slab of every range between consecutive cuts (0 and len(nodes) are
-// added), their concatenation, which must be the full edge set in
-// canonical order with no re-sort, and Build's edges.
+// the count of every rank range between consecutive cuts (0 and
+// len(nodes) are added), which must be the brute-force pairs whose
+// lower-ranked end lies in the range, their sum, which must be the edge
+// count, and the modules.
 func checkIndex(t *testing.T, nodes []Node, cfg Config, cuts []int) {
 	t.Helper()
-	n := len(nodes)
-	cuts = append(append([]int{0}, cuts...), n)
+	cuts = append(append([]int{0}, cuts...), len(nodes))
 	slices.Sort(cuts)
 	ix := NewIndex(nodes, cfg)
-	var all []Edge
+	pairs := brutePairs(nodes, cfg)
+	total := 0
 	for i := 1; i < len(cuts); i++ {
 		lo, hi := cuts[i-1], cuts[i]
-		want := bruteEdges(nodes, lo, hi, cfg)
-		got := ix.AppendEdges(nil, lo, hi)
-		if !sameEdges(got, want) {
-			t.Fatalf("eps %v, range [%d,%d): index %v, brute force %v\nvalues %v", cfg.Epsilon, lo, hi, got, want, values(nodes))
+		want := 0
+		for _, p := range pairs {
+			if r := int(min(ix.rank[p[0]], ix.rank[p[1]])); lo <= r && r < hi {
+				want++
+			}
 		}
-		all = append(all, got...)
+		got := ix.Pairs(lo, hi)
+		if got != want {
+			t.Fatalf("eps %v, ranks [%d,%d): index counts %d pairs, brute force %d\nvalues %v", cfg.Epsilon, lo, hi, got, want, values(nodes))
+		}
+		total += got
 	}
-	want := bruteEdges(nodes, 0, n, cfg)
-	if !sameEdges(all, want) {
-		t.Fatalf("eps %v, cuts %v: concatenated slabs %v, brute force %v", cfg.Epsilon, cuts, all, want)
-	}
-	if got := Build(nodes, cfg).Slabs; len(got) != 1 || !sameEdges(got[0], want) {
-		t.Fatalf("eps %v: Build %v, brute force %v", cfg.Epsilon, got, want)
+	if total != len(pairs) {
+		t.Fatalf("eps %v, cuts %v: range counts sum to %d, brute force has %d pairs", cfg.Epsilon, cuts, total, len(pairs))
 	}
 	checkModules(t, nodes, cfg)
 }
 
-// checkModules compares the index's rank-run modules of nodes under cfg,
-// and Build's, with union-find over the brute-force edges.
+// checkModules compares the index's rank-run modules of nodes under cfg
+// with union-find over the brute-force pairs.
 func checkModules(t *testing.T, nodes []Node, cfg Config) {
 	t.Helper()
-	want := Modules(len(nodes), bruteEdges(nodes, 0, len(nodes), cfg))
+	want := Modules(len(nodes), brutePairs(nodes, cfg))
 	if got := NewIndex(nodes, cfg).Modules(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("eps %v: index modules %v, union-find %v\nvalues %v", cfg.Epsilon, got, want, values(nodes))
-	}
-	if got := Build(nodes, cfg).Modules; !reflect.DeepEqual(got, want) {
-		t.Fatalf("eps %v: Build modules %v, union-find %v", cfg.Epsilon, got, want)
 	}
 }
 
@@ -152,13 +133,12 @@ func randomNodes(rng *rand.Rand, eps float64, special bool) []Node {
 	return nodes
 }
 
-// TestIndexMatchesBruteForce quick-checks the sorted index against the
-// pairwise scan it replaced on randomised node lists, Epsilons and range
-// partitions, including the edge cases where a walk that stopped one step
-// early or late, a tie split the wrong way or a non-monotone distance
-// would show. Each list is also checked as one range, whose value-order
-// visits are dense so the fill carries its windows, and cut into ranges of
-// 1–3 nodes, whose visits are sparse so the fill sorts node by node.
+// TestIndexMatchesBruteForce quick-checks the index's edge count against
+// the pairwise scan it replaced on randomised node lists, Epsilons and
+// rank-range cuts, including the edge cases where a sweep that stopped one
+// step early or late, a tie split the wrong way or a non-monotone distance
+// would show. Each list is also counted as one range and cut into ranges
+// of 1–3 ranks, where every range restarts the sweep.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	const cases = 600
 	for c := 0; c < cases; c++ {
@@ -192,36 +172,13 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// smallRanges cuts [0, n) into ranges of 1–3 nodes.
+// smallRanges cuts [0, n) into ranges of 1–3 ranks.
 func smallRanges(rng *rand.Rand, n int) []int {
 	var cuts []int
 	for at := 1 + rng.Intn(3); at < n; at += 1 + rng.Intn(3) {
 		cuts = append(cuts, at)
 	}
 	return cuts
-}
-
-// TestConcurrentFills fills two ranges of one Index at once; under -race
-// it shows a fill writing anything the Index shares.
-func TestConcurrentFills(t *testing.T) {
-	nodes := plantedNodes(t, 5, 600, 6)
-	ix := NewIndex(nodes, Config{})
-	cuts := []int{0, 250, len(nodes)}
-	got := make([][]Edge, 2)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = ix.AppendEdges(nil, cuts[i], cuts[i+1])
-		}()
-	}
-	wg.Wait()
-	for i := range got {
-		if want := bruteEdges(nodes, cuts[i], cuts[i+1], Config{}); !sameEdges(got[i], want) {
-			t.Fatalf("range [%d,%d): %d edges filled concurrently, brute force %d", cuts[i], cuts[i+1], len(got[i]), len(want))
-		}
-	}
 }
 
 // TestIndexDoesNotMutate checks the index copies what it needs: the
@@ -231,7 +188,8 @@ func TestIndexDoesNotMutate(t *testing.T) {
 		nodes := randomNodes(rand.New(rand.NewSource(seed)), 2, true)
 		saved := slices.Clone(nodes)
 		ix := NewIndex(nodes, Config{})
-		ix.AppendEdges(nil, 0, len(nodes))
+		ix.Pairs(0, len(nodes))
+		ix.Modules()
 		for i := range nodes {
 			if nodes[i].Name != saved[i].Name || math.Float64bits(nodes[i].Value) != math.Float64bits(saved[i].Value) {
 				t.Fatalf("seed %d: node %d changed: %+v -> %+v", seed, i, saved[i], nodes[i])
@@ -240,34 +198,26 @@ func TestIndexDoesNotMutate(t *testing.T) {
 	}
 }
 
-// TestAppendEdgesAllocs holds a range's build into a sized slab to a fixed
-// set of scratch buffers — the per-node runs, the visit order and the two
-// window buffers the count pass sizes — so 2 000 and 16 000 nodes allocate
-// alike, however many edges or neighbours they have.
-func TestAppendEdgesAllocs(t *testing.T) {
-	allocs := func(genes, modules int) float64 {
-		nodes := plantedNodes(t, 2, genes, modules)
-		ix := NewIndex(nodes, Config{})
-		slab := make([]Edge, 0, len(ix.AppendEdges(nil, 0, len(nodes))))
-		return testing.AllocsPerRun(2, func() { ix.AppendEdges(slab, 0, len(nodes)) })
-	}
-	small, large := allocs(2000, 40), allocs(16000, 200) // 50 and 80 a module
-	if small != large || large > 4 {
-		t.Fatalf("%v allocations at 2 000 nodes, %v at 16 000, want the same, at most 4", small, large)
+// TestPairsAllocs holds the count to no allocation at all, so no edge
+// list can creep back into an Integrate shard.
+func TestPairsAllocs(t *testing.T) {
+	ix := NewIndex(plantedNodes(t, 2, 16000, 200), Config{})
+	if n := testing.AllocsPerRun(2, func() { ix.Pairs(0, 16000) }); n != 0 {
+		t.Fatalf("Pairs allocated %v times, want 0", n)
 	}
 }
 
-// FuzzEdgeIndex runs the brute-force comparison on fuzzed node lists,
-// Epsilons and ranges. The first data byte picks a unit; the next two
-// pick a range [lo, hi), which also cuts the list into three slabs whose
-// concatenation must be the full edge set; the fourth picks k, 1…n, and
-// the list is also cut into k near-equal ranges. The rest are up to 256
+// FuzzEdgeCount runs the brute-force comparison on fuzzed node lists,
+// Epsilons and rank ranges. The first data byte picks a unit; the next two
+// pick a range [lo, hi), which also cuts the ranks into three ranges whose
+// counts must sum to the edge count; the fourth picks k, 1…n, and the
+// ranks are also cut into k near-equal ranges. The rest are up to 256
 // 16-bit values:
 // from 0xFFF0 one of the special values (NaN, ±Inf, ±0, ±MaxFloat64, the
 // smallest subnormals), otherwise a signed multiple of the unit — a grid
 // on which gaps land exactly on a small Epsilon, magnitudes near 1e300
 // where any Epsilon vanishes, or subnormals.
-func FuzzEdgeIndex(f *testing.F) {
+func FuzzEdgeCount(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 1, 0, 0x78, 4, 0x78, 8, 0x78, 9, 0x78}, 2.0)
 	f.Add([]byte{1, 0, 9, 0, 0xF0, 0xFF, 0xF1, 0xFF, 0xF1, 0xFF, 0xF2, 0xFF, 0, 0x78}, math.Inf(1))
 	f.Add([]byte{2, 2, 2, 2, 1, 0x78, 1, 0x78, 2, 0x78, 0xF4, 0xFF, 0xF5, 0xFF}, 0.0)
@@ -279,7 +229,7 @@ func FuzzEdgeIndex(f *testing.F) {
 		}
 		unit := []float64{0.5, 1.0 / 3, 1e296, math.SmallestNonzeroFloat64}[data[0]%4]
 		var nodes []Node
-		// At most 256 nodes: under an infinite Epsilon every pair is an edge.
+		// At most 256 nodes: the brute force tests every pair.
 		for rest := data[4:min(len(data), 4+2*256)]; len(rest) >= 2; rest = rest[2:] {
 			v := binary.LittleEndian.Uint16(rest)
 			x := float64(int(v)-0x7800) * unit
@@ -307,7 +257,7 @@ func FuzzEdgeIndex(f *testing.F) {
 var moduleEpsilons = []float64{1e-300, 0.5, 2, math.MaxFloat64, math.Inf(1)}
 
 // TestIndexModulesMatchUnionFind quick-checks the rank-run modules against
-// union-find over the pairwise edges, on randomised node lists with NaN,
+// union-find over the pairwise scan, on randomised node lists with NaN,
 // ±Inf, ±0, subnormals, magnitudes near 1e300 and ties, and on lists of
 // the special values alone, tied many times.
 func TestIndexModulesMatchUnionFind(t *testing.T) {
@@ -332,7 +282,7 @@ func TestIndexModulesMatchUnionFind(t *testing.T) {
 }
 
 // FuzzIndexModules runs the union-find comparison on fuzzed node lists and
-// Epsilons. The first data byte picks a unit as FuzzEdgeIndex's does, and
+// Epsilons. The first data byte picks a unit as FuzzEdgeCount's does, and
 // the rest are up to 256 16-bit values coded the same way.
 func FuzzIndexModules(f *testing.F) {
 	f.Add([]byte{0, 0, 0x78, 4, 0x78, 8, 0x78, 9, 0x78}, 2.0)
@@ -370,40 +320,26 @@ func plantedNodes(tb testing.TB, seed int64, genes, modules int) []Node {
 }
 
 var (
-	edgeSink   []Edge
+	countSink  int
 	indexSink  *Index
 	moduleSink [][]int
 )
 
-// BenchmarkEdges times one Integrate stage's count and fill passes on the
+// BenchmarkIntegrate times one Integrate stage's whole work on the
 // benchmark's batch-families network job, 16 000 genes in 200 planted
-// modules, over 1, 2, 16 and n/64 equal node ranges of an index built
-// once. Genes join modules round-robin, so a range of 64 nodes has no two
-// in one window: its fill visits sparsely and sorts node by node, the
-// fallback these sub-benchmarks guard. Fewer, wider ranges visit densely
-// and carry their windows.
-func BenchmarkEdges(b *testing.B) {
+// modules: the index, the edge count over all ranks and the modules.
+func BenchmarkIntegrate(b *testing.B) {
 	nodes := plantedNodes(b, 1, 16000, 200)
-	ix := NewIndex(nodes, Config{})
-	for _, k := range []int{1, 2, 16, len(nodes) / 64} {
-		b.Run(fmt.Sprintf("ranges=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			edges := 0
-			for i := 0; i < b.N; i++ {
-				edges = 0
-				for r := range k {
-					lo, hi := r*len(nodes)/k, (r+1)*len(nodes)/k
-					edgeSink = ix.AppendEdges(nil, lo, hi)
-					edges += len(edgeSink)
-				}
-			}
-			b.ReportMetric(float64(edges), "edges")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix := NewIndex(nodes, Config{})
+		countSink, moduleSink = ix.Pairs(0, len(nodes)), ix.Modules()
 	}
+	b.ReportMetric(float64(countSink), "edges")
 }
 
-// BenchmarkNewIndex times the index build BenchmarkEdges leaves out, once
-// per Integrate stage, on the same 16 000 genes.
+// BenchmarkNewIndex times BenchmarkIntegrate's index build alone.
 func BenchmarkNewIndex(b *testing.B) {
 	nodes := plantedNodes(b, 1, 16000, 200)
 	b.ReportAllocs()
@@ -413,22 +349,12 @@ func BenchmarkNewIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkModules times module detection on the same 16 000 genes: the
-// index's rank runs against union-find over the 632 000 edges it replaced.
+// BenchmarkModules times BenchmarkIntegrate's module detection alone.
 func BenchmarkModules(b *testing.B) {
-	nodes := plantedNodes(b, 1, 16000, 200)
-	ix := NewIndex(nodes, Config{})
-	edges := ix.AppendEdges(nil, 0, len(nodes))
-	b.Run("index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			moduleSink = ix.Modules()
-		}
-	})
-	b.Run("union-find", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			moduleSink = Modules(len(nodes), edges)
-		}
-	})
+	ix := NewIndex(plantedNodes(b, 1, 16000, 200), Config{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		moduleSink = ix.Modules()
+	}
 }

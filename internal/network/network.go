@@ -47,30 +47,15 @@ type Node struct {
 	Value float64
 }
 
-// Edge is one undirected similarity edge; A < B index into the node list.
-type Edge struct {
-	A, B   int
-	Weight float64
-}
-
-// Network is the integrative output: the interaction graph plus its
-// detected modules (connected components, each a sorted node-index list,
-// ordered by first member). The edges are kept as the slabs that built
-// them, in range order; their concatenation is the canonical (A, B)-ordered
-// edge list.
+// Network is the integrative output: the interaction graph's nodes, its
+// edge count and its detected modules (connected components, each a
+// sorted node-index list, ordered by first member). An edge joins two
+// nodes whose values lie within Epsilon; the sorted Index counts them
+// without listing them.
 type Network struct {
 	Nodes   []Node
-	Slabs   [][]Edge
+	Edges   int
 	Modules [][]int
-}
-
-// EdgeCount returns the number of edges over all slabs.
-func (n *Network) EdgeCount() int {
-	total := 0
-	for _, slab := range n.Slabs {
-		total += len(slab)
-	}
-	return total
 }
 
 // Config tunes network construction.
@@ -84,12 +69,4 @@ func (c Config) withDefaults() Config {
 		c.Epsilon = 2
 	}
 	return c
-}
-
-// Build constructs the full network in one pass, as one slab — the
-// unscattered reference implementation tiled executions must reproduce.
-func Build(nodes []Node, cfg Config) *Network {
-	ix := NewIndex(nodes, cfg)
-	edges, _ := ix.Slab(nil, 0, len(nodes), nil)
-	return &Network{Nodes: nodes, Slabs: [][]Edge{edges}, Modules: ix.Modules()}
 }

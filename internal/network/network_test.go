@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -50,46 +51,46 @@ func TestBuildRecoversPlantedModules(t *testing.T) {
 	if total != 60 {
 		t.Fatalf("modules cover %d genes, want 60", total)
 	}
-	if len(net.Slabs) != 1 || len(net.Slabs[0]) == 0 || net.EdgeCount() != len(net.Slabs[0]) {
-		t.Fatalf("Build gave %d slabs, %d edges; want one non-empty slab", len(net.Slabs), net.EdgeCount())
+	if net.Edges == 0 {
+		t.Fatal("Build found no edges")
 	}
-	for _, e := range net.Slabs[0] {
-		if e.A >= e.B || e.Weight < 0 || e.Weight > 1 {
-			t.Fatalf("malformed edge %+v", e)
-		}
+	ix := NewIndex(nodes, Config{})
+	if got := ix.Pairs(0, len(nodes)); got != net.Edges || !reflect.DeepEqual(ix.Modules(), net.Modules) {
+		t.Fatalf("index: %d edges, modules %v; Build: %d edges, modules %v", got, ix.Modules(), net.Edges, net.Modules)
 	}
 }
 
-// TestRangePartitionMatchesFullBuild: concatenating per-range edge slabs
-// in range order (any partitioning) reproduces the single-pass edge set —
-// the gather invariant of the Integrate scatter — with no re-sort.
+// Build constructs the network by the pairwise scan: the unscattered
+// reference the index's counts and modules must reproduce.
+func Build(nodes []Node, cfg Config) *Network {
+	pairs := brutePairs(nodes, cfg)
+	return &Network{Nodes: nodes, Edges: len(pairs), Modules: Modules(len(nodes), pairs)}
+}
+
+// TestRangePartitionMatchesFullBuild: the counts of consecutive rank
+// ranges, for any partitioning, sum to the full build's edge count — the
+// gather invariant of the Integrate scatter.
 func TestRangePartitionMatchesFullBuild(t *testing.T) {
 	nodes := plantedNodes(t, 13, 50, 3)
-	want := bruteEdges(nodes, 0, len(nodes), Config{})
+	want := Build(nodes, Config{}).Edges
 	ix := NewIndex(nodes, Config{})
-	for _, per := range []int{7, 10, 25, 50} {
-		var got []Edge
+	for _, per := range []int{1, 7, 10, 25, 50} {
+		got := 0
 		for lo := 0; lo < len(nodes); lo += per {
-			hi := min(lo+per, len(nodes))
-			got = ix.AppendEdges(got, lo, hi)
+			got += ix.Pairs(lo, min(lo+per, len(nodes)))
 		}
-		if len(got) != len(want) {
-			t.Fatalf("per=%d: %d edges, full build has %d", per, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("per=%d: edge %d = %+v, want %+v", per, i, got[i], want[i])
-			}
+		if got != want {
+			t.Fatalf("per=%d: %d edges, full build has %d", per, got, want)
 		}
 	}
 }
 
-// Modules returns the connected components the edges imply over n nodes,
+// Modules returns the connected components the pairs imply over n nodes,
 // by union-find: each component's node indexes sorted ascending,
 // components ordered by their smallest member, isolated nodes as
 // singletons. It is the edge-list pass Index.Modules replaced, kept as the
 // reference it must agree with.
-func Modules(n int, edges []Edge) [][]int {
+func Modules(n int, pairs [][2]int) [][]int {
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -101,8 +102,8 @@ func Modules(n int, edges []Edge) [][]int {
 		}
 		return x
 	}
-	for _, e := range edges {
-		ra, rb := find(e.A), find(e.B)
+	for _, p := range pairs {
+		ra, rb := find(p[0]), find(p[1])
 		if ra != rb {
 			if ra > rb {
 				ra, rb = rb, ra
@@ -130,7 +131,7 @@ func TestModulesSingletons(t *testing.T) {
 	if len(mods) != 3 {
 		t.Fatalf("modules = %v, want 3 singletons", mods)
 	}
-	mods = Modules(4, []Edge{{A: 0, B: 3}, {A: 1, B: 2}})
+	mods = Modules(4, [][2]int{{0, 3}, {1, 2}})
 	if len(mods) != 2 || mods[0][0] != 0 || mods[0][1] != 3 || mods[1][0] != 1 {
 		t.Fatalf("modules = %v", mods)
 	}

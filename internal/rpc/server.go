@@ -540,7 +540,7 @@ func (s *Server) execute(ctx context.Context, id int, spec jobSpec) (JobResult, 
 	}
 	if out.Net != nil {
 		result.Nodes = len(out.Net.Nodes)
-		result.Edges = out.Net.EdgeCount()
+		result.Edges = out.Net.Edges
 		result.Modules = len(out.Net.Modules)
 	}
 	for _, sr := range wres.Stages {

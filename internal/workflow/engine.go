@@ -126,10 +126,7 @@ type RunOptions struct {
 	// Caller configures variant-calling stages (zero value: defaults).
 	Caller variant.Config
 	// ShardRecords, when positive, overrides the Data Broker's record-shard
-	// sizing exactly: shards of ShardRecords records, no pool rounding. The
-	// Integrate stage scatters pairwise work, not records, so there it fixes
-	// the shard count ⌈nodes/ShardRecords⌉ and the node ranges carry equal
-	// pair work.
+	// sizing exactly: shards of ShardRecords records, no pool rounding.
 	ShardRecords int
 	// Regions is the region-scatter width for coordinate-scattered stages
 	// (default: the engine's worker count).
@@ -352,10 +349,9 @@ const minShardSeconds = 0.010
 // rounded up to whole waves of the pool (a multiple of Workers, at most
 // total) when the KB's observed rate for this (tool, stage) predicts each
 // at minShardSeconds or more; either way they are cut equal. The price is
-// linear in records (rate per record × records); Integrate's work grows
-// with its edges, not its nodes, so a KB that has seen other network
-// sizes misprices it. The plan (and advice, when consulted) is recorded on
-// the stage result, and RemoteOptions pins it for fleet workers.
+// linear in records (rate per record × records). The plan (and advice,
+// when consulted) is recorded on the stage result, and RemoteOptions pins
+// it for fleet workers.
 func (env *StageEnv) RecordShardSize(total int) (int, error) {
 	var plan shard.Plan
 	var err error

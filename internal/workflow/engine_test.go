@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -15,7 +16,6 @@ import (
 	"scan/internal/align"
 	"scan/internal/genomics"
 	"scan/internal/knowledge"
-	"scan/internal/network"
 	"scan/internal/shard"
 	"scan/internal/variant"
 )
@@ -526,7 +526,9 @@ func planInput(t testing.TB, seed int64) *Dataset {
 // answer is a function of its input, not of its shard plan — align shards
 // of the advised size, one read, an odd count or all reads, times 1, 2, 7
 // or more regions than reference bases, on a pool of 1, 2 or 8 — down to
-// the encoded bytes of its output.
+// the encoded bytes of its output. So is integrative-network's, in one
+// shard, one per pool slot, 7 or one node each, on values with ties, NaN,
+// ±Inf and ±0, and its edge count is the pairwise scan's.
 func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
 	ds := planInput(t, 11)
 	for _, name := range []string{
@@ -566,6 +568,44 @@ func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
 			}
 		})
 	}
+	t.Run("integrative-network", func(t *testing.T) {
+		ds := featureDataset(t, 300, 6, 11)
+		for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)} {
+			ds.Features[7*i].Value = v
+		}
+		ds.Features[1].Value = ds.Features[2].Value
+		pairs := 0
+		for i, a := range ds.Features {
+			for _, b := range ds.Features[i+1:] {
+				if math.Abs(a.Value-b.Value) <= 2 {
+					pairs++
+				}
+			}
+		}
+		var want []byte
+		n := len(ds.Features)
+		for _, pool := range []int{1, 2, 8} {
+			for _, shards := range []int{1, pool, 7, n} {
+				opts := RunOptions{ShardRecords: (n + shards - 1) / shards}
+				res, err := testEngine(t, pool).RunByName(context.Background(), "integrative-network", ds, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s := res.Stages[0].Shards; s != shards || res.Output.Net.Edges != pairs {
+					t.Fatalf("pool %d, %d shards: ran %d, counted %d edges, want %d", pool, shards, s, res.Output.Net.Edges, pairs)
+				}
+				got, err := EncodeDataset(res.Output)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("pool %d, %d shards: the output differs from the first plan's", pool, shards)
+				}
+			}
+		}
+	})
 }
 
 // TestReverseStrandReadsCallAsForward: the plan input's reverse-strand
@@ -919,18 +959,18 @@ func (p *wrongPool) RunShards(ctx context.Context, env *StageEnv, shards []Strea
 // its run with an error naming the shard when a shard pool answers with a
 // payload of the wrong type or none, instead of panicking the process.
 func TestGatherRejectsWrongPayload(t *testing.T) {
-	edges := []network.Edge{{A: 0, B: 1}}
+	count := 7 // an Integrate shard's payload
 	for _, tc := range []struct {
 		workflow string
 		stage    int
 		in       func() *Dataset
 		wrong    any
 	}{
-		{"dna-variant-detection", 0, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, edges},
-		{"somatic-mutation-detection", 1, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, edges},
-		{"rna-expression", 1, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, edges},
-		{"proteome-gpm", 0, func() *Dataset { return mgfDataset(t, 5, 40, 1) }, edges},
-		{"cell-imaging", 0, func() *Dataset { d, _ := tiffDataset(t, 1, 4, 1); return d }, edges},
+		{"dna-variant-detection", 0, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, count},
+		{"somatic-mutation-detection", 1, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, count},
+		{"rna-expression", 1, func() *Dataset { return synthDataset(t, 3000, 300, 1) }, count},
+		{"proteome-gpm", 0, func() *Dataset { return mgfDataset(t, 5, 40, 1) }, count},
+		{"cell-imaging", 0, func() *Dataset { d, _ := tiffDataset(t, 1, 4, 1); return d }, count},
 		{"integrative-network", 0, func() *Dataset { return featureDataset(t, 40, 3, 1) }, AlignedShard{}},
 	} {
 		for _, data := range []any{tc.wrong, nil} {

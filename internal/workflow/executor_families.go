@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"scan/internal/imaging"
@@ -17,7 +16,7 @@ import (
 // This file binds the non-genomic data-process families of the paper's
 // Figure 1 to the engine. Each executor owns the scatter/gather shape its
 // tool family needs — spectrum shards for database search, image tiles for
-// segmentation, node-range partitions for network construction — and the
+// segmentation, rank ranges for the network's edge count — and the
 // engine logs its shards under its tool name, so the Data Broker
 // accumulates performance profiles for every family, not just the GATK
 // chain.
@@ -185,19 +184,20 @@ func (s *cellStream) Gather(shards []StreamShard) (*Dataset, error) {
 	return &out, nil
 }
 
-// nodeRange is the Integrate stage's per-shard input payload: a half-open
-// range [Lo, Hi) of node indices whose pairwise edges the shard builds.
+// rankRange is the Integrate stage's per-shard input payload: a half-open
+// range [Lo, Hi) of sorted-index ranks whose edges the shard counts.
 // Workers rebuild the node list and re-Split it from the stage's context
 // dataset.
-type nodeRange struct {
+type rankRange struct {
 	Lo, Hi int
 }
 
 // integrateExecutor implements the integrative Integrate stage: treat each
-// feature as a network node, scatter the sorted-index edge sweep over the
-// Data Broker's count of node ranges on the pool, then keep the edge slabs
-// as the shards built them and take the modules as runs of rank-adjacent
-// values in the index — the Cytoscape-style network build.
+// feature as a network node, sort the node values into an index once,
+// scatter the edge count over the Data Broker's count of equal rank
+// ranges on the pool, then sum the counts and take the modules as runs of
+// rank-adjacent values in the index — the Cytoscape-style network build.
+// No edge is ever listed: the index holds them all.
 type integrateExecutor struct{}
 
 // Stream implements streamer. The first Transform builds the shared index,
@@ -218,74 +218,48 @@ type integrateStream struct {
 	index func() *network.Index
 }
 
+// Split cuts the ranks into the broker's plan of equal record ranges: once
+// the index is sorted, every rank costs the same to count.
 func (s *integrateStream) Split() ([]StreamShard, error) {
 	per, err := s.env.RecordShardSize(len(s.nodes))
 	if err != nil {
 		return nil, err
 	}
-	ranges := pairRanges(len(s.nodes), (len(s.nodes)+per-1)/per)
-	shards := make([]StreamShard, len(ranges))
-	for i, r := range ranges {
-		shards[i] = StreamShard{Records: r.Hi - r.Lo, Data: r}
+	plan, err := shard.PlanByRecords(len(s.nodes), per)
+	if err != nil {
+		return nil, err
+	}
+	shards := make([]StreamShard, plan.NumShards)
+	for i := range shards {
+		lo, hi := plan.Bounds(i)
+		shards[i] = StreamShard{Records: hi - lo, Data: rankRange{lo, hi}}
 	}
 	return shards, nil
 }
 
-// pairRanges cuts nodes [0, n) into min(k, n) consecutive non-empty ranges
-// of near-equal pair work — node a owns the n−1−a pairs (a, b>a), so equal
-// node counts would give the first range most of the work. The sweep tests
-// no pairs, but a range costs the edges it emits, and those spread like
-// the pairs (a, b>a): on the 16 000 bench genes in two ranges, equal node
-// counts split the 632 000 edges 476 000 / 156 000, these cuts 317 672 /
-// 314 328. Cut i is the first node whose prefix work reaches ⌈i·P/k⌉ of
-// the P pairs, so no range exceeds ⌈P/k⌉ + n−1. An empty input is one
-// empty range. The cut depends only on (n, k): a fleet worker's re-Split
-// reproduces the coordinator's.
-func pairRanges(n, k int) []nodeRange {
-	if n == 0 {
-		return []nodeRange{{0, 0}}
-	}
-	k = min(max(k, 1), n)
-	p := n * (n - 1) / 2
-	work := func(x int) int { return x*(n-1) - x*(x-1)/2 } // pairs owned by [0, x)
-	ranges := make([]nodeRange, 0, k)
-	lo := 0
-	for i := 1; i < k; i++ {
-		// Keep at least one node per range on either side of the cut.
-		first, last := lo+1, n-(k-i)
-		target := (i*p + k - 1) / k
-		cut := first + sort.Search(last-first, func(j int) bool { return work(first+j) >= target })
-		ranges = append(ranges, nodeRange{Lo: lo, Hi: cut})
-		lo = cut
-	}
-	return append(ranges, nodeRange{Lo: lo, Hi: n})
-}
-
-// Transform makes the range's count pass, then fills one slab the count
-// sized, polling ctx every ctxCheckInterval nodes each pass visits.
+// Transform counts the edges whose lower-ranked end lies in the shard's
+// range, one sweep of the range.
 func (s *integrateStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
-	r := in.Data.(nodeRange)
-	slab, err := s.index().Slab(nil, r.Lo, r.Hi, func(i int) error {
-		if i%ctxCheckInterval == 0 {
-			return ctx.Err()
-		}
-		return nil
-	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return StreamShard{}, err
 	}
-	return StreamShard{Records: in.Records, Data: slab}, nil
+	r := in.Data.(rankRange)
+	return StreamShard{Records: in.Records, Data: s.index().Pairs(r.Lo, r.Hi)}, nil
 }
 
-// Gather keeps the (A, B)-ordered slabs of consecutive ranges as they
-// are, in shard order, and reads the modules off the sorted index.
+// Gather sums the ranges' counts into the edge count and reads the
+// modules off the sorted index.
 func (s *integrateStream) Gather(shards []StreamShard) (*Dataset, error) {
-	slabs, err := shardData[[]network.Edge](shards)
+	counts, err := shardData[int](shards)
 	if err != nil {
 		return nil, err
 	}
+	edges := 0
+	for _, c := range counts {
+		edges += c
+	}
 	out := *s.in
 	out.Type = Network
-	out.Net = &network.Network{Nodes: s.nodes, Slabs: slabs, Modules: s.index().Modules()}
+	out.Net = &network.Network{Nodes: s.nodes, Edges: edges, Modules: s.index().Modules()}
 	return &out, nil
 }

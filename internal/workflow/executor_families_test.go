@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -181,10 +180,10 @@ func TestNetworkWorkflowEndToEnd(t *testing.T) {
 	if out.Type != Network || out.Net == nil {
 		t.Fatalf("output = %s, net = %v", out.Type, out.Net)
 	}
-	if len(out.Net.Nodes) != 60 || out.Net.EdgeCount() == 0 {
-		t.Fatalf("network = %d nodes, %d edges", len(out.Net.Nodes), out.Net.EdgeCount())
+	if len(out.Net.Nodes) != 60 || out.Net.Edges == 0 {
+		t.Fatalf("network = %d nodes, %d edges", len(out.Net.Nodes), out.Net.Edges)
 	}
-	// Partitioned edge construction recovers the planted module structure.
+	// The scattered network recovers the planted module structure.
 	if len(out.Net.Modules) != 4 {
 		t.Fatalf("modules = %d, want 4 planted", len(out.Net.Modules))
 	}
@@ -195,75 +194,12 @@ func TestNetworkWorkflowEndToEnd(t *testing.T) {
 	if covered != 60 {
 		t.Fatalf("modules cover %d nodes, want 60", covered)
 	}
-	// 60 nodes at 20/partition = 3 graph partitions.
+	// 60 nodes at 20 a shard = 3 rank ranges.
 	if len(res.Stages) != 1 || res.Stages[0].Shards != 3 {
 		t.Fatalf("stages = %+v", res.Stages)
 	}
 	if got := runLogCount(t, kb, "Cytoscape", 0); got != 3 {
 		t.Fatalf("%d Cytoscape run logs, want 3", got)
-	}
-}
-
-// TestIntegrateRangesBalancePairs: node ranges partition [0, n) in order,
-// carry near-equal pair work rather than near-equal node counts, and the
-// scattered build still equals the one-pass network.Build.
-func TestIntegrateRangesBalancePairs(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 60, 1000} {
-		pairs := n * (n - 1) / 2
-		ds := NewFeatureDataset(nil)
-		if n > 0 {
-			ds = featureDataset(t, n, min(n, 4), int64(n))
-		}
-		nodes := make([]network.Node, n)
-		for i, f := range ds.Features {
-			nodes[i] = network.Node{Name: f.Name, Value: f.Value}
-		}
-		ref := network.Build(nodes, network.Config{})
-		for k := 1; k <= 8; k++ {
-			ranges := pairRanges(n, k)
-			if want := min(k, max(n, 1)); len(ranges) != want {
-				t.Fatalf("n=%d k=%d: %d ranges, want %d", n, k, len(ranges), want)
-			}
-			next, maxWork := 0, 0
-			for _, r := range ranges {
-				if r.Lo != next || r.Hi < r.Lo || (n > 0 && r.Hi == r.Lo) {
-					t.Fatalf("n=%d k=%d: ranges %v do not partition [0,%d) in order", n, k, ranges, n)
-				}
-				next = r.Hi
-				work := 0
-				for a := r.Lo; a < r.Hi; a++ {
-					work += n - 1 - a
-				}
-				maxWork = max(maxWork, work)
-			}
-			if next != n {
-				t.Fatalf("n=%d k=%d: ranges %v end at %d", n, k, ranges, next)
-			}
-			if bound := (pairs+k-1)/k + max(n-1, 0); maxWork > bound {
-				t.Fatalf("n=%d k=%d: largest range holds %d pairs, bound %d (%v)", n, k, maxWork, bound, ranges)
-			}
-
-			// The stage cuts ⌈n/per⌉ ranges for a per-shard override.
-			per := max((n+k-1)/k, 1)
-			env := &StageEnv{engine: testEngine(t, 4), opts: RunOptions{ShardRecords: per}, result: &StageResult{}, input: ds}
-			out, err := env.runStream(context.Background(), streamOnly{integrateExecutor{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := len(pairRanges(n, (n+per-1)/per)); env.result.Shards != want || env.result.Plan.NumShards != want {
-				t.Fatalf("n=%d per=%d: %d shards, plan %+v, want %d", n, per, env.result.Shards, env.result.Plan, want)
-			}
-			// One slab per shard, concatenating to Build's one slab.
-			if len(out.Net.Slabs) != env.result.Shards || !slices.Equal(slices.Concat(out.Net.Slabs...), ref.Slabs[0]) ||
-				!reflect.DeepEqual(out.Net.Modules, ref.Modules) {
-				t.Fatalf("n=%d per=%d: scattered network differs from network.Build", n, per)
-			}
-		}
-	}
-	// The motivating shape: 16 000 genes in two ranges split near node
-	// 4 686, not at 8 000 or 10 000.
-	if r := pairRanges(16000, 2); r[0].Hi < 4680 || r[0].Hi > 4692 {
-		t.Fatalf("16000 nodes, k=2: ranges %v", r)
 	}
 }
 
@@ -368,80 +304,6 @@ func TestCancellationInterruptsShardMidFlight(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	})
-}
-
-// TestIntegrateTransformPollsBothPasses: the Integrate Transform counts its
-// range's edges and then fills the slab, polling ctx once per
-// ctxCheckInterval nodes in each pass, so a cancel stops either pass at
-// the poll it lands on.
-func TestIntegrateTransformPollsBothPasses(t *testing.T) {
-	const blocks = 10
-	ds := featureDataset(t, blocks*ctxCheckInterval, 4, 29)
-	env := &StageEnv{engine: testEngine(t, 1), opts: RunOptions{ShardRecords: blocks * ctxCheckInterval}, result: &StageResult{}, input: ds}
-	st, _, err := integrateExecutor{}.Stream(env, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := st.Split()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 1 {
-		t.Fatalf("%d shards, want 1", len(shards))
-	}
-	full := newCountdownCtx(2 * blocks)
-	if _, err := st.Transform(full, 0, shards[0]); err != nil {
-		t.Fatal(err)
-	}
-	if left := full.remaining.Load(); left != 0 {
-		t.Fatalf("a full Transform left %d of %d polls, want one per block per pass", left, 2*blocks)
-	}
-	for pass, polls := range map[string]int64{"count": blocks / 2, "fill": blocks + blocks/2} {
-		ctx := newCountdownCtx(polls)
-		if _, err := st.Transform(ctx, 0, shards[0]); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s pass: err = %v, want context.Canceled", pass, err)
-		}
-		if left := ctx.remaining.Load(); left != -1 {
-			t.Fatalf("%s pass: Transform polled %d times after the cancel", pass, -1-left)
-		}
-	}
-}
-
-// TestIntegrateGatherPassesLoneSlab: a one-shard stage's only slab is its
-// shard's slab, not a copy of it, and a stage with no edges gathers a
-// count of 0 from one shard or several.
-func TestIntegrateGatherPassesLoneSlab(t *testing.T) {
-	ds := featureDataset(t, 200, 4, 30)
-	env := &StageEnv{engine: testEngine(t, 1), opts: RunOptions{ShardRecords: 200}, result: &StageResult{}, input: ds}
-	st, _, err := integrateExecutor{}.Stream(env, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := st.Split()
-	if err != nil || len(shards) != 1 {
-		t.Fatalf("split: %d shards, %v; want 1", len(shards), err)
-	}
-	sh, err := st.Transform(context.Background(), 0, shards[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab := sh.Data.([]network.Edge)
-	out, err := st.Gather([]StreamShard{sh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slab) == 0 || len(out.Net.Slabs) != 1 || len(out.Net.Slabs[0]) != len(slab) || &out.Net.Slabs[0][0] != &slab[0] {
-		t.Fatalf("one-shard Gather copied its %d-edge slab", len(slab))
-	}
-	for _, empty := range [][]StreamShard{
-		{{Data: []network.Edge{}}},
-		{{Data: []network.Edge(nil)}, {Data: []network.Edge{}}},
-	} {
-		out, err := st.Gather(empty)
-		if err != nil || out.Net.EdgeCount() != 0 {
-			t.Fatalf("Gather of %d edgeless slabs: %d edges, %v; want 0", len(empty), out.Net.EdgeCount(), err)
-		}
-	}
 }
 
 // hostileFrames draws frames that stress the tile scatter: a 70×70 square

@@ -413,20 +413,7 @@ func (w *wire) network(n *network.Network) {
 		w.str(&nd.Name)
 		w.float(&nd.Value)
 	})
-	// The edges go as one list, the slabs' concatenation, so the bytes do
-	// not depend on the shard plan; they decode as one slab.
-	if w.dec {
-		n.Slabs = make([][]network.Edge, 1)
-		slice(w, &n.Slabs[0], (*wire).edge)
-	} else {
-		total := n.EdgeCount()
-		w.count(&total, 1)
-		for _, slab := range n.Slabs {
-			for i := range slab {
-				w.edge(&slab[i])
-			}
-		}
-	}
+	w.int(&n.Edges)
 	slice(w, &n.Modules, func(w *wire, m *[]int) { slice(w, m, (*wire).int) })
 }
 
@@ -463,12 +450,6 @@ func (w *wire) feature(f *Feature) {
 func (w *wire) spectrum(s *proteome.Spectrum) {
 	w.str(&s.ID)
 	slice(w, &s.Peaks, (*wire).float)
-}
-
-func (w *wire) edge(e *network.Edge) {
-	w.int(&e.A)
-	w.int(&e.B)
-	w.float(&e.Weight)
 }
 
 func (w *wire) shard(s *StreamShard) {
@@ -531,8 +512,9 @@ var payloads = []func(w *wire, v *any, tag uint64) bool{
 			w.int(&r.MaxY)
 		})
 	}),
-	payload(func(w *wire, v *[]network.Edge) { slice(w, v, (*wire).edge) }),
+	retired, // an Integrate shard's edge list
 	payload(func(w *wire, v *[]Feature) { slice(w, v, (*wire).feature) }),
+	payload((*wire).int), // an Integrate shard's edge count
 }
 
 // retired holds the tag of a payload type nothing sends: it never matches

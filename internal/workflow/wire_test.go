@@ -31,14 +31,18 @@ var shardPayloads = []any{
 	retiredPayload{[]genomics.Alignment(nil)},
 	retiredPayload{[]proteome.Spectrum(nil)},
 	retiredPayload{tileShard{}},
-	retiredPayload{nodeRange{}},
+	retiredPayload{rankRange{}},
 	AlignedShard{},
 	[]genomics.Variant(nil),
 	retiredPayload{Feature{}},
 	[]proteome.Match(nil),
 	[]imaging.Region(nil),
-	[]network.Edge(nil),
+	retiredPayload{[]struct {
+		A, B   int
+		Weight float64
+	}(nil)},
 	[]Feature(nil),
+	0,
 }
 
 // filler sets every field reachable from a value: strings, byte slices
@@ -97,14 +101,10 @@ func finiteFloat(r *rand.Rand) float64 {
 	}
 }
 
-// dataset fills a dataset. Its network's edges are concatenated into one
-// slab, the form a network decodes in.
+// dataset fills a dataset.
 func (f filler) dataset() *Dataset {
 	d := new(Dataset)
 	f.fill(reflect.ValueOf(d).Elem())
-	if d.Net != nil {
-		d.Net.Slabs = [][]network.Edge{slices.Concat(d.Net.Slabs...)}
-	}
 	return d
 }
 
@@ -229,7 +229,7 @@ func TestWireTagsArePayloadIndices(t *testing.T) {
 			t.Fatalf("%T encodes with tag %d, want %d", p, b[1], tag)
 		}
 	}
-	if _, err := EncodeShard(StreamShard{Data: 42}); err == nil {
+	if _, err := EncodeShard(StreamShard{Data: int64(42)}); err == nil {
 		t.Fatal("a payload type without a tag encoded")
 	}
 	if _, err := DecodeShard([]byte{0, byte(len(shardPayloads))}); err == nil {
@@ -281,7 +281,7 @@ func goldenDataset() *Dataset {
 		Mapped:   -2,
 		Variants: []genomics.Variant{{Pos: 3, Ref: 'G', Alt: 'T', Qual: 0.5}},
 		Net: &network.Network{
-			Slabs:   [][]network.Edge{{{A: 0, B: 1, Weight: -1}}},
+			Edges:   1,
 			Modules: [][]int{{0, 1}},
 		},
 	}
@@ -299,7 +299,7 @@ const goldenHex = "" +
 	"01" + "06" + "47" + "54" + "000000000000e03f" + // Variants: 1 × {3, 'G', 'T', 0.5}
 	"00" + "00" + "00" + "00" + // Features, Spectra, Proteins, Images
 	"01" + "00" + // Net present; Nodes
-	"01" + "00" + "02" + "000000000000f0bf" + // Edges: 1 × {0, 1, −1}
+	"02" + // Edges 1
 	"01" + "02" + "00" + "02" // Modules: 1 × [0, 1]
 
 // TestWireGoldenBytes pins the format for one small dataset.
@@ -373,61 +373,6 @@ func encodeOf(t testing.TB, d *Dataset) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestWireNetworkIgnoresSlabs: one edge list held as 1, 2 or k slabs,
-// some of them empty, encodes to the same bytes, and decodes as one slab
-// holding the list — so a network's encoding does not depend on the shard
-// plan that built it.
-func TestWireNetworkIgnoresSlabs(t *testing.T) {
-	for seed := range int64(50) {
-		r := rand.New(rand.NewSource(seed))
-		edges := make([]network.Edge, r.Intn(40))
-		for i := range edges {
-			edges[i] = network.Edge{A: r.Intn(100), B: r.Intn(100), Weight: r.Float64()}
-		}
-		net := func(slabs [][]network.Edge) *Dataset {
-			return &Dataset{Type: Network, Net: &network.Network{Nodes: []network.Node{{Name: "g", Value: 1}}, Slabs: slabs, Modules: [][]int{{0}}}}
-		}
-		want, err := EncodeDataset(net([][]network.Edge{edges}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		half := len(edges) / 2
-		plans := [][][]network.Edge{
-			{edges[:half], edges[half:]},
-			{nil, edges, {}},
-		}
-		// k slabs cut at random points, empty ones included.
-		var k [][]network.Edge
-		for rest := edges; ; {
-			n := r.Intn(len(rest) + 1)
-			if r.Intn(3) == 0 {
-				n = 0
-			}
-			k, rest = append(k, rest[:n]), rest[n:]
-			if len(rest) == 0 {
-				break
-			}
-		}
-		plans = append(plans, k)
-		for _, slabs := range plans {
-			got, err := EncodeDataset(net(slabs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d: %d slabs encode differently from one", seed, len(slabs))
-			}
-			d, err := DecodeDataset(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s := d.Net.Slabs; len(s) != 1 || !slices.Equal(s[0], edges) {
-				t.Fatalf("seed %d: decoded %d slabs, %d edges; want one slab of %d", seed, len(s), d.Net.EdgeCount(), len(edges))
-			}
-		}
-	}
 }
 
 // TestWireRejectsHostileInput: a huge count, a count past the bytes left,
