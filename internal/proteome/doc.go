@@ -12,9 +12,13 @@
 //
 // The search is a fragment-ion index, the layout of MSFragger: NewIndex
 // sorts every fragment mass of the database once, and each spectrum peak
-// finds the fragments within tolerance of it with two binary searches, so
-// a spectrum costs O(peaks · log fragments) instead of one probe per
-// database fragment. A stage builds one Index and shares it across its
+// finds the first fragment within tolerance of it with one binary search
+// and walks the run of them, so a spectrum costs O(peaks · log fragments +
+// hits) instead of one probe per database fragment. Each hit is counted
+// against its peptide in a Scratch, which one shard reuses for all of its
+// spectra and which is cleared of the peptides hit after each one. The
+// Index also numbers the database's proteins, so Quantify gathers matches
+// by index, not by name. A stage builds one Index and shares it across its
 // shards.
 //
 // Scatter/gather shape: the spectrum is the scatter unit. Each spectrum
@@ -25,8 +29,9 @@
 // Determinism guarantee: generation is seeded (GenerateDatabase and
 // SimulateSpectra regenerate identical data from equal seeds), Search and
 // Index.Search are pure functions of (database, spectrum, config), and
-// Quantify sorts its output by protein name — so results are identical
-// across runs and independent of shard count or gather order. The index
+// Quantify sorts its output by protein name and sums scores in match
+// order — so results are identical across runs and, gathered in spectrum
+// order, independent of shard count. The index
 // changes how fragments are found, not which peptide wins: it scores and
 // breaks ties exactly as a per-peptide scan of the database does. The
 // workflow engine relies on this: sharded and unsharded executions of the

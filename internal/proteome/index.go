@@ -10,10 +10,11 @@ import (
 // Index is a fragment-ion index over a peptide database, the layout of
 // MSFragger (Kong et al., Nature Methods 2017): every non-NaN fragment mass
 // of every peptide in one ascending slice, so each spectrum peak finds the
-// fragments it explains with two binary searches instead of the spectrum
-// being probed once per database fragment. NewIndex copies what it needs;
-// the database and the searched spectra are never mutated, and an Index is
-// safe for concurrent Search calls.
+// fragments it explains with one binary search instead of the spectrum
+// being probed once per database fragment. It also numbers the database's
+// proteins, which Quantify gathers by. NewIndex copies what it needs; the
+// database and the searched spectra are never mutated, and an Index is
+// safe for concurrent Search calls with distinct Scratches.
 type Index struct {
 	cfg Config
 	// mass holds every non-NaN fragment mass, ascending; pep[j] is the
@@ -23,6 +24,11 @@ type Index struct {
 	// ladder[i] is peptide i's fragment count, NaN masses included: the
 	// denominator of its score.
 	ladder []float64
+	// proteins holds the distinct protein names, ascending; protein[i] is
+	// peptide i's protein in it, and first[i] the first peptide with
+	// peptide i's protein and name.
+	proteins       []string
+	protein, first []int32
 }
 
 // NewIndex builds the fragment-ion index of db under cfg.
@@ -53,7 +59,17 @@ func NewIndex(db Database, cfg Config) *Index {
 	for j, f := range frags {
 		ix.mass[j], ix.pep[j] = f.mass, f.pep
 	}
+	ix.number(db)
 	return ix
+}
+
+// Scratch is the working memory Search reuses from spectrum to spectrum:
+// a hit count per peptide and the list of peptides hit, both cleared
+// before Search returns. One shard owns one Scratch and searches its
+// spectra with it one at a time; the zero value is ready.
+type Scratch struct {
+	count []uint32
+	hit   []int32
 }
 
 // Search assigns one spectrum to its best-covered peptide. A fragment m is
@@ -65,39 +81,40 @@ func NewIndex(db Database, cfg Config) *Index {
 // lead, where sort.Float64s places them.
 //
 // Both window bounds are monotone in the sorted masses, so each peak's hits
-// are one contiguous run [lo, hi). Peaks ascend, so the runs do too: each
-// search starts where the previous peak's run ended, which counts every
-// fragment once however the windows overlap. Hits are then grouped by
-// peptide in ascending order; the scratch is a stack buffer unless a
-// spectrum hits more than 128 fragments.
-func (ix *Index) Search(sp Spectrum) Match {
+// are one contiguous run. Peaks ascend, so the runs do too: each peak
+// binary-searches for its run's start from where the previous run ended
+// and walks the run, which counts every fragment once however the windows
+// overlap. Each hit adds one to its peptide's count in s, and only the
+// peptides hit are scored.
+func (ix *Index) Search(sp Spectrum, s *Scratch) Match {
+	if len(s.count) < len(ix.ladder) {
+		s.count = make([]uint32, len(ix.ladder))
+	}
 	tol, n := ix.cfg.Tolerance, len(ix.mass)
-	var buf [128]int32
-	hits := buf[:0]
 	lo := 0
 	for _, p := range sp.Peaks {
 		if math.IsNaN(p) {
 			continue
 		}
 		lo += sort.Search(n-lo, func(j int) bool { return ix.mass[lo+j]+tol >= p })
-		// The negated window test, not m-tol > p: a NaN bound (+Inf mass
-		// at infinite tolerance) must fall outside the window.
-		hi := lo + sort.Search(n-lo, func(j int) bool { return !(ix.mass[lo+j]-tol <= p) })
-		hits = append(hits, ix.pep[lo:hi]...)
-		lo = hi
+		// m-tol <= p, not !(m-tol > p): a NaN bound (+Inf mass at
+		// infinite tolerance) must fall outside the window.
+		for ; lo < n && ix.mass[lo]-tol <= p; lo++ {
+			pep := ix.pep[lo]
+			if s.count[pep] == 0 {
+				s.hit = append(s.hit, pep)
+			}
+			s.count[pep]++
+		}
 	}
-	slices.Sort(hits)
 	m := Match{Spectrum: sp.ID, Peptide: -1}
-	for i := 0; i < len(hits); {
-		j := i + 1
-		for j < len(hits) && hits[j] == hits[i] {
-			j++
+	for _, pep := range s.hit {
+		if score := float64(s.count[pep]) / ix.ladder[pep]; score > m.Score || score == m.Score && int(pep) < m.Peptide {
+			m.Peptide, m.Score = int(pep), score
 		}
-		if score := float64(j-i) / ix.ladder[hits[i]]; score > m.Score {
-			m.Peptide, m.Score = int(hits[i]), score
-		}
-		i = j
+		s.count[pep] = 0
 	}
+	s.hit = s.hit[:0]
 	if m.Score < ix.cfg.MinScore {
 		m.Peptide, m.Score = -1, 0
 	}

@@ -135,7 +135,9 @@ func randomSpectrum(rng *rand.Rand, db Database, tol float64, special bool) Spec
 // per-peptide scan it replaced on randomised databases, tolerances, score
 // floors and spectra, including the edge cases where an off-by-one in
 // the window bounds, a double-counted fragment or a tie broken the wrong
-// way would show.
+// way would show. Each case searches its whole batch with one Scratch and
+// compares only after the last spectrum, so a count one search leaves
+// behind would show in a later one.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	const cases, spectraPerCase = 400, 25
 	for c := 0; c < cases; c++ {
@@ -149,15 +151,32 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 			MinScore:  []float64{0, 0.05, 0.5, 1}[rng.Intn(4)],
 		}
 		tol := cfg.withDefaults().Tolerance
-		ix := NewIndex(db, cfg)
-		for s := 0; s < spectraPerCase; s++ {
-			sp := randomSpectrum(rng, db, tol, special)
-			if got, want := ix.Search(sp), bruteSearch(db, sp, cfg); !sameMatch(got, want) {
-				t.Fatalf("case %d spectrum %d (tol %v, min %v): index %+v, brute force %+v\ndb %+v\npeaks %v",
-					c, s, cfg.Tolerance, cfg.MinScore, got, want, db, sp.Peaks)
-			}
+		batch := make([]Spectrum, spectraPerCase)
+		for s := range batch {
+			batch[s] = randomSpectrum(rng, db, tol, special)
+		}
+		if s, got, want := searchBatch(db, cfg, batch); s >= 0 {
+			t.Fatalf("case %d spectrum %d (tol %v, min %v): index %+v, brute force %+v\ndb %+v\npeaks %v",
+				c, s, cfg.Tolerance, cfg.MinScore, got, want, db, batch[s].Peaks)
 		}
 	}
+}
+
+// searchBatch searches every spectrum of batch with one Index and one
+// Scratch, then compares each match with the brute-force scan's. It
+// returns the first spectrum whose matches differ, or -1.
+func searchBatch(db Database, cfg Config, batch []Spectrum) (int, Match, Match) {
+	ix, s := NewIndex(db, cfg), new(Scratch)
+	got := make([]Match, len(batch))
+	for i, sp := range batch {
+		got[i] = ix.Search(sp, s)
+	}
+	for i, sp := range batch {
+		if want := bruteSearch(db, sp, cfg); !sameMatch(got[i], want) {
+			return i, got[i], want
+		}
+	}
+	return -1, Match{}, Match{}
 }
 
 // TestIndexDoesNotMutate checks the index copies what it needs: the
@@ -182,9 +201,9 @@ func TestIndexDoesNotMutate(t *testing.T) {
 	for _, l := range live {
 		saved = append(saved, slices.Clone(l))
 	}
-	ix := NewIndex(db, Config{})
+	ix, s := NewIndex(db, Config{}), new(Scratch)
 	for _, sp := range spectra {
-		ix.Search(sp)
+		ix.Search(sp, s)
 	}
 	for i := range live {
 		if !slices.Equal(live[i], saved[i]) {
@@ -194,13 +213,13 @@ func TestIndexDoesNotMutate(t *testing.T) {
 }
 
 // TestIndexSearchAllocs holds the per-spectrum search to zero allocations
-// on the simulated acquisition: its hits fit the stack scratch.
+// on the simulated acquisition once its Scratch has grown.
 func TestIndexSearchAllocs(t *testing.T) {
 	db, spectra := benchData(t)
-	ix := NewIndex(db, Config{})
+	ix, s := NewIndex(db, Config{}), new(Scratch)
 	allocs := testing.AllocsPerRun(2, func() {
 		for _, sp := range spectra {
-			ix.Search(sp)
+			ix.Search(sp, s)
 		}
 	})
 	if allocs != 0 {
@@ -209,16 +228,19 @@ func TestIndexSearchAllocs(t *testing.T) {
 }
 
 // FuzzIndexSearch runs the brute-force comparison on fuzzed databases and
-// sorted peak lists. The bytes after the two header bytes are 16-bit
-// values: a value of 0xFFFF ends a peptide's ladder (the first
-// header byte counts peptides), values from 0xFFF0 are NaN, +Inf or -Inf,
-// and the rest scale by a unit chosen by the second header byte — a grid
-// fine enough for window-bound collisions, or masses of 1e12 Da and up.
+// batches of sorted peak lists, searched with one Scratch. The bytes after
+// the two header bytes are 16-bit values: a value of 0xFFFF ends a
+// peptide's ladder (the first header byte counts peptides) and, once the
+// peptides are read, a spectrum; values from 0xFFF0 are NaN, +Inf or
+// -Inf, and the rest scale by a unit chosen by the second header byte — a
+// grid fine enough for window-bound collisions, or masses of 1e12 Da and
+// up.
 func FuzzIndexSearch(f *testing.F) {
 	f.Add([]byte{2, 0, 0x10, 0, 0x20, 0, 0xFF, 0xFF, 0x10, 0, 0x10, 0x20, 0xFF, 0xFF, 0x10, 0, 0x10, 0}, 0.5, 0.5)
 	f.Add([]byte{3, 1, 1, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xF1, 0xFF, 1, 0, 0xF0, 0xFF, 1, 0}, 1.0, 0.1)
 	f.Add([]byte{1, 2, 4, 0, 0xFF, 0xFF, 4, 0, 4, 0}, 0.01, 0.0)
 	f.Add([]byte{0, 0}, 0.0, 0.0)
+	f.Add([]byte{2, 0, 0x10, 0, 0xFF, 0xFF, 0x10, 0, 0xFF, 0xFF, 0x10, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x10, 0}, 0.5, 0.0)
 	f.Fuzz(func(t *testing.T, data []byte, tol, minScore float64) {
 		if len(data) < 2 {
 			return
@@ -227,33 +249,37 @@ func FuzzIndexSearch(f *testing.F) {
 		peptides := int(data[0] % 32)
 		var db Database
 		var cur []float64
-		var peaks []float64
+		var batch []Spectrum
+		end := func() {
+			sort.Float64s(cur)
+			batch = append(batch, Spectrum{ID: "fuzz", Peaks: cur})
+			cur = nil
+		}
 		for rest := data[2:]; len(rest) >= 2; rest = rest[2:] {
 			v := binary.LittleEndian.Uint16(rest)
 			var m float64
 			switch {
+			case v == 0xFFFF && len(db.Peptides) < peptides:
+				db.Peptides = append(db.Peptides, Peptide{Masses: cur})
+				cur = nil
+				continue
 			case v == 0xFFFF:
-				if len(db.Peptides) < peptides {
-					db.Peptides = append(db.Peptides, Peptide{Masses: cur})
-					cur = nil
-				}
+				end()
 				continue
 			case v >= 0xFFF0:
 				m = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[v%3]
 			default:
 				m = float64(v) * unit
 			}
-			if len(db.Peptides) < peptides {
-				cur = append(cur, m)
-			} else {
-				peaks = append(peaks, m)
-			}
+			cur = append(cur, m)
 		}
-		sort.Float64s(peaks)
-		sp := Spectrum{ID: "fuzz", Peaks: peaks}
+		if len(db.Peptides) < peptides {
+			cur = nil // an unended ladder: search one empty spectrum
+		}
+		end()
 		cfg := Config{Tolerance: tol, MinScore: minScore}
-		if got, want := NewIndex(db, cfg).Search(sp), bruteSearch(db, sp, cfg); !sameMatch(got, want) {
-			t.Fatalf("tol %v min %v: index %+v, brute force %+v\ndb %+v\npeaks %v", tol, minScore, got, want, db, peaks)
+		if s, got, want := searchBatch(db, cfg, batch); s >= 0 {
+			t.Fatalf("tol %v min %v spectrum %d: index %+v, brute force %+v\ndb %+v\npeaks %v", tol, minScore, s, got, want, db, batch[s].Peaks)
 		}
 	})
 }
@@ -282,12 +308,12 @@ var (
 
 func BenchmarkSearch(b *testing.B) {
 	db, spectra := benchData(b)
-	ix := NewIndex(db, Config{})
+	ix, s := NewIndex(db, Config{}), new(Scratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sp := range spectra {
-			matchSink = ix.Search(sp)
+			matchSink = ix.Search(sp, s)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(spectra)), "ns/spectrum")

@@ -3,6 +3,7 @@ package proteome
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -164,7 +165,7 @@ type Match struct {
 // the rules of Index.Search. It builds a fragment-ion index per call; a
 // stage searching many spectra builds one Index and reuses it.
 func Search(db Database, sp Spectrum, cfg Config) Match {
-	return NewIndex(db, cfg).Search(sp)
+	return NewIndex(db, cfg).Search(sp, new(Scratch))
 }
 
 // ProteinQuant is one row of a ProteinTable: per-protein evidence gathered
@@ -182,40 +183,57 @@ type ProteinQuant struct {
 	Abundance float64
 }
 
-// Quantify gathers per-spectrum matches into a protein table sorted by
-// protein name: spectral counts, distinct peptide evidence, and summed
-// match scores. Unassigned matches are dropped. The gather is associative,
-// so per-shard match sets can be concatenated in any order first.
-func Quantify(db Database, matches []Match) []ProteinQuant {
-	type acc struct {
-		peptides map[string]bool
-		spectra  int
-		score    float64
+// number ranks each peptide's protein among the distinct protein names
+// and points each peptide at the first one of its (protein, name) pair, so
+// Quantify gathers by index and never hashes a string.
+func (ix *Index) number(db Database) {
+	n := len(db.Peptides)
+	ix.protein, ix.first = make([]int32, n), make([]int32, n)
+	first := make(map[[2]string]int32, n)
+	for i, p := range db.Peptides {
+		ix.proteins = append(ix.proteins, p.Protein)
+		key := [2]string{p.Protein, p.Name}
+		if _, ok := first[key]; !ok {
+			first[key] = int32(i)
+		}
+		ix.first[i] = first[key]
 	}
-	byProtein := map[string]*acc{}
+	slices.Sort(ix.proteins)
+	ix.proteins = slices.Compact(ix.proteins)
+	for i, p := range db.Peptides {
+		j, _ := slices.BinarySearch(ix.proteins, p.Protein)
+		ix.protein[i] = int32(j)
+	}
+}
+
+// Quantify gathers per-spectrum matches against the index's database into
+// a protein table sorted by protein name: spectral counts, distinct
+// peptide names, and match scores summed in match order. Unassigned
+// matches, and any naming no peptide of the database, are dropped. The
+// counts do not depend on the matches' order, so per-shard match sets can
+// be concatenated in any order first; the sums are bit-identical when
+// they are concatenated in spectrum order.
+func (ix *Index) Quantify(matches []Match) []ProteinQuant {
+	rows := make([]ProteinQuant, len(ix.proteins))
+	seen := make([]bool, len(ix.first))
 	for _, m := range matches {
-		if m.Peptide < 0 || m.Peptide >= len(db.Peptides) {
+		if m.Peptide < 0 || m.Peptide >= len(ix.protein) {
 			continue
 		}
-		pep := db.Peptides[m.Peptide]
-		a := byProtein[pep.Protein]
-		if a == nil {
-			a = &acc{peptides: map[string]bool{}}
-			byProtein[pep.Protein] = a
+		r := &rows[ix.protein[m.Peptide]]
+		if f := ix.first[m.Peptide]; !seen[f] {
+			seen[f] = true
+			r.Peptides++
 		}
-		a.peptides[pep.Name] = true
-		a.spectra++
-		a.score += m.Score
+		r.Spectra++
+		r.Abundance += m.Score
 	}
-	out := make([]ProteinQuant, 0, len(byProtein))
-	for name, a := range byProtein {
-		out = append(out, ProteinQuant{
-			Protein:   name,
-			Peptides:  len(a.peptides),
-			Spectra:   a.spectra,
-			Abundance: a.score,
-		})
+	out := rows[:0]
+	for i, r := range rows {
+		if r.Spectra > 0 {
+			r.Protein = ix.proteins[i]
+			out = append(out, r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Protein < out[j].Protein })
 	return out
 }

@@ -1,7 +1,10 @@
 package proteome
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -85,7 +88,7 @@ func TestQuantifyGathersByProtein(t *testing.T) {
 		{Spectrum: "s3", Peptide: 2, Score: 0.7},
 		{Spectrum: "s4", Peptide: -1}, // unassigned: dropped
 	}
-	out := Quantify(db, matches)
+	out := NewIndex(db, Config{}).Quantify(matches)
 	if len(out) != 2 || out[0].Protein != "P000" || out[1].Protein != "P001" {
 		t.Fatalf("quant = %+v", out)
 	}
@@ -115,7 +118,8 @@ func TestQuantifyIsGatherOrderInvariant(t *testing.T) {
 	for i, m := range matches {
 		reversed[len(matches)-1-i] = m
 	}
-	a, b := Quantify(db, matches), Quantify(db, reversed)
+	ix := NewIndex(db, Config{})
+	a, b := ix.Quantify(matches), ix.Quantify(reversed)
 	if len(a) != len(b) {
 		t.Fatalf("gather order changed protein count: %d vs %d", len(a), len(b))
 	}
@@ -127,6 +131,135 @@ func TestQuantifyIsGatherOrderInvariant(t *testing.T) {
 		if d := a[i].Abundance - b[i].Abundance; d > 1e-9 || d < -1e-9 {
 			t.Fatalf("row %d abundance differs: %v vs %v", i, a[i].Abundance, b[i].Abundance)
 		}
+	}
+}
+
+// mapQuantify is the string-keyed gather Index.Quantify replaced, kept as
+// the reference it must agree with bit for bit.
+func mapQuantify(db Database, matches []Match) []ProteinQuant {
+	type acc struct {
+		peptides map[string]bool
+		spectra  int
+		score    float64
+	}
+	byProtein := map[string]*acc{}
+	for _, m := range matches {
+		if m.Peptide < 0 || m.Peptide >= len(db.Peptides) {
+			continue
+		}
+		pep := db.Peptides[m.Peptide]
+		a := byProtein[pep.Protein]
+		if a == nil {
+			a = &acc{peptides: map[string]bool{}}
+			byProtein[pep.Protein] = a
+		}
+		a.peptides[pep.Name] = true
+		a.spectra++
+		a.score += m.Score
+	}
+	out := make([]ProteinQuant, 0, len(byProtein))
+	for name, a := range byProtein {
+		out = append(out, ProteinQuant{
+			Protein:   name,
+			Peptides:  len(a.peptides),
+			Spectra:   a.spectra,
+			Abundance: a.score,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Protein < out[j].Protein })
+	return out
+}
+
+// checkQuantify fails t unless the index gather and the map gather agree
+// on every row, with Abundance equal bit for bit.
+func checkQuantify(t *testing.T, db Database, matches []Match) {
+	t.Helper()
+	got, want := NewIndex(db, Config{}).Quantify(matches), mapQuantify(db, matches)
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		g, w := got[i], want[i]
+		same = g.Protein == w.Protein && g.Peptides == w.Peptides && g.Spectra == w.Spectra &&
+			math.Float64bits(g.Abundance) == math.Float64bits(w.Abundance)
+	}
+	if !same {
+		t.Fatalf("index gather %+v, map gather %+v\ndb %+v\nmatches %+v", got, want, db, matches)
+	}
+}
+
+// TestQuantifyMatchesMapGather quick-checks Index.Quantify against the map
+// gather it replaced: protein and peptide names shared across and within
+// proteins, matches naming no peptide, and scores of every magnitude —
+// NaN and ±Inf included — whose sums round differently in another order.
+func TestQuantifyMatchesMapGather(t *testing.T) {
+	for c := 0; c < 300; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		db := Database{Peptides: make([]Peptide, rng.Intn(20))}
+		for i := range db.Peptides {
+			db.Peptides[i] = Peptide{Protein: fmt.Sprint("P", rng.Intn(6)), Name: fmt.Sprint("n", rng.Intn(4))}
+		}
+		matches := make([]Match, rng.Intn(200))
+		for i := range matches {
+			score := math.Ldexp(rng.Float64(), rng.Intn(120)-60)
+			if rng.Intn(40) == 0 {
+				score = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[rng.Intn(4)]
+			}
+			matches[i] = Match{Spectrum: "s", Peptide: rng.Intn(len(db.Peptides)+3) - 2, Score: score}
+		}
+		checkQuantify(t, db, matches)
+	}
+}
+
+// FuzzQuantify runs the map-gather comparison on fuzzed databases and
+// matches. After the first byte, which counts peptides, one byte per
+// peptide names its protein (low two bits) and the peptide (next two);
+// the rest are pairs of a peptide index (from -1 to one past the last)
+// and a binary exponent that scales unit into the match's score.
+func FuzzQuantify(f *testing.F) {
+	f.Add([]byte{3, 0x00, 0x04, 0x01, 1, 128, 2, 100, 3, 160, 0, 128, 1, 70}, 0.75)
+	f.Add([]byte{2, 0x05, 0x05, 1, 128, 2, 128, 1, 200}, math.Inf(1))
+	f.Add([]byte{0, 1, 1}, 0.5)
+	f.Fuzz(func(t *testing.T, data []byte, unit float64) {
+		if len(data) == 0 || len(data) < 1+int(data[0]%16) {
+			return
+		}
+		n := int(data[0] % 16)
+		db := Database{Peptides: make([]Peptide, n)}
+		for i, b := range data[1 : 1+n] {
+			db.Peptides[i] = Peptide{Protein: fmt.Sprint("P", b&3), Name: fmt.Sprint("n", b>>2&3)}
+		}
+		var matches []Match
+		for rest := data[1+n:]; len(rest) >= 2; rest = rest[2:] {
+			matches = append(matches, Match{Peptide: int(rest[0])%(n+2) - 1, Score: math.Ldexp(unit, int(rest[1])-128)})
+		}
+		checkQuantify(t, db, matches)
+	})
+}
+
+// quantSink keeps BenchmarkQuantify's tables alive.
+var quantSink []ProteinQuant
+
+// BenchmarkQuantify gathers 20 000 matches of the benchmark acquisition,
+// by index and, for reference, by the map gather it replaced.
+func BenchmarkQuantify(b *testing.B) {
+	db, spectra := benchData(b)
+	ix, s := NewIndex(db, Config{}), new(Scratch)
+	matches := make([]Match, 20000)
+	for i := range matches {
+		matches[i] = ix.Search(spectra[i%len(spectra)], s)
+	}
+	for _, bc := range []struct {
+		name   string
+		gather func([]Match) []ProteinQuant
+	}{
+		{"index", ix.Quantify},
+		{"map", func(ms []Match) []ProteinQuant { return mapQuantify(db, ms) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				quantSink = bc.gather(matches)
+			}
+		})
 	}
 }
 

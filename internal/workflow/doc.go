@@ -70,7 +70,8 @@
 // proteome's fragment-ion index — comes from the engine's memo, built on
 // the first Transform of the first job over that payload and kept, one
 // per kind, for later jobs over it. An index over the job's own sample
-// (the network's value index) is built once per stage.
+// (the network's value index) is built once per stage, in its Split, so
+// no shard's logged time holds it.
 //
 // # Determinism guarantee
 //

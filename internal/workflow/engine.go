@@ -340,8 +340,11 @@ type StageEnv struct {
 func (env *StageEnv) Options() RunOptions { return env.opts }
 
 // minShardSeconds is the least predicted work per shard for the Data Broker
-// to split past its advised count: smaller shards cost more than they save.
-const minShardSeconds = 0.010
+// to split past its advised count: fifteen times the cost of one more shard
+// (a pool slot, a logShard and its fold, its share of Split and Gather),
+// which BenchmarkShardOverhead measures at 17 µs on a 2 vCPU Intel Xeon
+// host. The margin covers a rate averaged over past jobs and shared cores.
+const minShardSeconds = 15 * 17e-6
 
 // RecordShardSize decides how many records each shard of this stage should
 // carry. The run's ShardRecords override is taken exactly. Otherwise the

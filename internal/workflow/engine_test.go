@@ -16,6 +16,7 @@ import (
 	"scan/internal/align"
 	"scan/internal/genomics"
 	"scan/internal/knowledge"
+	"scan/internal/proteome"
 	"scan/internal/shard"
 	"scan/internal/variant"
 )
@@ -95,7 +96,8 @@ func TestEngineRunsVariantDetection(t *testing.T) {
 // TestRecordShardSizeFillsPool pins the Data Broker's plan: the advised
 // shard count on a KB with no telemetry for the stage, whole waves of the
 // pool once the stage's observed rate prices every shard above the floor,
-// the advised count again below it, equal shards throughout, the
+// the advised count again below it — a serve-sized proteome job stays
+// whole and a bench-sized one splits — equal shards throughout, the
 // ShardRecords override taken exactly, and RemoteOptions reproducing the
 // plan on an engine with no KB at all.
 func TestRecordShardSizeFillsPool(t *testing.T) {
@@ -164,10 +166,15 @@ func TestRecordShardSizeFillsPool(t *testing.T) {
 		t.Fatalf("GPM telemetry split a MaxQuant stage: plan %+v", got)
 	}
 
-	// Below the floor: a serve-sized job of 150 spectra at a realistic
-	// 50 ms per 1 000 spectra would make two 3.75 ms shards — kept whole.
-	if got, _ := plan(observed("MaxQuant", 0.05), 2, RunOptions{}, "MaxQuant", 150); got != want(150, 150, 1) {
+	// Around the floor, at the rates the search runs at: a serve-sized job
+	// of 150 spectra over 10 proteins, at 0.67 ms per 1 000 spectra, would
+	// make two 0.05 ms shards — kept whole; the benchmark's 1 500 spectra
+	// over 200 proteins, at 1.73 ms per 1 000, make two 1.3 ms shards.
+	if got, _ := plan(observed("MaxQuant", 0.00067), 2, RunOptions{}, "MaxQuant", 150); got != want(150, 150, 1) {
 		t.Fatalf("150 spectra below the floor: plan %+v", got)
+	}
+	if got, _ := plan(observed("MaxQuant", 0.00173), 2, RunOptions{}, "MaxQuant", 1500); got != want(1500, 750, 2) {
+		t.Fatalf("1 500 spectra above the floor: plan %+v", got)
 	}
 
 	// The override is exact: no rounding, no equalising, no advice.
@@ -182,6 +189,33 @@ func TestRecordShardSizeFillsPool(t *testing.T) {
 	if remote, _ := plan(nil, 1, env.RemoteOptions(), "MaxQuant", 1500); remote != coord {
 		t.Fatalf("worker re-plan %+v, coordinator %+v", remote, coord)
 	}
+}
+
+// BenchmarkShardOverhead measures what one more shard costs a stage: a
+// proteome-maxquant run over 64 empty spectra, whose shards have no work,
+// in one shard and in 64 on a pool of two, each run's logs folded into
+// the knowledge base. The difference per extra shard — a pool slot, a
+// logShard and its fold, and the shard's share of Split and Gather — is
+// the ns/shard figure minShardSeconds is priced from.
+func BenchmarkShardOverhead(b *testing.B) {
+	const n = 64
+	kb := seededKB(b)
+	e := NewEngine(EngineOptions{KB: kb, Workers: 2})
+	ds := NewMGFDataset(mgfDataset(b, 200, 1, 1).PeptideDB, make([]proteome.Spectrum, n))
+	run := func(per int) time.Duration {
+		start := time.Now()
+		if _, err := e.RunByName(context.Background(), "proteome-maxquant", ds, RunOptions{ShardRecords: per}); err != nil {
+			b.Fatal(err)
+		}
+		kb.Flush()
+		return time.Since(start)
+	}
+	var whole, split time.Duration
+	for i := 0; i < b.N; i++ {
+		whole += run(n)
+		split += run(1)
+	}
+	b.ReportMetric(float64((split-whole).Nanoseconds())/float64(b.N*(n-1)), "ns/shard")
 }
 
 func TestInputTypeMismatchRejected(t *testing.T) {
@@ -522,51 +556,94 @@ func planInput(t testing.TB, seed int64) *Dataset {
 	return NewFASTQDataset(ref, reads)
 }
 
+// ignoresPlan runs workflow name over ds on pools of 1, 2 and 8, under
+// every options value plans gives for the pool, hands each result to
+// check, and fails unless every output encodes to the first one's bytes.
+// Only when some plans take the Data Broker's advice (advised) do the
+// engines get a knowledge base: the thousands of shards of the other
+// plans would otherwise leave their telemetry folding in the background
+// while later tests time their shards.
+func ignoresPlan(t *testing.T, name string, ds *Dataset, advised bool, plans func(pool int) []RunOptions, check func(pool int, opts RunOptions, res *Result)) {
+	t.Helper()
+	var want []byte
+	for _, pool := range []int{1, 2, 8} {
+		for _, opts := range plans(pool) {
+			e := NewEngine(EngineOptions{Workers: pool})
+			if advised {
+				e = testEngine(t, pool)
+			}
+			res, err := e.RunByName(context.Background(), name, ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(pool, opts, res)
+			got, err := EncodeDataset(res.Output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("pool %d, %d records per shard, %d regions: the output differs from the first plan's",
+					pool, opts.ShardRecords, opts.Regions)
+			}
+		}
+	}
+}
+
+// recordPlans cuts n records into one shard, one per pool slot, 7 shards
+// or one record each.
+func recordPlans(n int) func(pool int) []RunOptions {
+	return func(pool int) []RunOptions {
+		var plans []RunOptions
+		for _, shards := range []int{1, pool, 7, n} {
+			plans = append(plans, RunOptions{ShardRecords: (n + shards - 1) / shards})
+		}
+		return plans
+	}
+}
+
 // TestGenomicWorkflowsIgnorePlan: every read-consuming genomic workflow's
 // answer is a function of its input, not of its shard plan — align shards
 // of the advised size, one read, an odd count or all reads, times 1, 2, 7
 // or more regions than reference bases, on a pool of 1, 2 or 8 — down to
 // the encoded bytes of its output. So is integrative-network's, in one
 // shard, one per pool slot, 7 or one node each, on values with ties, NaN,
-// ±Inf and ±0, and its edge count is the pairwise scan's.
+// ±Inf and ±0, and its edge count is the pairwise scan's. So are the
+// proteomic workflows', in the same plans, on the hostile spectra.
 func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
 	ds := planInput(t, 11)
+	readPlans := func(int) []RunOptions {
+		var plans []RunOptions
+		for _, records := range []int{0, 1, 37, len(ds.Reads)} {
+			for _, regions := range []int{1, 2, 7, ds.Reference.Len() + 1} {
+				plans = append(plans, RunOptions{ShardRecords: records, Regions: regions, Caller: varConfigForTests()})
+			}
+		}
+		return plans
+	}
 	for _, name := range []string{
 		"dna-variant-detection", "exome-variant-detection", "wgs-variant-detection",
 		"somatic-mutation-detection", "mirna-fusion-detection", "rna-expression",
 	} {
 		t.Run(name, func(t *testing.T) {
-			var want []byte
-			for _, pool := range []int{1, 2, 8} {
-				for _, records := range []int{0, 1, 37, len(ds.Reads)} {
-					for _, regions := range []int{1, 2, 7, ds.Reference.Len() + 1} {
-						opts := RunOptions{ShardRecords: records, Regions: regions, Caller: varConfigForTests()}
-						res, err := testEngine(t, pool).RunByName(context.Background(), name, ds, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						out := res.Output
-						if out.Mapped == 0 || out.Mapped == len(ds.Reads) || len(out.Variants)+len(out.Features) == 0 {
-							t.Fatalf("pool %d, %+v: %d of %d reads mapped, %d calls, %d features",
-								pool, opts, out.Mapped, len(ds.Reads), len(out.Variants), len(out.Features))
-						}
-						if bins := (ds.Reference.Len() + quantifyBinWidth - 1) / quantifyBinWidth; out.Type == FeatureTable && len(out.Features) != bins {
-							t.Fatalf("pool %d, %+v: %d features, want %d bins", pool, opts, len(out.Features), bins)
-						}
-						got, err := EncodeDataset(out)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want == nil {
-							want = got
-						} else if !bytes.Equal(got, want) {
-							t.Fatalf("pool %d, %d records per shard, %d regions: the output differs from the first plan's",
-								pool, records, regions)
-						}
-					}
+			ignoresPlan(t, name, ds, true, readPlans, func(pool int, opts RunOptions, res *Result) {
+				out := res.Output
+				if out.Mapped == 0 || out.Mapped == len(ds.Reads) || len(out.Variants)+len(out.Features) == 0 {
+					t.Fatalf("pool %d, %+v: %d of %d reads mapped, %d calls, %d features",
+						pool, opts, out.Mapped, len(ds.Reads), len(out.Variants), len(out.Features))
 				}
-			}
+				if bins := (ds.Reference.Len() + quantifyBinWidth - 1) / quantifyBinWidth; out.Type == FeatureTable && len(out.Features) != bins {
+					t.Fatalf("pool %d, %+v: %d features, want %d bins", pool, opts, len(out.Features), bins)
+				}
+			})
 		})
+	}
+	// shards fails the run unless its one stage ran the plan's shard count.
+	shards := func(pool int, opts RunOptions, res *Result, n int) {
+		if s, want := res.Stages[0].Shards, (n+opts.ShardRecords-1)/opts.ShardRecords; s != want {
+			t.Fatalf("pool %d, %d records per shard: ran %d shards, want %d", pool, opts.ShardRecords, s, want)
+		}
 	}
 	t.Run("integrative-network", func(t *testing.T) {
 		ds := featureDataset(t, 300, 6, 11)
@@ -582,30 +659,26 @@ func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
 				}
 			}
 		}
-		var want []byte
 		n := len(ds.Features)
-		for _, pool := range []int{1, 2, 8} {
-			for _, shards := range []int{1, pool, 7, n} {
-				opts := RunOptions{ShardRecords: (n + shards - 1) / shards}
-				res, err := testEngine(t, pool).RunByName(context.Background(), "integrative-network", ds, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s := res.Stages[0].Shards; s != shards || res.Output.Net.Edges != pairs {
-					t.Fatalf("pool %d, %d shards: ran %d, counted %d edges, want %d", pool, shards, s, res.Output.Net.Edges, pairs)
-				}
-				got, err := EncodeDataset(res.Output)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = got
-				} else if !bytes.Equal(got, want) {
-					t.Fatalf("pool %d, %d shards: the output differs from the first plan's", pool, shards)
-				}
+		ignoresPlan(t, "integrative-network", ds, false, recordPlans(n), func(pool int, opts RunOptions, res *Result) {
+			shards(pool, opts, res, n)
+			if res.Output.Net.Edges != pairs {
+				t.Fatalf("pool %d, %d records per shard: counted %d edges, want %d", pool, opts.ShardRecords, res.Output.Net.Edges, pairs)
 			}
-		}
+		})
 	})
+	for _, name := range []string{"proteome-maxquant", "proteome-gpm"} {
+		t.Run(name, func(t *testing.T) {
+			ds := hostileSpectra(t, 13)
+			n := len(ds.Spectra)
+			ignoresPlan(t, name, ds, false, recordPlans(n), func(pool int, opts RunOptions, res *Result) {
+				shards(pool, opts, res, n)
+				if len(res.Output.Proteins) < 10 {
+					t.Fatalf("pool %d, %d records per shard: %d proteins quantified", pool, opts.ShardRecords, len(res.Output.Proteins))
+				}
+			})
+		})
+	}
 }
 
 // TestReverseStrandReadsCallAsForward: the plan input's reverse-strand

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"scan/internal/imaging"
 	"scan/internal/network"
@@ -29,9 +28,11 @@ import (
 // quantification); in search mode it carries identification counts only.
 type spectralSearchExecutor struct{ quantify bool }
 
-// Stream implements streamer. The fragment-ion index every shard shares
-// comes from the engine's memo, built by the first Transform of the first
-// job over the peptide database, so a fleet coordinator never builds it.
+// Stream implements streamer. The fragment-ion index every shard shares,
+// which also numbers the proteins Gather quantifies by, comes from the
+// engine's memo: built by the first Transform of the first job over the
+// peptide database, or by Gather on a fleet coordinator whose shards all
+// ran remotely.
 func (e spectralSearchExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	if len(in.PeptideDB.Peptides) == 0 {
 		return nil, false, errors.New("spectral search needs a peptide database")
@@ -71,23 +72,30 @@ func (s *spectralStream) Transform(ctx context.Context, _ int, in StreamShard) (
 	}
 	spectra := in.Data.([]proteome.Spectrum)
 	ms := make([]proteome.Match, 0, len(spectra))
+	var scratch proteome.Scratch
 	for i, sp := range spectra {
 		if i%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return StreamShard{}, err
 			}
 		}
-		ms = append(ms, index.Search(sp))
+		ms = append(ms, index.Search(sp, &scratch))
 	}
 	return StreamShard{Records: len(ms), Data: ms}, nil
 }
 
+// Gather quantifies the shards' matches in spectrum order, so the
+// abundance sums do not depend on the plan.
 func (s *spectralStream) Gather(shards []StreamShard) (*Dataset, error) {
 	matches, err := shardData[[]proteome.Match](shards)
 	if err != nil {
 		return nil, err
 	}
-	quants := proteome.Quantify(s.in.PeptideDB, slices.Concat(matches...))
+	index, err := s.index()
+	if err != nil {
+		return nil, err
+	}
+	quants := index.Quantify(slices.Concat(matches...))
 	if !s.quantify {
 		for i := range quants {
 			quants[i].Abundance = 0
@@ -200,26 +208,27 @@ type rankRange struct {
 // No edge is ever listed: the index holds them all.
 type integrateExecutor struct{}
 
-// Stream implements streamer. The first Transform builds the shared index,
-// or Gather does on a fleet coordinator whose shards all ran remotely.
+// Stream implements streamer. Split builds the stage's index, so a
+// shard's Transform, and the run log the engine makes of it, is its own
+// count and nothing else.
 func (integrateExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
 	nodes := make([]network.Node, len(in.Features))
 	for i, f := range in.Features {
 		nodes[i] = network.Node{Name: f.Name, Value: f.Value}
 	}
-	index := sync.OnceValue(func() *network.Index { return network.NewIndex(nodes, network.Config{}) })
-	return &integrateStream{env: env, in: in, nodes: nodes, index: index}, true, nil
+	return &integrateStream{env: env, in: in, nodes: nodes}, true, nil
 }
 
 type integrateStream struct {
 	env   *StageEnv
 	in    *Dataset
 	nodes []network.Node
-	index func() *network.Index
+	index *network.Index
 }
 
-// Split cuts the ranks into the broker's plan of equal record ranges: once
-// the index is sorted, every rank costs the same to count.
+// Split sorts the nodes into the index and cuts the ranks into the
+// broker's plan of equal record ranges: once the index is sorted, every
+// rank costs the same to count.
 func (s *integrateStream) Split() ([]StreamShard, error) {
 	per, err := s.env.RecordShardSize(len(s.nodes))
 	if err != nil {
@@ -229,6 +238,7 @@ func (s *integrateStream) Split() ([]StreamShard, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.index = network.NewIndex(s.nodes, network.Config{})
 	shards := make([]StreamShard, plan.NumShards)
 	for i := range shards {
 		lo, hi := plan.Bounds(i)
@@ -244,7 +254,7 @@ func (s *integrateStream) Transform(ctx context.Context, _ int, in StreamShard) 
 		return StreamShard{}, err
 	}
 	r := in.Data.(rankRange)
-	return StreamShard{Records: in.Records, Data: s.index().Pairs(r.Lo, r.Hi)}, nil
+	return StreamShard{Records: in.Records, Data: s.index.Pairs(r.Lo, r.Hi)}, nil
 }
 
 // Gather sums the ranges' counts into the edge count and reads the
@@ -260,6 +270,6 @@ func (s *integrateStream) Gather(shards []StreamShard) (*Dataset, error) {
 	}
 	out := *s.in
 	out.Type = Network
-	out.Net = &network.Network{Nodes: s.nodes, Edges: edges, Modules: s.index().Modules()}
+	out.Net = &network.Network{Nodes: s.nodes, Edges: edges, Modules: s.index.Modules()}
 	return &out, nil
 }

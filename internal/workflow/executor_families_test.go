@@ -1,13 +1,13 @@
 package workflow
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -372,39 +372,59 @@ func hostileFrames(t testing.TB, seed int64) *Dataset {
 // its frames, not of its tile plan — 1, 2, 7 or 1 000 tiles per frame on a
 // pool of 1, 2 or 8 — down to the encoded bytes, on the hostile frames.
 func TestImagingWorkflowIgnoresPlan(t *testing.T) {
-	var want []byte
-	for _, pool := range []int{1, 2, 8} {
-		for _, regions := range []int{1, 2, 7, 1000} {
-			e := NewEngine(EngineOptions{Workers: pool})
-			res, err := e.RunByName(context.Background(), "cell-imaging", hostileFrames(t, 5), RunOptions{Regions: regions})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cells := map[string]int{}
-			for _, f := range res.Output.Features {
-				frame, _, _ := strings.Cut(f.Name, ":")
-				cells[frame]++
-				if math.IsNaN(f.Value) || f.Value < 0.5 {
-					t.Fatalf("pool %d, %d regions: cell %+v below the threshold", pool, regions, f)
-				}
-			}
-			if f := res.Output.Features[0]; cells["square"] != 1 || f.Count != 70*70 {
-				t.Fatalf("pool %d, %d regions: square is %d cells, the first %+v", pool, regions, cells["square"], f)
-			}
-			if cells["bright"] != 1 || cells["snake"] != 1 || cells["empty"] != 0 || cells["borders"] != 8 || cells["nan"] != 1 {
-				t.Fatalf("pool %d, %d regions: cells per frame %v", pool, regions, cells)
-			}
-			got, err := EncodeDataset(res.Output)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = got
-			} else if !bytes.Equal(got, want) {
-				t.Fatalf("pool %d, %d regions: the output differs from the first plan's", pool, regions)
+	tilings := func(int) []RunOptions {
+		return []RunOptions{{Regions: 1}, {Regions: 2}, {Regions: 7}, {Regions: 1000}}
+	}
+	ignoresPlan(t, "cell-imaging", hostileFrames(t, 5), false, tilings, func(pool int, opts RunOptions, res *Result) {
+		cells := map[string]int{}
+		for _, f := range res.Output.Features {
+			frame, _, _ := strings.Cut(f.Name, ":")
+			cells[frame]++
+			if math.IsNaN(f.Value) || f.Value < 0.5 {
+				t.Fatalf("pool %d, %d regions: cell %+v below the threshold", pool, opts.Regions, f)
 			}
 		}
+		if f := res.Output.Features[0]; cells["square"] != 1 || f.Count != 70*70 {
+			t.Fatalf("pool %d, %d regions: square is %d cells, the first %+v", pool, opts.Regions, cells["square"], f)
+		}
+		if cells["bright"] != 1 || cells["snake"] != 1 || cells["empty"] != 0 || cells["borders"] != 8 || cells["nan"] != 1 {
+			t.Fatalf("pool %d, %d regions: cells per frame %v", pool, opts.Regions, cells)
+		}
+	})
+}
+
+// hostileSpectra draws an acquisition that stresses the spectrum scatter.
+// Its database adds a copy of the first peptide under another protein, so
+// every spectrum of that peptide ties; a second peptide under the name of
+// an existing one; and a ladder with NaN, ±Inf and duplicate masses. Its
+// spectra, shuffled among the simulated ones, add an empty one, one of
+// NaN and ±Inf peaks only, the tied peptide's with non-finite peaks, one
+// repeating every peak, one hitting the special ladder, and one covering
+// two peptides' ladders equally.
+func hostileSpectra(t testing.TB, seed int64) *Dataset {
+	t.Helper()
+	ds := mgfDataset(t, 12, 200, seed)
+	peps := slices.Clone(ds.PeptideDB.Peptides)
+	p0, p1 := peps[0], peps[1]
+	peps = append(peps,
+		proteome.Peptide{Protein: "P999", Name: "P999.pep0", Masses: p0.Masses},
+		proteome.Peptide{Protein: p1.Protein, Name: p1.Name, Masses: []float64{300, 900, 1500}},
+		proteome.Peptide{Protein: "P998", Name: "P998.pep0", Masses: []float64{math.NaN(), 500, 500, math.Inf(1), math.Inf(-1), 700}},
+	)
+	spectra := slices.Clone(ds.Spectra)
+	add := func(peaks ...float64) {
+		sort.Float64s(peaks)
+		spectra = append(spectra, proteome.Spectrum{ID: fmt.Sprint("hostile", len(spectra)), Peaks: peaks})
 	}
+	add()
+	add(math.NaN(), math.Inf(1), math.Inf(-1))
+	add(append(slices.Clone(p0.Masses), math.NaN(), math.Inf(-1))...)
+	add(append(slices.Clone(p1.Masses), p1.Masses...)...)
+	add(500, 500, 700, math.Inf(1), math.Inf(-1))
+	add(append(slices.Clone(peps[2].Masses[:5]), peps[3].Masses[:5]...)...)
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(spectra), func(i, j int) { spectra[i], spectra[j] = spectra[j], spectra[i] })
+	return NewMGFDataset(proteome.Database{Peptides: peps}, spectra)
 }
 
 // TestReferenceIndexOncePerPayload: an engine builds a reference's seed
