@@ -18,6 +18,7 @@ import (
 	"scan/internal/knowledge"
 	"scan/internal/scheduler"
 	"scan/internal/variant"
+	"scan/internal/workflow"
 )
 
 // benchConfig is the reduced-fidelity session used inside benchmarks.
@@ -158,15 +159,14 @@ func BenchmarkRealPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	platform := core.NewPlatform(core.Options{Workers: 4})
-	job := core.VariantCallingJob{
-		Reference:    ref,
-		Reads:        reads,
+	ds := workflow.NewFASTQDataset(ref, reads)
+	opts := workflow.RunOptions{
 		Caller:       variant.Config{MinDepth: 8, MinAltFraction: 0.6},
 		ShardRecords: 500,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := platform.RunVariantCalling(context.Background(), job); err != nil {
+		if _, err := platform.RunWorkflow(context.Background(), core.VariantDetectionWorkflow, ds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,10 +25,9 @@
 //	                    spectrum shards (internal/proteome), overlapped
 //	                    image tiles (internal/imaging), graph partitions
 //	                    (internal/network)
-//	internal/core       the platform facade: Platform.RunVariantCalling
-//	                    executes the catalogued dna-variant-detection
-//	                    workflow; Platform.RunWorkflow runs any
-//	                    catalogued analysis by name
+//	internal/core       the platform facade: Platform.RunWorkflow runs
+//	                    any catalogued analysis by name (the examples
+//	                    run dna-variant-detection through it)
 //	internal/registry   the dataset registry: a bounded store of named,
 //	                    streaming-decoded uploads (FASTQ reads, MGF
 //	                    spectra + peptide databases, microscopy frames,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scan/internal/knowledge"
+	"scan/internal/workflow"
 )
 
 // TestConcurrentRunWorkflowAccounting hammers one knowledge base through
@@ -18,7 +19,13 @@ func TestConcurrentRunWorkflowAccounting(t *testing.T) {
 	kb := knowledge.New()
 	kb.SeedPaperProfiles()
 	p := NewPlatform(Options{Workers: 2, KB: kb})
-	job, _ := synthJob(t, 2000, 400, 4, 13)
+	ds, _ := synthJob(t, 2000, 400, 4, 13)
+	// The plan is pinned to one align shard. Left to the Data Broker, the
+	// runs after the calibration run price an align shard from its folded
+	// rate, and on a slow host (or a race build) that clears the split
+	// floor and rounds align up to a wave of two shards: the per-run
+	// observation count would then depend on host speed.
+	opts := workflow.RunOptions{ShardRecords: len(ds.Reads)}
 
 	advBefore, err := kb.ShardAdvice(10)
 	if err != nil {
@@ -26,9 +33,9 @@ func TestConcurrentRunWorkflowAccounting(t *testing.T) {
 	}
 
 	// Calibration: one serial run of the identical job fixes the per-run
-	// observation count. Advice stability makes it deterministic — the
-	// same profiles yield the same shard plan and scatter widths.
-	if _, err := p.RunVariantCalling(context.Background(), job); err != nil {
+	// observation count. The pinned plan and the pool's region width make
+	// it deterministic.
+	if _, err := runVariantCalling(context.Background(), p, ds, opts); err != nil {
 		t.Fatal(err)
 	}
 	p.Flush()
@@ -47,7 +54,7 @@ func TestConcurrentRunWorkflowAccounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				if _, err := p.RunVariantCalling(context.Background(), job); err != nil {
+				if _, err := runVariantCalling(context.Background(), p, ds, opts); err != nil {
 					t.Error(err)
 					return
 				}

@@ -14,46 +14,58 @@ import (
 	"scan/internal/workflow"
 )
 
+// seedResult is what the seed pipeline produced.
+type seedResult struct {
+	Alignments []genomics.Alignment
+	Variants   []genomics.Variant
+	Mapped     int
+	Plan       shard.Plan
+	Advice     knowledge.Advice
+}
+
+// recordsPerUnit is the engine's conversion of reads into the knowledge
+// base's input-size units.
+const recordsPerUnit = 1000
+
 // seedVariantCalling replicates the pre-engine inline pipeline as
 // platform.go shipped it before the workflow-engine refactor (shard reads
 // by Data Broker advice → align → merge → region scatter → pileup+call →
 // merge), run sequentially since the results are parallelism-independent.
-// It is the golden reference the engine-driven RunVariantCalling must
-// reproduce bit-for-bit. Two things moved since: on a KB with no telemetry
-// for the stage the broker's shard count ⌈reads/advised⌉ is kept but its
-// shards are cut equal, so the advised plan is PlanByShards(reads, count);
-// and calling runs one caller over the whole reference, since a region's
-// caller calls exactly the whole-reference calls inside its region
+// It is the golden reference the variant-detection workflow must
+// reproduce bit-for-bit through RunWorkflow. Two things moved since: on a
+// KB with no telemetry for the stage the broker's shard count
+// ⌈reads/advised⌉ is kept but its shards are cut equal, so the advised
+// plan is PlanByShards(reads, count); and calling runs one caller over the
+// whole reference, since a region's caller calls exactly the
+// whole-reference calls inside its region
 // (variant.TestRegionCallerMatchesWholeReference), so the engine's region
 // scatter must not change a call.
-func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResult, error) {
-	if len(job.Reads) == 0 {
-		return nil, ErrNoReads
-	}
-	res := &VariantCallingResult{}
+func seedVariantCalling(p *Platform, ds *workflow.Dataset, shardRecords int) (*seedResult, error) {
+	res := &seedResult{}
+	reads := ds.Reads
 
 	var plan shard.Plan
-	if job.ShardRecords > 0 {
-		plan, _ = shard.PlanByRecords(len(job.Reads), job.ShardRecords)
+	if shardRecords > 0 {
+		plan, _ = shard.PlanByRecords(len(reads), shardRecords)
 	} else {
-		jobUnits := float64(len(job.Reads)) / float64(p.recordsPerUnit)
+		jobUnits := float64(len(reads)) / recordsPerUnit
 		adv, err := p.kb.ShardAdvice(jobUnits)
 		if err != nil {
 			return nil, fmt.Errorf("core: data broker: %w", err)
 		}
 		res.Advice = adv
-		advised := max(int(adv.ShardSize*float64(p.recordsPerUnit)), 1)
-		plan, _ = shard.PlanByShards(len(job.Reads), (len(job.Reads)+advised-1)/advised)
+		advised := max(int(adv.ShardSize*recordsPerUnit), 1)
+		plan, _ = shard.PlanByShards(len(reads), (len(reads)+advised-1)/advised)
 	}
-	res.ShardPlan = plan
+	res.Plan = plan
 	recordsPerShard := plan.RecordsPerShard
 
-	aligner, err := align.New(job.Reference, job.Aligner)
+	aligner, err := align.New(ds.Reference, align.Config{})
 	if err != nil {
 		return nil, err
 	}
 
-	readShards, err := shard.ChunkReads(job.Reads, recordsPerShard)
+	readShards, err := shard.ChunkReads(reads, recordsPerShard)
 	if err != nil {
 		return nil, err
 	}
@@ -72,9 +84,9 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 	}
 	res.Alignments = genomics.MergeSorted(alnShards...)
 
-	caller := variant.NewCaller(job.Reference, 1, job.Reference.Len(), job.Caller)
+	caller := variant.NewCaller(ds.Reference, 1, ds.Reference.Len(), testCaller)
 	for _, a := range res.Alignments {
-		if err := caller.Add(a, job.Reads); err != nil {
+		if err := caller.Add(a, reads); err != nil {
 			return nil, err
 		}
 	}
@@ -83,38 +95,41 @@ func seedVariantCalling(p *Platform, job VariantCallingJob) (*VariantCallingResu
 }
 
 // TestEngineMatchesSeedPipeline is the refactor's equivalence proof: the
-// engine-driven RunVariantCalling must produce identical alignments,
-// variants, mapped counts, shard plans and Data Broker advice to the seed
-// pipeline, across explicit sharding, KB-advised sharding, and uneven
-// region splits.
+// variant-detection workflow run through RunWorkflow must produce
+// identical alignments, variants, mapped counts, shard plans and Data
+// Broker advice to the seed pipeline, across explicit sharding, KB-advised
+// sharding, and uneven region splits.
 func TestEngineMatchesSeedPipeline(t *testing.T) {
 	cases := []struct {
-		name                   string
-		refLen, reads, snvs    int
-		seed                   int64
-		shardRecords, regions  int
-		recordsPerUnit, worker int
+		name                  string
+		refLen, reads, snvs   int
+		seed                  int64
+		shardRecords, regions int
+		worker                int
 	}{
-		{"explicit-shards", 8000, 2400, 12, 42, 137, 5, 0, 4},
-		{"kb-advised", 8000, 2400, 12, 42, 0, 0, 100, 3},
-		{"single-shard-single-region", 6000, 1500, 8, 21, 1500, 1, 0, 2},
-		{"many-small-shards", 6000, 1500, 8, 21, 100, 7, 0, 4},
+		{"explicit-shards", 8000, 2400, 12, 42, 137, 5, 4},
+		// 24 000 reads are 24 units: the paper KB advises GATK3's 20-unit
+		// chunks, two shards of 12 000 reads.
+		{"kb-advised", 8000, 24000, 12, 42, 0, 0, 3},
+		{"single-shard-single-region", 6000, 1500, 8, 21, 1500, 1, 2},
+		{"many-small-shards", 6000, 1500, 8, 21, 100, 7, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewPlatform(Options{Workers: tc.worker, RecordsPerUnit: tc.recordsPerUnit})
-			job, _ := synthJob(t, tc.refLen, tc.reads, tc.snvs, tc.seed)
-			job.ShardRecords = tc.shardRecords
-			job.Regions = tc.regions
+			p := NewPlatform(Options{Workers: tc.worker})
+			ds, _ := synthJob(t, tc.refLen, tc.reads, tc.snvs, tc.seed)
 
-			want, err := seedVariantCalling(p, job)
+			want, err := seedVariantCalling(p, ds, tc.shardRecords)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.RunVariantCalling(context.Background(), job)
+			res, err := runVariantCalling(context.Background(), p, ds,
+				workflow.RunOptions{ShardRecords: tc.shardRecords, Regions: tc.regions})
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := res.Output
+			sr, _ := res.RecordScatter()
 
 			if !reflect.DeepEqual(got.Alignments, want.Alignments) {
 				t.Fatalf("alignments differ: engine %d records, seed %d records",
@@ -126,11 +141,11 @@ func TestEngineMatchesSeedPipeline(t *testing.T) {
 			if got.Mapped != want.Mapped {
 				t.Fatalf("mapped: engine %d, seed %d", got.Mapped, want.Mapped)
 			}
-			if got.ShardPlan != want.ShardPlan {
-				t.Fatalf("plan: engine %+v, seed %+v", got.ShardPlan, want.ShardPlan)
+			if sr.Plan != want.Plan {
+				t.Fatalf("plan: engine %+v, seed %+v", sr.Plan, want.Plan)
 			}
-			if got.Advice != want.Advice {
-				t.Fatalf("advice: engine %+v, seed %+v", got.Advice, want.Advice)
+			if sr.Advice != want.Advice {
+				t.Fatalf("advice: engine %+v, seed %+v", sr.Advice, want.Advice)
 			}
 		})
 	}
@@ -146,11 +161,10 @@ func TestRunWorkflowSurface(t *testing.T) {
 	if p.Catalogue().Len() < 11 {
 		t.Fatalf("catalogue has %d workflows", p.Catalogue().Len())
 	}
-	job, _ := synthJob(t, 6000, 1200, 6, 13)
+	ds, _ := synthJob(t, 6000, 1200, 6, 13)
 	before := kb.RunCount()
-	res, err := p.RunWorkflow(context.Background(), "somatic-mutation-detection",
-		workflow.NewFASTQDataset(job.Reference, job.Reads),
-		workflow.RunOptions{Caller: job.Caller})
+	res, err := p.RunWorkflow(context.Background(), "somatic-mutation-detection", ds,
+		workflow.RunOptions{Caller: testCaller})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +175,7 @@ func TestRunWorkflowSurface(t *testing.T) {
 		t.Fatal("workflow run did not log shards to the knowledge base")
 	}
 	// Unknown names surface the registry error.
-	if _, err := p.RunWorkflow(context.Background(), "no-such-analysis",
-		workflow.NewFASTQDataset(job.Reference, job.Reads), workflow.RunOptions{}); err == nil {
+	if _, err := p.RunWorkflow(context.Background(), "no-such-analysis", ds, workflow.RunOptions{}); err == nil {
 		t.Fatal("unknown workflow accepted")
 	}
 }

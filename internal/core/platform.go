@@ -14,25 +14,19 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"time"
 
-	"scan/internal/align"
 	"scan/internal/blobstore"
 	"scan/internal/cloud"
-	"scan/internal/genomics"
 	"scan/internal/knowledge"
 	"scan/internal/registry"
-	"scan/internal/shard"
-	"scan/internal/variant"
 	"scan/internal/workflow"
 )
 
-// VariantDetectionWorkflow is the catalogued workflow RunVariantCalling
-// executes.
+// VariantDetectionWorkflow is the catalogued align → call workflow the
+// examples and benchmarks run through RunWorkflow.
 const VariantDetectionWorkflow = "dna-variant-detection"
 
 // Options configures a Platform.
@@ -42,10 +36,6 @@ type Options struct {
 	// KB is the application knowledge base; a fresh base seeded with the
 	// paper's GATK profiles is created when nil.
 	KB *knowledge.Base
-	// RecordsPerUnit converts the knowledge base's abstract input-size
-	// units (the paper's GB) into read records for the real toolkit
-	// (default 1000 records per unit).
-	RecordsPerUnit int
 	// Catalogue overrides the workflow catalogue (default:
 	// workflow.DefaultCatalogue()). Custom deployments register extra
 	// workflows on top of the default set before handing it in.
@@ -75,12 +65,11 @@ type Options struct {
 // executor bindings, the engine that runs any catalogued analysis, and the
 // dataset registry jobs stage uploads into.
 type Platform struct {
-	kb             *knowledge.Base
-	catalogue      *workflow.Registry
-	engine         *workflow.Engine
-	datasets       *registry.Store
-	workers        int
-	recordsPerUnit int
+	kb        *knowledge.Base
+	catalogue *workflow.Registry
+	engine    *workflow.Engine
+	datasets  *registry.Store
+	workers   int
 }
 
 // NewPlatform builds a platform, panicking on durable-state setup errors
@@ -124,9 +113,6 @@ func OpenPlatform(opts Options) (*Platform, error) {
 			panic(err) // static catalogue: failure is a programming error
 		}
 	}
-	if opts.RecordsPerUnit <= 0 {
-		opts.RecordsPerUnit = 1000
-	}
 	if opts.DataDir != "" {
 		// Seeding precedes the attach: the snapshot re-imports over the
 		// deterministic seed triples (a union), then the WAL replays the
@@ -148,19 +134,17 @@ func OpenPlatform(opts Options) (*Platform, error) {
 		}
 	}
 	engine := workflow.NewEngine(workflow.EngineOptions{
-		Catalogue:      catalogue,
-		Executors:      opts.Executors,
-		KB:             opts.KB,
-		Workers:        opts.Workers,
-		RecordsPerUnit: opts.RecordsPerUnit,
+		Catalogue: catalogue,
+		Executors: opts.Executors,
+		KB:        opts.KB,
+		Workers:   opts.Workers,
 	})
 	return &Platform{
-		kb:             opts.KB,
-		catalogue:      catalogue,
-		engine:         engine,
-		datasets:       registry.NewStore(opts.Registry),
-		workers:        opts.Workers,
-		recordsPerUnit: opts.RecordsPerUnit,
+		kb:        opts.KB,
+		catalogue: catalogue,
+		engine:    engine,
+		datasets:  registry.NewStore(opts.Registry),
+		workers:   opts.Workers,
 	}, nil
 }
 
@@ -202,90 +186,4 @@ func (p *Platform) Engine() *workflow.Engine { return p.engine }
 // cancelling the per-job context it threads into the same Engine.Run.
 func (p *Platform) RunWorkflow(ctx context.Context, name string, in *workflow.Dataset, opts workflow.RunOptions) (*workflow.Result, error) {
 	return p.engine.RunByName(ctx, name, in, opts)
-}
-
-// VariantCallingJob is one end-to-end analysis request: align reads to the
-// reference and call variants.
-type VariantCallingJob struct {
-	Reference genomics.Sequence
-	Reads     []genomics.Read
-	// Aligner and Caller configurations; zero values use the package
-	// defaults.
-	Aligner align.Config
-	Caller  variant.Config
-	// ShardRecords overrides the knowledge base's shard-size advice
-	// (records per alignment shard). Zero asks the Data Broker.
-	ShardRecords int
-	// Regions overrides the number of variant-calling scatter regions
-	// (default: the worker count).
-	Regions int
-}
-
-// StageTiming reports one pipeline stage's wall-clock duration.
-type StageTiming struct {
-	Stage   string
-	Shards  int
-	Elapsed time.Duration
-}
-
-// VariantCallingResult carries the pipeline outputs.
-type VariantCallingResult struct {
-	Alignments []genomics.Alignment // coordinate-sorted; Read indexes the job's Reads
-	Variants   []genomics.Variant   // sorted, deduplicated
-	Mapped     int
-	ShardPlan  shard.Plan
-	Timings    []StageTiming
-	// Advice is the Data Broker's recommendation that sized the shards
-	// (zero value when ShardRecords overrode it).
-	Advice knowledge.Advice
-}
-
-// ErrNoReads is returned for an empty read set.
-var ErrNoReads = errors.New("core: job has no reads")
-
-// RunVariantCalling executes the catalogued dna-variant-detection workflow
-// through the workflow engine: shard reads by Data Broker advice →
-// parallel align → merge → GATK refinement chain → scatter by region →
-// parallel pileup+call → merge VCF. Per-shard stage timings are logged
-// back into the knowledge base, growing it exactly the way the paper
-// describes. The heavy lifting lives in package workflow; this is the
-// typed variant-calling facade over Engine.Run.
-func (p *Platform) RunVariantCalling(ctx context.Context, job VariantCallingJob) (*VariantCallingResult, error) {
-	if len(job.Reads) == 0 {
-		return nil, ErrNoReads
-	}
-	wres, err := p.engine.RunByName(ctx, VariantDetectionWorkflow,
-		workflow.NewFASTQDataset(job.Reference, job.Reads),
-		workflow.RunOptions{
-			Aligner:      job.Aligner,
-			Caller:       job.Caller,
-			ShardRecords: job.ShardRecords,
-			Regions:      job.Regions,
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := wres.Output
-	res := &VariantCallingResult{
-		Alignments: out.Alignments,
-		Variants:   out.Variants,
-		Mapped:     out.Mapped,
-	}
-	// The record-scattered stage (alignment) carries the Data Broker's
-	// shard plan and advice.
-	if sr, ok := wres.RecordScatter(); ok {
-		res.ShardPlan = sr.Plan
-		res.Advice = sr.Advice
-	}
-	// Report the stages that fanned out; the engine also ran the
-	// refinement pass-throughs, but a zero-shard stage has no scatter
-	// to time.
-	for _, sr := range wres.Stages {
-		if sr.Shards > 0 {
-			res.Timings = append(res.Timings, StageTiming{
-				Stage: sr.Stage, Shards: sr.Shards, Elapsed: sr.Elapsed,
-			})
-		}
-	}
-	return res, nil
 }

@@ -8,9 +8,15 @@ import (
 	"scan/internal/genomics"
 	"scan/internal/knowledge"
 	"scan/internal/variant"
+	"scan/internal/workflow"
 )
 
-func synthJob(t testing.TB, refLen, reads, snvs int, seed int64) (VariantCallingJob, []genomics.Mutation) {
+// testCaller holds the caller thresholds every test job runs with.
+var testCaller = variant.Config{MinDepth: 8, MinAltFraction: 0.6}
+
+// synthJob simulates a reference, plants SNVs in a copy of it and draws
+// reads from the copy: a FASTQ dataset and the planted truth.
+func synthJob(t testing.TB, refLen, reads, snvs int, seed int64) (*workflow.Dataset, []genomics.Mutation) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ref := genomics.GenerateReference(rng, "chr1", refLen)
@@ -21,11 +27,14 @@ func synthJob(t testing.TB, refLen, reads, snvs int, seed int64) (VariantCalling
 	if err != nil {
 		t.Fatal(err)
 	}
-	return VariantCallingJob{
-		Reference: ref,
-		Reads:     rd,
-		Caller:    variant.Config{MinDepth: 8, MinAltFraction: 0.6},
-	}, planted
+	return workflow.NewFASTQDataset(ref, rd), planted
+}
+
+// runVariantCalling runs the variant-detection workflow over ds with the
+// test caller thresholds.
+func runVariantCalling(ctx context.Context, p *Platform, ds *workflow.Dataset, opts workflow.RunOptions) (*workflow.Result, error) {
+	opts.Caller = testCaller
+	return p.RunWorkflow(ctx, VariantDetectionWorkflow, ds, opts)
 }
 
 func TestPlatformDefaults(t *testing.T) {
@@ -46,16 +55,17 @@ func TestPlatformDefaults(t *testing.T) {
 
 func TestEndToEndVariantCalling(t *testing.T) {
 	p := NewPlatform(Options{Workers: 4})
-	job, planted := synthJob(t, 8000, 2400, 12, 42)
-	res, err := p.RunVariantCalling(context.Background(), job)
+	ds, planted := synthJob(t, 8000, 2400, 12, 42)
+	res, err := runVariantCalling(context.Background(), p, ds, workflow.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mapped < len(job.Reads)*9/10 {
-		t.Fatalf("mapped %d/%d", res.Mapped, len(job.Reads))
+	out := res.Output
+	if out.Mapped < len(ds.Reads)*9/10 {
+		t.Fatalf("mapped %d/%d", out.Mapped, len(ds.Reads))
 	}
 	calledAt := map[int]genomics.Variant{}
-	for _, v := range res.Variants {
+	for _, v := range out.Variants {
 		calledAt[v.Pos-1] = v
 	}
 	recovered := 0
@@ -65,16 +75,22 @@ func TestEndToEndVariantCalling(t *testing.T) {
 		}
 	}
 	if recovered < len(planted)-1 {
-		t.Fatalf("recovered %d/%d planted SNVs (called %d)", recovered, len(planted), len(res.Variants))
+		t.Fatalf("recovered %d/%d planted SNVs (called %d)", recovered, len(planted), len(out.Variants))
 	}
-	// The engine reports the catalogue's scattered stages: the BWA
-	// alignment fan-out and the region-scattered genotyping.
-	if len(res.Timings) != 2 || res.Timings[0].Stage != "Align" || res.Timings[1].Stage != "UnifiedGenotyper" {
-		t.Fatalf("timings = %+v", res.Timings)
+	// The catalogue's scattered stages are the BWA alignment fan-out and
+	// the region-scattered genotyping; the rest pass through.
+	var scattered []string
+	for _, sr := range res.Stages {
+		if sr.Shards > 0 {
+			scattered = append(scattered, sr.Stage)
+		}
+	}
+	if len(scattered) != 2 || scattered[0] != "Align" || scattered[1] != "UnifiedGenotyper" {
+		t.Fatalf("scattered stages = %v (%+v)", scattered, res.Stages)
 	}
 	// Alignments must come back coordinate-sorted.
-	for i := 1; i < len(res.Alignments); i++ {
-		a, b := res.Alignments[i-1], res.Alignments[i]
+	for i := 1; i < len(out.Alignments); i++ {
+		a, b := out.Alignments[i-1], out.Alignments[i]
 		if !a.Unmapped() && !b.Unmapped() && a.Pos > b.Pos {
 			t.Fatal("alignments not sorted")
 		}
@@ -86,56 +102,54 @@ func TestEndToEndVariantCalling(t *testing.T) {
 }
 
 func TestShardingMatchesAdvice(t *testing.T) {
-	p := NewPlatform(Options{Workers: 2, RecordsPerUnit: 100})
-	job, _ := synthJob(t, 4000, 1000, 0, 7)
-	res, err := p.RunVariantCalling(context.Background(), job)
+	p := NewPlatform(Options{Workers: 2})
+	ds, _ := synthJob(t, 4000, 10000, 0, 7)
+	res, err := runVariantCalling(context.Background(), p, ds, workflow.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1000 reads = 10 units; the paper KB advises GATK1's 10-unit chunks
+	// 10 000 reads = 10 units; the paper KB advises GATK1's 10-unit chunks
 	// (throughput 0.056 beats GATK4's 0.05 for jobs ≥ 10 units).
-	if res.Advice.BasedOn != "GATK1" {
-		t.Fatalf("advice = %+v", res.Advice)
+	sr, _ := res.RecordScatter()
+	if sr.Advice.BasedOn != "GATK1" {
+		t.Fatalf("advice = %+v", sr.Advice)
 	}
-	if res.ShardPlan.RecordsPerShard != 1000 || res.ShardPlan.NumShards != 1 {
-		t.Fatalf("plan = %+v", res.ShardPlan)
+	if sr.Plan.RecordsPerShard != 10000 || sr.Plan.NumShards != 1 {
+		t.Fatalf("plan = %+v", sr.Plan)
 	}
 }
 
 func TestShardRecordsOverride(t *testing.T) {
 	p := NewPlatform(Options{Workers: 4})
-	job, _ := synthJob(t, 4000, 900, 0, 8)
-	job.ShardRecords = 200
-	res, err := p.RunVariantCalling(context.Background(), job)
+	ds, _ := synthJob(t, 4000, 900, 0, 8)
+	res, err := runVariantCalling(context.Background(), p, ds, workflow.RunOptions{ShardRecords: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardPlan.NumShards != 5 {
-		t.Fatalf("shards = %d, want 5", res.ShardPlan.NumShards)
+	sr, _ := res.RecordScatter()
+	if sr.Plan.NumShards != 5 {
+		t.Fatalf("shards = %d, want 5", sr.Plan.NumShards)
 	}
-	if res.Advice.BasedOn != "" {
+	if sr.Advice.BasedOn != "" {
 		t.Fatal("advice should be empty under override")
 	}
 }
 
 func TestShardedEqualsUnsharded(t *testing.T) {
 	// Determinism check: splitting the work must not change the results.
-	jobA, _ := synthJob(t, 6000, 1500, 8, 21)
-	jobB := jobA
-	jobA.ShardRecords = len(jobA.Reads) // single shard
-	jobA.Regions = 1
-	jobB.ShardRecords = 100 // 15 shards
-	jobB.Regions = 7
-
+	ds, _ := synthJob(t, 6000, 1500, 8, 21)
 	p := NewPlatform(Options{Workers: 4})
-	a, err := p.RunVariantCalling(context.Background(), jobA)
+	ra, err := runVariantCalling(context.Background(), p, ds,
+		workflow.RunOptions{ShardRecords: len(ds.Reads), Regions: 1}) // single shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.RunVariantCalling(context.Background(), jobB)
+	rb, err := runVariantCalling(context.Background(), p, ds,
+		workflow.RunOptions{ShardRecords: 100, Regions: 7}) // 15 shards
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ra.Output, rb.Output
 	if len(a.Variants) != len(b.Variants) {
 		t.Fatalf("variant counts differ: %d vs %d", len(a.Variants), len(b.Variants))
 	}
@@ -149,19 +163,26 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 	}
 }
 
-func TestEmptyJobRejected(t *testing.T) {
+// TestEmptyJobRunsToEmptyVCF: a dataset with a reference and no reads is
+// a valid job whose answer is an empty call set.
+func TestEmptyJobRunsToEmptyVCF(t *testing.T) {
 	p := NewPlatform(Options{})
-	if _, err := p.RunVariantCalling(context.Background(), VariantCallingJob{}); err != ErrNoReads {
-		t.Fatalf("err = %v", err)
+	ds, _ := synthJob(t, 4000, 0, 0, 10)
+	res, err := runVariantCalling(context.Background(), p, ds, workflow.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := res.Output; out.Type != workflow.VCF || len(out.Variants) != 0 || out.Mapped != 0 {
+		t.Fatalf("output = %s with %d variants, %d mapped", out.Type, len(out.Variants), out.Mapped)
 	}
 }
 
 func TestContextCancellation(t *testing.T) {
 	p := NewPlatform(Options{Workers: 1})
-	job, _ := synthJob(t, 4000, 2000, 0, 9)
+	ds, _ := synthJob(t, 4000, 2000, 0, 9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.RunVariantCalling(ctx, job); err == nil {
+	if _, err := runVariantCalling(ctx, p, ds, workflow.RunOptions{}); err == nil {
 		t.Fatal("cancelled context succeeded")
 	}
 }
@@ -170,9 +191,9 @@ func TestKnowledgeFeedbackLoop(t *testing.T) {
 	kb := knowledge.New()
 	kb.SeedPaperProfiles()
 	p := NewPlatform(Options{Workers: 2, KB: kb})
-	job, _ := synthJob(t, 4000, 600, 0, 11)
+	ds, _ := synthJob(t, 4000, 600, 0, 11)
 	before := kb.RunCount()
-	if _, err := p.RunVariantCalling(context.Background(), job); err != nil {
+	if _, err := runVariantCalling(context.Background(), p, ds, workflow.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if kb.RunCount() <= before {
@@ -192,11 +213,10 @@ SELECT ?run WHERE { ?run a scan:RunLog . }`)
 
 func BenchmarkVariantCallingPipeline(b *testing.B) {
 	p := NewPlatform(Options{Workers: 4})
-	job, _ := synthJob(b, 20000, 4000, 10, 3)
-	job.ShardRecords = 500
+	ds, _ := synthJob(b, 20000, 4000, 10, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.RunVariantCalling(context.Background(), job); err != nil {
+		if _, err := runVariantCalling(context.Background(), p, ds, workflow.RunOptions{ShardRecords: 500}); err != nil {
 			b.Fatal(err)
 		}
 	}

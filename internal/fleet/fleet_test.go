@@ -202,6 +202,50 @@ func featureDataset(t testing.TB, genes, modules int, seed int64) *workflow.Data
 	return workflow.NewFeatureDataset(features)
 }
 
+// hostileSpectra mirrors the workflow package's hostile spectra: the
+// simulated set plus a peptide tied to an existing one's ladder, a
+// duplicate peptide name with another ladder, a ladder with NaN, ±Inf and
+// duplicate masses, and spectra that are empty, NaN/±Inf only, a ladder
+// with non-finite peaks, every peak repeated, the special ladder's, and
+// two peptides' ladders at once, shuffled among the simulated ones.
+func hostileSpectra(t testing.TB, seed int64) *workflow.Dataset {
+	t.Helper()
+	ds := mgfDataset(t, 12, 200, seed)
+	peps := slices.Clone(ds.PeptideDB.Peptides)
+	p0, p1 := peps[0], peps[1]
+	peps = append(peps,
+		proteome.Peptide{Protein: "P999", Name: "P999.pep0", Masses: p0.Masses},
+		proteome.Peptide{Protein: p1.Protein, Name: p1.Name, Masses: []float64{300, 900, 1500}},
+		proteome.Peptide{Protein: "P998", Name: "P998.pep0", Masses: []float64{math.NaN(), 500, 500, math.Inf(1), math.Inf(-1), 700}},
+	)
+	spectra := slices.Clone(ds.Spectra)
+	add := func(peaks ...float64) {
+		slices.Sort(peaks)
+		spectra = append(spectra, proteome.Spectrum{ID: fmt.Sprint("hostile", len(spectra)), Peaks: peaks})
+	}
+	add()
+	add(math.NaN(), math.Inf(1), math.Inf(-1))
+	add(append(slices.Clone(p0.Masses), math.NaN(), math.Inf(-1))...)
+	add(append(slices.Clone(p1.Masses), p1.Masses...)...)
+	add(500, 500, 700, math.Inf(1), math.Inf(-1))
+	add(append(slices.Clone(peps[2].Masses[:5]), peps[3].Masses[:5]...)...)
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(spectra), func(i, j int) { spectra[i], spectra[j] = spectra[j], spectra[i] })
+	return workflow.NewMGFDataset(proteome.Database{Peptides: peps}, spectra)
+}
+
+// hostileFeatures is a simulated feature table with NaN, ±Inf, ±0 and
+// tied values planted among its genes.
+func hostileFeatures(t testing.TB, seed int64) *workflow.Dataset {
+	t.Helper()
+	ds := featureDataset(t, 300, 6, seed)
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)} {
+		ds.Features[7*i].Value = v
+	}
+	ds.Features[1].Value = ds.Features[2].Value
+	return ds
+}
+
 func seededKB(t testing.TB) *knowledge.Base {
 	t.Helper()
 	kb := knowledge.New()
@@ -384,6 +428,24 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	// borders, in a frame narrower than its grid and beside a NaN pixel.
 	cases = append(cases, distributedCase{name: "hostile-cell-imaging", workflow: "cell-imaging",
 		opts: workflow.RunOptions{Regions: 7}, dataset: func(t testing.TB) *workflow.Dataset { return hostileFrames(t, 5) }})
+	// The proteomic workflows over the hostile spectra and the network over
+	// the hostile feature table, each in many small shards and in a few
+	// wide ones.
+	for _, h := range []struct {
+		workflow    string
+		small, wide int
+		dataset     func(t testing.TB) *workflow.Dataset
+	}{
+		{"proteome-maxquant", 13, 100, func(t testing.TB) *workflow.Dataset { return hostileSpectra(t, 13) }},
+		{"proteome-gpm", 13, 100, func(t testing.TB) *workflow.Dataset { return hostileSpectra(t, 13) }},
+		{"integrative-network", 7, 150, func(t testing.TB) *workflow.Dataset { return hostileFeatures(t, 11) }},
+	} {
+		cases = append(cases,
+			distributedCase{name: "hostile-" + h.workflow, workflow: h.workflow,
+				opts: workflow.RunOptions{ShardRecords: h.small}, dataset: h.dataset},
+			distributedCase{name: "hostile-" + h.workflow + "-wide", workflow: h.workflow,
+				opts: workflow.RunOptions{ShardRecords: h.wide}, dataset: h.dataset})
+	}
 	tf := startFleet(t, Options{Scaling: scheduler.AlwaysScale}, 2)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -421,6 +483,14 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			case tc.workflow == "cell-imaging":
 				if len(out.Features) == 0 {
 					t.Fatal("no cells segmented")
+				}
+			case strings.HasPrefix(tc.workflow, "proteome-"):
+				if len(out.Proteins) < 10 {
+					t.Fatalf("%d proteins quantified", len(out.Proteins))
+				}
+			case tc.workflow == "integrative-network":
+				if out.Net.Edges == 0 || len(out.Net.Modules) == 0 {
+					t.Fatalf("%d edges, %d modules", out.Net.Edges, len(out.Net.Modules))
 				}
 			case strings.HasPrefix(tc.name, "hostile-") &&
 				(out.Mapped == 0 || out.Mapped == len(out.Reads) || len(out.Variants)+len(out.Features) == 0):

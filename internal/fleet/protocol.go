@@ -12,7 +12,6 @@ import (
 	"io"
 	"slices"
 
-	"scan/internal/align"
 	"scan/internal/blobstore"
 	"scan/internal/variant"
 	"scan/internal/workflow"
@@ -51,32 +50,26 @@ type PollResponse struct {
 // the shard plan and region width are already decided, so the worker's
 // re-Split is byte-identical without a Data Broker.
 type TaskOptions struct {
-	Aligner      align.Config   `json:"aligner"`
 	Caller       variant.Config `json:"caller"`
 	ShardRecords int            `json:"shard_records,omitempty"`
 	Regions      int            `json:"regions,omitempty"`
-	MinQual      float64        `json:"min_qual,omitempty"`
 }
 
 // PinOptions converts the engine's pinned options to wire form.
 func PinOptions(opts workflow.RunOptions) TaskOptions {
 	return TaskOptions{
-		Aligner:      opts.Aligner,
 		Caller:       opts.Caller,
 		ShardRecords: opts.ShardRecords,
 		Regions:      opts.Regions,
-		MinQual:      opts.MinQual,
 	}
 }
 
 // RunOptions converts wire options back to engine form.
 func (o TaskOptions) RunOptions() workflow.RunOptions {
 	return workflow.RunOptions{
-		Aligner:      o.Aligner,
 		Caller:       o.Caller,
 		ShardRecords: o.ShardRecords,
 		Regions:      o.Regions,
-		MinQual:      o.MinQual,
 	}
 }
 

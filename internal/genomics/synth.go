@@ -58,7 +58,6 @@ type ReadSimConfig struct {
 	Count     int     // number of reads
 	Length    int     // bases per read
 	ErrorRate float64 // per-base substitution error probability
-	Prefix    string  // read ID prefix (default "read")
 }
 
 // SimulateReads draws Count reads of Length bases uniformly from the
@@ -69,10 +68,6 @@ func SimulateReads(rng *rand.Rand, genome Sequence, cfg ReadSimConfig) ([]Read, 
 	if cfg.Length <= 0 || cfg.Length > genome.Len() {
 		return nil, fmt.Errorf("genomics: read length %d invalid for genome of %d bases",
 			cfg.Length, genome.Len())
-	}
-	prefix := cfg.Prefix
-	if prefix == "" {
-		prefix = "read"
 	}
 	qual := phredChar(cfg.ErrorRate)
 	reads := make([]Read, cfg.Count)
@@ -94,7 +89,7 @@ func SimulateReads(rng *rand.Rand, genome Sequence, cfg ReadSimConfig) ([]Read, 
 			quals[j] = qual
 		}
 		reads[i] = Read{
-			ID:   fmt.Sprintf("%s-%06d:%d", prefix, i, start),
+			ID:   fmt.Sprintf("read-%06d:%d", i, start),
 			Seq:  seq,
 			Qual: quals,
 		}

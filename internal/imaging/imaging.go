@@ -34,10 +34,11 @@ type SimConfig struct {
 	W, H int
 	// Cells is the number of planted cells.
 	Cells int
-	// Noise is the background intensity ceiling (default 0.3, below the
-	// default segmentation threshold so background never segments).
-	Noise float64
 }
+
+// backgroundNoise is a generated frame's background intensity ceiling,
+// below the default segmentation threshold so background never segments.
+const backgroundNoise = 0.3
 
 // Generate builds one synthetic frame: uniform background noise with Cells
 // bright disks planted at mutually separated positions, so thresholding
@@ -51,15 +52,12 @@ func Generate(rng *rand.Rand, id string, cfg SimConfig) (Image, []Cell, error) {
 	if cfg.H <= 0 {
 		cfg.H = 128
 	}
-	if cfg.Noise <= 0 {
-		cfg.Noise = 0.3
-	}
 	if cfg.Cells < 0 {
 		return Image{}, nil, fmt.Errorf("imaging: negative cell count %d", cfg.Cells)
 	}
 	im := Image{ID: id, W: cfg.W, H: cfg.H, Pix: make([]float64, cfg.W*cfg.H)}
 	for i := range im.Pix {
-		im.Pix[i] = rng.Float64() * cfg.Noise
+		im.Pix[i] = rng.Float64() * backgroundNoise
 	}
 	margin := DefaultMaxRadius + 2
 	if cfg.Cells > 0 && (cfg.W <= 2*margin || cfg.H <= 2*margin) {

@@ -166,6 +166,28 @@ func TestV2NetworkJobEndToEnd(t *testing.T) {
 	}
 }
 
+// TestV2DenseNetworkJobCompletes: the densest network a submission may
+// ask for, every gene in one module (about 2×10⁸ edges), is accepted and
+// runs: the Integrate stage counts its edges and never builds them.
+func TestV2DenseNetworkJobCompletes(t *testing.T) {
+	c, _ := testServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	job, err := c.CreateJob(ctx, SubmitJobRequest{
+		Network: &NetworkSpec{Genes: maxSyntheticGenes, Modules: 1, Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, _ := watchToDone(ctx, t, c, job.ID)
+	if final.State != StateDone {
+		t.Fatalf("state = %q (%+v)", final.State, final.Error)
+	}
+	if r := final.Result; r.Nodes != maxSyntheticGenes || r.Modules != 1 || r.Edges < maxSyntheticGenes*(maxSyntheticGenes-1)/4 {
+		t.Fatalf("result = %+v", r)
+	}
+}
+
 // TestV2FamilySpecValidation: family specs get the same machine-readable
 // rejection surface as the sequencing specs, including data-type mismatch
 // between spec and workflow.
@@ -190,8 +212,6 @@ func TestV2FamilySpecValidation(t *testing.T) {
 			"genes must be in"},
 		"network modules exceed genes": {SubmitJobRequest{Network: &NetworkSpec{Genes: 3, Modules: 9}},
 			"modules must be in"},
-		"network too dense": {SubmitJobRequest{Network: &NetworkSpec{Genes: 20000, Modules: 1}},
-			"edge memory"},
 		"two sources": {SubmitJobRequest{Proteome: &ProteomeSpec{Proteins: 5, Spectra: 10},
 			Network: &NetworkSpec{Genes: 10, Modules: 2}},
 			"exactly one of"},

@@ -142,13 +142,10 @@ const (
 	maxSyntheticProteins = 2000
 	maxSyntheticImages   = 64
 	maxImageSide         = 1024
-	maxSyntheticGenes    = 20000 // edge construction is O(genes²) time
-	// maxSyntheticEdgePairs bounds genes²/modules — a proxy for ~2× the
-	// edge count the generator's module structure implies. Edge *memory*
-	// scales with genes²/modules (each planted module is near-complete),
-	// so the genes cap alone would let network:{genes:20000,modules:1}
-	// materialize ~2e8 edges and OOM the daemon.
-	maxSyntheticEdgePairs = 1 << 20
+	// maxSyntheticGenes bounds the feature table. The Integrate stage
+	// counts edges off a sorted index and never lists one, so its memory
+	// is linear in genes however dense the planted modules are.
+	maxSyntheticGenes = 20000
 )
 
 func (s *SyntheticSpec) validate(_ *registry.Store, reference string) *APIError {
@@ -263,10 +260,6 @@ func (n *NetworkSpec) validate(_ *registry.Store, reference string) *APIError {
 	}
 	if n.Modules < 1 || n.Modules > n.Genes {
 		return invalidf("network: modules must be in [1, genes]")
-	}
-	if n.Genes*n.Genes/n.Modules > maxSyntheticEdgePairs {
-		return invalidf("network: genes²/modules must be <= %d (edge memory); spread %d genes over more modules",
-			maxSyntheticEdgePairs, n.Genes)
 	}
 	return noReference(reference)
 }

@@ -41,9 +41,6 @@ type Config struct {
 	// released almost immediately instead: future work can run on owned
 	// cores at a tenth of the price.
 	IdleReleasePublic float64
-	// EQTAlpha is the smoothing factor of the queue-time estimators
-	// (default 0.2).
-	EQTAlpha float64
 	// PredictiveMargin scales the hire cost in the predictive decision:
 	// the public hire happens only when the queue-wide delay cost exceeds
 	// margin × hire cost. Equation 1 charges the delay to every queued
@@ -51,6 +48,9 @@ type Config struct {
 	// compensates for that over-counting (default 3).
 	PredictiveMargin float64
 }
+
+// eqtAlpha is the smoothing factor of the queue-time estimators.
+const eqtAlpha = 0.2
 
 func (c *Config) fill() {
 	if c.ShardSize <= 0 {
@@ -61,9 +61,6 @@ func (c *Config) fill() {
 	}
 	if c.IdleReleasePublic <= 0 {
 		c.IdleReleasePublic = 1
-	}
-	if c.EQTAlpha <= 0 {
-		c.EQTAlpha = 0.2
 	}
 	if c.PredictiveMargin <= 0 {
 		c.PredictiveMargin = 3
@@ -174,7 +171,7 @@ func New(eng *sim.Engine, cl *cloud.Cloud, cfg Config) (*Scheduler, error) {
 		eqt:    make([]ewma, n),
 	}
 	for i := range s.eqt {
-		s.eqt[i] = newEWMA(cfg.EQTAlpha)
+		s.eqt[i] = newEWMA(eqtAlpha)
 	}
 	// The best-constant baseline is optimised offline against private-tier
 	// pricing and the mean shard size.

@@ -20,10 +20,11 @@ type Config struct {
 	// MinAltFraction is the minimum fraction of reads supporting the
 	// alternate allele (default 0.3).
 	MinAltFraction float64
-	// BaseErrorRate is the assumed per-base sequencing error used for the
-	// quality model (default 0.01).
-	BaseErrorRate float64
 }
+
+// baseErrorRate is the per-base sequencing error the quality model
+// assumes.
+const baseErrorRate = 0.01
 
 func (c *Config) fill() {
 	if c.MinDepth <= 0 {
@@ -31,9 +32,6 @@ func (c *Config) fill() {
 	}
 	if c.MinAltFraction <= 0 {
 		c.MinAltFraction = 0.3
-	}
-	if c.BaseErrorRate <= 0 {
-		c.BaseErrorRate = 0.01
 	}
 }
 
@@ -173,7 +171,7 @@ func (c *Caller) Call() []genomics.Variant {
 // observations arose from sequencing error alone, approximated as
 // e^altCount, converted to -10·log10 and capped at 1000.
 func (c *Caller) quality(altCount, depth uint32) float64 {
-	q := -10 * float64(altCount) * math.Log10(c.cfg.BaseErrorRate)
+	q := -10 * float64(altCount) * math.Log10(baseErrorRate)
 	if q > 1000 {
 		q = 1000
 	}

@@ -285,7 +285,7 @@ func (c *wholeCaller) call() []genomics.Variant {
 		if refIdx >= 0 {
 			refBase = indexBase[refIdx]
 		}
-		q := min(-10*float64(bestCount)*math.Log10(c.cfg.BaseErrorRate), 1000)
+		q := min(-10*float64(bestCount)*math.Log10(baseErrorRate), 1000)
 		out = append(out, genomics.Variant{
 			Pos: pos + 1, Ref: refBase, Alt: indexBase[bestAlt], Qual: math.Round(q*10) / 10,
 		})

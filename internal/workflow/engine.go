@@ -24,11 +24,10 @@ import (
 // concurrent Run calls; across runs it keeps only the kernel indexes of
 // the latest reference payloads (refIndex).
 type Engine struct {
-	catalogue      *Registry
-	execs          *ExecutorRegistry
-	kb             *knowledge.Base
-	workers        int
-	recordsPerUnit int
+	catalogue *Registry
+	execs     *ExecutorRegistry
+	kb        *knowledge.Base
+	workers   int
 	// aligners and peptideIndexes remember the seed index and the
 	// fragment-ion index built over reference payloads, so a job over a
 	// reference an earlier job used does not rebuild its index.
@@ -43,10 +42,11 @@ const refIndexMax = 1
 
 // refIndex remembers the kernel indexes built over reference payloads, at
 // most refIndexMax, the latest last. An entry's key is the payload's
-// identity (keyOf: its first element and length) and the kernel config;
-// a key holds the payload's storage, so no other slice takes its identity
-// while remembered. Payloads are never mutated (the registry's zero-copy
-// rule), so one key means one index.
+// identity (keyOf: its first element and length) alone, since every stage
+// builds its index with the kernel's default config. A key holds the
+// payload's storage, so no other slice takes its identity while
+// remembered. Payloads are never mutated (the registry's zero-copy rule),
+// so one key means one index.
 type refIndex[V any] struct {
 	mu      sync.Mutex
 	entries []refIndexEntry[V]
@@ -88,10 +88,11 @@ type EngineOptions struct {
 	KB *knowledge.Base
 	// Workers bounds the per-stage worker pool (default: GOMAXPROCS).
 	Workers int
-	// RecordsPerUnit converts payload records into the knowledge base's
-	// abstract input-size units (default 1000).
-	RecordsPerUnit int
 }
+
+// recordsPerUnit converts payload records into the knowledge base's
+// abstract input-size units (the paper's GB).
+const recordsPerUnit = 1000
 
 // NewEngine builds an engine.
 func NewEngine(opts EngineOptions) *Engine {
@@ -104,15 +105,11 @@ func NewEngine(opts EngineOptions) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.RecordsPerUnit <= 0 {
-		opts.RecordsPerUnit = 1000
-	}
 	return &Engine{
-		catalogue:      opts.Catalogue,
-		execs:          opts.Executors,
-		kb:             opts.KB,
-		workers:        opts.Workers,
-		recordsPerUnit: opts.RecordsPerUnit,
+		catalogue: opts.Catalogue,
+		execs:     opts.Executors,
+		kb:        opts.KB,
+		workers:   opts.Workers,
 	}
 }
 
@@ -121,8 +118,6 @@ func (e *Engine) Catalogue() *Registry { return e.catalogue }
 
 // RunOptions tunes one workflow execution.
 type RunOptions struct {
-	// Aligner configures alignment stages (zero value: package defaults).
-	Aligner align.Config
 	// Caller configures variant-calling stages (zero value: defaults).
 	Caller variant.Config
 	// ShardRecords, when positive, overrides the Data Broker's record-shard
@@ -131,9 +126,6 @@ type RunOptions struct {
 	// Regions is the region-scatter width for coordinate-scattered stages
 	// (default: the engine's worker count).
 	Regions int
-	// MinQual is the VariantFiltration quality floor (default 0: keep
-	// every call, matching the caller's own thresholds).
-	MinQual float64
 	// StageObserver, when non-nil, is invoked synchronously after each
 	// stage completes, with that stage's StageResult (name, tool, scatter
 	// width, elapsed time, shard plan). It is the engine's progress
@@ -365,11 +357,11 @@ func (env *StageEnv) RecordShardSize(total int) (int, error) {
 		if kb == nil {
 			return 0, knowledge.ErrNoKnowledge
 		}
-		units := float64(total) / float64(env.engine.recordsPerUnit)
+		units := float64(total) / recordsPerUnit
 		if env.result.Advice, err = kb.ShardAdvice(units); err != nil {
 			return 0, fmt.Errorf("data broker: %w", err)
 		}
-		per = max(int(env.result.Advice.ShardSize*float64(env.engine.recordsPerUnit)), 1)
+		per = max(int(env.result.Advice.ShardSize*recordsPerUnit), 1)
 		k := max((total+per-1)/per, 1)
 		w := env.engine.workers
 		if kw := min((k+w-1)/w*w, total); kw > k {
@@ -457,7 +449,7 @@ func (env *StageEnv) logShard(records int, elapsed time.Duration) {
 	_ = env.engine.kb.LogRunAsync(knowledge.RunLog{
 		App:       env.stage.Tool,
 		Stage:     env.index,
-		InputSize: float64(records) / float64(env.engine.recordsPerUnit),
+		InputSize: float64(records) / recordsPerUnit,
 		Threads:   1,
 		ETime:     elapsed.Seconds(),
 	})
@@ -480,11 +472,9 @@ func (env *StageEnv) Input() *Dataset { return env.input }
 // Scheduling-only fields (ShardPool, StageObserver) are dropped.
 func (env *StageEnv) RemoteOptions() RunOptions {
 	opts := RunOptions{
-		Aligner:      env.opts.Aligner,
 		Caller:       env.opts.Caller,
 		ShardRecords: env.opts.ShardRecords,
 		Regions:      env.RegionCount(),
-		MinQual:      env.opts.MinQual,
 	}
 	if env.result.Plan.NumShards > 0 {
 		opts.ShardRecords = env.result.Plan.RecordsPerShard
@@ -500,7 +490,7 @@ func (env *StageEnv) EstimateShardCost(records int, fallback float64) float64 {
 	if env.engine.kb == nil {
 		return fallback
 	}
-	units := float64(records) / float64(env.engine.recordsPerUnit)
+	units := float64(records) / recordsPerUnit
 	est, err := env.engine.kb.EstimateStageCost(env.stage.Tool, env.index, units)
 	if err != nil || est.Seconds <= 0 {
 		return fallback

@@ -755,23 +755,25 @@ func TestExecutorRegistryPrecedence(t *testing.T) {
 	}
 }
 
-func TestVariantFiltrationMinQual(t *testing.T) {
+// TestVariantFiltrationKeepsEveryCall: the caller's own depth and
+// allele-fraction thresholds are the filter, so VariantFiltration hands
+// the workflow's calls on unchanged.
+func TestVariantFiltrationKeepsEveryCall(t *testing.T) {
 	e := testEngine(t, 2)
 	ds := synthDataset(t, 6000, 1800, 8)
 	all, err := e.RunByName(context.Background(), "dna-variant-detection", ds, RunOptions{Caller: varConfigForTests()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := e.RunByName(context.Background(), "dna-variant-detection", ds,
-		RunOptions{Caller: varConfigForTests(), MinQual: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(all.Output.Variants) == 0 {
 		t.Fatal("no variants to filter")
 	}
-	if len(strict.Output.Variants) != 0 {
-		t.Fatalf("MinQual=1e9 kept %d variants", len(strict.Output.Variants))
+	filter, ok := DefaultExecutors().Lookup("GATK", "VariantFiltration")
+	if !ok {
+		t.Fatal("VariantFiltration is unbound")
+	}
+	if out, err := filter.Execute(context.Background(), nil, all.Output); err != nil || out != all.Output {
+		t.Fatalf("VariantFiltration returned %v, %v; want its input", out, err)
 	}
 }
 

@@ -86,7 +86,6 @@ func DefaultExecutors() *ExecutorRegistry {
 	must("GATK", "UnifiedGenotyper", streamOnly{callExecutor{}})
 	must("MuTect", "SomaticCall", streamOnly{callExecutor{}})
 	must("GATK", "FusionScan", streamOnly{callExecutor{}})
-	must("GATK", "VariantFiltration", filterExecutor{})
 	must("GATK", "Quantify", streamOnly{quantifyExecutor{}})
 	must("GATK", "MergeVCF", mergeVCFExecutor{})
 	// The GATK refinement stages between alignment and genotyping
@@ -94,10 +93,12 @@ func DefaultExecutors() *ExecutorRegistry {
 	// nothing to correct on this repo's substrate — the aligner places
 	// reads ungapped and the simulator plants no duplicates — so they
 	// pass the dataset through unchanged, holding the pipeline shape of
-	// the paper's 7-stage GATK chain.
+	// the paper's 7-stage GATK chain. VariantFiltration passes through
+	// too: the caller's own depth and allele-fraction thresholds are the
+	// filter.
 	for _, stage := range []string{
 		"MarkDuplicates", "RealignerTargetCreator", "IndelRealigner",
-		"BaseRecalibrator", "PrintReads",
+		"BaseRecalibrator", "PrintReads", "VariantFiltration",
 	} {
 		must("GATK", stage, identityExecutor{})
 	}
@@ -125,16 +126,11 @@ type alignExecutor struct{}
 // comes from the engine's memo, built by the first Transform of the first
 // job over the reference, so a fleet coordinator never builds it.
 func (alignExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, error) {
-	cfg := env.Options().Aligner
-	if err := align.Check(in.Reference, cfg); err != nil {
+	if err := align.Check(in.Reference, align.Config{}); err != nil {
 		return nil, false, err
 	}
 	ref := in.Reference
-	key := struct {
-		seq any
-		cfg align.Config
-	}{keyOf(ref.Seq), cfg}
-	index := env.engine.aligners.get(key, func() (*align.Aligner, error) { return align.New(ref, cfg) })
+	index := env.engine.aligners.get(keyOf(ref.Seq), func() (*align.Aligner, error) { return align.New(ref, align.Config{}) })
 	return &alignStream{env: env, in: in, index: index}, true, nil
 }
 
@@ -279,32 +275,6 @@ func (s *callStream) Gather(shards []StreamShard) (*Dataset, error) {
 	out := *s.in
 	out.Type = VCF
 	out.Variants = slices.Concat(calls...)
-	return &out, nil
-}
-
-// filterExecutor implements VariantFiltration: drop calls below the run's
-// MinQual floor. The default floor of 0 keeps every call (the caller's own
-// depth and allele-fraction thresholds already applied), making the stage
-// a type-checked pass-through exactly like the seed pipeline.
-type filterExecutor struct{}
-
-func (filterExecutor) Execute(ctx context.Context, env *StageEnv, in *Dataset) (*Dataset, error) {
-	minQual := env.Options().MinQual
-	if minQual <= 0 {
-		return in, nil
-	}
-	out := *in
-	out.Variants = make([]genomics.Variant, 0, len(in.Variants))
-	for i, v := range in.Variants {
-		if i%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if v.Qual >= minQual {
-			out.Variants = append(out.Variants, v)
-		}
-	}
 	return &out, nil
 }
 

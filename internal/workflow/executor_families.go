@@ -37,12 +37,8 @@ func (e spectralSearchExecutor) Stream(env *StageEnv, in *Dataset) (StageStream,
 	if len(in.PeptideDB.Peptides) == 0 {
 		return nil, false, errors.New("spectral search needs a peptide database")
 	}
-	db, cfg := in.PeptideDB, proteome.Config{}
-	key := struct {
-		peptides any
-		cfg      proteome.Config
-	}{keyOf(db.Peptides), cfg}
-	index := env.engine.peptideIndexes.get(key, func() (*proteome.Index, error) { return proteome.NewIndex(db, cfg), nil })
+	db := in.PeptideDB
+	index := env.engine.peptideIndexes.get(keyOf(db.Peptides), func() (*proteome.Index, error) { return proteome.NewIndex(db, proteome.Config{}), nil })
 	return &spectralStream{env: env, in: in, quantify: e.quantify, index: index}, true, nil
 }
 

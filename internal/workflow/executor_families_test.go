@@ -429,14 +429,13 @@ func hostileSpectra(t testing.TB, seed int64) *Dataset {
 
 // TestReferenceIndexOncePerPayload: an engine builds a reference's seed
 // index and a peptide database's fragment-ion index once, for every stage
-// over that payload. An equal copy, another kernel config or another
-// payload gets its own, and the newest payload's index replaces the
-// previous one.
+// over that payload. An equal copy or another payload gets its own, and
+// the newest payload's index replaces the previous one.
 func TestReferenceIndexOncePerPayload(t *testing.T) {
 	e := testEngine(t, 2)
-	aligner := func(ds *Dataset, cfg align.Config) *align.Aligner {
+	aligner := func(ds *Dataset) *align.Aligner {
 		t.Helper()
-		env := &StageEnv{engine: e, opts: RunOptions{Aligner: cfg}, result: &StageResult{}}
+		env := &StageEnv{engine: e, opts: RunOptions{}, result: &StageResult{}}
 		st, _, err := alignExecutor{}.Stream(env, ds)
 		if err != nil {
 			t.Fatal(err)
@@ -463,21 +462,21 @@ func TestReferenceIndexOncePerPayload(t *testing.T) {
 
 	t.Run("aligner", func(t *testing.T) {
 		ds, other := synthDataset(t, 3000, 50, 1), synthDataset(t, 3000, 50, 2)
-		first := aligner(ds, align.Config{})
-		if aligner(ds, align.Config{}) != first || aligner(&Dataset{Reference: ds.Reference}, align.Config{}) != first {
+		first := aligner(ds)
+		if aligner(ds) != first || aligner(&Dataset{Reference: ds.Reference}) != first {
 			t.Fatal("a second stage over one reference built another seed index")
 		}
 		clone := &Dataset{Reference: ds.Reference}
 		clone.Reference.Seq = slices.Clone(ds.Reference.Seq)
-		if aligner(clone, align.Config{}) == first {
+		if aligner(clone) == first {
 			t.Fatal("an equal copy of the reference shared the first one's index")
 		}
-		again := aligner(ds, align.Config{})
-		if again == first || aligner(ds, align.Config{K: 12}) == again {
-			t.Fatal("another payload or config did not get its own index")
+		again := aligner(ds)
+		if again == first {
+			t.Fatal("another payload did not get its own index")
 		}
-		second := aligner(other, align.Config{})
-		if aligner(other, align.Config{}) != second || aligner(ds, align.Config{}) == again {
+		second := aligner(other)
+		if aligner(other) != second || aligner(ds) == again {
 			t.Fatal("the second reference did not replace the first")
 		}
 	})

@@ -59,7 +59,7 @@ func TestCostOracleAnswersOnEngineTelemetry(t *testing.T) {
 		}
 	}
 	kb := knowledge.New()
-	e := NewEngine(EngineOptions{Executors: execs, KB: kb, Workers: 2, RecordsPerUnit: 1})
+	e := NewEngine(EngineOptions{Executors: execs, KB: kb, Workers: 2})
 
 	var mu sync.Mutex
 	seen := map[string][]float64{} // tool -> shard seconds at the large size
@@ -119,7 +119,7 @@ func TestFirstTelemetryReachesTheBroker(t *testing.T) {
 		{Name: "Once", Tool: "SizedOnce", Consumes: FASTQ, Produces: FASTQ, Parallelizable: true},
 	}}
 	kb := knowledge.New()
-	e := NewEngine(EngineOptions{Executors: execs, KB: kb, Workers: 2, RecordsPerUnit: 1})
+	e := NewEngine(EngineOptions{Executors: execs, KB: kb, Workers: 2})
 	if _, err := e.Run(context.Background(), w, &Dataset{Type: FASTQ}, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
