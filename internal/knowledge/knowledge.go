@@ -84,12 +84,12 @@ type Base struct {
 
 	// Materialized Data Broker cache (broker.go): an immutable snapshot
 	// valid for one profile epoch, read lock-free on the hot path.
-	// cacheMu serializes rebuilds and memo extensions only.
+	// cacheMu serializes rebuilds only.
 	cacheMu sync.Mutex
 	cache   atomic.Pointer[adviceCache]
 
-	// Advice-cache observability: hits answered from a published memo
-	// (no profile ranking ran), misses that ranked profiles. Scraped by
+	// Advice-cache observability: ShardAdvice calls answered from the
+	// published profile cache, and calls that rebuilt it. Scraped by
 	// scand's /metrics; see CacheStats.
 	cacheHits, cacheMisses atomic.Uint64
 
@@ -276,15 +276,9 @@ func (b *Base) Query(src string) (*sparql.Results, error) {
 // served from the materialized cache and recomputed only when the graph has
 // changed since it was built.
 func (b *Base) Profiles() ([]AppProfile, error) {
-	c := b.currentCache()
-	if c == nil {
-		b.cacheMu.Lock()
-		var err error
-		c, err = b.refreshedCacheLocked()
-		b.cacheMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	c, _, err := b.profileCache()
+	if err != nil {
+		return nil, err
 	}
 	// Callers may mutate the result; the cached slice is shared.
 	return append([]AppProfile(nil), c.profiles...), nil
@@ -350,50 +344,28 @@ var ErrNoKnowledge = errors.New("knowledge: no applicable profile")
 // exceed the job's and recommends its configuration ("The Data Broker will
 // query the SCAN knowledge-base to decide the suitable chunk size of input
 // files of tasks whenever there is a new GATK task"). It is the platform's
-// hottest read: answers come from the materialized profile cache plus a
-// per-job-size memo, so repeated calls cost no SPARQL evaluation and no
-// graph lock until a write invalidates the epoch.
+// hottest read: it ranks the materialized profile cache, so a call costs
+// no SPARQL evaluation and no graph lock until a write invalidates the
+// epoch.
 func (b *Base) ShardAdvice(jobSize float64) (Advice, error) {
-	// Lock-free hit path: published caches are immutable and validated by
-	// the atomic epoch, so concurrent readers never serialize here.
-	if c := b.currentCache(); c != nil {
-		if adv, ok := c.memo[jobSize]; ok {
-			b.cacheHits.Add(1)
-			return adv, nil
-		}
-	}
-	b.cacheMu.Lock()
-	defer b.cacheMu.Unlock()
-	c, err := b.refreshedCacheLocked()
+	// Published caches are immutable and validated by the atomic epoch,
+	// so concurrent readers of a fresh one never serialize here.
+	c, stale, err := b.profileCache()
 	if err != nil {
 		return Advice{}, err
 	}
-	if adv, ok := c.memo[jobSize]; ok {
+	if stale {
+		b.cacheMisses.Add(1)
+	} else {
 		b.cacheHits.Add(1)
-		return adv, nil
 	}
-	adv, err := adviseFromProfiles(c.profiles, jobSize)
-	if err != nil {
-		return Advice{}, err
-	}
-	b.cacheMisses.Add(1)
-	// Publish a copy with the memo extended (copy-on-write keeps readers
-	// race-free); a full memo starts over rather than growing unbounded.
-	next := &adviceCache{epoch: c.epoch, profiles: c.profiles,
-		memo: make(map[float64]Advice, len(c.memo)+1)}
-	if len(c.memo) < adviceMemoLimit {
-		for k, v := range c.memo {
-			next.memo[k] = v
-		}
-	}
-	next.memo[jobSize] = adv
-	b.cache.Store(next)
-	return adv, nil
+	return adviseFromProfiles(c.profiles, jobSize)
 }
 
 // CacheStats reports the advice cache's cumulative hit/miss counts: a hit
-// is a ShardAdvice answered from a published memo (no profile ranking), a
-// miss ran adviseFromProfiles. Monotonic; scraped by scand's /metrics.
+// is a ShardAdvice answered from the materialized profile cache, a miss
+// found it stale and waited for its rebuild from SPARQL (profileCache).
+// Monotonic; scraped by scand's /metrics.
 func (b *Base) CacheStats() (hits, misses uint64) {
 	return b.cacheHits.Load(), b.cacheMisses.Load()
 }

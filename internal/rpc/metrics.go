@@ -73,13 +73,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	kb := s.platform.KB()
 	reg.CounterFunc("scan_advice_cache_hits_total",
-		"Data Broker shard-advice calls answered from the memoized cache.", nil,
+		"Data Broker shard-advice calls answered from the materialized profile cache.", nil,
 		func() []metrics.Sample {
 			hits, _ := kb.CacheStats()
 			return metrics.Value0(float64(hits))
 		})
 	reg.CounterFunc("scan_advice_cache_misses_total",
-		"Data Broker shard-advice calls that ranked profiles.", nil,
+		"Data Broker shard-advice calls that found the profile cache stale and rebuilt it from SPARQL.", nil,
 		func() []metrics.Sample {
 			_, misses := kb.CacheStats()
 			return metrics.Value0(float64(misses))

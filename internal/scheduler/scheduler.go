@@ -34,13 +34,6 @@ type Config struct {
 	// before release (default 1.5 TU — private cores are cheap, so keeping
 	// a warm pool beats paying the boot penalty again).
 	IdleReleasePrivate float64
-	// IdleReleasePublic is the idle window for public-tier workers while
-	// the private tier is saturated (default 1 TU — warm public workers
-	// absorb the sustained overflow without a fresh boot penalty). When
-	// the private tier has spare capacity a parked public worker is
-	// released almost immediately instead: future work can run on owned
-	// cores at a tenth of the price.
-	IdleReleasePublic float64
 	// PredictiveMargin scales the hire cost in the predictive decision:
 	// the public hire happens only when the queue-wide delay cost exceeds
 	// margin × hire cost. Equation 1 charges the delay to every queued
@@ -58,9 +51,6 @@ func (c *Config) fill() {
 	}
 	if c.IdleReleasePrivate <= 0 {
 		c.IdleReleasePrivate = 1.5
-	}
-	if c.IdleReleasePublic <= 0 {
-		c.IdleReleasePublic = 1
 	}
 	if c.PredictiveMargin <= 0 {
 		c.PredictiveMargin = 3
@@ -545,12 +535,20 @@ func (s *Scheduler) parkWorker(ws *workerState) {
 	case s.cloud.FreeCores(0) >= width:
 		window = publicDrainWindow
 	default:
-		window = s.cfg.IdleReleasePublic
+		window = publicIdleWindow
 	}
 	ws.idleEvent = s.eng.After(window, func() {
 		s.releaseIdle(ws)
 	})
 }
+
+// publicIdleWindow is the idle window (1 TU) for public-tier workers while the
+// private tier is saturated: warm public workers absorb the sustained
+// overflow without a fresh boot penalty. When the private tier has spare
+// capacity a parked public worker is released almost immediately instead
+// (publicDrainWindow): future work can run on owned cores at a tenth of
+// the price.
+const publicIdleWindow = 1
 
 // publicDrainWindow is the near-immediate release delay for public workers
 // that are no longer needed (kept nonzero so a task completing at the same

@@ -67,9 +67,10 @@
 //   - Gather must be deterministic in shard index order.
 //
 // A kernel index over a reference payload — the aligner's seed index, the
-// proteome's fragment-ion index — comes from the engine's memo, built on
-// the first Transform of the first job over that payload and kept, one
-// per kind, for later jobs over it. An index over the job's own sample
+// proteome's fragment-ion index — comes from the engine's memo.Memo of
+// its kind, built on the first Transform of the first job over that
+// payload and kept, one per kind (refIndexMax), for later jobs over it.
+// A stream takes its index loader once, in Stream, never per shard. An index over the job's own sample
 // (the network's value index) is built once per stage, in its Split, so
 // no shard's logged time holds it.
 //

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
 	"scan/internal/align"
 	"scan/internal/knowledge"
+	"scan/internal/memo"
 	"scan/internal/proteome"
 	"scan/internal/shard"
 	"scan/internal/variant"
@@ -22,7 +22,7 @@ import (
 // bounded context-aware worker pool, and per-shard run logging back into
 // the knowledge base. The engine holds no per-run state and is safe for
 // concurrent Run calls; across runs it keeps only the kernel indexes of
-// the latest reference payloads (refIndex).
+// the latest reference payloads (refIndexMax).
 type Engine struct {
 	catalogue *Registry
 	execs     *ExecutorRegistry
@@ -31,48 +31,19 @@ type Engine struct {
 	// aligners and peptideIndexes remember the seed index and the
 	// fragment-ion index built over reference payloads, so a job over a
 	// reference an earlier job used does not rebuild its index.
-	aligners       refIndex[*align.Aligner]
-	peptideIndexes refIndex[*proteome.Index]
+	aligners       memo.Memo[any, *align.Aligner]
+	peptideIndexes memo.Memo[any, *proteome.Index]
 }
 
 // refIndexMax bounds each of an engine's reference-index memos: a job over
 // another reference replaces the one index it remembers, so the memo holds
-// at most the index any job over that reference holds while it runs.
+// at most the index any job over that reference holds while it runs. A
+// key is the payload's identity (keyOf: its first element and length)
+// alone, since every stage builds its index with the kernel's default
+// config. A key holds the payload's storage, so no other slice takes its
+// identity while remembered. Payloads are never mutated (the registry's
+// zero-copy rule), so one key means one index.
 const refIndexMax = 1
-
-// refIndex remembers the kernel indexes built over reference payloads, at
-// most refIndexMax, the latest last. An entry's key is the payload's
-// identity (keyOf: its first element and length) alone, since every stage
-// builds its index with the kernel's default config. A key holds the
-// payload's storage, so no other slice takes its identity while
-// remembered. Payloads are never mutated (the registry's zero-copy rule),
-// so one key means one index.
-type refIndex[V any] struct {
-	mu      sync.Mutex
-	entries []refIndexEntry[V]
-}
-
-type refIndexEntry[V any] struct {
-	key  any
-	load func() (V, error)
-}
-
-// get returns the index remembered under key, or remembers build under it.
-// The index is built on the returned function's first call, once, however
-// many stages and goroutines call it.
-func (m *refIndex[V]) get(key any, build func() (V, error)) func() (V, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if i := slices.IndexFunc(m.entries, func(e refIndexEntry[V]) bool { return e.key == key }); i >= 0 {
-		return m.entries[i].load
-	}
-	if len(m.entries) == refIndexMax {
-		m.entries = slices.Delete(m.entries, 0, 1)
-	}
-	load := sync.OnceValues(build)
-	m.entries = append(m.entries, refIndexEntry[V]{key: key, load: load})
-	return load
-}
 
 // EngineOptions configures an Engine.
 type EngineOptions struct {
@@ -106,10 +77,12 @@ func NewEngine(opts EngineOptions) *Engine {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		catalogue: opts.Catalogue,
-		execs:     opts.Executors,
-		kb:        opts.KB,
-		workers:   opts.Workers,
+		catalogue:      opts.Catalogue,
+		execs:          opts.Executors,
+		kb:             opts.KB,
+		workers:        opts.Workers,
+		aligners:       memo.Memo[any, *align.Aligner]{Max: refIndexMax},
+		peptideIndexes: memo.Memo[any, *proteome.Index]{Max: refIndexMax},
 	}
 }
 
@@ -340,11 +313,13 @@ const minShardSeconds = 15 * 17e-6
 
 // RecordShardSize decides how many records each shard of this stage should
 // carry. The run's ShardRecords override is taken exactly. Otherwise the
-// Data Broker's advice for total records gives k = ⌈total/advised⌉ shards,
-// rounded up to whole waves of the pool (a multiple of Workers, at most
-// total) when the KB's observed rate for this (tool, stage) predicts each
-// at minShardSeconds or more; either way they are cut equal. The price is
-// linear in records (rate per record × records). The plan (and advice,
+// Data Broker's advice for total records gives k = ⌈total/advised⌉ shards.
+// When the KB has an observed rate for this (tool, stage), k is priced
+// both ways: rounded up to whole waves of the pool (a multiple of Workers,
+// at most total) when that predicts each shard at minShardSeconds or more,
+// else cut to the most shards that each predict minShardSeconds (at least
+// one). Either way they are cut equal. The price is linear in records
+// (rate per record × records). The plan (and advice,
 // when consulted) is recorded on the stage result, and RemoteOptions pins
 // it for fleet workers.
 func (env *StageEnv) RecordShardSize(total int) (int, error) {
@@ -363,10 +338,12 @@ func (env *StageEnv) RecordShardSize(total int) (int, error) {
 		}
 		per = max(int(env.result.Advice.ShardSize*recordsPerUnit), 1)
 		k := max((total+per-1)/per, 1)
-		w := env.engine.workers
-		if kw := min((k+w-1)/w*w, total); kw > k {
-			if rate, ok := kb.StageRate(env.stage.Tool, env.index); ok && rate*units/float64(kw) >= minShardSeconds {
+		if rate, ok := kb.StageRate(env.stage.Tool, env.index); ok {
+			w, work := env.engine.workers, rate*units
+			if kw := min((k+w-1)/w*w, total); kw > k && work/float64(kw) >= minShardSeconds {
 				k = kw
+			} else {
+				k = min(k, max(1, int(work/minShardSeconds)))
 			}
 		}
 		plan, err = shard.PlanByShards(total, k)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -96,10 +97,10 @@ func TestEngineRunsVariantDetection(t *testing.T) {
 // TestRecordShardSizeFillsPool pins the Data Broker's plan: the advised
 // shard count on a KB with no telemetry for the stage, whole waves of the
 // pool once the stage's observed rate prices every shard above the floor,
-// the advised count again below it — a serve-sized proteome job stays
-// whole and a bench-sized one splits — equal shards throughout, the
-// ShardRecords override taken exactly, and RemoteOptions reproducing the
-// plan on an engine with no KB at all.
+// the advised count cut to what the floor pays for below it — a
+// serve-sized proteome job stays whole and a bench-sized one splits —
+// equal shards throughout, the ShardRecords override taken exactly, and
+// RemoteOptions reproducing the plan on an engine with no KB at all.
 func TestRecordShardSizeFillsPool(t *testing.T) {
 	// plan runs RecordShardSize for the first stage of a tool, as its Split
 	// would, and returns the env so RemoteOptions can be read off it.
@@ -175,6 +176,25 @@ func TestRecordShardSizeFillsPool(t *testing.T) {
 	}
 	if got, _ := plan(observed("MaxQuant", 0.00173), 2, RunOptions{}, "MaxQuant", 1500); got != want(1500, 750, 2) {
 		t.Fatalf("1 500 spectra above the floor: plan %+v", got)
+	}
+
+	// Below the floor the same price cuts the broker's count: at most
+	// ⌊rate·units / minShardSeconds⌋ shards, and never fewer than one.
+	for _, tc := range []struct {
+		rate         float64 // observed seconds per unit
+		workers      int
+		total        int
+		wantPer, nSh int
+	}{
+		{1e-5, 2, 30000, 30000, 1},   // 0.3 ms: two advised shards become one
+		{9e-6, 5, 100000, 33334, 3},  // 0.9 ms: five advised shards become three
+		{1e-9, 2, 100000, 100000, 1}, // no shard is worth its cost: one
+	} {
+		got, _ := plan(observed("BWA", tc.rate), tc.workers, RunOptions{}, "BWA", tc.total)
+		if got != want(tc.total, tc.wantPer, tc.nSh) {
+			t.Fatalf("BWA rate %g W=%d total %d: plan %+v, want %d shards of %d",
+				tc.rate, tc.workers, tc.total, got, tc.nSh, tc.wantPer)
+		}
 	}
 
 	// The override is exact: no rounding, no equalising, no advice.
@@ -556,6 +576,40 @@ func planInput(t testing.TB, seed int64) *Dataset {
 	return NewFASTQDataset(ref, reads)
 }
 
+// hostileCalls draws an unsorted call set that stresses the merge: calls
+// crowded onto 40 positions, so many share (pos, ref, alt); exact repeats;
+// qualities drawn from a few tied values, NaN, ±Inf and ±0; and, at
+// positions of their own, the orders in which a merge that replaces on
+// ties or compares NaN wrongly keeps another call: +0 then -0, -0 then
+// +0, NaN then 50, 50 then NaN, -Inf then +Inf twice.
+func hostileCalls(t testing.TB, seed int64) *Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ref := genomics.GenerateReference(rng, "chr1", 60)
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	quals := []float64{30, 30, 50, nan, inf, -inf, 0, negZero}
+	var calls []genomics.Variant
+	call := func(pos int, qual float64) {
+		v := genomics.Variant{Pos: pos, Ref: ref.Seq[pos-1], Alt: 'T', Qual: qual}
+		if v.Ref == 'T' {
+			v.Alt = 'G'
+		}
+		calls = append(calls, v)
+	}
+	for range 300 {
+		call(1+rng.Intn(40), quals[rng.Intn(len(quals))])
+		if rng.Intn(10) == 0 {
+			calls = append(calls, calls[len(calls)-1])
+		}
+	}
+	for i, qs := range [][]float64{{0, negZero}, {negZero, 0}, {nan, 50}, {50, nan}, {-inf, inf, inf}} {
+		for _, q := range qs {
+			call(50-i, q)
+		}
+	}
+	return NewVCFDataset(ref, calls)
+}
+
 // ignoresPlan runs workflow name over ds on pools of 1, 2 and 8, under
 // every options value plans gives for the pool, hands each result to
 // check, and fails unless every output encodes to the first one's bytes.
@@ -609,8 +663,10 @@ func recordPlans(n int) func(pool int) []RunOptions {
 // or more regions than reference bases, on a pool of 1, 2 or 8 — down to
 // the encoded bytes of its output. So is integrative-network's, in one
 // shard, one per pool slot, 7 or one node each, on values with ties, NaN,
-// ±Inf and ±0, and its edge count is the pairwise scan's. So are the
-// proteomic workflows', in the same plans, on the hostile spectra.
+// ±Inf and ±0, and its edge count is the pairwise scan's. So is
+// variants-to-vcf's, in the same plans, on unsorted, repeated calls with
+// tied, NaN, ±Inf and ±0 qualities, and its merge is the hand merge's.
+// So are the proteomic workflows', on the hostile spectra.
 func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
 	ds := planInput(t, 11)
 	readPlans := func(int) []RunOptions {
@@ -667,6 +723,37 @@ func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
 			}
 		})
 	})
+	t.Run("variants-to-vcf", func(t *testing.T) {
+		ds := hostileCalls(t, 17)
+		// want is the merge by hand: per (pos, ref, alt) the first call in
+		// input order, replaced only by a strictly higher quality, in
+		// (pos, ref, alt) order.
+		best := map[[3]int]genomics.Variant{}
+		for _, v := range ds.Variants {
+			k := [3]int{v.Pos, int(v.Ref), int(v.Alt)}
+			if b, ok := best[k]; !ok || v.Qual > b.Qual {
+				best[k] = v
+			}
+		}
+		keys := slices.SortedFunc(maps.Keys(best), func(a, b [3]int) int { return slices.Compare(a[:], b[:]) })
+		want := make([]genomics.Variant, len(keys))
+		for i, k := range keys {
+			want[i] = best[k]
+		}
+		n := len(ds.Variants)
+		ignoresPlan(t, "variants-to-vcf", ds, false, recordPlans(n), func(pool int, opts RunOptions, res *Result) {
+			got := res.Output.Variants
+			if len(got) != len(want) || len(want) >= n {
+				t.Fatalf("pool %d, %d records per shard: %d calls merged from %d, want %d", pool, opts.ShardRecords, len(got), n, len(want))
+			}
+			for i, v := range got {
+				w := want[i]
+				if v.Pos != w.Pos || v.Ref != w.Ref || v.Alt != w.Alt || math.Float64bits(v.Qual) != math.Float64bits(w.Qual) {
+					t.Fatalf("pool %d, %d records per shard: call %d is %+v, want %+v", pool, opts.ShardRecords, i, v, w)
+				}
+			}
+		})
+	})
 	for _, name := range []string{"proteome-maxquant", "proteome-gpm"} {
 		t.Run(name, func(t *testing.T) {
 			ds := hostileSpectra(t, 13)
@@ -704,21 +791,6 @@ func TestReverseStrandReadsCallAsForward(t *testing.T) {
 			t.Fatalf("%s: %d mapped, calls %+v, %d features; forward-only: %d mapped, calls %+v",
 				name, outs[0].Mapped, outs[0].Variants, len(outs[0].Features), outs[1].Mapped, outs[1].Variants)
 		}
-	}
-}
-
-func TestMergeVCFWorkflowDeduplicates(t *testing.T) {
-	e := testEngine(t, 2)
-	ref := genomics.Sequence{Name: "chr1", Seq: []byte("ACGTACGTACGT")}
-	v := genomics.Variant{Pos: 3, Ref: 'G', Alt: 'T', Qual: 50}
-	in := NewVCFDataset(ref, []genomics.Variant{v, v, {Pos: 1, Ref: 'A', Alt: 'C', Qual: 40}})
-	res, err := e.RunByName(context.Background(), "variants-to-vcf", in, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.Output.Variants
-	if len(out) != 2 || out[0].Pos != 1 || out[1].Pos != 3 {
-		t.Fatalf("merged variants = %+v", out)
 	}
 }
 

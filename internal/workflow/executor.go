@@ -130,7 +130,7 @@ func (alignExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool, erro
 		return nil, false, err
 	}
 	ref := in.Reference
-	index := env.engine.aligners.get(keyOf(ref.Seq), func() (*align.Aligner, error) { return align.New(ref, align.Config{}) })
+	index := env.engine.aligners.Get(keyOf(ref.Seq), func() (*align.Aligner, error) { return align.New(ref, align.Config{}) })
 	return &alignStream{env: env, in: in, index: index}, true, nil
 }
 

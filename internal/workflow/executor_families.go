@@ -38,7 +38,7 @@ func (e spectralSearchExecutor) Stream(env *StageEnv, in *Dataset) (StageStream,
 		return nil, false, errors.New("spectral search needs a peptide database")
 	}
 	db := in.PeptideDB
-	index := env.engine.peptideIndexes.get(keyOf(db.Peptides), func() (*proteome.Index, error) { return proteome.NewIndex(db, proteome.Config{}), nil })
+	index := env.engine.peptideIndexes.Get(keyOf(db.Peptides), func() (*proteome.Index, error) { return proteome.NewIndex(db, proteome.Config{}), nil })
 	return &spectralStream{env: env, in: in, quantify: e.quantify, index: index}, true, nil
 }
 
