@@ -33,8 +33,8 @@ func TestConcurrentRunWorkflowAccounting(t *testing.T) {
 	}
 
 	// Calibration: one serial run of the identical job fixes the per-run
-	// observation count. The pinned plan and the pool's region width make
-	// it deterministic.
+	// observation count. The pinned plan, which sizes the calling regions
+	// too, makes it deterministic.
 	if _, err := runVariantCalling(context.Background(), p, ds, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func seedVariantCalling(p *Platform, ds *workflow.Dataset, shardRecords int) (*s
 		return nil, err
 	}
 
-	readShards, err := shard.ChunkReads(reads, recordsPerShard)
+	readShards, err := shard.Chunk(reads, recordsPerShard)
 	if err != nil {
 		return nil, err
 	}
@@ -98,21 +98,22 @@ func seedVariantCalling(p *Platform, ds *workflow.Dataset, shardRecords int) (*s
 // variant-detection workflow run through RunWorkflow must produce
 // identical alignments, variants, mapped counts, shard plans and Data
 // Broker advice to the seed pipeline, across explicit sharding, KB-advised
-// sharding, and uneven region splits.
+// sharding, one shard, and many small shards (the calling stage cut into
+// a region per shardRecords alignments).
 func TestEngineMatchesSeedPipeline(t *testing.T) {
 	cases := []struct {
-		name                  string
-		refLen, reads, snvs   int
-		seed                  int64
-		shardRecords, regions int
-		worker                int
+		name                string
+		refLen, reads, snvs int
+		seed                int64
+		shardRecords        int
+		worker              int
 	}{
-		{"explicit-shards", 8000, 2400, 12, 42, 137, 5, 4},
+		{"explicit-shards", 8000, 2400, 12, 42, 137, 4},
 		// 24 000 reads are 24 units: the paper KB advises GATK3's 20-unit
 		// chunks, two shards of 12 000 reads.
-		{"kb-advised", 8000, 24000, 12, 42, 0, 0, 3},
-		{"single-shard-single-region", 6000, 1500, 8, 21, 1500, 1, 2},
-		{"many-small-shards", 6000, 1500, 8, 21, 100, 7, 4},
+		{"kb-advised", 8000, 24000, 12, 42, 0, 3},
+		{"single-shard-single-region", 6000, 1500, 8, 21, 1500, 2},
+		{"many-small-shards", 6000, 1500, 8, 21, 100, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,7 +125,7 @@ func TestEngineMatchesSeedPipeline(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := runVariantCalling(context.Background(), p, ds,
-				workflow.RunOptions{ShardRecords: tc.shardRecords, Regions: tc.regions})
+				workflow.RunOptions{ShardRecords: tc.shardRecords})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -140,12 +140,12 @@ func TestShardedEqualsUnsharded(t *testing.T) {
 	ds, _ := synthJob(t, 6000, 1500, 8, 21)
 	p := NewPlatform(Options{Workers: 4})
 	ra, err := runVariantCalling(context.Background(), p, ds,
-		workflow.RunOptions{ShardRecords: len(ds.Reads), Regions: 1}) // single shard
+		workflow.RunOptions{ShardRecords: len(ds.Reads)}) // single shard
 	if err != nil {
 		t.Fatal(err)
 	}
 	rb, err := runVariantCalling(context.Background(), p, ds,
-		workflow.RunOptions{ShardRecords: 100, Regions: 7}) // 15 shards
+		workflow.RunOptions{ShardRecords: 100}) // 15 shards
 	if err != nil {
 		t.Fatal(err)
 	}

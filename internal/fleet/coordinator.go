@@ -203,6 +203,7 @@ func (c *Coordinator) RunShards(ctx context.Context, env *workflow.StageEnv, sha
 		spec: Task{
 			Workflow:     env.Workflow(),
 			Stage:        env.StageIndex(),
+			Shards:       len(shards),
 			Type:         in.Type,
 			ContextParts: hashes,
 			Options:      PinOptions(env.RemoteOptions()),

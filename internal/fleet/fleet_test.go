@@ -402,32 +402,34 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		{name: "proteome-maxquant-advised", workflow: "proteome-maxquant", dataset: func(t testing.TB) *workflow.Dataset {
 			return mgfDataset(t, 20, 400, 17)
 		}, observed: &knowledge.RunLog{App: "MaxQuant", InputSize: 0.4, Threads: 1, ETime: 0.4}, wantShards: 4},
-		{name: "cell-imaging", workflow: "cell-imaging", opts: workflow.RunOptions{Regions: 4}, dataset: func(t testing.TB) *workflow.Dataset {
+		{name: "cell-imaging", workflow: "cell-imaging", opts: workflow.RunOptions{ShardRecords: 40}, dataset: func(t testing.TB) *workflow.Dataset {
 			return tiffDataset(t, 3, 5, 23)
 		}},
 		{name: "integrative-network", workflow: "integrative-network", opts: workflow.RunOptions{ShardRecords: 20}, dataset: func(t testing.TB) *workflow.Dataset {
 			return featureDataset(t, 60, 4, 29)
 		}},
-		// Three regions over eight expression bins: shards own unequal runs
-		// of whole bins and ship per-bin feature lists.
-		{name: "rna-expression", workflow: "rna-expression", opts: workflow.RunOptions{Regions: 3}, dataset: func(t testing.TB) *workflow.Dataset {
+		// 700 alignments a shard cut eight expression bins into three
+		// regions: shards own unequal runs of whole bins and ship per-bin
+		// feature lists.
+		{name: "rna-expression", workflow: "rna-expression", opts: workflow.RunOptions{ShardRecords: 700}, dataset: func(t testing.TB) *workflow.Dataset {
 			return fastqDataset(t, 8000, 2000, 13)
 		}},
 	}
 	// Every read-consuming genomic workflow over the hostile read mix, in
-	// 37-read align shards and 7 regions.
+	// 37-record shards: 37 reads per align shard, a region per 37
+	// alignments.
 	for _, name := range []string{
 		"dna-variant-detection", "exome-variant-detection", "wgs-variant-detection",
 		"somatic-mutation-detection", "mirna-fusion-detection", "rna-expression",
 	} {
 		cases = append(cases, distributedCase{name: "hostile-" + name, workflow: name,
-			opts:    workflow.RunOptions{ShardRecords: 37, Regions: 7, Caller: variant.Config{MinDepth: 3, MinAltFraction: 0.3}},
+			opts:    workflow.RunOptions{ShardRecords: 37, Caller: variant.Config{MinDepth: 3, MinAltFraction: 0.3}},
 			dataset: func(t testing.TB) *workflow.Dataset { return hostileFASTQ(t, 31) }})
 	}
-	// The hostile frames in 7 tiles each: cells wider than a tile, on tile
-	// borders, in a frame narrower than its grid and beside a NaN pixel.
+	// The hostile frames in 7-row bands: cells taller than a band, on band
+	// borders, in a frame three pixels wide and beside a NaN pixel.
 	cases = append(cases, distributedCase{name: "hostile-cell-imaging", workflow: "cell-imaging",
-		opts: workflow.RunOptions{Regions: 7}, dataset: func(t testing.TB) *workflow.Dataset { return hostileFrames(t, 5) }})
+		opts: workflow.RunOptions{ShardRecords: 7}, dataset: func(t testing.TB) *workflow.Dataset { return hostileFrames(t, 5) }})
 	// The proteomic workflows over the hostile spectra and the network over
 	// the hostile feature table, each in many small shards and in a few
 	// wide ones.
@@ -1329,8 +1331,9 @@ func (m *taskMangler) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // TestWorkerRejectsMalformedContext: a task whose context parts are
 // malformed — none, a repeated hash, more than the dataset has fields, two
-// setting one field, or an alignment naming a read the context lacks —
-// fails on the worker as a task error. Every dispatch re-queues until the
+// setting one field, or an alignment naming a read the context lacks — or
+// whose pinned options re-Split the stage into another shard count fails
+// on the worker as a task error. Every dispatch re-queues until the
 // stage fails with the worker's error, no shard commits, and the worker
 // lives on to run the next job.
 func TestWorkerRejectsMalformedContext(t *testing.T) {
@@ -1365,6 +1368,10 @@ func TestWorkerRejectsMalformedContext(t *testing.T) {
 		{"read index past the reads", func(t *Task) {
 			t.Stage, t.Type, t.ContextParts = call, workflow.BAM, []string{ref, oneRead, pastReads}
 		}, "names read 1 of 1"},
+		// A worker that cuts the stage differently (another build) must
+		// not transform shard 0 of its own cut as shard 0 of the
+		// coordinator's.
+		{"another cut", func(t *Task) { t.Options.ShardRecords = 7 }, "the coordinator cut 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m.mangle.Store(&tc.mangle)

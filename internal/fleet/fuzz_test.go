@@ -24,7 +24,7 @@ import (
 func FuzzDecodeTask(f *testing.F) {
 	hash, other := strings.Repeat("5e", 32), strings.Repeat("a7", 32)
 	seed, err := json.Marshal(Task{
-		ID: "t1", Workflow: "dna-variant-detection", Stage: 0, Shard: 2,
+		ID: "t1", Workflow: "dna-variant-detection", Stage: 0, Shard: 2, Shards: 3,
 		Attempt: 1, Type: workflow.FASTQ, ContextParts: []string{hash, other},
 	})
 	if err != nil {
@@ -54,8 +54,8 @@ func FuzzDecodeTask(f *testing.F) {
 		if task.ID == "" || task.Workflow == "" {
 			t.Fatalf("accepted task without identity: %+v", task)
 		}
-		if task.Stage < 0 || task.Shard < 0 {
-			t.Fatalf("accepted negative indices: %+v", task)
+		if task.Stage < 0 || task.Shard < 0 || task.Shard >= task.Shards {
+			t.Fatalf("accepted negative indices or a shard outside the stage: %+v", task)
 		}
 		parts := task.ContextParts
 		if len(parts) == 0 || len(parts) > workflow.MaxContextParts {

@@ -47,12 +47,13 @@ type PollResponse struct {
 
 // TaskOptions are the coordinator-pinned run options a worker needs to
 // rebuild a stage's stream deterministically (StageEnv.RemoteOptions):
-// the shard plan and region width are already decided, so the worker's
-// re-Split is byte-identical without a Data Broker.
+// the stage's shard plan is already decided, and its records per shard
+// give the worker the same count, so the worker's re-Split is
+// byte-identical without a Data Broker. No region width is sent: a
+// calling stage cuts its regions from that count.
 type TaskOptions struct {
 	Caller       variant.Config `json:"caller"`
 	ShardRecords int            `json:"shard_records,omitempty"`
-	Regions      int            `json:"regions,omitempty"`
 }
 
 // PinOptions converts the engine's pinned options to wire form.
@@ -60,7 +61,6 @@ func PinOptions(opts workflow.RunOptions) TaskOptions {
 	return TaskOptions{
 		Caller:       opts.Caller,
 		ShardRecords: opts.ShardRecords,
-		Regions:      opts.Regions,
 	}
 }
 
@@ -69,7 +69,6 @@ func (o TaskOptions) RunOptions() workflow.RunOptions {
 	return workflow.RunOptions{
 		Caller:       o.Caller,
 		ShardRecords: o.ShardRecords,
-		Regions:      o.Regions,
 	}
 }
 
@@ -77,12 +76,14 @@ func (o TaskOptions) RunOptions() workflow.RunOptions {
 // workflow, plus the stage input's type and the content hashes of its
 // parts (workflow.ContextParts; GET /api/v2/blobs/{hash}, cacheable). The
 // worker joins the parts, re-Splits the context with the pinned Options
-// and transforms shard Shard.
+// and transforms shard Shard of the coordinator's Shards, refusing a task
+// its re-Split cuts into another count (a build other than the coordinator's).
 type Task struct {
 	ID           string            `json:"id"`
 	Workflow     string            `json:"workflow"`
 	Stage        int               `json:"stage"`
 	Shard        int               `json:"shard"`
+	Shards       int               `json:"shards"`
 	Attempt      int               `json:"attempt"`
 	Type         workflow.DataType `json:"type"`
 	ContextParts []string          `json:"context_parts"`
@@ -186,6 +187,9 @@ func (t Task) validate() error {
 	}
 	if t.Stage < 0 || t.Shard < 0 {
 		return fmt.Errorf("%w: negative stage or shard index", ErrBadEnvelope)
+	}
+	if t.Shard >= t.Shards {
+		return fmt.Errorf("%w: shard index %d outside the stage's %d shards", ErrBadEnvelope, t.Shard, t.Shards)
 	}
 	if len(t.ContextParts) == 0 || len(t.ContextParts) > workflow.MaxContextParts {
 		return fmt.Errorf("%w: task has %d context parts, want 1 to %d",

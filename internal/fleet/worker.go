@@ -221,6 +221,10 @@ func (wk *Worker) runTask(ctx context.Context, t Task) (workflow.StreamShard, ti
 	if err != nil {
 		return workflow.StreamShard{}, 0, err
 	}
+	if n := prep.NumShards(); n != t.Shards {
+		return workflow.StreamShard{}, 0, fmt.Errorf("fleet: stage %d re-Split into %d shards, the coordinator cut %d: coordinator and worker builds differ",
+			t.Stage, n, t.Shards)
+	}
 	return prep.RunShard(ctx, t.Shard)
 }
 

@@ -106,34 +106,9 @@ func Generate(rng *rand.Rand, id string, cfg SimConfig) (Image, []Cell, error) {
 }
 
 // Tile is one scatter unit: the half-open pixel rectangle [X0,X1)×[Y0,Y1)
-// of a frame. The tiles of a grid partition the frame exactly.
+// of a frame.
 type Tile struct {
 	X0, Y0, X1, Y1 int
-}
-
-// TileGrid covers a w×h frame with approximately `tiles` tiles arranged in
-// a near-square grid. At least one tile is returned for a non-empty frame,
-// and the tiles partition the frame exactly.
-func TileGrid(w, h, tiles int) []Tile {
-	if tiles < 1 {
-		tiles = 1
-	}
-	gx := int(math.Ceil(math.Sqrt(float64(tiles))))
-	gy := (tiles + gx - 1) / gx
-	if gx > w {
-		gx = w
-	}
-	if gy > h {
-		gy = h
-	}
-	out := make([]Tile, 0, gx*gy)
-	for ty := 0; ty < gy; ty++ {
-		y0, y1 := ty*h/gy, (ty+1)*h/gy
-		for tx := 0; tx < gx; tx++ {
-			out = append(out, Tile{X0: tx * w / gx, Y0: y0, X1: (tx + 1) * w / gx, Y1: y1})
-		}
-	}
-	return out
 }
 
 // Region is one segmented connected component — a detected cell.

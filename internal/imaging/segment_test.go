@@ -96,6 +96,21 @@ func rowTiles(im *Image) []Tile {
 	return tiles
 }
 
+// bandTiles cuts the frame into full-width bands, a new band starting at
+// every row y whose bit is set in cuts — the row ranges a Profile shard
+// segments.
+func bandTiles(im *Image, cuts uint64) []Tile {
+	var tiles []Tile
+	y0 := 0
+	for y := 1; y <= im.H; y++ {
+		if y == im.H || cuts&(1<<y) != 0 {
+			tiles = append(tiles, Tile{X0: 0, Y0: y0, X1: im.W, Y1: y})
+			y0 = y
+		}
+	}
+	return tiles
+}
+
 // sameRegions compares region lists bit for bit, so equal NaN fields
 // compare equal and a −0 differs from a +0.
 func sameRegions(a, b []Region) bool {
@@ -127,7 +142,7 @@ func TestSegmentTileMatchesHaloScan(t *testing.T) {
 		}
 		grids := [][]Tile{rowTiles(&im)}
 		for tiles := 1; tiles <= 16; tiles++ {
-			grids = append(grids, TileGrid(im.W, im.H, tiles))
+			grids = append(grids, tileGrid(im.W, im.H, tiles))
 		}
 		for _, grid := range grids {
 			want := segmentTiles(&im, grid, haloSegmentTile)
@@ -150,7 +165,7 @@ func TestWideComponentSegmentsOnce(t *testing.T) {
 		}
 	}
 	for _, tiles := range []int{1, 2, 4, 9, 16} {
-		got := segmentTiles(&im, TileGrid(im.W, im.H, tiles), SegmentTile)
+		got := segmentTiles(&im, tileGrid(im.W, im.H, tiles), SegmentTile)
 		if len(got) != 1 || got[0].Area != 70*70 {
 			t.Fatalf("%d tiles: %+v, want one 4900-pixel region", tiles, got)
 		}
@@ -165,13 +180,14 @@ var fuzzValues = [...]float64{
 }
 
 // FuzzSegmentTile: on any frame, every tiling (a near-square grid of any
-// count, or one tile per row) returns the whole-frame regions bit for bit,
-// and on a NaN-free frame the whole-frame regions are the halo scan's.
+// count, full-width bands cut at any rows, or one tile per row) returns
+// the whole-frame regions bit for bit, and on a NaN-free frame the
+// whole-frame regions are the halo scan's.
 func FuzzSegmentTile(f *testing.F) {
-	f.Add(uint8(8), uint8(4), []byte{3, 3, 3, 0, 3, 3, 3, 0, 9, 3, 0, 0, 2, 2, 2, 2, 3, 3, 3, 3, 6, 7, 8, 9})
-	f.Add(uint8(5), uint8(2), []byte{4, 4, 4, 4, 4, 0, 0, 0, 0, 4, 4, 4, 4, 0, 4, 4, 0, 4, 4, 4, 4, 0, 0, 0, 0})
-	f.Add(uint8(3), uint8(9), []byte{9, 3, 3, 3, 9, 3, 2, 5, 2})
-	f.Fuzz(func(t *testing.T, width, tiles uint8, px []byte) {
+	f.Add(uint8(8), uint8(4), uint64(0b100), []byte{3, 3, 3, 0, 3, 3, 3, 0, 9, 3, 0, 0, 2, 2, 2, 2, 3, 3, 3, 3, 6, 7, 8, 9})
+	f.Add(uint8(5), uint8(2), uint64(0b1010), []byte{4, 4, 4, 4, 4, 0, 0, 0, 0, 4, 4, 4, 4, 0, 4, 4, 0, 4, 4, 4, 4, 0, 0, 0, 0})
+	f.Add(uint8(3), uint8(9), uint64(0), []byte{9, 3, 3, 3, 9, 3, 2, 5, 2})
+	f.Fuzz(func(t *testing.T, width, tiles uint8, cuts uint64, px []byte) {
 		w := 1 + int(width)%64
 		h := (len(px) + w - 1) / w
 		if h == 0 || h > 64 {
@@ -186,7 +202,7 @@ func FuzzSegmentTile(f *testing.F) {
 			nan = nan || math.IsNaN(im.Pix[i])
 		}
 		want := Segment(&im, SegConfig{})
-		for _, grid := range [][]Tile{TileGrid(w, h, 1+int(tiles)%24), rowTiles(&im)} {
+		for _, grid := range [][]Tile{tileGrid(w, h, 1+int(tiles)%24), bandTiles(&im, cuts), rowTiles(&im)} {
 			if got := segmentTiles(&im, grid, SegmentTile); !sameRegions(got, want) {
 				t.Fatalf("%dx%d in %d tiles: %+v, whole frame %+v", w, h, len(grid), got, want)
 			}
@@ -207,7 +223,7 @@ func BenchmarkSegmentFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	grid := TileGrid(im.W, im.H, 2)
+	grid := tileGrid(im.W, im.H, 2)
 	for _, bc := range []struct {
 		name string
 		seg  func(*Image, Tile, SegConfig) []Region

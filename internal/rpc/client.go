@@ -227,7 +227,7 @@ func (c *Client) Watch(ctx context.Context, id int, fn func(JobEvent)) (Job, err
 		return Job{}, decodeError(http.MethodGet, path, resp.StatusCode, resp.Body)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	var data bytes.Buffer
 	for sc.Scan() {
 		line := sc.Text()
@@ -247,6 +247,9 @@ func (c *Client) Watch(ctx context.Context, id int, fn func(JobEvent)) (Job, err
 			fn(ev)
 		}
 		if ev.Type == EventState && ev.State.Terminal() {
+			// The stream ends here; reading it to its end returns the
+			// connection to the pool for the next call.
+			_, _ = io.Copy(io.Discard, resp.Body)
 			if ev.Job != nil {
 				return *ev.Job, nil
 			}

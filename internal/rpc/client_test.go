@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -168,6 +170,36 @@ func TestClientTimeoutConfigurable(t *testing.T) {
 	}
 	if job.State != StateDone {
 		t.Fatalf("job = %+v", job)
+	}
+}
+
+// TestClientWatchReusesConnection: a watch that reaches the terminal event
+// leaves its connection to the next call instead of dialing per job.
+func TestClientWatchReusesConnection(t *testing.T) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprint(w, "event: state\ndata: {\"type\":\"state\",\"state\":\"done\",\"job\":{\"id\":1,\"state\":\"done\"}}\n\n")
+		// The stream's end reaches the client after its terminal event,
+		// as from scand, whose handler returns after flushing it.
+		w.(http.Flusher).Flush()
+		time.Sleep(10 * time.Millisecond)
+	}))
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := NewClient(ts.URL, WithHTTPClient(&http.Client{Transport: &http.Transport{}}))
+	for range 3 {
+		if _, err := c.Watch(context.Background(), 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("3 watches opened %d connections, want 1", n)
 	}
 }
 

@@ -104,8 +104,11 @@ func TestV2ImagingJobEndToEnd(t *testing.T) {
 	c, _ := testServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	// 192 stacked frame rows at 64 a shard: three row ranges, the middle
+	// one crossing from the first frame into the second.
 	job, err := c.CreateJob(ctx, SubmitJobRequest{
-		Imaging: &ImagingSpec{Images: 2, Width: 96, Height: 96, CellsPerImage: 5, Seed: 7},
+		Imaging:      &ImagingSpec{Images: 2, Width: 96, Height: 96, CellsPerImage: 5, Seed: 7},
+		ShardRecords: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,14 +126,14 @@ func TestV2ImagingJobEndToEnd(t *testing.T) {
 	if r.Features != 10 || r.TotalRecords != 2 {
 		t.Fatalf("result = %+v", r)
 	}
-	if len(r.Stages) != 1 || r.Stages[0].Tool != "CellProfiler" || r.Stages[0].Shards < 2 {
+	if len(r.Stages) != 1 || r.Stages[0].Tool != "CellProfiler" || r.Stages[0].Shards != 3 || r.Shards != 3 {
 		t.Fatalf("stage breakdown = %+v", r.Stages)
 	}
 	if len(stages) != 1 || stages[0].Stage.Name != "Profile" {
 		t.Fatalf("stage events = %+v", stages)
 	}
 	if got := kbRunLogs(ctx, t, c, "CellProfiler"); got != r.Stages[0].Shards {
-		t.Fatalf("CellProfiler run logs = %d, want %d tiles", got, r.Stages[0].Shards)
+		t.Fatalf("CellProfiler run logs = %d, want %d row ranges", got, r.Stages[0].Shards)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,11 +67,12 @@ type Server struct {
 	tenants   *tenant.Registry // nil: v2 admission disabled
 	metrics   *serverMetrics
 
-	mu     sync.Mutex
-	nextID int
-	jobs   map[int]*jobRecord
-	order  []int // submission order (ascending IDs), compacted on eviction
-	closed bool
+	mu       sync.Mutex
+	nextID   int
+	jobs     map[int]*jobRecord
+	order    []int // submission order (ascending IDs), compacted on eviction
+	terminal int   // terminal jobs in order, eviction's bound
+	closed   bool
 	// Cumulative lifecycle counters for /api/v1/status: eviction removes
 	// records but must not rewrite history. Canceled jobs count as failed
 	// there — v1's state enum predates cancellation.
@@ -281,6 +283,7 @@ func (s *Server) finishLocked(rec *jobRecord, state JobState, jerr *JobError) {
 	rec.job.Finished = &now
 	rec.job.State = state
 	rec.job.Error = jerr
+	s.terminal++
 	switch state {
 	case StateDone:
 		rec.job.Result.ElapsedSec = now.Sub(*rec.job.Started).Seconds()
@@ -383,28 +386,18 @@ func stageBreakdown(sr workflow.StageResult) StageBreakdown {
 	}
 }
 
-// evictLocked enforces the retention bound: oldest terminal jobs beyond the
-// limit are dropped from the store. Callers hold s.mu.
+// evictLocked enforces the retention bound: the oldest terminal jobs beyond
+// the limit, searched from the front of s.order, are dropped. Callers hold s.mu.
 func (s *Server) evictLocked() {
-	terminal := 0
-	for _, id := range s.order {
-		if s.jobs[id].job.State.Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= s.retention {
-		return
-	}
-	keep := s.order[:0]
-	for _, id := range s.order {
-		if terminal > s.retention && s.jobs[id].job.State.Terminal() {
+	for i := 0; s.terminal > s.retention && i < len(s.order); {
+		if id := s.order[i]; s.jobs[id].job.State.Terminal() {
 			delete(s.jobs, id)
-			terminal--
+			s.order = slices.Delete(s.order, i, i+1)
+			s.terminal--
 			continue
 		}
-		keep = append(keep, id)
+		i++
 	}
-	s.order = keep
 }
 
 // cancelJob implements DELETE /api/v2/jobs/{id}. Pending jobs are canceled
@@ -548,12 +541,6 @@ func (s *Server) execute(ctx context.Context, id int, spec jobSpec) (JobResult, 
 	}
 	if sr, ok := wres.RecordScatter(); ok {
 		result.Shards = sr.Plan.NumShards
-	} else {
-		// Stages that scatter by something other than records — image
-		// tiles, graph partitions — still report their widest fan-out.
-		for _, sr := range wres.Stages {
-			result.Shards = max(result.Shards, sr.Shards)
-		}
 	}
 	// Planted-SNV recovery scoring applies to every variant-calling run. It
 	// is gated on the catalogue's output type, not on the call set being

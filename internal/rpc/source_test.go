@@ -76,7 +76,7 @@ func TestSourceResultsPinned(t *testing.T) {
 		{"proteome", SubmitJobRequest{Proteome: &ProteomeSpec{Proteins: 20, Spectra: 400, Seed: 3}},
 			JobResult{TotalRecords: 400, Proteins: 20, Shards: 1}},
 		{"imaging", SubmitJobRequest{Imaging: &ImagingSpec{Images: 3, CellsPerImage: 6, Seed: 4}},
-			JobResult{TotalRecords: 3, Features: 18, Shards: 6}},
+			JobResult{TotalRecords: 3, Features: 18, Shards: 1}},
 		{"network", SubmitJobRequest{Network: &NetworkSpec{Genes: 100, Modules: 5, Seed: 6}},
 			JobResult{TotalRecords: 100, Features: 100, Nodes: 100, Edges: 950, Modules: 5, Shards: 1}},
 		{"dataset", SubmitJobRequest{Dataset: "with-ref", ShardRecords: 100},

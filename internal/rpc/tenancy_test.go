@@ -165,11 +165,13 @@ func TestTenantRateLimit(t *testing.T) {
 
 // familyRuns returns the four workload families' submissions, one per
 // family, with fixed seeds so results are reproducible across servers.
+// Each pins its shard plan, so no daemon's plan follows its knowledge
+// base's history or the host's speed, and the shard counts compare too.
 func familyRuns() []SubmitJobRequest {
 	return []SubmitJobRequest{
-		{Synthetic: &SyntheticSpec{ReferenceLength: 2000, Reads: 120, SNVs: 4, Seed: 3}},
+		{Synthetic: &SyntheticSpec{ReferenceLength: 2000, Reads: 120, SNVs: 4, Seed: 3}, ShardRecords: 40},
 		{Workflow: "proteome-maxquant", Proteome: &ProteomeSpec{Proteins: 15, Spectra: 300, Seed: 5}, ShardRecords: 100},
-		{Imaging: &ImagingSpec{Images: 2, Width: 96, Height: 96, CellsPerImage: 5, Seed: 7}},
+		{Imaging: &ImagingSpec{Images: 2, Width: 96, Height: 96, CellsPerImage: 5, Seed: 7}, ShardRecords: 64},
 		{Network: &NetworkSpec{Genes: 60, Modules: 4, Seed: 9}, ShardRecords: 20},
 	}
 }

@@ -324,10 +324,10 @@ func TestV2PaginationPastRetention(t *testing.T) {
 	// The store is bounded: only the newest `retention` terminal jobs
 	// remain, however many were submitted.
 	s.mu.Lock()
-	stored := len(s.jobs)
+	stored, ordered, terminal := len(s.jobs), len(s.order), s.terminal
 	s.mu.Unlock()
-	if stored != 3 {
-		t.Fatalf("job store holds %d records, want retention bound 3", stored)
+	if stored != 3 || ordered != 3 || terminal != 3 {
+		t.Fatalf("job store holds %d records, %d in order, %d counted terminal; want retention bound 3", stored, ordered, terminal)
 	}
 
 	// Page through everything that remains, 2 at a time.

@@ -3,9 +3,9 @@
 // analysis subtasks and the per-shard outputs gathered back (the paper's
 // example: divide a 100 GB FASTQ file into 25 4 GB files and create 25
 // subtasks; merge small files for gather stages such as VariantsToVCF).
-// The split is in memory, with no intermediate files: Chunk and ChunkReads
-// split record sets, and Regions with SliceByRegion scatter coordinate-
-// sorted alignments by locus, each region's shard a run of them.
+// The split is in memory, with no intermediate files: Chunk splits record
+// sets, and Regions with SliceByRegion scatter coordinate-sorted
+// alignments by locus, each region's shard a run of them.
 //
 // The shard size itself is chosen by the knowledge base (package
 // knowledge); this package is the mechanical layer.
@@ -14,8 +14,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-
-	"scan/internal/genomics"
 )
 
 // ErrBadShardSize is returned for non-positive shard sizing parameters.
@@ -87,10 +85,4 @@ func Chunk[T any](records []T, maxPerShard int) ([][]T, error) {
 		out = [][]T{{}}
 	}
 	return out, nil
-}
-
-// ChunkReads splits an in-memory read set into shards of at most
-// maxPerShard records, preserving order. The last shard may be smaller.
-func ChunkReads(reads []genomics.Read, maxPerShard int) ([][]genomics.Read, error) {
-	return Chunk(reads, maxPerShard)
 }

@@ -1,23 +1,9 @@
 package shard
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"scan/internal/genomics"
 )
-
-func simReads(t testing.TB, n int, seed int64) []genomics.Read {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	genome := genomics.GenerateReference(rng, "chr1", 5000)
-	reads, err := genomics.SimulateReads(rng, genome, genomics.ReadSimConfig{Count: n, Length: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reads
-}
 
 func TestPlanByRecords(t *testing.T) {
 	p, err := PlanByRecords(100, 30)
@@ -52,8 +38,12 @@ func TestPlanByShards(t *testing.T) {
 	if _, err := PlanByShards(100, 0); err != ErrBadShardSize {
 		t.Fatal("zero shards accepted")
 	}
-	// The plan reports the shards Chunk actually makes: ⌈total/per⌉, never
-	// an empty trailing shard, and one (empty) shard for no records.
+	if _, err := Chunk(make([]int, 10), 0); err != ErrBadShardSize {
+		t.Fatal("zero chunk size accepted")
+	}
+	// The plan reports the shards Chunk actually makes: ⌈total/per⌉, each
+	// holding its Bounds, never an empty trailing shard, and one (empty)
+	// shard for no records.
 	for total := 0; total <= 40; total++ {
 		for n := 1; n <= 9; n++ {
 			p, err := PlanByShards(total, n)
@@ -67,6 +57,11 @@ func TestPlanByShards(t *testing.T) {
 			if s, e := p.Bounds(p.NumShards - 1); total > 0 && s >= e {
 				t.Fatalf("PlanByShards(%d, %d) = %+v: last shard [%d,%d) is empty", total, n, p, s, e)
 			}
+			for i, c := range chunks {
+				if s, e := p.Bounds(i); len(c) != e-s {
+					t.Fatalf("PlanByShards(%d, %d) = %+v: chunk %d holds %d records, bounds [%d,%d)", total, n, p, i, len(c), s, e)
+				}
+			}
 		}
 	}
 	if p, _ := PlanByShards(9, 4); p.RecordsPerShard != 3 || p.NumShards != 3 {
@@ -74,24 +69,6 @@ func TestPlanByShards(t *testing.T) {
 	}
 	if p, _ := PlanByShards(0, 4); p.NumShards != 1 {
 		t.Fatalf("PlanByShards(0, 4) = %+v, want 1 shard like PlanByRecords", p)
-	}
-}
-
-func TestChunkReads(t *testing.T) {
-	reads := simReads(t, 10, 3)
-	chunks, err := ChunkReads(reads, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 3 || len(chunks[0]) != 4 || len(chunks[2]) != 2 {
-		t.Fatalf("chunk shapes: %d chunks", len(chunks))
-	}
-	if _, err := ChunkReads(reads, 0); err != ErrBadShardSize {
-		t.Fatal("zero chunk size accepted")
-	}
-	empty, err := ChunkReads(nil, 5)
-	if err != nil || len(empty) != 1 {
-		t.Fatalf("empty input: %v %v", empty, err)
 	}
 }
 

@@ -19,14 +19,15 @@
 //	                                   internal/variant, internal/proteome,
 //	                                   internal/imaging, internal/network;
 //	                                   every stage owns its tool-specific
-//	                                   scatter shape (record shards,
+//	                                   scatter shape (read shards,
 //	                                   genomic regions, spectrum shards,
-//	                                   image tiles, pair-balanced node
-//	                                   ranges)
+//	                                   frame-row bands, node-rank ranges)
 //	engine (engine.go)                 drives a typed Dataset through the
 //	                                   stage chain with per-stage
-//	                                   scatter/gather: shard counts asked
-//	                                   of the knowledge base, rounded to
+//	                                   scatter/gather: every stage's
+//	                                   shard count asked of the knowledge
+//	                                   base over the stage's own records
+//	                                   (StageEnv.ShardPlan), rounded to
 //	                                   whole pool waves when its stage
 //	                                   rate prices them worth it, equal
 //	                                   shards on a bounded worker pool,
@@ -58,9 +59,12 @@
 //
 // The stage contract, shared by the local pool and fleet workers:
 //
-//   - Split is deterministic given the stage's input and the run options
-//     StageEnv.RemoteOptions pins, so a worker's re-Split yields the
-//     coordinator's shards and a dispatch names only a shard index.
+//   - Split sizes its scatter through StageEnv.ShardPlan alone, over the
+//     stage's own records (reads, alignments, spectra, frame rows or
+//     nodes), and logs each shard in that unit. It is deterministic given
+//     the stage's input and the run options StageEnv.RemoteOptions pins,
+//     so a worker's re-Split yields the coordinator's shards and a
+//     dispatch names only a shard index.
 //   - Transform must be safe for concurrent calls with distinct shard
 //     indices and must poll ctx inside long per-record loops; the engine
 //     times and logs every shard.

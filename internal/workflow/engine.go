@@ -93,12 +93,10 @@ func (e *Engine) Catalogue() *Registry { return e.catalogue }
 type RunOptions struct {
 	// Caller configures variant-calling stages (zero value: defaults).
 	Caller variant.Config
-	// ShardRecords, when positive, overrides the Data Broker's record-shard
-	// sizing exactly: shards of ShardRecords records, no pool rounding.
+	// ShardRecords, when positive, overrides the Data Broker's sizing: every
+	// scattering stage cuts its own records (reads, alignments, spectra,
+	// frame rows or nodes) into shards of exactly ShardRecords.
 	ShardRecords int
-	// Regions is the region-scatter width for coordinate-scattered stages
-	// (default: the engine's worker count).
-	Regions int
 	// StageObserver, when non-nil, is invoked synchronously after each
 	// stage completes, with that stage's StageResult (name, tool, scatter
 	// width, elapsed time, shard plan). It is the engine's progress
@@ -132,16 +130,17 @@ type StageResult struct {
 	// Stage and Tool identify the catalogue stage that ran.
 	Stage string
 	Tool  string
-	// Shards is the scatter width (0 for unscattered stages).
+	// Shards is the scatter width (0 for unscattered stages): the plan's
+	// NumShards, or fewer where a stage cuts a reference into regions or
+	// bins and it has fewer bases or bins.
 	Shards int
 	// Elapsed is the stage wall-clock time.
 	Elapsed time.Duration
-	// Plan is the record-shard plan (zero unless the stage scattered by
-	// records).
+	// Plan is the shard plan over the stage's records (zero for
+	// unscattered stages).
 	Plan shard.Plan
-	// Advice is the Data Broker recommendation that sized the shards
-	// (zero when ShardRecords overrode it or the stage scattered by
-	// region).
+	// Advice is the Data Broker recommendation that sized the plan (zero
+	// when ShardRecords overrode it).
 	Advice knowledge.Advice
 	// Records counts the input records the stage processed across its
 	// shards (0 for pass-through stages) — the local-vs-remote equivalence
@@ -159,9 +158,9 @@ type Result struct {
 	Stages []StageResult
 }
 
-// RecordScatter returns the first stage that scattered by records — the
-// fan-out the Data Broker planned — so callers report one canonical shard
-// plan regardless of how many stages scattered.
+// RecordScatter returns the first stage that scattered — every scattering
+// stage carries the plan the Data Broker sized it by — so callers report
+// one canonical shard plan regardless of how many stages scattered.
 func (r *Result) RecordScatter() (StageResult, bool) {
 	for _, sr := range r.Stages {
 		if sr.Plan.NumShards > 0 {
@@ -311,18 +310,18 @@ func (env *StageEnv) Options() RunOptions { return env.opts }
 // host. The margin covers a rate averaged over past jobs and shared cores.
 const minShardSeconds = 15 * 17e-6
 
-// RecordShardSize decides how many records each shard of this stage should
-// carry. The run's ShardRecords override is taken exactly. Otherwise the
-// Data Broker's advice for total records gives k = ⌈total/advised⌉ shards.
-// When the KB has an observed rate for this (tool, stage), k is priced
-// both ways: rounded up to whole waves of the pool (a multiple of Workers,
-// at most total) when that predicts each shard at minShardSeconds or more,
-// else cut to the most shards that each predict minShardSeconds (at least
-// one). Either way they are cut equal. The price is linear in records
-// (rate per record × records). The plan (and advice,
-// when consulted) is recorded on the stage result, and RemoteOptions pins
-// it for fleet workers.
-func (env *StageEnv) RecordShardSize(total int) (int, error) {
+// ShardPlan is how every scattering stage sizes its scatter: it plans
+// total of the stage's own records into shards. The run's ShardRecords
+// override is taken exactly. Otherwise the Data Broker's advice for total
+// records gives k = ⌈total/advised⌉ shards. When the KB has an observed
+// rate for this (tool, stage), k is priced both ways: rounded up to whole
+// waves of the pool (a multiple of Workers, at most total) when that
+// predicts each shard at minShardSeconds or more, else cut to the most
+// shards that each predict minShardSeconds (at least one). Either way they
+// are cut equal. The price is linear in records (rate per record ×
+// records). The plan (and advice, when consulted) is recorded on the
+// stage result, and RemoteOptions pins it for fleet workers.
+func (env *StageEnv) ShardPlan(total int) (shard.Plan, error) {
 	var plan shard.Plan
 	var err error
 	if per := env.opts.ShardRecords; per > 0 {
@@ -330,11 +329,11 @@ func (env *StageEnv) RecordShardSize(total int) (int, error) {
 	} else {
 		kb := env.engine.kb
 		if kb == nil {
-			return 0, knowledge.ErrNoKnowledge
+			return shard.Plan{}, knowledge.ErrNoKnowledge
 		}
 		units := float64(total) / recordsPerUnit
 		if env.result.Advice, err = kb.ShardAdvice(units); err != nil {
-			return 0, fmt.Errorf("data broker: %w", err)
+			return shard.Plan{}, fmt.Errorf("data broker: %w", err)
 		}
 		per = max(int(env.result.Advice.ShardSize*recordsPerUnit), 1)
 		k := max((total+per-1)/per, 1)
@@ -349,19 +348,10 @@ func (env *StageEnv) RecordShardSize(total int) (int, error) {
 		plan, err = shard.PlanByShards(total, k)
 	}
 	if err != nil {
-		return 0, err
+		return shard.Plan{}, err
 	}
 	env.result.Plan = plan
-	return plan.RecordsPerShard, nil
-}
-
-// RegionCount returns the scatter width for coordinate-scattered stages:
-// the run's Regions option, defaulting to the worker count.
-func (env *StageEnv) RegionCount() int {
-	if env.opts.Regions > 0 {
-		return env.opts.Regions
-	}
-	return env.engine.workers
+	return plan, nil
 }
 
 // pool runs fn(0..n-1) on the engine's bounded worker pool. A cancelled
@@ -443,15 +433,15 @@ func (env *StageEnv) Input() *Dataset { return env.input }
 
 // RemoteOptions pins the run options a remote worker needs to rebuild this
 // stage's stream deterministically without a knowledge base: the shard
-// plan the coordinator's Split already decided (so the worker's Split
-// produces byte-identical shards without consulting the Data Broker) and
-// the region-scatter width resolved against the coordinator's pool.
-// Scheduling-only fields (ShardPool, StageObserver) are dropped.
+// plan the coordinator's Split already decided, as its records per shard.
+// PlanByShards cuts equal shards, so PlanByRecords over the same total
+// gives the worker the same count, and its Split produces byte-identical
+// shards without consulting the Data Broker. Scheduling-only fields
+// (ShardPool, StageObserver) are dropped.
 func (env *StageEnv) RemoteOptions() RunOptions {
 	opts := RunOptions{
 		Caller:       env.opts.Caller,
 		ShardRecords: env.opts.ShardRecords,
-		Regions:      env.RegionCount(),
 	}
 	if env.result.Plan.NumShards > 0 {
 		opts.ShardRecords = env.result.Plan.RecordsPerShard

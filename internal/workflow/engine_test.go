@@ -102,20 +102,20 @@ func TestEngineRunsVariantDetection(t *testing.T) {
 // equal shards throughout, the ShardRecords override taken exactly, and
 // RemoteOptions reproducing the plan on an engine with no KB at all.
 func TestRecordShardSizeFillsPool(t *testing.T) {
-	// plan runs RecordShardSize for the first stage of a tool, as its Split
+	// plan runs ShardPlan for the first stage of a tool, as its Split
 	// would, and returns the env so RemoteOptions can be read off it.
 	plan := func(kb *knowledge.Base, workers int, opts RunOptions, tool string, total int) (shard.Plan, *StageEnv) {
 		t.Helper()
 		e := NewEngine(EngineOptions{KB: kb, Workers: workers})
 		env := &StageEnv{engine: e, stage: Stage{Tool: tool}, opts: opts, result: &StageResult{}}
-		per, err := env.RecordShardSize(total)
+		p, err := env.ShardPlan(total)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if per != env.result.Plan.RecordsPerShard {
-			t.Fatalf("returned %d records per shard, plan says %+v", per, env.result.Plan)
+		if p != env.result.Plan {
+			t.Fatalf("returned plan %+v, stage result records %+v", p, env.result.Plan)
 		}
-		return env.result.Plan, env
+		return p, env
 	}
 	// observed is a KB that has seen one single-thread run of the tool at
 	// secondsPerUnit.
@@ -141,6 +141,11 @@ func TestRecordShardSizeFillsPool(t *testing.T) {
 			t.Fatalf("W=%d, 1500 spectra, no telemetry: plan %+v", w, got)
 		}
 	}
+	// On a wide pool a calling stage starts at the broker's count too; the
+	// GATK rate in the table below restores a whole wave of 8 regions.
+	if got, _ := plan(seededKB(t), 8, RunOptions{}, "GATK", 30000); got != want(30000, 15000, 2) {
+		t.Fatalf("W=8, 30000 alignments, no telemetry: plan %+v", got)
+	}
 
 	// Telemetry above the floor: whole waves of the pool.
 	for _, tc := range []struct {
@@ -155,6 +160,7 @@ func TestRecordShardSizeFillsPool(t *testing.T) {
 		{"BWA", 1, 2, 30000, 15000, 2}, // already a whole wave
 		{"BWA", 1, 3, 30000, 10000, 3},
 		{"BWA", 100, 4, 3, 1, 3}, // never more shards than records
+		{"GATK", 1, 8, 30000, 3750, 8},
 	} {
 		got, _ := plan(observed(tc.tool, tc.rate), tc.workers, RunOptions{}, tc.tool, tc.total)
 		if got != want(tc.total, tc.wantPer, tc.nSh) {
@@ -398,19 +404,20 @@ func TestPerStageRunLogGrowth(t *testing.T) {
 	before := kb.RunCount()
 	ds := synthDataset(t, 6000, 1200, 4)
 	if _, err := e.RunByName(context.Background(), "dna-variant-detection", ds,
-		RunOptions{ShardRecords: 300, Regions: 3}); err != nil {
+		RunOptions{ShardRecords: 300}); err != nil {
 		t.Fatal(err)
 	}
 	if kb.RunCount() <= before {
 		t.Fatal("engine did not grow the knowledge base")
 	}
 	// Logs are keyed by tool and stage position: the BWA fan-out at stage
-	// 0 (4 shards of 300 reads) and the genotyper at stage 6 (3 regions).
+	// 0 (4 shards of 300 reads) and the genotyper at stage 6 (4 regions,
+	// one per 300 of the 1 200 alignments).
 	for _, tc := range []struct {
 		app   string
 		stage int
 		want  int
-	}{{"BWA", 0, 4}, {"GATK", 6, 3}} {
+	}{{"BWA", 0, 4}, {"GATK", 6, 4}} {
 		res, err := kb.Query(fmt.Sprintf(`
 PREFIX scan: <%s>
 SELECT ?run WHERE {
@@ -437,7 +444,7 @@ func TestPerShardTimingsAreOwnDurations(t *testing.T) {
 	e := NewEngine(EngineOptions{KB: kb, Workers: 1})
 	ds := synthDataset(t, 8000, 2400, 5)
 	res, err := e.RunByName(context.Background(), "dna-variant-detection", ds,
-		RunOptions{ShardRecords: 300, Regions: 1})
+		RunOptions{ShardRecords: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,11 +494,11 @@ func TestSomaticWorkflowEndToEnd(t *testing.T) {
 
 // TestRNAExpressionFeatures: a feature row is one quantifyBinWidth bin of
 // the reference, whatever the region count, and the counts partition the
-// mapped reads.
+// mapped reads. 400 alignments a shard cut the 8 bins into 5 regions.
 func TestRNAExpressionFeatures(t *testing.T) {
 	e := testEngine(t, 4)
 	ds := synthDataset(t, 8000, 2000, 7)
-	res, err := e.RunByName(context.Background(), "rna-expression", ds, RunOptions{Regions: 5})
+	res, err := e.RunByName(context.Background(), "rna-expression", ds, RunOptions{ShardRecords: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,9 +544,16 @@ func reverseShare(reads []genomics.Read) {
 // to span several regions, N bases, unmapped reads and reads from the
 // reverse strand. The reference ends in a partial expression bin.
 func planInput(t testing.TB, seed int64) *Dataset {
+	return planReads(t, seed, 2300)
+}
+
+// planReads draws planInput's read mix over a reference of refLen bases.
+// Below about 420 bases there are more alignments than bases, so a plan
+// of one alignment each reaches the cap of one calling region per base.
+func planReads(t testing.TB, seed int64, refLen int) *Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	ref := genomics.GenerateReference(rng, "chr1", 2300)
+	ref := genomics.GenerateReference(rng, "chr1", refLen)
 	mutated, _ := genomics.PlantSNVs(rng, ref, 8)
 	reads, err := genomics.SimulateReads(rng, mutated, genomics.ReadSimConfig{Count: 400, Length: 60, ErrorRate: 0.005})
 	if err != nil {
@@ -563,8 +577,9 @@ func planInput(t testing.TB, seed int64) *Dataset {
 		add(bytes.Clone(mutated.Seq[:25]))
 		add(bytes.Clone(mutated.Seq[end-60:]))
 		add(bytes.Clone(mutated.Seq[end-25:]))
-		at := rng.Intn(end - 700)
-		add(bytes.Clone(mutated.Seq[at : at+700]))
+		long := min(700, end/2)
+		at := rng.Intn(end - long)
+		add(bytes.Clone(mutated.Seq[at : at+long]))
 		junk := make([]byte, 60) // maps nowhere
 		for i := range junk {
 			junk[i] = "ACGT"[rng.Intn(4)]
@@ -574,6 +589,18 @@ func planInput(t testing.TB, seed int64) *Dataset {
 	rng.Shuffle(len(reads), func(i, j int) { reads[i], reads[j] = reads[j], reads[i] })
 	reverseShare(reads)
 	return NewFASTQDataset(ref, reads)
+}
+
+// hostileFeatures draws a feature table whose values stress the network's
+// edge count: ties, NaN, ±Inf and ±0.
+func hostileFeatures(t testing.TB, seed int64) *Dataset {
+	t.Helper()
+	ds := featureDataset(t, 300, 6, seed)
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)} {
+		ds.Features[7*i].Value = v
+	}
+	ds.Features[1].Value = ds.Features[2].Value
+	return ds
 }
 
 // hostileCalls draws an unsorted call set that stresses the merge: calls
@@ -611,38 +638,97 @@ func hostileCalls(t testing.TB, seed int64) *Dataset {
 }
 
 // ignoresPlan runs workflow name over ds on pools of 1, 2 and 8, under
-// every options value plans gives for the pool, hands each result to
-// check, and fails unless every output encodes to the first one's bytes.
-// Only when some plans take the Data Broker's advice (advised) do the
-// engines get a knowledge base: the thousands of shards of the other
-// plans would otherwise leave their telemetry folding in the background
-// while later tests time their shards.
+// every options value plans gives for the pool, through runPlan, hands
+// each result to check, and fails unless every output encodes to the
+// first one's bytes. Only when some plans take the Data Broker's advice
+// (advised) do the engines get a knowledge base: the thousands of shards
+// of the other plans would otherwise leave their telemetry folding in the
+// background while later tests time their shards.
 func ignoresPlan(t *testing.T, name string, ds *Dataset, advised bool, plans func(pool int) []RunOptions, check func(pool int, opts RunOptions, res *Result)) {
 	t.Helper()
 	var want []byte
 	for _, pool := range []int{1, 2, 8} {
 		for _, opts := range plans(pool) {
-			e := NewEngine(EngineOptions{Workers: pool})
-			if advised {
-				e = testEngine(t, pool)
-			}
-			res, err := e.RunByName(context.Background(), name, ds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, got := runPlan(t, name, ds, advised, pool, opts)
 			check(pool, opts, res)
-			got, err := EncodeDataset(res.Output)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if want == nil {
 				want = got
 			} else if !bytes.Equal(got, want) {
-				t.Fatalf("pool %d, %d records per shard, %d regions: the output differs from the first plan's",
-					pool, opts.ShardRecords, opts.Regions)
+				t.Fatalf("pool %d, %d records per shard: the output differs from the first plan's",
+					pool, opts.ShardRecords)
 			}
 		}
 	}
+}
+
+// runPlan runs workflow name over ds on a pool of the given width, on an
+// engine with a knowledge base only when advised, and returns the result
+// and its output's encoding. It fails unless every stage that scattered
+// ran the shard plan its Split asked the Data Broker for: as many shards,
+// or fewer only where the reference has fewer bases or expression bins
+// than the plan has shards.
+func runPlan(t testing.TB, name string, ds *Dataset, advised bool, pool int, opts RunOptions) (*Result, []byte) {
+	t.Helper()
+	e := NewEngine(EngineOptions{Workers: pool})
+	if advised {
+		e = testEngine(t, pool)
+	}
+	res, err := e.RunByName(context.Background(), name, ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refLen := ds.Reference.Len()
+	for _, sr := range res.Stages {
+		if sr.Shards > 0 && (sr.Plan.NumShards == 0 || sr.Shards > sr.Plan.NumShards ||
+			sr.Shards < sr.Plan.NumShards && sr.Shards != refLen && sr.Shards != (refLen+quantifyBinWidth-1)/quantifyBinWidth) {
+			t.Fatalf("pool %d, %d records per shard: stage %s ran %d shards of plan %+v",
+				pool, opts.ShardRecords, sr.Stage, sr.Shards, sr.Plan)
+		}
+	}
+	b, err := EncodeDataset(res.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, b
+}
+
+// planInputs draws, for each data type a catalogued workflow consumes, the
+// hostile input its plan tests run on.
+var planInputs = map[DataType]func(t testing.TB, seed int64) *Dataset{
+	FASTQ:        planInput,
+	VCF:          hostileCalls,
+	MGF:          hostileSpectra,
+	TIFF:         hostileFrames,
+	FeatureTable: hostileFeatures,
+}
+
+// FuzzWorkflowIgnoresPlan: any catalogued workflow, over the hostile input
+// of its type drawn from any seed, in shards of any record count on a pool
+// of 1, 2 or 8, returns the bytes it returns with every stage in one
+// shard.
+func FuzzWorkflowIgnoresPlan(f *testing.F) {
+	cat := DefaultCatalogue()
+	names := cat.Names()
+	for _, c := range []struct {
+		name    string
+		records uint16
+	}{{"dna-variant-detection", 37}, {"proteome-maxquant", 13}, {"cell-imaging", 7}, {"integrative-network", 5}} {
+		f.Add(uint8(slices.Index(names, c.name)), int64(11), c.records, uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, wf uint8, seed int64, records uint16, pool uint8) {
+		w, err := cat.Get(names[int(wf)%len(names)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := planInputs[w.Consumes()](t, seed)
+		p := []int{1, 2, 8}[pool%3]
+		_, want := runPlan(t, w.Name, ds, false, p, RunOptions{ShardRecords: 1 << 30, Caller: varConfigForTests()})
+		_, got := runPlan(t, w.Name, ds, false, p, RunOptions{ShardRecords: 1 + int(records), Caller: varConfigForTests()})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s, seed %d, pool %d, %d records per shard: the output differs from the one-shard plan's",
+				w.Name, seed, p, 1+int(records))
+		}
+	})
 }
 
 // recordPlans cuts n records into one shard, one per pool slot, 7 shards
@@ -658,41 +744,50 @@ func recordPlans(n int) func(pool int) []RunOptions {
 }
 
 // TestGenomicWorkflowsIgnorePlan: every read-consuming genomic workflow's
-// answer is a function of its input, not of its shard plan — align shards
-// of the advised size, one read, an odd count or all reads, times 1, 2, 7
-// or more regions than reference bases, on a pool of 1, 2 or 8 — down to
-// the encoded bytes of its output. So is integrative-network's, in one
-// shard, one per pool slot, 7 or one node each, on values with ties, NaN,
-// ±Inf and ±0, and its edge count is the pairwise scan's. So is
-// variants-to-vcf's, in the same plans, on unsorted, repeated calls with
-// tied, NaN, ±Inf and ±0 qualities, and its merge is the hand merge's.
-// So are the proteomic workflows', on the hostile spectra.
+// answer is a function of its input, not of its shard plan — the advised
+// plan, or every stage in one shard, one per pool slot, 7 or one read or
+// alignment each (the expression stage capped at the reference's bins),
+// on a pool of 1, 2 or 8 — down to the encoded bytes of its output. So
+// is integrative-network's, in one shard, one per pool slot, 7 or one
+// node each, on values with ties, NaN, ±Inf and ±0, and its edge count
+// is the pairwise scan's. So is variants-to-vcf's, in the same plans, on
+// unsorted, repeated calls with tied, NaN, ±Inf and ±0 qualities, and its
+// merge is the hand merge's. So are the proteomic workflows', on the
+// hostile spectra.
 func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
-	ds := planInput(t, 11)
-	readPlans := func(int) []RunOptions {
-		var plans []RunOptions
-		for _, records := range []int{0, 1, 37, len(ds.Reads)} {
-			for _, regions := range []int{1, 2, 7, ds.Reference.Len() + 1} {
-				plans = append(plans, RunOptions{ShardRecords: records, Regions: regions, Caller: varConfigForTests()})
-			}
-		}
-		return plans
-	}
+	// The short reference has more alignments than bases, so one
+	// alignment each cuts one calling region per base.
+	inputs := []*Dataset{planInput(t, 11), planReads(t, 11, 300)}
 	for _, name := range []string{
 		"dna-variant-detection", "exome-variant-detection", "wgs-variant-detection",
 		"somatic-mutation-detection", "mirna-fusion-detection", "rna-expression",
 	} {
 		t.Run(name, func(t *testing.T) {
-			ignoresPlan(t, name, ds, true, readPlans, func(pool int, opts RunOptions, res *Result) {
-				out := res.Output
-				if out.Mapped == 0 || out.Mapped == len(ds.Reads) || len(out.Variants)+len(out.Features) == 0 {
-					t.Fatalf("pool %d, %+v: %d of %d reads mapped, %d calls, %d features",
-						pool, opts, out.Mapped, len(ds.Reads), len(out.Variants), len(out.Features))
+			for _, ds := range inputs {
+				readPlans := func(pool int) []RunOptions {
+					plans := append([]RunOptions{{}}, recordPlans(len(ds.Reads))(pool)...)
+					for i := range plans {
+						plans[i].Caller = varConfigForTests()
+					}
+					return plans
 				}
-				if bins := (ds.Reference.Len() + quantifyBinWidth - 1) / quantifyBinWidth; out.Type == FeatureTable && len(out.Features) != bins {
-					t.Fatalf("pool %d, %+v: %d features, want %d bins", pool, opts, len(out.Features), bins)
-				}
-			})
+				ignoresPlan(t, name, ds, true, readPlans, func(pool int, opts RunOptions, res *Result) {
+					out := res.Output
+					if out.Mapped == 0 || out.Mapped == len(ds.Reads) || len(out.Variants)+len(out.Features) == 0 {
+						t.Fatalf("%d bases, pool %d, %+v: %d of %d reads mapped, %d calls, %d features",
+							ds.Reference.Len(), pool, opts, out.Mapped, len(ds.Reads), len(out.Variants), len(out.Features))
+					}
+					if bins := (ds.Reference.Len() + quantifyBinWidth - 1) / quantifyBinWidth; out.Type == FeatureTable && len(out.Features) != bins {
+						t.Fatalf("%d bases, pool %d, %+v: %d features, want %d bins", ds.Reference.Len(), pool, opts, len(out.Features), bins)
+					}
+					capped := slices.ContainsFunc(res.Stages, func(sr StageResult) bool {
+						return sr.Shards == ds.Reference.Len() && sr.Plan.NumShards > sr.Shards
+					})
+					if opts.ShardRecords == 1 && out.Mapped > ds.Reference.Len() && out.Type != FeatureTable && !capped {
+						t.Fatalf("pool %d, one alignment each: no calling stage ran one region per base of %d", pool, ds.Reference.Len())
+					}
+				})
+			}
 		})
 	}
 	// shards fails the run unless its one stage ran the plan's shard count.
@@ -702,11 +797,7 @@ func TestGenomicWorkflowsIgnorePlan(t *testing.T) {
 		}
 	}
 	t.Run("integrative-network", func(t *testing.T) {
-		ds := featureDataset(t, 300, 6, 11)
-		for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)} {
-			ds.Features[7*i].Value = v
-		}
-		ds.Features[1].Value = ds.Features[2].Value
+		ds := hostileFeatures(t, 11)
 		pairs := 0
 		for i, a := range ds.Features {
 			for _, b := range ds.Features[i+1:] {
@@ -780,7 +871,7 @@ func TestReverseStrandReadsCallAsForward(t *testing.T) {
 		var outs [2]*Dataset
 		for i, ds := range []*Dataset{mixed, forward} {
 			res, err := testEngine(t, 2).RunByName(context.Background(), name, ds,
-				RunOptions{ShardRecords: 37, Regions: 7, Caller: varConfigForTests()})
+				RunOptions{ShardRecords: 37, Caller: varConfigForTests()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -69,7 +69,7 @@ func (r *ExecutorRegistry) Lookup(tool, stage string) (StageExecutor, bool) {
 // stage, so all four data-process families execute end to end: the k-mer
 // aligner stands in for BWA, the pileup caller for the GATK/MuTect calling
 // stages, coverage quantification for the expression stage, spectral
-// peptide matching (internal/proteome) for MaxQuant and GPM, tile-scattered
+// peptide matching (internal/proteome) for MaxQuant and GPM, row-band
 // cell segmentation (internal/imaging) for CellProfiler, and partitioned
 // network construction (internal/network) for Cytoscape. ErrNoExecutor now
 // only reports genuinely unknown tools — every catalogued workflow passes
@@ -103,7 +103,7 @@ func DefaultExecutors() *ExecutorRegistry {
 		must("GATK", stage, identityExecutor{})
 	}
 	// The non-genomic families (executor_families.go): spectrum shards,
-	// image tiles and node-range partitions, each logged under its own
+	// frame-row bands and node-rank ranges, each logged under its own
 	// tool name.
 	must("MaxQuant", "Quantify", streamOnly{spectralSearchExecutor{quantify: true}})
 	must("GPM", "Search", streamOnly{spectralSearchExecutor{}})
@@ -150,15 +150,15 @@ type alignStream struct {
 }
 
 func (s *alignStream) Split() ([]StreamShard, error) {
-	per, err := s.env.RecordShardSize(len(s.in.Reads))
+	plan, err := s.env.ShardPlan(len(s.in.Reads))
 	if err != nil {
 		return nil, err
 	}
-	readShards, err := shard.ChunkReads(s.in.Reads, per)
+	readShards, err := shard.Chunk(s.in.Reads, plan.RecordsPerShard)
 	if err != nil {
 		return nil, err
 	}
-	s.per = per
+	s.per = plan.RecordsPerShard
 	return chunkShards(readShards), nil
 }
 
@@ -210,10 +210,10 @@ func (s *alignStream) Gather(shards []StreamShard) (*Dataset, error) {
 
 // callExecutor implements the pileup-calling stages (UnifiedGenotyper,
 // SomaticCall, FusionScan): scatter the coordinate-sorted alignments over
-// genomic regions, each region's shard the run of reads that can overlap
-// it, call each region's variants from a pileup of the region's size on
-// the pool, and gather the regions' calls in order — the GATK-style
-// scatter the paper parallelizes.
+// the Data Broker's count of genomic regions, each region's shard the run
+// of reads that can overlap it, call each region's variants from a pileup
+// of the region's size on the pool, and gather the regions' calls in
+// order — the GATK-style scatter the paper parallelizes.
 type callExecutor struct{}
 
 // Stream implements streamer.
@@ -227,13 +227,19 @@ type callStream struct {
 	regions []shard.Region
 }
 
-// Split makes region i's shard the reads starting in [Start−pad, End],
-// where pad is one less than the longest mapped read: every read that
-// overlaps the region, so its positions see full coverage. A shard's
-// Records counts that run; a shorter read in its first pad positions may
-// end before the region and adds nothing to the pileup.
+// Split prices the alignments and cuts the reference into the plan's
+// count of regions, at most one per base. Region i's shard is the reads
+// starting in [Start−pad, End], where pad is one less than the longest
+// mapped read: every read that overlaps the region, so its positions see
+// full coverage. A shard's Records counts that run; a shorter read in its
+// first pad positions may end before the region and adds nothing to the
+// pileup.
 func (s *callStream) Split() ([]StreamShard, error) {
-	regions, err := shard.Regions(s.in.Reference.Len(), s.env.RegionCount())
+	plan, err := s.env.ShardPlan(len(s.in.Alignments))
+	if err != nil {
+		return nil, err
+	}
+	regions, err := shard.Regions(s.in.Reference.Len(), plan.NumShards)
 	if err != nil {
 		return nil, err
 	}
@@ -279,11 +285,12 @@ func (s *callStream) Gather(shards []StreamShard) (*Dataset, error) {
 }
 
 // quantifyExecutor implements the expression Quantify stage: bin the
-// reference at quantifyBinWidth, scatter whole bins over regions, count the
-// mapped alignments starting in each bin and their mean coverage on the
-// pool, and gather a per-bin FeatureTable — the RNA-seq expression
-// workload. The bins, not the regions, are the rows, so the table does not
-// depend on the scatter width.
+// reference at quantifyBinWidth, scatter whole bins over the Data Broker's
+// count of regions (at most one per bin), count the mapped alignments
+// starting in each bin and their mean coverage on the pool, and gather a
+// per-bin FeatureTable — the RNA-seq expression workload. The bins, not
+// the regions, are the rows, so the table does not depend on the scatter
+// width.
 type quantifyExecutor struct{}
 
 // quantifyBinWidth is the width in bases of an expression feature's bin.
@@ -301,8 +308,12 @@ type quantifyStream struct {
 }
 
 func (s *quantifyStream) Split() ([]StreamShard, error) {
+	plan, err := s.env.ShardPlan(len(s.in.Alignments))
+	if err != nil {
+		return nil, err
+	}
 	refLen := s.in.Reference.Len()
-	binRuns, err := shard.Regions((refLen+quantifyBinWidth-1)/quantifyBinWidth, s.env.RegionCount())
+	binRuns, err := shard.Regions((refLen+quantifyBinWidth-1)/quantifyBinWidth, plan.NumShards)
 	if err != nil {
 		return nil, err
 	}

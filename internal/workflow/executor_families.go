@@ -14,8 +14,8 @@ import (
 
 // This file binds the non-genomic data-process families of the paper's
 // Figure 1 to the engine. Each executor owns the scatter/gather shape its
-// tool family needs — spectrum shards for database search, image tiles for
-// segmentation, rank ranges for the network's edge count — and the
+// tool family needs — spectrum shards for database search, frame-row bands
+// for segmentation, rank ranges for the network's edge count — and the
 // engine logs its shards under its tool name, so the Data Broker
 // accumulates performance profiles for every family, not just the GATK
 // chain.
@@ -50,11 +50,11 @@ type spectralStream struct {
 }
 
 func (s *spectralStream) Split() ([]StreamShard, error) {
-	per, err := s.env.RecordShardSize(len(s.in.Spectra))
+	plan, err := s.env.ShardPlan(len(s.in.Spectra))
 	if err != nil {
 		return nil, err
 	}
-	chunks, err := shard.Chunk(s.in.Spectra, per)
+	chunks, err := shard.Chunk(s.in.Spectra, plan.RecordsPerShard)
 	if err != nil {
 		return nil, err
 	}
@@ -104,21 +104,31 @@ func (s *spectralStream) Gather(shards []StreamShard) (*Dataset, error) {
 	return &out, nil
 }
 
-// tileShard is the imaging Profile stage's per-shard input payload: which
-// frame to segment and the tile of it the shard owns. It never crosses the
-// fleet wire: a worker re-Splits the stage's context dataset, which holds
-// the pixels.
-type tileShard struct {
-	Img  int
-	Tile imaging.Tile
+// recordRange is a per-shard input payload: the half-open range [Lo, Hi)
+// of the stage's records (frame rows, sorted-index ranks) the shard owns.
+// It never crosses the fleet wire: a worker re-Splits the stage's context
+// dataset.
+type recordRange struct {
+	Lo, Hi int
 }
 
-// cellProfileExecutor implements the imaging Profile stage: scatter every
-// frame into tiles that partition it, segment tiles on the pool — each
-// cell is reported by the tile holding its first pixel, however far it
-// reaches — and gather per-cell features into one FeatureTable row per
-// detected cell. The tile count only splits work: every tiling returns the
-// whole-frame cells.
+// rangeShards makes one shard of each of the plan's record ranges.
+func rangeShards(plan shard.Plan) []StreamShard {
+	shards := make([]StreamShard, plan.NumShards)
+	for i := range shards {
+		lo, hi := plan.Bounds(i)
+		shards[i] = StreamShard{Records: hi - lo, Data: recordRange{lo, hi}}
+	}
+	return shards
+}
+
+// cellProfileExecutor implements the imaging Profile stage: stack the
+// frames' rows in order, cut them into the Data Broker's plan of equal row
+// ranges, segment on the pool the full-width band of each frame a range
+// crosses — each cell is reported by the band holding its first pixel,
+// however far it reaches — and gather per-cell features into one
+// FeatureTable row per detected cell. The plan only splits work: every
+// cut returns the whole-frame cells.
 type cellProfileExecutor struct{}
 
 // Stream implements streamer.
@@ -127,52 +137,80 @@ func (cellProfileExecutor) Stream(env *StageEnv, in *Dataset) (StageStream, bool
 }
 
 type cellStream struct {
-	env   *StageEnv
-	in    *Dataset
-	units []tileShard
+	env  *StageEnv
+	in   *Dataset
+	plan shard.Plan
+	// first[i] is frame i's first row in the stack; first[len(Images)]
+	// is the stack's height.
+	first []int
 }
 
+// Split plans the stacked frame rows: a record is one row.
 func (s *cellStream) Split() ([]StreamShard, error) {
-	tilesPerImage := s.env.RegionCount()
-	for i := range s.in.Images {
-		im := &s.in.Images[i]
-		for _, t := range imaging.TileGrid(im.W, im.H, tilesPerImage) {
-			s.units = append(s.units, tileShard{Img: i, Tile: t})
-		}
+	s.first = make([]int, len(s.in.Images)+1)
+	for i, im := range s.in.Images {
+		s.first[i+1] = s.first[i] + im.H
 	}
-	shards := make([]StreamShard, len(s.units))
-	for i, u := range s.units {
-		// A tile reads its own pixels once, so telemetry records them as
-		// the shard's input size.
-		t := u.Tile
-		shards[i] = StreamShard{Records: (t.X1 - t.X0) * (t.Y1 - t.Y0), Data: u}
-	}
-	return shards, nil
-}
-
-func (s *cellStream) Transform(ctx context.Context, _ int, in StreamShard) (StreamShard, error) {
-	if err := ctx.Err(); err != nil {
-		return StreamShard{}, err
-	}
-	u := in.Data.(tileShard)
-	regions := imaging.SegmentTile(&s.in.Images[u.Img], u.Tile, imaging.SegConfig{})
-	return StreamShard{Records: in.Records, Data: regions}, nil
-}
-
-func (s *cellStream) Gather(shards []StreamShard) (*Dataset, error) {
-	tiles, err := shardData[[]imaging.Region](shards)
+	plan, err := s.env.ShardPlan(s.first[len(s.in.Images)])
 	if err != nil {
 		return nil, err
 	}
-	var features []Feature
-	for i := range s.in.Images {
-		var regions []imaging.Region
-		for j, u := range s.units {
-			if u.Img == i {
-				regions = append(regions, tiles[j]...)
-			}
+	s.plan = plan
+	return rangeShards(plan), nil
+}
+
+// band is one frame's share of a row range: its full-width rows.
+type band struct {
+	img  int
+	tile imaging.Tile
+}
+
+// bands returns the full-width band of each frame that shard i's stacked
+// rows cross, in frame order.
+func (s *cellStream) bands(i int) []band {
+	var out []band
+	start, end := s.plan.Bounds(i)
+	for f := range s.in.Images {
+		if lo, hi := max(start, s.first[f]), min(end, s.first[f+1]); lo < hi {
+			out = append(out, band{f, imaging.Tile{X1: s.in.Images[f].W, Y0: lo - s.first[f], Y1: hi - s.first[f]}})
 		}
-		imaging.SortRegions(regions) // canonical order regardless of tiling
+	}
+	return out
+}
+
+// Transform segments the shard's bands, one region list per band.
+func (s *cellStream) Transform(ctx context.Context, i int, in StreamShard) (StreamShard, error) {
+	bands := s.bands(i)
+	regions := make([][]imaging.Region, len(bands))
+	for j, b := range bands {
+		if err := ctx.Err(); err != nil {
+			return StreamShard{}, err
+		}
+		regions[j] = imaging.SegmentTile(&s.in.Images[b.img], b.tile, imaging.SegConfig{})
+	}
+	return StreamShard{Records: in.Records, Data: regions}, nil
+}
+
+// Gather concatenates each frame's bands' regions and sorts them, so the
+// cells come back in one order whatever the cut.
+func (s *cellStream) Gather(shards []StreamShard) (*Dataset, error) {
+	outs, err := shardData[[][]imaging.Region](shards)
+	if err != nil {
+		return nil, err
+	}
+	perFrame := make([][]imaging.Region, len(s.in.Images))
+	for i := range shards {
+		bands := s.bands(i)
+		if len(outs[i]) != len(bands) {
+			return nil, fmt.Errorf("workflow: shard %d returned %d region lists for %d frames", i, len(outs[i]), len(bands))
+		}
+		for j, b := range bands {
+			perFrame[b.img] = append(perFrame[b.img], outs[i][j]...)
+		}
+	}
+	var features []Feature
+	for i, regions := range perFrame {
+		imaging.SortRegions(regions) // canonical order regardless of the cut
 		for n, r := range regions {
 			features = append(features, Feature{
 				Name:  fmt.Sprintf("%s:cell%03d", s.in.Images[i].ID, n),
@@ -186,14 +224,6 @@ func (s *cellStream) Gather(shards []StreamShard) (*Dataset, error) {
 	out.Images = nil // the caller's own input; release once consumed
 	out.Features = features
 	return &out, nil
-}
-
-// rankRange is the Integrate stage's per-shard input payload: a half-open
-// range [Lo, Hi) of sorted-index ranks whose edges the shard counts.
-// Workers rebuild the node list and re-Split it from the stage's context
-// dataset.
-type rankRange struct {
-	Lo, Hi int
 }
 
 // integrateExecutor implements the integrative Integrate stage: treat each
@@ -226,21 +256,12 @@ type integrateStream struct {
 // broker's plan of equal record ranges: once the index is sorted, every
 // rank costs the same to count.
 func (s *integrateStream) Split() ([]StreamShard, error) {
-	per, err := s.env.RecordShardSize(len(s.nodes))
-	if err != nil {
-		return nil, err
-	}
-	plan, err := shard.PlanByRecords(len(s.nodes), per)
+	plan, err := s.env.ShardPlan(len(s.nodes))
 	if err != nil {
 		return nil, err
 	}
 	s.index = network.NewIndex(s.nodes, network.Config{})
-	shards := make([]StreamShard, plan.NumShards)
-	for i := range shards {
-		lo, hi := plan.Bounds(i)
-		shards[i] = StreamShard{Records: hi - lo, Data: rankRange{lo, hi}}
-	}
-	return shards, nil
+	return rangeShards(plan), nil
 }
 
 // Transform counts the edges whose lower-ranked end lies in the shard's
@@ -249,7 +270,7 @@ func (s *integrateStream) Transform(ctx context.Context, _ int, in StreamShard) 
 	if err := ctx.Err(); err != nil {
 		return StreamShard{}, err
 	}
-	r := in.Data.(rankRange)
+	r := in.Data.(recordRange)
 	return StreamShard{Records: in.Records, Data: s.index.Pairs(r.Lo, r.Hi)}, nil
 }
 

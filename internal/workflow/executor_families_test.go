@@ -138,7 +138,7 @@ func TestImagingWorkflowEndToEnd(t *testing.T) {
 	kb := seededKB(t)
 	e := NewEngine(EngineOptions{KB: kb, Workers: 4})
 	ds, planted := tiffDataset(t, 3, 5, 23)
-	res, err := e.RunByName(context.Background(), "cell-imaging", ds, RunOptions{Regions: 4})
+	res, err := e.RunByName(context.Background(), "cell-imaging", ds, RunOptions{ShardRecords: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestImagingWorkflowEndToEnd(t *testing.T) {
 	if out.Type != FeatureTable {
 		t.Fatalf("output type = %s", out.Type)
 	}
-	// Tile-overlap segmentation recovers exactly the planted cells: no
-	// double counting across tile boundaries, no misses.
+	// Banded segmentation recovers exactly the planted cells: no double
+	// counting across band boundaries, no misses.
 	if len(out.Features) != planted {
 		t.Fatalf("features = %d, want %d planted cells", len(out.Features), planted)
 	}
@@ -159,12 +159,13 @@ func TestImagingWorkflowEndToEnd(t *testing.T) {
 	if out.Images != nil {
 		t.Fatal("consumed images not released")
 	}
-	// 3 images × 4 tiles each = 12 scatter units.
-	if len(res.Stages) != 1 || res.Stages[0].Shards != 12 {
+	// 3 frames × 96 rows at 40 rows a shard = 8 row ranges, some of them
+	// crossing from one frame into the next.
+	if len(res.Stages) != 1 || res.Stages[0].Shards != 8 {
 		t.Fatalf("stages = %+v", res.Stages)
 	}
-	if got := runLogCount(t, kb, "CellProfiler", 0); got != 12 {
-		t.Fatalf("%d CellProfiler run logs, want 12", got)
+	if got := runLogCount(t, kb, "CellProfiler", 0); got != 8 {
+		t.Fatalf("%d CellProfiler run logs, want 8", got)
 	}
 }
 
@@ -210,7 +211,7 @@ func TestNetworkWorkflowEndToEnd(t *testing.T) {
 func TestExpressionFeedsIntegration(t *testing.T) {
 	e := testEngine(t, 4)
 	ds := synthDataset(t, 8000, 2000, 31)
-	expr, err := e.RunByName(context.Background(), "rna-expression", ds, RunOptions{Regions: 6})
+	expr, err := e.RunByName(context.Background(), "rna-expression", ds, RunOptions{ShardRecords: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +307,11 @@ func TestCancellationInterruptsShardMidFlight(t *testing.T) {
 	})
 }
 
-// hostileFrames draws frames that stress the tile scatter: a 70×70 square
-// wider than any tile, a fully bright frame, a one-pixel snake through
-// every row, a 50 % random frame with pixels at exactly the threshold, an
-// empty frame, a frame narrower than its tile grid, cells centred on the
-// borders of many tilings and a NaN pixel beside a cell.
+// hostileFrames draws frames that stress the row-band scatter: a 70×70
+// square taller than many bands, a fully bright frame, a one-pixel snake
+// through every row, a 50 % random frame with pixels at exactly the
+// threshold, an empty frame, a frame three pixels wide, cells centred on
+// the borders of many cuts and a NaN pixel beside a cell.
 func hostileFrames(t testing.TB, seed int64) *Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -369,26 +370,29 @@ func hostileFrames(t testing.TB, seed int64) *Dataset {
 }
 
 // TestImagingWorkflowIgnoresPlan: cell-imaging's answer is a function of
-// its frames, not of its tile plan — 1, 2, 7 or 1 000 tiles per frame on a
-// pool of 1, 2 or 8 — down to the encoded bytes, on the hostile frames.
+// its frames, not of its shard plan — the stacked frame rows in one
+// shard, one per pool slot, 7 or one row each, on a pool of 1, 2 or 8 —
+// down to the encoded bytes, on the hostile frames.
 func TestImagingWorkflowIgnoresPlan(t *testing.T) {
-	tilings := func(int) []RunOptions {
-		return []RunOptions{{Regions: 1}, {Regions: 2}, {Regions: 7}, {Regions: 1000}}
+	ds := hostileFrames(t, 5)
+	rows := 0
+	for _, im := range ds.Images {
+		rows += im.H
 	}
-	ignoresPlan(t, "cell-imaging", hostileFrames(t, 5), false, tilings, func(pool int, opts RunOptions, res *Result) {
+	ignoresPlan(t, "cell-imaging", ds, false, recordPlans(rows), func(pool int, opts RunOptions, res *Result) {
 		cells := map[string]int{}
 		for _, f := range res.Output.Features {
 			frame, _, _ := strings.Cut(f.Name, ":")
 			cells[frame]++
 			if math.IsNaN(f.Value) || f.Value < 0.5 {
-				t.Fatalf("pool %d, %d regions: cell %+v below the threshold", pool, opts.Regions, f)
+				t.Fatalf("pool %d, %d rows per shard: cell %+v below the threshold", pool, opts.ShardRecords, f)
 			}
 		}
 		if f := res.Output.Features[0]; cells["square"] != 1 || f.Count != 70*70 {
-			t.Fatalf("pool %d, %d regions: square is %d cells, the first %+v", pool, opts.Regions, cells["square"], f)
+			t.Fatalf("pool %d, %d rows per shard: square is %d cells, the first %+v", pool, opts.ShardRecords, cells["square"], f)
 		}
 		if cells["bright"] != 1 || cells["snake"] != 1 || cells["empty"] != 0 || cells["borders"] != 8 || cells["nan"] != 1 {
-			t.Fatalf("pool %d, %d regions: cells per frame %v", pool, opts.Regions, cells)
+			t.Fatalf("pool %d, %d rows per shard: cells per frame %v", pool, opts.ShardRecords, cells)
 		}
 	})
 }

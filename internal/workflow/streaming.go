@@ -104,8 +104,8 @@ func (s streamOnly) Execute(context.Context, *StageEnv, *Dataset) (*Dataset, err
 // StageStream is one stage's scatter, per-shard transform, and gather.
 type StageStream interface {
 	// Split scatters the stage's input into shards. Implementations size
-	// record scatters through env.RecordShardSize, so the Data Broker's
-	// plan and advice land on the stage result. Given the same input and
+	// every scatter through env.ShardPlan over the stage's own records, so
+	// the Data Broker's plan and advice land on the stage result. Given the same input and
 	// pinned options, Split must return the same shards, so a fleet
 	// worker's re-Split matches the coordinator's.
 	Split() ([]StreamShard, error)
@@ -194,6 +194,9 @@ func (p *StagePrep) runLocal(ctx context.Context) ([]StreamShard, []time.Duratio
 	return outs, elapsed, err
 }
 
+// NumShards is how many shards the stage's Split cut.
+func (p *StagePrep) NumShards() int { return len(p.shards) }
+
 // RunShard transforms shard i, returning its output and its transform
 // time — the stage's shard telemetry.
 func (p *StagePrep) RunShard(ctx context.Context, i int) (StreamShard, time.Duration, error) {
@@ -210,8 +213,8 @@ func (p *StagePrep) RunShard(ctx context.Context, i int) (StreamShard, time.Dura
 // invariant: it binds the named workflow's stage exactly as Engine.Run
 // does and prepares its stream over the materialized input with the given
 // (coordinator-pinned, StageEnv.RemoteOptions) options. Split is
-// deterministic given (input, pinned options) — the shard plan and region
-// widths are pinned and no Data Broker is consulted — so the worker's
+// deterministic given (input, pinned options) — the shard plan is pinned
+// and no Data Broker is consulted — so the worker's
 // shards are byte-identical to the coordinator's and a dispatch names only
 // a shard index. Scheduling-only options are ignored: the prep never
 // observes or re-dispatches.

@@ -447,6 +447,17 @@ func (w *wire) feature(f *Feature) {
 	w.float(&f.Value)
 }
 
+func (w *wire) region(r *imaging.Region) {
+	w.int(&r.Area)
+	w.float(&r.CX)
+	w.float(&r.CY)
+	w.float(&r.Mean)
+	w.int(&r.MinX)
+	w.int(&r.MinY)
+	w.int(&r.MaxX)
+	w.int(&r.MaxY)
+}
+
 func (w *wire) spectrum(s *proteome.Spectrum) {
 	w.str(&s.ID)
 	slice(w, &s.Peaks, (*wire).float)
@@ -500,21 +511,13 @@ var payloads = []func(w *wire, v *any, tag uint64) bool{
 			w.float(&m.Score)
 		})
 	}),
-	payload(func(w *wire, v *[]imaging.Region) {
-		slice(w, v, func(w *wire, r *imaging.Region) {
-			w.int(&r.Area)
-			w.float(&r.CX)
-			w.float(&r.CY)
-			w.float(&r.Mean)
-			w.int(&r.MinX)
-			w.int(&r.MinY)
-			w.int(&r.MaxX)
-			w.int(&r.MaxY)
-		})
-	}),
+	retired, // a tile's region list
 	retired, // an Integrate shard's edge list
 	payload(func(w *wire, v *[]Feature) { slice(w, v, (*wire).feature) }),
 	payload((*wire).int), // an Integrate shard's edge count
+	payload(func(w *wire, v *[][]imaging.Region) { // a Profile shard's region list per frame
+		slice(w, v, func(w *wire, rs *[]imaging.Region) { slice(w, rs, (*wire).region) })
+	}),
 }
 
 // retired holds the tag of a payload type nothing sends: it never matches

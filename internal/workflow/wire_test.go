@@ -30,19 +30,23 @@ var shardPayloads = []any{
 	retiredPayload{[]genomics.Read(nil)},
 	retiredPayload{[]genomics.Alignment(nil)},
 	retiredPayload{[]proteome.Spectrum(nil)},
-	retiredPayload{tileShard{}},
-	retiredPayload{rankRange{}},
+	retiredPayload{struct {
+		Img  int
+		Tile imaging.Tile
+	}{}},
+	retiredPayload{recordRange{}},
 	AlignedShard{},
 	[]genomics.Variant(nil),
 	retiredPayload{Feature{}},
 	[]proteome.Match(nil),
-	[]imaging.Region(nil),
+	retiredPayload{[]imaging.Region(nil)},
 	retiredPayload{[]struct {
 		A, B   int
 		Weight float64
 	}(nil)},
 	[]Feature(nil),
 	0,
+	[][]imaging.Region(nil),
 }
 
 // filler sets every field reachable from a value: strings, byte slices
